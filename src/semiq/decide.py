@@ -13,7 +13,7 @@ each collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .config import Budget, Limits
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
@@ -31,19 +31,6 @@ RESOURCE_EXHAUSTED = "RESOURCE_EXHAUSTED"
 UCQ_BAG = "ucq-bag"
 UCQ_SET = "ucq-set"
 GENERAL = "general"
-
-
-@dataclass
-class Verdict:
-    status: str
-    fragment: str
-    trace: Trace | None = None
-    steps: int = 0
-    detail: str = ""
-
-    @property
-    def equivalent(self) -> bool:
-        return self.status == EQUIVALENT
 
 
 class Decider:

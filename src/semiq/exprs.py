@@ -458,31 +458,6 @@ def replace_scalar(e: Exp, old: Scalar, new: Scalar) -> Exp:
     raise TypeError(e)
 
 
-def rename_var(e: Exp, old: TupleVar, new: TupleVar) -> Exp:
-    """Rename a bound variable: rebuilds the binder as well as the body."""
-    def walk(x: Exp) -> Exp:
-        if isinstance(x, Sum) and x.var == old:
-            return Sum(new, walk_body(x.body))
-        if isinstance(x, (Zero, One)):
-            return x
-        if isinstance(x, Add):
-            return Add(walk(x.lhs), walk(x.rhs))
-        if isinstance(x, Mul):
-            return Mul(walk(x.lhs), walk(x.rhs))
-        if isinstance(x, Squash):
-            return Squash(walk(x.body))
-        if isinstance(x, Not):
-            return Not(walk(x.body))
-        if isinstance(x, Sum):
-            return Sum(x.var, walk(x.body))
-        return walk_body(x)
-
-    def walk_body(x: Exp) -> Exp:
-        return substitute(x, old, new)
-
-    return walk(e)
-
-
 # ---------------------------------------------------------------------------
 # Canonical (alpha-normal) keys and pretty printing
 

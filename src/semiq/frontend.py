@@ -7,14 +7,12 @@ and indexes.  All passes are pure AST-to-AST functions.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .schema import FkConstraint, KeyConstraint, Schema, SchemaEnv, SemanticError
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
     Exists, ExprItem, FkStmt, IndexStmt, KeyStmt, Lit, NotP, OrP, Program,
     Select, SchemaStmt, Source, Star, TableRef, TableStmt, UnionAll,
-    VerifyStmt, ViewStmt,
+    VerifyStmt, ViewStmt, children, map_children, transform, walk,
 )
 
 UNKNOWN = "?"
@@ -189,18 +187,6 @@ def infer_schema(q, env: SchemaEnv, scopes=()) -> Schema:
 # ---------------------------------------------------------------------------
 # GROUP BY desugaring
 
-def _collect_aliases(q, acc: set[str]) -> None:
-    if isinstance(q, Select):
-        for s in q.sources:
-            acc.add(s.alias)
-            _collect_aliases(s.query, acc)
-    elif isinstance(q, (UnionAll, ExceptQ)):
-        _collect_aliases(q.lhs, acc)
-        _collect_aliases(q.rhs, acc)
-    elif isinstance(q, Distinct):
-        _collect_aliases(q.query, acc)
-
-
 def shorthand_column_names(args) -> list[str]:
     """Output column names for an aggregate-shorthand subquery."""
     names = []
@@ -211,61 +197,31 @@ def shorthand_column_names(args) -> list[str]:
     return names
 
 
-def _rename_expr(e, ren: dict[str, str]):
-    if isinstance(e, ColRef):
-        return ColRef(ren.get(e.alias, e.alias), e.attr, e.pos)
-    if isinstance(e, App):
-        return App(e.name, tuple(_rename_expr(a, ren) for a in e.args), e.pos)
-    if isinstance(e, AggQuery):
-        return AggQuery(e.name, _rename_query_free(e.query, ren), e.pos)
-    return e
+# The query-typed children of a Select are exactly its FROM subqueries.
+_QUERY_TYPES = (TableRef, Select, UnionAll, ExceptQ, Distinct)
 
 
-def _rename_pred(p, ren: dict[str, str]):
-    if isinstance(p, Cmp):
-        return Cmp(p.op, _rename_expr(p.lhs, ren), _rename_expr(p.rhs, ren), p.pos)
-    if isinstance(p, NotP):
-        return NotP(_rename_pred(p.body, ren))
-    if isinstance(p, AndP):
-        return AndP(_rename_pred(p.lhs, ren), _rename_pred(p.rhs, ren))
-    if isinstance(p, OrP):
-        return OrP(_rename_pred(p.lhs, ren), _rename_pred(p.rhs, ren))
-    if isinstance(p, Exists):
-        return Exists(_rename_query_free(p.query, ren))
-    return p
-
-
-def _rename_query_free(q, ren: dict[str, str]):
+def _rename(node, ren: dict[str, str]):
     """Rename free alias references (shadowed aliases keep their meaning)."""
-    if isinstance(q, Select):
-        inner = {k: v for k, v in ren.items()
-                 if k not in {s.alias for s in q.sources}}
-        sources = tuple(Source(_rename_query_free(s.query, ren), s.alias, s.pos)
-                        for s in q.sources)
-        items = tuple(ExprItem(_rename_expr(it.expr, inner), it.name, it.pos)
-                      if isinstance(it, ExprItem) else it
-                      for it in q.items)
-        where = _rename_pred(q.where, inner) if q.where is not None else None
-        gb = tuple(_rename_expr(g, inner) for g in q.group_by) if q.group_by else None
-        return Select(items, sources, where, gb, q.pos)
-    if isinstance(q, UnionAll):
-        return UnionAll(_rename_query_free(q.lhs, ren), _rename_query_free(q.rhs, ren))
-    if isinstance(q, ExceptQ):
-        return ExceptQ(_rename_query_free(q.lhs, ren), _rename_query_free(q.rhs, ren))
-    if isinstance(q, Distinct):
-        return Distinct(_rename_query_free(q.query, ren))
-    return q
+    if isinstance(node, ColRef):
+        return ColRef(ren[node.alias], node.attr, node.pos) if node.alias in ren else node
+    if isinstance(node, Select):
+        bound = {s.alias for s in node.sources}
+        if not bound.isdisjoint(ren):
+            # FROM subqueries do not see their sibling aliases; the rest does
+            inner = {k: v for k, v in ren.items() if k not in bound}
+            return map_children(node, lambda c: _rename(
+                c, ren if isinstance(c, _QUERY_TYPES) else inner))
+    return map_children(node, lambda c: _rename(c, ren))
 
 
 def _expr_refs_outside(e, grouped: set[tuple[str, str]], local_aliases: set[str]) -> bool:
     """Does e reference a local, non-grouped attribute?"""
     if isinstance(e, ColRef):
         return e.alias in local_aliases and (e.alias, e.attr) not in grouped
-    if isinstance(e, App):
-        return any(_expr_refs_outside(a, grouped, local_aliases) for a in e.args)
     if isinstance(e, AggQuery):
         return False  # explicit aggregate already encapsulates its scan
-    return False
+    return any(_expr_refs_outside(a, grouped, local_aliases) for a in children(e))
 
 
 def desugar_groupby(q):
@@ -276,8 +232,7 @@ def desugar_groupby(q):
     subquery of its group's rows.  Idempotent on GROUP-BY-free input.
     """
     counter = [0]
-    used: set[str] = set()
-    _collect_aliases(q, used)
+    used = {s.alias for n in walk(q) if isinstance(n, Select) for s in n.sources}
 
     def fresh_alias() -> str:
         while True:
@@ -286,50 +241,6 @@ def desugar_groupby(q):
             if cand not in used:
                 used.add(cand)
                 return cand
-
-    def walk(node):
-        if isinstance(node, Select):
-            sources = tuple(Source(walk(s.query), s.alias, s.pos) for s in node.sources)
-            node = replace(node, sources=sources)
-            items = tuple(_walk_item(it) for it in node.items)
-            node = replace(node, items=items)
-            if node.where is not None:
-                node = replace(node, where=_walk_pred(node.where))
-            if node.group_by:
-                return _desugar_one(node)
-            return node
-        if isinstance(node, UnionAll):
-            return UnionAll(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, ExceptQ):
-            return ExceptQ(walk(node.lhs), walk(node.rhs))
-        if isinstance(node, Distinct):
-            return Distinct(walk(node.query))
-        return node
-
-    def _walk_item(it):
-        if isinstance(it, ExprItem):
-            return ExprItem(_walk_expr(it.expr), it.name, it.pos)
-        return it
-
-    def _walk_expr(e):
-        if isinstance(e, App):
-            return App(e.name, tuple(_walk_expr(a) for a in e.args), e.pos)
-        if isinstance(e, AggQuery):
-            return AggQuery(e.name, walk(e.query), e.pos)
-        return e
-
-    def _walk_pred(p):
-        if isinstance(p, Cmp):
-            return Cmp(p.op, _walk_expr(p.lhs), _walk_expr(p.rhs), p.pos)
-        if isinstance(p, NotP):
-            return NotP(_walk_pred(p.body))
-        if isinstance(p, AndP):
-            return AndP(_walk_pred(p.lhs), _walk_pred(p.rhs))
-        if isinstance(p, OrP):
-            return OrP(_walk_pred(p.lhs), _walk_pred(p.rhs))
-        if isinstance(p, Exists):
-            return Exists(walk(p.query))
-        return p
 
     def _desugar_one(node: Select):
         grouped = {(g.alias, g.attr) for g in node.group_by}
@@ -366,11 +277,12 @@ def desugar_groupby(q):
                 raise SemanticError(
                     f"projection {it.name} references a non-grouped attribute")
             else:
-                out_items.append(ExprItem(_rename_expr(e, ren), it.name, it.pos))
-        outer_where = _rename_pred(node.where, ren) if node.where is not None else None
+                out_items.append(ExprItem(_rename(e, ren), it.name, it.pos))
+        outer_where = _rename(node.where, ren) if node.where is not None else None
         return Distinct(Select(tuple(out_items), outer_sources, outer_where))
 
-    return walk(q)
+    return transform(q, lambda n: _desugar_one(n)
+                     if isinstance(n, Select) and n.group_by else n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,47 +290,11 @@ def desugar_groupby(q):
 
 def inline_views(q, env: SchemaEnv, _stack: tuple[str, ...] = ()):
     """Replace each view/index occurrence by its defining query, transitively."""
-    if isinstance(q, TableRef):
-        if q.name in env.views:
-            if q.name in _stack:
-                raise SemanticError(f"cyclic view definition involving {q.name}")
-            return inline_views(env.views[q.name], env, _stack + (q.name,))
-        return q
-    if isinstance(q, Select):
-        sources = tuple(Source(inline_views(s.query, env, _stack), s.alias, s.pos)
-                        for s in q.sources)
-        where = _inline_pred(q.where, env, _stack) if q.where is not None else None
-        items = tuple(ExprItem(_inline_expr(it.expr, env, _stack), it.name, it.pos)
-                      if isinstance(it, ExprItem) else it
-                      for it in q.items)
-        return replace(q, sources=sources, where=where, items=items)
-    if isinstance(q, UnionAll):
-        return UnionAll(inline_views(q.lhs, env, _stack), inline_views(q.rhs, env, _stack))
-    if isinstance(q, ExceptQ):
-        return ExceptQ(inline_views(q.lhs, env, _stack), inline_views(q.rhs, env, _stack))
-    if isinstance(q, Distinct):
-        return Distinct(inline_views(q.query, env, _stack))
-    raise SemanticError(f"unknown query node {type(q).__name__}")
+    def expand(n):
+        if not isinstance(n, TableRef) or n.name not in env.views:
+            return n
+        if n.name in _stack:
+            raise SemanticError(f"cyclic view definition involving {n.name}")
+        return inline_views(env.views[n.name], env, _stack + (n.name,))
 
-
-def _inline_expr(e, env, stack):
-    if isinstance(e, App):
-        return App(e.name, tuple(_inline_expr(a, env, stack) for a in e.args), e.pos)
-    if isinstance(e, AggQuery):
-        return AggQuery(e.name, inline_views(e.query, env, stack), e.pos)
-    return e
-
-
-def _inline_pred(p, env, stack):
-    if isinstance(p, Cmp):
-        return Cmp(p.op, _inline_expr(p.lhs, env, stack),
-                   _inline_expr(p.rhs, env, stack), p.pos)
-    if isinstance(p, NotP):
-        return NotP(_inline_pred(p.body, env, stack))
-    if isinstance(p, AndP):
-        return AndP(_inline_pred(p.lhs, env, stack), _inline_pred(p.rhs, env, stack))
-    if isinstance(p, OrP):
-        return OrP(_inline_pred(p.lhs, env, stack), _inline_pred(p.rhs, env, stack))
-    if isinstance(p, Exists):
-        return Exists(inline_views(p.query, env, stack))
-    return p
+    return transform(q, expand)

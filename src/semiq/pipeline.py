@@ -18,9 +18,9 @@ from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import (FiniteDb, GenSizes, OracleError, gen_instances, interp_query)
 from .parser import parse
 from .schema import SchemaEnv, SemanticError
-from .sqlast import (AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef,
-                     Distinct, ExceptQ, Exists, ExprItem, Lit, NotP, OrP,
-                     Program, Select, Star, TableRef, UnionAll, VerifyStmt)
+from .sqlast import (AliasStar, AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
+                     Lit, Program, Select, Star, TableRef, UnionAll, VerifyStmt,
+                     walk)
 from .spnf import to_spnf
 from .trace import Trace
 from .translate import denote
@@ -47,45 +47,8 @@ class VerifyOutcome:
 # ---------------------------------------------------------------------------
 # Fragment classification
 
-def referenced_tables(q, acc: set[str] | None = None) -> set[str]:
-    acc = set() if acc is None else acc
-    if isinstance(q, TableRef):
-        acc.add(q.name)
-    elif isinstance(q, Select):
-        for s in q.sources:
-            referenced_tables(s.query, acc)
-        if q.where is not None:
-            _pred_tables(q.where, acc)
-        for it in q.items:
-            if isinstance(it, ExprItem):
-                _expr_tables(it.expr, acc)
-    elif isinstance(q, (UnionAll, ExceptQ)):
-        referenced_tables(q.lhs, acc)
-        referenced_tables(q.rhs, acc)
-    elif isinstance(q, Distinct):
-        referenced_tables(q.query, acc)
-    return acc
-
-
-def _expr_tables(e, acc: set[str]):
-    if isinstance(e, App):
-        for a in e.args:
-            _expr_tables(a, acc)
-    elif isinstance(e, AggQuery):
-        referenced_tables(e.query, acc)
-
-
-def _pred_tables(p, acc: set[str]):
-    if isinstance(p, Cmp):
-        _expr_tables(p.lhs, acc)
-        _expr_tables(p.rhs, acc)
-    elif isinstance(p, NotP):
-        _pred_tables(p.body, acc)
-    elif isinstance(p, (AndP, OrP)):
-        _pred_tables(p.lhs, acc)
-        _pred_tables(p.rhs, acc)
-    elif isinstance(p, Exists):
-        referenced_tables(p.query, acc)
+def referenced_tables(q) -> set[str]:
+    return {n.name for n in walk(q) if isinstance(n, TableRef)}
 
 
 def _simple_expr(e) -> bool:
@@ -150,43 +113,12 @@ def classify_fragment(q1, q2, env: SchemaEnv) -> str:
 # ---------------------------------------------------------------------------
 # Literal collection (oracle domains must include the queries' constants)
 
-def query_literals(q, acc: dict[str, set] | None = None) -> dict[str, set]:
-    acc = {"int": set(), "string": set()} if acc is None else acc
-
-    def expr(e):
-        if isinstance(e, Lit) and e.ty in acc:
-            acc[e.ty].add(e.value)
-        elif isinstance(e, App):
-            for a in e.args:
-                expr(a)
-        elif isinstance(e, AggQuery):
-            query_literals(e.query, acc)
-
-    def pred(p):
-        if isinstance(p, Cmp):
-            expr(p.lhs)
-            expr(p.rhs)
-        elif isinstance(p, NotP):
-            pred(p.body)
-        elif isinstance(p, (AndP, OrP)):
-            pred(p.lhs)
-            pred(p.rhs)
-        elif isinstance(p, Exists):
-            query_literals(p.query, acc)
-
-    if isinstance(q, Select):
-        for s in q.sources:
-            query_literals(s.query, acc)
-        if q.where is not None:
-            pred(q.where)
-        for it in q.items:
-            if isinstance(it, ExprItem):
-                expr(it.expr)
-    elif isinstance(q, (UnionAll, ExceptQ)):
-        query_literals(q.lhs, acc)
-        query_literals(q.rhs, acc)
-    elif isinstance(q, Distinct):
-        query_literals(q.query, acc)
+def query_literals(*queries) -> dict[str, set]:
+    acc: dict[str, set] = {"int": set(), "string": set()}
+    for q in queries:
+        for n in walk(q):
+            if isinstance(n, Lit) and n.ty in acc:
+                acc[n.ty].add(n.value)
     return acc
 
 
@@ -276,8 +208,7 @@ def _step_counts(trace: Trace, budget: Budget) -> dict:
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
                  sizes: GenSizes | None = None) -> FiniteDb | None:
     """Search generated constraint-satisfying instances for a disagreement."""
-    lits = query_literals(q1)
-    lits = query_literals(q2, lits)
+    lits = query_literals(q1, q2)
     sizes = sizes or GenSizes()
     try:
         stream = gen_instances(env, env.constraints(), sizes, seed,

@@ -18,7 +18,7 @@ from .exprs import (
     Add, AggCall, EqAtom, Func, Mul, NeqAtom, Not, One, Pred, PredApp,
     PredAtom, Rel, Squash, Sum, TupleEqAtom, TupleNeqAtom, TupleVar, Exp,
     VarGen, Zero, ZERO, ONE, canon_key, count_nodes, mk_eq, mk_neq, mk_record,
-    mk_tuple_eq, mk_tuple_neq, pretty, substitute,
+    mk_tuple_eq, mk_tuple_neq, substitute,
 )
 
 
@@ -65,11 +65,6 @@ class Term:
         for v in reversed(self.sum_vars):
             body = Sum(v, body)
         return body
-
-    def all_vars(self) -> set[TupleVar]:
-        from .exprs import free_vars
-        return free_vars(self.to_exp()) | set(self.sum_vars)
-
 
 @dataclass(frozen=True)
 class SpnfExp:
@@ -420,13 +415,7 @@ def _check(e: SpnfExp, outer: frozenset[int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Term algebra used by canonization (products of normal forms)
-
-def spnf_mul(a: SpnfExp, b: SpnfExp, gen: VarGen, trace: Trace | None = None,
-             budget: Budget | None = None) -> SpnfExp:
-    """Product of two normal forms, renormalized."""
-    return to_spnf(Mul(a.to_exp(), b.to_exp()), gen, trace, budget)
-
+# Term algebra used by canonization
 
 def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
                     budget: Budget | None = None) -> SpnfExp:
@@ -441,10 +430,3 @@ def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
         body = Sum(v, body)
     return to_spnf(body, gen, trace, budget)
 
-
-def term_without_squash(t: Term) -> Term:
-    return replace(t, squash=None)
-
-
-def pretty_spnf(e: SpnfExp, names: dict[int, str] | None = None) -> str:
-    return pretty(e.to_exp(), names)

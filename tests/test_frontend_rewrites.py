@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from semiq import SemanticError, build_env, parse
+from semiq import SemanticError, build_env, parse, run_program_text
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, gen_instances, interp_query
 from semiq.sqlast import (AggQuery, Distinct, ExprItem, Select, Source,
@@ -82,6 +82,52 @@ def test_desugar_preserves_interpreter_results():
     out = desugar_groupby(q)
     for db in itertools.islice(gen_instances(env, [], GenSizes(3, 3, 3), 11), 25):
         assert interp_query(q, db, env) == interp_query(out, db, env)
+
+
+# Grouped queries whose fresh outer aliases could capture a reference: the
+# first two bind g1 (desugaring's first fresh alias) inside EXISTS, the third
+# re-binds the outer alias x in a subquery (the inner x must stay inner).
+CAPTURE_QUERIES = [
+    "SELECT x.a AS a FROM R x WHERE EXISTS (SELECT * FROM R g1 WHERE g1.b = x.a)"
+    " GROUP BY x.a",
+    "SELECT x.a AS a, count(x.b) AS n FROM R x"
+    " WHERE EXISTS (SELECT * FROM R g1 WHERE g1.b = x.a) GROUP BY x.a",
+    "SELECT x.a AS a, count(x.b) AS n FROM R x"
+    " WHERE EXISTS (SELECT * FROM R x WHERE x.b = x.a) GROUP BY x.a",
+    "SELECT x.a AS a, count(y.b) AS n FROM R x, R y WHERE x.b = y.a GROUP BY x.a",
+]
+
+CAPTURE_PRELUDE = "schema s(a:int, b:int); table R(s);\n"
+
+
+@pytest.mark.parametrize("text", CAPTURE_QUERIES)
+def test_desugar_never_captures_aliases(text):
+    env = build_env(parse(CAPTURE_PRELUDE))
+    q = parse_query(text)
+    out = desugar_groupby(q)
+    for db in itertools.islice(gen_instances(env, [], GenSizes(3, 3, 3), 17), 40):
+        assert interp_query(q, db, env) == interp_query(out, db, env)
+
+
+def test_groupby_capture_is_not_proved_equivalent():
+    # on R = {(0,1)x2, (0,2)x2, (2,2)x3} the sides are {a=2} and {a=0, a=2}
+    out = run_program_text(CAPTURE_PRELUDE + """
+        verify (SELECT x.a AS a FROM R x
+                WHERE EXISTS (SELECT * FROM R g1 WHERE g1.b = x.a) GROUP BY x.a)
+               (SELECT DISTINCT x.a AS a FROM R x
+                WHERE EXISTS (SELECT * FROM R y WHERE y.b = y.a));
+    """)
+    assert out[0].status != "EQUIVALENT"
+
+
+def test_alpha_equivalent_grouped_pair_has_no_counterexample():
+    out = run_program_text(CAPTURE_PRELUDE + """
+        verify (SELECT x.a AS a FROM R x
+                WHERE EXISTS (SELECT * FROM R g1 WHERE g1.b = x.a) GROUP BY x.a)
+               (SELECT x.a AS a FROM R x
+                WHERE EXISTS (SELECT * FROM R y WHERE y.b = x.a) GROUP BY x.a);
+    """, refute=True)
+    assert out[0].witness is None
 
 
 def test_inline_index_as_projection_view(index_program):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from semiq import run_program_text
+from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
+from semiq.pipeline import query_literals, referenced_tables
+from semiq.sqlast import Select, TableRef, UnionAll, walk
+
+from conftest import parse_query
 
 
 def _statuses(text):
@@ -256,3 +260,29 @@ def test_constant_projections():
 
 def test_program_without_verifies_is_empty_report():
     assert _statuses(PRELUDE) == []
+
+
+def test_wide_union_all_pair_is_equivalent():
+    # 600 levels of UNION ALL: a traversal spending two Python frames per
+    # level would overflow the default recursion limit
+    body = " UNION ALL ".join(["R"] * 600)
+    out = _statuses(PRELUDE + f"verify ({body}) ({body});")
+    assert out == [("EQUIVALENT", "ucq-bag")]
+
+
+def test_frontend_passes_take_no_frames_per_level():
+    env = build_env(parse("""
+        schema s(a:int, b:int);
+        table R(s);
+        view V SELECT x.a AS a FROM R x;
+    """))
+    q = parse_query("SELECT v.a AS a FROM V v WHERE v.a = 7 GROUP BY v.a",
+                    relations=("R", "V"))
+    for _ in range(5000):
+        q = UnionAll(q, TableRef("V"))
+    desugared = desugar_groupby(q)
+    assert not any(type(n) is Select and n.group_by for n in walk(desugared))
+    inlined = inline_views(desugared, env)
+    assert referenced_tables(q) == {"V"}
+    assert referenced_tables(inlined) == {"R"}
+    assert query_literals(inlined)["int"] == {7}
