@@ -19,7 +19,6 @@ from .exprs import (
     Add, EqAtom, Mul, Not, One, Pred, Rel, Squash, Sum, SubstError, TupleEqAtom,
     TupleVar, Exp, Zero, ZERO, ONE, alpha_equal, canon_key, free_vars, mk_eq,
     mk_neq, mk_tuple_eq, mk_tuple_neq, replace_scalar, substitute,
-    tuple_free_vars,
 )
 
 
@@ -337,7 +336,7 @@ def _is_binding_eq(atom, v: TupleVar):
     """Return the replacement tuple expression if atom is [v = e], v not in e."""
     if isinstance(atom, TupleEqAtom):
         for a, b in ((atom.lhs, atom.rhs), (atom.rhs, atom.lhs)):
-            if isinstance(a, TupleVar) and a == v and v not in tuple_free_vars(b):
+            if isinstance(a, TupleVar) and a == v and v not in free_vars(b):
                 return b
     return None
 

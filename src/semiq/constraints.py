@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 from .config import Budget, Limits
 from .congruence import Closure, closure_of
 from .schema import FkConstraint, KeyConstraint, SchemaEnv
-from .spnf import SpnfExp, Term, dissolve_squash, parse_spnf
+from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
 from .trace import Trace
 from .exprs import (
-    AggCall, AttrRef, EqAtom, Func, NeqAtom, Pred, PredApp, PredAtom,
-    TupleCons, TupleEqAtom, TupleNeqAtom, TupleSlice, TupleVar, VarGen,
-    _subst_atom, atom_free_vars, canon_key, mk_eq, mk_record, mk_tuple_eq,
-    scalar_free_vars, scalar_sort_key, tuple_free_vars, tuple_sort_key,
+    AggCall, AttrRef, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
+    TupleNeqAtom, TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq,
+    mk_record, mk_tuple_eq, rewrite, scalar_sort_key, substitute,
+    tuple_sort_key, walk,
 )
 
 
@@ -34,7 +34,7 @@ def subst_term(t: Term, v: TupleVar, repl) -> Term:
     """Substitute a (now unbound) variable throughout a term."""
     preds = []
     for p in t.preds:
-        q = _subst_atom(p, v, repl)
+        q = substitute(p, v, repl)
         if _is_reflexive(q):
             continue
         preds.append(q)
@@ -179,7 +179,7 @@ class Canonizer:
         in_atoms = any(w == v for _, w in t.atoms)
         candidates = []
         for m in members:
-            if v in tuple_free_vars(m):
+            if v in free_vars(m):
                 continue
             if isinstance(m, TupleVar):
                 candidates.append((0 if m not in t.sum_vars else 1, tuple_sort_key(m), m))
@@ -215,7 +215,7 @@ class Canonizer:
         for a in sch.attr_names():
             rep = closure.scalar_rep(AttrRef(v, a))
             cands = [s for s in closure.scalar_classes().get(rep, [])
-                     if s != AttrRef(v, a) and v not in scalar_free_vars(s)]
+                     if s != AttrRef(v, a) and v not in free_vars(s)]
             if not cands:
                 return None
             fields[a] = min(cands, key=scalar_sort_key)
@@ -346,7 +346,7 @@ class Canonizer:
             for s in closure.scalar_classes().get(rep, []):
                 if s == AttrRef(v, a):
                     continue
-                if not any(w.vid in blocked for w in scalar_free_vars(s)):
+                if not any(w.vid in blocked for w in free_vars(s)):
                     ok = True
                     break
             if not ok:
@@ -365,87 +365,37 @@ class Canonizer:
     # -- aggregate bodies -------------------------------------------------------
 
     def _canonize_agg_bodies(self, t: Term, loc: str) -> Term:
-        if not any(isinstance(s, AggCall) for p in t.preds for s in _atom_aggs(p)):
+        if not any(type(n) is AggCall for p in t.preds for n in walk(p)):
             return t
-        preds = tuple(_map_atom_aggs(p, lambda ag: AggCall(
-            ag.name, ag.var,
-            self.canonize(parse_spnf(ag.body), loc + "/agg").to_exp()))
-            for p in t.preds)
+
+        def canon_body(n):
+            if type(n) is not AggCall:
+                return None
+            return AggCall(n.name, n.var,
+                           self.canonize(parse_spnf(n.body), loc + "/agg").to_exp())
+
+        preds = tuple(rewrite(p, canon_body) for p in t.preds)
         return Term.make(t.sum_vars, preds, t.squash, t.neg, t.atoms)
 
 
 def _term_vars(t: Term) -> list[TupleVar]:
     seen: dict[int, TupleVar] = {}
-
-    def scan(term: Term):
+    for term in nested_terms(SpnfExp((t,))):
         for v in term.sum_vars:
             seen.setdefault(v.vid, v)
         for _, w in term.atoms:
             seen.setdefault(w.vid, w)
         for p in term.preds:
-            for w in atom_free_vars(p):
+            for w in free_vars(p):
                 seen.setdefault(w.vid, w)
-        for slot in (term.squash, term.neg):
-            if slot is not None:
-                for sub in slot.terms:
-                    scan(sub)
-
-    scan(t)
     return [seen[k] for k in sorted(seen)]
 
 
 def _slice_bases(t: Term) -> set[int]:
-    out: set[int] = set()
-
-    def scan_atom(p: PredAtom):
-        if isinstance(p, (TupleEqAtom, TupleNeqAtom)):
-            for side in (p.lhs, p.rhs):
-                if isinstance(side, TupleSlice):
-                    out.add(side.var.vid)
-
-    def scan_exp(e: SpnfExp):
-        for term in e.terms:
-            for p in term.preds:
-                scan_atom(p)
-            if term.squash is not None:
-                scan_exp(term.squash)
-            if term.neg is not None:
-                scan_exp(term.neg)
-
-    scan_exp(SpnfExp((t,)))
-    return out
-
-
-def _atom_aggs(p: PredAtom):
-    def rec(s):
-        if isinstance(s, AggCall):
-            yield s
-        elif isinstance(s, Func):
-            for a in s.args:
-                yield from rec(a)
-    if isinstance(p, (EqAtom, NeqAtom)):
-        yield from rec(p.lhs)
-        yield from rec(p.rhs)
-    elif isinstance(p, PredApp):
-        for s in p.args:
-            yield from rec(s)
-
-
-def _map_atom_aggs(p: PredAtom, f):
-    def rec(s):
-        if isinstance(s, AggCall):
-            return f(s)
-        if isinstance(s, Func):
-            return Func(s.name, tuple(rec(a) for a in s.args))
-        return s
-    if isinstance(p, EqAtom):
-        return mk_eq(rec(p.lhs), rec(p.rhs))
-    if isinstance(p, NeqAtom):
-        from .exprs import mk_neq
-        return mk_neq(rec(p.lhs), rec(p.rhs))
-    if isinstance(p, PredApp):
-        return PredApp(p.name, tuple(rec(s) for s in p.args))
-    return p
+    return {side.var.vid
+            for term in nested_terms(SpnfExp((t,))) for p in term.preds
+            if isinstance(p, (TupleEqAtom, TupleNeqAtom))
+            for side in (p.lhs, p.rhs) if isinstance(side, TupleSlice)}
 
 
 # -- spec-level convenience wrappers -------------------------------------------

@@ -19,9 +19,9 @@ from .config import Budget, Limits
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
 from .constraints import Canonizer, subst_term, _is_reflexive
 from .schema import SchemaEnv
-from .spnf import SpnfExp, Term, dissolve_squash
+from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
 from .trace import Trace
-from .exprs import TupleVar, VarGen, atom_free_vars, _subst_atom
+from .exprs import TupleVar, VarGen, free_vars, substitute
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -257,9 +257,9 @@ class Decider:
             if w.vid == v.vid and (rel, target) not in atom_set:
                 return False
         for p in t.preds:
-            if v not in atom_free_vars(p):
+            if v not in free_vars(p):
                 continue
-            q = _subst_atom(p, v, target)
+            q = substitute(p, v, target)
             if _is_reflexive(q):
                 continue
             if not implies_atom(closure, t.preds, q):
@@ -291,7 +291,7 @@ class _EqualityLinks:
 
     def __init__(self, t: Term):
         from .congruence import closure_of
-        from .exprs import AttrRef, canon_key, Pred, mk_eq, scalar_free_vars
+        from .exprs import AttrRef, canon_key, Pred, mk_eq
         closure = closure_of(t.preds)
         sum_ids = {v.vid for v in t.sum_vars}
         self._by_rep: dict[int, list[tuple[int, str]]] = {}
@@ -308,7 +308,7 @@ class _EqualityLinks:
             grounded = sorted(
                 canon_key(Pred(mk_eq(m, m)))
                 for m in members
-                if not any(w.vid in sum_ids for w in scalar_free_vars(m)))
+                if not any(w.vid in sum_ids for w in free_vars(m)))
             if grounded:
                 self._ground[rep] = grounded
         self._attrs_of = attrs_of
@@ -346,16 +346,9 @@ def _var_signature(t: Term, v: TupleVar) -> tuple:
 
 
 def _exp_mentions(e: SpnfExp, v: TupleVar) -> bool:
-    for t in e.terms:
-        if any(w.vid == v.vid for _, w in t.atoms):
-            return True
-        if any(v in atom_free_vars(p) for p in t.preds):
-            return True
-        if t.squash is not None and _exp_mentions(t.squash, v):
-            return True
-        if t.neg is not None and _exp_mentions(t.neg, v):
-            return True
-    return False
+    return any(any(w.vid == v.vid for _, w in t.atoms)
+               or any(v in free_vars(p) for p in t.preds)
+               for t in nested_terms(e))
 
 
 def _free_tuple_vars(t: Term) -> list[TupleVar]:
@@ -371,7 +364,7 @@ def _free_tuple_vars(t: Term) -> list[TupleVar]:
             if w.vid not in extra_bound:
                 add(w)
         for p in term.preds:
-            for w in atom_free_vars(p):
+            for w in free_vars(p):
                 if w.vid not in extra_bound:
                     add(w)
         for slot in (term.squash, term.neg):
@@ -388,13 +381,8 @@ def _neg_vids(t: Term) -> set[int]:
     if t.neg is None:
         return set()
     out: set[int] = set()
-    for sub in t.neg.terms:
-        for _, w in sub.atoms:
-            out.add(w.vid)
+    for sub in nested_terms(t.neg):
+        out.update(w.vid for _, w in sub.atoms)
         for p in sub.preds:
-            for w in atom_free_vars(p):
-                out.add(w.vid)
-        for slot in (sub.squash, sub.neg):
-            if slot is not None:
-                out |= _neg_vids(Term.make((), (), None, slot, ()))
+            out.update(w.vid for w in free_vars(p))
     return out

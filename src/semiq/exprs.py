@@ -12,6 +12,7 @@ renaming are the structural work-horses for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterator, Union
 
 from .schema import Schema, footprint_key
@@ -253,63 +254,122 @@ def tuple_sort_key(t: TupleExpr) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+#
+# The one place that knows a node's children and how to rebuild a node from
+# new ones.  Node kinds: expressions, predicate atoms, scalars and tuple
+# expressions.  Child order, shared by every function below: lhs before rhs;
+# a Sum's or an AggCall's body (their bound variable is not a child); a
+# Pred's atom; Func and PredApp arguments left to right; a record's field
+# values in attribute order.  Variables reached through AttrRef, TupleSlice
+# and Rel are fields, not children; a TupleVar in tuple position is a leaf.
+
+_CHILDREN = {
+    Add: lambda n: (n.lhs, n.rhs), Mul: lambda n: (n.lhs, n.rhs),
+    Squash: lambda n: (n.body,), Not: lambda n: (n.body,),
+    Sum: lambda n: (n.body,), AggCall: lambda n: (n.body,),
+    Pred: lambda n: (n.atom,),
+    EqAtom: lambda n: (n.lhs, n.rhs), NeqAtom: lambda n: (n.lhs, n.rhs),
+    TupleEqAtom: lambda n: (n.lhs, n.rhs), TupleNeqAtom: lambda n: (n.lhs, n.rhs),
+    PredApp: lambda n: n.args, Func: lambda n: n.args,
+    TupleCons: lambda n: tuple(s for _, s in n.fields),
+}
+
+# Symmetric atoms and records go through their mk_ constructors, which keep
+# them sorted.
+_REBUILD = {
+    Add: lambda n, k: Add(*k), Mul: lambda n, k: Mul(*k),
+    Squash: lambda n, k: Squash(*k), Not: lambda n, k: Not(*k),
+    Sum: lambda n, k: Sum(n.var, *k), AggCall: lambda n, k: AggCall(n.name, n.var, *k),
+    Pred: lambda n, k: Pred(*k),
+    EqAtom: lambda n, k: mk_eq(*k), NeqAtom: lambda n, k: mk_neq(*k),
+    TupleEqAtom: lambda n, k: mk_tuple_eq(*k), TupleNeqAtom: lambda n, k: mk_tuple_neq(*k),
+    PredApp: lambda n, k: PredApp(n.name, tuple(k)), Func: lambda n, k: Func(n.name, tuple(k)),
+    TupleCons: lambda n, k: mk_record(dict(zip((a for a, _ in n.fields), k))),
+}
+
+
+def children(n) -> tuple:
+    """The immediate children of any node, in the shared child order; empty
+    for leaves (Zero, One, Rel, Const, AttrRef, TupleVar, TupleSlice)."""
+    get = _CHILDREN.get(type(n))
+    return get(n) if get is not None else ()
+
+
+def walk(n) -> Iterator:
+    """Every node under n (itself included) in pre-order, children in the
+    shared child order.  Iterative, so depth costs no Python frames."""
+    stack = [n]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(children(x)))
+
+
+def rewrite(n, f):
+    """Top-down rebuild.  f is tried on each node in pre-order: a node it
+    returns replaces that node and is not descended into; on None the node is
+    rebuilt from its rewritten children (the same object when none changed).
+    Iterative, so depth costs no Python frames."""
+    r = f(n)
+    if r is not None:
+        return r
+    kids = children(n)
+    if not kids:
+        return n
+    # one frame per open node: (node, children, children left, new children)
+    frames = [(n, kids, iter(kids), [])]
+    while True:
+        x, kids, todo, new = frames[-1]
+        for c in todo:
+            r = f(c)
+            if r is None:
+                ck = children(c)
+                if ck:
+                    frames.append((c, ck, iter(ck), []))
+                    break
+                r = c
+            new.append(r)
+        else:
+            frames.pop()
+            r = x if all(map(is_, kids, new)) else _REBUILD[type(x)](x, new)
+            if not frames:
+                return r
+            frames[-1][3].append(r)
+
+
+def count_nodes(e: Exp) -> int:
+    """Expression nodes of e; a Pred counts one, whatever its atom holds."""
+    count, stack = 0, [e]
+    while stack:
+        x = stack.pop()
+        count += 1
+        if type(x) is not Pred:
+            stack.extend(children(x))
+    return count
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 
-def scalar_free_vars(s: Scalar) -> set[TupleVar]:
-    if isinstance(s, AttrRef):
-        return {s.var}
-    if isinstance(s, Const):
-        return set()
-    if isinstance(s, Func):
-        out: set[TupleVar] = set()
-        for a in s.args:
-            out |= scalar_free_vars(a)
-        return out
-    if isinstance(s, AggCall):
-        return free_vars(s.body) - {s.var}
-    raise TypeError(s)
-
-
-def tuple_free_vars(t: TupleExpr) -> set[TupleVar]:
-    if isinstance(t, TupleVar):
-        return {t}
-    if isinstance(t, TupleSlice):
-        return {t.var}
-    if isinstance(t, TupleCons):
-        out: set[TupleVar] = set()
-        for _, s in t.fields:
-            out |= scalar_free_vars(s)
-        return out
-    raise TypeError(t)
-
-
-def atom_free_vars(a: PredAtom) -> set[TupleVar]:
-    if isinstance(a, (EqAtom, NeqAtom)):
-        return scalar_free_vars(a.lhs) | scalar_free_vars(a.rhs)
-    if isinstance(a, PredApp):
-        out: set[TupleVar] = set()
-        for s in a.args:
-            out |= scalar_free_vars(s)
-        return out
-    if isinstance(a, (TupleEqAtom, TupleNeqAtom)):
-        return tuple_free_vars(a.lhs) | tuple_free_vars(a.rhs)
-    raise TypeError(a)
-
-
-def free_vars(e: Exp) -> set[TupleVar]:
-    if isinstance(e, (Zero, One)):
-        return set()
-    if isinstance(e, (Add, Mul)):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, (Squash, Not)):
-        return free_vars(e.body)
-    if isinstance(e, Sum):
-        return free_vars(e.body) - {e.var}
-    if isinstance(e, Pred):
-        return atom_free_vars(e.atom)
-    if isinstance(e, Rel):
-        return {e.var}
-    raise TypeError(e)
+def free_vars(n) -> set[TupleVar]:
+    """Free tuple variables of any node; Sum and AggCall bind their var."""
+    out: set[TupleVar] = set()
+    stack = [n]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is AttrRef or t is TupleSlice or t is Rel:
+            out.add(x.var)
+        elif t is TupleVar:
+            out.add(x)
+        elif t is Sum or t is AggCall:
+            inner = free_vars(x.body)
+            inner.discard(x.var)
+            out |= inner
+        else:
+            stack.extend(children(x))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,143 +379,68 @@ class SubstError(Exception):
     pass
 
 
-def _subst_scalar(s: Scalar, v: TupleVar, r: TupleExpr) -> Scalar:
-    if isinstance(s, AttrRef):
-        if s.var != v:
-            return s
-        if isinstance(r, TupleVar):
-            return AttrRef(r, s.attr)
-        if isinstance(r, TupleSlice):
-            return AttrRef(r.var, s.attr)
-        fields = r.field_map()
-        if s.attr not in fields:
-            raise SubstError(f"record replacement lacks attribute {s.attr}")
-        return fields[s.attr]
-    if isinstance(s, Const):
-        return s
-    if isinstance(s, Func):
-        return Func(s.name, tuple(_subst_scalar(a, v, r) for a in s.args))
-    if isinstance(s, AggCall):
-        if s.var == v:
-            return s
-        return AggCall(s.name, s.var, substitute(s.body, v, r))
-    raise TypeError(s)
-
-
-def _subst_tuple(t: TupleExpr, v: TupleVar, r: TupleExpr) -> TupleExpr:
-    if isinstance(t, TupleVar):
-        return r if t == v else t
-    if isinstance(t, TupleSlice):
-        if t.var != v:
-            return t
-        if isinstance(r, TupleVar):
-            return TupleSlice(r, t.part)
-        if isinstance(r, TupleCons):
-            if t.part.rest:
-                raise SubstError("cannot slice a record over a generic footprint")
-            names = set(t.part.attr_names())
-            fields = {n: s for n, s in r.fields if n in names}
-            if set(fields) != names:
-                raise SubstError("record replacement does not cover slice footprint")
-            return mk_record(fields)
-        raise SubstError("cannot nest slices")
-    if isinstance(t, TupleCons):
-        return mk_record({n: _subst_scalar(s, v, r) for n, s in t.fields})
-    raise TypeError(t)
-
-
-def _subst_atom(a: PredAtom, v: TupleVar, r: TupleExpr) -> PredAtom:
-    if isinstance(a, EqAtom):
-        return mk_eq(_subst_scalar(a.lhs, v, r), _subst_scalar(a.rhs, v, r))
-    if isinstance(a, NeqAtom):
-        return mk_neq(_subst_scalar(a.lhs, v, r), _subst_scalar(a.rhs, v, r))
-    if isinstance(a, PredApp):
-        return PredApp(a.name, tuple(_subst_scalar(s, v, r) for s in a.args))
-    if isinstance(a, TupleEqAtom):
-        return mk_tuple_eq(_subst_tuple(a.lhs, v, r), _subst_tuple(a.rhs, v, r))
-    if isinstance(a, TupleNeqAtom):
-        return mk_tuple_neq(_subst_tuple(a.lhs, v, r), _subst_tuple(a.rhs, v, r))
-    raise TypeError(a)
-
-
-def substitute(e: Exp, v: TupleVar, r: TupleExpr) -> Exp:
-    """Replace free occurrences of ``v`` by ``r``; replacement schema must match."""
+def substitute(e, v: TupleVar, r: TupleExpr):
+    """Replace free occurrences of ``v`` in any node by ``r``; replacement
+    schema must match.  Raises SubstError where a binder (Sum or AggCall)
+    would capture a variable of ``r``."""
     if isinstance(r, TupleVar) and r.schema != v.schema:
         raise SubstError(f"schema mismatch substituting {v} by {r}")
-    if isinstance(e, (Zero, One)):
-        return e
-    if isinstance(e, Add):
-        return Add(substitute(e.lhs, v, r), substitute(e.rhs, v, r))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.lhs, v, r), substitute(e.rhs, v, r))
-    if isinstance(e, Squash):
-        return Squash(substitute(e.body, v, r))
-    if isinstance(e, Not):
-        return Not(substitute(e.body, v, r))
-    if isinstance(e, Sum):
-        if e.var == v:
-            return e
-        if e.var in tuple_free_vars(r):
-            raise SubstError("variable capture during substitution")
-        return Sum(e.var, substitute(e.body, v, r))
-    if isinstance(e, Pred):
-        return Pred(_subst_atom(e.atom, v, r))
-    if isinstance(e, Rel):
-        if e.var != v:
-            return e
-        if isinstance(r, TupleVar):
-            return Rel(e.name, r)
-        raise SubstError(f"cannot substitute non-variable tuple into {e.name}(...)")
-    raise TypeError(e)
+    r_vars: set[TupleVar] | None = None   # free_vars(r), at the first binder
+    vid = v.vid
+
+    def step(n):
+        nonlocal r_vars
+        t = type(n)
+        if t is AttrRef:
+            # the hot case: a vid test settles most misses without
+            # TupleVar's field-by-field comparison
+            if n.var.vid != vid or n.var != v:
+                return n
+            if isinstance(r, TupleVar):
+                return AttrRef(r, n.attr)
+            if isinstance(r, TupleSlice):
+                return AttrRef(r.var, n.attr)
+            fields = r.field_map()
+            if n.attr not in fields:
+                raise SubstError(f"record replacement lacks attribute {n.attr}")
+            return fields[n.attr]
+        if t is TupleVar:
+            return r if n == v else n
+        if t is TupleSlice:
+            if n.var != v:
+                return n
+            if isinstance(r, TupleVar):
+                return TupleSlice(r, n.part)
+            if isinstance(r, TupleCons):
+                if n.part.rest:
+                    raise SubstError("cannot slice a record over a generic footprint")
+                names = set(n.part.attr_names())
+                fields = {a: s for a, s in r.fields if a in names}
+                if set(fields) != names:
+                    raise SubstError("record replacement does not cover slice footprint")
+                return mk_record(fields)
+            raise SubstError("cannot nest slices")
+        if t is Rel:
+            if n.var != v:
+                return n
+            if isinstance(r, TupleVar):
+                return Rel(n.name, r)
+            raise SubstError(f"cannot substitute non-variable tuple into {n.name}(...)")
+        if t is Sum or t is AggCall:
+            if n.var == v:
+                return n
+            if r_vars is None:
+                r_vars = free_vars(r)
+            if n.var in r_vars:
+                raise SubstError("variable capture during substitution")
+        return None
+
+    return rewrite(e, step)
 
 
-def _replace_in_scalar(s: Scalar, old: Scalar, new: Scalar) -> Scalar:
-    if s == old:
-        return new
-    if isinstance(s, Func):
-        return Func(s.name, tuple(_replace_in_scalar(a, old, new) for a in s.args))
-    if isinstance(s, AggCall):
-        return AggCall(s.name, s.var, replace_scalar(s.body, old, new))
-    return s
-
-
-def _replace_in_tuple(t: TupleExpr, old: Scalar, new: Scalar) -> TupleExpr:
-    if isinstance(t, TupleCons):
-        return mk_record({n: _replace_in_scalar(s, old, new) for n, s in t.fields})
-    return t
-
-
-def _replace_in_atom(a: PredAtom, old: Scalar, new: Scalar) -> PredAtom:
-    if isinstance(a, EqAtom):
-        return mk_eq(_replace_in_scalar(a.lhs, old, new), _replace_in_scalar(a.rhs, old, new))
-    if isinstance(a, NeqAtom):
-        return mk_neq(_replace_in_scalar(a.lhs, old, new), _replace_in_scalar(a.rhs, old, new))
-    if isinstance(a, PredApp):
-        return PredApp(a.name, tuple(_replace_in_scalar(s, old, new) for s in a.args))
-    if isinstance(a, TupleEqAtom):
-        return mk_tuple_eq(_replace_in_tuple(a.lhs, old, new), _replace_in_tuple(a.rhs, old, new))
-    if isinstance(a, TupleNeqAtom):
-        return mk_tuple_neq(_replace_in_tuple(a.lhs, old, new), _replace_in_tuple(a.rhs, old, new))
-    raise TypeError(a)
-
-
-def replace_scalar(e: Exp, old: Scalar, new: Scalar) -> Exp:
+def replace_scalar(e, old: Scalar, new: Scalar):
     """Replace every occurrence of the scalar term ``old`` by ``new``."""
-    if isinstance(e, (Zero, One, Rel)):
-        return e
-    if isinstance(e, Add):
-        return Add(replace_scalar(e.lhs, old, new), replace_scalar(e.rhs, old, new))
-    if isinstance(e, Mul):
-        return Mul(replace_scalar(e.lhs, old, new), replace_scalar(e.rhs, old, new))
-    if isinstance(e, Squash):
-        return Squash(replace_scalar(e.body, old, new))
-    if isinstance(e, Not):
-        return Not(replace_scalar(e.body, old, new))
-    if isinstance(e, Sum):
-        return Sum(e.var, replace_scalar(e.body, old, new))
-    if isinstance(e, Pred):
-        return Pred(_replace_in_atom(e.atom, old, new))
-    raise TypeError(e)
+    return rewrite(e, lambda n: new if n == old else None)
 
 
 # ---------------------------------------------------------------------------
@@ -566,46 +551,6 @@ def alpha_equal(e1: Exp, e2: Exp,
 # ---------------------------------------------------------------------------
 # Printer with deterministic variable numbering
 
-def _name_binders(e: Exp, names: dict[int, str], counter: list[int]) -> None:
-    if isinstance(e, Sum):
-        counter[0] += 1
-        names.setdefault(e.var.vid, f"t{counter[0]}")
-        _name_binders(e.body, names, counter)
-    elif isinstance(e, (Add, Mul)):
-        _name_binders(e.lhs, names, counter)
-        _name_binders(e.rhs, names, counter)
-    elif isinstance(e, (Squash, Not)):
-        _name_binders(e.body, names, counter)
-    elif isinstance(e, Pred):
-        for s in _atom_scalars(e.atom):
-            if isinstance(s, AggCall):
-                counter[0] += 1
-                names.setdefault(s.var.vid, f"t{counter[0]}")
-                _name_binders(s.body, names, counter)
-
-
-def _scalar_subterms(s: Scalar) -> Iterator[Scalar]:
-    yield s
-    if isinstance(s, Func):
-        for a in s.args:
-            yield from _scalar_subterms(a)
-
-
-def _atom_scalars(a: PredAtom) -> Iterator[Scalar]:
-    """All scalar subterms of an atom, including inside records."""
-    tops: list[Scalar] = []
-    if isinstance(a, (EqAtom, NeqAtom)):
-        tops = [a.lhs, a.rhs]
-    elif isinstance(a, PredApp):
-        tops = list(a.args)
-    elif isinstance(a, (TupleEqAtom, TupleNeqAtom)):
-        for side in (a.lhs, a.rhs):
-            if isinstance(side, TupleCons):
-                tops.extend(s for _, s in side.fields)
-    for t in tops:
-        yield from _scalar_subterms(t)
-
-
 def _pname(v: TupleVar, names: dict[int, str]) -> str:
     return names.get(v.vid, f"{v.hint}{v.vid}")
 
@@ -666,7 +611,11 @@ def print_atom(a: PredAtom, names: dict[int, str]) -> str:
 def pretty(e: Exp, names: dict[int, str] | None = None) -> str:
     """Deterministic rendering; bound variables numbered in binder order."""
     names = dict(names) if names else {}
-    _name_binders(e, names, [0])
+    counter = 0
+    for n in walk(e):
+        if type(n) is Sum or type(n) is AggCall:
+            counter += 1
+            names.setdefault(n.var.vid, f"t{counter}")
     return _pp(e, names, 0)
 
 
@@ -699,16 +648,4 @@ def _pp(e: Exp, names: dict[int, str], prec: int) -> str:
         return print_atom(e.atom, names)
     if isinstance(e, Rel):
         return f"{e.name}({_pname(e.var, names)})"
-    raise TypeError(e)
-
-
-def count_nodes(e: Exp) -> int:
-    if isinstance(e, (Zero, One, Pred, Rel)):
-        return 1
-    if isinstance(e, (Add, Mul)):
-        return 1 + count_nodes(e.lhs) + count_nodes(e.rhs)
-    if isinstance(e, (Squash, Not)):
-        return 1 + count_nodes(e.body)
-    if isinstance(e, Sum):
-        return 1 + count_nodes(e.body)
     raise TypeError(e)

@@ -179,7 +179,10 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
                             steps=_step_counts(trace, budget), trace=trace,
                             detail=detail, dumps=dumps)
     if refute and status in (NOT_EQUIVALENT, NOT_PROVED):
-        outcome.witness = find_witness(q1, q2, env, seed=seed)
+        try:
+            outcome.witness = find_witness(q1, q2, env, seed=seed, budget=budget)
+        except BudgetError as exc:
+            outcome.detail = "; ".join(filter(None, (detail, f"refutation stopped: {exc}")))
     return outcome
 
 
@@ -206,8 +209,11 @@ def _step_counts(trace: Trace, budget: Budget) -> dict:
 
 
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
-                 sizes: GenSizes | None = None) -> FiniteDb | None:
-    """Search generated constraint-satisfying instances for a disagreement."""
+                 sizes: GenSizes | None = None,
+                 budget: Budget | None = None) -> FiniteDb | None:
+    """Search generated constraint-satisfying instances for a disagreement.
+    With a budget, its deadline is checked before each instance (BudgetError
+    propagates)."""
     lits = query_literals(q1, q2)
     sizes = sizes or GenSizes()
     try:
@@ -215,6 +221,8 @@ def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
                                extra_ints=sorted(lits["int"]),
                                extra_strings=sorted(lits["string"]))
         for db in itertools.islice(stream, tries):
+            if budget is not None:
+                budget.check_time()
             if interp_query(q1, db, env) != interp_query(q2, db, env):
                 return db
     except OracleError:

@@ -125,9 +125,6 @@ class SchemaEnv:
             raise SemanticError(f"undeclared table {name}")
         return self.tables[name]
 
-    def is_relation(self, name: str) -> bool:
-        return name in self.tables or name in self.views
-
     def add_key(self, k: KeyConstraint) -> None:
         sch = self.table_schema(k.relation)
         for a in k.attrs:

@@ -10,15 +10,15 @@ factor merging); every step is an ``apply_axiom`` call recorded in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .axioms import AXIOMS, factor_sort_key, flatten_add, flatten_mul, rebuild_add, rebuild_mul
 from .config import Budget
 from .trace import Trace
 from .exprs import (
-    Add, AggCall, EqAtom, Func, Mul, NeqAtom, Not, One, Pred, PredApp,
-    PredAtom, Rel, Squash, Sum, TupleEqAtom, TupleNeqAtom, TupleVar, Exp,
-    VarGen, Zero, ZERO, ONE, canon_key, count_nodes, mk_eq, mk_neq, mk_record,
-    mk_tuple_eq, mk_tuple_neq, substitute,
+    Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
+    Exp, VarGen, Zero, ZERO, ONE, canon_key, count_nodes, free_vars, rewrite,
+    substitute,
 )
 
 
@@ -98,66 +98,24 @@ def _atom_key(a: PredAtom) -> tuple:
 # Binder uniquification (alpha steps; keeps hoisting capture-free)
 
 def uniquify(e: Exp, gen: VarGen, trace: Trace | None = None) -> Exp:
-    from .exprs import TupleCons
     seen: set[int] = set()
 
-    def walk(x: Exp) -> Exp:
-        if isinstance(x, (Zero, One, Rel)):
-            return x
-        if isinstance(x, Add):
-            return Add(walk(x.lhs), walk(x.rhs))
-        if isinstance(x, Mul):
-            return Mul(walk(x.lhs), walk(x.rhs))
-        if isinstance(x, Squash):
-            return Squash(walk(x.body))
-        if isinstance(x, Not):
-            return Not(walk(x.body))
-        if isinstance(x, Sum):
-            body, var = x.body, x.var
-            if var.vid in seen:
-                fresh = gen.fresh(var.schema, var.hint)
-                if trace:
-                    trace.note("alpha-rename", f"{var}->{fresh}")
-                body = substitute(body, var, fresh)
-                var = fresh
-            seen.add(var.vid)
-            return Sum(var, walk(body))
-        if isinstance(x, Pred):
-            return Pred(walk_atom(x.atom))
-        raise TypeError(x)
+    def step(x):
+        t = type(x)
+        if t is not Sum and t is not AggCall:
+            return None
+        body, var = x.body, x.var
+        if var.vid in seen:
+            fresh = gen.fresh(var.schema, var.hint)
+            if trace and t is Sum:
+                trace.note("alpha-rename", f"{var}->{fresh}")
+            body = substitute(body, var, fresh)
+            var = fresh
+        seen.add(var.vid)
+        body = rewrite(body, step)
+        return Sum(var, body) if t is Sum else AggCall(x.name, var, body)
 
-    def walk_scalar(s):
-        if isinstance(s, Func):
-            return Func(s.name, tuple(walk_scalar(x) for x in s.args))
-        if isinstance(s, AggCall):
-            var, body = s.var, s.body
-            if var.vid in seen:
-                fresh = gen.fresh(var.schema, var.hint)
-                body = substitute(body, var, fresh)
-                var = fresh
-            seen.add(var.vid)
-            return AggCall(s.name, var, walk(body))
-        return s
-
-    def walk_tuple(t):
-        if isinstance(t, TupleCons):
-            return mk_record({n: walk_scalar(s) for n, s in t.fields})
-        return t
-
-    def walk_atom(a: PredAtom) -> PredAtom:
-        if isinstance(a, EqAtom):
-            return mk_eq(walk_scalar(a.lhs), walk_scalar(a.rhs))
-        if isinstance(a, NeqAtom):
-            return mk_neq(walk_scalar(a.lhs), walk_scalar(a.rhs))
-        if isinstance(a, PredApp):
-            return PredApp(a.name, tuple(walk_scalar(s) for s in a.args))
-        if isinstance(a, TupleEqAtom):
-            return mk_tuple_eq(walk_tuple(a.lhs), walk_tuple(a.rhs))
-        if isinstance(a, TupleNeqAtom):
-            return mk_tuple_neq(walk_tuple(a.lhs), walk_tuple(a.rhs))
-        raise TypeError(a)
-
-    return walk(e)
+    return rewrite(e, step)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +171,8 @@ class Normalizer:
         raise TypeError(e)
 
     def _nf_atom(self, a: PredAtom, path: str) -> PredAtom:
-        def ws(s):
-            if isinstance(s, Func):
-                return Func(s.name, tuple(ws(x) for x in s.args))
-            if isinstance(s, AggCall):
-                return AggCall(s.name, s.var, self.nf(s.body, path + "agg."))
-            return s
-        if isinstance(a, EqAtom):
-            return mk_eq(ws(a.lhs), ws(a.rhs))
-        if isinstance(a, NeqAtom):
-            return mk_neq(ws(a.lhs), ws(a.rhs))
-        if isinstance(a, PredApp):
-            return PredApp(a.name, tuple(ws(s) for s in a.args))
-        return a
+        return rewrite(a, lambda s: AggCall(s.name, s.var, self.nf(s.body, path + "agg."))
+                       if type(s) is AggCall else None)
 
     def _post_sum(self, v: TupleVar, body: Exp, path: str) -> Exp:
         if isinstance(body, Zero):
@@ -399,9 +346,8 @@ def _check(e: SpnfExp, outer: frozenset[int]) -> None:
         for rel, v in t.atoms:
             if v.vid not in scope:
                 raise SpnfError(f"atom {rel}({v}) references out-of-scope variable")
-        from .exprs import atom_free_vars
         for p in t.preds:
-            for v in atom_free_vars(p):
+            for v in free_vars(p):
                 if v.vid not in scope:
                     raise SpnfError("predicate references out-of-scope variable")
         if t.squash is not None:
@@ -412,6 +358,18 @@ def _check(e: SpnfExp, outer: frozenset[int]) -> None:
             if t.neg.is_zero():
                 raise SpnfError("negation slot holding 0 must be omitted")
             _check(t.neg, frozenset(scope))
+
+
+def nested_terms(e: SpnfExp) -> Iterator[Term]:
+    """The terms of e and, recursively, of every squash and negation slot
+    under them, in pre-order (a term's squash slot before its negation)."""
+    stack = list(reversed(e.terms))
+    while stack:
+        t = stack.pop()
+        yield t
+        for slot in (t.neg, t.squash):
+            if slot is not None:
+                stack.extend(reversed(slot.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -286,3 +286,26 @@ def test_frontend_passes_take_no_frames_per_level():
     assert referenced_tables(q) == {"V"}
     assert referenced_tables(inlined) == {"R"}
     assert query_literals(inlined)["int"] == {7}
+
+
+def test_refute_stops_at_the_verify_budget(monkeypatch):
+    # the bag/set pair has a counterexample (any duplicate row), but the
+    # verify's budget runs out before refutation starts: no database is
+    # interpreted, the verdict stands and the detail says why
+    from types import SimpleNamespace
+    from semiq import config, pipeline
+    search = pipeline.find_witness
+
+    def expire_then_search(*args, **kwargs):
+        monkeypatch.setattr(config, "time", SimpleNamespace(monotonic=lambda: float("inf")))
+        return search(*args, **kwargs)
+
+    interpreted = []
+    monkeypatch.setattr(pipeline, "find_witness", expire_then_search)
+    monkeypatch.setattr(pipeline, "interp_query", lambda *args: interpreted.append(args))
+    [out] = run_program_text(PRELUDE + """
+        verify (SELECT x.a AS a FROM R x) (SELECT DISTINCT x.a AS a FROM R x);
+    """, refute=True)
+    assert out.status == "NOT_PROVED"
+    assert out.witness is None and not interpreted
+    assert "refutation stopped" in out.detail

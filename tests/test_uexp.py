@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from semiq.schema import Schema
 from semiq.translate import denote
-from semiq.exprs import (AttrRef, Mul, Pred, Rel, SubstError, Sum, TupleVar,
-                        VarGen, alpha_equal, mk_eq, mk_record, mk_tuple_eq,
-                        pretty, substitute)
+from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Pred, Rel,
+                        SubstError, Sum, TupleVar, VarGen, alpha_equal,
+                        count_nodes, free_vars, mk_eq, mk_record, mk_tuple_eq,
+                        pretty, replace_scalar, substitute, walk)
+from semiq.spnf import uniquify
 
 from helpers import gen_uexp, std_env
 
@@ -60,6 +62,39 @@ def test_substitute_schema_mismatch_rejected():
     other = TupleVar(2, Schema("w", (("z", "int"),)))
     with pytest.raises(SubstError):
         substitute(Rel("R", t), t, other)
+
+
+def test_substitute_rejects_capture_under_aggregate():
+    # t10 := t1 under cnt(lam t1. ...) would turn [t1.a = t10.a] into
+    # [t1.a = t1.a]; the aggregate binder captures exactly as a Sum would
+    t1, t10, t12 = _vars(1, 10, 12)
+    agg = AggCall("cnt", t1, Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t10, "a"))),
+                                 Rel("R", t1)))
+    e = Pred(mk_eq(AttrRef(t12, "b"), agg))
+    with pytest.raises(SubstError):
+        substitute(e, t10, t1)
+    with pytest.raises(SubstError):
+        substitute(Sum(t1, agg.body), t10, t1)
+    # no capture when the aggregate binds the substituted variable itself
+    assert substitute(e, t1, t10) == e
+
+
+def test_uexp_passes_take_no_frames_per_level():
+    # a 5,000-deep Add chain of summations over one reused binder, with a
+    # free variable at the bottom
+    t, u, w = _vars(1, 2, 3)
+    depth = 5000
+    e = Mul(Rel("R", t), Pred(mk_eq(AttrRef(t, "a"), Const(1, "int"))))
+    for _ in range(depth):
+        e = Add(e, Sum(w, Rel("R", w)))
+    assert count_nodes(e) == 3 + 3 * depth
+    assert sum(1 for _ in walk(e)) == 6 + 3 * depth   # plus the atom's nodes
+    out = substitute(e, t, u)
+    assert free_vars(out) == {u}
+    out = replace_scalar(e, AttrRef(t, "a"), AttrRef(u, "a"))
+    assert AttrRef(u, "a") in walk(out) and AttrRef(t, "a") not in walk(out)
+    out = uniquify(e, VarGen(100))
+    assert len({n.var.vid for n in walk(out) if type(n) is Sum}) == depth
 
 
 def test_alpha_equal_bound_rename():
