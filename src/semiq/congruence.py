@@ -25,6 +25,22 @@ class Closure:
         self.intern: dict[tuple, int] = {}
         self.tuple_nodes: list[int] = []
         self.attr_nodes: list[int] = []
+        # a node was interned or two classes merged since close() last
+        # completed; a clean close() has nothing to do
+        self.dirty = False
+
+    def copy(self) -> "Closure":
+        c = Closure.__new__(Closure)
+        c.parent = list(self.parent)
+        c.kind = list(self.kind)
+        c.payload = list(self.payload)
+        c.children = list(self.children)
+        c.source = list(self.source)
+        c.intern = dict(self.intern)
+        c.tuple_nodes = list(self.tuple_nodes)
+        c.attr_nodes = list(self.attr_nodes)
+        c.dirty = self.dirty
+        return c
 
     # -- union-find ---------------------------------------------------------
 
@@ -41,6 +57,7 @@ class Closure:
         if ra > rb:  # deterministic representative: smallest id
             ra, rb = rb, ra
         self.parent[rb] = ra
+        self.dirty = True
         return True
 
     # -- term interning -------------------------------------------------------
@@ -57,6 +74,7 @@ class Closure:
         self.children.append(children)
         self.source.append(source)
         self.intern[key] = nid
+        self.dirty = True
         if kind in ("tvar", "record", "slice"):
             self.tuple_nodes.append(nid)
         if kind == "attr":
@@ -111,6 +129,8 @@ class Closure:
 
     def close(self) -> None:
         """Fixpoint of congruence and record projection."""
+        if not self.dirty:
+            return
         changed = True
         while changed:
             changed = False
@@ -136,13 +156,12 @@ class Closure:
                 base_rep = self.find(self.children[anode][0])
                 for rec in records.get(base_rep, []):
                     names = self.payload[rec]
-                    if self.kind[anode] != "attr":
-                        continue
                     attr = self.payload[anode]
                     if attr in names:
                         field_node = self.children[rec][names.index(attr)]
                         if self.union(anode, field_node):
                             changed = True
+        self.dirty = False
 
     # -- queries ---------------------------------------------------------------
 
@@ -167,15 +186,11 @@ class Closure:
         return self.find(nid)
 
     def scalar_classes(self) -> dict[int, list[object]]:
-        """rep -> scalar source terms (deduplicated, deterministic order)."""
+        """rep -> scalar source terms, one per node (interning makes them
+        distinct), in node order."""
         out: dict[int, list[object]] = {}
-        seen: set[tuple] = set()
         for nid in range(len(self.parent)):
             if self.kind[nid] in ("const", "attr", "func", "agg"):
-                key = (self.kind[nid], self.payload[nid], self.children[nid])
-                if key in seen:
-                    continue
-                seen.add(key)
                 out.setdefault(self.find(nid), []).append(self.source[nid])
         return out
 
@@ -239,12 +254,14 @@ def is_eq_atom(a: PredAtom) -> bool:
     return isinstance(a, (EqAtom, TupleEqAtom))
 
 
-def congruent_preds(p1, p2) -> bool:
+def congruent_preds(p1, p2, c1: Closure | None = None) -> bool:
     """Both predicate lists generate the same closure, and every
-    non-equality atom on each side has a congruent counterpart."""
-    c1, c2 = closure_of(list(p1) + []), closure_of(list(p2) + [])
+    non-equality atom on each side has a congruent counterpart.  ``c1``,
+    when given, is ``closure_of(p1)``; it is copied, not changed."""
+    c1 = c1.copy() if c1 is not None else closure_of(p1)
+    c2 = closure_of(p2)
     for c in (c1, c2):
-        for p in list(p1) + list(p2):
+        for p in (*p1, *p2):
             c.add_atom_terms(p)
         c.close()
     for p in p1:

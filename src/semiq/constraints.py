@@ -87,11 +87,11 @@ class Canonizer:
         fk_memo: set[tuple[int, int]] = set()
         while True:
             self.budget.step()
-            t2, changed = self.saturate(t, loc)
+            t2, changed, closure = self.saturate(t, loc)
             if changed:
                 t = t2
                 continue
-            closure = closure_of(t.preds)
+            # unchanged: closure is closure_of(t.preds), shared by the passes
             t2 = self.try_eliminate(t, closure, loc)
             if t2 is not None:
                 t = t2
@@ -120,7 +120,9 @@ class Canonizer:
 
     # -- pass 1: transitive closure of equalities ----------------------------
 
-    def saturate(self, t: Term, loc: str) -> tuple[Term, bool]:
+    def saturate(self, t: Term, loc: str) -> tuple[Term, bool, Closure]:
+        """The term with every equality its closure implies, whether that
+        changed its predicates, and ``closure_of(t.preds)``."""
         closure = closure_of(t.preds)
         new_preds: list[PredAtom] = []
         seen: set = set()
@@ -153,7 +155,7 @@ class Canonizer:
             added = len(set(out.preds) - set(t.preds))
             for _ in range(added):
                 self.trace.rule("eq-trans", loc)
-        return out, changed
+        return out, changed, closure
 
     # -- pass 2: summation elimination ---------------------------------------
 
@@ -402,15 +404,24 @@ def _slice_bases(t: Term) -> set[int]:
 
 def saturate_equalities(t: Term, env: SchemaEnv | None = None) -> Term:
     c = Canonizer(env or SchemaEnv(), VarGen(10_000))
-    out, _ = c.saturate(t, "t")
+    out, _, _ = c.saturate(t, "t")
     return out
+
+
+def _saturated(c: Canonizer, t: Term, loc: str) -> tuple[Term, Closure]:
+    """Saturate to a fixpoint, as ``canonize_term`` does before each pass."""
+    while True:
+        t2, changed, closure = c.saturate(t, loc)
+        if not changed:
+            return t, closure
+        t = t2
 
 
 def eliminate_sums(t: Term, env: SchemaEnv | None = None) -> Term:
     c = Canonizer(env or SchemaEnv(), VarGen(10_000))
     while True:
-        t, _ = c.saturate(t, "t")
-        nxt = c.try_eliminate(t, closure_of(t.preds), "t")
+        t, closure = _saturated(c, t, "t")
+        nxt = c.try_eliminate(t, closure, "t")
         if nxt is None:
             return t
         t = nxt
@@ -422,8 +433,8 @@ def apply_key(t: Term, key: KeyConstraint, env: SchemaEnv | None = None) -> Term
     c.env = SchemaEnv(schemas=env.schemas, tables=env.tables, keys=[key],
                       fks=[], views=env.views)
     while True:
-        t, _ = c.saturate(t, "t")
-        nxt = c.try_key(t, closure_of(t.preds), "t")
+        t, closure = _saturated(c, t, "t")
+        nxt = c.try_key(t, closure, "t")
         if nxt is None:
             return t
         t = nxt
@@ -441,8 +452,8 @@ def apply_fk(e: SpnfExp, fk: FkConstraint, env: SchemaEnv, mode: str = "general"
         rounds = 0
         memo: set = set()
         while True:
-            t, _ = c.saturate(t, f"t{i}")
-            nxt, rounds = c.try_fk(t, closure_of(t.preds), f"t{i}",
+            t, closure = _saturated(c, t, f"t{i}")
+            nxt, rounds = c.try_fk(t, closure, f"t{i}",
                                    mode == "squash-context", rounds, memo)
             if nxt is None:
                 break

@@ -18,10 +18,11 @@ from dataclasses import replace
 from .config import Budget, Limits
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
 from .constraints import Canonizer, subst_term, _is_reflexive
-from .schema import SchemaEnv
+from .schema import SchemaEnv, footprint_key
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
 from .trace import Trace
-from .exprs import TupleVar, VarGen, free_vars, substitute
+from .exprs import (AttrRef, Pred, TupleVar, VarGen, canon_key, free_vars,
+                    mk_eq, substitute)
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -42,6 +43,11 @@ class Decider:
         self.budget = budget or Budget(limits)
         self.limits = limits or Limits()
         self._squash_depth = 0
+        # id(term) -> (term, closure_of(term.preds), its _EqualityLinks,
+        # summation variable signatures); the term is held so that its id
+        # stays its own, and matched by identity because hashing a term
+        # walks all of it
+        self._facts: dict[int, tuple[Term, Closure, _EqualityLinks, dict]] = {}
         self.canonizer = Canonizer(env, gen, self.trace, self.budget,
                                    self.limits, squash_eq=self._squash_eq)
 
@@ -59,20 +65,26 @@ class Decider:
     # -- expression-level decision ------------------------------------------
 
     def equivalent(self, e1: SpnfExp, e2: SpnfExp) -> bool:
-        self.budget.step()
-        c1 = self.canonizer.canonize(e1, "L")
-        c2 = self.canonizer.canonize(e2, "R")
-        if self._perm_search(c1, c2):
-            return True
-        if not self.env.keys:
-            return False
-        # retry with key-guarded squash stability: terms provably equal to
-        # their own squash are rewritten into squashed form on both sides
-        w1 = self.canonizer.canonize(c1, "L", wrap=True)
-        w2 = self.canonizer.canonize(c2, "R", wrap=True)
-        if (w1, w2) == (c1, c2):
-            return False
-        return self._perm_search(w1, w2)
+        try:
+            self.budget.step()
+            c1 = self.canonizer.canonize(e1, "L")
+            c2 = self.canonizer.canonize(e2, "R")
+            if self._perm_search(c1, c2):
+                return True
+            if not self.env.keys:
+                return False
+            # retry with key-guarded squash stability: terms provably equal
+            # to their own squash are rewritten into squashed form on both
+            # sides
+            w1 = self.canonizer.canonize(c1, "L", wrap=True)
+            w2 = self.canonizer.canonize(c2, "R", wrap=True)
+            if (w1, w2) == (c1, c2):
+                return False
+            return self._perm_search(w1, w2)
+        finally:
+            # the Decider and its Canonizer form a reference cycle, which
+            # only the cyclic collector frees; drop the term facts now
+            self._facts.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
         if len(c1.terms) != len(c2.terms):
@@ -113,6 +125,18 @@ class Decider:
 
     # -- term-level matching ------------------------------------------------
 
+    def _term_facts(self, t: Term) -> tuple[Closure, _EqualityLinks, dict]:
+        """A term's pristine closure, equality links and summation variable
+        signatures, built on its first match in one `equivalent` call."""
+        facts = self._facts.get(id(t))
+        if facts is None or facts[0] is not t:
+            closure = closure_of(t.preds)
+            links = _EqualityLinks(t, closure.copy())
+            vsig = {v.vid: _var_signature(t, v) + links.unary(v)
+                    for v in t.sum_vars}
+            facts = self._facts[id(t)] = (t, closure, links, vsig)
+        return facts[1:]
+
     def match_terms(self, t1: Term, t2: Term) -> bool:
         self.budget.step()
         if len(t1.sum_vars) != len(t2.sum_vars):
@@ -121,12 +145,8 @@ class Decider:
         rels2 = sorted(r for r, _ in t2.atoms)
         if rels1 != rels2:
             return False
-        links1 = _EqualityLinks(t1)
-        links2 = _EqualityLinks(t2)
-        vsig1 = {v.vid: _var_signature(t1, v) + links1.unary(v)
-                 for v in t1.sum_vars}
-        vsig2 = {v.vid: _var_signature(t2, v) + links2.unary(v)
-                 for v in t2.sum_vars}
+        closure1, links1, vsig1 = self._term_facts(t1)
+        _, links2, vsig2 = self._term_facts(t2)
         cand = {v2.vid: [v1 for v1 in t1.sum_vars if vsig1[v1.vid] == vsig2[v2.vid]]
                 for v2 in t2.sum_vars}
         if any(not c for c in cand.values()):
@@ -138,7 +158,7 @@ class Decider:
         def backtrack(k: int) -> bool:
             self.budget.step()
             if k == len(order):
-                return self._term_check(t1, t2, list(mapping))
+                return self._term_check(t1, t2, list(mapping), closure1)
             v2 = order[k]
             for v1 in cand[v2.vid]:
                 if v1.vid in used:
@@ -159,14 +179,15 @@ class Decider:
         return backtrack(0)
 
     def _term_check(self, t1: Term, t2: Term,
-                   mapping: list[tuple[TupleVar, TupleVar]]) -> bool:
+                    mapping: list[tuple[TupleVar, TupleVar]],
+                    closure1: Closure) -> bool:
         t2p = t2
         for v2, v1 in mapping:
             t2p = subst_term(t2p, v2, v1)
         if sorted((r, v.vid) for r, v in t1.atoms) != \
            sorted((r, v.vid) for r, v in t2p.atoms):
             return False
-        if not congruent_preds(t1.preds, t2p.preds):
+        if not congruent_preds(t1.preds, t2p.preds, closure1):
             return False
         s1, s2 = t1.squash, t2p.squash
         if s1 is not None or s2 is not None:
@@ -287,12 +308,10 @@ class _EqualityLinks:
     """Attribute-equality structure of one term's closure, keyed so that it
     is invariant under any bijection of summation variables: which attribute
     pairs of two variables share a class, and which grounded terms (over
-    free variables and constants only) each attribute equals."""
+    free variables and constants only) each attribute equals.  Built on
+    ``closure_of(t.preds)``, which its queries extend."""
 
-    def __init__(self, t: Term):
-        from .congruence import closure_of
-        from .exprs import AttrRef, canon_key, Pred, mk_eq
-        closure = closure_of(t.preds)
+    def __init__(self, t: Term, closure: Closure):
         sum_ids = {v.vid for v in t.sum_vars}
         self._by_rep: dict[int, list[tuple[int, str]]] = {}
         self._ground: dict[int, list] = {}
@@ -338,7 +357,6 @@ def term_signature(t: Term) -> tuple:
 
 
 def _var_signature(t: Term, v: TupleVar) -> tuple:
-    from .schema import footprint_key
     rels = tuple(sorted(r for r, w in t.atoms if w.vid == v.vid))
     in_squash = t.squash is not None and _exp_mentions(t.squash, v)
     in_neg = t.neg is not None and _exp_mentions(t.neg, v)

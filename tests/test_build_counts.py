@@ -1,0 +1,83 @@
+"""Build counts that repeat exactly: each matched term's closure data is
+built once per verify, and each canonize round builds one closure.  They
+guard the asymptotics without timing anything."""
+
+from __future__ import annotations
+
+from semiq import constraints, decide, run_program_text
+
+PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
+
+# twelve branches with one term signature; the right side lists them in
+# reverse under other aliases, so the permutation search tries every
+# unused left term against each right term before its partner
+BRANCH_PREDS = (
+    "x.a = 17", "x.b = 42", "x.a = x.b AND x.b = 5", "x.a = 88",
+    "x.b = 3", "x.a = x.b AND x.b = 61", "x.a = 29", "x.b = 70",
+    "x.a = x.b AND x.b = 14", "x.a = 93", "x.b = 36", "x.a = x.b AND x.b = 50",
+)
+
+
+def _union(alias: str, preds) -> str:
+    return " UNION ALL ".join(
+        f"(SELECT * FROM R {alias}{i} WHERE {p.replace('x.', f'{alias}{i}.')})"
+        for i, p in enumerate(preds))
+
+
+WIDE_UNION = (PRELUDE + f"verify ({_union('l', BRANCH_PREDS)})\n"
+              f"       ({_union('r', BRANCH_PREDS[::-1])});\n")
+
+
+def _nested_projection(depth: int) -> str:
+    """A filtered scan against the same scan threaded through `depth`
+    derived tables, each renaming and reordering every column, with the
+    filter halfway down."""
+    cols = ("a", "b", "c")
+    q = "SELECT x.a AS a, x.b AS b, x.c AS c FROM R x"
+    names = dict(zip(cols, cols))
+    for level in range(depth):
+        fresh = {c: f"n{level}{c}" for c in cols}
+        order = cols[level % 3:] + cols[:level % 3]
+        items = ", ".join(f"t{level}.{names[c]} AS {fresh[c]}" for c in order)
+        where = f" WHERE t{level}.{names['b']} = 2" if level == depth // 2 else ""
+        q = f"SELECT {items} FROM ({q}) t{level}{where}"
+        names = fresh
+    top = ", ".join(f"u.{names[c]} AS {c}" for c in cols)
+    return ("schema s3(a:int, b:int, c:int);\ntable R(s3);\n"
+            "verify (SELECT x.a AS a, x.b AS b, x.c AS c FROM R x WHERE x.b = 2)\n"
+            f"       (SELECT {top} FROM ({q}) u);\n")
+
+
+def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
+    built = []
+    real = decide._EqualityLinks
+
+    def counting(t, *args):
+        built.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(decide, "_EqualityLinks", counting)
+    [out] = run_program_text(WIDE_UNION)
+    assert out.status == "EQUIVALENT"
+    distinct = {id(t) for t in built}
+    assert len(distinct) == len(built) <= 2 * len(BRANCH_PREDS)
+
+
+def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
+    calls = {"closure_of": 0, "saturate": 0}
+    real_closure, real_saturate = constraints.closure_of, constraints.Canonizer.saturate
+
+    def closure_of(preds):
+        calls["closure_of"] += 1
+        return real_closure(preds)
+
+    def saturate(self, t, loc):
+        calls["saturate"] += 1
+        return real_saturate(self, t, loc)
+
+    monkeypatch.setattr(constraints, "closure_of", closure_of)
+    monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
+    [out] = run_program_text(_nested_projection(8))
+    assert out.status == "EQUIVALENT"
+    assert calls["saturate"] > 8
+    assert calls["closure_of"] == calls["saturate"]

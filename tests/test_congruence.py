@@ -6,7 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from semiq.congruence import closure_of, congruent_preds
+from semiq.congruence import Closure, closure_of, congruent_preds
 from semiq.schema import Schema
 from semiq.exprs import (AttrRef, Const, Func, TupleVar, mk_eq, mk_record,
                         mk_tuple_eq)
@@ -124,3 +124,86 @@ def test_uninterpreted_atom_matching_respects_argument_order():
     ge2 = PredApp(">=", (b, a))
     assert not congruent_preds([ge1], [ge2])
     assert congruent_preds([ge1, mk_eq(a, b)], [ge2, mk_eq(a, b)])
+
+
+# -- closures queried while they grow ------------------------------------------
+
+_VARS = [_v(i) for i in range(3)]
+_scalars = st.recursive(
+    st.sampled_from([Const(0, "int"), Const(1, "int"), _sym("a")])
+    | st.builds(AttrRef, st.sampled_from(_VARS), st.sampled_from("ab")),
+    lambda inner: st.builds(lambda name, args: Func(name, tuple(args)),
+                            st.sampled_from("fg"),
+                            st.lists(inner, min_size=1, max_size=2)),
+    max_leaves=3)
+_tuples = st.sampled_from(_VARS) | st.builds(
+    lambda a, b: mk_record({"a": a, "b": b}), _scalars, _scalars)
+_QUERIES = ("scalar_eq", "tuple_eq", "scalar_rep")
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("eq"), _scalars, _scalars),
+    st.tuples(st.just("teq"), _tuples, _tuples),
+    st.tuples(st.just("add"), _scalars),
+    st.tuples(st.just("scalar_eq"), _scalars, _scalars),
+    st.tuples(st.just("tuple_eq"), _tuples, _tuples),
+    st.tuples(st.just("scalar_rep"), _scalars)), max_size=12)
+
+
+def _add(c, op):
+    """The additions an operation makes, without closing."""
+    kind, *args = op
+    if kind == "eq":
+        c.assert_eq(mk_eq(*args))
+    elif kind == "teq":
+        c.assert_eq(mk_tuple_eq(*args))
+    elif kind == "tuple_eq":
+        for t in args:
+            c.add_tuple(t)
+    else:
+        for s in args:
+            c.add_scalar(s)
+
+
+def _closed_once(ops):
+    c = Closure()
+    for op in ops:
+        _add(c, op)
+    c.close()
+    return c
+
+
+def _answer(c, op):
+    """A query's answer read off the union-find of an already closed closure."""
+    kind, *args = op
+    if kind == "tuple_eq":
+        return c.find(c.add_tuple(args[0])) == c.find(c.add_tuple(args[1]))
+    reps = [c.find(c.add_scalar(s)) for s in args]
+    return reps[0] == reps[1] if kind == "scalar_eq" else reps[0]
+
+
+@given(_ops, _ops)
+@settings(max_examples=150, deadline=None)
+def test_closure_queried_while_growing_equals_closing_once(ops, extra):
+    c = Closure()
+    for k, op in enumerate(ops):
+        if op[0] in _QUERIES:
+            got = getattr(c, op[0])(*op[1:])
+            assert got == _answer(_closed_once(ops[:k + 1]), op)
+        else:
+            _add(c, op)
+    c.close()
+    want = _closed_once(ops)
+    assert c.scalar_classes() == want.scalar_classes()
+    assert c.tuple_classes() == want.tuple_classes()
+    # a copy changed afterwards leaves the original's answers as they were
+    queries = [op for op in ops if op[0] in _QUERIES]
+    before = [getattr(c, op[0])(*op[1:]) for op in queries]
+    cp = c.copy()
+    for op in extra:
+        _add(cp, op)
+    cp.close()
+    assert [getattr(c, op[0])(*op[1:]) for op in queries] == before
+    assert c.scalar_classes() == want.scalar_classes()
+    assert c.tuple_classes() == want.tuple_classes()
+    both = _closed_once(ops + extra)
+    assert cp.scalar_classes() == both.scalar_classes()
+    assert cp.tuple_classes() == both.tuple_classes()
