@@ -150,11 +150,10 @@ class Canonizer:
                 for j in range(i + 1, len(uniq)):
                     new_preds.append(mk_tuple_eq(uniq[i], uniq[j]))
         out = Term.make(t.sum_vars, new_preds, t.squash, t.neg, t.atoms)
-        changed = set(out.preds) != set(t.preds)
-        if changed:
-            added = len(set(out.preds) - set(t.preds))
-            for _ in range(added):
-                self.trace.rule("eq-trans", loc)
+        before, after = set(t.preds), set(out.preds)
+        changed = after != before
+        for _ in range(len(after - before)):
+            self.trace.rule("eq-trans", loc)
         return out, changed, closure
 
     # -- pass 2: summation elimination ---------------------------------------

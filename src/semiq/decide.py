@@ -13,6 +13,7 @@ each collapse.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 from .config import Budget, Limits
@@ -44,12 +45,17 @@ class Decider:
         self.limits = limits or Limits()
         self._squash_depth = 0
         # id(term) -> (term, closure_of(term.preds), its _EqualityLinks,
-        # summation variable signatures); the term is held so that its id
-        # stays its own, and matched by identity because hashing a term
-        # walks all of it
-        self._facts: dict[int, tuple[Term, Closure, _EqualityLinks, dict]] = {}
+        # summation variable signatures, free constants); the term is held
+        # so that its id stays its own, and matched by identity because
+        # hashing a term walks all of it
+        self._facts: dict[int, tuple[Term, Closure, _EqualityLinks, dict,
+                                     dict]] = {}
+        # the canonizer calls back through a weak reference, so that no
+        # cycle keeps a finished verify's decider, trace and memo alive
+        squash_eq = weakref.WeakMethod(self._squash_eq)
         self.canonizer = Canonizer(env, gen, self.trace, self.budget,
-                                   self.limits, squash_eq=self._squash_eq)
+                                   self.limits,
+                                   squash_eq=lambda a, b: squash_eq()(a, b))
 
     # -- callbacks ---------------------------------------------------------
 
@@ -82,8 +88,7 @@ class Decider:
                 return False
             return self._perm_search(w1, w2)
         finally:
-            # the Decider and its Canonizer form a reference cycle, which
-            # only the cyclic collector frees; drop the term facts now
+            # the facts serve one call; refutation need not hold them
             self._facts.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
@@ -118,23 +123,29 @@ class Decider:
                     del assignment[j]
             return False
 
-        if backtrack(0):
+        try:
+            found = backtrack(0)
+        finally:
+            del backtrack  # it holds itself through its cell; break the cycle
+        if found:
             self.trace.permutation([assignment[j] for j in range(n)])
-            return True
-        return False
+        return found
 
     # -- term-level matching ------------------------------------------------
 
-    def _term_facts(self, t: Term) -> tuple[Closure, _EqualityLinks, dict]:
-        """A term's pristine closure, equality links and summation variable
-        signatures, built on its first match in one `equivalent` call."""
+    def _term_facts(self, t: Term) -> tuple[Closure, _EqualityLinks, dict, dict]:
+        """A term's pristine closure, equality links, summation variable
+        signatures and free constants, built on its first match in one
+        `equivalent` call."""
         facts = self._facts.get(id(t))
         if facts is None or facts[0] is not t:
             closure = closure_of(t.preds)
-            links = _EqualityLinks(t, closure.copy())
+            work = closure.copy()
+            links = _EqualityLinks(t, work)
             vsig = {v.vid: _var_signature(t, v) + links.unary(v)
                     for v in t.sum_vars}
-            facts = self._facts[id(t)] = (t, closure, links, vsig)
+            facts = self._facts[id(t)] = (t, closure, links, vsig,
+                                          _free_constants(t, work))
         return facts[1:]
 
     def match_terms(self, t1: Term, t2: Term) -> bool:
@@ -145,8 +156,13 @@ class Decider:
         rels2 = sorted(r for r, _ in t2.atoms)
         if rels1 != rels2:
             return False
-        closure1, links1, vsig1 = self._term_facts(t1)
-        _, links2, vsig2 = self._term_facts(t2)
+        closure1, links1, vsig1, consts1 = self._term_facts(t1)
+        _, links2, vsig2, consts2 = self._term_facts(t2)
+        # a bijection renames only summed variables, and congruent
+        # predicates give equal free constants: when these differ,
+        # `_term_check` would reject every bijection
+        if consts1 != consts2:
+            return False
         cand = {v2.vid: [v1 for v1 in t1.sum_vars if vsig1[v1.vid] == vsig2[v2.vid]]
                 for v2 in t2.sum_vars}
         if any(not c for c in cand.values()):
@@ -176,7 +192,10 @@ class Decider:
                 used.discard(v1.vid)
             return False
 
-        return backtrack(0)
+        try:
+            return backtrack(0)
+        finally:
+            del backtrack  # it holds itself through its cell; break the cycle
 
     def _term_check(self, t1: Term, t2: Term,
                     mapping: list[tuple[TupleVar, TupleVar]],
@@ -347,6 +366,27 @@ class _EqualityLinks:
                 if wid == w.vid:
                     out.append((a, b))
         return tuple(sorted(out))
+
+
+def _free_constants(t: Term, closure: Closure) -> dict:
+    """(variable id, attribute) -> the constants in the attribute's class,
+    for each attribute of each free variable of non-generic schema in
+    ``closure``, which it extends; empty sets are left out.  Constants are
+    leaves that only asserted equalities merge, so two predicate lists that
+    `congruent_preds` accepts give the same map."""
+    sum_ids = {v.vid for v in t.sum_vars}
+    free = [v for v in (closure.source[nid] for nid in closure.tuple_nodes
+                        if closure.kind[nid] == "tvar")
+            if v.vid not in sum_ids and not v.schema.generic]
+    attrs = {(v.vid, a): closure.add_scalar(AttrRef(v, a))
+             for v in free for a in v.schema.attr_names()}
+    closure.close()
+    consts: dict[int, set] = {}
+    for nid, kind in enumerate(closure.kind):
+        if kind == "const":
+            consts.setdefault(closure.find(nid), set()).add(closure.payload[nid])
+    return {key: frozenset(consts[rep]) for key, nid in attrs.items()
+            if (rep := closure.find(nid)) in consts}
 
 
 def term_signature(t: Term) -> tuple:

@@ -1,6 +1,7 @@
 """Build counts that repeat exactly: each matched term's closure data is
-built once per verify, and each canonize round builds one closure.  They
-guard the asymptotics without timing anything."""
+built once per verify, each canonize round builds one closure, and the term
+search fully checks only pairs whose free constants agree.  They guard the
+asymptotics without timing anything."""
 
 from __future__ import annotations
 
@@ -61,6 +62,24 @@ def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
     assert out.status == "EQUIVALENT"
     distinct = {id(t) for t in built}
     assert len(distinct) == len(built) <= 2 * len(BRANCH_PREDS)
+
+
+def test_wide_union_checks_one_term_pair_per_branch(monkeypatch):
+    # each branch's filter constant appears in no other branch, so only the
+    # partner of each right term survives the free-constant check
+    checked = []
+    real = decide.Decider._term_check
+
+    def counting(self, t1, t2, *args):
+        checked.append((t1, t2))
+        return real(self, t1, t2, *args)
+
+    monkeypatch.setattr(decide.Decider, "_term_check", counting)
+    [out] = run_program_text(WIDE_UNION)
+    assert out.status == "EQUIVALENT"
+    assert len(checked) == len(BRANCH_PREDS)
+    # one BIJECTION line per branch and one PERMUTATION line
+    assert out.steps["search"] == len(BRANCH_PREDS) + 1
 
 
 def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):

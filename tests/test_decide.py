@@ -3,19 +3,26 @@ squashed-expression comparison, and term minimization."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semiq import decide
+from semiq.congruence import closure_of, congruent_preds, is_eq_atom
 from semiq.decide import Decider, term_signature
 from semiq.oracle import GenSizes, enumerate_dbs
 from semiq.schema import Schema
 from semiq.spnf import SpnfExp, Term, to_spnf
 from semiq.translate import denote
-from semiq.exprs import AttrRef, TupleVar, VarGen, mk_eq, substitute
+from semiq.exprs import (AttrRef, Const, Func, PredApp, TupleVar, VarGen,
+                         mk_eq, mk_record, mk_tuple_eq, substitute)
+from semiq.schema import SchemaEnv
 
-from conftest import parse_query
+from conftest import FIG_INDEX, parse_query
 from helpers import (cq_set_equivalent, denote_pair, find_disagreement,
                      gen_cq, small_dbs, std_env)
 
@@ -276,3 +283,126 @@ def test_signature_pruning_is_isomorphism_invariant():
     s1 = to_spnf(d1.body, VarGen(1000))
     s2 = to_spnf(substitute(d2.body, d2.out_var, d1.out_var), VarGen(2000))
     assert term_signature(s1.terms[0]) == term_signature(s2.terms[0])
+
+
+# -- free-constant check before the bijection search --------------------------
+
+OUT_A = Schema("o", (("a", "int"),))
+
+
+def _filtered_scan(vid: int, value: int) -> Term:
+    """sum_x R(x) * [t.a = value], for a free t: the constant is tied to no
+    summed variable, so the variable signatures cannot tell two values
+    apart."""
+    t = TupleVar(900, OUT_A)
+    x = TupleVar(vid, std_env().tables["R"])
+    return Term.make((x,), [mk_eq(AttrRef(t, "a"), Const(value, "int"))],
+                     None, None, (("R", x),))
+
+
+def _counting_term_checks(monkeypatch) -> list:
+    checked = []
+    real = Decider._term_check
+
+    def counting(self, *args):
+        checked.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Decider, "_term_check", counting)
+    return checked
+
+
+def test_free_constant_mismatch_rejected_before_term_check(monkeypatch):
+    checked = _counting_term_checks(monkeypatch)
+    d = Decider(std_env(), VarGen())
+    assert not d.match_terms(_filtered_scan(901, 1), _filtered_scan(902, 2))
+    assert checked == []
+
+
+def test_identical_terms_still_match(monkeypatch):
+    checked = _counting_term_checks(monkeypatch)
+    d = Decider(std_env(), VarGen())
+    assert d.match_terms(_filtered_scan(901, 1), _filtered_scan(902, 1))
+    assert len(checked) == 1
+
+
+# two summed and two free variables; constants, attributes, one function
+# and records over them
+_SUMMED = (TupleVar(1, SR), TupleVar(2, SR))
+_FREE = (TupleVar(3, SR), TupleVar(4, SR))
+_scalars = st.recursive(
+    st.sampled_from([Const(0, "int"), Const(1, "int"), Const(2, "int")])
+    | st.builds(AttrRef, st.sampled_from(_SUMMED + _FREE),
+                st.sampled_from("ka")),
+    lambda inner: st.builds(lambda s: Func("f", (s,)), inner),
+    max_leaves=2)
+_tuples = st.sampled_from(_SUMMED + _FREE) | st.builds(
+    lambda k, a: mk_record({"k": k, "a": a}), _scalars, _scalars)
+_preds = st.lists(st.one_of(
+    st.builds(mk_eq, _scalars, _scalars),
+    st.builds(mk_tuple_eq, _tuples, _tuples),
+    st.builds(lambda a, b: PredApp(">=", (a, b)), _scalars, _scalars)),
+    max_size=6)
+
+
+def _free_constants(preds) -> dict:
+    return decide._free_constants(Term.make(_SUMMED, preds), closure_of(preds))
+
+
+def _respelled(preds, rng: random.Random) -> list:
+    """The same closure stated by a shuffled chain of equalities per class,
+    as saturation and substitution restate a term's predicates; every
+    attribute of every variable is stated with its class."""
+    c = closure_of(preds)
+    for v in _SUMMED + _FREE:
+        for a in "ka":
+            c.add_scalar(AttrRef(v, a))
+    c.close()
+    out = [p for p in preds if not is_eq_atom(p)]
+    for classes, eq in ((c.scalar_classes(), mk_eq),
+                        (c.tuple_classes(), mk_tuple_eq)):
+        for members in classes.values():
+            rng.shuffle(members)
+            out += [eq(a, b) for a, b in zip(members, members[1:])]
+    rng.shuffle(out)
+    return out
+
+
+@given(_preds, _preds, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_congruent_predicates_have_equal_free_constants(p1, other, rng):
+    respelled = _respelled(p1, rng)
+    assert congruent_preds(p1, respelled)
+    for p2 in (respelled, other):
+        if congruent_preds(p1, p2):
+            assert _free_constants(p1) == _free_constants(p2)
+
+
+# -- lifetime -------------------------------------------------------------------
+
+def test_deciders_are_freed_without_the_cycle_collector(monkeypatch):
+    made = []
+    real_init = Decider.__init__
+
+    def recording(self, *args, **kw):
+        made.append(weakref.ref(self))
+        real_init(self, *args, **kw)
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        d = Decider(SchemaEnv(), VarGen())
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+        # a whole verify's decider, after its permutation and bijection
+        # searches and its canonizer's squash callbacks
+        monkeypatch.setattr(Decider, "__init__", recording)
+        from semiq.pipeline import run_program_text
+        [out] = run_program_text(FIG_INDEX)
+        assert out.status == "EQUIVALENT"
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
