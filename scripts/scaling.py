@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time to verdict on the scaling rows of ROADMAP.md.
+
+    python scripts/scaling.py [--timeout 60] [--seed 1] [FAMILY=SIZE ...]
+
+With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
+`join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
+`nested_projection` 16 and 40, `wide_union` 64 and `union_all` 600.  Each
+row is one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
+prints one tab-separated line:
+
+    family  size  ms  verdict  steps.total
+
+All families but `union_all` are the generators of `perfbench/workloads.py`
+(only read), called with `random.Random(--seed)`.  `union_all` is a
+SIZE-branch `UNION ALL` with one constant filter per branch, against the
+same branches reversed under other aliases.  Times are wall times of one
+run, with no calibration.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from semiq import run_program_text  # noqa: E402
+from semiq.config import Limits  # noqa: E402
+
+import workloads  # noqa: E402
+
+ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
+        ("symmetric_self_join", 7), ("symmetric_self_join", 8),
+        ("nested_projection", 16), ("nested_projection", 40),
+        ("wide_union", 64), ("union_all", 600))
+FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
+            "wide_union", "union_all")
+
+
+def union_all(n: int) -> str:
+    def side(alias: str, order) -> str:
+        return " UNION ALL ".join(
+            f"(SELECT {alias}{i}.a AS o FROM R {alias}{i} WHERE {alias}{i}.a = {i})"
+            for i in order)
+
+    return (f"schema s(a:int, b:int);\ntable R(s);\n"
+            f"verify ({side('x', range(n))})\n"
+            f"       ({side('y', reversed(range(n)))});\n")
+
+
+def program(family: str, size: int, seed: int) -> str:
+    if family == "union_all":
+        return union_all(size)
+    return getattr(workloads, family)(random.Random(seed), size).text
+
+
+def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
+    """(ms, verdict, steps.total) of one run of the row's program."""
+    text = program(family, size, seed)
+    t0 = time.perf_counter()
+    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s))
+    ms = (time.perf_counter() - t0) * 1000
+    return ms, out.status, out.steps.get("total")
+
+
+def _row(arg: str) -> tuple[str, int]:
+    family, _, size = arg.partition("=")
+    if family not in FAMILIES or not size.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected FAMILY=SIZE with FAMILY one of {', '.join(FAMILIES)}")
+    return family, int(size)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("rows", nargs="*", type=_row, metavar="FAMILY=SIZE",
+                    help="rows to run (default: the ROADMAP rows)")
+    ap.add_argument("--timeout", type=float, default=60.0,
+                    help="wall-clock budget per row, seconds (default 60)")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="seed of the workload generators (default 1)")
+    args = ap.parse_args(argv)
+    for family, size in args.rows or ROWS:
+        ms, verdict, steps = measure(family, size, args.timeout, args.seed)
+        print(f"{family}\t{size}\t{ms:.1f}\t{verdict}\t{steps}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

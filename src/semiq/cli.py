@@ -1,9 +1,15 @@
 """Command-line driver.
 
 Reads a program file, runs every verify statement through the pipeline, and
-reports one line per verify (or a JSON document with --json).  Exit code 0
-iff all verifies are equivalent, 1 if any is not, 2 on parse or semantic
-errors.
+reports one line per verify (or a JSON document with --json).  A verify
+that fails inside semiq is reported with status ERROR and the exception in
+its note, and the other verifies still run.  Exit codes:
+
+    0  every verify is EQUIVALENT
+    1  some verify is not (and none errored)
+    2  the file cannot be read, or a parse or semantic error
+    3  some verify ended in ERROR, or reading the program failed inside
+       semiq (reported as an internal error)
 """
 
 from __future__ import annotations
@@ -11,13 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .config import Limits
 from .frontend import build_env
 from .parser import ParseError, parse
-from .pipeline import run_verify
+from .pipeline import VerifyOutcome, run_verify
 from .schema import SemanticError
+
+ERROR = "ERROR"
+EXIT_ERROR = 3
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -61,6 +71,9 @@ def main(argv=None) -> int:
     except SemanticError as exc:
         print(f"semantic error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     limits = Limits(timeout_s=args.timeout, chase_depth=args.chase_depth)
     trace_dir = Path(args.trace) if args.trace else None
@@ -71,17 +84,24 @@ def main(argv=None) -> int:
     worst = 0
     for i, stmt in enumerate(program.verifies(), start=1):
         name = f"verify{i}"
+        t0 = time.monotonic()
         try:
             outcome = run_verify(stmt, name, env, limits,
                                  dump_uexp=args.dump_uexp,
                                  dump_spnf=args.dump_spnf,
                                  refute=args.refute, seed=args.seed)
+            worst = max(worst, outcome.exit_contribution)
         except SemanticError as exc:
             print(f"semantic error: {exc}", file=sys.stderr)
             return 2
-        worst = max(worst, outcome.exit_contribution)
+        except Exception as exc:
+            # an internal failure of this verify alone; report it and go on
+            outcome = VerifyOutcome(name, ERROR, None,
+                                    (time.monotonic() - t0) * 1000,
+                                    detail=f"{type(exc).__name__}: {exc}")
+            worst = EXIT_ERROR
         trace_path = None
-        if trace_dir:
+        if trace_dir and outcome.trace is not None:
             trace_path = trace_dir / f"{name}.trace"
             trace_path.write_text(outcome.trace.render())
         entry = {

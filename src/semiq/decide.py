@@ -4,17 +4,26 @@
 matching their terms pairwise.  ``match_terms`` matches one term pair under
 a bijection of summation variables: congruent predicates, equivalent squash
 parts (``squash_equal``), equivalent negation parts (recursively), identical
-relation atoms.  ``squash_equal`` compares squashed expressions set-style:
-dissolve nested squashes, canonize, minimize each term, then require mutual
-coverage.  Minimization collapses a summation variable onto another variable
-whenever a self-homomorphism justifies it, logging the equational recipe for
-each collapse.
+relation atoms.  The bijection search is individualization-refinement:
+each term's summation variables are coloured by 1-WL refinement of their
+signatures over the attribute-equality links between them, a variable is
+tried only on variables of its own colour, and when the search has a
+choice, each predicate is checked against the other term's closure as soon
+as all its summation variables are placed.  Both prune only bijections that
+``congruent_preds`` would reject, and the search keeps the order of the
+plain signature search, so it finds the same bijection first.
+``squash_equal`` compares squashed expressions set-style: dissolve nested
+squashes, canonize, minimize each term, then require mutual coverage.
+Minimization collapses a summation variable onto another variable whenever
+a self-homomorphism justifies it, logging the equational recipe for each
+collapse.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 from .config import Budget, Limits
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
@@ -44,12 +53,13 @@ class Decider:
         self.budget = budget or Budget(limits)
         self.limits = limits or Limits()
         self._squash_depth = 0
-        # id(term) -> (term, closure_of(term.preds), its _EqualityLinks,
-        # summation variable signatures, free constants); the term is held
-        # so that its id stays its own, and matched by identity because
-        # hashing a term walks all of it
-        self._facts: dict[int, tuple[Term, Closure, _EqualityLinks, dict,
-                                     dict]] = {}
+        # id(term) -> its _TermFacts; the facts hold the term, so that its
+        # id stays its own, and are matched by identity because hashing a
+        # term walks all of it
+        self._facts: dict[int, _TermFacts] = {}
+        # signature and colour -> colour id, shared by the terms of one
+        # `equivalent` call so that their colours compare
+        self._colours: dict[tuple, int] = {}
         # the canonizer calls back through a weak reference, so that no
         # cycle keeps a finished verify's decider, trace and memo alive
         squash_eq = weakref.WeakMethod(self._squash_eq)
@@ -90,6 +100,7 @@ class Decider:
         finally:
             # the facts serve one call; refutation need not hold them
             self._facts.clear()
+            self._colours.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
         if len(c1.terms) != len(c2.terms):
@@ -101,7 +112,10 @@ class Decider:
         sig2 = [term_signature(t) for t in c2.terms]
         if sorted(sig1) != sorted(sig2):
             return False
-        candidates = [[i for i in range(n) if sig1[i] == sig2[j]] for j in range(n)]
+        by_sig: dict[tuple, list[int]] = {}
+        for i, s in enumerate(sig1):
+            by_sig.setdefault(s, []).append(i)
+        candidates = [by_sig[s] for s in sig2]
         order = sorted(range(n), key=lambda j: len(candidates[j]))
         assignment: dict[int, int] = {}
         used: set[int] = set()
@@ -133,20 +147,11 @@ class Decider:
 
     # -- term-level matching ------------------------------------------------
 
-    def _term_facts(self, t: Term) -> tuple[Closure, _EqualityLinks, dict, dict]:
-        """A term's pristine closure, equality links, summation variable
-        signatures and free constants, built on its first match in one
-        `equivalent` call."""
+    def _term_facts(self, t: Term) -> _TermFacts:
         facts = self._facts.get(id(t))
-        if facts is None or facts[0] is not t:
-            closure = closure_of(t.preds)
-            work = closure.copy()
-            links = _EqualityLinks(t, work)
-            vsig = {v.vid: _var_signature(t, v) + links.unary(v)
-                    for v in t.sum_vars}
-            facts = self._facts[id(t)] = (t, closure, links, vsig,
-                                          _free_constants(t, work))
-        return facts[1:]
+        if facts is None or facts.term is not t:
+            facts = self._facts[id(t)] = _TermFacts(t, self._colours)
+        return facts
 
     def match_terms(self, t1: Term, t2: Term) -> bool:
         self.budget.step()
@@ -156,40 +161,59 @@ class Decider:
         rels2 = sorted(r for r, _ in t2.atoms)
         if rels1 != rels2:
             return False
-        closure1, links1, vsig1, consts1 = self._term_facts(t1)
-        _, links2, vsig2, consts2 = self._term_facts(t2)
+        f1, f2 = self._term_facts(t1), self._term_facts(t2)
         # a bijection renames only summed variables, and congruent
         # predicates give equal free constants: when these differ,
         # `_term_check` would reject every bijection
-        if consts1 != consts2:
+        if f1.consts != f2.consts:
             return False
-        cand = {v2.vid: [v1 for v1 in t1.sum_vars if vsig1[v1.vid] == vsig2[v2.vid]]
+        # a bijection that `congruent_preds` accepts is an isomorphism of
+        # the coloured link graphs, so it keeps colours; the candidates are
+        # the signature candidates of the plain search, in their order,
+        # less those of another colour
+        cand = {v2.vid: f1.by_colour.get(f2.colour[v2.vid], ())
                 for v2 in t2.sum_vars}
-        if any(not c for c in cand.values()):
+        if not all(cand.values()):
             return False
-        order = sorted(t2.sum_vars, key=lambda v: (len(cand[v.vid]), v.vid))
+        # placed in the order of the signature search, so that the
+        # surviving leaves come in its order and the same bijection is
+        # found first
+        order = sorted(t2.sum_vars,
+                       key=lambda v: (f1.sig_count[f2.sig[v.vid]], v.vid))
+        # with no choice the leaf check alone decides.  Renaming one
+        # predicate by the pairs placed so far gives what `_term_check`'s
+        # renaming gives at every leaf below only when neither term
+        # mentions a variable the other sums over
+        placing = (any(len(c) > 1 for c in cand.values())
+                   and not f1.sum_ids & f2.preds.mentioned
+                   and not f2.sum_ids & f1.preds.mentioned)
+        links1, links2 = f1.links, f2.links
         mapping: list[tuple[TupleVar, TupleVar]] = []
-        used: set[int] = set()
+        image: dict[int, TupleVar] = {}     # placed t2 id -> t1 variable
+        preimage: dict[int, TupleVar] = {}  # t1 id placed on -> t2 variable
 
         def backtrack(k: int) -> bool:
             self.budget.step()
             if k == len(order):
-                return self._term_check(t1, t2, list(mapping), closure1)
+                return self._term_check(t1, t2, list(mapping), f1.closure)
             v2 = order[k]
             for v1 in cand[v2.vid]:
-                if v1.vid in used:
+                if v1.vid in preimage:
                     continue
                 # attribute-equality links to already-placed variables must
                 # agree; every valid bijection preserves them
                 if any(links2.binary(v2, w2) != links1.binary(v1, w1)
                        for w2, w1 in mapping):
                     continue
-                used.add(v1.vid)
+                image[v2.vid], preimage[v1.vid] = v1, v2
                 mapping.append((v2, v1))
-                if backtrack(k + 1):
+                if (not placing
+                        or (_placed_preds_hold(f2, v2, image, f1)
+                            and _placed_preds_hold(f1, v1, preimage, f2))) \
+                        and backtrack(k + 1):
                     return True
                 mapping.pop()
-                used.discard(v1.vid)
+                del image[v2.vid], preimage[v1.vid]
             return False
 
         try:
@@ -323,6 +347,105 @@ class Decider:
         return Term.make(nt.sum_vars, preds, None, nt.neg, atoms)
 
 
+class _TermFacts:
+    """What the search needs of one term, built on its first match in one
+    `equivalent` call.  ``closure`` is ``closure_of(t.preds)``, kept
+    pristine for `congruent_preds`; ``work`` is a copy that the equality
+    links, the free constants and the placement checks query.  Queries only
+    add nodes and never merge existing classes, so answers stay valid as it
+    grows.  ``sig`` and ``colour`` map each summation variable to its
+    signature id and its refined colour id."""
+
+    def __init__(self, t: Term, colours: dict[tuple, int]):
+        self.term = t
+        self.closure = closure_of(t.preds)
+        self.work = self.closure.copy()
+        self.links = _EqualityLinks(t, self.work)
+        self.sig = {v.vid: colours.setdefault(
+                        ("sig", _var_signature(t, v) + self.links.unary(v)),
+                        len(colours))
+                    for v in t.sum_vars}
+        self.sig_count: dict[int, int] = {}
+        for s in self.sig.values():
+            self.sig_count[s] = self.sig_count.get(s, 0) + 1
+        self.colour = _refine(t, self.sig, self.links, colours)
+        self.by_colour: dict[int, list[TupleVar]] = {}
+        for v in t.sum_vars:
+            self.by_colour.setdefault(self.colour[v.vid], []).append(v)
+        self.consts = _free_constants(t, self.work)
+        self.sum_ids = frozenset(self.sig)
+
+    @cached_property
+    def preds(self) -> _PredIndex:
+        """Built on first use: only a search with a choice asks."""
+        return _PredIndex(self.term.preds, self.sum_ids)
+
+
+class _PredIndex:
+    """Which variables a term's predicates mention: ``summed`` lists, per
+    predicate, the summation variables it mentions, ``of`` the predicates
+    that mention each summation variable, and ``mentioned`` holds the ids
+    of all variables in predicates or sums."""
+
+    __slots__ = ("summed", "of", "mentioned")
+
+    def __init__(self, preds, sum_ids: frozenset[int]):
+        mentioned = set(sum_ids)
+        self.summed: list[tuple[TupleVar, ...]] = []
+        self.of: dict[int, list[int]] = {}
+        for i, p in enumerate(preds):
+            vs = free_vars(p)
+            mentioned.update(w.vid for w in vs)
+            self.summed.append(tuple(w for w in vs if w.vid in sum_ids))
+            for w in self.summed[-1]:
+                self.of.setdefault(w.vid, []).append(i)
+        self.mentioned = frozenset(mentioned)
+
+
+def _refine(t: Term, sig: dict[int, int], links: _EqualityLinks,
+            colours: dict[tuple, int]) -> dict[int, int]:
+    """1-WL colours of a term's summation variables.  Starting from the
+    signature ids, each round gives a variable the id of its colour and of
+    the multiset of (link, colour) over the variables it links to, itself
+    included, until the number of colours stops growing.  Ids are drawn
+    from ``colours``: equal ids in two terms mean equal round histories."""
+    colour = dict(sig)
+    count = len(set(colour.values()))
+    if count == len(colour):
+        return colour
+    var = {v.vid: v for v in t.sum_vars}
+    nbrs = {v.vid: [(wid, links.binary(v, var[wid])) for wid in links.linked(v)]
+            for v in t.sum_vars}
+    while True:
+        new = {vid: colours.setdefault(
+                   (c, tuple(sorted((link, colour[w]) for w, link in nbrs[vid]))),
+                   len(colours))
+               for vid, c in colour.items()}
+        n = len(set(new.values()))
+        if n == count:
+            return colour
+        colour, count = new, n
+
+
+def _placed_preds_hold(f: _TermFacts, v: TupleVar,
+                       placed: dict[int, TupleVar], other: _TermFacts) -> bool:
+    """Each predicate of ``f``'s term that mentions ``v`` and has all its
+    summation variables placed holds, renamed by ``placed``, in the other
+    term's full closure (the predicates not yet placed there can imply
+    it).  A failure here fails `congruent_preds` at every leaf below."""
+    for i in f.preds.of.get(v.vid, ()):
+        summed = f.preds.summed[i]
+        if not all(w.vid in placed for w in summed):
+            continue
+        q = f.term.preds[i]
+        for w in summed:
+            q = substitute(q, w, placed[w.vid])
+        if not _is_reflexive(q) and \
+                not implies_atom(other.work, other.term.preds, q):
+            return False
+    return True
+
+
 class _EqualityLinks:
     """Attribute-equality structure of one term's closure, keyed so that it
     is invariant under any bijection of summation variables: which attribute
@@ -366,6 +489,12 @@ class _EqualityLinks:
                 if wid == w.vid:
                     out.append((a, b))
         return tuple(sorted(out))
+
+    def linked(self, v) -> set[int]:
+        """Ids of the summation variables that share an attribute class
+        with ``v``, ``v`` included."""
+        return {wid for a in self._attrs_of.get(v.vid, ())
+                for wid, _ in self._by_rep[self._attr_rep[(v.vid, a)]]}
 
 
 def _free_constants(t: Term, closure: Closure) -> dict:

@@ -620,3 +620,37 @@ def run_axiom_check(name: str, env: SchemaEnv, rounds: int, seed: int) -> tuple[
         if not out:
             failed += 1
     return checked, failed
+
+
+# ---------------------------------------------------------------------------
+# Reference bijection search: the oracle of `Decider.match_terms`.
+
+def reference_match_terms(d, t1, t2) -> bool:
+    """Leaf-only backtracking over the bijections of summation variables
+    that keep variable signatures, in the order the decider places them:
+    right variables by (signature class size, id), left candidates in
+    `t1.sum_vars` order.  Every leaf goes to `Decider._term_check`, so the
+    first bijection it accepts, and its BIJECTION trace line, are the ones
+    the pruned search must find."""
+    from semiq.congruence import closure_of
+    from semiq.decide import _EqualityLinks, _var_signature
+
+    if len(t1.sum_vars) != len(t2.sum_vars):
+        return False
+    if sorted(r for r, _ in t1.atoms) != sorted(r for r, _ in t2.atoms):
+        return False
+
+    def signatures(t):
+        links = _EqualityLinks(t, closure_of(t.preds))
+        return {v.vid: _var_signature(t, v) + links.unary(v) for v in t.sum_vars}
+
+    sig1, sig2 = signatures(t1), signatures(t2)
+    cand = {v2.vid: [v1 for v1 in t1.sum_vars if sig1[v1.vid] == sig2[v2.vid]]
+            for v2 in t2.sum_vars}
+    order = sorted(t2.sum_vars, key=lambda v: (len(cand[v.vid]), v.vid))
+    closure1 = closure_of(t1.preds)
+    for images in itertools.product(*(cand[v.vid] for v in order)):
+        if len({v.vid for v in images}) == len(images) and \
+                d._term_check(t1, t2, list(zip(order, images)), closure1):
+            return True
+    return False

@@ -1,7 +1,8 @@
 """Build counts that repeat exactly: each matched term's closure data is
-built once per verify, each canonize round builds one closure, and the term
-search fully checks only pairs whose free constants agree.  They guard the
-asymptotics without timing anything."""
+built once per verify, each canonize round builds one closure, the term
+search fully checks only pairs whose free constants agree, and the variable
+search checks no leaf that colours or placed predicates rule out.  They
+guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
@@ -64,22 +65,67 @@ def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
     assert len(distinct) == len(built) <= 2 * len(BRANCH_PREDS)
 
 
-def test_wide_union_checks_one_term_pair_per_branch(monkeypatch):
-    # each branch's filter constant appears in no other branch, so only the
-    # partner of each right term survives the free-constant check
+def _count_term_checks(monkeypatch) -> list:
+    """The argument tuples of every `Decider._term_check` call to come."""
     checked = []
     real = decide.Decider._term_check
 
-    def counting(self, t1, t2, *args):
-        checked.append((t1, t2))
-        return real(self, t1, t2, *args)
+    def counting(self, *args):
+        checked.append(args)
+        return real(self, *args)
 
     monkeypatch.setattr(decide.Decider, "_term_check", counting)
+    return checked
+
+
+def test_wide_union_checks_one_term_pair_per_branch(monkeypatch):
+    # each branch's filter constant appears in no other branch, so only the
+    # partner of each right term survives the free-constant check
+    checked = _count_term_checks(monkeypatch)
     [out] = run_program_text(WIDE_UNION)
     assert out.status == "EQUIVALENT"
     assert len(checked) == len(BRANCH_PREDS)
     # one BIJECTION line per branch and one PERMUTATION line
     assert out.steps["search"] == len(BRANCH_PREDS) + 1
+
+
+def _self_join(alias: str, n: int, plus: int) -> str:
+    return (f"SELECT {alias}0.a + {plus} AS o FROM "
+            + ", ".join(f"R {alias}{i}" for i in range(n)))
+
+
+def _join_chain(alias: str, n: int, sources) -> str:
+    """The path x0.b = x1.a, ..., with its sources listed in the given
+    order and its conditions in reverse, flipped."""
+    conds = " AND ".join(f"{alias}{i + 1}.a = {alias}{i}.b"
+                         for i in reversed(range(n - 1)))
+    return (f"SELECT {alias}0.a AS o FROM "
+            + ", ".join(f"R {alias}{i}" for i in sources) + f" WHERE {conds}")
+
+
+def test_symmetric_self_join_is_refuted_before_any_leaf(monkeypatch):
+    # `+` is uninterpreted, so no bijection of the eight interchangeable
+    # scans matches; placing the projected scan already fails, where a
+    # leaf-only search checks all 8! bijections
+    checked = _count_term_checks(monkeypatch)
+    [out] = run_program_text(PRELUDE + f"verify ({_self_join('x', 8, 1)})\n"
+                             f"       ({_self_join('y', 8, 2)});\n")
+    assert out.status == "NOT_PROVED"
+    assert checked == []
+
+
+def test_join_chain_search_is_forced_by_colours(monkeypatch):
+    # the chain's ends differ, and colour refinement spreads that along
+    # the chain: each variable has one candidate and one leaf is checked
+    n = 24
+    checked = _count_term_checks(monkeypatch)
+    sources = [(7 * i) % n for i in range(n)]
+    [out] = run_program_text(
+        PRELUDE + f"verify ({_join_chain('x', n, range(n))})\n"
+        f"       ({_join_chain('y', n, sources)});\n")
+    assert out.status == "EQUIVALENT"
+    assert len(checked) == 1
+    assert out.steps["total"] < 1000
 
 
 def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):

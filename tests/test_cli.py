@@ -119,3 +119,53 @@ def test_timeout_flag_reports_resource_exhaustion(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "RESOURCE_EXHAUSTED" in out
+
+
+def test_internal_failure_is_an_error_verdict_and_the_rest_still_run(
+        tmp_path, capsys, monkeypatch):
+    import semiq.cli as cli
+    real = cli.run_verify
+
+    def failing_first(stmt, name, *args, **kw):
+        if name == "verify1":
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(stmt, name, *args, **kw)
+
+    monkeypatch.setattr(cli, "run_verify", failing_first)
+    path = _write(tmp_path, """
+        schema s(a:int, b:int);
+        table R(s);
+        verify R R;
+        verify (SELECT x.a AS o FROM R x) (SELECT x.a AS o FROM R x, R y);
+        verify R R;
+    """)
+    rc = main([path])
+    lines = capsys.readouterr().out.splitlines()
+    # 3, not the 1 of the NOT_EQUIVALENT verdict beside it
+    assert rc == 3
+    assert lines[0].startswith("verify1: ERROR (")
+    assert lines[1] == "  note: RecursionError: maximum recursion depth exceeded"
+    assert lines[2].startswith("verify2: NOT_EQUIVALENT")
+    assert lines[3].startswith("verify3: EQUIVALENT")
+
+    rc = main([path, "--json", "--trace", str(tmp_path / "traces")])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    first, second, third = doc["verifies"]
+    assert first["status"] == "ERROR" and first["trace_path"] is None
+    assert first["detail"] == "RecursionError: maximum recursion depth exceeded"
+    assert (second["status"], third["status"]) == ("NOT_EQUIVALENT", "EQUIVALENT")
+
+
+def test_internal_failure_reading_the_program_exits_three(
+        tmp_path, capsys, monkeypatch):
+    import semiq.cli as cli
+
+    def failing(program):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "build_env", failing)
+    rc = main([_write(tmp_path, "schema s(a:int);\ntable R(s);\nverify R R;\n")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "internal error: RecursionError: maximum recursion depth exceeded\n")

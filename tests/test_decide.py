@@ -9,7 +9,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiq import decide
 from semiq.congruence import closure_of, congruent_preds, is_eq_atom
@@ -17,6 +17,7 @@ from semiq.decide import Decider, term_signature
 from semiq.oracle import GenSizes, enumerate_dbs
 from semiq.schema import Schema
 from semiq.spnf import SpnfExp, Term, to_spnf
+from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (AttrRef, Const, Func, PredApp, TupleVar, VarGen,
                          mk_eq, mk_record, mk_tuple_eq, substitute)
@@ -24,7 +25,7 @@ from semiq.schema import SchemaEnv
 
 from conftest import FIG_INDEX, parse_query
 from helpers import (cq_set_equivalent, denote_pair, find_disagreement,
-                     gen_cq, small_dbs, std_env)
+                     gen_cq, reference_match_terms, small_dbs, std_env)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -349,13 +350,13 @@ def _free_constants(preds) -> dict:
     return decide._free_constants(Term.make(_SUMMED, preds), closure_of(preds))
 
 
-def _respelled(preds, rng: random.Random) -> list:
+def _respelled(preds, rng: random.Random, variables=_SUMMED + _FREE) -> list:
     """The same closure stated by a shuffled chain of equalities per class,
     as saturation and substitution restate a term's predicates; every
     attribute of every variable is stated with its class."""
     c = closure_of(preds)
-    for v in _SUMMED + _FREE:
-        for a in "ka":
+    for v in variables:
+        for a in v.schema.attr_names():
             c.add_scalar(AttrRef(v, a))
     c.close()
     out = [p for p in preds if not is_eq_atom(p)]
@@ -376,6 +377,79 @@ def test_congruent_predicates_have_equal_free_constants(p1, other, rng):
     for p2 in (respelled, other):
         if congruent_preds(p1, p2):
             assert _free_constants(p1) == _free_constants(p2)
+
+
+# -- the bijection search against exhaustive leaf checks ------------------------
+
+_ENV = std_env()
+_OUT = TupleVar(900, Schema("o", (("a", "int"), ("b", "int"))))
+
+
+@st.composite
+def _term_pairs(draw):
+    """A term over up to five summation variables, most of them of one
+    relation, whose predicates link attributes across and within
+    variables, pin constants, apply f and equate free output attributes;
+    and the same term under a random bijection onto fresh ids, restated,
+    listed in another order and, in one case of four, missing a
+    predicate."""
+    rels = draw(st.lists(st.sampled_from("RRS"), min_size=1, max_size=5))
+    xs = [TupleVar(10 + i, _ENV.tables[r]) for i, r in enumerate(rels)]
+    attr = st.builds(AttrRef, st.sampled_from(xs), st.sampled_from("ab"))
+    scalar = st.one_of(
+        attr, st.builds(AttrRef, st.just(_OUT), st.sampled_from("ab")),
+        st.builds(lambda c: Const(c, "int"), st.integers(0, 2)),
+        st.builds(lambda s: Func("f", (s,)), attr))
+    preds = draw(st.lists(
+        st.builds(mk_eq, attr, scalar)
+        | st.builds(lambda a, b: PredApp("p", (a, b)), attr, attr),
+        max_size=6))
+    t1 = Term.make(xs, preds, None, None, list(zip(rels, xs)))
+    rng = draw(st.randoms(use_true_random=False))
+    if preds and draw(st.integers(0, 3)) == 0:
+        preds = preds[:-1]
+    preds = _respelled(preds, rng, xs + [_OUT])
+    ids = rng.sample(range(100, 120), len(xs))
+    ys = [TupleVar(i, x.schema) for i, x in zip(ids, xs)]
+    for x, y in zip(xs, ys):
+        preds = [substitute(p, x, y) for p in preds]
+    atoms = list(zip(rels, ys))
+    rng.shuffle(ys)
+    return t1, Term.make(ys, preds, None, None, atoms)
+
+
+def _renamed_pair(n: int, preds1, preds2, ids) -> tuple[Term, Term]:
+    """Terms over n scans of R; the second names its i-th variable ids[i]."""
+    def term(vs, preds):
+        return Term.make(vs, preds(*vs), None, None, [("R", v) for v in vs])
+    xs = [TupleVar(10 + i, _ENV.tables["R"]) for i in range(n)]
+    return term(xs, preds1), term([TupleVar(i, x.schema) for i, x in
+                                   zip(ids, xs)], preds2)
+
+
+def _one_link(x, y, z, w):
+    return [mk_eq(AttrRef(x, "a"), AttrRef(z, "b"))]
+
+
+@given(_term_pairs())
+@settings(max_examples=200, deadline=None)
+# placing the first variable alone completes x.a = o.a; only the other
+# term's unplaced predicate implies it
+@example(_renamed_pair(2,
+                       lambda x, y: [mk_eq(AttrRef(x, "a"), AttrRef(y, "a")),
+                                     mk_eq(AttrRef(x, "a"), AttrRef(_OUT, "a"))],
+                       lambda x, y: [mk_eq(AttrRef(x, "a"), AttrRef(y, "a")),
+                                     mk_eq(AttrRef(y, "a"), AttrRef(_OUT, "a"))],
+                       (100, 101)))
+# colours split the four signature-equal scans into two singletons and a
+# pair, which must not move the singletons ahead in the placement order
+@example(_renamed_pair(4, _one_link, _one_link, (101, 100, 103, 102)))
+def test_match_terms_agrees_with_exhaustive_search(pair):
+    for t1, t2 in (pair, pair[::-1]):
+        got = Decider(_ENV, VarGen(), Trace())
+        want = Decider(_ENV, VarGen(), Trace())
+        assert got.match_terms(t1, t2) == reference_match_terms(want, t1, t2)
+        assert got.trace.render() == want.trace.render()
 
 
 # -- lifetime -------------------------------------------------------------------

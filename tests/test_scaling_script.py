@@ -1,0 +1,32 @@
+"""scripts/scaling.py at tiny sizes: one row per requested family and size,
+with the verdict each family is built to get."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_scaling_rows_at_tiny_sizes():
+    rows = {"join_chain=4": "EQUIVALENT", "symmetric_self_join=3": "NOT_PROVED",
+            "nested_projection=2": "EQUIVALENT", "wide_union=4": "EQUIVALENT",
+            "union_all=4": "EQUIVALENT"}
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
+                          "--timeout", "30", *rows],
+                         capture_output=True, text=True, timeout=120, check=True)
+    lines = [line.split("\t") for line in res.stdout.splitlines()]
+    assert len(lines) == len(rows)
+    for (family, size, ms, verdict, steps), (row, want) in zip(lines, rows.items()):
+        assert f"{family}={size}" == row
+        assert float(ms) > 0 and int(steps) > 0
+        assert verdict == want
+
+
+def test_scaling_rejects_an_unknown_family():
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
+                          "cross_join=3"], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 2 and "FAMILY=SIZE" in res.stderr
