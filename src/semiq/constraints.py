@@ -1,11 +1,14 @@
 """Canonization of normal-form expressions under integrity constraints.
 
 Four interleaved passes run to a fixpoint on every term, recursively inside
-squash and negation slots: transitive closure of equalities, elimination of
+squash and negation slots: saturation of equalities, elimination of
 summations bound by an equality, the key-constraint collapse, and the
-foreign-key expansion.  Terms whose square provably equals themselves are
-additionally rewritten into their own squash (the key-guarded stability
-rewrite), which lets set-level reasoning see through bag-level structure.
+foreign-key expansion.  Saturation writes each equality class of the
+term's congruence closure as a spanning chain: its members sorted, each
+equal to the next, so k members take k - 1 atoms and the chain is
+canonical.  Terms whose square provably equals themselves are additionally
+rewritten into their own squash (the key-guarded stability rewrite), which
+lets set-level reasoning see through bag-level structure.
 """
 
 from __future__ import annotations
@@ -87,9 +90,10 @@ class Canonizer:
         fk_memo: set[tuple[int, int]] = set()
         while True:
             self.budget.step()
-            t2, changed, closure = self.saturate(t, loc)
+            # kept even when unchanged: it drops the copies of an atom
+            # that a substitution writes
+            t, changed, closure = self.saturate(t, loc)
             if changed:
-                t = t2
                 continue
             # unchanged: closure is closure_of(t.preds), shared by the passes
             t2 = self.try_eliminate(t, closure, loc)
@@ -118,11 +122,17 @@ class Canonizer:
             t = replace(t, neg=self.canonize(t.neg, loc + "/not", False))
         return t
 
-    # -- pass 1: transitive closure of equalities ----------------------------
+    # -- pass 1: saturation of equalities -------------------------------------
 
     def saturate(self, t: Term, loc: str) -> tuple[Term, bool, Closure]:
-        """The term with every equality its closure implies, whether that
-        changed its predicates, and ``closure_of(t.preds)``."""
+        """The term with each equality class of its closure written as a
+        chain, whether that changed its set of predicates, and
+        ``closure_of(t.preds)``.
+
+        A class's members are sorted by ``scalar_sort_key`` or
+        ``tuple_sort_key`` and each is equated to the next: the chain
+        generates the class and depends only on the closure, so saturating
+        twice changes nothing.  Non-equality atoms are kept once each."""
         closure = closure_of(t.preds)
         new_preds: list[PredAtom] = []
         seen: set = set()
@@ -136,19 +146,10 @@ class Canonizer:
             new_preds.append(p)
         for members in closure.scalar_classes().values():
             ms = sorted(members, key=scalar_sort_key)
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    if ms[i] == ms[j]:
-                        continue
-                    new_preds.append(mk_eq(ms[i], ms[j]))
+            new_preds.extend(mk_eq(x, y) for x, y in zip(ms, ms[1:]))
         for members in closure.tuple_classes().values():
-            uniq = []
-            for m in sorted(members, key=tuple_sort_key):
-                if m not in uniq:
-                    uniq.append(m)
-            for i in range(len(uniq)):
-                for j in range(i + 1, len(uniq)):
-                    new_preds.append(mk_tuple_eq(uniq[i], uniq[j]))
+            uniq = list(dict.fromkeys(sorted(members, key=tuple_sort_key)))
+            new_preds.extend(mk_tuple_eq(x, y) for x, y in zip(uniq, uniq[1:]))
         out = Term.make(t.sum_vars, new_preds, t.squash, t.neg, t.atoms)
         before, after = set(t.preds), set(out.preds)
         changed = after != before

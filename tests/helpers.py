@@ -6,14 +6,17 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import FiniteDb, GenSizes, eval_exp, gen_instances, interp_query
 from semiq.schema import Schema, SchemaEnv
 from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, ExprItem, Select,
                           Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
-from semiq.exprs import (Add, AttrRef, Const, Mul, Not, Pred, Rel, Squash, Sum,
-                        TupleVar, VarGen, mk_eq, mk_neq)
+from semiq.exprs import (Add, AttrRef, Const, Func, Mul, Not, Pred, Rel, Squash,
+                        Sum, TupleVar, VarGen, mk_eq, mk_neq, mk_record,
+                        mk_tuple_eq)
 
 # A small standard environment: three binary relations over ints.
 
@@ -654,3 +657,80 @@ def reference_match_terms(d, t1, t2) -> bool:
                 d._term_check(t1, t2, list(zip(order, images)), closure1):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Congruence-closure inputs: scalars over constants, attributes of three
+# variables and unary or binary `f`/`g`, and tuples that are those variables
+# or records of such scalars.
+
+_CLOSURE_VARS = [TupleVar(i, Schema("s", (("a", "int"), ("b", "int"))))
+                 for i in range(3)]
+closure_scalars = st.recursive(
+    st.sampled_from([Const(0, "int"), Const(1, "int"), Const("a", "string")])
+    | st.builds(AttrRef, st.sampled_from(_CLOSURE_VARS), st.sampled_from("ab")),
+    lambda inner: st.builds(lambda name, args: Func(name, tuple(args)),
+                            st.sampled_from("fg"),
+                            st.lists(inner, min_size=1, max_size=2)),
+    max_leaves=3)
+closure_tuples = st.sampled_from(_CLOSURE_VARS) | st.builds(
+    lambda a, b: mk_record({"a": a, "b": b}), closure_scalars, closure_scalars)
+
+
+# ---------------------------------------------------------------------------
+# Reference saturation: the oracle of `Canonizer.saturate`'s spanning chains.
+
+def all_pairs_equalities(preds) -> list:
+    """An equality atom for every pair of distinct members of every class of
+    `closure_of(preds)`: the all-pairs form whose closure a saturated term's
+    chains must generate."""
+    from semiq.congruence import closure_of
+
+    closure = closure_of(preds)
+    out = []
+    for classes, mk in ((closure.scalar_classes(), mk_eq),
+                        (closure.tuple_classes(), mk_tuple_eq)):
+        for members in classes.values():
+            uniq = list(dict.fromkeys(members))
+            out += [mk(x, y) for x, y in itertools.combinations(uniq, 2)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Programs that canonize at depth
+
+def nested_projection_program(depth: int) -> str:
+    """A filtered scan against the same scan threaded through `depth`
+    derived tables, each renaming and reordering every column, with the
+    filter halfway down."""
+    cols = ("a", "b", "c")
+    q = "SELECT x.a AS a, x.b AS b, x.c AS c FROM R x"
+    names = dict(zip(cols, cols))
+    for level in range(depth):
+        fresh = {c: f"n{level}{c}" for c in cols}
+        order = cols[level % 3:] + cols[:level % 3]
+        items = ", ".join(f"t{level}.{names[c]} AS {fresh[c]}" for c in order)
+        where = f" WHERE t{level}.{names['b']} = 2" if level == depth // 2 else ""
+        q = f"SELECT {items} FROM ({q}) t{level}{where}"
+        names = fresh
+    top = ", ".join(f"u.{names[c]} AS {c}" for c in cols)
+    return ("schema s3(a:int, b:int, c:int);\ntable R(s3);\n"
+            "verify (SELECT x.a AS a, x.b AS b, x.c AS c FROM R x WHERE x.b = 2)\n"
+            f"       (SELECT {top} FROM ({q}) u);\n")
+
+
+def index_join_back_program(k: int) -> str:
+    """A filtered scan of a keyed table against k index probes joined back
+    on the key, one probe per filtered column."""
+    cols = [f"c{i}" for i in range(k)]
+    decl = (f"schema sr(id:int, {', '.join(f'{c}:int' for c in cols)});\n"
+            "table R(sr);\nkey R(id);\n"
+            + "".join(f"index I{i} on R(id, {c});\n" for i, c in enumerate(cols)))
+    filters = [(c, ("=", ">=", "<", "<>")[i % 4], 3 * i + 1)
+               for i, c in enumerate(cols)]
+    lhs = "SELECT * FROM R t WHERE " + " AND ".join(
+        f"t.{c} {op} {v}" for c, op, v in filters)
+    srcs = ", ".join([f"I{i} p{i}" for i in reversed(range(k))] + ["R b"])
+    conds = " AND ".join([f"p{i}.id = b.id" for i in range(k)] + [
+        f"p{i}.{c} {op} {v}" for i, (c, op, v) in enumerate(filters)])
+    return decl + f"verify ({lhs})\n       (SELECT b.* FROM {srcs} WHERE {conds});\n"

@@ -1,12 +1,15 @@
 """Build counts that repeat exactly: each matched term's closure data is
 built once per verify, each canonize round builds one closure, the term
 search fully checks only pairs whose free constants agree, and the variable
-search checks no leaf that colours or placed predicates rule out.  They
-guard the asymptotics without timing anything."""
+search checks no leaf that colours or placed predicates rule out, and no
+canonize round of a nested projection holds more predicates than a few per
+level.  They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
 from semiq import constraints, decide, run_program_text
+
+from helpers import nested_projection_program
 
 PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
 
@@ -28,26 +31,6 @@ def _union(alias: str, preds) -> str:
 
 WIDE_UNION = (PRELUDE + f"verify ({_union('l', BRANCH_PREDS)})\n"
               f"       ({_union('r', BRANCH_PREDS[::-1])});\n")
-
-
-def _nested_projection(depth: int) -> str:
-    """A filtered scan against the same scan threaded through `depth`
-    derived tables, each renaming and reordering every column, with the
-    filter halfway down."""
-    cols = ("a", "b", "c")
-    q = "SELECT x.a AS a, x.b AS b, x.c AS c FROM R x"
-    names = dict(zip(cols, cols))
-    for level in range(depth):
-        fresh = {c: f"n{level}{c}" for c in cols}
-        order = cols[level % 3:] + cols[:level % 3]
-        items = ", ".join(f"t{level}.{names[c]} AS {fresh[c]}" for c in order)
-        where = f" WHERE t{level}.{names['b']} = 2" if level == depth // 2 else ""
-        q = f"SELECT {items} FROM ({q}) t{level}{where}"
-        names = fresh
-    top = ", ".join(f"u.{names[c]} AS {c}" for c in cols)
-    return ("schema s3(a:int, b:int, c:int);\ntable R(s3);\n"
-            "verify (SELECT x.a AS a, x.b AS b, x.c AS c FROM R x WHERE x.b = 2)\n"
-            f"       (SELECT {top} FROM ({q}) u);\n")
 
 
 def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
@@ -142,7 +125,25 @@ def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
 
     monkeypatch.setattr(constraints, "closure_of", closure_of)
     monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
-    [out] = run_program_text(_nested_projection(8))
+    [out] = run_program_text(nested_projection_program(8))
     assert out.status == "EQUIVALENT"
     assert calls["saturate"] > 8
     assert calls["closure_of"] == calls["saturate"]
+
+
+def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
+    # saturate writes k - 1 equalities per class of k members, so no round
+    # holds more than a few predicates per level of nesting; all pairs
+    # per class would make the largest round quadratic in the depth
+    depth = 40
+    sizes = []
+    real = constraints.Canonizer.saturate
+
+    def saturate(self, t, loc):
+        sizes.append(len(t.preds))
+        return real(self, t, loc)
+
+    monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
+    [out] = run_program_text(nested_projection_program(depth))
+    assert out.status == "EQUIVALENT"
+    assert max(sizes) <= 4 * depth

@@ -11,6 +11,8 @@ from semiq.schema import Schema
 from semiq.exprs import (AttrRef, Const, Func, TupleVar, mk_eq, mk_record,
                         mk_tuple_eq)
 
+from helpers import closure_scalars, closure_tuples
+
 S = Schema("s", (("a", "int"), ("b", "int")))
 
 
@@ -128,24 +130,14 @@ def test_uninterpreted_atom_matching_respects_argument_order():
 
 # -- closures queried while they grow ------------------------------------------
 
-_VARS = [_v(i) for i in range(3)]
-_scalars = st.recursive(
-    st.sampled_from([Const(0, "int"), Const(1, "int"), _sym("a")])
-    | st.builds(AttrRef, st.sampled_from(_VARS), st.sampled_from("ab")),
-    lambda inner: st.builds(lambda name, args: Func(name, tuple(args)),
-                            st.sampled_from("fg"),
-                            st.lists(inner, min_size=1, max_size=2)),
-    max_leaves=3)
-_tuples = st.sampled_from(_VARS) | st.builds(
-    lambda a, b: mk_record({"a": a, "b": b}), _scalars, _scalars)
 _QUERIES = ("scalar_eq", "tuple_eq", "scalar_rep")
 _ops = st.lists(st.one_of(
-    st.tuples(st.just("eq"), _scalars, _scalars),
-    st.tuples(st.just("teq"), _tuples, _tuples),
-    st.tuples(st.just("add"), _scalars),
-    st.tuples(st.just("scalar_eq"), _scalars, _scalars),
-    st.tuples(st.just("tuple_eq"), _tuples, _tuples),
-    st.tuples(st.just("scalar_rep"), _scalars)), max_size=12)
+    st.tuples(st.just("eq"), closure_scalars, closure_scalars),
+    st.tuples(st.just("teq"), closure_tuples, closure_tuples),
+    st.tuples(st.just("add"), closure_scalars),
+    st.tuples(st.just("scalar_eq"), closure_scalars, closure_scalars),
+    st.tuples(st.just("tuple_eq"), closure_tuples, closure_tuples),
+    st.tuples(st.just("scalar_rep"), closure_scalars)), max_size=12)
 
 
 def _add(c, op):

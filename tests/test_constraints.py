@@ -7,22 +7,26 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semiq import build_env, parse
+from semiq import build_env, parse, run_program_text
 from semiq.config import Limits
+from semiq.congruence import closure_of
 from semiq.constraints import (Canonizer, apply_fk, apply_key, eliminate_sums,
                                saturate_equalities)
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, check_constraints, eval_exp, gen_instances
-from semiq.schema import KeyConstraint, Schema
-from semiq.spnf import SpnfExp, Term, to_spnf
+from semiq.schema import KeyConstraint, Schema, SchemaEnv
+from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (AttrRef, Const, TupleVar, VarGen, alpha_equal,
-                        mk_eq)
+                        mk_eq, mk_tuple_eq)
 
 from conftest import parse_query
-from helpers import std_env
+from helpers import (all_pairs_equalities, closure_scalars, closure_tuples,
+                     index_join_back_program, nested_projection_program,
+                     std_env)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -32,11 +36,33 @@ def _sym(ch):
 
 
 def test_saturate_adds_transitive_equalities():
+    # a class is written as the chain of its sorted members, which entails
+    # every pair
     a, b, c = map(_sym, "abc")
-    t = Term.make((), [mk_eq(a, b), mk_eq(b, c)], None, None, ())
+    t = Term.make((), [mk_eq(b, c), mk_eq(a, c)], None, None, ())
     out = saturate_equalities(t)
-    assert mk_eq(a, c) in out.preds
-    assert len(out.preds) == 3
+    assert out.preds == (mk_eq(a, b), mk_eq(b, c))
+    assert closure_of(out.preds).scalar_eq(a, c)
+
+
+def _partition(closure):
+    return {frozenset(ms) for classes in (closure.scalar_classes(),
+                                          closure.tuple_classes())
+            for ms in classes.values()}
+
+
+@given(st.lists(st.one_of(st.builds(mk_eq, closure_scalars, closure_scalars),
+                          st.builds(mk_tuple_eq, closure_tuples, closure_tuples)),
+                max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_saturate_writes_one_spanning_chain_per_class(eqs):
+    t = Term.make((), eqs, None, None, ())
+    cz = Canonizer(SchemaEnv(), VarGen(10_000))
+    out, _, _ = cz.saturate(t, "t")
+    reference = closure_of(all_pairs_equalities(eqs))
+    assert _partition(closure_of(out.preds)) == _partition(reference)
+    assert len(out.preds) == sum(len(ms) - 1 for ms in _partition(reference))
+    assert cz.saturate(out, "t")[1] is False
 
 
 def test_saturate_without_equalities_is_identity():
@@ -50,6 +76,42 @@ def test_saturate_deduplicates_symmetric_pairs():
     t = Term.make((), [mk_eq(a, b), mk_eq(b, a), mk_eq(a, b)], None, None, ())
     out = saturate_equalities(t)
     assert out.preds == (mk_eq(a, b),)
+
+
+# the key collapse maps `y.a >= 5` onto `x.a >= 5` and leaves the set of
+# predicates as it was
+KEY_COLLAPSE_COPY = """
+schema sr(k:int, a:int);
+table R(sr);
+key R(k);
+verify (SELECT x.a AS o FROM R x WHERE x.a >= 5)
+       (SELECT x.a AS o FROM R x, R y WHERE x.k = y.k AND x.a >= 5 AND y.a >= 5);
+"""
+
+
+@pytest.mark.parametrize("program", [nested_projection_program(16),
+                                     index_join_back_program(6),
+                                     KEY_COLLAPSE_COPY],
+                         ids=["nested-16", "index-join-back-6", "key-collapse"])
+def test_canonized_terms_hold_no_predicate_twice(monkeypatch, program):
+    # each elimination or collapse substitutes into an already saturated
+    # term, which may write one atom twice; the next saturate drops the
+    # copy, and its output is kept even when the set of predicates is
+    # unchanged
+    outputs = []
+    real = Canonizer.canonize
+
+    def recording(self, *args, **kwargs):
+        outputs.append(real(self, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(Canonizer, "canonize", recording)
+    [out] = run_program_text(program)
+    assert out.status == "EQUIVALENT"
+    terms = [t for e in outputs for t in nested_terms(e)]
+    assert terms
+    for t in terms:
+        assert len(set(t.preds)) == len(t.preds), t.preds
 
 
 def _index_term(index_program):
