@@ -12,7 +12,6 @@ class Limits:
     chase_depth: int = 3
     max_nodes: int = 1_000_000
     max_steps: int = 2_000_000
-    oracle_space_cap: int = 65536  # largest tuple space a summation may enumerate
 
 
 class BudgetError(Exception):

@@ -1,9 +1,9 @@
 """Congruence closure over scalar and tuple terms.
 
 Equality atoms assert merges; closure is taken under function application
-(attribute access, slices, uninterpreted functions) and record projection.
-Used both to saturate term predicates and to compare predicate lists for
-equivalence.
+(attribute access, slices, uninterpreted functions), record projection and
+record injectivity.  Used both to saturate term predicates and to compare
+predicate lists for equivalence.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class Closure:
             self.add_atom_terms(a)
 
     def close(self) -> None:
-        """Fixpoint of congruence and record projection."""
+        """Fixpoint of congruence, record projection and injectivity."""
         if not self.dirty:
             return
         changed = True
@@ -161,6 +161,12 @@ class Closure:
                         field_node = self.children[rec][names.index(attr)]
                         if self.union(anode, field_node):
                             changed = True
+            # record injectivity: equal records have equal fields
+            for first, *rest in records.values():
+                for rec in rest:
+                    if self.payload[rec] == self.payload[first]:
+                        for f0, f1 in zip(self.children[first], self.children[rec]):
+                            changed |= self.union(f0, f1)
         self.dirty = False
 
     # -- queries ---------------------------------------------------------------

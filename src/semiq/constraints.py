@@ -399,64 +399,3 @@ def _slice_bases(t: Term) -> set[int]:
             if isinstance(p, (TupleEqAtom, TupleNeqAtom))
             for side in (p.lhs, p.rhs) if isinstance(side, TupleSlice)}
 
-
-# -- spec-level convenience wrappers -------------------------------------------
-
-def saturate_equalities(t: Term, env: SchemaEnv | None = None) -> Term:
-    c = Canonizer(env or SchemaEnv(), VarGen(10_000))
-    out, _, _ = c.saturate(t, "t")
-    return out
-
-
-def _saturated(c: Canonizer, t: Term, loc: str) -> tuple[Term, Closure]:
-    """Saturate to a fixpoint, as ``canonize_term`` does before each pass."""
-    while True:
-        t2, changed, closure = c.saturate(t, loc)
-        if not changed:
-            return t, closure
-        t = t2
-
-
-def eliminate_sums(t: Term, env: SchemaEnv | None = None) -> Term:
-    c = Canonizer(env or SchemaEnv(), VarGen(10_000))
-    while True:
-        t, closure = _saturated(c, t, "t")
-        nxt = c.try_eliminate(t, closure, "t")
-        if nxt is None:
-            return t
-        t = nxt
-
-
-def apply_key(t: Term, key: KeyConstraint, env: SchemaEnv | None = None) -> Term:
-    env = env or SchemaEnv()
-    c = Canonizer(env, VarGen(10_000))
-    c.env = SchemaEnv(schemas=env.schemas, tables=env.tables, keys=[key],
-                      fks=[], views=env.views)
-    while True:
-        t, closure = _saturated(c, t, "t")
-        nxt = c.try_key(t, closure, "t")
-        if nxt is None:
-            return t
-        t = nxt
-
-
-def apply_fk(e: SpnfExp, fk: FkConstraint, env: SchemaEnv, mode: str = "general",
-             gen: VarGen | None = None, squash_eq=None,
-             limits: Limits | None = None) -> SpnfExp:
-    env2 = SchemaEnv(schemas=env.schemas, tables=env.tables, keys=list(env.keys),
-                     fks=[fk], views=env.views)
-    c = Canonizer(env2, gen or VarGen(10_000), limits=limits,
-                  squash_eq=squash_eq if mode == "squash-context" else None)
-    out_terms = []
-    for i, t in enumerate(e.terms):
-        rounds = 0
-        memo: set = set()
-        while True:
-            t, closure = _saturated(c, t, f"t{i}")
-            nxt, rounds = c.try_fk(t, closure, f"t{i}",
-                                   mode == "squash-context", rounds, memo)
-            if nxt is None:
-                break
-            t = nxt
-        out_terms.append(t)
-    return SpnfExp(tuple(out_terms))

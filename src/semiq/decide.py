@@ -293,8 +293,9 @@ class Decider:
         while changed:
             changed = False
             closure = closure_of(t.preds)
-            neg_vids = _neg_vids(t)
-            free = _free_tuple_vars(t)
+            neg_vids = ({w.vid for w in free_vars(t.neg.to_exp())}
+                        if t.neg is not None else set())
+            free = sorted(free_vars(t.to_exp()), key=lambda w: w.vid)
             for v in t.sum_vars:
                 if v.vid in neg_vids:
                     continue
@@ -537,39 +538,3 @@ def _exp_mentions(e: SpnfExp, v: TupleVar) -> bool:
                or any(v in free_vars(p) for p in t.preds)
                for t in nested_terms(e))
 
-
-def _free_tuple_vars(t: Term) -> list[TupleVar]:
-    bound = {v.vid for v in t.sum_vars}
-    seen: dict[int, TupleVar] = {}
-
-    def add(v: TupleVar):
-        if v.vid not in bound and v.vid not in seen:
-            seen[v.vid] = v
-
-    def scan_term(term: Term, extra_bound: set[int]):
-        for _, w in term.atoms:
-            if w.vid not in extra_bound:
-                add(w)
-        for p in term.preds:
-            for w in free_vars(p):
-                if w.vid not in extra_bound:
-                    add(w)
-        for slot in (term.squash, term.neg):
-            if slot is not None:
-                for sub in slot.terms:
-                    scan_term(sub, extra_bound | {x.vid for x in sub.sum_vars})
-
-    scan_term(t, {v.vid for v in t.sum_vars})
-    # variables bound at this level are not free
-    return [v for vid, v in sorted(seen.items()) if vid not in bound]
-
-
-def _neg_vids(t: Term) -> set[int]:
-    if t.neg is None:
-        return set()
-    out: set[int] = set()
-    for sub in nested_terms(t.neg):
-        out.update(w.vid for _, w in sub.atoms)
-        for p in sub.preds:
-            out.update(w.vid for w in free_vars(p))
-    return out

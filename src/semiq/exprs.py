@@ -206,15 +206,6 @@ def mul(*es: Exp) -> Exp:
     return acc if acc is not None else ONE
 
 
-def add(*es: Exp) -> Exp:
-    acc: Exp | None = None
-    for e in es:
-        if isinstance(e, Zero):
-            continue
-        acc = e if acc is None else Add(acc, e)
-    return acc if acc is not None else ZERO
-
-
 def mk_eq(l: Scalar, r: Scalar) -> PredAtom:
     return EqAtom(*sorted((l, r), key=scalar_sort_key))
 

@@ -471,22 +471,3 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
             produced += 1
             yield db
 
-
-def enumerate_dbs(env: SchemaEnv, domain_size: int = 2, max_tuples: int = 2,
-                  max_mult: int = 2, extra_ints=()):
-    """Exhaustive enumeration of small databases (no constraint filtering)."""
-    domains = {"int": tuple(sorted(set(range(domain_size)) | set(extra_ints))),
-               "bool": (False, True), "string": tuple("ab"[:domain_size])}
-    names = sorted(env.tables)
-    per_rel: list[list[dict[Assignment, int]]] = []
-    probe = FiniteDb(domains, {})
-    for name in names:
-        space = probe.tuple_space(env.tables[name])
-        options: list[dict[Assignment, int]] = []
-        for k in range(0, max_tuples + 1):
-            for support in itertools.combinations(space, k):
-                for mults in itertools.product(range(1, max_mult + 1), repeat=k):
-                    options.append(dict(zip(support, mults)))
-        per_rel.append(options)
-    for combo in itertools.product(*per_rel):
-        yield FiniteDb(domains, dict(zip(names, [dict(c) for c in combo])))

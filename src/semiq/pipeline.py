@@ -190,7 +190,7 @@ _NORMALIZE_RULES = {
     "distr-mul-add", "sum-add", "sum-hoist", "prod-comm", "squash-mul",
     "pull-not", "mul-one", "mul-zero", "add-zero", "sum-zero", "squash-zero",
     "squash-one", "squash-one-plus", "squash-idem", "squash-lift-add",
-    "squash-not", "not-zero", "pred-squash-elim",
+    "squash-not", "not-zero", "not-squash", "pred-squash-elim",
 }
 _CANONIZE_RULES = {
     "eq-trans", "sum-elim-eq", "sum-elim-cover", "key-collapse", "key-idem",

@@ -4,7 +4,9 @@ A normal expression is a sum of terms; each term is a single summation over
 a product of predicate factors, at most one squash factor, at most one
 negation factor, and relation atoms.  ``to_spnf`` reaches this shape by
 repeatedly applying kernel identities (distribution, summation hoisting,
-factor merging); every step is an ``apply_axiom`` call recorded in the trace.
+factor merging).  ``Normalizer.app`` applies each identity by its ``AXIOMS``
+entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
+logs them as ``squash-mul``, ``pull-not``, ``mul-one`` and ``prod-comm``.
 """
 
 from __future__ import annotations
@@ -194,11 +196,7 @@ class Normalizer:
             split = self.app("distr-mul-add", cur, path)
             return Add(self._mul_nf(split.lhs.lhs, split.lhs.rhs, path + "l."),
                        self._mul_nf(split.rhs.lhs, split.rhs.rhs, path + "r."))
-        if isinstance(l, Sum):
-            hoisted = self.app("sum-hoist", cur, path)
-            return Sum(hoisted.var, self._mul_nf(hoisted.body.lhs, hoisted.body.rhs,
-                                                 path + "b."))
-        if isinstance(r, Sum):
+        if isinstance(l, Sum) or isinstance(r, Sum):
             hoisted = self.app("sum-hoist", cur, path)
             return Sum(hoisted.var, self._mul_nf(hoisted.body.lhs, hoisted.body.rhs,
                                                  path + "b."))

@@ -352,6 +352,26 @@ def small_dbs(env: SchemaEnv, n: int, seed: int, sizes: GenSizes | None = None,
                       extra_ints=extra_ints), n))
 
 
+def enumerate_dbs(env: SchemaEnv, domain_size: int = 2, max_tuples: int = 2,
+                  max_mult: int = 2, extra_ints=()):
+    """Exhaustive enumeration of small databases (no constraint filtering)."""
+    domains = {"int": tuple(sorted(set(range(domain_size)) | set(extra_ints))),
+               "bool": (False, True), "string": tuple("ab"[:domain_size])}
+    names = sorted(env.tables)
+    per_rel: list[list[dict]] = []
+    probe = FiniteDb(domains, {})
+    for name in names:
+        space = probe.tuple_space(env.tables[name])
+        options: list[dict] = []
+        for k in range(0, max_tuples + 1):
+            for support in itertools.combinations(space, k):
+                for mults in itertools.product(range(1, max_mult + 1), repeat=k):
+                    options.append(dict(zip(support, mults)))
+        per_rel.append(options)
+    for combo in itertools.product(*per_rel):
+        yield FiniteDb(domains, dict(zip(names, [dict(c) for c in combo])))
+
+
 # ---------------------------------------------------------------------------
 # Axiom instantiation library: each entry builds a random instance of one
 # identity and checks it pointwise under natural-number evaluation.

@@ -92,6 +92,16 @@ def test_record_projection():
     assert c.scalar_eq(AttrRef(t1, "b"), Const(7, "int"))
 
 
+def test_equal_records_have_equal_fields():
+    # no attribute of t1 is mentioned, so projection alone cannot see that
+    # t3.a = 0
+    t1, t3 = _v(1), _v(3)
+    zero = Const(0, "int")
+    c = closure_of([mk_tuple_eq(t1, mk_record({"a": zero, "b": zero})),
+                    mk_tuple_eq(t1, mk_record({"a": AttrRef(t3, "a"), "b": zero}))])
+    assert c.scalar_eq(AttrRef(t3, "a"), zero)
+
+
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")),
                 max_size=5),
        st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")),

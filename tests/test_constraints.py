@@ -5,6 +5,7 @@ databases."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +13,15 @@ from hypothesis import given, settings, strategies as st
 from semiq import build_env, parse, run_program_text
 from semiq.config import Limits
 from semiq.congruence import closure_of
-from semiq.constraints import (Canonizer, apply_fk, apply_key, eliminate_sums,
-                               saturate_equalities)
+from semiq.constraints import Canonizer
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, check_constraints, eval_exp, gen_instances
 from semiq.schema import KeyConstraint, Schema, SchemaEnv
 from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (AttrRef, Const, TupleVar, VarGen, alpha_equal,
-                        mk_eq, mk_tuple_eq)
+from semiq.exprs import (AttrRef, Const, TupleEqAtom, TupleVar, VarGen,
+                        alpha_equal, mk_eq, mk_tuple_eq)
 
 from conftest import parse_query
 from helpers import (all_pairs_equalities, closure_scalars, closure_tuples,
@@ -35,12 +35,23 @@ def _sym(ch):
     return Const(ch, "string")
 
 
+def _canonizer(env: SchemaEnv | None = None) -> Canonizer:
+    return Canonizer(env or SchemaEnv(), VarGen(10_000))
+
+
+def _eliminated(t: Term, env: SchemaEnv | None = None) -> Term:
+    """``t`` canonized with the key and foreign-key passes off: saturation
+    and summation elimination to a fixpoint."""
+    return _canonizer(replace(env or SchemaEnv(), keys=[], fks=[])) \
+        .canonize_term(t, "t")
+
+
 def test_saturate_adds_transitive_equalities():
     # a class is written as the chain of its sorted members, which entails
     # every pair
     a, b, c = map(_sym, "abc")
     t = Term.make((), [mk_eq(b, c), mk_eq(a, c)], None, None, ())
-    out = saturate_equalities(t)
+    out = _canonizer().saturate(t, "t")[0]
     assert out.preds == (mk_eq(a, b), mk_eq(b, c))
     assert closure_of(out.preds).scalar_eq(a, c)
 
@@ -57,7 +68,7 @@ def _partition(closure):
 @settings(max_examples=150, deadline=None)
 def test_saturate_writes_one_spanning_chain_per_class(eqs):
     t = Term.make((), eqs, None, None, ())
-    cz = Canonizer(SchemaEnv(), VarGen(10_000))
+    cz = _canonizer()
     out, _, _ = cz.saturate(t, "t")
     reference = closure_of(all_pairs_equalities(eqs))
     assert _partition(closure_of(out.preds)) == _partition(reference)
@@ -68,13 +79,13 @@ def test_saturate_writes_one_spanning_chain_per_class(eqs):
 def test_saturate_without_equalities_is_identity():
     from semiq.exprs import PredApp
     t = Term.make((), [PredApp(">=", (_sym("a"), _sym("b")))], None, None, ())
-    assert saturate_equalities(t) == t
+    assert _canonizer().saturate(t, "t")[0] == t
 
 
 def test_saturate_deduplicates_symmetric_pairs():
     a, b = _sym("a"), _sym("b")
     t = Term.make((), [mk_eq(a, b), mk_eq(b, a), mk_eq(a, b)], None, None, ())
-    out = saturate_equalities(t)
+    out = _canonizer().saturate(t, "t")[0]
     assert out.preds == (mk_eq(a, b),)
 
 
@@ -125,7 +136,7 @@ def _index_term(index_program):
 
 def test_eliminate_sums_follows_the_index_derivation(index_program):
     env, gen, out, term = _index_term(index_program)
-    step1 = eliminate_sums(term, env)
+    step1 = _eliminated(term, env)
     # the view variable goes first (attribute coverage), then the
     # output-bound variable; the key-joined variable needs the key rewrite
     assert len(step1.sum_vars) == 1
@@ -136,17 +147,16 @@ def test_eliminate_keeps_undetermined_variables():
     t1 = TupleVar(1, SR)
     term = Term.make((t1,), [mk_eq(AttrRef(t1, "a"), Const(3, "int"))],
                      None, None, (("R", t1),))
-    assert eliminate_sums(term) == term
+    assert _eliminated(term) == term
 
 
 def test_apply_key_collapses_matching_pair(index_program):
     env, gen, out, term = _index_term(index_program)
-    reduced = eliminate_sums(term, env)
-    key = env.keys[0]
-    collapsed = apply_key(reduced, key, env)
+    reduced = _eliminated(term, env)
+    cz = _canonizer(env)
+    collapsed = cz.try_key(reduced, closure_of(reduced.preds), "t")
     assert len(collapsed.atoms) == 1
     # a whole-tuple equality between the two joined variables now exists
-    from semiq.exprs import TupleEqAtom
     assert any(isinstance(p, TupleEqAtom) for p in collapsed.preds)
 
 
@@ -154,8 +164,8 @@ def test_apply_key_without_declared_key_is_identity():
     t1, t2 = TupleVar(1, SR), TupleVar(2, SR)
     term = Term.make((t1, t2), [mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))],
                      None, None, (("R", t1), ("R", t2)))
-    other_key = KeyConstraint("S", ("k",))
-    assert apply_key(term, other_key) == term
+    cz = _canonizer(SchemaEnv(keys=[KeyConstraint("S", ("k",))]))
+    assert cz.try_key(term, closure_of(term.preds), "t") is None
 
 
 def test_canonize_reduces_index_join_to_filter_scan(index_program):
@@ -250,7 +260,7 @@ def test_apply_fk_identity_oracle_checked():
     t1 = TupleVar(1, env.tables["S"])
     term = Term.make((t1,), [], None, None, (("S", t1),))
     gen = VarGen(100)
-    out = apply_fk(SpnfExp((term,)), fk, env, mode="general", gen=gen)
+    out = Canonizer(replace(env, fks=[fk]), gen).canonize(SpnfExp((term,)))
     t_out = out.terms[0]
     assert sorted(r for r, _ in t_out.atoms) == ["R", "S"]
     assert len(t_out.sum_vars) == 2
@@ -265,7 +275,8 @@ def test_apply_fk_without_declaration_is_identity():
     env = _fk_env()
     t1 = TupleVar(1, env.tables["R"])
     term = Term.make((t1,), [], None, None, (("R", t1),))
-    out = apply_fk(SpnfExp((term,)), env.fks[0], env, gen=VarGen(100))
+    out = Canonizer(replace(env, fks=[env.fks[0]]), VarGen(100)) \
+        .canonize(SpnfExp((term,)))
     assert out.terms[0] == term  # fk source is S, not R
 
 

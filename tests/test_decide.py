@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from semiq import decide
 from semiq.congruence import closure_of, congruent_preds, is_eq_atom
 from semiq.decide import Decider, term_signature
-from semiq.oracle import GenSizes, enumerate_dbs
+from semiq.oracle import GenSizes
 from semiq.schema import Schema
 from semiq.spnf import SpnfExp, Term, to_spnf
 from semiq.trace import Trace
@@ -24,8 +24,9 @@ from semiq.exprs import (AttrRef, Const, Func, PredApp, TupleVar, VarGen,
 from semiq.schema import SchemaEnv
 
 from conftest import FIG_INDEX, parse_query
-from helpers import (cq_set_equivalent, denote_pair, find_disagreement,
-                     gen_cq, reference_match_terms, small_dbs, std_env)
+from helpers import (cq_set_equivalent, denote_pair, enumerate_dbs,
+                     find_disagreement, gen_cq, reference_match_terms,
+                     small_dbs, std_env)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -179,6 +180,30 @@ def test_minimize_single_atom_unchanged():
     term = Term.make((t1,), [], None, None, (("R", t1),))
     d = Decider(env, VarGen())
     assert d.minimize(term) == term
+
+
+def test_minimize_collapses_onto_a_free_variable():
+    env = std_env()
+    t = TupleVar(900, env.tables["R"])
+    v = TupleVar(901, env.tables["R"])
+    term = Term.make((v,), [], None, None, (("R", t), ("R", v)))
+    m = Decider(env, VarGen()).minimize(term)
+    assert m.sum_vars == ()
+    assert m.atoms == (("R", t),)
+
+
+def test_minimize_keeps_variables_the_negation_slot_mentions():
+    env = std_env()
+    v1 = TupleVar(901, env.tables["R"])
+    v2 = TupleVar(902, env.tables["R"])
+    neg = SpnfExp((Term.make((), [mk_eq(AttrRef(v2, "a"), Const(1, "int"))],
+                             None, None, ()),))
+    atoms = (("R", v1), ("R", v2))
+    d = Decider(env, VarGen())
+    guarded = Term.make((v1, v2), [], None, neg, atoms)
+    assert d.minimize(guarded) == guarded
+    m = d.minimize(Term.make((v1, v2), [], None, None, atoms))
+    assert m.sum_vars == (v2,)
 
 
 @pytest.mark.parametrize("seed", range(25))

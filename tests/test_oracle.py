@@ -8,12 +8,13 @@ import pytest
 
 from semiq import build_env, parse
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
-                          enumerate_dbs, eval_exp, gen_instances,
-                          make_assignment)
+                          eval_exp, gen_instances, make_assignment)
 from semiq.schema import KeyConstraint, Schema
 from semiq.translate import denote
 from semiq.exprs import (AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squash,
                         Sum, TupleVar, VarGen, mk_eq)
+
+from helpers import enumerate_dbs
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 

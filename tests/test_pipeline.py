@@ -309,3 +309,15 @@ def test_refute_stops_at_the_verify_budget(monkeypatch):
     assert out.status == "NOT_PROVED"
     assert out.witness is None and not interpreted
     assert "refutation stopped" in out.detail
+
+
+def test_normalize_steps_count_not_squash():
+    # each side strips the squash under its negation (`not-squash`) and
+    # sorts its factors (`prod-comm`): 4 normalizer rules
+    [out] = run_program_text("""
+        schema s(a:int, b:int);
+        table R(s);
+        verify (SELECT x.a AS a FROM R x WHERE NOT (x.a = 1 OR x.b = 2))
+               (SELECT x.a AS a FROM R x WHERE NOT (x.b = 2 OR x.a = 1));
+    """)
+    assert out.steps["normalize"] == 4
