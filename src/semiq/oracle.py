@@ -245,8 +245,9 @@ def _interp_select(q: Select, db: FiniteDb, env: SchemaEnv, scopes):
     rows: list[tuple[dict[str, Assignment], int]] = [({}, 1)]
     for src in q.sources:
         bag = interp_query(src.query, db, env, scopes)
+        live = sorted((asg, m) for asg, m in bag.items() if m > 0)
         rows = [(dict(lm, **{src.alias: asg}), m1 * m2)
-                for lm, m1 in rows for asg, m2 in sorted(bag.items()) if m2 > 0]
+                for lm, m1 in rows for asg, m2 in live]
     if q.where is not None:
         rows = [(lm, m) for lm, m in rows
                 if interp_pred(q.where, db, env, scopes + (lm,))]
@@ -393,15 +394,6 @@ class GenSizes:
     mult: int = 3
 
 
-def _mk_domains(rng: random.Random, sizes: GenSizes, extra_ints=(),
-                extra_strings=()) -> dict[str, tuple]:
-    n = rng.randint(1, sizes.domain)
-    ints = tuple(sorted(set(range(n)) | set(extra_ints)))
-    strings = tuple(sorted(set("abc"[:max(1, min(sizes.domain, 3))])
-                           | set(extra_strings)))
-    return {"int": ints, "bool": (False, True), "string": strings}
-
-
 def _repair(db: FiniteDb, constraints, rng: random.Random) -> bool:
     for c in constraints:
         if isinstance(c, KeyConstraint):
@@ -446,17 +438,26 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
                   count: int | None = None, extra_ints=(), extra_strings=()):
     """Deterministic seeded stream of constraint-satisfying databases."""
     rng = random.Random(seed)
+    strings = tuple(sorted(set("abc"[:max(1, min(sizes.domain, 3))])
+                           | set(extra_strings)))
+    tables = sorted(env.tables.items())
+    # one domain map per drawn int-domain size, each with the tuple-space
+    # cache that every database drawn at that size shares
+    draws: dict[int, tuple[dict[str, tuple], dict]] = {}
     produced = 0
     attempts = 0
     while count is None or produced < count:
         attempts += 1
         if count is not None and attempts > 50 * (count + 1):
             return  # constraints unsatisfiable at this size
-        domains = _mk_domains(rng, sizes, extra_ints, extra_strings)
-        db = FiniteDb(domains, {}, salt=rng.randrange(2 ** 16))
+        n = rng.randint(1, sizes.domain)
+        if n not in draws:
+            ints = tuple(sorted(set(range(n)) | set(extra_ints)))
+            draws[n] = ({"int": ints, "bool": (False, True), "string": strings}, {})
+        domains, spaces = draws[n]
+        db = FiniteDb(domains, {}, salt=rng.randrange(2 ** 16), _spaces=spaces)
         ok = True
-        for name in sorted(env.tables):
-            sch = env.tables[name]
+        for name, sch in tables:
             try:
                 space = db.tuple_space(sch)
             except OracleError:

@@ -51,11 +51,5 @@ class Trace:
     def rule_names(self) -> list[str]:
         return [e.name for e in self.events if e.kind == "rule"]
 
-    def count(self, rule_name: str) -> int:
-        return sum(1 for e in self.events if e.kind == "rule" and e.name == rule_name)
-
-    def bijections(self) -> list[list[tuple[str, str]]]:
-        return [e.payload["map"] for e in self.events if e.kind == "bijection"]
-
     def render(self) -> str:
         return "\n".join(e.render() for e in self.events) + ("\n" if self.events else "")

@@ -4,8 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Property tests draw the same examples on every run, so a failure they find
+# is reproducible rather than a flake; per-test max_examples/deadline stand.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 from semiq import build_env, parse  # noqa: E402
 
