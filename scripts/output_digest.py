@@ -11,7 +11,11 @@ uexp and spnf dumps on.  It prints one tab-separated line per verify:
     source  verify  status  detail  trace=<sha>  dumps=<sha>  witness=<sha|->  steps
 
 `steps` is the last column because a pruning change may lower step counts
-while leaving everything else alone; compare the other columns with
+while leaving everything else alone.  It holds `total` and its split by
+stage (`normalize`, `canonize`, `search`), which sums to `total`: each
+stage counts the budget steps it takes.  Versions that split `steps` by
+counting trace lines did not sum; against their digests only `total`
+compares.  Compare the other columns with
 
     diff <(cut -f1-7 before.tsv) <(cut -f1-7 after.tsv)
 

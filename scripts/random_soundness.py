@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from semiq.config import Limits                                  # noqa: E402
+from semiq.config import Budget, Limits                          # noqa: E402
 from semiq.decide import Decider                                 # noqa: E402
 from semiq.frontend import desugar_groupby, inline_views         # noqa: E402
 from semiq.oracle import GenSizes, interp_query                  # noqa: E402
@@ -47,7 +47,7 @@ def main() -> int:
         if rng.random() < args.set_fraction:
             q, q2 = Distinct(q), Distinct(q2)
         gen, _, b1, b2 = denote_pair(q, q2, env)
-        d = Decider(env, gen, limits=Limits(timeout_s=30))
+        d = Decider(env, gen, budget=Budget(Limits(timeout_s=30)))
         if not d.equivalent(to_spnf(b1, gen), to_spnf(b2, gen)):
             other += 1
             continue

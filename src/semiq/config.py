@@ -21,16 +21,20 @@ class BudgetError(Exception):
 
 
 class Budget:
-    """Step counter plus wall-clock deadline; raises BudgetError when spent."""
+    """The per-verify step meter plus wall-clock deadline; raises
+    BudgetError when spent.  Each step is counted by the stage that takes
+    it, so the per-stage counts sum to ``steps``."""
 
     def __init__(self, limits: Limits | None = None):
         self.limits = limits or Limits()
         self.steps = 0
+        self.by_stage = {"normalize": 0, "canonize": 0, "search": 0}
         self._deadline = (time.monotonic() + self.limits.timeout_s
                           if self.limits.timeout_s > 0 else None)
 
-    def step(self, n: int = 1) -> None:
-        self.steps += n
+    def step(self, stage: str) -> None:
+        self.by_stage[stage] += 1
+        self.steps += 1
         if self.steps > self.limits.max_steps:
             raise BudgetError("steps", f"exceeded {self.limits.max_steps} rewrite steps")
         if self._deadline is not None:

@@ -13,9 +13,9 @@ lets set-level reasoning see through bag-level structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .config import Budget, Limits
+from .config import Budget
 from .congruence import Closure, closure_of
 from .schema import FkConstraint, KeyConstraint, SchemaEnv
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
@@ -58,23 +58,15 @@ def subst_spnf(e: SpnfExp, v: TupleVar, repl) -> SpnfExp:
     return SpnfExp(tuple(subst_term(t, v, repl) for t in e.terms))
 
 
-@dataclass
-class ChaseReport:
-    exhausted: bool = False
-    fk_steps: int = 0
-
-
 class Canonizer:
     def __init__(self, env: SchemaEnv, gen: VarGen, trace: Trace | None = None,
-                 budget: Budget | None = None, limits: Limits | None = None,
-                 squash_eq=None):
+                 budget: Budget | None = None, squash_eq=None):
         self.env = env
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
-        self.limits = limits or Limits()
         self.squash_eq = squash_eq  # callback deciding equivalence of squashed forms
-        self.report = ChaseReport()
+        self.chase_exhausted = False
 
     # -- public entry -------------------------------------------------------
 
@@ -89,13 +81,12 @@ class Canonizer:
         chase_rounds = 0
         fk_memo: set[tuple[int, int]] = set()
         while True:
-            self.budget.step()
+            self.budget.step("canonize")
             # kept even when unchanged: it drops the copies of an atom
-            # that a substitution writes
-            t, changed, closure = self.saturate(t, loc)
-            if changed:
-                continue
-            # unchanged: closure is closure_of(t.preds), shared by the passes
+            # that a substitution writes.  The closure of the incoming
+            # predicates has the saturated term's classes (the chains
+            # generate it), and every pass picks by min over class members
+            t, closure = self.saturate(t, loc)
             t2 = self.try_eliminate(t, closure, loc)
             if t2 is not None:
                 t = t2
@@ -124,10 +115,9 @@ class Canonizer:
 
     # -- pass 1: saturation of equalities -------------------------------------
 
-    def saturate(self, t: Term, loc: str) -> tuple[Term, bool, Closure]:
+    def saturate(self, t: Term, loc: str) -> tuple[Term, Closure]:
         """The term with each equality class of its closure written as a
-        chain, whether that changed its set of predicates, and
-        ``closure_of(t.preds)``.
+        chain, and ``closure_of(t.preds)``.
 
         A class's members are sorted by ``scalar_sort_key`` or
         ``tuple_sort_key`` and each is equated to the next: the chain
@@ -151,11 +141,9 @@ class Canonizer:
             uniq = list(dict.fromkeys(sorted(members, key=tuple_sort_key)))
             new_preds.extend(mk_tuple_eq(x, y) for x, y in zip(uniq, uniq[1:]))
         out = Term.make(t.sum_vars, new_preds, t.squash, t.neg, t.atoms)
-        before, after = set(t.preds), set(out.preds)
-        changed = after != before
-        for _ in range(len(after - before)):
+        for _ in range(len(set(out.preds) - set(t.preds))):
             self.trace.rule("eq-trans", loc)
-        return out, changed, closure
+        return out, closure
 
     # -- pass 2: summation elimination ---------------------------------------
 
@@ -259,7 +247,7 @@ class Canonizer:
                 # expand every source atom in one batch: which atom gets the
                 # new relation must not depend on variable numbering, or
                 # isomorphic terms would canonize differently
-                if chase_rounds >= self.limits.chase_depth:
+                if chase_rounds >= self.budget.limits.chase_depth:
                     self._report_exhausted(loc)
                     return None, chase_rounds
                 expanded = t
@@ -267,7 +255,6 @@ class Canonizer:
                     expanded = self._expand_fk(expanded, fk, var)
                     fk_memo.add((fi, var.vid))
                     self.trace.rule("fk-expand", loc)
-                    self.report.fk_steps += 1
                 return expanded, chase_rounds + 1
             if not (squash_ctx and self.squash_eq):
                 continue
@@ -275,7 +262,7 @@ class Canonizer:
                 memo_key = (fi, var.vid)
                 if memo_key in fk_memo:
                     continue
-                if chase_rounds >= self.limits.chase_depth:
+                if chase_rounds >= self.budget.limits.chase_depth:
                     self._report_exhausted(loc)
                     return None, chase_rounds
                 expanded = self._expand_fk(t, fk, var)
@@ -284,13 +271,12 @@ class Canonizer:
                 if self.squash_eq(SpnfExp((t,)), SpnfExp((expanded,))):
                     continue
                 self.trace.rule("fk-expand", loc)
-                self.report.fk_steps += 1
                 return expanded, chase_rounds + 1
         return None, chase_rounds
 
     def _report_exhausted(self, loc: str) -> None:
-        if not self.report.exhausted:
-            self.report.exhausted = True
+        if not self.chase_exhausted:
+            self.chase_exhausted = True
             self.trace.note("chase-budget-exhausted", loc)
 
     def _expand_fk(self, t: Term, fk: FkConstraint, src_var: TupleVar) -> Term:

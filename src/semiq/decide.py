@@ -25,7 +25,7 @@ import weakref
 from dataclasses import replace
 from functools import cached_property
 
-from .config import Budget, Limits
+from .config import Budget
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
 from .constraints import Canonizer, subst_term, _is_reflexive
 from .schema import SchemaEnv, footprint_key
@@ -46,12 +46,11 @@ GENERAL = "general"
 
 class Decider:
     def __init__(self, env: SchemaEnv, gen: VarGen, trace: Trace | None = None,
-                 budget: Budget | None = None, limits: Limits | None = None):
+                 budget: Budget | None = None):
         self.env = env
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
-        self.budget = budget or Budget(limits)
-        self.limits = limits or Limits()
+        self.budget = budget or Budget()
         self._squash_depth = 0
         # id(term) -> its _TermFacts; the facts hold the term, so that its
         # id stays its own, and are matched by identity because hashing a
@@ -64,7 +63,6 @@ class Decider:
         # cycle keeps a finished verify's decider, trace and memo alive
         squash_eq = weakref.WeakMethod(self._squash_eq)
         self.canonizer = Canonizer(env, gen, self.trace, self.budget,
-                                   self.limits,
                                    squash_eq=lambda a, b: squash_eq()(a, b))
 
     # -- callbacks ---------------------------------------------------------
@@ -82,7 +80,7 @@ class Decider:
 
     def equivalent(self, e1: SpnfExp, e2: SpnfExp) -> bool:
         try:
-            self.budget.step()
+            self.budget.step("search")
             c1 = self.canonizer.canonize(e1, "L")
             c2 = self.canonizer.canonize(e2, "R")
             if self._perm_search(c1, c2):
@@ -121,7 +119,7 @@ class Decider:
         used: set[int] = set()
 
         def backtrack(k: int) -> bool:
-            self.budget.step()
+            self.budget.step("search")
             if k == n:
                 return True
             j = order[k]
@@ -154,7 +152,7 @@ class Decider:
         return facts
 
     def match_terms(self, t1: Term, t2: Term) -> bool:
-        self.budget.step()
+        self.budget.step("search")
         if len(t1.sum_vars) != len(t2.sum_vars):
             return False
         rels1 = sorted(r for r, _ in t1.atoms)
@@ -193,7 +191,7 @@ class Decider:
         preimage: dict[int, TupleVar] = {}  # t1 id placed on -> t2 variable
 
         def backtrack(k: int) -> bool:
-            self.budget.step()
+            self.budget.step("search")
             if k == len(order):
                 return self._term_check(t1, t2, list(mapping), f1.closure)
             v2 = order[k]
@@ -248,7 +246,7 @@ class Decider:
     # -- squashed-expression comparison -------------------------------------
 
     def squash_equal(self, s1: SpnfExp, s2: SpnfExp) -> bool:
-        self.budget.step()
+        self.budget.step("search")
         if s1 == s2:
             return True
         f1 = self.flatten(s1, "Lsq")
@@ -281,13 +279,13 @@ class Decider:
 
     # -- term minimization --------------------------------------------------------
 
-    def minimize(self, t: Term, loc: str = "min") -> Term:
+    def minimize(self, t: Term) -> Term:
         if t.squash is not None:
             raise ValueError("minimize expects a squash-dissolved term")
         deduped = tuple(sorted(set(t.atoms), key=lambda a: (a[0], a[1].vid)))
         if len(deduped) != len(t.atoms):
             # a duplicated factor under the squash collapses to one copy
-            self.trace.rule("squash-square", loc)
+            self.trace.rule("squash-square", "min")
             t = Term.make(t.sum_vars, t.preds, None, t.neg, deduped)
         changed = True
         while changed:
@@ -307,7 +305,7 @@ class Decider:
                     key=lambda w: w.vid)
                 for target in targets:
                     if self._hom_ok(t, closure, v, target):
-                        t = self._collapse(t, v, target, loc)
+                        t = self._collapse(t, v, target, "min")
                         changed = True
                         break
                 if changed:
@@ -316,7 +314,7 @@ class Decider:
 
     def _hom_ok(self, t: Term, closure: Closure, v: TupleVar,
                 target: TupleVar) -> bool:
-        self.budget.step()
+        self.budget.step("search")
         atom_set = set(t.atoms)
         for rel, w in t.atoms:
             if w.vid == v.vid and (rel, target) not in atom_set:

@@ -78,10 +78,6 @@ class TupleSlice:
     var: TupleVar
     part: Schema
 
-    @property
-    def key(self):
-        return footprint_key(self.part)
-
 
 @dataclass(frozen=True)
 class TupleCons:

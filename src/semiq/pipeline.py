@@ -135,7 +135,6 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
                limits: Limits | None = None, want_trace: bool = True,
                dump_uexp: bool = False, dump_spnf: bool = False,
                refute: bool = False, seed: int = 0) -> VerifyOutcome:
-    limits = limits or Limits()
     t0 = time.monotonic()
     trace = Trace(enabled=want_trace)
     gen = VarGen()
@@ -160,7 +159,7 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
         if dump_spnf:
             dumps["spnf1"] = pretty(s1.to_exp(), names)
             dumps["spnf2"] = pretty(s2.to_exp(), names)
-        decider = Decider(env, gen, trace, budget, limits)
+        decider = Decider(env, gen, trace, budget)
         equal = decider.equivalent(s1, s2)
         if equal:
             status = EQUIVALENT
@@ -169,15 +168,15 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
         else:
             status = NOT_PROVED
         detail = ""
-        if decider.canonizer.report.exhausted:
+        if decider.canonizer.chase_exhausted:
             detail = "chase depth ceiling reached"
     except BudgetError as exc:
         status = RESOURCE_EXHAUSTED
         detail = str(exc)
     wall_ms = (time.monotonic() - t0) * 1000.0
     outcome = VerifyOutcome(name, status, fragment, wall_ms,
-                            steps=_step_counts(trace, budget), trace=trace,
-                            detail=detail, dumps=dumps)
+                            steps={"total": budget.steps, **budget.by_stage},
+                            trace=trace, detail=detail, dumps=dumps)
     if refute and status in (NOT_EQUIVALENT, NOT_PROVED):
         try:
             outcome.witness = find_witness(q1, q2, env, seed=seed, budget=budget)
@@ -186,38 +185,14 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
     return outcome
 
 
-_NORMALIZE_RULES = {
-    "distr-mul-add", "sum-add", "sum-hoist", "prod-comm", "squash-mul",
-    "pull-not", "mul-one", "mul-zero", "add-zero", "sum-zero", "squash-zero",
-    "squash-one", "squash-one-plus", "squash-idem", "squash-lift-add",
-    "squash-not", "not-zero", "not-squash", "pred-squash-elim",
-}
-_CANONIZE_RULES = {
-    "eq-trans", "sum-elim-eq", "sum-elim-cover", "key-collapse", "key-idem",
-    "fk-expand", "key-squash-stable", "eq-refl",
-}
-
-
-def _step_counts(trace: Trace, budget: Budget) -> dict:
-    rules = trace.rule_names()
-    return {
-        "total": budget.steps,
-        "normalize": sum(1 for r in rules if r in _NORMALIZE_RULES),
-        "canonize": sum(1 for r in rules if r in _CANONIZE_RULES),
-        "search": sum(1 for e in trace.events if e.kind in ("bijection", "permutation")),
-    }
-
-
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
-                 sizes: GenSizes | None = None,
                  budget: Budget | None = None) -> FiniteDb | None:
     """Search generated constraint-satisfying instances for a disagreement.
     With a budget, its deadline is checked before each instance (BudgetError
     propagates)."""
     lits = query_literals(q1, q2)
-    sizes = sizes or GenSizes()
     try:
-        stream = gen_instances(env, env.constraints(), sizes, seed,
+        stream = gen_instances(env, env.constraints(), GenSizes(), seed,
                                extra_ints=sorted(lits["int"]),
                                extra_strings=sorted(lits["string"]))
         for db in itertools.islice(stream, tries):

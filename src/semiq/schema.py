@@ -53,13 +53,13 @@ class Schema:
     def attr_type(self, a: str) -> str:
         return self._types[a]
 
-    def concat(self, other: "Schema", name: str = "") -> "Schema":
+    def concat(self, other: "Schema") -> "Schema":
         overlap = set(self._types) & set(other._types)
         if overlap:
             raise SemanticError(
                 f"ambiguous attribute(s) {sorted(overlap)} when combining "
                 f"{self.name or '<anon>'} and {other.name or '<anon>'}")
-        return Schema(name or f"({self.name}*{other.name})",
+        return Schema(f"({self.name}*{other.name})",
                       self.attrs + other.attrs, self.rest | other.rest)
 
     def __eq__(self, other) -> bool:

@@ -131,7 +131,7 @@ class Normalizer:
         self.budget = budget or Budget()
 
     def app(self, axiom: str, node: Exp, path: str, **params) -> Exp:
-        self.budget.step()
+        self.budget.step("normalize")
         out = AXIOMS[axiom](node, **params)
         self.trace.rule(axiom, path)
         return out
@@ -145,7 +145,7 @@ class Normalizer:
     # -- recursive normalization ------------------------------------------
 
     def nf(self, e: Exp, path: str) -> Exp:
-        self.budget.step()
+        self.budget.step("normalize")
         if isinstance(e, (Zero, One, Rel)):
             return e
         if isinstance(e, Pred):
@@ -207,7 +207,7 @@ class Normalizer:
         if len(squashes) >= 2:
             rest = [f for f in factors if not isinstance(f, Squash)]
             self.trace.rule("squash-mul", path)
-            self.budget.step()
+            self.budget.step("normalize")
             merged_body: Exp = squashes[0].body
             for s in squashes[1:]:
                 merged_body = self._mul_nf(merged_body, s.body, path + "sq.")
@@ -217,7 +217,7 @@ class Normalizer:
         if len(nots) >= 2:
             rest = [f for f in factors if not isinstance(f, Not)]
             self.trace.rule("pull-not", path)
-            self.budget.step()
+            self.budget.step("normalize")
             merged = Not(rebuild_add([n.body for n in nots]))
             return self._merge_chain(rest + [merged], path)
         drop: list[Exp] = []
@@ -226,7 +226,7 @@ class Normalizer:
                 return self.app("mul-zero", rebuild_mul(factors), path)
             if isinstance(f, One):
                 self.trace.rule("mul-one", path)
-                self.budget.step()
+                self.budget.step("normalize")
                 continue
             if isinstance(f, (Add, Sum)):
                 # a factor re-normalization re-exposed structure: restart
@@ -238,7 +238,7 @@ class Normalizer:
         ordered = sorted(factors, key=factor_sort_key)
         if ordered != factors:
             self.trace.rule("prod-comm", path)
-            self.budget.step()
+            self.budget.step("normalize")
         if len(ordered) == 1:
             return ordered[0]
         return rebuild_mul(ordered)

@@ -169,3 +169,19 @@ def test_internal_failure_reading_the_program_exits_three(
     assert rc == 3
     assert capsys.readouterr().err == (
         "internal error: RecursionError: maximum recursion depth exceeded\n")
+
+
+def test_chase_ceiling_note_reaches_the_json_report(tmp_path, capsys):
+    path = _write(tmp_path, """
+        schema sr(k:int, a:int);
+        schema ss(j:int, f:int);
+        table R(sr);
+        table S(ss);
+        key R(k);
+        foreign key S(f) references R(k);
+        verify (SELECT s.j AS j FROM S s) (SELECT s.j AS j FROM S s, R r WHERE s.f = r.k);
+    """)
+    rc = main([path, "--chase-depth", "0", "--json"])
+    [v] = json.loads(capsys.readouterr().out)["verifies"]
+    assert rc == 1
+    assert (v["status"], v["detail"]) == ("NOT_PROVED", "chase depth ceiling reached")

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiq import build_env, parse, run_program_text
-from semiq.config import Limits
+from semiq.config import Budget, Limits
 from semiq.congruence import closure_of
 from semiq.constraints import Canonizer
+from semiq.decide import Decider
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, check_constraints, eval_exp, gen_instances
 from semiq.schema import KeyConstraint, Schema, SchemaEnv
@@ -25,8 +26,8 @@ from semiq.exprs import (AttrRef, Const, TupleEqAtom, TupleVar, VarGen,
 
 from conftest import parse_query
 from helpers import (all_pairs_equalities, closure_scalars, closure_tuples,
-                     index_join_back_program, nested_projection_program,
-                     std_env)
+                     denote_pair, index_join_back_program,
+                     nested_projection_program, std_env)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -69,11 +70,11 @@ def _partition(closure):
 def test_saturate_writes_one_spanning_chain_per_class(eqs):
     t = Term.make((), eqs, None, None, ())
     cz = _canonizer()
-    out, _, _ = cz.saturate(t, "t")
+    out, _ = cz.saturate(t, "t")
     reference = closure_of(all_pairs_equalities(eqs))
     assert _partition(closure_of(out.preds)) == _partition(reference)
     assert len(out.preds) == sum(len(ms) - 1 for ms in _partition(reference))
-    assert cz.saturate(out, "t")[1] is False
+    assert set(cz.saturate(out, "t")[0].preds) == set(out.preds)
 
 
 def test_saturate_without_equalities_is_identity():
@@ -294,12 +295,12 @@ def test_cyclic_fk_pair_terminates_within_ceiling():
     env = build_env(prog)
     tA = TupleVar(1, env.tables["A"])
     term = Term.make((tA,), [], None, None, (("A", tA),))
-    gen = VarGen(50)
-    cz = Canonizer(env, gen, limits=Limits(chase_depth=3))
+    trace = Trace()
+    cz = Canonizer(env, VarGen(50), trace, budget=Budget(Limits(chase_depth=3)))
     out = cz.canonize_term(term, "t")
     # both relations get introduced once; the name-freshness rule then stops
     assert sorted(r for r, _ in out.atoms) == ["A", "B"]
-    assert not cz.report.exhausted or cz.report.fk_steps <= 3
+    assert not cz.chase_exhausted or trace.rule_names().count("fk-expand") <= 3
 
 
 def test_chase_budget_reported_not_fatal():
@@ -316,9 +317,41 @@ def test_chase_budget_reported_not_fatal():
     env = build_env(prog)
     tA = TupleVar(1, env.tables["A"])
     term = Term.make((tA,), [], None, None, (("A", tA),))
-    cz = Canonizer(env, VarGen(50), limits=Limits(chase_depth=1))
+    cz = Canonizer(env, VarGen(50), budget=Budget(Limits(chase_depth=1)))
     out = cz.canonize_term(term, "t")
     assert isinstance(out, Term)  # canonization returns the current form
+
+
+# S's foreign key makes the join back to R redundant, but only a chase of
+# depth 1 or more can show it
+FK_JOIN_BACK = """
+    schema sr(k:int, a:int);
+    schema ss(j:int, f:int);
+    table R(sr);
+    table S(ss);
+    key R(k);
+    foreign key S(f) references R(k);
+    verify (SELECT s.j AS j FROM S s) (SELECT s.j AS j FROM S s, R r WHERE s.f = r.k);
+"""
+
+
+@pytest.mark.parametrize("depth, status, detail", [
+    (0, "NOT_PROVED", "chase depth ceiling reached"),
+    (1, "EQUIVALENT", ""),
+])
+def test_chase_ceiling_reaches_the_outcome(depth, status, detail):
+    [out] = run_program_text(FK_JOIN_BACK, Limits(chase_depth=depth))
+    assert (out.status, out.detail) == (status, detail)
+
+
+def test_decider_reads_the_chase_ceiling_from_its_budget():
+    prog = parse(FK_JOIN_BACK)
+    env = build_env(prog)
+    [stmt] = prog.verifies()
+    gen, _, b1, b2 = denote_pair(stmt.lhs, stmt.rhs, env)
+    d = Decider(env, gen, budget=Budget(Limits(chase_depth=0)))
+    assert not d.equivalent(to_spnf(b1, gen), to_spnf(b2, gen))
+    assert d.canonizer.chase_exhausted
 
 
 def test_key_rewrite_reaches_into_squash_slots():

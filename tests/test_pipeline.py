@@ -320,4 +320,20 @@ def test_normalize_steps_count_not_squash():
         verify (SELECT x.a AS a FROM R x WHERE NOT (x.a = 1 OR x.b = 2))
                (SELECT x.a AS a FROM R x WHERE NOT (x.b = 2 OR x.a = 1));
     """)
-    assert out.steps["normalize"] == 4
+    rules = out.trace.rule_names()
+    assert (rules.count("not-squash"), rules.count("prod-comm")) == (2, 2)
+
+
+def test_stage_steps_sum_to_the_total(benchdir):
+    for path in sorted(benchdir.glob("*.cos")):
+        for out in run_program_text(path.read_text()):
+            s = out.steps
+            assert s["normalize"] + s["canonize"] + s["search"] == s["total"], path.name
+
+
+def test_steps_do_not_depend_on_the_trace(benchdir):
+    for path in sorted(benchdir.glob("*.cos")):
+        text = path.read_text()
+        traced = [out.steps for out in run_program_text(text)]
+        untraced = [out.steps for out in run_program_text(text, want_trace=False)]
+        assert untraced == traced, path.name
