@@ -5,17 +5,19 @@
 
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
-`nested_projection` 16, 40, 60 and 100, `wide_union` 64 and `union_all`
-600.  Each row is one `run_program_text` call under
+`nested_projection` 16, 40, 60 and 100, `wide_union` 64, `union_all` 600
+and `fk_cycle` 3.  Each row is one `run_program_text` call under
 `Limits(timeout_s=--timeout)`, and prints one tab-separated line:
 
     family  size  ms  verdict  steps.total
 
-All families but `union_all` are the generators of `perfbench/workloads.py`
-(only read), called with `random.Random(--seed)`.  `union_all` is a
-SIZE-branch `UNION ALL` with one constant filter per branch, against the
-same branches reversed under other aliases.  Times are wall times of one
-run, with no calibration.
+All families but `union_all` and `fk_cycle` are the generators of
+`perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
+`union_all` is a SIZE-branch `UNION ALL` with one constant filter per
+branch, against the same branches reversed under other aliases.  `fk_cycle` is one fixed
+DISTINCT pair over two keyed tables whose foreign keys form a cycle, and
+its SIZE is the chase depth (`Limits.chase_depth`).  Times are wall times
+of one run, with no calibration.
 """
 
 from __future__ import annotations
@@ -39,9 +41,22 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("symmetric_self_join", 7), ("symmetric_self_join", 8),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
-        ("wide_union", 64), ("union_all", 600))
+        ("wide_union", 64), ("union_all", 600), ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
-            "wide_union", "union_all")
+            "wide_union", "union_all", "fk_cycle")
+
+# A(y) -> B(u) -> A(x) -> ...: each side's chase runs to the ceiling
+FK_CYCLE = """schema sa(x:int, y:int);
+schema sb(u:int, w:int);
+table A(sa);
+table B(sb);
+key A(x);
+key B(u);
+foreign key A(y) references B(u);
+foreign key B(w) references A(x);
+verify (SELECT DISTINCT a.x AS o FROM A a)
+       (SELECT DISTINCT a.x AS o FROM A a, B b WHERE a.y = b.u);
+"""
 
 
 def union_all(n: int) -> str:
@@ -58,14 +73,17 @@ def union_all(n: int) -> str:
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
+    if family == "fk_cycle":
+        return FK_CYCLE
     return getattr(workloads, family)(random.Random(seed), size).text
 
 
 def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
     """(ms, verdict, steps.total) of one run of the row's program."""
     text = program(family, size, seed)
+    depth = {"chase_depth": size} if family == "fk_cycle" else {}
     t0 = time.perf_counter()
-    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s))
+    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth))
     ms = (time.perf_counter() - t0) * 1000
     return ms, out.status, out.steps.get("total")
 

@@ -60,12 +60,11 @@ def subst_spnf(e: SpnfExp, v: TupleVar, repl) -> SpnfExp:
 
 class Canonizer:
     def __init__(self, env: SchemaEnv, gen: VarGen, trace: Trace | None = None,
-                 budget: Budget | None = None, squash_eq=None):
+                 budget: Budget | None = None):
         self.env = env
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
-        self.squash_eq = squash_eq  # callback deciding equivalence of squashed forms
         self.chase_exhausted = False
 
     # -- public entry -------------------------------------------------------
@@ -79,7 +78,6 @@ class Canonizer:
     def canonize_term(self, t: Term, loc: str, squash_ctx: bool = False,
                       wrap: bool = False) -> Term:
         chase_rounds = 0
-        fk_memo: set[tuple[int, int]] = set()
         while True:
             self.budget.step("canonize")
             # kept even when unchanged: it drops the copies of an atom
@@ -96,7 +94,7 @@ class Canonizer:
                 t = t2
                 continue
             t2, chase_rounds = self.try_fk(t, closure, loc, squash_ctx,
-                                           chase_rounds, fk_memo)
+                                           chase_rounds)
             if t2 is not None:
                 t = t2
                 continue
@@ -237,9 +235,9 @@ class Canonizer:
     # -- pass 4: foreign-key expansion ------------------------------------------
 
     def try_fk(self, t: Term, closure: Closure, loc: str, squash_ctx: bool,
-               chase_rounds: int, fk_memo: set) -> tuple[Term | None, int]:
+               chase_rounds: int) -> tuple[Term | None, int]:
         names = {rel for rel, _ in t.atoms}
-        for fi, fk in enumerate(self.env.fks):
+        for fk in self.env.fks:
             sources = [var for rel, var in t.atoms if rel == fk.source]
             if not sources:
                 continue
@@ -253,25 +251,24 @@ class Canonizer:
                 expanded = t
                 for var in sources:
                     expanded = self._expand_fk(expanded, fk, var)
-                    fk_memo.add((fi, var.vid))
                     self.trace.rule("fk-expand", loc)
                 return expanded, chase_rounds + 1
-            if not (squash_ctx and self.squash_eq):
+            if not squash_ctx:
                 continue
+            targets = [w for rel, w in t.atoms if rel == fk.target]
+            pairs = list(zip(fk.target_attrs, fk.source_attrs))
             for var in sources:
-                memo_key = (fi, var.vid)
-                if memo_key in fk_memo:
+                # under squash a target atom that already agrees on the key
+                # absorbs the new one (a homomorphism maps it there); once
+                # expanded, a source is absorbed by its own new target
+                if any(all(closure.scalar_eq(AttrRef(w, ka), AttrRef(var, sa))
+                           for ka, sa in pairs) for w in targets):
                     continue
                 if chase_rounds >= self.budget.limits.chase_depth:
                     self._report_exhausted(loc)
                     return None, chase_rounds
-                expanded = self._expand_fk(t, fk, var)
-                # only informative if it changes the squashed value
-                fk_memo.add(memo_key)
-                if self.squash_eq(SpnfExp((t,)), SpnfExp((expanded,))):
-                    continue
                 self.trace.rule("fk-expand", loc)
-                return expanded, chase_rounds + 1
+                return self._expand_fk(t, fk, var), chase_rounds + 1
         return None, chase_rounds
 
     def _report_exhausted(self, loc: str) -> None:

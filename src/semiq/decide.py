@@ -21,7 +21,6 @@ collapse.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 from functools import cached_property
 
@@ -51,7 +50,6 @@ class Decider:
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
-        self._squash_depth = 0
         # id(term) -> its _TermFacts; the facts hold the term, so that its
         # id stays its own, and are matched by identity because hashing a
         # term walks all of it
@@ -59,22 +57,7 @@ class Decider:
         # signature and colour -> colour id, shared by the terms of one
         # `equivalent` call so that their colours compare
         self._colours: dict[tuple, int] = {}
-        # the canonizer calls back through a weak reference, so that no
-        # cycle keeps a finished verify's decider, trace and memo alive
-        squash_eq = weakref.WeakMethod(self._squash_eq)
-        self.canonizer = Canonizer(env, gen, self.trace, self.budget,
-                                   squash_eq=lambda a, b: squash_eq()(a, b))
-
-    # -- callbacks ---------------------------------------------------------
-
-    def _squash_eq(self, a: SpnfExp, b: SpnfExp) -> bool:
-        if self._squash_depth >= 2:
-            return True  # stop chasing; always sound
-        self._squash_depth += 1
-        try:
-            return self.squash_equal(a, b)
-        finally:
-            self._squash_depth -= 1
+        self.canonizer = Canonizer(env, gen, self.trace, self.budget)
 
     # -- expression-level decision ------------------------------------------
 

@@ -281,6 +281,21 @@ def test_apply_fk_without_declaration_is_identity():
     assert out.terms[0] == term  # fk source is S, not R
 
 
+@pytest.mark.parametrize("joined, expands", [(False, 1), (True, 0)])
+def test_squash_context_fk_expands_unless_a_target_absorbs_it(joined, expands):
+    # under squash a new R atom is redundant exactly when an R atom already
+    # has its key equal to s.f; a bare canonizer decides this itself
+    env = _fk_env()
+    s, r = TupleVar(1, env.tables["S"]), TupleVar(2, env.tables["R"])
+    preds = [mk_eq(AttrRef(s, "f"), AttrRef(r, "k"))] if joined else []
+    term = Term.make((s, r), preds, None, None, (("S", s), ("R", r)))
+    trace = Trace()
+    out = Canonizer(env, VarGen(100), trace).canonize(
+        SpnfExp((term,)), squash_ctx=True)
+    assert trace.rule_names().count("fk-expand") == expands
+    assert [rel for rel, _ in out.terms[0].atoms].count("R") == 1 + expands
+
+
 def test_cyclic_fk_pair_terminates_within_ceiling():
     prog = parse("""
         schema sa(x:int, y:int);

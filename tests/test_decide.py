@@ -496,7 +496,7 @@ def test_deciders_are_freed_without_the_cycle_collector(monkeypatch):
         del d
         assert ref() is None
         # a whole verify's decider, after its permutation and bijection
-        # searches and its canonizer's squash callbacks
+        # searches
         monkeypatch.setattr(Decider, "__init__", recording)
         from semiq.pipeline import run_program_text
         [out] = run_program_text(FIG_INDEX)

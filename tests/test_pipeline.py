@@ -123,7 +123,9 @@ def test_fk_chase_is_canonical_on_source_self_joins():
 
 
 def test_fk_join_elimination_under_distinct():
-    out = _statuses("""
+    # the join's R atom already covers S's foreign key, so only the scan
+    # side expands, and the trace holds no collapse that was not applied
+    [out] = run_program_text("""
         schema sr(k:int, a:int);
         schema ss(j:int, f:int);
         table R(sr);
@@ -133,7 +135,28 @@ def test_fk_join_elimination_under_distinct():
         verify (SELECT DISTINCT x.j AS j FROM S x)
                (SELECT DISTINCT x.j AS j FROM S x, R y WHERE x.f = y.k);
     """)
-    assert out == [("EQUIVALENT", "general")]
+    rules = out.trace.rule_names()
+    assert (out.status, out.fragment) == ("EQUIVALENT", "general")
+    assert (rules.count("fk-expand"), rules.count("key-collapse")) == (1, 0)
+
+
+def test_cyclic_fks_under_distinct_chase_at_linear_cost():
+    # each side's squash chases A -> B -> A ... to the ceiling; an atom the
+    # term already covers is not expanded, so no step probes a candidate
+    [out] = run_program_text("""
+        schema sa(x:int, y:int);
+        schema sb(u:int, w:int);
+        table A(sa);
+        table B(sb);
+        key A(x);
+        key B(u);
+        foreign key A(y) references B(u);
+        foreign key B(w) references A(x);
+        verify (SELECT DISTINCT a.x AS o FROM A a)
+               (SELECT DISTINCT a.x AS o FROM A a, B b WHERE a.y = b.u);
+    """)
+    assert (out.status, out.detail) == ("NOT_PROVED", "chase depth ceiling reached")
+    assert out.steps["total"] < 1_000
 
 
 def test_composite_key_collapse_needs_all_attributes():
