@@ -5,9 +5,10 @@
 
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
-`nested_projection` 16, 40, 60 and 100, `wide_union` 64, `union_all` 600
-and `fk_cycle` 3.  Each row is one `run_program_text` call under
-`Limits(timeout_s=--timeout)`, and prints one tab-separated line:
+`nested_projection` 16, 40, 60 and 100, `index_join_back` 12,
+`wide_union` 64, `union_all` 600 and `fk_cycle` 3.  Each row is one
+`run_program_text` call under `Limits(timeout_s=--timeout)`, and prints one
+tab-separated line:
 
     family  size  ms  verdict  steps.total
 
@@ -41,9 +42,10 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("symmetric_self_join", 7), ("symmetric_self_join", 8),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
-        ("wide_union", 64), ("union_all", 600), ("fk_cycle", 3))
+        ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
+        ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
-            "wide_union", "union_all", "fk_cycle")
+            "index_join_back", "wide_union", "union_all", "fk_cycle")
 
 # A(y) -> B(u) -> A(x) -> ...: each side's chase runs to the ceiling
 FK_CYCLE = """schema sa(x:int, y:int);

@@ -363,7 +363,7 @@ def _sum_elim_eq(e):
                 if not rest:
                     return ONE
                 try:
-                    out = substitute(rebuild_mul(rest), e.var, repl)
+                    out = substitute(rebuild_mul(rest), {e.var: repl})
                 except SubstError as exc:
                     raise AxiomMatchError(f"sum-elim-eq: {exc}") from exc
                 return out
@@ -420,7 +420,7 @@ def _subst_eq(e, lhs=None, rhs=None):
         raise AxiomMatchError("subst-eq: equality factor not present")
     if isinstance(lhs, TupleVar):
         try:
-            rest = [substitute(f, lhs, rhs) if i != idx else f
+            rest = [substitute(f, {lhs: rhs}) if i != idx else f
                     for i, f in enumerate(factors)]
         except SubstError as exc:
             raise AxiomMatchError(str(exc)) from exc

@@ -28,6 +28,10 @@ class Closure:
         # a node was interned or two classes merged since close() last
         # completed; a clean close() has nothing to do
         self.dirty = False
+        # the results of scalar_classes() and tuple_classes(), kept until
+        # a node is interned or two classes merge
+        self._scalar_classes: dict[int, list[object]] | None = None
+        self._tuple_classes: dict[int, list[object]] | None = None
 
     def copy(self) -> "Closure":
         c = Closure.__new__(Closure)
@@ -40,6 +44,8 @@ class Closure:
         c.tuple_nodes = list(self.tuple_nodes)
         c.attr_nodes = list(self.attr_nodes)
         c.dirty = self.dirty
+        c._scalar_classes = self._scalar_classes
+        c._tuple_classes = self._tuple_classes
         return c
 
     # -- union-find ---------------------------------------------------------
@@ -58,6 +64,7 @@ class Closure:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.dirty = True
+        self._scalar_classes = self._tuple_classes = None
         return True
 
     # -- term interning -------------------------------------------------------
@@ -75,6 +82,7 @@ class Closure:
         self.source.append(source)
         self.intern[key] = nid
         self.dirty = True
+        self._scalar_classes = self._tuple_classes = None
         if kind in ("tvar", "record", "slice"):
             self.tuple_nodes.append(nid)
         if kind == "attr":
@@ -193,18 +201,23 @@ class Closure:
 
     def scalar_classes(self) -> dict[int, list[object]]:
         """rep -> scalar source terms, one per node (interning makes them
-        distinct), in node order."""
-        out: dict[int, list[object]] = {}
-        for nid in range(len(self.parent)):
-            if self.kind[nid] in ("const", "attr", "func", "agg"):
-                out.setdefault(self.find(nid), []).append(self.source[nid])
-        return out
+        distinct), in node order.  Kept until the closure changes, so the
+        caller must not change it."""
+        if self._scalar_classes is None:
+            out: dict[int, list[object]] = {}
+            for nid in range(len(self.parent)):
+                if self.kind[nid] in ("const", "attr", "func", "agg"):
+                    out.setdefault(self.find(nid), []).append(self.source[nid])
+            self._scalar_classes = out
+        return self._scalar_classes
 
     def tuple_classes(self) -> dict[int, list[object]]:
-        out: dict[int, list[object]] = {}
-        for nid in self.tuple_nodes:
-            out.setdefault(self.find(nid), []).append(self.source[nid])
-        return out
+        if self._tuple_classes is None:
+            out: dict[int, list[object]] = {}
+            for nid in self.tuple_nodes:
+                out.setdefault(self.find(nid), []).append(self.source[nid])
+            self._tuple_classes = out
+        return self._tuple_classes
 
     def atom_signature(self, a: PredAtom) -> tuple:
         """Canonical identity of a non-equality atom modulo the closure."""

@@ -3,17 +3,23 @@
 Four interleaved passes run to a fixpoint on every term, recursively inside
 squash and negation slots: saturation of equalities, elimination of
 summations bound by an equality, the key-constraint collapse, and the
-foreign-key expansion.  Saturation writes each equality class of the
-term's congruence closure as a spanning chain: its members sorted, each
-equal to the next, so k members take k - 1 atoms and the chain is
-canonical.  Terms whose square provably equals themselves are additionally
-rewritten into their own squash (the key-guarded stability rewrite), which
-lets set-level reasoning see through bag-level structure.
+foreign-key expansion.  Each round saturates, builds the term's closure
+once, and applies the first pass that changes the term, with every
+instance that closure allows: all summation variables with a candidate in
+one simultaneous substitution, or every key-equal atom pair.  A nesting
+chain therefore takes a constant number of rounds, not one per level.
+Saturation writes each equality class of the term's congruence closure as
+a spanning chain: its members sorted, each equal to the next, so k members
+take k - 1 atoms and the chain is canonical.  Terms whose square provably
+equals themselves are additionally rewritten into their own squash (the
+key-guarded stability rewrite), which lets set-level reasoning see through
+bag-level structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 from .config import Budget
 from .congruence import Closure, closure_of
@@ -33,29 +39,28 @@ def _is_reflexive(a: PredAtom) -> bool:
            (isinstance(a, TupleEqAtom) and a.lhs == a.rhs)
 
 
-def subst_term(t: Term, v: TupleVar, repl) -> Term:
-    """Substitute a (now unbound) variable throughout a term."""
+def subst_term(t: Term, mapping: dict[TupleVar, object]) -> Term:
+    """Substitute (now unbound) variables throughout a term, all at once."""
     preds = []
     for p in t.preds:
-        q = substitute(p, v, repl)
+        q = substitute(p, mapping)
         if _is_reflexive(q):
             continue
         preds.append(q)
     atoms = []
     for rel, w in t.atoms:
-        if w == v:
-            if not isinstance(repl, TupleVar):
-                raise ValueError("cannot substitute a non-variable into a relation atom")
-            atoms.append((rel, repl))
-        else:
-            atoms.append((rel, w))
-    squash = subst_spnf(t.squash, v, repl) if t.squash is not None else None
-    neg = subst_spnf(t.neg, v, repl) if t.neg is not None else None
-    return Term.make(tuple(w for w in t.sum_vars if w != v), preds, squash, neg, atoms)
+        repl = mapping.get(w, w)
+        if not isinstance(repl, TupleVar):
+            raise ValueError("cannot substitute a non-variable into a relation atom")
+        atoms.append((rel, repl))
+    squash = subst_spnf(t.squash, mapping) if t.squash is not None else None
+    neg = subst_spnf(t.neg, mapping) if t.neg is not None else None
+    return Term.make(tuple(w for w in t.sum_vars if w not in mapping),
+                     preds, squash, neg, atoms)
 
 
-def subst_spnf(e: SpnfExp, v: TupleVar, repl) -> SpnfExp:
-    return SpnfExp(tuple(subst_term(t, v, repl) for t in e.terms))
+def subst_spnf(e: SpnfExp, mapping: dict[TupleVar, object]) -> SpnfExp:
+    return SpnfExp(tuple(subst_term(t, mapping) for t in e.terms))
 
 
 class Canonizer:
@@ -146,64 +151,82 @@ class Canonizer:
     # -- pass 2: summation elimination ---------------------------------------
 
     def try_eliminate(self, t: Term, closure: Closure, loc: str) -> Term | None:
-        slice_bases = _slice_bases(t)
+        """Eliminate every summation variable with a candidate in one
+        simultaneous substitution.  A variable whose candidate mentions a
+        chosen variable waits, and so does one that a chosen candidate
+        mentions: no replacement then mentions a replaced variable, so the
+        substitution equals the one-at-a-time sequence."""
+        index = _RoundIndex(t)
+        chosen: dict[TupleVar, object] = {}
+        replaced: set[int] = set()
+        mentioned: set[int] = set()   # by the chosen replacements
+        rules = []
         for v in t.sum_vars:
-            repl = self._whole_tuple_candidate(t, closure, v, slice_bases)
-            if repl is not None:
-                out = subst_term(t, v, repl)
-                self.trace.rule("sum-elim-eq", loc)
-                return out
-            repl = self._coverage_candidate(t, closure, v, slice_bases)
-            if repl is not None:
-                out = subst_term(t, v, repl)
-                self.trace.rule("sum-elim-cover", loc)
-                return out
-        return None
+            if v.vid in mentioned:
+                continue
+            rule = "sum-elim-eq"
+            repl = self._whole_tuple_candidate(closure, v, index)
+            if repl is None:
+                rule = "sum-elim-cover"
+                repl = self._coverage_candidate(closure, v, index)
+            if repl is None:
+                continue
+            vids = {w.vid for w in free_vars(repl)}
+            if not vids.isdisjoint(replaced):
+                continue
+            chosen[v] = repl
+            replaced.add(v.vid)
+            mentioned |= vids
+            rules.append(rule)
+        if not chosen:
+            return None
+        out = subst_term(t, chosen)
+        for rule in rules:
+            self.trace.rule(rule, loc)
+        return out
 
-    def _whole_tuple_candidate(self, t: Term, closure: Closure, v: TupleVar,
-                               slice_bases: set[int]):
+    def _whole_tuple_candidate(self, closure: Closure, v: TupleVar,
+                               index: "_RoundIndex"):
         rep = closure.tuple_rep(v)
-        members = [m for m in closure.tuple_classes().get(rep, []) if m != v]
-        in_atoms = any(w == v for _, w in t.atoms)
+        in_atoms = v.vid in index.atom_vids
         candidates = []
-        for m in members:
-            if v in free_vars(m):
+        for m in closure.tuple_classes().get(rep, []):
+            if _mentions(m, v):
                 continue
             if isinstance(m, TupleVar):
-                candidates.append((0 if m not in t.sum_vars else 1, tuple_sort_key(m), m))
+                candidates.append((0 if m.vid not in index.sum_vids else 1,
+                                   tuple_sort_key(m), m))
             elif isinstance(m, TupleCons):
-                if in_atoms or v.vid in slice_bases:
+                if in_atoms or v.vid in index.slice_bases:
                     continue
                 candidates.append((2, tuple_sort_key(m), m))
             elif isinstance(m, TupleSlice):
-                if in_atoms or v.vid in slice_bases:
+                if in_atoms or v.vid in index.slice_bases:
                     continue
                 candidates.append((3, tuple_sort_key(m), m))
         if not candidates:
             return None
         return min(candidates)[2]
 
-    def _coverage_candidate(self, t: Term, closure: Closure, v: TupleVar,
-                            slice_bases: set[int]):
+    def _coverage_candidate(self, closure: Closure, v: TupleVar,
+                            index: "_RoundIndex"):
         sch = v.schema
         if sch.generic or not sch.attrs:
             return None
         # a variable of the same schema agreeing on every attribute
         # determines v outright (and may replace it inside relation atoms)
-        others = sorted({w for w in _term_vars(t)
-                         if w.vid != v.vid and w.schema == sch},
-                        key=lambda w: (w in t.sum_vars, w.vid))
-        for w in others:
-            if all(closure.scalar_eq(AttrRef(v, a), AttrRef(w, a))
-                   for a in sch.attr_names()):
+        for w in index.by_schema.get(sch, ()):
+            if w.vid != v.vid and all(
+                    closure.scalar_eq(AttrRef(v, a), AttrRef(w, a))
+                    for a in sch.attr_names()):
                 return w
-        if any(w == v for _, w in t.atoms) or v.vid in slice_bases:
+        if v.vid in index.atom_vids or v.vid in index.slice_bases:
             return None
         fields = {}
         for a in sch.attr_names():
             rep = closure.scalar_rep(AttrRef(v, a))
             cands = [s for s in closure.scalar_classes().get(rep, [])
-                     if s != AttrRef(v, a) and v not in free_vars(s)]
+                     if not _mentions(s, v)]
             if not cands:
                 return None
             fields[a] = min(cands, key=scalar_sort_key)
@@ -212,25 +235,33 @@ class Canonizer:
     # -- pass 3: key collapse --------------------------------------------------
 
     def try_key(self, t: Term, closure: Closure, loc: str) -> Term | None:
+        """Collapse every key-equal pair of a relation's atoms: the first
+        atom of each group stays, and each dropped atom's variable is
+        equated to it."""
+        atoms = list(t.atoms)
+        preds = list(t.preds)
         for key in self.env.keys:
-            idxs = [i for i, (rel, _) in enumerate(t.atoms) if rel == key.relation]
-            for ai in range(len(idxs)):
-                for bi in range(ai + 1, len(idxs)):
-                    i, j = idxs[ai], idxs[bi]
-                    u, w = t.atoms[i][1], t.atoms[j][1]
-                    if u == w:
-                        atoms = list(t.atoms)
-                        del atoms[j]
-                        self.trace.rule("key-idem", loc)
-                        return Term.make(t.sum_vars, t.preds, t.squash, t.neg, atoms)
-                    if all(closure.scalar_eq(AttrRef(u, a), AttrRef(w, a))
-                           for a in key.attrs):
-                        atoms = list(t.atoms)
-                        del atoms[j]
-                        preds = list(t.preds) + [mk_tuple_eq(u, w)]
-                        self.trace.rule("key-collapse", loc)
-                        return Term.make(t.sum_vars, preds, t.squash, t.neg, atoms)
-        return None
+            kept: list[TupleVar] = []
+            rest = []
+            for rel, w in atoms:
+                u = None
+                if rel == key.relation:
+                    u = next((u for u in kept if u == w or all(
+                        closure.scalar_eq(AttrRef(u, a), AttrRef(w, a))
+                        for a in key.attrs)), None)
+                if u is None:
+                    rest.append((rel, w))
+                    if rel == key.relation:
+                        kept.append(w)
+                elif u == w:
+                    self.trace.rule("key-idem", loc)
+                else:
+                    preds.append(mk_tuple_eq(u, w))
+                    self.trace.rule("key-collapse", loc)
+            atoms = rest
+        if len(atoms) == len(t.atoms):
+            return None
+        return Term.make(t.sum_vars, preds, t.squash, t.neg, atoms)
 
     # -- pass 4: foreign-key expansion ------------------------------------------
 
@@ -341,7 +372,8 @@ class Canonizer:
     def try_wrap(self, t: Term, closure: Closure, loc: str) -> Term | None:
         if not self.squash_stable(t, closure):
             return None
-        content = dissolve_squash(t, self.gen, self.trace, self.budget)
+        content = dissolve_squash(t, self.gen, self.trace, self.budget,
+                                  stage="canonize")
         if content.is_one() or content.is_zero():
             return None
         self.trace.rule("key-squash-stable", loc)
@@ -363,22 +395,47 @@ class Canonizer:
         return Term.make(t.sum_vars, preds, t.squash, t.neg, t.atoms)
 
 
-def _term_vars(t: Term) -> list[TupleVar]:
-    seen: dict[int, TupleVar] = {}
-    for term in nested_terms(SpnfExp((t,))):
-        for v in term.sum_vars:
-            seen.setdefault(v.vid, v)
-        for _, w in term.atoms:
-            seen.setdefault(w.vid, w)
-        for p in term.preds:
-            for w in free_vars(p):
+def _mentions(x, v: TupleVar) -> bool:
+    """Is v free in the scalar or tuple expression x?"""
+    kind = type(x)
+    if kind is AttrRef or kind is TupleSlice:
+        return x.var.vid == v.vid
+    if kind is TupleVar:
+        return x.vid == v.vid
+    return any(w.vid == v.vid for w in free_vars(x))
+
+
+class _RoundIndex:
+    """Facts about one round's term that the elimination pass looks up per
+    variable, each built on its first use."""
+
+    def __init__(self, t: Term):
+        self.t = t
+        self.sum_vids = {v.vid for v in t.sum_vars}
+        self.atom_vids = {w.vid for _, w in t.atoms}
+
+    @cached_property
+    def slice_bases(self) -> set[int]:
+        """Variables sliced in a tuple (dis)equality, at any nesting."""
+        return {side.var.vid
+                for term in nested_terms(SpnfExp((self.t,))) for p in term.preds
+                if isinstance(p, (TupleEqAtom, TupleNeqAtom))
+                for side in (p.lhs, p.rhs) if isinstance(side, TupleSlice)}
+
+    @cached_property
+    def by_schema(self) -> dict:
+        """schema -> the term's variables of it, at any nesting, free ones
+        first, then by id."""
+        seen: dict[int, TupleVar] = {}
+        for term in nested_terms(SpnfExp((self.t,))):
+            for v in term.sum_vars:
+                seen.setdefault(v.vid, v)
+            for _, w in term.atoms:
                 seen.setdefault(w.vid, w)
-    return [seen[k] for k in sorted(seen)]
-
-
-def _slice_bases(t: Term) -> set[int]:
-    return {side.var.vid
-            for term in nested_terms(SpnfExp((t,))) for p in term.preds
-            if isinstance(p, (TupleEqAtom, TupleNeqAtom))
-            for side in (p.lhs, p.rhs) if isinstance(side, TupleSlice)}
-
+            for p in term.preds:
+                for w in free_vars(p):
+                    seen.setdefault(w.vid, w)
+        out: dict = {}
+        for vid in sorted(seen, key=lambda k: (k in self.sum_vids, k)):
+            out.setdefault(seen[vid].schema, []).append(seen[vid])
+        return out

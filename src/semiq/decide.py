@@ -207,7 +207,7 @@ class Decider:
                     closure1: Closure) -> bool:
         t2p = t2
         for v2, v1 in mapping:
-            t2p = subst_term(t2p, v2, v1)
+            t2p = subst_term(t2p, {v2: v1})
         if sorted((r, v.vid) for r, v in t1.atoms) != \
            sorted((r, v.vid) for r, v in t2p.atoms):
             return False
@@ -256,7 +256,7 @@ class Decider:
             flat_slot = self.flatten(t.squash, loc)
             self.trace.rule("squash-flatten", loc)
             merged = dissolve_squash(replace(t, squash=flat_slot), self.gen,
-                                     self.trace, self.budget)
+                                     self.trace, self.budget, stage="search")
             out.extend(self.flatten(merged, loc).terms)
         return SpnfExp(tuple(out))
 
@@ -305,7 +305,7 @@ class Decider:
         for p in t.preds:
             if v not in free_vars(p):
                 continue
-            q = substitute(p, v, target)
+            q = substitute(p, {v: target})
             if _is_reflexive(q):
                 continue
             if not implies_atom(closure, t.preds, q):
@@ -316,7 +316,7 @@ class Decider:
         self.trace.rule("excluded-middle", loc)
         self.trace.rule("distr-mul-add", loc)
         self.trace.rule("sum-elim-eq", loc)
-        nt = subst_term(t, v, target)
+        nt = subst_term(t, {v: target})
         atoms = sorted(set(nt.atoms), key=lambda a: (a[0], a[1].vid))
         if len(atoms) != len(nt.atoms):
             self.trace.rule("squash-square", loc)
@@ -421,7 +421,7 @@ def _placed_preds_hold(f: _TermFacts, v: TupleVar,
             continue
         q = f.term.preds[i]
         for w in summed:
-            q = substitute(q, w, placed[w.vid])
+            q = substitute(q, {w: placed[w.vid]})
         if not _is_reflexive(q) and \
                 not implies_atom(other.work, other.term.preds, q):
             return False

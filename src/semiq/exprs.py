@@ -366,23 +366,29 @@ class SubstError(Exception):
     pass
 
 
-def substitute(e, v: TupleVar, r: TupleExpr):
-    """Replace free occurrences of ``v`` in any node by ``r``; replacement
+def substitute(e, mapping: dict[TupleVar, TupleExpr]):
+    """Replace the free occurrences of each variable of ``mapping`` in any
+    node by its tuple expression, all at once; a replacement variable's
     schema must match.  Raises SubstError where a binder (Sum or AggCall)
-    would capture a variable of ``r``."""
-    if isinstance(r, TupleVar) and r.schema != v.schema:
-        raise SubstError(f"schema mismatch substituting {v} by {r}")
-    r_vars: set[TupleVar] | None = None   # free_vars(r), at the first binder
-    vid = v.vid
+    would capture a variable of a replacement."""
+    by_vid: dict[int, tuple[TupleVar, TupleExpr]] = {}
+    for v, r in mapping.items():
+        if isinstance(r, TupleVar) and r.schema != v.schema:
+            raise SubstError(f"schema mismatch substituting {v} by {r}")
+        by_vid[v.vid] = (v, r)
+    # the replacements' free variables, collected at the first binder
+    r_vars: set[TupleVar] | None = None
 
     def step(n):
         nonlocal r_vars
         t = type(n)
         if t is AttrRef:
-            # the hot case: a vid test settles most misses without
+            # the hot case: a vid lookup settles most misses without
             # TupleVar's field-by-field comparison
-            if n.var.vid != vid or n.var != v:
+            hit = by_vid.get(n.var.vid)
+            if hit is None or n.var != hit[0]:
                 return n
+            r = hit[1]
             if isinstance(r, TupleVar):
                 return AttrRef(r, n.attr)
             if isinstance(r, TupleSlice):
@@ -392,10 +398,13 @@ def substitute(e, v: TupleVar, r: TupleExpr):
                 raise SubstError(f"record replacement lacks attribute {n.attr}")
             return fields[n.attr]
         if t is TupleVar:
-            return r if n == v else n
+            hit = by_vid.get(n.vid)
+            return hit[1] if hit is not None and n == hit[0] else n
         if t is TupleSlice:
-            if n.var != v:
+            hit = by_vid.get(n.var.vid)
+            if hit is None or n.var != hit[0]:
                 return n
+            r = hit[1]
             if isinstance(r, TupleVar):
                 return TupleSlice(r, n.part)
             if isinstance(r, TupleCons):
@@ -408,16 +417,25 @@ def substitute(e, v: TupleVar, r: TupleExpr):
                 return mk_record(fields)
             raise SubstError("cannot nest slices")
         if t is Rel:
-            if n.var != v:
+            hit = by_vid.get(n.var.vid)
+            if hit is None or n.var != hit[0]:
                 return n
-            if isinstance(r, TupleVar):
-                return Rel(n.name, r)
+            if isinstance(hit[1], TupleVar):
+                return Rel(n.name, hit[1])
             raise SubstError(f"cannot substitute non-variable tuple into {n.name}(...)")
         if t is Sum or t is AggCall:
-            if n.var == v:
-                return n
+            hit = by_vid.get(n.var.vid)
+            if hit is not None and n.var == hit[0]:
+                # the binder shadows its variable; the others go on inside
+                rest = {v: r for v, r in mapping.items() if v != n.var}
+                if not rest:
+                    return n
+                if any(n.var in free_vars(r) for r in rest.values()):
+                    raise SubstError("variable capture during substitution")
+                body = substitute(n.body, rest)
+                return Sum(n.var, body) if t is Sum else AggCall(n.name, n.var, body)
             if r_vars is None:
-                r_vars = free_vars(r)
+                r_vars = set().union(*map(free_vars, mapping.values()))
             if n.var in r_vars:
                 raise SubstError("variable capture during substitution")
         return None

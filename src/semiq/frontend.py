@@ -168,20 +168,28 @@ def infer_schema(q, env: SchemaEnv, scopes=()) -> Schema:
                 if not sch.has_attr(g.attr) and not sch.generic:
                     raise SemanticError(f"unknown attribute {g.alias}.{g.attr}")
             return infer_schema(desugar_groupby(q), env, scopes)
-        out = Schema("", ())
-        for item in q.items:
-            if isinstance(item, Star):
-                for alias in local:
-                    out = out.concat(local[alias])
-            elif isinstance(item, AliasStar):
-                out = out.concat(_resolve_alias(item.alias, (local,), item.pos))
-            elif isinstance(item, ExprItem):
-                ty = _expr_type(item.expr, env, inner)
-                out = out.concat(Schema("", ((item.name, ty),)))
-            else:
-                raise SemanticError("unknown projection item")
-        return out
+        return projection_schema(q, env, local, scopes)
     raise SemanticError(f"unknown query node {type(q).__name__}")
+
+
+def projection_schema(q: Select, env: SchemaEnv, local: dict[str, Schema],
+                      scopes=()) -> Schema:
+    """Output schema of a Select's items, given the schema of each of its
+    sources by alias; the sources are not inferred again."""
+    inner = scopes + (local,)
+    out = Schema("", ())
+    for item in q.items:
+        if isinstance(item, Star):
+            for alias in local:
+                out = out.concat(local[alias])
+        elif isinstance(item, AliasStar):
+            out = out.concat(_resolve_alias(item.alias, (local,), item.pos))
+        elif isinstance(item, ExprItem):
+            ty = _expr_type(item.expr, env, inner)
+            out = out.concat(Schema("", ((item.name, ty),)))
+        else:
+            raise SemanticError("unknown projection item")
+    return out
 
 
 # ---------------------------------------------------------------------------

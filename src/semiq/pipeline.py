@@ -148,7 +148,7 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
         raise SemanticError(
             f"{name}: output schemas differ "
             f"({sorted(d1.schema.attr_names())} vs {sorted(d2.schema.attr_names())})")
-    body2 = substitute(d2.body, d2.out_var, d1.out_var)
+    body2 = substitute(d2.body, {d2.out_var: d1.out_var})
     names = {d1.out_var.vid: "t"}
     if dump_uexp:
         dumps["uexp1"] = pretty(d1.body, names)

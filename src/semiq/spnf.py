@@ -111,7 +111,7 @@ def uniquify(e: Exp, gen: VarGen, trace: Trace | None = None) -> Exp:
             fresh = gen.fresh(var.schema, var.hint)
             if trace and t is Sum:
                 trace.note("alpha-rename", f"{var}->{fresh}")
-            body = substitute(body, var, fresh)
+            body = substitute(body, {var: fresh})
             var = fresh
         seen.add(var.vid)
         body = rewrite(body, step)
@@ -124,14 +124,18 @@ def uniquify(e: Exp, gen: VarGen, trace: Trace | None = None) -> Exp:
 # The normalizer
 
 class Normalizer:
+    """``stage`` names the budget stage its steps count in: the normalize
+    stage, or the stage that dissolves a squash."""
+
     def __init__(self, gen: VarGen, trace: Trace | None = None,
-                 budget: Budget | None = None):
+                 budget: Budget | None = None, stage: str = "normalize"):
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
+        self.stage = stage
 
     def app(self, axiom: str, node: Exp, path: str, **params) -> Exp:
-        self.budget.step("normalize")
+        self.budget.step(self.stage)
         out = AXIOMS[axiom](node, **params)
         self.trace.rule(axiom, path)
         return out
@@ -145,7 +149,7 @@ class Normalizer:
     # -- recursive normalization ------------------------------------------
 
     def nf(self, e: Exp, path: str) -> Exp:
-        self.budget.step("normalize")
+        self.budget.step(self.stage)
         if isinstance(e, (Zero, One, Rel)):
             return e
         if isinstance(e, Pred):
@@ -207,7 +211,7 @@ class Normalizer:
         if len(squashes) >= 2:
             rest = [f for f in factors if not isinstance(f, Squash)]
             self.trace.rule("squash-mul", path)
-            self.budget.step("normalize")
+            self.budget.step(self.stage)
             merged_body: Exp = squashes[0].body
             for s in squashes[1:]:
                 merged_body = self._mul_nf(merged_body, s.body, path + "sq.")
@@ -217,7 +221,7 @@ class Normalizer:
         if len(nots) >= 2:
             rest = [f for f in factors if not isinstance(f, Not)]
             self.trace.rule("pull-not", path)
-            self.budget.step("normalize")
+            self.budget.step(self.stage)
             merged = Not(rebuild_add([n.body for n in nots]))
             return self._merge_chain(rest + [merged], path)
         drop: list[Exp] = []
@@ -226,7 +230,7 @@ class Normalizer:
                 return self.app("mul-zero", rebuild_mul(factors), path)
             if isinstance(f, One):
                 self.trace.rule("mul-one", path)
-                self.budget.step("normalize")
+                self.budget.step(self.stage)
                 continue
             if isinstance(f, (Add, Sum)):
                 # a factor re-normalization re-exposed structure: restart
@@ -238,7 +242,7 @@ class Normalizer:
         ordered = sorted(factors, key=factor_sort_key)
         if ordered != factors:
             self.trace.rule("prod-comm", path)
-            self.budget.step("normalize")
+            self.budget.step(self.stage)
         if len(ordered) == 1:
             return ordered[0]
         return rebuild_mul(ordered)
@@ -275,8 +279,8 @@ class Normalizer:
 
 
 def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
-            budget: Budget | None = None) -> SpnfExp:
-    return Normalizer(gen, trace, budget).run(e)
+            budget: Budget | None = None, stage: str = "normalize") -> SpnfExp:
+    return Normalizer(gen, trace, budget, stage).run(e)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +378,10 @@ def nested_terms(e: SpnfExp) -> Iterator[Term]:
 # Term algebra used by canonization
 
 def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
-                    budget: Budget | None = None) -> SpnfExp:
+                    budget: Budget | None = None, *, stage: str) -> SpnfExp:
     """The term with its squash slot's content multiplied in as a plain
-    factor (inside the binders, since the slot may reference them)."""
+    factor (inside the binders, since the slot may reference them); the
+    normalizer's steps count in the caller's ``stage``."""
     base = replace(t, squash=None)
     factors = base.factors()
     if t.squash is not None:
@@ -384,5 +389,5 @@ def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
     body = rebuild_mul(factors)
     for v in reversed(t.sum_vars):
         body = Sum(v, body)
-    return to_spnf(body, gen, trace, budget)
+    return to_spnf(body, gen, trace, budget, stage)
 

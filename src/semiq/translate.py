@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frontend import infer_schema
+from .frontend import projection_schema
 from .schema import Schema, SchemaEnv, SemanticError
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
@@ -51,14 +51,14 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
         if d1.schema != d2.schema:
             raise SemanticError("schema mismatch in UNION ALL")
         return Denotation(d1.out_var,
-                          Add(d1.body, substitute(d2.body, d2.out_var, d1.out_var)))
+                          Add(d1.body, substitute(d2.body, {d2.out_var: d1.out_var})))
     if isinstance(q, ExceptQ):
         d1 = denote(q.lhs, env, gen, scopes)
         d2 = denote(q.rhs, env, gen, scopes)
         if d1.schema != d2.schema:
             raise SemanticError("schema mismatch in EXCEPT")
         return Denotation(d1.out_var,
-                          Mul(d1.body, Not(substitute(d2.body, d2.out_var, d1.out_var))))
+                          Mul(d1.body, Not(substitute(d2.body, {d2.out_var: d1.out_var}))))
     if isinstance(q, Select):
         return _denote_select(q, env, gen, scopes)
     raise SemanticError(f"cannot denote query node {type(q).__name__}")
@@ -127,7 +127,8 @@ def _alias_star_atoms(t: TupleVar, v: TupleVar) -> list[Exp]:
 def _items_schema(q: Select, env: SchemaEnv, local: dict[str, TupleVar],
                   scopes: Scope) -> Schema:
     schema_scopes = tuple({a: v.schema for a, v in sc.items()} for sc in scopes)
-    return infer_schema(q, env, schema_scopes)
+    return projection_schema(q, env, {a: v.schema for a, v in local.items()},
+                             schema_scopes)
 
 
 def _lookup(alias: str, scopes: Scope) -> TupleVar:

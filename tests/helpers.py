@@ -293,7 +293,7 @@ def denote_pair(q1, q2, env: SchemaEnv):
     q2 = inline_views(desugar_groupby(q2), env)
     d1 = denote(q1, env, gen)
     d2 = denote(q2, env, gen)
-    body2 = substitute(d2.body, d2.out_var, d1.out_var)
+    body2 = substitute(d2.body, {d2.out_var: d1.out_var})
     return gen, d1.out_var, d1.body, body2
 
 
@@ -566,7 +566,7 @@ def axiom_checks(env: SchemaEnv):
         f = gen_uexp(rng, env, t, 2)
         from semiq.exprs import mk_tuple_eq as teq, substitute
         lhs = Sum(t, Mul(P(teq(t, u)), f))
-        rhs = substitute(f, t, u)
+        rhs = substitute(f, {t: u})
         return _ev_eq(db, b, lhs, rhs)
 
     def c_semiring(rng, db):

@@ -1,15 +1,17 @@
 """Build counts that repeat exactly: each matched term's closure data is
-built once per verify, each canonize round builds one closure, the term
-search fully checks only pairs whose free constants agree, and the variable
-search checks no leaf that colours or placed predicates rule out, and no
-canonize round of a nested projection holds more predicates than a few per
-level.  They guard the asymptotics without timing anything."""
+built once per verify, each canonize round builds one closure, the number
+of canonize rounds does not grow with nesting depth or index probes, the
+term search fully checks only pairs whose free constants agree, and the
+variable search checks no leaf that colours or placed predicates rule out,
+no canonize round of a nested projection holds more predicates than a few
+per level, and schema inference does not re-infer nested derived tables.
+They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
-from semiq import constraints, decide, run_program_text
+from semiq import constraints, decide, frontend, run_program_text
 
-from helpers import nested_projection_program
+from helpers import index_join_back_program, nested_projection_program
 
 PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
 
@@ -112,7 +114,9 @@ def test_join_chain_search_is_forced_by_colours(monkeypatch):
     assert out.steps["total"] < 1000
 
 
-def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
+def _canonize_rounds(monkeypatch, program: str) -> int:
+    """Canonize rounds of one verify, checking that each round builds one
+    closure and takes one canonize step."""
     calls = {"closure_of": 0, "saturate": 0}
     real_closure, real_saturate = constraints.closure_of, constraints.Canonizer.saturate
 
@@ -126,13 +130,28 @@ def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
 
     monkeypatch.setattr(constraints, "closure_of", closure_of)
     monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
-    [out] = run_program_text(nested_projection_program(8))
+    [out] = run_program_text(program)
     assert out.status == "EQUIVALENT"
-    assert calls["saturate"] > 8
     assert calls["closure_of"] == calls["saturate"]
     # one saturate per canonize step: no round only confirms that
     # saturation changed nothing
-    assert calls["saturate"] == out.steps["canonize"] == 13
+    assert calls["saturate"] == out.steps["canonize"]
+    monkeypatch.undo()
+    return calls["saturate"]
+
+
+def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
+    # each round eliminates every summation variable it can, so the
+    # number of rounds does not grow with the nesting depth
+    assert _canonize_rounds(monkeypatch, nested_projection_program(8)) == \
+        _canonize_rounds(monkeypatch, nested_projection_program(40))
+
+
+def test_index_join_back_rounds_do_not_grow_with_probes(monkeypatch):
+    # each round eliminates every summation variable it can, or
+    # collapses every key-equal pair of atoms, at once
+    assert _canonize_rounds(monkeypatch, index_join_back_program(3)) == \
+        _canonize_rounds(monkeypatch, index_join_back_program(6))
 
 
 def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
@@ -151,3 +170,21 @@ def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
     [out] = run_program_text(nested_projection_program(depth))
     assert out.status == "EQUIVALENT"
     assert max(sizes) <= 4 * depth
+
+
+def test_nested_projection_infers_each_schema_a_bounded_number_of_times(monkeypatch):
+    # the denotation takes each derived table's schema from the variables
+    # it has just denoted; inferring it again would re-infer the whole
+    # subtree at every level and make the count quadratic in the depth
+    depth = 40
+    calls = []
+    real = frontend.infer_schema
+
+    def counting(q, *args):
+        calls.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(frontend, "infer_schema", counting)
+    [out] = run_program_text(nested_projection_program(depth))
+    assert out.status == "EQUIVALENT"
+    assert len(calls) <= 4 * depth

@@ -17,12 +17,13 @@ from semiq.constraints import Canonizer
 from semiq.decide import Decider
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, check_constraints, eval_exp, gen_instances
+from semiq.pipeline import prepare_pair
 from semiq.schema import KeyConstraint, Schema, SchemaEnv
 from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (AttrRef, Const, TupleEqAtom, TupleVar, VarGen,
-                        alpha_equal, mk_eq, mk_tuple_eq)
+from semiq.exprs import (ONE, AttrRef, Const, Exp, Sum, TupleEqAtom, TupleVar,
+                        VarGen, alpha_equal, free_vars, mk_eq, mk_tuple_eq, mul)
 
 from conftest import parse_query
 from helpers import (all_pairs_equalities, closure_scalars, closure_tuples,
@@ -169,6 +170,22 @@ def test_apply_key_without_declared_key_is_identity():
     assert cz.try_key(term, closure_of(term.preds), "t") is None
 
 
+def test_apply_key_collapses_every_key_equal_atom_in_one_round():
+    # three scans equal on the key: the first stays, the other two are
+    # equated to it in the same round
+    t1, t2, t3 = (TupleVar(i, SR) for i in (1, 2, 3))
+    k = [AttrRef(t, "k") for t in (t1, t2, t3)]
+    term = Term.make((t1, t2, t3), [mk_eq(k[0], k[1]), mk_eq(k[1], k[2])],
+                     None, None, (("R", t1), ("R", t2), ("R", t3)))
+    trace = Trace()
+    cz = Canonizer(SchemaEnv(keys=[KeyConstraint("R", ("k",))]), VarGen(10_000), trace)
+    collapsed = cz.try_key(term, closure_of(term.preds), "t")
+    assert collapsed.atoms == (("R", t1),)
+    assert mk_tuple_eq(t1, t2) in collapsed.preds
+    assert mk_tuple_eq(t1, t3) in collapsed.preds
+    assert trace.rule_names() == ["key-collapse", "key-collapse"]
+
+
 def test_canonize_reduces_index_join_to_filter_scan(index_program):
     prog, env = index_program
     gen = VarGen()
@@ -176,7 +193,7 @@ def test_canonize_reduces_index_join_to_filter_scan(index_program):
     q2 = inline_views(prog.statements[-1].rhs, env)
     d2 = denote(q2, env, gen)
     from semiq.exprs import substitute
-    body2 = substitute(d2.body, d2.out_var, d1.out_var)
+    body2 = substitute(d2.body, {d2.out_var: d1.out_var})
     s1 = to_spnf(d1.body, gen)
     s2 = to_spnf(body2, gen)
     cz = Canonizer(env, gen)
@@ -195,7 +212,7 @@ def test_canonize_constraint_free_cq_unique_form():
     da = denote(qa, env, gen)
     db_ = denote(qb, env, gen)
     from semiq.exprs import substitute
-    body_b = substitute(db_.body, db_.out_var, da.out_var)
+    body_b = substitute(db_.body, {db_.out_var: da.out_var})
     cz = Canonizer(env, gen)
     ca = cz.canonize(to_spnf(da.body, gen))
     cb = cz.canonize(to_spnf(body_b, gen))
@@ -232,6 +249,76 @@ def test_canonize_preserves_oracle_on_constraint_dbs(index_program):
             envb = {d.out_var.vid: asg}
             assert eval_exp(s.to_exp(), db, envb) == \
                 eval_exp(c.to_exp(), db, envb)
+
+
+def _staged(t: Term) -> Exp:
+    """The term as an expression whose summations sit just above the
+    factors that need them (sum v. A * B = A * sum v. B when v is not free
+    in A), so that `eval_exp` drops a binding once a factor fails instead
+    of enumerating every summation variable's tuple space together."""
+    sums = {v.vid: v for v in t.sum_vars}
+    pending = [(f, {w.vid for w in free_vars(f)} & sums.keys()) for f in t.factors()]
+    bound: set[int] = set()
+
+    def take() -> list:
+        ready = [f for f, vids in pending if vids <= bound]
+        pending[:] = [(f, vids) for f, vids in pending if not vids <= bound]
+        return ready
+
+    levels = [(None, take())]
+    while len(bound) < len(sums):
+        # the variable that lets the most factors in
+        v = max((v for vid, v in sums.items() if vid not in bound),
+                key=lambda v: sum(vids <= bound | {v.vid} for _, vids in pending))
+        bound.add(v.vid)
+        levels.append((v, take()))
+    body = ONE
+    for v, ready in reversed(levels):
+        body = mul(*ready, body)
+        if v is not None:
+            body = Sum(v, body)
+    return body
+
+
+# three scans of a keyed table joined on the key: two key collapses
+KEY_COLLAPSE_THREE = """
+schema sr(k:int, a:int);
+table R(sr);
+key R(k);
+verify (SELECT x.a AS o FROM R x WHERE x.a >= 5)
+       (SELECT y.a AS o FROM R x, R y, R z WHERE x.k = y.k AND z.k = y.k AND x.a >= 5);
+"""
+
+
+@pytest.mark.parametrize("program, extra_ints", [
+    (nested_projection_program(8), (2,)), (index_join_back_program(4), (1, 4)),
+    (KEY_COLLAPSE_THREE, (5,))],
+    ids=["nested-8", "index-join-back-4", "key-collapse"])
+def test_canonize_preserves_each_term_on_key_satisfying_dbs(program, extra_ints):
+    prog = parse(program)
+    env = build_env(prog)
+    [stmt] = prog.verifies()
+    gen = VarGen()
+    dbs = list(itertools.islice(gen_instances(
+        env, env.constraints(), GenSizes(2, 3, 2), 41, extra_ints=extra_ints), 30))
+    assert len(dbs) == 30
+    for q in prepare_pair(stmt, env):
+        d = denote(q, env, gen)
+        s = to_spnf(d.body, gen)
+        c = Canonizer(env, gen).canonize(s)
+        assert len(c.terms) == len(s.terms)
+        pairs = [(_staged(a), _staged(b)) for a, b in zip(s.terms, c.terms)]
+        for db in dbs:
+            assert check_constraints(db, env.constraints())
+            # every output tuple a relation holds, and about 32 spread over
+            # the whole output space
+            space = db.tuple_space(d.schema)
+            held = {a for rel in db.rels.values() for a in rel}
+            step = max(1, len(space) // 32)
+            for asg in (a for i, a in enumerate(space) if i % step == 0 or a in held):
+                envb = {d.out_var.vid: asg}
+                for before, after in pairs:
+                    assert eval_exp(before, db, envb) == eval_exp(after, db, envb)
 
 
 def test_key_implies_multiplicity_at_most_one(index_program):

@@ -307,7 +307,7 @@ def test_signature_pruning_is_isomorphism_invariant():
     d1 = denote(q, env, VarGen(1))
     d2 = denote(q, env, VarGen(50))
     s1 = to_spnf(d1.body, VarGen(1000))
-    s2 = to_spnf(substitute(d2.body, d2.out_var, d1.out_var), VarGen(2000))
+    s2 = to_spnf(substitute(d2.body, {d2.out_var: d1.out_var}), VarGen(2000))
     assert term_signature(s1.terms[0]) == term_signature(s2.terms[0])
 
 
@@ -437,7 +437,7 @@ def _term_pairs(draw):
     ids = rng.sample(range(100, 120), len(xs))
     ys = [TupleVar(i, x.schema) for i, x in zip(ids, xs)]
     for x, y in zip(xs, ys):
-        preds = [substitute(p, x, y) for p in preds]
+        preds = [substitute(p, {x: y}) for p in preds]
     atoms = list(zip(rels, ys))
     rng.shuffle(ys)
     return t1, Term.make(ys, preds, None, None, atoms)

@@ -360,3 +360,26 @@ def test_steps_do_not_depend_on_the_trace(benchdir):
         traced = [out.steps for out in run_program_text(text)]
         untraced = [out.steps for out in run_program_text(text, want_trace=False)]
         assert untraced == traced, path.name
+
+
+def test_normalize_steps_are_the_first_stage_alone(benchdir):
+    # the normalizer runs that dissolve squashes during canonize and search
+    # count in those stages, so `normalize` is what normalizing the two
+    # denoted sides takes
+    from semiq.config import Budget
+    from semiq.exprs import VarGen, substitute
+    from semiq.pipeline import prepare_pair
+    from semiq.spnf import to_spnf
+    from semiq.translate import denote
+
+    text = (benchdir / "starburst_distinct_pullup.cos").read_text()
+    [out] = run_program_text(text)
+    program = parse(text)
+    env = build_env(program)
+    q1, q2 = prepare_pair(program.verifies()[0], env)
+    gen, budget = VarGen(), Budget()
+    d1, d2 = denote(q1, env, gen), denote(q2, env, gen)
+    to_spnf(d1.body, gen, budget=budget)
+    to_spnf(substitute(d2.body, {d2.out_var: d1.out_var}), gen, budget=budget)
+    assert out.steps["normalize"] == budget.steps == budget.by_stage["normalize"]
+    assert out.steps["total"] > budget.steps

@@ -15,7 +15,7 @@ from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Pred, Rel,
                         pretty, replace_scalar, substitute, walk)
 from semiq.spnf import uniquify
 
-from helpers import gen_uexp, std_env
+from helpers import gen_uexp, gen_uexp_scope, std_env
 
 
 S = Schema("s", (("a", "int"), ("b", "int")))
@@ -28,14 +28,14 @@ def _vars(*vids):
 def test_substitute_free_variable():
     t2, t, u = _vars(2, 10, 11)
     e = Sum(t2, Mul(Pred(mk_tuple_eq(t2, t)), Rel("R", t2)))
-    out = substitute(e, t, u)
+    out = substitute(e, {t: u})
     assert out == Sum(t2, Mul(Pred(mk_tuple_eq(t2, u)), Rel("R", t2)))
 
 
 def test_substitute_identity():
     t2, t = _vars(2, 10)
     e = Sum(t2, Mul(Pred(mk_tuple_eq(t2, t)), Rel("R", t2)))
-    assert substitute(e, t, t) == e
+    assert substitute(e, {t: t}) == e
 
 
 def test_substitute_record_rewrites_attribute_refs():
@@ -45,7 +45,7 @@ def test_substitute_record_rewrites_attribute_refs():
     e = Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))),
             Pred(mk_eq(AttrRef(t1, "b"), AttrRef(t2, "b"))))
     rec = mk_record({"a": AttrRef(t3, "a"), "b": AttrRef(t3, "b")})
-    out = substitute(e, t1, rec)
+    out = substitute(e, {t1: rec})
     assert out == Mul(Pred(mk_eq(AttrRef(t3, "a"), AttrRef(t2, "a"))),
                       Pred(mk_eq(AttrRef(t3, "b"), AttrRef(t2, "b"))))
 
@@ -54,14 +54,14 @@ def test_substitute_rejects_record_into_relation_atom():
     t1, t3 = _vars(1, 3)
     rec = mk_record({"a": AttrRef(t3, "a"), "b": AttrRef(t3, "b")})
     with pytest.raises(SubstError):
-        substitute(Rel("R", t1), t1, rec)
+        substitute(Rel("R", t1), {t1: rec})
 
 
 def test_substitute_schema_mismatch_rejected():
     t = TupleVar(1, S)
     other = TupleVar(2, Schema("w", (("z", "int"),)))
     with pytest.raises(SubstError):
-        substitute(Rel("R", t), t, other)
+        substitute(Rel("R", t), {t: other})
 
 
 def test_substitute_rejects_capture_under_aggregate():
@@ -72,11 +72,55 @@ def test_substitute_rejects_capture_under_aggregate():
                                  Rel("R", t1)))
     e = Pred(mk_eq(AttrRef(t12, "b"), agg))
     with pytest.raises(SubstError):
-        substitute(e, t10, t1)
+        substitute(e, {t10: t1})
     with pytest.raises(SubstError):
-        substitute(Sum(t1, agg.body), t10, t1)
+        substitute(Sum(t1, agg.body), {t10: t1})
     # no capture when the aggregate binds the substituted variable itself
-    assert substitute(e, t1, t10) == e
+    assert substitute(e, {t1: t10}) == e
+
+
+def test_substitute_mapping_leaves_a_shadowed_variable_alone():
+    # a binder of one mapped variable stops only that variable
+    t1, t2, u1, u2 = _vars(1, 2, 11, 12)
+    inner = Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))), Rel("R", t1))
+    e = Mul(Rel("R", t1), Sum(t1, inner))
+    out = substitute(e, {t1: u1, t2: u2})
+    assert out == Mul(Rel("R", u1), Sum(t1, Mul(
+        Pred(mk_eq(AttrRef(t1, "a"), AttrRef(u2, "a"))), Rel("R", t1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_substitute_mapping_equals_one_variable_at_a_time(seed, kinds):
+    # each of three free variables stays (0), goes to a fresh variable
+    # (1) or to a record over fresh variables and constants (2); no
+    # replacement mentions a mapped variable
+    rng = random.Random(seed)
+    env = std_env()
+    scope = [TupleVar(900_000 + i, env.tables[rng.choice("RST")], "w") for i in range(3)]
+    e = gen_uexp_scope(rng, env, scope, depth=3)
+    mapping = {}
+    for i, (v, kind) in enumerate(zip(scope, kinds)):
+        fresh = TupleVar(800_000 + i, v.schema, "f")
+        if kind == 1:
+            mapping[v] = fresh
+        elif kind == 2:
+            mapping[v] = mk_record({"a": AttrRef(fresh, "b"),
+                                    "b": Const(rng.randint(0, 2), "int")})
+
+    def outcome(f):
+        try:
+            return f()
+        except SubstError:
+            return SubstError
+
+    def sequential():
+        out = e
+        for v, r in mapping.items():
+            out = substitute(out, {v: r})
+        return out
+
+    assert outcome(lambda: substitute(e, mapping)) == outcome(sequential)
 
 
 def test_uexp_passes_take_no_frames_per_level():
@@ -89,7 +133,7 @@ def test_uexp_passes_take_no_frames_per_level():
         e = Add(e, Sum(w, Rel("R", w)))
     assert count_nodes(e) == 3 + 3 * depth
     assert sum(1 for _ in walk(e)) == 6 + 3 * depth   # plus the atom's nodes
-    out = substitute(e, t, u)
+    out = substitute(e, {t: u})
     assert free_vars(out) == {u}
     out = replace_scalar(e, AttrRef(t, "a"), AttrRef(u, "a"))
     assert AttrRef(u, "a") in walk(out) and AttrRef(t, "a") not in walk(out)
