@@ -1,9 +1,9 @@
 """Congruence closure over scalar and tuple terms.
 
 Equality atoms assert merges; closure is taken under function application
-(attribute access, slices, uninterpreted functions), record projection and
-record injectivity.  Used both to saturate term predicates and to compare
-predicate lists for equivalence.
+(attribute access, slices, uninterpreted functions), record projection,
+slice projection and record injectivity.  Used both to saturate term
+predicates and to compare predicate lists for equivalence.
 """
 
 from __future__ import annotations
@@ -132,11 +132,10 @@ class Closure:
             self.union(self.add_scalar(a.lhs), self.add_scalar(a.rhs))
         elif isinstance(a, TupleEqAtom):
             self.union(self.add_tuple(a.lhs), self.add_tuple(a.rhs))
-        else:
-            self.add_atom_terms(a)
 
     def close(self) -> None:
-        """Fixpoint of congruence, record projection and injectivity."""
+        """Fixpoint of congruence, record and slice projection, and
+        injectivity."""
         if not self.dirty:
             return
         changed = True
@@ -157,9 +156,12 @@ class Closure:
                     changed = True
             # record projection: attr_a(x) == field when class(x) holds a record
             records: dict[int, list[int]] = {}
+            slices: dict[int, list[int]] = {}
             for nid in self.tuple_nodes:
                 if self.kind[nid] == "record":
                     records.setdefault(self.find(nid), []).append(nid)
+                elif self.kind[nid] == "slice":
+                    slices.setdefault(self.find(nid), []).append(nid)
             for anode in self.attr_nodes:
                 base_rep = self.find(self.children[anode][0])
                 for rec in records.get(base_rep, []):
@@ -169,6 +171,17 @@ class Closure:
                         field_node = self.children[rec][names.index(attr)]
                         if self.union(anode, field_node):
                             changed = True
+            # slice projection: attr_a(x) == attr_a(t) when class(x) holds
+            # t|P with a in P; t.a is interned if missing
+            if slices:
+                for anode in list(self.attr_nodes):
+                    attr = self.payload[anode]
+                    for sl in slices.get(self.find(self.children[anode][0]), []):
+                        if attr in self.payload[sl][0]:
+                            base = self.children[sl][0]
+                            src = AttrRef(self.source[base], attr)
+                            changed |= self.union(
+                                anode, self._node("attr", attr, (base,), src))
             # record injectivity: equal records have equal fields
             for first, *rest in records.values():
                 for rec in rest:
@@ -229,12 +242,6 @@ class Closure:
         if isinstance(a, TupleNeqAtom):
             reps = sorted((self.tuple_rep(a.lhs), self.tuple_rep(a.rhs)))
             return ("tneq", tuple(reps))
-        if isinstance(a, EqAtom):
-            reps = sorted((self.scalar_rep(a.lhs), self.scalar_rep(a.rhs)))
-            return ("eq", tuple(reps))
-        if isinstance(a, TupleEqAtom):
-            reps = sorted((self.tuple_rep(a.lhs), self.tuple_rep(a.rhs)))
-            return ("teq", tuple(reps))
         raise TypeError(a)
 
 

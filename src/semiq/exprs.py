@@ -443,11 +443,6 @@ def substitute(e, mapping: dict[TupleVar, TupleExpr]):
     return rewrite(e, step)
 
 
-def replace_scalar(e, old: Scalar, new: Scalar):
-    """Replace every occurrence of the scalar term ``old`` by ``new``."""
-    return rewrite(e, lambda n: new if n == old else None)
-
-
 # ---------------------------------------------------------------------------
 # Canonical (alpha-normal) keys and pretty printing
 
@@ -536,21 +531,6 @@ def agg_canon_key(agg: AggCall) -> tuple:
     tuple variable before keying the body)."""
     return (agg.name, footprint_key(agg.var.schema),
             _canon(agg.body, {}, [0], bind_first=agg.var))
-
-
-def alpha_equal(e1: Exp, e2: Exp,
-                pairs: list[tuple[TupleVar, TupleVar]] | None = None) -> bool:
-    """Structural equality up to bound-variable renaming.
-
-    ``pairs`` aligns free variables of ``e1`` with those of ``e2`` (e.g. the
-    two output variables); unpaired free variables must be identical.
-    """
-    n1: dict[int, object] = {}
-    n2: dict[int, object] = {}
-    for i, (a, b) in enumerate(pairs or []):
-        n1[a.vid] = ("pair", i)
-        n2[b.vid] = ("pair", i)
-    return canon_key(e1, n1) == canon_key(e2, n2)
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,9 @@ class Normalizer:
         self.budget = budget or Budget()
         self.stage = stage
 
-    def app(self, axiom: str, node: Exp, path: str, **params) -> Exp:
+    def app(self, axiom: str, node: Exp, path: str) -> Exp:
         self.budget.step(self.stage)
-        out = AXIOMS[axiom](node, **params)
+        out = AXIOMS[axiom](node)
         self.trace.rule(axiom, path)
         return out
 

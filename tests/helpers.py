@@ -14,9 +14,9 @@ from semiq.schema import Schema, SchemaEnv
 from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, ExprItem, Select,
                           Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
-from semiq.exprs import (Add, AttrRef, Const, Func, Mul, Not, Pred, Rel, Squash,
-                        Sum, TupleVar, VarGen, mk_eq, mk_neq, mk_record,
-                        mk_tuple_eq)
+from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
+                        Scalar, Squash, Sum, TupleVar, VarGen, canon_key, mk_eq,
+                        mk_neq, mk_record, mk_tuple_eq, rewrite)
 
 # A small standard environment: three binary relations over ints.
 
@@ -27,6 +27,29 @@ def std_env(rel_names=("R", "S", "T")) -> SchemaEnv:
         env.declare_schema(sch)
         env.declare_table(name, f"s{name}")
     return env
+
+
+# ---------------------------------------------------------------------------
+# Structural comparison and rewriting of U-expressions
+
+def alpha_equal(e1: Exp, e2: Exp,
+                pairs: list[tuple[TupleVar, TupleVar]] | None = None) -> bool:
+    """Structural equality up to bound-variable renaming.
+
+    ``pairs`` aligns free variables of ``e1`` with those of ``e2`` (e.g. the
+    two output variables); unpaired free variables must be identical.
+    """
+    n1: dict[int, object] = {}
+    n2: dict[int, object] = {}
+    for i, (a, b) in enumerate(pairs or []):
+        n1[a.vid] = ("pair", i)
+        n2[b.vid] = ("pair", i)
+    return canon_key(e1, n1) == canon_key(e2, n2)
+
+
+def replace_scalar(e, old: Scalar, new: Scalar):
+    """Replace every occurrence of the scalar term ``old`` by ``new``."""
+    return rewrite(e, lambda n: new if n == old else None)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +561,6 @@ def axiom_checks(env: SchemaEnv):
         b = _bind(db, *vs)
         e1 = AttrRef(vs[0], "a")
         e2 = _rand_scalar(rng, vs)
-        from semiq.exprs import replace_scalar
         f1 = gen_uexp_scope(rng, env, vs)
         f2 = replace_scalar(f1, e1, e2)
         eq = P(mk_eq(e1, e2))

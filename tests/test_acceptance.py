@@ -33,11 +33,12 @@ from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, eval_exp, interp_query
 from semiq.pipeline import run_program_text, run_verify
 from semiq.spnf import check_spnf, to_spnf
-from semiq.exprs import TupleVar, VarGen, alpha_equal, count_nodes
+from semiq.exprs import TupleVar, VarGen, count_nodes
 
-from helpers import (CORE_AXIOM_NAMES, cq_set_equivalent, enumerate_dbs,
-                     find_disagreement, gen_cq, gen_ucq, gen_uexp, mutate_ucq,
-                     run_axiom_check, small_dbs, std_env)
+from helpers import (CORE_AXIOM_NAMES, alpha_equal, cq_set_equivalent,
+                     enumerate_dbs, find_disagreement, gen_cq, gen_ucq,
+                     gen_uexp, mutate_ucq, run_axiom_check, small_dbs,
+                     std_env)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

@@ -63,6 +63,29 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     assert "schemas differ" in err
 
 
+def test_unknown_column_is_a_semantic_error_before_any_verify(tmp_path, capsys):
+    # build_env rejects the program, so not even the valid first verify
+    # prints a line
+    path = _write(tmp_path, """
+        schema s(a:int);
+        table R(s);
+        verify (SELECT * FROM R x) (SELECT * FROM R y);
+        verify (SELECT x.z AS z FROM R x) (SELECT x.a AS z FROM R x);
+    """)
+    rc = main([path])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("semantic error: unknown attribute x.z")
+
+
+def test_unreadable_file_exits_two(tmp_path, capsys):
+    rc = main([str(tmp_path / "absent.cos")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "absent.cos" in err
+
+
 def test_json_report_schema(tmp_path, capsys):
     path = _write(tmp_path, """
         schema s(a:int);

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from semiq.congruence import Closure, closure_of, congruent_preds
 from semiq.schema import Schema
-from semiq.exprs import (AttrRef, Const, Func, TupleVar, mk_eq, mk_record,
-                        mk_tuple_eq)
+from semiq.exprs import (AttrRef, Const, Func, TupleSlice, TupleVar, mk_eq,
+                        mk_record, mk_tuple_eq)
 
 from helpers import closure_scalars, closure_tuples
 
@@ -36,6 +36,16 @@ def test_mixed_function_congruence_classes():
     assert c1.scalar_eq(a, e) and c1.scalar_eq(f(a), f(e))
     assert c1.scalar_eq(g(c), g(d))
     assert not c1.scalar_eq(a, c)
+
+
+def test_slice_projection_equates_shared_attributes():
+    # t1 = t|{a,??s1} gives t1.a = t.a, but says nothing of t.b
+    s1 = Schema("s1", (("a", "int"),), frozenset({"s1"}))
+    s2 = Schema("s2", (("b", "int"),), frozenset({"s2"}))
+    t, t1 = TupleVar(1, s1.concat(s2)), TupleVar(2, s1)
+    c = closure_of([mk_tuple_eq(t1, TupleSlice(t, s1))])
+    assert c.scalar_eq(AttrRef(t1, "a"), AttrRef(t, "a"))
+    assert not c.scalar_eq(AttrRef(t1, "a"), AttrRef(t, "b"))
 
 
 def test_identical_lists_trivially_congruent():

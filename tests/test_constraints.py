@@ -23,11 +23,11 @@ from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (ONE, AttrRef, Const, Exp, Sum, TupleEqAtom, TupleVar,
-                        VarGen, alpha_equal, free_vars, mk_eq, mk_tuple_eq, mul)
+                        VarGen, free_vars, mk_eq, mk_tuple_eq, mul)
 
 from conftest import parse_query
-from helpers import (all_pairs_equalities, closure_scalars, closure_tuples,
-                     denote_pair, index_join_back_program,
+from helpers import (all_pairs_equalities, alpha_equal, closure_scalars,
+                     closure_tuples, denote_pair, index_join_back_program,
                      nested_projection_program, std_env)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))

@@ -12,10 +12,9 @@ from semiq.oracle import eval_exp
 from semiq.spnf import SpnfExp, Term, check_spnf, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (Add, Mul, Not, Rel, Squash, TupleVar, VarGen,
-                        alpha_equal, pretty)
+from semiq.exprs import Add, Mul, Not, Rel, Squash, TupleVar, VarGen, pretty
 
-from helpers import gen_uexp, small_dbs, std_env
+from helpers import alpha_equal, gen_uexp, small_dbs, std_env
 
 
 def test_index_join_normal_form(index_program):

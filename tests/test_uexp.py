@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from semiq.schema import Schema
 from semiq.translate import denote
 from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Pred, Rel,
-                        SubstError, Sum, TupleVar, VarGen, alpha_equal,
-                        count_nodes, free_vars, mk_eq, mk_record, mk_tuple_eq,
-                        pretty, replace_scalar, substitute, walk)
+                        SubstError, Sum, TupleVar, VarGen, count_nodes,
+                        free_vars, mk_eq, mk_record, mk_tuple_eq, pretty,
+                        substitute, walk)
 from semiq.spnf import uniquify
 
-from helpers import gen_uexp, gen_uexp_scope, std_env
+from helpers import (alpha_equal, gen_uexp, gen_uexp_scope, replace_scalar,
+                     std_env)
 
 
 S = Schema("s", (("a", "int"), ("b", "int")))
