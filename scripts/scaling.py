@@ -5,12 +5,15 @@
 
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
-`nested_projection` 16, 40, 60 and 100, `index_join_back` 12,
+`nested_projection` 16, 40, 60, 100 and 200, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and `fk_cycle` 3.  Each row is one
 `run_program_text` call under `Limits(timeout_s=--timeout)`, and prints one
 tab-separated line:
 
     family  size  ms  verdict  steps.total
+
+A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
+other rows still run, and the exit code is 1.
 
 All families but `union_all` and `fk_cycle` are the generators of
 `perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
@@ -42,6 +45,7 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("symmetric_self_join", 7), ("symmetric_self_join", 8),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
+        ("nested_projection", 200),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
@@ -107,10 +111,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the workload generators (default 1)")
     args = ap.parse_args(argv)
+    failed = False
     for family, size in args.rows or ROWS:
-        ms, verdict, steps = measure(family, size, args.timeout, args.seed)
+        try:
+            ms, verdict, steps = measure(family, size, args.timeout, args.seed)
+        except Exception as exc:
+            failed = True
+            print(f"{family}\t{size}\t-\tERROR:{type(exc).__name__}\t-", flush=True)
+            continue
         print(f"{family}\t{size}\t{ms:.1f}\t{verdict}\t{steps}", flush=True)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

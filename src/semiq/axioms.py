@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .exprs import (
-    Add, Mul, Not, One, Pred, Rel, Squash, Sum, Exp, Zero, ZERO, ONE,
+    Add, Mul, Not, One, Pred, Rel, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
     canon_key, free_vars,
 )
 
@@ -22,9 +22,18 @@ class AxiomMatchError(Exception):
 
 
 def flatten_mul(e: Exp) -> list[Exp]:
-    if isinstance(e, Mul):
-        return flatten_mul(e.lhs) + flatten_mul(e.rhs)
-    return [e]
+    """The factors of a product, left to right.  Iterative, so a chain's
+    length costs no Python frames."""
+    out: list[Exp] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Mul:
+            stack.append(x.rhs)
+            stack.append(x.lhs)
+        else:
+            out.append(x)
+    return out
 
 
 def rebuild_mul(factors: list[Exp]) -> Exp:
@@ -37,9 +46,18 @@ def rebuild_mul(factors: list[Exp]) -> Exp:
 
 
 def flatten_add(e: Exp) -> list[Exp]:
-    if isinstance(e, Add):
-        return flatten_add(e.lhs) + flatten_add(e.rhs)
-    return [e]
+    """The terms of a sum, left to right, as ``flatten_mul`` does for
+    products."""
+    out: list[Exp] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Add:
+            stack.append(x.rhs)
+            stack.append(x.lhs)
+        else:
+            out.append(x)
+    return out
 
 
 def rebuild_add(terms: list[Exp]) -> Exp:
@@ -49,6 +67,16 @@ def rebuild_add(terms: list[Exp]) -> Exp:
     for t in terms[1:]:
         acc = Add(acc, t)
     return acc
+
+
+def split_binders(e: Exp) -> tuple[list[TupleVar], Exp]:
+    """The leading summation variables of e, outermost first, and the body
+    under them."""
+    vs = []
+    while type(e) is Sum:
+        vs.append(e.var)
+        e = e.body
+    return vs, e
 
 
 def _factor_rank(f: Exp) -> int:
@@ -167,10 +195,27 @@ def _sum_add(e):
 
 
 def _sum_hoist(e):
-    if isinstance(e, Mul) and isinstance(e.rhs, Sum) and e.rhs.var not in free_vars(e.lhs):
-        return Sum(e.rhs.var, Mul(e.lhs, e.rhs.body))
-    if isinstance(e, Mul) and isinstance(e.lhs, Sum) and e.lhs.var not in free_vars(e.rhs):
-        return Sum(e.lhs.var, Mul(e.lhs.body, e.rhs))
+    # (sum{u..} x) * (sum{v..} y) -> sum{v..} sum{u..} (x * y): every leading
+    # binder of both factors in one step, the right factor's first (the
+    # order hoisting one binder at a time gives).  No binder may be free in
+    # the other factor, nor a left binder bound on the right as well; each
+    # side's free variables are collected once, and only if the other side
+    # has binders to check against them.
+    if isinstance(e, Mul) and (type(e.lhs) is Sum or type(e.rhs) is Sum):
+        us, x = split_binders(e.lhs)
+        vs, y = split_binders(e.rhs)
+        if vs:
+            l_free = {v.vid for v in free_vars(e.lhs)}
+            if any(v.vid in l_free for v in vs):
+                raise AxiomMatchError("sum-hoist")
+        if us:
+            r_taken = {v.vid for v in free_vars(e.rhs)} | {v.vid for v in vs}
+            if any(u.vid in r_taken for u in us):
+                raise AxiomMatchError("sum-hoist")
+        body = Mul(x, y)
+        for v in reversed(vs + us):
+            body = Sum(v, body)
+        return body
     raise AxiomMatchError("sum-hoist")
 
 

@@ -517,13 +517,9 @@ def _canon(e: Exp, env: dict[int, object], counter: list[int],
     raise TypeError(e)
 
 
-def canon_key(e: Exp, free_names: dict[int, object] | None = None) -> tuple:
-    """Alpha-invariant structural key; free vars keyed by ``free_names``."""
-    env: dict[int, object] = {}
-    if free_names:
-        for vid, name in free_names.items():
-            env[vid] = ("named", name)
-    return _canon(e, env, [0])
+def canon_key(e: Exp) -> tuple:
+    """Alpha-invariant structural key; free vars keyed by their vid."""
+    return _canon(e, {}, [0])
 
 
 def agg_canon_key(agg: AggCall) -> tuple:

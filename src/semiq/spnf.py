@@ -7,6 +7,11 @@ repeatedly applying kernel identities (distribution, summation hoisting,
 factor merging).  ``Normalizer.app`` applies each identity by its ``AXIOMS``
 entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
 logs them as ``squash-mul``, ``pull-not``, ``mul-one`` and ``prod-comm``.
+
+Each product takes one hoist step, which moves every summation of both
+factors out at once, and a run computes each factor's sort key once and
+reuses the factor list of a product it has merged, so the steps of
+normalizing a nest grow linearly with its depth.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .axioms import AXIOMS, factor_sort_key, flatten_add, flatten_mul, rebuild_add, rebuild_mul
+from .axioms import (AXIOMS, factor_sort_key, flatten_add, flatten_mul, rebuild_add,
+                     rebuild_mul, split_binders)
 from .config import Budget
 from .trace import Trace
 from .exprs import (
@@ -133,6 +139,11 @@ class Normalizer:
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
         self.stage = stage
+        # per run, keyed by id; each entry holds its object, so no other
+        # object takes the id: each factor's sort key, and the sorted
+        # factors of each product _merge_chain built
+        self._keys: dict[int, tuple[Exp, tuple]] = {}
+        self._merged: dict[int, tuple[Exp, list[Exp]]] = {}
 
     def app(self, axiom: str, node: Exp, path: str) -> Exp:
         self.budget.step(self.stage)
@@ -201,10 +212,24 @@ class Normalizer:
             return Add(self._mul_nf(split.lhs.lhs, split.lhs.rhs, path + "l."),
                        self._mul_nf(split.rhs.lhs, split.rhs.rhs, path + "r."))
         if isinstance(l, Sum) or isinstance(r, Sum):
-            hoisted = self.app("sum-hoist", cur, path)
-            return Sum(hoisted.var, self._mul_nf(hoisted.body.lhs, hoisted.body.rhs,
-                                                 path + "b."))
-        return self._merge_chain(flatten_mul(l) + flatten_mul(r), path)
+            # one step hoists every binder; the body sits where hoisting
+            # one binder at a time would leave it
+            binders, body = split_binders(self.app("sum-hoist", cur, path))
+            out = self._mul_nf(body.lhs, body.rhs, path + "b." * len(binders))
+            for v in reversed(binders):
+                out = Sum(v, out)
+            return out
+        return self._merge_chain(self._factors(l) + self._factors(r), path)
+
+    def _factors(self, e: Exp) -> list[Exp]:
+        hit = self._merged.get(id(e))
+        return hit[1] if hit is not None else flatten_mul(e)
+
+    def _sort_key(self, f: Exp) -> tuple:
+        hit = self._keys.get(id(f))
+        if hit is None:
+            hit = self._keys[id(f)] = (f, factor_sort_key(f))
+        return hit[1]
 
     def _merge_chain(self, factors: list[Exp], path: str) -> Exp:
         squashes = [f for f in factors if isinstance(f, Squash)]
@@ -239,13 +264,16 @@ class Normalizer:
         factors = drop
         if not factors:
             return ONE
-        ordered = sorted(factors, key=factor_sort_key)
-        if ordered != factors:
+        ordered = sorted(factors, key=self._sort_key)
+        # a stable sort: the order changed iff some slot holds another object
+        if any(a is not b for a, b in zip(ordered, factors)):
             self.trace.rule("prod-comm", path)
             self.budget.step(self.stage)
         if len(ordered) == 1:
             return ordered[0]
-        return rebuild_mul(ordered)
+        out = rebuild_mul(ordered)
+        self._merged[id(out)] = (out, ordered)
+        return out
 
     def _squash_nf(self, body: Exp, path: str) -> Exp:
         cur = Squash(body)
@@ -296,10 +324,7 @@ def parse_spnf(e: Exp) -> SpnfExp:
 
 
 def _parse_term(e: Exp) -> Term:
-    binders: list[TupleVar] = []
-    while isinstance(e, Sum):
-        binders.append(e.var)
-        e = e.body
+    binders, e = split_binders(e)
     preds: list[PredAtom] = []
     squash: SpnfExp | None = None
     neg: SpnfExp | None = None

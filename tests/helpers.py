@@ -16,7 +16,7 @@ from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, ExprItem, Select,
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleVar, VarGen, canon_key, mk_eq,
-                        mk_neq, mk_record, mk_tuple_eq, rewrite)
+                        mk_neq, mk_record, mk_tuple_eq, rewrite, substitute)
 
 # A small standard environment: three binary relations over ints.
 
@@ -39,12 +39,14 @@ def alpha_equal(e1: Exp, e2: Exp,
     ``pairs`` aligns free variables of ``e1`` with those of ``e2`` (e.g. the
     two output variables); unpaired free variables must be identical.
     """
-    n1: dict[int, object] = {}
-    n2: dict[int, object] = {}
+    # each pair becomes one shared free variable, of a negative vid that no
+    # VarGen hands out
+    m1: dict[TupleVar, TupleVar] = {}
+    m2: dict[TupleVar, TupleVar] = {}
     for i, (a, b) in enumerate(pairs or []):
-        n1[a.vid] = ("pair", i)
-        n2[b.vid] = ("pair", i)
-    return canon_key(e1, n1) == canon_key(e2, n2)
+        m1[a] = TupleVar(-1 - i, a.schema, a.hint)
+        m2[b] = TupleVar(-1 - i, b.schema, b.hint)
+    return canon_key(substitute(e1, m1)) == canon_key(substitute(e2, m2))
 
 
 def replace_scalar(e, old: Scalar, new: Scalar):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from semiq.axioms import AXIOMS, AxiomMatchError
+from semiq.axioms import (AXIOMS, AxiomMatchError, flatten_add, flatten_mul,
+                          rebuild_add, rebuild_mul)
 from semiq.oracle import eval_exp
 from semiq.schema import Schema
 from semiq.exprs import (Add, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
@@ -72,6 +73,73 @@ def test_squash_idempotence_derivable():
     x = Rel("R", T1)
     e = Squash(Squash(x))
     assert AXIOMS["squash-idem"](e) == Squash(x)
+
+
+def test_flatten_long_left_deep_chains_in_order():
+    # the chains rebuild_mul and rebuild_add build, far deeper than the
+    # interpreter's frame limit
+    leaves = [Rel("R", TupleVar(i, S)) for i in range(5000)]
+    for flatten, rebuild in ((flatten_mul, rebuild_mul), (flatten_add, rebuild_add)):
+        out = flatten(rebuild(leaves))
+        assert len(out) == 5000 and all(a is b for a, b in zip(out, leaves))
+    assert flatten_mul(Mul(Mul(leaves[0], Add(leaves[1], leaves[2])), leaves[3])) == \
+        [leaves[0], Add(leaves[1], leaves[2]), leaves[3]]
+
+
+U, V, W = TupleVar(3, S, "u"), TupleVar(4, S, "v"), TupleVar(5, S, "w")
+
+
+def _eq(x, y, attr="a"):
+    return Pred(mk_eq(AttrRef(x, attr), AttrRef(y, attr)))
+
+
+def test_sum_hoist_takes_every_binder_of_both_factors():
+    x, y = Mul(Rel("R", U), Rel("S", W)), Rel("T", V)
+    e = Mul(Sum(U, Sum(W, x)), Sum(V, y))
+    assert AXIOMS["sum-hoist"](e) == Sum(V, Sum(U, Sum(W, Mul(x, y))))
+    # one side without binders
+    assert AXIOMS["sum-hoist"](Mul(Rel("R", T1), Sum(V, y))) == \
+        Sum(V, Mul(Rel("R", T1), y))
+    assert AXIOMS["sum-hoist"](Mul(Sum(U, Sum(W, x)), Rel("R", T1))) == \
+        Sum(U, Sum(W, Mul(x, Rel("R", T1))))
+
+
+def test_sum_hoist_refuses_a_binder_free_in_the_other_factor():
+    for e in (
+        # a left binder free on the right
+        Mul(Sum(U, Sum(W, Rel("R", W))), Sum(V, Mul(_eq(V, U), Rel("S", V)))),
+        # a right binder free on the left
+        Mul(Sum(U, Mul(_eq(U, W), Rel("R", U))), Sum(V, Sum(W, Rel("S", W)))),
+        # the same binder on both sides
+        Mul(Sum(U, Rel("R", U)), Sum(U, Rel("S", U))),
+    ):
+        with pytest.raises(AxiomMatchError):
+            AXIOMS["sum-hoist"](e)
+
+
+def test_sum_hoist_preserves_evaluation_on_multi_binder_products():
+    env = std_env()
+    t = TupleVar(0, env.tables["R"], "t")
+    u, v, w = (TupleVar(i, env.tables["R"], h) for i, h in ((3, "u"), (4, "v"), (5, "w")))
+    z = TupleVar(6, env.tables["S"], "z")
+    cases = [
+        Mul(Sum(u, Sum(w, Mul(Mul(_eq(u, t), Rel("R", u)), Rel("S", w)))),
+            Sum(v, Mul(_eq(v, t, "b"), Rel("T", v)))),
+        Mul(Mul(_eq(t, t, "b"), Rel("R", t)),
+            Sum(v, Sum(z, Mul(Mul(_eq(v, z), Rel("S", v)), Rel("S", z))))),
+        Mul(Sum(u, Sum(v, Sum(w, Mul(Mul(Rel("R", u), Rel("R", v)),
+                                     Mul(_eq(w, t), Rel("T", w)))))),
+            Squash(Rel("S", t))),
+        Mul(Sum(u, Mul(_eq(u, t, "b"), Rel("T", u))),
+            Sum(v, Sum(w, Add(Rel("R", v), Mul(_eq(v, w), Rel("S", w)))))),
+    ]
+    for e in cases:
+        out = AXIOMS["sum-hoist"](e)
+        assert out != e
+        for db in small_dbs(env, 4, seed=5):
+            for asg in db.tuple_space(t.schema)[:3]:
+                envb = {t.vid: asg}
+                assert eval_exp(e, db, envb) == eval_exp(out, db, envb)
 
 
 def test_every_catalog_entry_applies_somewhere():

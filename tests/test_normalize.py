@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from semiq import run_program_text
 from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
@@ -14,7 +15,8 @@ from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import Add, Mul, Not, Rel, Squash, TupleVar, VarGen, pretty
 
-from helpers import alpha_equal, gen_uexp, small_dbs, std_env
+from helpers import (alpha_equal, gen_uexp, nested_projection_program, small_dbs,
+                     std_env)
 
 
 def test_index_join_normal_form(index_program):
@@ -117,3 +119,26 @@ def test_random_roundtrip_shape_idempotence_semantics(seed):
         for asg in db.tuple_space(out.schema)[:3]:
             envb = {out.vid: asg}
             assert eval_exp(e, db, envb) == eval_exp(s.to_exp(), db, envb)
+
+
+def test_normalize_steps_grow_linearly_with_nesting():
+    # one sum-hoist per product: doubling the depth about doubles the
+    # normalizer's steps (hoisting one binder per step made it ×3.2)
+    steps = {}
+    for depth in (40, 80):
+        [out] = run_program_text(nested_projection_program(depth))
+        assert out.status == "EQUIVALENT"
+        steps[depth] = out.steps["normalize"]
+    assert steps[80] <= 2.1 * steps[40]
+
+
+def test_sum_hoist_is_one_step_per_product():
+    # hoisting binder by binder logs a run of sum-hoist lines at p, p b.,
+    # p b.b., ...; one step per product logs only the first
+    [out] = run_program_text(nested_projection_program(12))
+    rules = [e for e in out.trace.events if e.kind == "rule"]
+    hoists = 0
+    for a, b in zip(rules, rules[1:]):
+        hoists += a.name == "sum-hoist"
+        assert not (a.name == b.name == "sum-hoist" and b.path == a.path + "b."), a.path
+    assert hoists > 0

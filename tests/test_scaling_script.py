@@ -3,6 +3,7 @@ with the verdict each family is built to get."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,25 @@ def test_scaling_rejects_an_unknown_family():
                           "cross_join=3"], capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 2 and "FAMILY=SIZE" in res.stderr
+
+
+def test_scaling_reports_a_failing_row_and_runs_the_rest(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("scaling",
+                                                  ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    real = scaling.measure
+
+    def measure(family, size, timeout_s, seed):
+        if family == "wide_union":
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(family, size, timeout_s, seed)
+
+    monkeypatch.setattr(scaling, "measure", measure)
+    code = scaling.main(["join_chain=3", "wide_union=4", "nested_projection=2"])
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert code == 1
+    assert [line[:2] for line in lines] == [["join_chain", "3"], ["wide_union", "4"],
+                                            ["nested_projection", "2"]]
+    assert lines[1] == ["wide_union", "4", "-", "ERROR:RecursionError", "-"]
+    assert lines[0][3] == lines[2][3] == "EQUIVALENT"
