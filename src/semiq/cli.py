@@ -1,9 +1,11 @@
 """Command-line driver.
 
-Reads a program file, runs every verify statement through the pipeline, and
-reports one line per verify (or a JSON document with --json).  A verify
-that fails inside semiq is reported with status ERROR and the exception in
-its note, and the other verifies still run.  Exit codes:
+Reads a program file, prepares (checks and denotes) every verify statement,
+then decides each, and reports one line per verify (or a JSON document with
+--json).  A semantic error in any verify therefore exits before any verdict
+is printed.  A verify that fails inside semiq is reported with status ERROR
+and the exception in its note, and the other verifies still run.  Exit
+codes:
 
     0  every verify is EQUIVALENT
     1  some verify is not (and none errored)
@@ -23,7 +25,7 @@ from pathlib import Path
 from .config import Limits
 from .frontend import build_env
 from .parser import ParseError, parse
-from .pipeline import VerifyOutcome, run_verify
+from .pipeline import VerifyOutcome, decide_verify, prepare_verify
 from .schema import SemanticError
 
 ERROR = "ERROR"
@@ -62,9 +64,24 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    def guarded(name: str, step, *args, **kw):
+        t0 = time.monotonic()
+        try:
+            return step(*args, **kw)
+        except Exception as exc:
+            if isinstance(exc, SemanticError) and step is prepare_verify:
+                raise  # the program's fault: exit 2 before any verdict
+            # an internal failure of this verify alone; report it and go on
+            return VerifyOutcome(name, ERROR, None, (time.monotonic() - t0) * 1000,
+                                 detail=f"{type(exc).__name__}: {exc}")
+
     try:
         program = parse(text)
         env = build_env(program)
+        # every verify is checked before any is decided
+        prepared = [guarded(f"verify{i}", prepare_verify, stmt, f"verify{i}", env)
+                    for i, stmt in enumerate(program.verifies(), start=1)]
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -82,24 +99,13 @@ def main(argv=None) -> int:
 
     report = []
     worst = 0
-    for i, stmt in enumerate(program.verifies(), start=1):
-        name = f"verify{i}"
-        t0 = time.monotonic()
-        try:
-            outcome = run_verify(stmt, name, env, limits,
-                                 dump_uexp=args.dump_uexp,
-                                 dump_spnf=args.dump_spnf,
-                                 refute=args.refute, seed=args.seed)
-            worst = max(worst, outcome.exit_contribution)
-        except SemanticError as exc:
-            print(f"semantic error: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:
-            # an internal failure of this verify alone; report it and go on
-            outcome = VerifyOutcome(name, ERROR, None,
-                                    (time.monotonic() - t0) * 1000,
-                                    detail=f"{type(exc).__name__}: {exc}")
-            worst = EXIT_ERROR
+    for p in prepared:
+        outcome = p if isinstance(p, VerifyOutcome) else guarded(
+            p.name, decide_verify, p, env, limits, dump_uexp=args.dump_uexp,
+            dump_spnf=args.dump_spnf, refute=args.refute, seed=args.seed)
+        worst = max(worst, EXIT_ERROR if outcome.status == ERROR
+                    else outcome.exit_contribution)
+        name = outcome.name
         trace_path = None
         if trace_dir and outcome.trace is not None:
             trace_path = trace_dir / f"{name}.trace"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .exprs import (
     AggCall, AttrRef, Const, EqAtom, Func, NeqAtom, PredApp, PredAtom,
     TupleCons, TupleEqAtom, TupleNeqAtom, TupleSlice, TupleVar, agg_canon_key,
-    footprint_key,
+    footprint_key, scalar_sort_key,
 )
 
 
@@ -214,13 +214,15 @@ class Closure:
 
     def scalar_classes(self) -> dict[int, list[object]]:
         """rep -> scalar source terms, one per node (interning makes them
-        distinct), in node order.  Kept until the closure changes, so the
-        caller must not change it."""
+        distinct), sorted by ``scalar_sort_key`` (ties in node order).  Kept
+        until the closure changes, so the caller must not change it."""
         if self._scalar_classes is None:
             out: dict[int, list[object]] = {}
             for nid in range(len(self.parent)):
                 if self.kind[nid] in ("const", "attr", "func", "agg"):
                     out.setdefault(self.find(nid), []).append(self.source[nid])
+            for members in out.values():
+                members.sort(key=scalar_sort_key)
             self._scalar_classes = out
         return self._scalar_classes
 

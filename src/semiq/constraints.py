@@ -29,8 +29,7 @@ from .trace import Trace
 from .exprs import (
     AggCall, AttrRef, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
     TupleNeqAtom, TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq,
-    mk_record, mk_tuple_eq, rewrite, scalar_sort_key, substitute,
-    tuple_sort_key, walk,
+    mk_record, mk_tuple_eq, rewrite, substitute, tuple_sort_key, walk,
 )
 
 
@@ -137,8 +136,7 @@ class Canonizer:
                 continue
             seen.add(key)
             new_preds.append(p)
-        for members in closure.scalar_classes().values():
-            ms = sorted(members, key=scalar_sort_key)
+        for ms in closure.scalar_classes().values():
             new_preds.extend(mk_eq(x, y) for x, y in zip(ms, ms[1:]))
         for members in closure.tuple_classes().values():
             uniq = list(dict.fromkeys(sorted(members, key=tuple_sort_key)))
@@ -225,11 +223,10 @@ class Canonizer:
         fields = {}
         for a in sch.attr_names():
             rep = closure.scalar_rep(AttrRef(v, a))
-            cands = [s for s in closure.scalar_classes().get(rep, [])
-                     if not _mentions(s, v)]
-            if not cands:
+            fields[a] = next((s for s in closure.scalar_classes().get(rep, [])
+                              if not _mentions(s, v)), None)
+            if fields[a] is None:
                 return None
-            fields[a] = min(cands, key=scalar_sort_key)
         return mk_record(fields)
 
     # -- pass 3: key collapse --------------------------------------------------

@@ -205,9 +205,7 @@ class Decider:
     def _term_check(self, t1: Term, t2: Term,
                     mapping: list[tuple[TupleVar, TupleVar]],
                     closure1: Closure) -> bool:
-        t2p = t2
-        for v2, v1 in mapping:
-            t2p = subst_term(t2p, {v2: v1})
+        t2p = subst_term(t2, dict(mapping))  # the two variable sets are disjoint
         if sorted((r, v.vid) for r, v in t1.atoms) != \
            sorted((r, v.vid) for r, v in t2p.atoms):
             return False
@@ -419,9 +417,7 @@ def _placed_preds_hold(f: _TermFacts, v: TupleVar,
         summed = f.preds.summed[i]
         if not all(w.vid in placed for w in summed):
             continue
-        q = f.term.preds[i]
-        for w in summed:
-            q = substitute(q, {w: placed[w.vid]})
+        q = substitute(f.term.preds[i], {w: placed[w.vid] for w in summed})
         if not _is_reflexive(q) and \
                 not implies_atom(other.work, other.term.preds, q):
             return False

@@ -369,11 +369,12 @@ class SubstError(Exception):
 def substitute(e, mapping: dict[TupleVar, TupleExpr]):
     """Replace the free occurrences of each variable of ``mapping`` in any
     node by its tuple expression, all at once; a replacement variable's
-    schema must match.  Raises SubstError where a binder (Sum or AggCall)
+    attribute footprint must match (its types may differ through ``?``).  Raises SubstError where a binder (Sum or AggCall)
     would capture a variable of a replacement."""
     by_vid: dict[int, tuple[TupleVar, TupleExpr]] = {}
     for v, r in mapping.items():
-        if isinstance(r, TupleVar) and r.schema != v.schema:
+        if isinstance(r, TupleVar) and r.schema != v.schema and \
+                footprint_key(r.schema) != footprint_key(v.schema):
             raise SubstError(f"schema mismatch substituting {v} by {r}")
         by_vid[v.vid] = (v, r)
     # the replacements' free variables, collected at the first binder

@@ -1,25 +1,27 @@
 """Declaration processing and query-level rewrites.
 
-Builds the schema environment from a parsed program, infers output schemas,
-desugars GROUP BY into correlated aggregate subqueries, and inlines views
-and indexes.  All passes are pure AST-to-AST functions.
+Builds the schema environment from a parsed program, desugars GROUP BY
+into correlated aggregate subqueries, and inlines views and indexes.  All
+passes are pure AST-to-AST functions; scoping and typing are left to the
+denotation (`translate.denote`).
 """
 
 from __future__ import annotations
 
+from .exprs import VarGen
 from .schema import FkConstraint, KeyConstraint, Schema, SchemaEnv, SemanticError
 from .sqlast import (
-    AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
-    Exists, ExprItem, FkStmt, IndexStmt, KeyStmt, Lit, NotP, OrP, Program,
-    Select, SchemaStmt, Source, Star, TableRef, TableStmt, UnionAll,
-    VerifyStmt, ViewStmt, children, map_children, transform, walk,
+    AggQuery, AndP, App, Cmp, ColRef, Distinct, ExceptQ, ExprItem, FkStmt,
+    IndexStmt, KeyStmt, Program, Select, SchemaStmt, Source, TableRef,
+    TableStmt, UnionAll, VerifyStmt, ViewStmt, children, map_children,
+    transform, walk,
 )
-
-UNKNOWN = "?"
+from .translate import denote
 
 
 def build_env(program: Program) -> SchemaEnv:
-    """Sequentially validate declarations; view bodies are stored desugared."""
+    """Sequentially validate declarations; view bodies are stored desugared.
+    Verify statements are checked when they are prepared."""
     env = SchemaEnv()
     for s in program.statements:
         if isinstance(s, SchemaStmt):
@@ -38,10 +40,7 @@ def build_env(program: Program) -> SchemaEnv:
             env.declare_view(s.name, body)
         elif isinstance(s, IndexStmt):
             env.declare_view(s.name, index_view(s, env))
-        elif isinstance(s, VerifyStmt):
-            infer_schema(desugar_groupby(s.lhs), env)
-            infer_schema(desugar_groupby(s.rhs), env)
-        else:
+        elif not isinstance(s, VerifyStmt):
             raise SemanticError(f"unknown statement {type(s).__name__}")
     return env
 
@@ -62,134 +61,10 @@ def index_view(s: IndexStmt, env: SchemaEnv) -> Select:
 # ---------------------------------------------------------------------------
 # Schema inference
 
-def _unify_types(t1: str, t2: str) -> str | None:
-    if t1 == t2:
-        return t1
-    if t1 == UNKNOWN:
-        return t2
-    if t2 == UNKNOWN:
-        return t1
-    return None
-
-
-def _unify_schemas(s1: Schema, s2: Schema, what: str) -> Schema:
-    if set(s1.attr_names()) != set(s2.attr_names()) or s1.rest != s2.rest:
-        raise SemanticError(f"schema mismatch in {what}: "
-                            f"{sorted(s1.attr_names())} vs {sorted(s2.attr_names())}")
-    attrs = []
-    for a, t in s1.attrs:
-        u = _unify_types(t, s2.attr_type(a))
-        if u is None:
-            raise SemanticError(f"attribute {a} has conflicting types in {what}")
-        attrs.append((a, u))
-    return Schema(s1.name, tuple(attrs), s1.rest)
-
-
-def _expr_type(e, env: SchemaEnv, scopes) -> str:
-    if isinstance(e, ColRef):
-        sch = _resolve_alias(e.alias, scopes, e.pos)
-        if sch.has_attr(e.attr):
-            return sch.attr_type(e.attr)
-        if sch.generic:
-            return UNKNOWN
-        raise SemanticError(f"unknown attribute {e.alias}.{e.attr}",
-                            e.pos.line if e.pos else None,
-                            e.pos.col if e.pos else None)
-    if isinstance(e, Lit):
-        return e.ty
-    if isinstance(e, App):
-        for a in e.args:
-            _expr_type(a, env, scopes)
-        return UNKNOWN
-    if isinstance(e, AggQuery):
-        infer_schema(e.query, env, scopes)
-        return UNKNOWN
-    raise SemanticError(f"unknown expression {type(e).__name__}")
-
-
-def _resolve_alias(alias: str, scopes, pos=None) -> Schema:
-    for scope in reversed(scopes):
-        if alias in scope:
-            return scope[alias]
-    raise SemanticError(f"unknown alias {alias}",
-                        pos.line if pos else None, pos.col if pos else None)
-
-
-def _validate_pred(p, env: SchemaEnv, scopes) -> None:
-    if isinstance(p, Cmp):
-        _expr_type(p.lhs, env, scopes)
-        _expr_type(p.rhs, env, scopes)
-    elif isinstance(p, NotP):
-        _validate_pred(p.body, env, scopes)
-    elif isinstance(p, (AndP, OrP)):
-        _validate_pred(p.lhs, env, scopes)
-        _validate_pred(p.rhs, env, scopes)
-    elif isinstance(p, BoolLit):
-        pass
-    elif isinstance(p, Exists):
-        infer_schema(p.query, env, scopes)
-    else:
-        raise SemanticError(f"unknown predicate {type(p).__name__}")
-
-
-def source_schemas(q: Select, env: SchemaEnv, scopes) -> dict[str, Schema]:
-    local: dict[str, Schema] = {}
-    for src in q.sources:
-        if src.alias in local:
-            raise SemanticError(f"duplicate alias {src.alias} in FROM",
-                                src.pos.line if src.pos else None,
-                                src.pos.col if src.pos else None)
-        local[src.alias] = infer_schema(src.query, env, scopes)
-    return local
-
-
-def infer_schema(q, env: SchemaEnv, scopes=()) -> Schema:
-    """Output schema of a query; raises SemanticError on bad references."""
-    if isinstance(q, TableRef):
-        if q.name in env.views:
-            return infer_schema(env.views[q.name], env)
-        return env.table_schema(q.name)
-    if isinstance(q, Distinct):
-        return infer_schema(q.query, env, scopes)
-    if isinstance(q, UnionAll):
-        return _unify_schemas(infer_schema(q.lhs, env, scopes),
-                              infer_schema(q.rhs, env, scopes), "UNION ALL")
-    if isinstance(q, ExceptQ):
-        return _unify_schemas(infer_schema(q.lhs, env, scopes),
-                              infer_schema(q.rhs, env, scopes), "EXCEPT")
-    if isinstance(q, Select):
-        local = source_schemas(q, env, scopes)
-        inner = scopes + (local,)
-        if q.where is not None:
-            _validate_pred(q.where, env, inner)
-        if q.group_by:
-            for g in q.group_by:
-                sch = _resolve_alias(g.alias, (local,), g.pos)
-                if not sch.has_attr(g.attr) and not sch.generic:
-                    raise SemanticError(f"unknown attribute {g.alias}.{g.attr}")
-            return infer_schema(desugar_groupby(q), env, scopes)
-        return projection_schema(q, env, local, scopes)
-    raise SemanticError(f"unknown query node {type(q).__name__}")
-
-
-def projection_schema(q: Select, env: SchemaEnv, local: dict[str, Schema],
-                      scopes=()) -> Schema:
-    """Output schema of a Select's items, given the schema of each of its
-    sources by alias; the sources are not inferred again."""
-    inner = scopes + (local,)
-    out = Schema("", ())
-    for item in q.items:
-        if isinstance(item, Star):
-            for alias in local:
-                out = out.concat(local[alias])
-        elif isinstance(item, AliasStar):
-            out = out.concat(_resolve_alias(item.alias, (local,), item.pos))
-        elif isinstance(item, ExprItem):
-            ty = _expr_type(item.expr, env, inner)
-            out = out.concat(Schema("", ((item.name, ty),)))
-        else:
-            raise SemanticError("unknown projection item")
-    return out
+def infer_schema(q, env: SchemaEnv) -> Schema:
+    """Output schema of a query, from its denotation (the one scoping and
+    typing pass); raises SemanticError on bad references."""
+    return denote(inline_views(desugar_groupby(q), env), env, VarGen()).schema
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +128,17 @@ def desugar_groupby(q):
     def _desugar_one(node: Select):
         grouped = {(g.alias, g.attr) for g in node.group_by}
         local_aliases = {s.alias for s in node.sources}
-        for alias, _attr in grouped:
-            if alias not in local_aliases:
-                raise SemanticError(f"GROUP BY references unknown alias {alias}")
+        # with every key projected as a column, DISTINCT keeps one row per
+        # group; an unprojected key would merge groups that SQL keeps apart
+        projected = {(it.expr.alias, it.expr.attr) for it in node.items
+                     if isinstance(it, ExprItem) and isinstance(it.expr, ColRef)}
+        for g in node.group_by:
+            if g.alias not in local_aliases:
+                raise SemanticError(f"GROUP BY references unknown alias {g.alias}")
+            if (g.alias, g.attr) not in projected:
+                raise SemanticError(f"GROUP BY column {g.alias}.{g.attr} is not projected",
+                                    g.pos.line if g.pos else None,
+                                    g.pos.col if g.pos else None)
         ren = {s.alias: fresh_alias() for s in node.sources}
         outer_sources = tuple(Source(s.query, ren[s.alias], s.pos) for s in node.sources)
         corr = None

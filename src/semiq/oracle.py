@@ -303,7 +303,7 @@ def _interp_groupby(q: Select, rows, db: FiniteDb, env: SchemaEnv, scopes):
             else:
                 values[item.name] = interp_expr(e, db, env, scopes + (lm0,))
         asg = make_assignment(values)
-        out[asg] = 1
+        out[asg] = out.get(asg, 0) + 1  # one row per group
     return out
 
 

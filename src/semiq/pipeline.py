@@ -1,8 +1,10 @@
 """End-to-end verification pipeline.
 
-parse -> desugar -> inline -> denote -> normalize -> decide, one verify
-statement at a time.  Also classifies each pair into the fragment that
-controls whether a failed search is a definitive non-equivalence.
+parse -> build_env, then each verify statement in two steps: prepare
+(desugar -> inline -> classify -> denote, which checks the pair) and
+decide (normalize -> canonize -> search -> refute).  A program's verifies
+are all prepared before any is decided.  The fragment a pair is classified
+into controls whether a failed search is a definitive non-equivalence.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from .decide import (Decider, EQUIVALENT, GENERAL, NOT_EQUIVALENT, NOT_PROVED,
 from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import (FiniteDb, GenSizes, OracleError, gen_instances, interp_query)
 from .parser import parse
-from .schema import SchemaEnv, SemanticError
+from .schema import SchemaEnv
 from .sqlast import (AliasStar, AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
                      Lit, Program, Select, Star, TableRef, UnionAll, VerifyStmt,
                      walk)
 from .spnf import to_spnf
 from .trace import Trace
-from .translate import denote
-from .exprs import VarGen, pretty, substitute
+from .translate import denote, unify_outputs
+from .exprs import Exp, TupleVar, VarGen, pretty
 
 
 @dataclass
@@ -131,39 +133,57 @@ def prepare_pair(stmt: VerifyStmt, env: SchemaEnv):
     return q1, q2
 
 
-def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
-               limits: Limits | None = None, want_trace: bool = True,
-               dump_uexp: bool = False, dump_spnf: bool = False,
-               refute: bool = False, seed: int = 0) -> VerifyOutcome:
+@dataclass
+class PreparedVerify:
+    """A verify statement checked and denoted, ready to decide: both
+    bodies are over the one output variable ``out_var``."""
+    name: str
+    q1: object
+    q2: object
+    fragment: str
+    gen: VarGen
+    out_var: TupleVar
+    body1: Exp
+    body2: Exp
+    prep_ms: float
+
+
+def prepare_verify(stmt: VerifyStmt, name: str, env: SchemaEnv) -> PreparedVerify:
+    """Desugar, inline, classify and denote both sides; raises
+    SemanticError on a bad reference or on incompatible output schemas."""
     t0 = time.monotonic()
-    trace = Trace(enabled=want_trace)
     gen = VarGen()
-    budget = Budget(limits)
-    dumps: dict[str, str] = {}
     q1, q2 = prepare_pair(stmt, env)
     fragment = classify_fragment(q1, q2, env)
-    d1 = denote(q1, env, gen)
-    d2 = denote(q2, env, gen)
-    if d1.schema != d2.schema:
-        raise SemanticError(
-            f"{name}: output schemas differ "
-            f"({sorted(d1.schema.attr_names())} vs {sorted(d2.schema.attr_names())})")
-    body2 = substitute(d2.body, {d2.out_var: d1.out_var})
-    names = {d1.out_var.vid: "t"}
+    t, body1, body2 = unify_outputs(denote(q1, env, gen), denote(q2, env, gen), name)
+    return PreparedVerify(name, q1, q2, fragment, gen, t, body1, body2,
+                          (time.monotonic() - t0) * 1000.0)
+
+
+def decide_verify(p: PreparedVerify, env: SchemaEnv, limits: Limits | None = None,
+                  want_trace: bool = True, dump_uexp: bool = False,
+                  dump_spnf: bool = False, refute: bool = False,
+                  seed: int = 0) -> VerifyOutcome:
+    """Normalize, canonize and search, then refute on request."""
+    t0 = time.monotonic()
+    trace = Trace(enabled=want_trace)
+    budget = Budget(limits)
+    dumps: dict[str, str] = {}
+    names = {p.out_var.vid: "t"}
     if dump_uexp:
-        dumps["uexp1"] = pretty(d1.body, names)
-        dumps["uexp2"] = pretty(body2, names)
+        dumps["uexp1"] = pretty(p.body1, names)
+        dumps["uexp2"] = pretty(p.body2, names)
     try:
-        s1 = to_spnf(d1.body, gen, trace, budget)
-        s2 = to_spnf(body2, gen, trace, budget)
+        s1 = to_spnf(p.body1, p.gen, trace, budget)
+        s2 = to_spnf(p.body2, p.gen, trace, budget)
         if dump_spnf:
             dumps["spnf1"] = pretty(s1.to_exp(), names)
             dumps["spnf2"] = pretty(s2.to_exp(), names)
-        decider = Decider(env, gen, trace, budget)
+        decider = Decider(env, p.gen, trace, budget)
         equal = decider.equivalent(s1, s2)
         if equal:
             status = EQUIVALENT
-        elif fragment in (UCQ_BAG, UCQ_SET):
+        elif p.fragment in (UCQ_BAG, UCQ_SET):
             status = NOT_EQUIVALENT
         else:
             status = NOT_PROVED
@@ -173,16 +193,24 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
     except BudgetError as exc:
         status = RESOURCE_EXHAUSTED
         detail = str(exc)
-    wall_ms = (time.monotonic() - t0) * 1000.0
-    outcome = VerifyOutcome(name, status, fragment, wall_ms,
+    wall_ms = p.prep_ms + (time.monotonic() - t0) * 1000.0
+    outcome = VerifyOutcome(p.name, status, p.fragment, wall_ms,
                             steps={"total": budget.steps, **budget.by_stage},
                             trace=trace, detail=detail, dumps=dumps)
     if refute and status in (NOT_EQUIVALENT, NOT_PROVED):
         try:
-            outcome.witness = find_witness(q1, q2, env, seed=seed, budget=budget)
+            outcome.witness = find_witness(p.q1, p.q2, env, seed=seed, budget=budget)
         except BudgetError as exc:
             outcome.detail = "; ".join(filter(None, (detail, f"refutation stopped: {exc}")))
     return outcome
+
+
+def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
+               limits: Limits | None = None, want_trace: bool = True,
+               dump_uexp: bool = False, dump_spnf: bool = False,
+               refute: bool = False, seed: int = 0) -> VerifyOutcome:
+    return decide_verify(prepare_verify(stmt, name, env), env, limits, want_trace,
+                         dump_uexp, dump_spnf, refute, seed)
 
 
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
@@ -216,7 +244,7 @@ def run_program_text(text: str, limits: Limits | None = None, **kw) -> list[Veri
 
 def run_program(program: Program, env: SchemaEnv, limits: Limits | None = None,
                 **kw) -> list[VerifyOutcome]:
-    out = []
-    for i, stmt in enumerate(program.verifies(), start=1):
-        out.append(run_verify(stmt, f"verify{i}", env, limits, **kw))
-    return out
+    """Every verify is prepared, so checked, before any is decided."""
+    prepared = [prepare_verify(stmt, f"verify{i}", env)
+                for i, stmt in enumerate(program.verifies(), start=1)]
+    return [decide_verify(p, env, limits, **kw) for p in prepared]

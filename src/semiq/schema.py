@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 BASE_TYPES = ("int", "bool", "string")
+UNKNOWN = "?"  # the type of a computed column, or of one over a generic tail
 
 
 class SemanticError(Exception):
@@ -77,6 +78,22 @@ class Schema:
 def footprint_key(schema: Schema) -> tuple:
     """Hashable, totally ordered identity of a schema's attribute footprint."""
     return (tuple(sorted(schema.attr_names())), tuple(sorted(schema.rest)))
+
+
+def unify_schemas(s1: Schema, s2: Schema, what: str) -> Schema:
+    """The schema of two bags combined by ``what`` (UNION ALL, EXCEPT, a
+    verify pair): the same attribute names and generic rest, each type
+    unified through ``?``."""
+    if set(s1.attr_names()) != set(s2.attr_names()) or s1.rest != s2.rest:
+        raise SemanticError(f"schemas differ in {what} "
+                            f"({sorted(s1.attr_names())} vs {sorted(s2.attr_names())})")
+    attrs = []
+    for a, t in s1.attrs:
+        u = s2.attr_type(a)
+        if t != u and UNKNOWN not in (t, u):
+            raise SemanticError(f"attribute {a} has conflicting types in {what}")
+        attrs.append((a, u if t == UNKNOWN else t))
+    return Schema(s1.name, tuple(attrs), s1.rest)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ Each query becomes a function of one output tuple variable: FROM items
 introduce summation variables, WHERE multiplies predicate factors, the
 projection binds the output variable's attributes with equality atoms,
 DISTINCT squashes, UNION ALL adds, EXCEPT multiplies by a negation.
+
+The same walk resolves aliases, checks every column reference and types
+each output column: this is the only scoping and typing pass over a query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frontend import projection_schema
-from .schema import Schema, SchemaEnv, SemanticError
+from .schema import UNKNOWN, Schema, SchemaEnv, SemanticError, unify_schemas
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
     Exists, ExprItem, Lit, NotP, OrP, Select, Star, TableRef, UnionAll,
@@ -46,73 +48,78 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
         d = denote(q.query, env, gen, scopes)
         return Denotation(d.out_var, Squash(d.body))
     if isinstance(q, UnionAll):
-        d1 = denote(q.lhs, env, gen, scopes)
-        d2 = denote(q.rhs, env, gen, scopes)
-        if d1.schema != d2.schema:
-            raise SemanticError("schema mismatch in UNION ALL")
-        return Denotation(d1.out_var,
-                          Add(d1.body, substitute(d2.body, {d2.out_var: d1.out_var})))
+        t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
+                                  denote(q.rhs, env, gen, scopes), "UNION ALL")
+        return Denotation(t, Add(b1, b2))
     if isinstance(q, ExceptQ):
-        d1 = denote(q.lhs, env, gen, scopes)
-        d2 = denote(q.rhs, env, gen, scopes)
-        if d1.schema != d2.schema:
-            raise SemanticError("schema mismatch in EXCEPT")
-        return Denotation(d1.out_var,
-                          Mul(d1.body, Not(substitute(d2.body, {d2.out_var: d1.out_var}))))
+        t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
+                                  denote(q.rhs, env, gen, scopes), "EXCEPT")
+        return Denotation(t, Mul(b1, Not(b2)))
     if isinstance(q, Select):
         return _denote_select(q, env, gen, scopes)
     raise SemanticError(f"cannot denote query node {type(q).__name__}")
 
 
+def unify_outputs(d1: Denotation, d2: Denotation, what: str):
+    """One output variable for two denotations combined by ``what``, and
+    both bodies over it.  It is ``d1``'s unless ``d2`` types a column that
+    ``d1`` leaves ``?``."""
+    sch = unify_schemas(d1.schema, d2.schema, what)
+    t, body1 = d1.out_var, d1.body
+    if sch != t.schema:
+        t = TupleVar(t.vid, sch, t.hint)
+        body1 = substitute(body1, {d1.out_var: t})
+    return t, body1, substitute(d2.body, {d2.out_var: t})
+
+
 def _denote_select(q: Select, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Denotation:
     if q.group_by:
         raise SemanticError("internal: GROUP BY must be desugared before denotation")
-    src_vars: list[TupleVar] = []
     src_factors: list[Exp] = []
     local: dict[str, TupleVar] = {}
     for src in q.sources:
-        if isinstance(src.query, TableRef):
-            sch = env.table_schema(src.query.name)
-            v = gen.fresh(sch)
-            factor: Exp = Rel(src.query.name, v)
-        else:
-            d = denote(src.query, env, gen, scopes)
-            v, factor = d.out_var, d.body
         if src.alias in local:
-            raise SemanticError(f"duplicate alias {src.alias} in FROM")
-        local[src.alias] = v
-        src_vars.append(v)
-        src_factors.append(factor)
+            raise _error(f"duplicate alias {src.alias} in FROM", src.pos)
+        d = denote(src.query, env, gen, scopes)
+        local[src.alias] = d.out_var
+        src_factors.append(d.body)
     inner = scopes + (local,)
     where_factor = denote_pred(q.where, env, gen, inner) if q.where is not None else ONE
 
     # SELECT * over a single source passes the source tuple through unchanged
-    if len(q.items) == 1 and isinstance(q.items[0], Star) and len(src_vars) == 1:
-        t = src_vars[0]
+    if len(q.items) == 1 and isinstance(q.items[0], Star) and len(local) == 1:
+        [t] = local.values()
         return Denotation(t, mul(src_factors[0], where_factor))
 
-    out_schema = _items_schema(q, env, local, scopes)
+    out_schema = Schema("", ())
+    for item in q.items:
+        if isinstance(item, Star):
+            for v in local.values():
+                out_schema = out_schema.concat(v.schema)
+        elif isinstance(item, AliasStar):
+            out_schema = out_schema.concat(_lookup(item.alias, (local,), item.pos).schema)
+        elif isinstance(item, ExprItem):
+            ty = _expr_type(item.expr, inner)
+            out_schema = out_schema.concat(Schema("", ((item.name, ty),)))
+        else:
+            raise SemanticError("unknown projection item")
     t = gen.fresh(out_schema)
     proj_atoms: list[Exp] = []
-    items = list(q.items)
-    single_alias_star = len(items) == 1 and isinstance(items[0], AliasStar)
-    for item in items:
+    for item in q.items:
         if isinstance(item, Star):
-            for alias in local:
-                proj_atoms.extend(_alias_star_atoms(t, local[alias]))
+            for v in local.values():
+                proj_atoms.extend(_alias_star_atoms(t, v))
         elif isinstance(item, AliasStar):
-            v = _lookup(item.alias, (local,))
-            if single_alias_star and v.schema == out_schema:
+            v = local[item.alias]
+            if len(q.items) == 1:  # the output is the alias's tuple
                 proj_atoms.append(Pred(mk_tuple_eq(t, v)))
             else:
                 proj_atoms.extend(_alias_star_atoms(t, v))
-        elif isinstance(item, ExprItem):
+        else:
             s = denote_expr(item.expr, env, gen, inner)
             proj_atoms.append(Pred(mk_eq(AttrRef(t, item.name), s)))
-        else:
-            raise SemanticError("unknown projection item")
     body = mul(*proj_atoms, *src_factors, where_factor)
-    for v in reversed(src_vars):
+    for v in reversed(local.values()):
         body = Sum(v, body)
     return Denotation(t, body)
 
@@ -124,18 +131,33 @@ def _alias_star_atoms(t: TupleVar, v: TupleVar) -> list[Exp]:
     return [Pred(mk_eq(AttrRef(t, a), AttrRef(v, a))) for a in v.schema.attr_names()]
 
 
-def _items_schema(q: Select, env: SchemaEnv, local: dict[str, TupleVar],
-                  scopes: Scope) -> Schema:
-    schema_scopes = tuple({a: v.schema for a, v in sc.items()} for sc in scopes)
-    return projection_schema(q, env, {a: v.schema for a, v in local.items()},
-                             schema_scopes)
+def _error(msg: str, pos) -> SemanticError:
+    return SemanticError(msg, pos.line if pos else None, pos.col if pos else None)
 
 
-def _lookup(alias: str, scopes: Scope) -> TupleVar:
+def _lookup(alias: str, scopes: Scope, pos) -> TupleVar:
     for sc in reversed(scopes):
         if alias in sc:
             return sc[alias]
-    raise SemanticError(f"unknown alias {alias}")
+    raise _error(f"unknown alias {alias}", pos)
+
+
+def _column(e: ColRef, scopes: Scope) -> AttrRef:
+    v = _lookup(e.alias, scopes, e.pos)
+    if not v.schema.has_attr(e.attr) and not v.schema.generic:
+        raise _error(f"unknown attribute {e.alias}.{e.attr}", e.pos)
+    return AttrRef(v, e.attr)
+
+
+def _expr_type(e, scopes: Scope) -> str:
+    """An output column's type: its attribute's (``?`` over a generic
+    tail), a literal's own, ``?`` for anything computed."""
+    if isinstance(e, ColRef):
+        sch = _column(e, scopes).var.schema
+        return sch.attr_type(e.attr) if sch.has_attr(e.attr) else UNKNOWN
+    if isinstance(e, Lit):
+        return e.ty
+    return UNKNOWN
 
 
 def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
@@ -168,10 +190,7 @@ def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
 
 def denote_expr(e, env: SchemaEnv, gen: VarGen, scopes: Scope):
     if isinstance(e, ColRef):
-        v = _lookup(e.alias, scopes)
-        if not v.schema.has_attr(e.attr) and not v.schema.generic:
-            raise SemanticError(f"unknown attribute {e.alias}.{e.attr}")
-        return AttrRef(v, e.attr)
+        return _column(e, scopes)
     if isinstance(e, Lit):
         return Const(e.value, e.ty)
     if isinstance(e, App):

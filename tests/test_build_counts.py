@@ -188,3 +188,36 @@ def test_nested_projection_infers_each_schema_a_bounded_number_of_times(monkeypa
     [out] = run_program_text(nested_projection_program(depth))
     assert out.status == "EQUIVALENT"
     assert len(calls) <= 4 * depth
+
+
+def test_canonize_reads_each_class_minimum_without_resorting(monkeypatch):
+    # each class is sorted once per closure state; taking a per-variable
+    # minimum over the whole class instead grows quadratically in the depth
+    from semiq import congruence, exprs
+    real_key = exprs.scalar_sort_key
+    real_canonize = constraints.Canonizer.canonize
+    calls = [0]
+    depth = [0]
+
+    def counting_key(s):
+        calls[0] += depth[0] > 0
+        return real_key(s)
+
+    def canonize(self, *args, **kw):
+        depth[0] += 1
+        try:
+            return real_canonize(self, *args, **kw)
+        finally:
+            depth[0] -= 1
+
+    for mod in (exprs, congruence, constraints):
+        if hasattr(mod, "scalar_sort_key"):
+            monkeypatch.setattr(mod, "scalar_sort_key", counting_key)
+    monkeypatch.setattr(constraints.Canonizer, "canonize", canonize)
+    counts = []
+    for d in (40, 80):
+        calls[0] = 0
+        [out] = run_program_text(nested_projection_program(d))
+        assert out.status == "EQUIVALENT"
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0]

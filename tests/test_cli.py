@@ -147,14 +147,14 @@ def test_timeout_flag_reports_resource_exhaustion(tmp_path, capsys):
 def test_internal_failure_is_an_error_verdict_and_the_rest_still_run(
         tmp_path, capsys, monkeypatch):
     import semiq.cli as cli
-    real = cli.run_verify
+    real = cli.decide_verify
 
-    def failing_first(stmt, name, *args, **kw):
-        if name == "verify1":
+    def failing_first(prepared, *args, **kw):
+        if prepared.name == "verify1":
             raise RecursionError("maximum recursion depth exceeded")
-        return real(stmt, name, *args, **kw)
+        return real(prepared, *args, **kw)
 
-    monkeypatch.setattr(cli, "run_verify", failing_first)
+    monkeypatch.setattr(cli, "decide_verify", failing_first)
     path = _write(tmp_path, """
         schema s(a:int, b:int);
         table R(s);
@@ -208,3 +208,75 @@ def test_chase_ceiling_note_reaches_the_json_report(tmp_path, capsys):
     [v] = json.loads(capsys.readouterr().out)["verifies"]
     assert rc == 1
     assert (v["status"], v["detail"]) == ("NOT_PROVED", "chase depth ceiling reached")
+
+
+COMPUTED = """
+    schema s(a:int, b:int);
+    table R(s);
+"""
+
+
+def test_computed_column_against_typed_column_is_decided(tmp_path, capsys):
+    # `x.a + 1` has type ? and unifies with int: a verdict, not a schema error
+    path = _write(tmp_path, COMPUTED + """
+        verify (SELECT x.a + 1 AS o FROM R x) (SELECT x.a AS o FROM R x);
+    """)
+    rc = main([path])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("verify1: NOT_PROVED")
+    rc = main([path, "--refute"])
+    assert rc == 1
+    assert "counterexample database" in capsys.readouterr().out
+
+
+def test_commuted_union_with_a_computed_branch_is_equivalent(tmp_path, capsys):
+    path = _write(tmp_path, COMPUTED + """
+        verify (SELECT x.a + 1 AS o FROM R x UNION ALL SELECT x.b AS o FROM R x)
+               (SELECT x.b AS o FROM R x UNION ALL SELECT x.a + 1 AS o FROM R x);
+    """)
+    rc = main([path])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
+
+
+def test_mismatched_output_names_in_a_later_verify_exit_before_any_verdict(
+        tmp_path, capsys):
+    path = _write(tmp_path, COMPUTED + """
+        verify R R;
+        verify (SELECT x.a AS o FROM R x) (SELECT x.a AS p FROM R x);
+    """)
+    rc = main([path])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("semantic error: schemas differ in verify2")
+
+
+def test_group_by_key_that_is_not_projected_is_a_semantic_error(tmp_path, capsys):
+    # SQL gives one row per (a, b) group, DISTINCT over a alone merges them
+    for keys in ("x.a, x.b", "x.a, x.zz"):
+        path = _write(tmp_path, COMPUTED + f"""
+            verify (SELECT x.a AS a FROM R x GROUP BY {keys})
+                   (SELECT DISTINCT x.a AS a FROM R x);
+        """)
+        rc = main([path])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert "is not projected" in err
+
+
+def test_int_column_against_string_column_is_a_semantic_error(tmp_path, capsys):
+    # in the last pair, the union's `?` column takes the string type of its
+    # other branch, which then conflicts with the int column
+    for pair in ("(SELECT x.a AS o FROM R x UNION ALL SELECT x.b AS o FROM R x) R",
+                 "(SELECT x.a AS o FROM R x) (SELECT x.b AS o FROM R x)",
+                 "(SELECT u.o AS o FROM (SELECT x.a + 1 AS o FROM R x UNION ALL "
+                 "SELECT x.b AS o FROM R x) u) (SELECT x.a AS o FROM R x)"):
+        path = _write(tmp_path, f"""
+            schema s(a:int, b:string);
+            table R(s);
+            verify {pair};
+        """)
+        rc = main([path])
+        assert rc == 2
+        assert "conflicting types" in capsys.readouterr().err

@@ -228,3 +228,14 @@ def test_uninterpreted_functions_deterministic():
     g1 = eval_exp(Pred(PredApp("mystery", (Const(1, "int"),))), db, {})
     g2 = eval_exp(Pred(PredApp("mystery", (Const(1, "int"),))), db, {})
     assert g1 == g2
+
+
+def test_grouped_query_gives_one_row_per_group():
+    # SQL keeps the two groups (1,1) and (1,2) apart even though only
+    # their a is projected
+    from semiq.oracle import interp_query
+    from conftest import parse_query
+    env = build_env(parse("schema s(a:int, b:int);\ntable R(s);\n"))
+    db = _db([({"a": 1, "b": 1}, 1), ({"a": 1, "b": 2}, 1)])
+    q = parse_query("SELECT x.a AS a FROM R x GROUP BY x.a, x.b")
+    assert interp_query(q, db, env) == {make_assignment({"a": 1}): 2}
