@@ -2,12 +2,19 @@
 """Random differential experiment: generate query pairs, decide them, and
 cross-check every EQUIVALENT verdict against the finite-model oracle.
 
+The pairs wrapped in DISTINCT are, in equal shares, a UCQ against a
+mutation of itself, against the same branches with each body joined with
+a copy of itself, and against itself plus a narrowed copy of one branch.
+Their verdict must be exactly that of the reference containment checker
+(`tests/helpers.py`), whose count of misses is printed as `wrong_set=`.
+
     python scripts/random_soundness.py --pairs 500 --dbs 100 --seed 2024
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -21,9 +28,10 @@ from semiq.decide import Decider                                 # noqa: E402
 from semiq.frontend import desugar_groupby, inline_views         # noqa: E402
 from semiq.oracle import GenSizes, interp_query                  # noqa: E402
 from semiq.spnf import to_spnf                                   # noqa: E402
-from semiq.sqlast import Distinct                                # noqa: E402
-from helpers import (denote_pair, gen_ucq, mutate_ucq, small_dbs,  # noqa: E402
-                     std_env)
+from semiq.sqlast import Distinct, UnionAll                      # noqa: E402
+from helpers import (_branches, copy_body, denote_pair, gen_ucq,  # noqa: E402
+                     mutate_ucq, narrow, small_dbs, std_env,
+                     ucq_set_equivalent)
 
 
 def main() -> int:
@@ -40,15 +48,26 @@ def main() -> int:
     pool = small_dbs(env, args.dbs, seed=args.seed + 1,
                      sizes=GenSizes(3, 3, 3), extra_ints=(0, 1, 2))
     t0 = time.monotonic()
-    equivalent = other = disagreements = 0
+    equivalent = other = disagreements = wrong_set = 0
     for i in range(args.pairs):
         q = gen_ucq(rng)
         q2 = mutate_ucq(rng, q)
-        if rng.random() < args.set_fraction:
+        distinct = rng.random() < args.set_fraction
+        if distinct:
+            kind = rng.randrange(3)
+            if kind == 1:
+                q2 = mutate_ucq(rng, functools.reduce(
+                    UnionAll, [copy_body(b) for b in _branches(q)]))
+            elif kind == 2:
+                q2 = UnionAll(q2, narrow(rng, rng.choice(_branches(q))))
             q, q2 = Distinct(q), Distinct(q2)
         gen, _, b1, b2 = denote_pair(q, q2, env)
         d = Decider(env, gen, budget=Budget(Limits(timeout_s=30)))
-        if not d.equivalent(to_spnf(b1, gen), to_spnf(b2, gen)):
+        got = d.equivalent(to_spnf(b1, gen), to_spnf(b2, gen))
+        if distinct and got != ucq_set_equivalent(q, q2, env):
+            wrong_set += 1
+            print(f"pair {i}: WRONG SET VERDICT {got}\n{q}\n{q2}")
+        if not got:
             other += 1
             continue
         equivalent += 1
@@ -61,8 +80,8 @@ def main() -> int:
                 break
     dt = time.monotonic() - t0
     print(f"pairs={args.pairs} equivalent={equivalent} other={other} "
-          f"disagreements={disagreements} time={dt:.1f}s")
-    return 1 if disagreements else 0
+          f"disagreements={disagreements} wrong_set={wrong_set} time={dt:.1f}s")
+    return 1 if disagreements or wrong_set else 0
 
 
 if __name__ == "__main__":

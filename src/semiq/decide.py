@@ -13,20 +13,20 @@ as all its summation variables are placed.  Both prune only bijections that
 ``congruent_preds`` would reject, and the search keeps the order of the
 plain signature search, so it finds the same bijection first.
 ``squash_equal`` compares squashed expressions set-style: dissolve nested
-squashes, canonize, minimize each term, then require mutual coverage.
-Minimization collapses a summation variable onto another variable whenever
-a self-homomorphism justifies it, logging the equational recipe for each
-collapse.
+squashes, canonize, drop repeated atoms, then require containment each
+way.  A term is contained in another when the other maps into it by a
+homomorphism (``maps_into``), found one connected component of summation
+variables at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
-from functools import cached_property
 
 from .config import Budget
 from .congruence import Closure, closure_of, congruent_preds, implies_atom
-from .constraints import Canonizer, subst_term, _is_reflexive
+from .constraints import Canonizer, subst_spnf, subst_term, _is_reflexive
 from .schema import SchemaEnv, footprint_key
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
 from .trace import Trace
@@ -136,12 +136,7 @@ class Decider:
 
     def match_terms(self, t1: Term, t2: Term) -> bool:
         self.budget.step("search")
-        if len(t1.sum_vars) != len(t2.sum_vars):
-            return False
-        rels1 = sorted(r for r, _ in t1.atoms)
-        rels2 = sorted(r for r, _ in t2.atoms)
-        if rels1 != rels2:
-            return False
+        # `_perm_search` has compared the `term_signature`s
         f1, f2 = self._term_facts(t1), self._term_facts(t2)
         # a bijection renames only summed variables, and congruent
         # predicates give equal free constants: when these differ,
@@ -215,14 +210,15 @@ class Decider:
         if s1 is not None or s2 is not None:
             if not self.squash_equal(s1 or SpnfExp.one(), s2 or SpnfExp.one()):
                 return False
-        n1, n2 = t1.neg, t2p.neg
-        if n1 is not None or n2 is not None:
-            if not self._perm_search(
-                    self.canonizer.canonize(n1 or SpnfExp.zero(), "Ln"),
-                    self.canonizer.canonize(n2 or SpnfExp.zero(), "Rn")):
-                return False
-        self.trace.bijection([(str(v2), str(v1)) for v2, v1 in mapping])
+        if not self._negs_equal(t1.neg, t2p.neg):
+            return False
+        self.trace.mapping("bijection", [(str(v2), str(v1)) for v2, v1 in mapping])
         return True
+
+    def _negs_equal(self, n1: SpnfExp | None, n2: SpnfExp | None) -> bool:
+        return (n1 is None and n2 is None) or self._perm_search(
+            self.canonizer.canonize(n1 or SpnfExp.zero(), "Ln"),
+            self.canonizer.canonize(n2 or SpnfExp.zero(), "Rn"))
 
     # -- squashed-expression comparison -------------------------------------
 
@@ -236,13 +232,8 @@ class Decider:
         c2 = self.canonizer.canonize(f2, "Rsq", squash_ctx=True)
         m1 = [self.minimize(t) for t in c1.terms]
         m2 = [self.minimize(t) for t in c2.terms]
-        for t in m1:
-            if not any(self.match_terms(t, u) for u in m2):
-                return False
-        for u in m2:
-            if not any(self.match_terms(u, t) for t in m1):
-                return False
-        return True
+        return (all(any(self.maps_into(u, t) for u in m2) for t in m1)
+                and all(any(self.maps_into(t, u) for t in m1) for u in m2))
 
     def flatten(self, e: SpnfExp, loc: str) -> SpnfExp:
         """Dissolve squash factors of terms sitting under an outer squash."""
@@ -258,77 +249,101 @@ class Decider:
             out.extend(self.flatten(merged, loc).terms)
         return SpnfExp(tuple(out))
 
-    # -- term minimization --------------------------------------------------------
-
     def minimize(self, t: Term) -> Term:
+        """The term with each repeated atom kept once, as a squash allows."""
         if t.squash is not None:
             raise ValueError("minimize expects a squash-dissolved term")
         deduped = tuple(sorted(set(t.atoms), key=lambda a: (a[0], a[1].vid)))
-        if len(deduped) != len(t.atoms):
-            # a duplicated factor under the squash collapses to one copy
-            self.trace.rule("squash-square", "min")
-            t = Term.make(t.sum_vars, t.preds, None, t.neg, deduped)
-        changed = True
-        while changed:
-            changed = False
-            closure = closure_of(t.preds)
-            neg_vids = ({w.vid for w in free_vars(t.neg.to_exp())}
-                        if t.neg is not None else set())
-            free = sorted(free_vars(t.to_exp()), key=lambda w: w.vid)
-            for v in t.sum_vars:
-                if v.vid in neg_vids:
-                    continue
-                targets = sorted(
-                    [w for w in free if w.schema == v.schema] +
-                    [w for w in t.sum_vars
-                     if w.vid != v.vid and w.schema == v.schema
-                     and w.vid not in neg_vids],
-                    key=lambda w: w.vid)
-                for target in targets:
-                    if self._hom_ok(t, closure, v, target):
-                        t = self._collapse(t, v, target, "min")
-                        changed = True
-                        break
-                if changed:
-                    break
-        return t
+        if len(deduped) == len(t.atoms):
+            return t
+        self.trace.rule("squash-square", "min")
+        return Term.make(t.sum_vars, t.preds, None, t.neg, deduped)
 
-    def _hom_ok(self, t: Term, closure: Closure, v: TupleVar,
-                target: TupleVar) -> bool:
+    def maps_into(self, src: Term, dst: Term) -> bool:
+        """Does a homomorphism map ``src`` into ``dst``, showing ``||dst||
+        <= ||src||``?  It fixes free variables and sends summation variables
+        to variables of ``dst`` so that every atom, predicate and the
+        negation slot lands on one that ``dst`` has or implies.  Variables
+        that no predicate or negation slot links are placed apart."""
         self.budget.step("search")
-        atom_set = set(t.atoms)
-        for rel, w in t.atoms:
-            if w.vid == v.vid and (rel, target) not in atom_set:
-                return False
-        for p in t.preds:
-            if v not in free_vars(p):
-                continue
-            q = substitute(p, {v: target})
-            if _is_reflexive(q):
-                continue
-            if not implies_atom(closure, t.preds, q):
-                return False
-        return True
+        if not {r for r, _ in src.atoms} <= {r for r, _ in dst.atoms}:
+            return False
+        fs, fd = self._term_facts(src), self._term_facts(dst)
+        dst_atoms = set(dst.atoms)
+        # the map keeps free variables, so their constants, atoms and
+        # predicates must hold in dst as they stand
+        if (any(not c <= fd.consts.get(k, frozenset())
+                for k, c in fs.consts.items())
+                or any((r, v) not in dst_atoms
+                       for r, v in src.atoms if v.vid not in fs.sum_ids)
+                or not all(_is_reflexive(p) or implies_atom(fd.work, dst.preds, p)
+                           for p, summed in zip(src.preds, fs.preds.summed)
+                           if not summed)):
+            return False
+        # a target carries the atoms of the variables placed on it
+        targets = list(dict.fromkeys([*dst.sum_vars, *(w for _, w in dst.atoms)]))
+        cand = {v.vid: [w for w in targets if w.schema == v.schema and all(
+                    (r, w) in dst_atoms for r, x in src.atoms if x.vid == v.vid)]
+                for v in src.sum_vars}
+        if not all(cand.values()):
+            return False
+        neg_vars = ([w for w in free_vars(src.neg.to_exp()) if w.vid in cand]
+                    if src.neg is not None else [])
+        linked = {vid: {vid} for vid in cand}
+        for group in (*fs.preds.summed, neg_vars):
+            comp = set().union(*(linked[w.vid] for w in group))
+            linked.update(dict.fromkeys(comp, comp))
+        components: dict[int, list[TupleVar]] = {}
+        for v in sorted(src.sum_vars, key=lambda v: v.vid):
+            components.setdefault(id(linked[v.vid]), []).append(v)
+        neg_order = components[id(linked[neg_vars[0].vid])] if neg_vars else None
+        placed: dict[int, TupleVar] = {}  # src id -> target, in placement order
 
-    def _collapse(self, t: Term, v: TupleVar, target: TupleVar, loc: str) -> Term:
-        self.trace.rule("excluded-middle", loc)
-        self.trace.rule("distr-mul-add", loc)
-        self.trace.rule("sum-elim-eq", loc)
-        nt = subst_term(t, {v: target})
-        atoms = sorted(set(nt.atoms), key=lambda a: (a[0], a[1].vid))
-        if len(atoms) != len(nt.atoms):
-            self.trace.rule("squash-square", loc)
-        preds = []
-        for p in nt.preds:
-            if p not in preds:
-                preds.append(p)
-        self.trace.rule("sum-add", loc)
-        self.trace.rule("squash-one-plus", loc)
-        return Term.make(nt.sum_vars, preds, None, nt.neg, atoms)
+        def negs_agree() -> bool:
+            return self._negs_equal(dst.neg, src.neg and subst_spnf(
+                src.neg, {w: placed[w.vid] for w in neg_vars}))
+
+        def place(order: list[TupleVar], k: int) -> bool:
+            self.budget.step("search")
+            if k == len(order):
+                return order is not neg_order or negs_agree()
+            v = order[k]
+            for w in cand[v.vid]:
+                placed[v.vid] = w
+                if _placed_preds_hold(fs, v, placed, fd) and place(order, k + 1):
+                    return True
+            del placed[v.vid]
+            return False
+
+        try:
+            if not ((neg_vars or negs_agree())
+                    and all(place(order, 0) for order in components.values())):
+                return False
+        finally:
+            del place  # it holds itself through its cell; break the cycle
+        # an injective map is a BIJECTION; each variable placed on one in
+        # use is logged as a fold, and the map as a HOMOMORPHISM
+        used = ({v.vid for _, v in src.atoms} | fs.preds.mentioned) - fs.sum_ids
+        merged = False
+        seen = {(r, v.vid) for r, v in src.atoms if v.vid in used}
+        for vid, w in placed.items():
+            images = {(r, w.vid) for r, x in src.atoms if x.vid == vid}
+            if w.vid in used:
+                merged = True
+                for rule in ("excluded-middle", "distr-mul-add", "sum-elim-eq",
+                             "squash-square", "sum-add", "squash-one-plus"):
+                    if rule != "squash-square" or images & seen:
+                        self.trace.rule(rule, "min")
+            used.add(w.vid)
+            seen |= images
+        var = {v.vid: v for v in src.sum_vars}
+        pairs = [(str(var[vid]), str(w)) for vid, w in placed.items()]
+        self.trace.mapping("homomorphism" if merged else "bijection", pairs)
+        return True
 
 
 class _TermFacts:
-    """What the search needs of one term, built on its first match in one
+    """What the searches need of one term, built on its first use in one
     `equivalent` call.  ``closure`` is ``closure_of(t.preds)``, kept
     pristine for `congruent_preds`; ``work`` is a copy that the equality
     links, the free constants and the placement checks query.  Queries only
@@ -345,20 +360,14 @@ class _TermFacts:
                         ("sig", _var_signature(t, v) + self.links.unary(v)),
                         len(colours))
                     for v in t.sum_vars}
-        self.sig_count: dict[int, int] = {}
-        for s in self.sig.values():
-            self.sig_count[s] = self.sig_count.get(s, 0) + 1
+        self.sig_count = Counter(self.sig.values())
         self.colour = _refine(t, self.sig, self.links, colours)
         self.by_colour: dict[int, list[TupleVar]] = {}
         for v in t.sum_vars:
             self.by_colour.setdefault(self.colour[v.vid], []).append(v)
         self.consts = _free_constants(t, self.work)
         self.sum_ids = frozenset(self.sig)
-
-    @cached_property
-    def preds(self) -> _PredIndex:
-        """Built on first use: only a search with a choice asks."""
-        return _PredIndex(self.term.preds, self.sum_ids)
+        self.preds = _PredIndex(t.preds, self.sum_ids)
 
 
 class _PredIndex:

@@ -85,14 +85,15 @@ def is_cq(q) -> bool:
     return True
 
 
-def _union_branches(q) -> list:
-    if isinstance(q, UnionAll):
-        return _union_branches(q.lhs) + _union_branches(q.rhs)
-    return [q]
-
-
 def is_ucq_bag(q) -> bool:
-    return all(is_cq(b) for b in _union_branches(q))
+    stack = [q]  # a loop, not recursion: a long union is a deep tree
+    while stack:
+        q = stack.pop()
+        if isinstance(q, UnionAll):
+            stack += (q.lhs, q.rhs)
+        elif not is_cq(q):
+            return False
+    return True
 
 
 def is_ucq_set(q) -> bool:

@@ -6,7 +6,7 @@ negation factor, and relation atoms.  ``to_spnf`` reaches this shape by
 repeatedly applying kernel identities (distribution, summation hoisting,
 factor merging).  ``Normalizer.app`` applies each identity by its ``AXIOMS``
 entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
-logs them as ``squash-mul``, ``pull-not``, ``mul-one`` and ``prod-comm``.
+logs them as ``squash-mul``, ``pull-not`` and ``prod-comm``.
 
 Each product takes one hoist step, which moves every summation of both
 factors out at once, and a run computes each factor's sort key once and
@@ -25,7 +25,7 @@ from .config import Budget
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
-    Exp, VarGen, Zero, ZERO, ONE, canon_key, count_nodes, free_vars, rewrite,
+    Exp, VarGen, Zero, ZERO, canon_key, count_nodes, free_vars, rewrite,
     substitute,
 )
 
@@ -249,21 +249,8 @@ class Normalizer:
             self.budget.step(self.stage)
             merged = Not(rebuild_add([n.body for n in nots]))
             return self._merge_chain(rest + [merged], path)
-        drop: list[Exp] = []
-        for f in factors:
-            if isinstance(f, Zero):
-                return self.app("mul-zero", rebuild_mul(factors), path)
-            if isinstance(f, One):
-                self.trace.rule("mul-one", path)
-                self.budget.step(self.stage)
-                continue
-            if isinstance(f, (Add, Sum)):
-                # a factor re-normalization re-exposed structure: restart
-                return self.nf(rebuild_mul(factors), path)
-            drop.append(f)
-        factors = drop
-        if not factors:
-            return ONE
+        # the factors are atomic: those of normalized products, and a
+        # merged squash or negation
         ordered = sorted(factors, key=self._sort_key)
         # a stable sort: the order changed iff some slot holds another object
         if any(a is not b for a, b in zip(ordered, factors)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Event:
-    kind: str  # "rule" | "bijection" | "permutation" | "note"
+    kind: str  # "rule" | "bijection" | "homomorphism" | "permutation" | "note"
     name: str
     path: str = ""
     payload: dict = field(default_factory=dict)
@@ -19,9 +19,9 @@ class Event:
     def render(self) -> str:
         if self.kind == "rule":
             return f"RULE {self.name} AT {self.path or '.'}"
-        if self.kind == "bijection":
+        if self.kind in ("bijection", "homomorphism"):
             items = ", ".join(f"{a}->{b}" for a, b in self.payload.get("map", []))
-            return f"BIJECTION {{{items}}}"
+            return f"{self.kind.upper()} {{{items}}}"
         if self.kind == "permutation":
             return f"PERMUTATION {list(self.payload.get('perm', []))}"
         return f"NOTE {self.name} {self.path}".rstrip()
@@ -36,9 +36,10 @@ class Trace:
         if self.enabled:
             self.events.append(Event("rule", name, path))
 
-    def bijection(self, mapping: list[tuple[str, str]]) -> None:
+    def mapping(self, kind: str, pairs: list[tuple[str, str]]) -> None:
+        """A "bijection" or "homomorphism" of variables, as name pairs."""
         if self.enabled:
-            self.events.append(Event("bijection", "", payload={"map": mapping}))
+            self.events.append(Event(kind, "", payload={"map": pairs}))
 
     def permutation(self, perm: list[int]) -> None:
         if self.enabled:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import FiniteDb, GenSizes, eval_exp, gen_instances, interp_query
 from semiq.schema import Schema, SchemaEnv
-from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, ExprItem, Select,
-                          Source, Star, TableRef, UnionAll)
+from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
+                          Select, Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleVar, VarGen, canon_key, mk_eq,
@@ -109,7 +109,10 @@ def shuffle_sources(rng: random.Random, q: Select) -> Select:
 
 def rename_aliases(rng: random.Random, q: Select) -> Select:
     mapping = {s.alias: f"y{i}_{rng.randint(0, 9)}" for i, s in enumerate(q.sources)}
+    return _renamed(q, mapping)
 
+
+def _renamed(q: Select, mapping: dict[str, str]) -> Select:
     def rex(e):
         if isinstance(e, ColRef):
             return ColRef(mapping.get(e.alias, e.alias), e.attr)
@@ -126,6 +129,28 @@ def rename_aliases(rng: random.Random, q: Select) -> Select:
     items = tuple(ExprItem(rex(it.expr), it.name) for it in q.items)
     where = rp(q.where) if q.where is not None else None
     return Select(items, sources, where)
+
+
+def copy_body(q: Select) -> Select:
+    """``q`` joined with a second copy of its FROM list and WHERE conjuncts
+    under fresh aliases: under DISTINCT, the same rows."""
+    c = _renamed(q, {s.alias: f"{s.alias}_c" for s in q.sources})
+    where = q.where if c.where is None else AndP(q.where, c.where)
+    return Select(q.items, q.sources + c.sources, where)
+
+
+def narrow(rng: random.Random, q: Select) -> Select:
+    """``q`` with one more conjunct or one more scan: contained in ``q``
+    under DISTINCT, so a union with ``q`` has ``q``'s rows."""
+    aliases = [s.alias for s in q.sources]
+    if rng.random() < 0.5:
+        extra = Cmp("=", ColRef(rng.choice(aliases), rng.choice("ab")),
+                    rng.choice([_lit(rng), ColRef(rng.choice(aliases),
+                                                  rng.choice("ab"))]))
+        return Select(q.items, q.sources,
+                      extra if q.where is None else AndP(q.where, extra))
+    scan = Source(TableRef(rng.choice(("R", "S"))), "extra")
+    return Select(q.items, q.sources + (scan,), q.where)
 
 
 def shuffle_conjuncts(rng: random.Random, q: Select) -> Select:
@@ -292,6 +317,28 @@ def cq_contained(q1: Select, q2: Select, env: SchemaEnv) -> bool:
 
 def cq_set_equivalent(q1: Select, q2: Select, env: SchemaEnv) -> bool:
     return cq_contained(q1, q2, env) and cq_contained(q2, q1, env)
+
+
+def ucq_set_equivalent(q1, q2, env: SchemaEnv) -> bool:
+    """Set equivalence of two unions of conjunctive queries, DISTINCT or
+    not: each branch of either is contained in some branch of the other
+    (Sagiv and Yannakakis).  ``SELECT *`` wrappers of one branch, as
+    `wrap_subquery` writes them, are looked through."""
+    b1, b2 = _cq_branches(q1), _cq_branches(q2)
+    return (all(any(cq_contained(a, b, env) for b in b2) for a in b1)
+            and all(any(cq_contained(b, a, env) for a in b1) for b in b2))
+
+
+def _cq_branches(q) -> list[Select]:
+    if isinstance(q, Distinct):
+        q = q.query
+    out = []
+    for b in _branches(q):
+        while b.items == (Star(),) and not isinstance(b.sources[0].query,
+                                                      TableRef):
+            b = b.sources[0].query
+        out.append(b)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ of canonize rounds does not grow with nesting depth or index probes, the
 term search fully checks only pairs whose free constants agree, and the
 variable search checks no leaf that colours or placed predicates rule out,
 no canonize round of a nested projection holds more predicates than a few
-per level, and schema inference does not re-infer nested derived tables.
+per level, the denotation types each nested derived table once, and the
+containment search under DISTINCT places unlinked scans apart.
 They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
-from semiq import constraints, decide, frontend, run_program_text
+from semiq import constraints, decide, run_program_text
+from semiq.schema import Schema
 
 from helpers import index_join_back_program, nested_projection_program
 
@@ -100,6 +102,21 @@ def test_symmetric_self_join_is_refuted_before_any_leaf(monkeypatch):
     assert checked == []
 
 
+def _distinct_self_join(n: int) -> str:
+    scans = ", ".join(f"R s{i}" for i in range(n))
+    return (PRELUDE + f"verify (SELECT DISTINCT s0.a + 1 AS o FROM {scans})\n"
+            f"       (SELECT DISTINCT s{n - 1}.a + 2 AS o FROM {scans});\n")
+
+
+def test_distinct_self_join_places_unlinked_scans_apart():
+    # no predicate links the scans, so each is placed on its own and the
+    # one that fails is tried against each target once; placed together,
+    # every placement of the others would be tried before it (n^(n-1))
+    steps = [run_program_text(_distinct_self_join(n))[0].steps["total"]
+             for n in (4, 8)]
+    assert steps[1] <= 2 * steps[0]
+
+
 def test_join_chain_search_is_forced_by_colours(monkeypatch):
     # the chain's ends differ, and colour refinement spreads that along
     # the chain: each variable has one candidate and one leaf is checked
@@ -174,17 +191,18 @@ def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
 
 def test_nested_projection_infers_each_schema_a_bounded_number_of_times(monkeypatch):
     # the denotation takes each derived table's schema from the variables
-    # it has just denoted; inferring it again would re-infer the whole
-    # subtree at every level and make the count quadratic in the depth
+    # it has just denoted, one concat per output column; typing a derived
+    # table by denoting it again would re-type the whole subtree at every
+    # level and make the count quadratic in the depth
     depth = 40
     calls = []
-    real = frontend.infer_schema
+    real = Schema.concat
 
-    def counting(q, *args):
-        calls.append(q)
-        return real(q, *args)
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
 
-    monkeypatch.setattr(frontend, "infer_schema", counting)
+    monkeypatch.setattr(Schema, "concat", counting)
     [out] = run_program_text(nested_projection_program(depth))
     assert out.status == "EQUIVALENT"
     assert len(calls) <= 4 * depth

@@ -1,5 +1,5 @@
 """Decision procedures: permutation/bijection search, congruence matching,
-squashed-expression comparison, and term minimization."""
+squashed-expression comparison, and containment by homomorphism."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,14 +20,18 @@ from semiq.schema import Schema
 from semiq.spnf import SpnfExp, Term, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (AttrRef, Const, Func, PredApp, TupleVar, VarGen,
-                         mk_eq, mk_record, mk_tuple_eq, substitute)
+from semiq.config import Limits
+from semiq.exprs import (AttrRef, Const, Func, PredApp, Squash, TupleVar,
+                         VarGen, mk_eq, mk_record, mk_tuple_eq, substitute)
+from semiq.pipeline import run_verify
 from semiq.schema import SchemaEnv
+from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 
 from conftest import FIG_INDEX, parse_query
-from helpers import (cq_set_equivalent, denote_pair, enumerate_dbs,
-                     find_disagreement, gen_cq, reference_match_terms,
-                     small_dbs, std_env)
+from helpers import (copy_body, cq_set_equivalent, denote_pair,
+                     enumerate_dbs, find_disagreement, gen_cq, narrow,
+                     reference_match_terms, small_dbs, std_env,
+                     ucq_set_equivalent)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -144,23 +149,43 @@ def test_sdp_matches_reference_containment_on_random_cqs():
     assert agree == 60
 
 
-def test_minimize_collapses_redundant_scan():
+def _redundant_scan_and_core(core_attr="a"):
+    """sum{t1,t2} [o.o1 = t1.a] R(t1) R(t2) and its core sum{t3} [o.o1 =
+    t3.a] R(t3), or a core projecting ``core_attr`` instead."""
     env = std_env()
-    gen = VarGen()
-    t1 = TupleVar(901, env.tables["R"])
-    t2 = TupleVar(902, env.tables["R"])
+    t1, t2, t3 = (TupleVar(i, env.tables["R"]) for i in (901, 902, 903))
     out = TupleVar(900, Schema("o", (("o1", "int"),)), "t")
     term = Term.make((t1, t2), [mk_eq(AttrRef(out, "o1"), AttrRef(t1, "a"))],
                      None, None, (("R", t1), ("R", t2)))
-    d = Decider(env, gen)
-    m = d.minimize(term)
-    assert len(m.sum_vars) == 1
-    assert m.atoms == (("R", t1),)
+    core = Term.make((t3,), [mk_eq(AttrRef(out, "o1"), AttrRef(t3, core_attr))],
+                     None, None, (("R", t3),))
+    return env, term, core
+
+
+def _maps(trace: Trace) -> list[tuple[str, list]]:
+    return [(e.kind, e.payload["map"]) for e in trace.events
+            if e.kind in ("bijection", "homomorphism")]
+
+
+def test_minimize_collapses_redundant_scan():
+    # the redundant scan folds onto the core's one scan: each maps into
+    # the other, so their squashes are equal
+    env, term, core = _redundant_scan_and_core()
+    d = Decider(env, VarGen(), Trace())
+    assert d.maps_into(term, core)
+    assert _maps(d.trace) == [("homomorphism", [("t901", "t903"),
+                                                 ("t902", "t903")])]
+    assert d.maps_into(core, term)
+    assert d.squash_equal(SpnfExp((term,)), SpnfExp((core,)))
+    # the output attribute pins t1: the core of another projection does
+    # not absorb the redundant scan
+    _, _, other = _redundant_scan_and_core("b")
+    assert not d.maps_into(term, other)
 
 
 def test_minimize_keeps_minimal_core():
-    # a two-step path with both endpoints distinguished admits no collapse;
-    # brute force over all single-variable collapses confirms minimality
+    # a two-step path with both endpoints distinguished admits no collapse:
+    # it maps into its fold v2 -> v1, but the fold does not map back
     env = std_env()
     gen = VarGen()
     out = TupleVar(900, Schema("o", (("u", "int"), ("w", "int"))), "t")
@@ -172,6 +197,11 @@ def test_minimize_keeps_minimal_core():
     term = Term.make((v1, v2), preds, None, None, (("R", v1), ("R", v2)))
     d = Decider(env, gen)
     assert d.minimize(term) == term
+    v3 = TupleVar(903, env.tables["R"])
+    fold = Term.make((v3,), [substitute(p, {v1: v3, v2: v3}) for p in preds],
+                     None, None, (("R", v3),))
+    assert d.maps_into(term, fold)
+    assert not d.maps_into(fold, term)
 
 
 def test_minimize_single_atom_unchanged():
@@ -183,33 +213,46 @@ def test_minimize_single_atom_unchanged():
 
 
 def test_minimize_collapses_onto_a_free_variable():
+    # sum{v} R(t) R(v) with t free holds exactly when R(t) does: v maps
+    # onto the free variable
     env = std_env()
     t = TupleVar(900, env.tables["R"])
     v = TupleVar(901, env.tables["R"])
     term = Term.make((v,), [], None, None, (("R", t), ("R", v)))
-    m = Decider(env, VarGen()).minimize(term)
-    assert m.sum_vars == ()
-    assert m.atoms == (("R", t),)
+    scan = Term.make((), [], None, None, (("R", t),))
+    d = Decider(env, VarGen(), Trace())
+    assert d.maps_into(term, scan)
+    assert _maps(d.trace) == [("homomorphism", [("t901", "t900")])]
+    assert d.squash_equal(SpnfExp((term,)), SpnfExp((scan,)))
 
 
 def test_minimize_keeps_variables_the_negation_slot_mentions():
+    # G = sum{v1,v2} R(v1) R(v2) not([v2.a = 1]) and H = sum{w} R(w)
+    # not([w.a = 1]): the negation slots must agree under the map, so H
+    # maps into G by w -> v2 though v1 is tried first, and no map reaches
+    # a scan guarded by another slot or by none
     env = std_env()
-    v1 = TupleVar(901, env.tables["R"])
-    v2 = TupleVar(902, env.tables["R"])
-    neg = SpnfExp((Term.make((), [mk_eq(AttrRef(v2, "a"), Const(1, "int"))],
-                             None, None, ()),))
-    atoms = (("R", v1), ("R", v2))
-    d = Decider(env, VarGen())
-    guarded = Term.make((v1, v2), [], None, neg, atoms)
-    assert d.minimize(guarded) == guarded
-    m = d.minimize(Term.make((v1, v2), [], None, None, atoms))
-    assert m.sum_vars == (v2,)
+    v1, v2, w = (TupleVar(i, env.tables["R"]) for i in (901, 902, 903))
+
+    def guard(x, c=1):
+        return SpnfExp((Term.make((), [mk_eq(AttrRef(x, "a"), Const(c, "int"))],
+                                  None, None, ()),))
+
+    g = Term.make((v1, v2), [], None, guard(v2), (("R", v1), ("R", v2)))
+    h = Term.make((w,), [], None, guard(w), (("R", w),))
+    d = Decider(env, VarGen(), Trace())
+    assert d.maps_into(h, g)
+    assert _maps(d.trace)[-1] == ("bijection", [("t903", "t902")])
+    assert d.maps_into(g, h)
+    for other in (replace(h, neg=guard(w, 2)), replace(h, neg=None)):
+        assert not d.maps_into(other, g)
+        assert not d.maps_into(g, other)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_minimize_preserves_set_semantics(seed):
     # the squash of the minimized term equals the squash of the input on
-    # every database: the collapse is a valid self-homomorphism
+    # every database: a repeated atom adds nothing under a squash
     env = std_env(("R", "S"))
     rng = random.Random(seed)
     q = gen_cq(rng, max_atoms=3, max_vars=3, allow_const=False)
@@ -232,21 +275,82 @@ from semiq.oracle import eval_exp as eval_uexp_  # noqa: E402
 
 
 def test_minimize_idempotent_and_recipe_logged():
-    env = std_env()
-    gen = VarGen()
-    from semiq.trace import Trace
+    # minimize keeps one copy of a repeated atom; a map that merges two
+    # variables logs the fold recipe before its HOMOMORPHISM line
+    env, term, core = _redundant_scan_and_core()
     trace = Trace()
-    t1 = TupleVar(901, env.tables["R"])
-    t2 = TupleVar(902, env.tables["R"])
-    out = TupleVar(900, Schema("o", (("o1", "int"),)), "t")
-    term = Term.make((t1, t2), [mk_eq(AttrRef(out, "o1"), AttrRef(t1, "a"))],
-                     None, None, (("R", t1), ("R", t2)))
-    d = Decider(env, gen, trace)
-    m = d.minimize(term)
-    assert d.minimize(m) == m
+    d = Decider(env, VarGen(), trace)
+    doubled = replace(term, atoms=term.atoms + term.atoms[:1])
+    m = d.minimize(doubled)
+    assert m == term and d.minimize(m) is m
+    assert trace.rule_names() == ["squash-square"]
+    assert d.squash_equal(SpnfExp((term,)), SpnfExp((core,)))
     for rule in ("excluded-middle", "sum-elim-eq", "squash-square",
                  "squash-one-plus"):
         assert trace.rule_names().count(rule) >= 1
+    assert "HOMOMORPHISM {t901->t903, t902->t903}" in trace.render()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_maps_into_is_sound_containment(seed):
+    # whenever u maps into t, ||t|| <= ||u|| on every database; the terms
+    # of random queries, of copies of their bodies and of narrowed copies
+    # map into each other often
+    env = std_env(("R", "S"))
+    rng = random.Random(seed)
+    gen = VarGen()
+    d = Decider(env, gen)
+    out = None
+    terms = []
+    for _ in range(3):
+        q = gen_cq(rng, max_atoms=2, max_vars=2)
+        for query in (q, copy_body(q), UnionAll(q, narrow(rng, q))):
+            den = denote(query, env, gen)
+            out = out or den.out_var
+            body = substitute(den.body, {den.out_var: out})
+            terms += d.canonizer.canonize(to_spnf(body, gen),
+                                          squash_ctx=True).terms
+    dbs = small_dbs(env, 6, seed=seed + 700)
+    held = 0
+    for t in terms:
+        for u in terms:
+            if not d.maps_into(u, t):
+                continue
+            held += 1
+            for db in dbs:
+                for asg in db.tuple_space(out.schema)[:4]:
+                    envb = {out.vid: asg}
+                    assert (eval_uexp_(Squash(t.to_exp()), db, envb)
+                            <= eval_uexp_(Squash(u.to_exp()), db, envb))
+    assert held > 2 * len(terms)
+
+
+@pytest.mark.parametrize("kind", ["body-copy", "contained-branch", "independent"])
+def test_set_verdicts_match_reference_containment(kind):
+    # 100 seeded DISTINCT pairs of each kind get exactly the reference's
+    # verdict.  A copy of the whole body folds back only when several
+    # variables move at once, and a contained branch is covered by another
+    # branch rather than matched by an isomorphic one
+    env = std_env(("R", "S"))
+    rng = random.Random(5)
+    wrong = []
+    for i in range(100):
+        q1 = gen_cq(rng, max_atoms=4, max_vars=4)
+        if kind == "independent":
+            q2 = gen_cq(rng, max_atoms=4, max_vars=4)
+        elif kind == "body-copy":
+            q2 = copy_body(q1)
+        else:
+            n = narrow(rng, q1)
+            q2 = UnionAll(n, q1) if rng.random() < 0.5 else UnionAll(q1, n)
+        q1, q2 = Distinct(q1), Distinct(q2)
+        want = ("EQUIVALENT" if ucq_set_equivalent(q1, q2, env)
+                else "NOT_EQUIVALENT")
+        got = run_verify(VerifyStmt(q1, q2), "v", env, Limits(timeout_s=30),
+                         want_trace=False).status
+        if got != want:
+            wrong.append((i, got))
+    assert wrong == []
 
 
 def test_verdict_not_equivalent_only_in_ucq_fragments():

@@ -6,7 +6,7 @@ import itertools
 
 from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
 from semiq.oracle import GenSizes, gen_instances, interp_query
-from semiq.pipeline import query_literals, referenced_tables
+from semiq.pipeline import classify_fragment, query_literals, referenced_tables
 from semiq.sqlast import Select, TableRef, UnionAll, walk
 
 from conftest import parse_query
@@ -326,6 +326,15 @@ def test_wide_union_all_pair_is_equivalent():
     body = " UNION ALL ".join(["R"] * 600)
     out = _statuses(PRELUDE + f"verify ({body}) ({body});")
     assert out == [("EQUIVALENT", "ucq-bag")]
+
+
+def test_classifying_a_long_union_takes_no_frames_per_branch():
+    env = build_env(parse(PRELUDE))
+    branch = parse_query("SELECT x.a AS a FROM R x")
+    q = branch
+    for _ in range(1199):
+        q = UnionAll(q, branch)
+    assert classify_fragment(q, q, env) == "ucq-bag"
 
 
 def test_frontend_passes_take_no_frames_per_level():
