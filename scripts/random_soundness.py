@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from semiq.config import Budget, Limits                          # noqa: E402
 from semiq.decide import Decider                                 # noqa: E402
 from semiq.frontend import desugar_groupby, inline_views         # noqa: E402
-from semiq.oracle import GenSizes, interp_query                  # noqa: E402
+from semiq.oracle import GenSizes, compile_query, interp_query   # noqa: E402
 from semiq.spnf import to_spnf                                   # noqa: E402
 from semiq.sqlast import Distinct, UnionAll                      # noqa: E402
 from helpers import (_branches, copy_body, denote_pair, gen_ucq,  # noqa: E402
@@ -71,8 +71,8 @@ def main() -> int:
             other += 1
             continue
         equivalent += 1
-        p1 = inline_views(desugar_groupby(q), env)
-        p2 = inline_views(desugar_groupby(q2), env)
+        p1 = compile_query(inline_views(desugar_groupby(q), env), env)
+        p2 = compile_query(inline_views(desugar_groupby(q2), env), env)
         for db in pool:
             if interp_query(p1, db, env) != interp_query(p2, db, env):
                 disagreements += 1

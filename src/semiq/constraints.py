@@ -27,7 +27,7 @@ from .schema import FkConstraint, KeyConstraint, SchemaEnv
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
 from .trace import Trace
 from .exprs import (
-    AggCall, AttrRef, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
+    AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
     TupleNeqAtom, TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq,
     mk_record, mk_tuple_eq, rewrite, substitute, tuple_sort_key, walk,
 )
@@ -75,12 +75,13 @@ class Canonizer:
 
     def canonize(self, e: SpnfExp, loc: str = "e", squash_ctx: bool = False,
                  wrap: bool = False) -> SpnfExp:
-        return SpnfExp(tuple(
-            self.canonize_term(t, f"{loc}/t{i}", squash_ctx, wrap)
-            for i, t in enumerate(e.terms)))
+        terms = (self.canonize_term(t, f"{loc}/t{i}", squash_ctx, wrap)
+                 for i, t in enumerate(e.terms))
+        return SpnfExp(tuple(t for t in terms if t is not None))
 
     def canonize_term(self, t: Term, loc: str, squash_ctx: bool = False,
-                      wrap: bool = False) -> Term:
+                      wrap: bool = False) -> Term | None:
+        """The canonical ``t``, or None if it equates two distinct constants (it is 0)."""
         chase_rounds = 0
         while True:
             self.budget.step("canonize")
@@ -108,6 +109,10 @@ class Canonizer:
                     t = t2
                     continue
             break
+        if any(len({c.value for c in ms if isinstance(c, Const)}) > 1
+               for ms in closure.scalar_classes().values()):
+            self.trace.rule("const-clash", loc)
+            return None
         t = self._canonize_agg_bodies(t, loc)
         if t.squash is not None and not t.squash.is_one():
             t = replace(t, squash=self.canonize(t.squash, loc + "/sq", True))

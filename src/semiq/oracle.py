@@ -1,11 +1,11 @@
 """Brute-force evaluation over finite databases.
 
 Two independent evaluators live here: ``eval_exp`` interprets semiring
-expressions by enumerating tuple spaces, and ``interp_query`` interprets the
-SQL AST directly as bags.  They share only the value-level conventions
-(uninterpreted functions and aggregates are deterministic hash functions, so
-both sides agree on them).  Used for differential testing and refutation,
-never as part of a proof.
+expressions by enumerating tuple spaces, and ``interp_query`` runs the bag
+plan that ``compile_query`` builds once from a SQL AST.  They share only the
+value-level conventions (uninterpreted functions and aggregates are
+deterministic hash functions, so both sides agree on them).  Used for
+differential testing and refutation, never as part of a proof.
 
 Generic schemas must be instantiated to concrete attribute lists before
 anything here can run.
@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from math import prod
 
+from .config import Budget
 from .schema import FkConstraint, KeyConstraint, Schema, SchemaEnv
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
@@ -32,7 +35,7 @@ from .exprs import (
 
 Assignment = tuple[tuple[str, object], ...]
 
-COMPARISONS = {"<", "<=", ">", ">="}
+ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class OracleError(Exception):
@@ -46,6 +49,7 @@ class FiniteDb:
     salt: int = 0
     space_cap: int = 65536
     _spaces: dict = field(default_factory=dict, repr=False)
+    _scans: dict = field(default_factory=dict, repr=False)
 
     def domain(self, ty: str) -> tuple:
         if ty in self.domains:
@@ -60,15 +64,19 @@ class FiniteDb:
             raise OracleError(f"cannot enumerate generic schema {schema.name}")
         attrs = sorted(schema.attrs)
         doms = [self.domain(t) for _, t in attrs]
-        size = 1
-        for d in doms:
-            size *= len(d)
-            if size > self.space_cap:
-                raise OracleError(f"tuple space of {schema.name} exceeds cap")
+        if prod(map(len, doms)) > self.space_cap:
+            raise OracleError(f"tuple space of {schema.name} exceeds cap")
         space = [tuple((a, v) for (a, _), v in zip(attrs, combo))
                  for combo in itertools.product(*doms)]
         self._spaces[key] = space
         return space
+
+    def scan(self, name: str) -> list[tuple[dict, int]]:
+        """A base table's `_live_rows`, built at its first scan (rels stay fixed)."""
+        rows = self._scans.get(name)
+        if rows is None:
+            rows = self._scans[name] = _live_rows(self.rels.get(name, {}))
+        return rows
 
     def dump(self) -> str:
         lines = []
@@ -98,10 +106,10 @@ def ufun_value(db: FiniteDb, name: str, args: tuple) -> object:
 
 
 def upred_truth(db: FiniteDb, name: str, args: tuple) -> bool:
-    if name in COMPARISONS and all(isinstance(a, int) and not isinstance(a, bool)
-                                   for a in args):
-        l, r = args
-        return {"<": l < r, "<=": l <= r, ">": l > r, ">=": l >= r}[name]
+    """The standard order on two ints (not bools), else a deterministic hash."""
+    cmp = ORDER.get(name)
+    if cmp is not None and len(args) == 2 and type(args[0]) is type(args[1]) is int:
+        return cmp(*args)
     return _hash_int(db.salt, "pred", name, args) % 2 == 1
 
 
@@ -109,14 +117,8 @@ def agg_value(db: FiniteDb, name: str, bag: tuple) -> object:
     """bag: tuple(sorted((assignment, multiplicity))) with multiplicity > 0."""
     if name in ("count", "cnt"):
         return sum(m for _, m in bag)
-    if name == "sum":
-        total = 0
-        for asg, m in bag:
-            if len(asg) != 1 or isinstance(asg[0][1], bool) or not isinstance(asg[0][1], int):
-                break
-            total += asg[0][1] * m
-        else:
-            return total
+    if name == "sum" and all(len(asg) == 1 and type(asg[0][1]) is int for asg, _ in bag):
+        return sum(asg[0][1] * m for asg, m in bag)
     dom = db.domain("int")
     return dom[_hash_int(db.salt, "agg", name, bag) % len(dom)]
 
@@ -127,8 +129,7 @@ def agg_value(db: FiniteDb, name: str, bag: tuple) -> object:
 def eval_exp(e, db: FiniteDb, env: dict[int, Assignment] | None = None) -> int:
     """Natural-number value by structural recursion; summations enumerate
     the finite tuple space, squash clamps to one, negation tests for zero."""
-    env = env or {}
-    return _ev(e, db, env)
+    return _ev(e, db, env or {})
 
 
 def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
@@ -140,20 +141,14 @@ def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
         return _ev(e.lhs, db, env) + _ev(e.rhs, db, env)
     if isinstance(e, Mul):
         l = _ev(e.lhs, db, env)
-        if l == 0:
-            return 0
-        return l * _ev(e.rhs, db, env)
+        return 0 if l == 0 else l * _ev(e.rhs, db, env)
     if isinstance(e, Squash):
         return min(1, _ev(e.body, db, env))
     if isinstance(e, Not):
         return 1 if _ev(e.body, db, env) == 0 else 0
     if isinstance(e, Sum):
-        total = 0
-        for asg in db.tuple_space(e.var.schema):
-            env2 = dict(env)
-            env2[e.var.vid] = asg
-            total += _ev(e.body, db, env2)
-        return total
+        return sum(_ev(e.body, db, {**env, e.var.vid: asg})
+                   for asg in db.tuple_space(e.var.schema))
     if isinstance(e, Rel):
         asg = _lookup(env, e.var)
         return db.rels.get(e.name, {}).get(asg, 0)
@@ -179,14 +174,9 @@ def eval_scalar(s, db: FiniteDb, env: dict[int, Assignment]):
     if isinstance(s, Func):
         return ufun_value(db, s.name, tuple(eval_scalar(a, db, env) for a in s.args))
     if isinstance(s, AggCall):
-        bag_d: dict[Assignment, int] = {}
-        for asg in db.tuple_space(s.var.schema):
-            env2 = dict(env)
-            env2[s.var.vid] = asg
-            m = _ev(s.body, db, env2)
-            if m:
-                bag_d[asg] = bag_d.get(asg, 0) + m
-        return agg_value(db, s.name, tuple(sorted(bag_d.items())))
+        bag = {asg: m for asg in db.tuple_space(s.var.schema)
+               if (m := _ev(s.body, db, {**env, s.var.vid: asg}))}
+        return agg_value(db, s.name, tuple(sorted(bag.items())))
     raise TypeError(s)
 
 
@@ -218,141 +208,199 @@ def _atom_true(a, db: FiniteDb, env: dict[int, Assignment]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Direct bag interpreter over the SQL AST (independent of the semiring path)
+# Bag evaluation of the SQL AST (independent of the semiring path).  A plan is
+# a closure ``(db, frames) -> bag``: ``frames`` holds the (row dict,
+# multiplicity) pairs of the enclosing SELECTs' sources, outermost first, and
+# each column was resolved at compile time to ``frames[slot][0][attr]``.
 
-def interp_query(q, db: FiniteDb, env: SchemaEnv, scopes=()) -> dict[Assignment, int]:
-    if isinstance(q, TableRef):
-        if q.name in env.views:
-            return interp_query(env.views[q.name], db, env, scopes)
-        return dict(db.rels.get(q.name, {}))
-    if isinstance(q, Distinct):
-        return {k: 1 for k, m in interp_query(q.query, db, env, scopes).items() if m > 0}
-    if isinstance(q, UnionAll):
-        out = dict(interp_query(q.lhs, db, env, scopes))
-        for k, m in interp_query(q.rhs, db, env, scopes).items():
-            out[k] = out.get(k, 0) + m
-        return out
-    if isinstance(q, ExceptQ):
-        left = interp_query(q.lhs, db, env, scopes)
-        right = interp_query(q.rhs, db, env, scopes)
-        return {k: m for k, m in left.items() if right.get(k, 0) == 0}
-    if isinstance(q, Select):
-        return _interp_select(q, db, env, scopes)
-    raise OracleError(f"cannot interpret query node {type(q).__name__}")
+def compile_query(q, env: SchemaEnv, budget: Budget | None = None):
+    """The plan of ``q``, checking ``budget``'s deadline every 256 rows."""
+    return _Compiler(env, budget).query(q, ())
 
 
-def _interp_select(q: Select, db: FiniteDb, env: SchemaEnv, scopes):
-    rows: list[tuple[dict[str, Assignment], int]] = [({}, 1)]
-    for src in q.sources:
-        bag = interp_query(src.query, db, env, scopes)
-        live = sorted((asg, m) for asg, m in bag.items() if m > 0)
-        rows = [(dict(lm, **{src.alias: asg}), m1 * m2)
-                for lm, m1 in rows for asg, m2 in live]
-    if q.where is not None:
-        rows = [(lm, m) for lm, m in rows
-                if interp_pred(q.where, db, env, scopes + (lm,))]
-    if q.group_by:
-        return _interp_groupby(q, rows, db, env, scopes)
+def interp_query(q, db: FiniteDb, env: SchemaEnv) -> dict[Assignment, int]:
+    """The bag of ``q`` on ``db``; ``q`` is a query or its compiled plan."""
+    return (q if callable(q) else compile_query(q, env))(db, ())
+
+
+def _live_rows(bag: dict[Assignment, int]) -> list[tuple[dict, int]]:
+    return [(dict(asg), m) for asg, m in sorted(bag.items()) if m > 0]
+
+
+def _bag_sum(pairs) -> dict[Assignment, int]:
     out: dict[Assignment, int] = {}
-    for lm, m in rows:
-        asg = _project_row(q.items, lm, db, env, scopes)
-        out[asg] = out.get(asg, 0) + m
+    for k, m in pairs:
+        out[k] = out.get(k, 0) + m
     return out
 
 
-def _project_row(items, lm: dict[str, Assignment], db, env, scopes) -> Assignment:
-    values: dict[str, object] = {}
-    for item in items:
-        if isinstance(item, Star):
-            for alias in lm:
-                values.update(dict(lm[alias]))
-        elif isinstance(item, AliasStar):
-            values.update(dict(lm[item.alias]))
-        elif isinstance(item, ExprItem):
-            values[item.name] = interp_expr(item.expr, db, env, scopes + (lm,))
-        else:
-            raise OracleError("unknown projection item")
-    return make_assignment(values)
+@dataclass
+class _Compiler:
+    """Maps each node, with the aliases in scope (innermost last), to its closure."""
+    env: SchemaEnv
+    budget: Budget | None
 
-
-def _interp_groupby(q: Select, rows, db: FiniteDb, env: SchemaEnv, scopes):
-    grouped = {(g.alias, g.attr) for g in q.group_by}
-    local_aliases = {s.alias for s in q.sources}
-    groups: dict[tuple, list[tuple[dict, int]]] = {}
-    for lm, m in rows:
-        key = tuple(dict(lm[g.alias])[g.attr] for g in q.group_by)
-        groups.setdefault(key, []).append((lm, m))
-    out: dict[Assignment, int] = {}
-    for key in sorted(groups, key=repr):
-        members = groups[key]
-        lm0 = members[0][0]
-        values: dict[str, object] = {}
-        for item in q.items:
-            if not isinstance(item, ExprItem):
-                raise OracleError("grouped query must project named expressions")
-            e = item.expr
-            if isinstance(e, App) and _refs_nongrouped(e, grouped, local_aliases):
-                names = shorthand_column_names(list(e.args))
-                bag_d: dict[Assignment, int] = {}
-                for lm, m in members:
-                    asg = make_assignment({
-                        n: interp_expr(a, db, env, scopes + (lm,))
-                        for n, a in zip(names, e.args)})
-                    bag_d[asg] = bag_d.get(asg, 0) + m
-                values[item.name] = agg_value(db, e.name, tuple(sorted(bag_d.items())))
+    def query(self, q, scope: tuple):
+        branches, stack = [], [q]
+        while stack:  # the UNION ALL spine, left to right, without recursion
+            q = stack.pop()
+            if isinstance(q, UnionAll):
+                stack += (q.rhs, q.lhs)
             else:
-                values[item.name] = interp_expr(e, db, env, scopes + (lm0,))
-        asg = make_assignment(values)
-        out[asg] = out.get(asg, 0) + 1  # one row per group
-    return out
+                branches.append(self._branch(q, scope))
+        return branches[0] if len(branches) == 1 else lambda db, frames: _bag_sum(
+            kv for branch in branches for kv in branch(db, frames).items())
+
+    def _branch(self, q, scope: tuple):
+        if isinstance(q, TableRef) and q.name in self.env.views:
+            return self.query(self.env.views[q.name], scope)
+        if isinstance(q, TableRef):
+            return lambda db, frames: dict(db.rels.get(q.name, {}))
+        if isinstance(q, Distinct):
+            inner = self.query(q.query, scope)
+            return lambda db, frames: {k: 1 for k, m in inner(db, frames).items() if m > 0}
+        if isinstance(q, ExceptQ):
+            lhs, rhs = self.query(q.lhs, scope), self.query(q.rhs, scope)
+
+            def except_(db, frames):
+                left, right = lhs(db, frames), rhs(db, frames)
+                return {k: m for k, m in left.items() if right.get(k, 0) == 0}
+            return except_
+        if isinstance(q, Select):
+            return self._select(q, scope)
+        raise OracleError(f"cannot interpret query node {type(q).__name__}")
+
+    def _scan(self, q, scope: tuple):
+        """The source's `_live_rows`; a base table's are the database's."""
+        if isinstance(q, TableRef) and q.name not in self.env.views:
+            return lambda db, frames: db.scan(q.name)
+        bag = self.query(q, scope)
+        return lambda db, frames: _live_rows(bag(db, frames))
+
+    def _select(self, q: Select, scope: tuple):
+        inner = scope + tuple(s.alias for s in q.sources)
+        local = range(len(scope), len(inner))
+        scans = [self._scan(s.query, scope) for s in q.sources]
+        where = self.pred(q.where, inner) if q.where is not None else None
+        project = (lambda db, row: row) if q.group_by else \
+            self._projection(q.items, inner, local)
+        budget = self.budget
+
+        def rows(db, frames):  # (projected row, multiplicity) per row passing WHERE
+            product = itertools.product(*[scan(db, frames) for scan in scans])
+            for i, here in enumerate(product):
+                if budget is not None and i & 255 == 255:
+                    budget.check_time()
+                row = frames + here
+                if where is None or where(db, row):
+                    yield project(db, row), prod([m for _, m in here])
+        if q.group_by:
+            return self._group(q, inner, local, rows)
+        return lambda db, frames: _bag_sum(rows(db, frames))
+
+    def _projection(self, items, scope: tuple, local: range):
+        stars, named = [], {}
+        for it in items:
+            if isinstance(it, Star):
+                stars += local
+            elif isinstance(it, AliasStar):
+                stars.append(_slot(it.alias, scope, local.start))
+            elif isinstance(it, ExprItem):
+                named[it.name] = self.expr(it.expr, scope)
+            else:
+                raise OracleError("unknown projection item")
+        named = sorted(named.items())
+        if not stars:
+            return lambda db, row: tuple([(n, f(db, row)) for n, f in named])
+
+        def project(db, row):
+            values: dict[str, object] = {}
+            for k in stars:
+                values.update(row[k][0])
+            values.update([(n, f(db, row)) for n, f in named])
+            return make_assignment(values)
+        return project
+
+    def _group(self, q: Select, scope: tuple, local: range, rows):
+        keys = [self.expr(g, scope) for g in q.group_by]
+        grouped, here = {(g.alias, g.attr) for g in q.group_by}, set(scope[local.start:])
+
+        def aggregated(e) -> bool:  # refers to a local column outside the GROUP BY
+            if isinstance(e, ColRef):
+                return e.alias in here and (e.alias, e.attr) not in grouped
+            return isinstance(e, App) and any(map(aggregated, e.args))
+        items = []  # (name, aggregate, projection of its arguments) or (name, None, closure)
+        for it in q.items:
+            if not isinstance(it, ExprItem):
+                raise OracleError("grouped query must project named expressions")
+            e = it.expr
+            if isinstance(e, App) and aggregated(e):
+                args = map(ExprItem, e.args, shorthand_column_names(list(e.args)))
+                items.append((it.name, e.name, self._projection(list(args), scope, local)))
+            else:
+                items.append((it.name, None, self.expr(e, scope)))
+
+        def value(db, agg, f, members):
+            if agg is None:
+                return f(db, members[0][0])
+            bag = _bag_sum((f(db, row), m) for row, m in members)
+            return agg_value(db, agg, tuple(sorted(bag.items())))
+
+        def group(db, frames):
+            groups: dict[tuple, list[tuple[tuple, int]]] = {}
+            for row, m in rows(db, frames):
+                groups.setdefault(tuple([k(db, row) for k in keys]), []).append((row, m))
+            return _bag_sum((make_assignment({name: value(db, agg, f, groups[key])
+                                              for name, agg, f in items}), 1)
+                            for key in sorted(groups, key=repr))  # one row per group
+        return group
+
+    def pred(self, p, scope: tuple):
+        if isinstance(p, Cmp):
+            l, r, op = self.expr(p.lhs, scope), self.expr(p.rhs, scope), p.op
+            if op == "=":
+                return lambda db, row: l(db, row) == r(db, row)
+            if op == "<>":
+                return lambda db, row: l(db, row) != r(db, row)
+            return lambda db, row: upred_truth(db, op, (l(db, row), r(db, row)))
+        if isinstance(p, (AndP, OrP)):
+            l, r = self.pred(p.lhs, scope), self.pred(p.rhs, scope)
+            if isinstance(p, AndP):
+                return lambda db, row: l(db, row) and r(db, row)
+            return lambda db, row: l(db, row) or r(db, row)
+        if isinstance(p, NotP):
+            body = self.pred(p.body, scope)
+            return lambda db, row: not body(db, row)
+        if isinstance(p, BoolLit):
+            return lambda db, row: p.value
+        if isinstance(p, Exists):
+            sub = self.query(p.query, scope)
+            return lambda db, row: any(m > 0 for m in sub(db, row).values())
+        raise OracleError(f"cannot interpret predicate {type(p).__name__}")
+
+    def expr(self, e, scope: tuple):
+        if isinstance(e, ColRef):
+            k, attr = _slot(e.alias, scope), e.attr
+            return lambda db, row: row[k][0][attr]
+        if isinstance(e, Lit):
+            value = e.value
+            return lambda db, row: value
+        if isinstance(e, App):
+            args = [self.expr(a, scope) for a in e.args]
+            return lambda db, row: ufun_value(db, e.name, tuple([a(db, row) for a in args]))
+        if isinstance(e, AggQuery):
+            sub = self.query(e.query, scope)
+            return lambda db, row: agg_value(db, e.name, tuple(sorted(
+                kv for kv in sub(db, row).items() if kv[1] > 0)))
+        raise OracleError(f"cannot interpret expression {type(e).__name__}")
 
 
-def _refs_nongrouped(e, grouped, local_aliases) -> bool:
-    if isinstance(e, ColRef):
-        return e.alias in local_aliases and (e.alias, e.attr) not in grouped
-    if isinstance(e, App):
-        return any(_refs_nongrouped(a, grouped, local_aliases) for a in e.args)
-    return False
-
-
-def interp_pred(p, db: FiniteDb, env: SchemaEnv, scopes) -> bool:
-    if isinstance(p, Cmp):
-        l = interp_expr(p.lhs, db, env, scopes)
-        r = interp_expr(p.rhs, db, env, scopes)
-        if p.op == "=":
-            return l == r
-        if p.op == "<>":
-            return l != r
-        return upred_truth(db, p.op, (l, r))
-    if isinstance(p, AndP):
-        return interp_pred(p.lhs, db, env, scopes) and interp_pred(p.rhs, db, env, scopes)
-    if isinstance(p, OrP):
-        return interp_pred(p.lhs, db, env, scopes) or interp_pred(p.rhs, db, env, scopes)
-    if isinstance(p, NotP):
-        return not interp_pred(p.body, db, env, scopes)
-    if isinstance(p, BoolLit):
-        return p.value
-    if isinstance(p, Exists):
-        return any(m > 0 for m in interp_query(p.query, db, env, scopes).values())
-    raise OracleError(f"cannot interpret predicate {type(p).__name__}")
-
-
-def interp_expr(e, db: FiniteDb, env: SchemaEnv, scopes):
-    if isinstance(e, ColRef):
-        for sc in reversed(scopes):
-            if e.alias in sc:
-                return dict(sc[e.alias])[e.attr]
-        raise OracleError(f"unknown alias {e.alias}")
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, App):
-        return ufun_value(db, e.name,
-                          tuple(interp_expr(a, db, env, scopes) for a in e.args))
-    if isinstance(e, AggQuery):
-        bag = interp_query(e.query, db, env, scopes)
-        bag_t = tuple(sorted((k, m) for k, m in bag.items() if m > 0))
-        return agg_value(db, e.name, bag_t)
-    raise OracleError(f"cannot interpret expression {type(e).__name__}")
+def _slot(alias: str, scope: tuple, start: int = 0) -> int:
+    """The innermost source named ``alias`` among ``scope[start:]``."""
+    for k in range(len(scope) - 1, start - 1, -1):
+        if scope[k] == alias:
+            return k
+    raise OracleError(f"unknown alias {alias}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +409,8 @@ def interp_expr(e, db: FiniteDb, env: SchemaEnv, scopes):
 def check_constraints(db: FiniteDb, constraints) -> bool:
     for c in constraints:
         if isinstance(c, KeyConstraint):
-            per_key: dict[tuple, int] = {}
-            for asg, m in db.rels.get(c.relation, {}).items():
-                if m <= 0:
-                    continue
-                kv = tuple(dict(asg)[a] for a in c.attrs)
-                per_key[kv] = per_key.get(kv, 0) + m
+            per_key = _bag_sum((tuple(dict(asg)[a] for a in c.attrs), m)
+                               for asg, m in db.rels.get(c.relation, {}).items() if m > 0)
             if any(total > 1 for total in per_key.values()):
                 return False
         elif isinstance(c, FkConstraint):
@@ -397,15 +441,10 @@ class GenSizes:
 def _repair(db: FiniteDb, constraints, rng: random.Random) -> bool:
     for c in constraints:
         if isinstance(c, KeyConstraint):
-            seen: set[tuple] = set()
-            fixed: dict[Assignment, int] = {}
+            first: dict[tuple, Assignment] = {}  # key value -> its first row
             for asg in sorted(db.rels.get(c.relation, {}), key=repr):
-                kv = tuple(dict(asg)[a] for a in c.attrs)
-                if kv in seen:
-                    continue
-                seen.add(kv)
-                fixed[asg] = 1
-            db.rels[c.relation] = fixed
+                first.setdefault(tuple(dict(asg)[a] for a in c.attrs), asg)
+            db.rels[c.relation] = {asg: 1 for asg in first.values()}
     for _ in range(8):
         ok = True
         for c in constraints:
@@ -421,16 +460,14 @@ def _repair(db: FiniteDb, constraints, rng: random.Random) -> bool:
                 if len(matches) == 1 and targets[matches[0]] == 1:
                     continue
                 ok = False
-                if len(matches) > 1:
-                    for t in matches[1:]:
-                        del targets[t]
-                    targets[matches[0]] = 1
-                elif matches:
-                    targets[matches[0]] = 1
-                else:
+                if not matches:
                     del db.rels[c.source][asg]  # drop the dangling source row
+                    continue
+                for t in matches[1:]:
+                    del targets[t]
+                targets[matches[0]] = 1
         if ok:
-            return check_constraints(db, constraints)
+            break
     return check_constraints(db, constraints)
 
 
@@ -456,18 +493,14 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
             draws[n] = ({"int": ints, "bool": (False, True), "string": strings}, {})
         domains, spaces = draws[n]
         db = FiniteDb(domains, {}, salt=rng.randrange(2 ** 16), _spaces=spaces)
-        ok = True
         for name, sch in tables:
             try:
                 space = db.tuple_space(sch)
             except OracleError:
-                ok = False
-                break
+                return
             k = rng.randint(0, min(sizes.tuples, len(space)))
             support = rng.sample(space, k) if k else []
             db.rels[name] = {asg: rng.randint(1, sizes.mult) for asg in sorted(support)}
-        if not ok:
-            return
         if _repair(db, constraints, rng):
             produced += 1
             yield db

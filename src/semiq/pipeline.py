@@ -17,7 +17,7 @@ from .config import Budget, BudgetError, Limits
 from .decide import (Decider, EQUIVALENT, GENERAL, NOT_EQUIVALENT, NOT_PROVED,
                      RESOURCE_EXHAUSTED, UCQ_BAG, UCQ_SET)
 from .frontend import build_env, desugar_groupby, inline_views
-from .oracle import (FiniteDb, GenSizes, OracleError, gen_instances, interp_query)
+from .oracle import FiniteDb, GenSizes, OracleError, compile_query, gen_instances, interp_query
 from .parser import parse
 from .schema import SchemaEnv
 from .sqlast import (AliasStar, AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
@@ -216,18 +216,20 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
 
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
                  budget: Budget | None = None) -> FiniteDb | None:
-    """Search generated constraint-satisfying instances for a disagreement.
-    With a budget, its deadline is checked before each instance (BudgetError
+    """Search generated constraint-satisfying instances for a disagreement;
+    each side is compiled once.  With a budget, its deadline is checked
+    before each instance and inside each evaluation (BudgetError
     propagates)."""
     lits = query_literals(q1, q2)
     try:
+        plan1, plan2 = compile_query(q1, env, budget), compile_query(q2, env, budget)
         stream = gen_instances(env, env.constraints(), GenSizes(), seed,
                                extra_ints=sorted(lits["int"]),
                                extra_strings=sorted(lits["string"]))
         for db in itertools.islice(stream, tries):
             if budget is not None:
                 budget.check_time()
-            if interp_query(q1, db, env) != interp_query(q2, db, env):
+            if interp_query(plan1, db, env) != interp_query(plan2, db, env):
                 return db
     except OracleError:
         return None

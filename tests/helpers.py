@@ -9,7 +9,8 @@ import random
 from hypothesis import strategies as st
 
 from semiq.frontend import desugar_groupby, inline_views
-from semiq.oracle import FiniteDb, GenSizes, eval_exp, gen_instances, interp_query
+from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_instances,
+                          interp_query)
 from semiq.schema import Schema, SchemaEnv
 from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
                           Select, Source, Star, TableRef, UnionAll)
@@ -345,15 +346,14 @@ def _cq_branches(q) -> list[Select]:
 # Oracle comparison helpers
 
 def queries_agree(q1, q2, env: SchemaEnv, dbs) -> bool:
-    for db in dbs:
-        if interp_query(q1, db, env) != interp_query(q2, db, env):
-            return False
-    return True
+    return find_disagreement(q1, q2, env, dbs) is None
 
 
 def find_disagreement(q1, q2, env: SchemaEnv, dbs):
+    """The first database the two queries differ on; each is compiled once."""
+    p1, p2 = compile_query(q1, env), compile_query(q2, env)
     for db in dbs:
-        if interp_query(q1, db, env) != interp_query(q2, db, env):
+        if interp_query(p1, db, env) != interp_query(p2, db, env):
             return db
     return None
 

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 from semiq import build_env, parse
+from semiq.config import Budget, BudgetError
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
-                          eval_exp, gen_instances, make_assignment)
+                          compile_query, eval_exp, gen_instances, interp_query,
+                          make_assignment, upred_truth)
+from semiq.pipeline import prepare_pair, query_literals
 from semiq.schema import KeyConstraint, Schema
+from semiq.sqlast import TableRef, UnionAll
 from semiq.translate import denote
-from semiq.exprs import (AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squash,
+from semiq.exprs import (Add, AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squash,
                         Sum, TupleVar, VarGen, mk_eq)
 
+from conftest import parse_query
 from helpers import enumerate_dbs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -233,9 +243,131 @@ def test_uninterpreted_functions_deterministic():
 def test_grouped_query_gives_one_row_per_group():
     # SQL keeps the two groups (1,1) and (1,2) apart even though only
     # their a is projected
-    from semiq.oracle import interp_query
-    from conftest import parse_query
     env = build_env(parse("schema s(a:int, b:int);\ntable R(s);\n"))
     db = _db([({"a": 1, "b": 1}, 1), ({"a": 1, "b": 2}, 1)])
     q = parse_query("SELECT x.a AS a FROM R x GROUP BY x.a, x.b")
     assert interp_query(q, db, env) == {make_assignment({"a": 1}): 2}
+
+
+def test_upred_truth_orders_ints_and_hashes_the_rest():
+    db = _db([])
+    assert upred_truth(db, "<", (1, 2)) and not upred_truth(db, ">=", (1, 2))
+    # bools and strings are not ordered: their truth is the hash, as for
+    # any uninterpreted predicate
+    for args in ((True, 2), (1, False), ("a", "b")):
+        hashed = int.from_bytes(hashlib.blake2b(
+            repr((db.salt, ("pred", "<", args))).encode(), digest_size=8).digest(), "big")
+        assert upred_truth(db, "<", args) == (hashed % 2 == 1)
+
+
+def _rs_env():
+    return build_env(parse("schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"))
+
+
+def test_a_plan_runs_on_many_databases_and_shares_their_scans():
+    env = _rs_env()
+    q = parse_query("SELECT x.a AS a FROM R x, R y WHERE x.b = y.a")
+    plan = compile_query(q, env)
+    for db in itertools.islice(gen_instances(env, [], GenSizes(), 4), 30):
+        assert interp_query(plan, db, env) == interp_query(q, db, env)
+        # both scans of R, and both runs, read the one cached row list
+        assert list(db._scans) == ["R"]
+        assert db.scan("R") is db._scans["R"]
+
+
+def test_select_loop_checks_the_deadline_within_one_evaluation():
+    env = _rs_env()
+    db = _db([({"a": i, "b": j}, 1) for i in range(20) for j in range(2)])
+    q = parse_query("SELECT x.a AS a FROM R x, R y, R z")  # 64,000 rows
+    budget = Budget()
+    checks = []
+
+    def expire():
+        checks.append(1)
+        raise BudgetError("timeout")
+
+    budget.check_time = expire
+    with pytest.raises(BudgetError):
+        interp_query(compile_query(q, env, budget), db, env)
+    assert checks == [1]
+    assert sum(interp_query(q, db, env).values()) == 40 ** 3
+
+
+def test_long_union_all_evaluates_without_recursion():
+    env = _rs_env()
+    q = TableRef("R")
+    for _ in range(1199):
+        q = UnionAll(q, TableRef("S"))
+    db = FiniteDb({"int": (0, 1)}, {"R": {make_assignment({"a": 0, "b": 1}): 2},
+                                    "S": {make_assignment({"a": 1, "b": 1}): 1}})
+    assert interp_query(q, db, env) == {make_assignment({"a": 0, "b": 1}): 2,
+                                        make_assignment({"a": 1, "b": 1}): 1199}
+
+
+# ---------------------------------------------------------------------------
+# The plan against the denotation: two independent evaluators, one answer
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# eval_exp enumerates every tuple space under every summation, so the
+# nested-projection, long join and multi-probe index programs would take
+# hours at any domain size; a side is compared on a database when this
+# bound on the number of bodies it evaluates holds
+ENUMERATION_CAP = 100_000
+
+
+def _pools(text: str):
+    """Per side of each verify: its query and three databases with its
+    constants (none where a table's tuple space is over the oracle's cap)."""
+    program = parse(text)
+    env = build_env(program)
+    for stmt in program.verifies():
+        for q in prepare_pair(stmt, env):
+            lits = query_literals(q)
+            yield env, q, list(gen_instances(
+                env, env.constraints(), GenSizes(2, 2, 2), 11, count=3,
+                extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"])))
+
+
+def _programs() -> list[tuple[str, str]]:
+    out = [(p.name, p.read_text()) for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    for name in sorted(workloads.WORKLOADS):
+        seen = set()
+        for inst in workloads.build(name, 3, ROOT):
+            if inst.family not in seen and not inst.family.startswith("bundled-"):
+                seen.add(inst.family)
+                out.append((f"{name}/{inst.family}", inst.text))
+    return [(name, text) for name, text in out if any(dbs for _, _, dbs in _pools(text))]
+
+
+def _enumeration_bound(e, db) -> int:
+    if isinstance(e, Sum):
+        return len(db.tuple_space(e.var.schema)) * _enumeration_bound(e.body, db)
+    if isinstance(e, (Add, Mul)):
+        return _enumeration_bound(e.lhs, db) + _enumeration_bound(e.rhs, db)
+    if isinstance(e, (Squash, Not)):
+        return _enumeration_bound(e.body, db)
+    return 1
+
+
+PROGRAMS = _programs()
+
+
+@pytest.mark.parametrize("text", [t for _, t in PROGRAMS], ids=[n for n, _ in PROGRAMS])
+def test_plan_equals_denotation(text):
+    compared = 0
+    for env, q, dbs in _pools(text):
+        d = denote(q, env, VarGen())
+        plan = compile_query(q, env)
+        for db in dbs:
+            space = db.tuple_space(d.schema)
+            if len(space) * _enumeration_bound(d.body, db) > ENUMERATION_CAP:
+                continue
+            bag = interp_query(plan, db, env)
+            for asg in space:
+                assert eval_exp(d.body, db, {d.out_var.vid: asg}) == bag.get(asg, 0)
+            compared += 1
+    assert compared

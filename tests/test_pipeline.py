@@ -378,6 +378,57 @@ def test_refute_stops_at_the_verify_budget(monkeypatch):
     assert "refutation stopped" in out.detail
 
 
+def test_refute_stops_inside_one_evaluation(monkeypatch):
+    # the deadline passes after the stream's check before the first
+    # database, so only the SELECT loop over the 3-way product of a
+    # 40-row table (64,000 rows) can notice it: the verdict stands and no
+    # witness is reported, although this database separates the pair
+    from types import SimpleNamespace
+    from semiq import config, pipeline
+    from semiq.oracle import FiniteDb, make_assignment
+    rows = {make_assignment({"a": i, "b": j}): 1 for i in range(20) for j in range(2)}
+    big = FiniteDb({"int": tuple(range(20)), "bool": (False, True), "string": ("a",)},
+                   {"R": rows, "S": {}})
+    monkeypatch.setattr(pipeline, "gen_instances", lambda *args, **kwargs: iter([big]))
+    interpret = pipeline.interp_query
+
+    def expire_then_interpret(*args):
+        monkeypatch.setattr(config, "time", SimpleNamespace(monotonic=lambda: float("inf")))
+        return interpret(*args)
+
+    monkeypatch.setattr(pipeline, "interp_query", expire_then_interpret)
+    [out] = run_program_text(PRELUDE + """
+        verify (SELECT x.a AS a FROM R x, R y, R z)
+               (SELECT DISTINCT x.a AS a FROM R x, R y, R z);
+    """, refute=True)
+    assert out.status == "NOT_PROVED"
+    assert out.witness is None and "refutation stopped" in out.detail
+
+
+CLASHING = """
+    verify (SELECT {d}x.a AS o FROM R x WHERE x.a = 1 AND x.a = 2)
+           (SELECT {d}y.a AS o FROM {rhs} y WHERE y.a = 1{more});
+"""
+
+
+def test_terms_equating_two_constants_are_dropped():
+    # both sides are empty; in the UCQ fragments a wrong NOT_EQUIVALENT
+    # would be a completeness claim broken
+    for distinct, fragment in (("", "ucq-bag"), ("DISTINCT ", "ucq-set")):
+        [out] = run_program_text(PRELUDE + CLASHING.format(
+            d=distinct, rhs="S", more=" AND y.a = 2"), refute=True)
+        assert (out.status, out.fragment) == ("EQUIVALENT", fragment)
+        assert out.trace.rule_names().count("const-clash") == 2
+
+
+def test_a_clashing_side_against_a_nonempty_one_is_refuted():
+    [out] = run_program_text(PRELUDE + CLASHING.format(d="", rhs="R", more=""),
+                             refute=True)
+    assert (out.status, out.fragment) == ("NOT_EQUIVALENT", "ucq-bag")
+    assert out.witness is not None
+    assert out.trace.rule_names().count("const-clash") == 1
+
+
 def test_normalize_steps_count_not_squash():
     # each side strips the squash under its negation (`not-squash`) and
     # sorts its factors (`prod-comm`): 4 normalizer rules
