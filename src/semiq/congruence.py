@@ -2,8 +2,8 @@
 
 Equality atoms assert merges; closure is taken under function application
 (attribute access, slices, uninterpreted functions), record projection,
-slice projection and record injectivity.  Used both to saturate term
-predicates and to compare predicate lists for equivalence.
+slice projection and record injectivity.  Used to saturate term
+predicates and to ask whether a term's closure implies an atom.
 """
 
 from __future__ import annotations
@@ -32,21 +32,6 @@ class Closure:
         # a node is interned or two classes merge
         self._scalar_classes: dict[int, list[object]] | None = None
         self._tuple_classes: dict[int, list[object]] | None = None
-
-    def copy(self) -> "Closure":
-        c = Closure.__new__(Closure)
-        c.parent = list(self.parent)
-        c.kind = list(self.kind)
-        c.payload = list(self.payload)
-        c.children = list(self.children)
-        c.source = list(self.source)
-        c.intern = dict(self.intern)
-        c.tuple_nodes = list(self.tuple_nodes)
-        c.attr_nodes = list(self.attr_nodes)
-        c.dirty = self.dirty
-        c._scalar_classes = self._scalar_classes
-        c._tuple_classes = self._tuple_classes
-        return c
 
     # -- union-find ---------------------------------------------------------
 
@@ -280,31 +265,6 @@ def _materialize_attrs(c: Closure) -> None:
 
 def is_eq_atom(a: PredAtom) -> bool:
     return isinstance(a, (EqAtom, TupleEqAtom))
-
-
-def congruent_preds(p1, p2, c1: Closure | None = None) -> bool:
-    """Both predicate lists generate the same closure, and every
-    non-equality atom on each side has a congruent counterpart.  ``c1``,
-    when given, is ``closure_of(p1)``; it is copied, not changed."""
-    c1 = c1.copy() if c1 is not None else closure_of(p1)
-    c2 = closure_of(p2)
-    for c in (c1, c2):
-        for p in (*p1, *p2):
-            c.add_atom_terms(p)
-        c.close()
-    for p in p1:
-        if isinstance(p, EqAtom) and not c2.scalar_eq(p.lhs, p.rhs):
-            return False
-        if isinstance(p, TupleEqAtom) and not c2.tuple_eq(p.lhs, p.rhs):
-            return False
-    for p in p2:
-        if isinstance(p, EqAtom) and not c1.scalar_eq(p.lhs, p.rhs):
-            return False
-        if isinstance(p, TupleEqAtom) and not c1.tuple_eq(p.lhs, p.rhs):
-            return False
-    sigs1 = {c1.atom_signature(p) for p in p1 if not is_eq_atom(p)}
-    sigs2 = {c1.atom_signature(p) for p in p2 if not is_eq_atom(p)}
-    return sigs1 == sigs2
 
 
 def implies_atom(c: Closure, atoms, candidate: PredAtom) -> bool:

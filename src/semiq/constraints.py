@@ -336,23 +336,19 @@ class Canonizer:
             else:
                 if any(not self.env.keys_of(r) for r in rels):
                     return False
-        determined: set[int] = set()
-        pending = [v for v in t.sum_vars]
-        for v in pending:
-            if v.vid not in by_var:
-                return False
+        pending = list(t.sum_vars)
+        if any(v.vid not in by_var for v in pending):
+            return False
         progress = True
         while progress and pending:
             progress = False
             undetermined = {v.vid for v in pending}
             for v in list(pending):
                 rel = by_var[v.vid][0]
-                for key in self.env.keys_of(rel):
-                    if self._key_bound(v, key, closure, undetermined):
-                        determined.add(v.vid)
-                        pending.remove(v)
-                        progress = True
-                        break
+                if any(self._key_bound(v, key, closure, undetermined)
+                       for key in self.env.keys_of(rel)):
+                    pending.remove(v)
+                    progress = True
         return not pending
 
     def _key_bound(self, v: TupleVar, key: KeyConstraint, closure: Closure,

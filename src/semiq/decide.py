@@ -9,9 +9,11 @@ each term's summation variables are coloured by 1-WL refinement of their
 signatures over the attribute-equality links between them, a variable is
 tried only on variables of its own colour, and when the search has a
 choice, each predicate is checked against the other term's closure as soon
-as all its summation variables are placed.  Both prune only bijections that
-``congruent_preds`` would reject, and the search keeps the order of the
-plain signature search, so it finds the same bijection first.
+as all its summation variables are placed.  The leaf ``_term_check`` asks
+``implies_atom`` of every predicate each way, renamed into the other term's
+closure, so both prune only bijections the leaf would reject; the search
+keeps the order of the plain signature search, so it finds the same
+bijection first.
 ``squash_equal`` compares squashed expressions set-style: dissolve nested
 squashes, canonize, drop repeated atoms, then require containment each
 way.  A term is contained in another when the other maps into it by a
@@ -25,7 +27,7 @@ from collections import Counter
 from dataclasses import replace
 
 from .config import Budget
-from .congruence import Closure, closure_of, congruent_preds, implies_atom
+from .congruence import Closure, closure_of, implies_atom
 from .constraints import Canonizer, subst_spnf, subst_term, _is_reflexive
 from .schema import SchemaEnv, footprint_key
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
@@ -143,8 +145,8 @@ class Decider:
         # `_term_check` would reject every bijection
         if f1.consts != f2.consts:
             return False
-        # a bijection that `congruent_preds` accepts is an isomorphism of
-        # the coloured link graphs, so it keeps colours; the candidates are
+        # a bijection that `_term_check` accepts is an isomorphism of the
+        # coloured link graphs, so it keeps colours; the candidates are
         # the signature candidates of the plain search, in their order,
         # less those of another colour
         cand = {v2.vid: f1.by_colour.get(f2.colour[v2.vid], ())
@@ -156,13 +158,8 @@ class Decider:
         # found first
         order = sorted(t2.sum_vars,
                        key=lambda v: (f1.sig_count[f2.sig[v.vid]], v.vid))
-        # with no choice the leaf check alone decides.  Renaming one
-        # predicate by the pairs placed so far gives what `_term_check`'s
-        # renaming gives at every leaf below only when neither term
-        # mentions a variable the other sums over
-        placing = (any(len(c) > 1 for c in cand.values())
-                   and not f1.sum_ids & f2.preds.mentioned
-                   and not f2.sum_ids & f1.preds.mentioned)
+        # with no choice the leaf check alone decides
+        placing = any(len(c) > 1 for c in cand.values())
         links1, links2 = f1.links, f2.links
         mapping: list[tuple[TupleVar, TupleVar]] = []
         image: dict[int, TupleVar] = {}     # placed t2 id -> t1 variable
@@ -171,7 +168,7 @@ class Decider:
         def backtrack(k: int) -> bool:
             self.budget.step("search")
             if k == len(order):
-                return self._term_check(t1, t2, list(mapping), f1.closure)
+                return self._term_check(t1, t2, list(mapping))
             v2 = order[k]
             for v1 in cand[v2.vid]:
                 if v1.vid in preimage:
@@ -198,13 +195,17 @@ class Decider:
             del backtrack  # it holds itself through its cell; break the cycle
 
     def _term_check(self, t1: Term, t2: Term,
-                    mapping: list[tuple[TupleVar, TupleVar]],
-                    closure1: Closure) -> bool:
+                    mapping: list[tuple[TupleVar, TupleVar]]) -> bool:
         t2p = subst_term(t2, dict(mapping))  # the two variable sets are disjoint
         if sorted((r, v.vid) for r, v in t1.atoms) != \
            sorted((r, v.vid) for r, v in t2p.atoms):
             return False
-        if not congruent_preds(t1.preds, t2p.preds, closure1):
+        # each side's predicates, renamed, hold in the other's closure
+        f1, f2 = self._term_facts(t1), self._term_facts(t2)
+        image = {v2.vid: v1 for v2, v1 in mapping}
+        preimage = {v1.vid: v2 for v2, v1 in mapping}
+        if not (all(_pred_holds(f2, i, image, f1) for i in range(len(t2.preds))) and
+                all(_pred_holds(f1, i, preimage, f2) for i in range(len(t1.preds)))):
             return False
         s1, s2 = t1.squash, t2p.squash
         if s1 is not None or s2 is not None:
@@ -276,8 +277,8 @@ class Decider:
                 for k, c in fs.consts.items())
                 or any((r, v) not in dst_atoms
                        for r, v in src.atoms if v.vid not in fs.sum_ids)
-                or not all(_is_reflexive(p) or implies_atom(fd.work, dst.preds, p)
-                           for p, summed in zip(src.preds, fs.preds.summed)
+                or not all(_pred_holds(fs, i, {}, fd)
+                           for i, summed in enumerate(fs.preds.summed)
                            if not summed)):
             return False
         # a target carries the atoms of the variables placed on it
@@ -344,18 +345,16 @@ class Decider:
 
 class _TermFacts:
     """What the searches need of one term, built on its first use in one
-    `equivalent` call.  ``closure`` is ``closure_of(t.preds)``, kept
-    pristine for `congruent_preds`; ``work`` is a copy that the equality
-    links, the free constants and the placement checks query.  Queries only
-    add nodes and never merge existing classes, so answers stay valid as it
-    grows.  ``sig`` and ``colour`` map each summation variable to its
-    signature id and its refined colour id."""
+    `equivalent` call.  ``closure`` is ``closure_of(t.preds)``, which the
+    equality links, the free constants and every predicate test query.
+    Queries only add nodes and never merge existing classes, so answers
+    stay valid as it grows.  ``sig`` and ``colour`` map each summation
+    variable to its signature id and its refined colour id."""
 
     def __init__(self, t: Term, colours: dict[tuple, int]):
         self.term = t
         self.closure = closure_of(t.preds)
-        self.work = self.closure.copy()
-        self.links = _EqualityLinks(t, self.work)
+        self.links = _EqualityLinks(t, self.closure)
         self.sig = {v.vid: colours.setdefault(
                         ("sig", _var_signature(t, v) + self.links.unary(v)),
                         len(colours))
@@ -365,7 +364,7 @@ class _TermFacts:
         self.by_colour: dict[int, list[TupleVar]] = {}
         for v in t.sum_vars:
             self.by_colour.setdefault(self.colour[v.vid], []).append(v)
-        self.consts = _free_constants(t, self.work)
+        self.consts = _free_constants(t, self.closure)
         self.sum_ids = frozenset(self.sig)
         self.preds = _PredIndex(t.preds, self.sum_ids)
 
@@ -416,21 +415,24 @@ def _refine(t: Term, sig: dict[int, int], links: _EqualityLinks,
         colour, count = new, n
 
 
+def _pred_holds(f: _TermFacts, i: int, placed: dict[int, TupleVar],
+                other: _TermFacts) -> bool:
+    """Predicate ``i`` of ``f``'s term, its summation variables renamed by
+    ``placed``, holds in the other term's closure."""
+    q = substitute(f.term.preds[i], {w: placed[w.vid] for w in f.preds.summed[i]})
+    return _is_reflexive(q) or implies_atom(other.closure, other.term.preds, q)
+
+
 def _placed_preds_hold(f: _TermFacts, v: TupleVar,
                        placed: dict[int, TupleVar], other: _TermFacts) -> bool:
     """Each predicate of ``f``'s term that mentions ``v`` and has all its
     summation variables placed holds, renamed by ``placed``, in the other
     term's full closure (the predicates not yet placed there can imply
-    it).  A failure here fails `congruent_preds` at every leaf below."""
-    for i in f.preds.of.get(v.vid, ()):
-        summed = f.preds.summed[i]
-        if not all(w.vid in placed for w in summed):
-            continue
-        q = substitute(f.term.preds[i], {w: placed[w.vid] for w in summed})
-        if not _is_reflexive(q) and \
-                not implies_atom(other.work, other.term.preds, q):
-            return False
-    return True
+    it).  `_term_check` asks the same of every predicate, so a failure
+    here fails every leaf below."""
+    return all(_pred_holds(f, i, placed, other)
+               for i in f.preds.of.get(v.vid, ())
+               if all(w.vid in placed for w in f.preds.summed[i]))
 
 
 class _EqualityLinks:
@@ -489,7 +491,7 @@ def _free_constants(t: Term, closure: Closure) -> dict:
     for each attribute of each free variable of non-generic schema in
     ``closure``, which it extends; empty sets are left out.  Constants are
     leaves that only asserted equalities merge, so two predicate lists that
-    `congruent_preds` accepts give the same map."""
+    generate the same closure give the same map."""
     sum_ids = {v.vid for v in t.sum_vars}
     free = [v for v in (closure.source[nid] for nid in closure.tuple_nodes
                         if closure.kind[nid] == "tvar")

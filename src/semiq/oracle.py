@@ -418,14 +418,19 @@ def check_constraints(db: FiniteDb, constraints) -> bool:
             for asg, m in db.rels.get(c.source, {}).items():
                 if m <= 0:
                     continue
-                sv = tuple(dict(asg)[a] for a in c.source_attrs)
-                matches = [(t, tm) for t, tm in targets.items() if tm > 0 and
-                           tuple(dict(t)[a] for a in c.target_attrs) == sv]
-                if len(matches) != 1 or matches[0][1] != 1:
+                matches = _fk_matches(c, asg, targets)
+                if len(matches) != 1 or targets[matches[0]] != 1:
                     return False
         else:
             raise OracleError(f"unknown constraint {type(c).__name__}")
     return True
+
+
+def _fk_matches(c: FkConstraint, asg: Assignment, targets: dict) -> list:
+    """The live ``targets`` rows whose target attributes equal ``asg``'s."""
+    sv = tuple(dict(asg)[a] for a in c.source_attrs)
+    return [t for t, tm in targets.items() if tm > 0 and
+            tuple(dict(t)[a] for a in c.target_attrs) == sv]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +443,7 @@ class GenSizes:
     mult: int = 3
 
 
-def _repair(db: FiniteDb, constraints, rng: random.Random) -> bool:
+def _repair(db: FiniteDb, constraints) -> bool:
     for c in constraints:
         if isinstance(c, KeyConstraint):
             first: dict[tuple, Assignment] = {}  # key value -> its first row
@@ -454,9 +459,7 @@ def _repair(db: FiniteDb, constraints, rng: random.Random) -> bool:
             for asg, m in list(db.rels.get(c.source, {}).items()):
                 if m <= 0:
                     continue
-                sv = tuple(dict(asg)[a] for a in c.source_attrs)
-                matches = [t for t, tm in targets.items() if tm > 0 and
-                           tuple(dict(t)[a] for a in c.target_attrs) == sv]
+                matches = _fk_matches(c, asg, targets)
                 if len(matches) == 1 and targets[matches[0]] == 1:
                     continue
                 ok = False
@@ -501,7 +504,7 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
             k = rng.randint(0, min(sizes.tuples, len(space)))
             support = rng.sample(space, k) if k else []
             db.rels[name] = {asg: rng.randint(1, sizes.mult) for asg in sorted(support)}
-        if _repair(db, constraints, rng):
+        if _repair(db, constraints):
             produced += 1
             yield db
 

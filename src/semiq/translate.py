@@ -48,9 +48,16 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
         d = denote(q.query, env, gen, scopes)
         return Denotation(d.out_var, Squash(d.body))
     if isinstance(q, UnionAll):
-        t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
-                                  denote(q.rhs, env, gen, scopes), "UNION ALL")
-        return Denotation(t, Add(b1, b2))
+        # a long UNION ALL nests on its left: fold its branches in a loop
+        branches = []
+        while isinstance(q, UnionAll):
+            branches.append(q.rhs)
+            q = q.lhs
+        d = denote(q, env, gen, scopes)
+        for rhs in reversed(branches):
+            t, b1, b2 = unify_outputs(d, denote(rhs, env, gen, scopes), "UNION ALL")
+            d = Denotation(t, Add(b1, b2))
+        return d
     if isinstance(q, ExceptQ):
         t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
                                   denote(q.rhs, env, gen, scopes), "EXCEPT")

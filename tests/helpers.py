@@ -742,12 +742,38 @@ def reference_match_terms(d, t1, t2) -> bool:
     cand = {v2.vid: [v1 for v1 in t1.sum_vars if sig1[v1.vid] == sig2[v2.vid]]
             for v2 in t2.sum_vars}
     order = sorted(t2.sum_vars, key=lambda v: (len(cand[v.vid]), v.vid))
-    closure1 = closure_of(t1.preds)
     for images in itertools.product(*(cand[v.vid] for v in order)):
         if len({v.vid for v in images}) == len(images) and \
-                d._term_check(t1, t2, list(zip(order, images)), closure1):
+                d._term_check(t1, t2, list(zip(order, images))):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference predicate-list congruence: the oracle of `Decider._term_check`'s
+# predicate test.
+
+def congruent_preds(p1, p2) -> bool:
+    """Both predicate lists generate the same closure, and every
+    non-equality atom on each side has a congruent counterpart.  Each
+    side's closure is built fresh and grown with the terms of both."""
+    from semiq.congruence import closure_of, is_eq_atom
+    from semiq.exprs import EqAtom, TupleEqAtom
+
+    c1, c2 = closure_of(p1), closure_of(p2)
+    for c in (c1, c2):
+        for p in (*p1, *p2):
+            c.add_atom_terms(p)
+        c.close()
+    for mine, other in ((p1, c2), (p2, c1)):
+        for p in mine:
+            if isinstance(p, EqAtom) and not other.scalar_eq(p.lhs, p.rhs):
+                return False
+            if isinstance(p, TupleEqAtom) and not other.tuple_eq(p.lhs, p.rhs):
+                return False
+    sigs1 = {c1.atom_signature(p) for p in p1 if not is_eq_atom(p)}
+    sigs2 = {c1.atom_signature(p) for p in p2 if not is_eq_atom(p)}
+    return sigs1 == sigs2
 
 
 # ---------------------------------------------------------------------------

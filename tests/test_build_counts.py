@@ -10,10 +10,21 @@ They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
-from semiq import constraints, decide, run_program_text
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+from semiq import congruence, constraints, decide, run_program_text
 from semiq.schema import Schema
 
 from helpers import index_join_back_program, nested_projection_program
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
 
@@ -50,6 +61,38 @@ def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
     assert out.status == "EQUIVALENT"
     distinct = {id(t) for t in built}
     assert len(distinct) == len(built) <= 2 * len(BRANCH_PREDS)
+
+
+def test_wide_union_builds_one_closure_per_term(monkeypatch):
+    # the search asks every predicate question of each term's own closure:
+    # no closure is built or copied per checked pair
+    n = 64
+    built, asked = [], set()
+    real_closure, real_implies = decide.closure_of, decide.implies_atom
+    real_facts = decide._TermFacts
+
+    def closure_of(preds):
+        built.append(real_closure(preds))
+        return built[-1]
+
+    def implies_atom(c, *args):
+        asked.add(id(c))
+        return real_implies(c, *args)
+
+    terms = []
+
+    def facts(t, *args):
+        terms.append(t)
+        return real_facts(t, *args)
+
+    for module in (congruence, decide):
+        monkeypatch.setattr(module, "closure_of", closure_of)
+    monkeypatch.setattr(decide, "implies_atom", implies_atom)
+    monkeypatch.setattr(decide, "_TermFacts", facts)
+    [out] = run_program_text(workloads.wide_union(random.Random(1), n).text)
+    assert out.status == "EQUIVALENT"
+    assert len(built) == len({id(t) for t in terms}) == 2 * n
+    assert asked and asked <= {id(c) for c in built}
 
 
 def _count_term_checks(monkeypatch) -> list:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semiq import decide
-from semiq.congruence import closure_of, congruent_preds, is_eq_atom
+from semiq.congruence import closure_of, is_eq_atom
+from semiq.constraints import subst_term
 from semiq.decide import Decider, term_signature
 from semiq.oracle import GenSizes
 from semiq.schema import Schema
@@ -28,8 +29,8 @@ from semiq.schema import SchemaEnv
 from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 
 from conftest import FIG_INDEX, parse_query
-from helpers import (copy_body, cq_set_equivalent, denote_pair,
-                     enumerate_dbs, find_disagreement, gen_cq, narrow,
+from helpers import (congruent_preds, copy_body, cq_set_equivalent,
+                     denote_pair, enumerate_dbs, find_disagreement, gen_cq, narrow,
                      reference_match_terms, small_dbs, std_env,
                      ucq_set_equivalent)
 
@@ -579,6 +580,34 @@ def test_match_terms_agrees_with_exhaustive_search(pair):
         want = Decider(_ENV, VarGen(), Trace())
         assert got.match_terms(t1, t2) == reference_match_terms(want, t1, t2)
         assert got.trace.render() == want.trace.render()
+
+
+@given(_term_pairs())
+@settings(max_examples=100, deadline=None)
+@example(_renamed_pair(2,
+                       lambda x, y: [mk_eq(AttrRef(x, "a"), AttrRef(y, "a")),
+                                     mk_eq(AttrRef(x, "a"), AttrRef(_OUT, "a"))],
+                       lambda x, y: [mk_eq(AttrRef(x, "a"), AttrRef(y, "a")),
+                                     mk_eq(AttrRef(y, "a"), AttrRef(_OUT, "a"))],
+                       (100, 101)))
+def test_term_check_is_congruence_under_each_bijection(pair):
+    # the leaf asks each side's predicates of the other's closure; that is
+    # the congruence of the two predicate lists, whichever bijection of
+    # signature-equal variables it is given.  One decider checks them all,
+    # so its closures grow across checks as they do in a search
+    for t1, t2 in (pair, pair[::-1]):
+        d = Decider(_ENV, VarGen())
+        sig = {v.vid: decide._var_signature(t, v)
+               for t in (t1, t2) for v in t.sum_vars}
+        for images in itertools.permutations(t1.sum_vars):
+            mapping = list(zip(t2.sum_vars, images))
+            if any(sig[v2.vid] != sig[v1.vid] for v2, v1 in mapping):
+                continue
+            t2p = subst_term(t2, dict(mapping))
+            want = (sorted((r, v.vid) for r, v in t1.atoms)
+                    == sorted((r, v.vid) for r, v in t2p.atoms)
+                    and congruent_preds(t1.preds, t2p.preds))
+            assert d._term_check(t1, t2, mapping) == want
 
 
 # -- lifetime -------------------------------------------------------------------

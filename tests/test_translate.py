@@ -10,6 +10,7 @@ import pytest
 from semiq import SemanticError, build_env, parse
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, eval_exp, gen_instances, interp_query
+from semiq.pipeline import prepare_verify
 from semiq.translate import denote
 from semiq.exprs import (Add, Mul, Not, Pred, PredApp, Squash, Sum,
                         TupleEqAtom, VarGen, Zero, pretty)
@@ -155,3 +156,20 @@ def test_denotation_total_on_random_ucqs():
         q = mutate_ucq(rng, gen_ucq(rng))
         d = denote(inline_views(desugar_groupby(q), env), env, VarGen())
         assert d.body is not None
+
+
+def test_long_union_all_denotes_without_deep_recursion():
+    # the parser nests UNION ALL on its left; denoting that spine one
+    # frame per branch would overflow Python's stack at this width
+    n = 1200
+    branches = " UNION ALL ".join(
+        f"(SELECT x{i}.a AS o FROM R x{i} WHERE x{i}.a = {i})" for i in range(n))
+    prog = parse("schema s(a:int, b:int);\ntable R(s);\n"
+                 f"verify ({branches})\n       (SELECT y.a AS o FROM R y);\n")
+    [stmt] = prog.verifies()
+    p = prepare_verify(stmt, "v", build_env(prog))
+    body = p.body1
+    for _ in range(n - 1):
+        assert isinstance(body, Add)
+        body = body.lhs
+    assert not isinstance(body, Add)
