@@ -14,7 +14,6 @@ Their verdict must be exactly that of the reference containment checker
 from __future__ import annotations
 
 import argparse
-import functools
 import random
 import sys
 import time
@@ -28,10 +27,10 @@ from semiq.decide import Decider                                 # noqa: E402
 from semiq.frontend import desugar_groupby, inline_views         # noqa: E402
 from semiq.oracle import GenSizes, compile_query, interp_query   # noqa: E402
 from semiq.spnf import to_spnf                                   # noqa: E402
-from semiq.sqlast import Distinct, UnionAll                      # noqa: E402
+from semiq.sqlast import Distinct                                # noqa: E402
 from helpers import (_branches, copy_body, denote_pair, gen_ucq,  # noqa: E402
                      mutate_ucq, narrow, small_dbs, std_env,
-                     ucq_set_equivalent)
+                     ucq_set_equivalent, union_all)
 
 
 def main() -> int:
@@ -56,10 +55,9 @@ def main() -> int:
         if distinct:
             kind = rng.randrange(3)
             if kind == 1:
-                q2 = mutate_ucq(rng, functools.reduce(
-                    UnionAll, [copy_body(b) for b in _branches(q)]))
+                q2 = mutate_ucq(rng, union_all([copy_body(b) for b in _branches(q)]))
             elif kind == 2:
-                q2 = UnionAll(q2, narrow(rng, rng.choice(_branches(q))))
+                q2 = union_all(_branches(q2) + [narrow(rng, rng.choice(_branches(q)))])
             q, q2 = Distinct(q), Distinct(q2)
         gen, _, b1, b2 = denote_pair(q, q2, env)
         d = Decider(env, gen, budget=Budget(Limits(timeout_s=30)))

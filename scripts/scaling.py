@@ -6,7 +6,7 @@
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100 and 200, `index_join_back` 12,
-`wide_union` 64, `union_all` 600 and `fk_cycle` 3.  Each row is one
+`wide_union` 64, `union_all` 600 and 1200, and `fk_cycle` 3.  Each row is one
 `run_program_text` call under `Limits(timeout_s=--timeout)`, and prints one
 tab-separated line:
 
@@ -47,7 +47,7 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("nested_projection", 60), ("nested_projection", 100),
         ("nested_projection", 200),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
-        ("fk_cycle", 3))
+        ("union_all", 1200), ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "fk_cycle")
 

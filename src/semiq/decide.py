@@ -100,33 +100,29 @@ class Decider:
             by_sig.setdefault(s, []).append(i)
         candidates = [by_sig[s] for s in sig2]
         order = sorted(range(n), key=lambda j: len(candidates[j]))
-        assignment: dict[int, int] = {}
+        # depth-first: placed[k] is the left term paired with order[k], and
+        # untried[k] iterates the candidates for order[k] not tried yet
+        placed: list[int] = []
         used: set[int] = set()
-
-        def backtrack(k: int) -> bool:
+        untried = [iter(candidates[order[0]])]
+        self.budget.step("search")
+        while untried:
+            j = order[len(placed)]
+            i = next((i for i in untried[-1] if i not in used
+                      and self.match_terms(c1.terms[i], c2.terms[j])), None)
+            if i is None:
+                untried.pop()
+                if placed:
+                    used.discard(placed.pop())
+                continue
+            placed.append(i)
+            used.add(i)
             self.budget.step("search")
-            if k == n:
+            if len(placed) == n:
+                self.trace.permutation([i for _, i in sorted(zip(order, placed))])
                 return True
-            j = order[k]
-            for i in candidates[j]:
-                if i in used:
-                    continue
-                if self.match_terms(c1.terms[i], c2.terms[j]):
-                    used.add(i)
-                    assignment[j] = i
-                    if backtrack(k + 1):
-                        return True
-                    used.discard(i)
-                    del assignment[j]
-            return False
-
-        try:
-            found = backtrack(0)
-        finally:
-            del backtrack  # it holds itself through its cell; break the cycle
-        if found:
-            self.trace.permutation([assignment[j] for j in range(n)])
-        return found
+            untried.append(iter(candidates[order[len(placed)]]))
+        return False
 
     # -- term-level matching ------------------------------------------------
 

@@ -241,17 +241,10 @@ class _Compiler:
     budget: Budget | None
 
     def query(self, q, scope: tuple):
-        branches, stack = [], [q]
-        while stack:  # the UNION ALL spine, left to right, without recursion
-            q = stack.pop()
-            if isinstance(q, UnionAll):
-                stack += (q.rhs, q.lhs)
-            else:
-                branches.append(self._branch(q, scope))
-        return branches[0] if len(branches) == 1 else lambda db, frames: _bag_sum(
-            kv for branch in branches for kv in branch(db, frames).items())
-
-    def _branch(self, q, scope: tuple):
+        if isinstance(q, UnionAll):
+            plans = [self.query(b, scope) for b in q.branches]
+            return lambda db, frames: _bag_sum(
+                kv for plan in plans for kv in plan(db, frames).items())
         if isinstance(q, TableRef) and q.name in self.env.views:
             return self.query(self.env.views[q.name], scope)
         if isinstance(q, TableRef):

@@ -281,7 +281,9 @@ class Parser:
             if self.at_kw("UNION"):
                 self.next()
                 self.eat_kw("ALL")
-                q = UnionAll(q, self.parse_primary_query())
+                # + is associative: the operand joins the union on its left
+                left = q.branches if isinstance(q, UnionAll) else (q,)
+                q = UnionAll(left + (self.parse_primary_query(),))
             elif self.at_kw("EXCEPT"):
                 self.next()
                 q = ExceptQ(q, self.parse_primary_query())

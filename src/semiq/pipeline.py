@@ -86,14 +86,9 @@ def is_cq(q) -> bool:
 
 
 def is_ucq_bag(q) -> bool:
-    stack = [q]  # a loop, not recursion: a long union is a deep tree
-    while stack:
-        q = stack.pop()
-        if isinstance(q, UnionAll):
-            stack += (q.lhs, q.rhs)
-        elif not is_cq(q):
-            return False
-    return True
+    if isinstance(q, UnionAll):
+        return all(is_ucq_bag(b) for b in q.branches)
+    return is_cq(q)
 
 
 def is_ucq_set(q) -> bool:

@@ -166,12 +166,21 @@ class Normalizer:
         if isinstance(e, Pred):
             return Pred(self._nf_atom(e.atom, path))
         if isinstance(e, Add):
-            l = self.nf(e.lhs, path + "l.")
-            r = self.nf(e.rhs, path + "r.")
-            cur = Add(l, r)
-            if isinstance(l, Zero) or isinstance(r, Zero):
-                return self.app("add-zero", cur, path)
-            return cur
+            # a UNION ALL denotes a left spine of Adds: walk it in a loop,
+            # then take the right operands innermost first, as recursion would
+            spine = []
+            while isinstance(e, Add):
+                spine.append((e.rhs, path))
+                e, path = e.lhs, path + "l."
+                if isinstance(e, Add):
+                    self.budget.step(self.stage)  # nf's step on entering e
+            out = self.nf(e, path)
+            for rhs, path in reversed(spine):
+                r = self.nf(rhs, path + "r.")
+                cur = Add(out, r)
+                out = self.app("add-zero", cur, path) \
+                    if isinstance(out, Zero) or isinstance(r, Zero) else cur
+            return out
         if isinstance(e, Sum):
             body = self.nf(e.body, path + "b.")
             return self._post_sum(e.var, body, path)

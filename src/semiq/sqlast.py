@@ -139,8 +139,9 @@ class Select:
 
 @dataclass(frozen=True)
 class UnionAll:
-    lhs: "Query"
-    rhs: "Query"
+    """A union of two or more queries: ``+`` is associative, so a chain of
+    UNION ALLs is one node."""
+    branches: tuple["Query", ...]
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,14 @@ def _rebuild(node, old, new):
         return AggQuery(node.name, new[0], node.pos)
     if t is App:
         return App(node.name, tuple(new), node.pos)
-    return t(*new)  # every field is a child: UnionAll, ExceptQ, Distinct, ...
+    if t is UnionAll:
+        return UnionAll(tuple(new))
+    return t(*new)  # every field is a child: ExceptQ, Distinct, ...
 
 
 _CHILDREN = {
     Select: _select_children,
-    UnionAll: lambda n: (n.lhs, n.rhs), ExceptQ: lambda n: (n.lhs, n.rhs),
+    UnionAll: lambda n: n.branches, ExceptQ: lambda n: (n.lhs, n.rhs),
     AndP: lambda n: (n.lhs, n.rhs), OrP: lambda n: (n.lhs, n.rhs),
     Cmp: lambda n: (n.lhs, n.rhs), NotP: lambda n: (n.body,),
     Distinct: lambda n: (n.query,), Exists: lambda n: (n.query,),
@@ -399,7 +402,7 @@ def print_query(q: Query) -> str:
             out += " GROUP BY " + ", ".join(print_expr(g) for g in q.group_by)
         return out
     if isinstance(q, UnionAll):
-        return f"({print_query(q.lhs)}) UNION ALL ({print_query(q.rhs)})"
+        return " UNION ALL ".join(f"({print_query(b)})" for b in q.branches)
     if isinstance(q, ExceptQ):
         return f"({print_query(q.lhs)}) EXCEPT ({print_query(q.rhs)})"
     if isinstance(q, Distinct):

@@ -48,14 +48,9 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
         d = denote(q.query, env, gen, scopes)
         return Denotation(d.out_var, Squash(d.body))
     if isinstance(q, UnionAll):
-        # a long UNION ALL nests on its left: fold its branches in a loop
-        branches = []
-        while isinstance(q, UnionAll):
-            branches.append(q.rhs)
-            q = q.lhs
-        d = denote(q, env, gen, scopes)
-        for rhs in reversed(branches):
-            t, b1, b2 = unify_outputs(d, denote(rhs, env, gen, scopes), "UNION ALL")
+        d = denote(q.branches[0], env, gen, scopes)
+        for b in q.branches[1:]:
+            t, b1, b2 = unify_outputs(d, denote(b, env, gen, scopes), "UNION ALL")
             d = Denotation(t, Add(b1, b2))
         return d
     if isinstance(q, ExceptQ):

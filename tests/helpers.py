@@ -92,11 +92,12 @@ def _lit(rng):
 def gen_ucq(rng: random.Random, rels=("R", "S"), branches=None,
             out_names=("o1",)):
     k = branches if branches is not None else rng.randint(1, 3)
-    qs = [gen_cq(rng, rels, out_names=out_names) for _ in range(k)]
-    out = qs[0]
-    for q in qs[1:]:
-        out = UnionAll(out, q)
-    return out
+    return union_all([gen_cq(rng, rels, out_names=out_names) for _ in range(k)])
+
+
+def union_all(qs: list):
+    """The union of qs as one node, as the parser builds it; one query alone."""
+    return qs[0] if len(qs) == 1 else UnionAll(tuple(qs))
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +213,12 @@ def mutate_ucq(rng: random.Random, q):
     branches = [mutate_cq(rng, b) if isinstance(b, Select) else b
                 for b in branches]
     rng.shuffle(branches)
-    out = branches[0]
-    for b in branches[1:]:
-        out = UnionAll(out, b)
-    return out
+    return union_all(branches)
 
 
 def _branches(q) -> list:
     if isinstance(q, UnionAll):
-        return _branches(q.lhs) + _branches(q.rhs)
+        return [b for u in q.branches for b in _branches(u)]
     return [q]
 
 

@@ -196,16 +196,13 @@ def test_criterion_6_ucq_bag_completeness():
     rng = random.Random(77)
 
     # equivalent pairs: branch permutation plus variable renaming
-    from helpers import rename_aliases, _branches
-    from semiq.sqlast import UnionAll
+    from helpers import rename_aliases, _branches, union_all
     good = 0
     for _ in range(100):
         q = gen_ucq(rng)
         branches = [rename_aliases(rng, b) for b in _branches(q)]
         rng.shuffle(branches)
-        q2 = branches[0]
-        for b in branches[1:]:
-            q2 = UnionAll(q2, b)
+        q2 = union_all(branches)
         if _verify_status(q, q2, env) == "EQUIVALENT":
             good += 1
     eq_ok = good == 100

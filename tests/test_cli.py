@@ -43,6 +43,17 @@ def test_nonequivalent_pair_exits_one_with_witness(tmp_path, capsys):
     assert "R:" in out
 
 
+def test_long_union_all_exits_zero(tmp_path, capsys):
+    body = " UNION ALL ".join(["R"] * 1200)
+    path = _write(tmp_path, f"""
+        schema s(a:int);
+        table R(s);
+        verify ({body}) ({body});
+    """)
+    assert main([path]) == 0
+    assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "schema s(a:int)")  # missing semicolon
     rc = main([path])

@@ -305,7 +305,7 @@ def test_maps_into_is_sound_containment(seed):
     terms = []
     for _ in range(3):
         q = gen_cq(rng, max_atoms=2, max_vars=2)
-        for query in (q, copy_body(q), UnionAll(q, narrow(rng, q))):
+        for query in (q, copy_body(q), UnionAll((q, narrow(rng, q)))):
             den = denote(query, env, gen)
             out = out or den.out_var
             body = substitute(den.body, {den.out_var: out})
@@ -343,7 +343,7 @@ def test_set_verdicts_match_reference_containment(kind):
             q2 = copy_body(q1)
         else:
             n = narrow(rng, q1)
-            q2 = UnionAll(n, q1) if rng.random() < 0.5 else UnionAll(q1, n)
+            q2 = UnionAll((n, q1)) if rng.random() < 0.5 else UnionAll((q1, n))
         q1, q2 = Distinct(q1), Distinct(q2)
         want = ("EQUIVALENT" if ucq_set_equivalent(q1, q2, env)
                 else "NOT_EQUIVALENT")

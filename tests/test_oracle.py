@@ -295,9 +295,7 @@ def test_select_loop_checks_the_deadline_within_one_evaluation():
 
 def test_long_union_all_evaluates_without_recursion():
     env = _rs_env()
-    q = TableRef("R")
-    for _ in range(1199):
-        q = UnionAll(q, TableRef("S"))
+    q = UnionAll((TableRef("R"),) + (TableRef("S"),) * 1199)
     db = FiniteDb({"int": (0, 1)}, {"R": {make_assignment({"a": 0, "b": 1}): 2},
                                     "S": {make_assignment({"a": 1, "b": 1}): 1}})
     assert interp_query(q, db, env) == {make_assignment({"a": 0, "b": 1}): 2,

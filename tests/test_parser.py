@@ -66,6 +66,23 @@ def test_verify_greedy_juxtaposed_queries():
     assert isinstance(v.rhs, TableRef) and v.rhs.name == "R"
 
 
+def test_union_all_chain_is_one_node_and_parentheses_nest():
+    prog = parse("""
+        schema s(a:int);
+        table A(s);
+        table B(s);
+        table C(s);
+        verify A UNION ALL B UNION ALL C A UNION ALL (B UNION ALL C);
+    """)
+    flat, nested = prog.statements[-1].lhs, prog.statements[-1].rhs
+    assert isinstance(flat, UnionAll)
+    assert [b.name for b in flat.branches] == ["A", "B", "C"]
+    assert isinstance(nested, UnionAll) and len(nested.branches) == 2
+    a, bc = nested.branches
+    assert a.name == "A" and isinstance(bc, UnionAll)
+    assert [b.name for b in bc.branches] == ["B", "C"]
+
+
 def test_select_distinct_sugar():
     prog = parse("""
         schema s(a:int);
@@ -107,6 +124,7 @@ verify (SELECT x.k AS k, cnt(x.a) AS n FROM R x GROUP BY x.k)
        (SELECT x.k AS k, cnt(x.a) AS n FROM R x GROUP BY x.k);
 verify (SELECT x.a AS c FROM R x WHERE EXISTS (SELECT y.k AS k FROM R y WHERE y.k = x.k)) R;
 verify ((SELECT * FROM R x) EXCEPT (SELECT * FROM R y)) R;
+verify (R UNION ALL R UNION ALL R) (R UNION ALL (R UNION ALL R));
 """
     p1 = parse(src)
     printed = print_program(p1)

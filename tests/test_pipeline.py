@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
 from semiq.oracle import GenSizes, gen_instances, interp_query
-from semiq.pipeline import classify_fragment, query_literals, referenced_tables
-from semiq.sqlast import Select, TableRef, UnionAll, walk
+from semiq.pipeline import (classify_fragment, decide_verify, find_witness,
+                            prepare_verify, query_literals, referenced_tables)
+from semiq.sqlast import ExceptQ, Select, TableRef, UnionAll, walk
 
 from conftest import parse_query
 
@@ -331,9 +334,7 @@ def test_wide_union_all_pair_is_equivalent():
 def test_classifying_a_long_union_takes_no_frames_per_branch():
     env = build_env(parse(PRELUDE))
     branch = parse_query("SELECT x.a AS a FROM R x")
-    q = branch
-    for _ in range(1199):
-        q = UnionAll(q, branch)
+    q = UnionAll((branch,) * 1200)
     assert classify_fragment(q, q, env) == "ucq-bag"
 
 
@@ -346,7 +347,7 @@ def test_frontend_passes_take_no_frames_per_level():
     q = parse_query("SELECT v.a AS a FROM V v WHERE v.a = 7 GROUP BY v.a",
                     relations=("R", "V"))
     for _ in range(5000):
-        q = UnionAll(q, TableRef("V"))
+        q = ExceptQ(q, TableRef("V"))
     desugared = desugar_groupby(q)
     assert not any(type(n) is Select and n.group_by for n in walk(desugared))
     inlined = inline_views(desugared, env)
@@ -478,3 +479,38 @@ def test_normalize_steps_are_the_first_stage_alone(benchdir):
     to_spnf(substitute(d2.body, {d2.out_var: d1.out_var}), gen, budget=budget)
     assert out.steps["normalize"] == budget.steps == budget.by_stage["normalize"]
     assert out.steps["total"] > budget.steps
+
+
+def test_long_union_all_pair_is_equivalent():
+    # one node of 1,200 branches; normalizing its Add spine and pairing
+    # its terms take no Python frame per branch
+    body = " UNION ALL ".join(["R"] * 1200)
+    out = _statuses(PRELUDE + f"verify ({body}) ({body});")
+    assert out == [("EQUIVALENT", "ucq-bag")]
+
+
+@pytest.mark.parametrize("rule, q1, q2", [
+    ("sum-zero", "SELECT x.a AS a FROM R x WHERE FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("mul-zero", "SELECT x.a AS a FROM R x WHERE x.a = 1 AND FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("add-zero", "(SELECT x.a AS a FROM R x) UNION ALL "
+                 "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z"),
+    ("squash-zero", "SELECT DISTINCT x.a AS a FROM R x WHERE FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("squash-zero", "SELECT x.a AS a FROM R x WHERE EXISTS "
+                    "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z WHERE FALSE"),
+    ("not-zero", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
+                 "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z"),
+])
+def test_false_normalizes_by_its_zero_rule(rule, q1, q2):
+    prog = parse(PRELUDE + f"verify ({q1}) ({q2});")
+    env = build_env(prog)
+    p = prepare_verify(prog.verifies()[0], "v", env)
+    out = decide_verify(p, env)
+    assert out.status == "EQUIVALENT"
+    assert rule in out.trace.rule_names()
+    assert find_witness(p.q1, p.q2, env) is None

@@ -159,8 +159,8 @@ def test_denotation_total_on_random_ucqs():
 
 
 def test_long_union_all_denotes_without_deep_recursion():
-    # the parser nests UNION ALL on its left; denoting that spine one
-    # frame per branch would overflow Python's stack at this width
+    # the branches fold into a left spine of Adds, the shape a left-nested
+    # binary union gave; no Python frame is spent per branch
     n = 1200
     branches = " UNION ALL ".join(
         f"(SELECT x{i}.a AS o FROM R x{i} WHERE x{i}.a = {i})" for i in range(n))
