@@ -13,60 +13,12 @@ from typing import Callable
 
 from .exprs import (
     Add, Mul, Not, One, Pred, Rel, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
-    canon_key, free_vars,
+    canon_key, flatten_add, free_vars, rebuild_add,
 )
 
 
 class AxiomMatchError(Exception):
     pass
-
-
-def flatten_mul(e: Exp) -> list[Exp]:
-    """The factors of a product, left to right.  Iterative, so a chain's
-    length costs no Python frames."""
-    out: list[Exp] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if type(x) is Mul:
-            stack.append(x.rhs)
-            stack.append(x.lhs)
-        else:
-            out.append(x)
-    return out
-
-
-def rebuild_mul(factors: list[Exp]) -> Exp:
-    if not factors:
-        return ONE
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = Mul(acc, f)
-    return acc
-
-
-def flatten_add(e: Exp) -> list[Exp]:
-    """The terms of a sum, left to right, as ``flatten_mul`` does for
-    products."""
-    out: list[Exp] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if type(x) is Add:
-            stack.append(x.rhs)
-            stack.append(x.lhs)
-        else:
-            out.append(x)
-    return out
-
-
-def rebuild_add(terms: list[Exp]) -> Exp:
-    if not terms:
-        return ZERO
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Add(acc, t)
-    return acc
 
 
 def split_binders(e: Exp) -> tuple[list[TupleVar], Exp]:
@@ -106,26 +58,35 @@ def _add_zero(e):
     raise AxiomMatchError("add-zero")
 
 
+def _pair(e, axiom: str) -> tuple[Exp, Exp]:
+    # the two-factor product the normalizer builds
+    if isinstance(e, Mul) and len(e.factors) == 2:
+        return e.factors
+    raise AxiomMatchError(axiom)
+
+
 def _mul_one(e):
-    if isinstance(e, Mul):
-        if isinstance(e.lhs, One):
-            return e.rhs
-        if isinstance(e.rhs, One):
-            return e.lhs
+    l, r = _pair(e, "mul-one")
+    if isinstance(l, One):
+        return r
+    if isinstance(r, One):
+        return l
     raise AxiomMatchError("mul-one")
 
 
 def _mul_zero(e):
-    if isinstance(e, Mul) and (isinstance(e.lhs, Zero) or isinstance(e.rhs, Zero)):
+    l, r = _pair(e, "mul-zero")
+    if isinstance(l, Zero) or isinstance(r, Zero):
         return ZERO
     raise AxiomMatchError("mul-zero")
 
 
 def _distr_mul_add(e):
-    if isinstance(e, Mul) and isinstance(e.rhs, Add):
-        return Add(Mul(e.lhs, e.rhs.lhs), Mul(e.lhs, e.rhs.rhs))
-    if isinstance(e, Mul) and isinstance(e.lhs, Add):
-        return Add(Mul(e.lhs.lhs, e.rhs), Mul(e.lhs.rhs, e.rhs))
+    l, r = _pair(e, "distr-mul-add")
+    if isinstance(r, Add):
+        return Add(Mul((l, r.lhs)), Mul((l, r.rhs)))
+    if isinstance(l, Add):
+        return Add(Mul((l.lhs, r)), Mul((l.rhs, r)))
     raise AxiomMatchError("distr-mul-add")
 
 
@@ -201,18 +162,19 @@ def _sum_hoist(e):
     # the other factor, nor a left binder bound on the right as well; each
     # side's free variables are collected once, and only if the other side
     # has binders to check against them.
-    if isinstance(e, Mul) and (type(e.lhs) is Sum or type(e.rhs) is Sum):
-        us, x = split_binders(e.lhs)
-        vs, y = split_binders(e.rhs)
+    l, r = _pair(e, "sum-hoist")
+    if type(l) is Sum or type(r) is Sum:
+        us, x = split_binders(l)
+        vs, y = split_binders(r)
         if vs:
-            l_free = {v.vid for v in free_vars(e.lhs)}
+            l_free = {v.vid for v in free_vars(l)}
             if any(v.vid in l_free for v in vs):
                 raise AxiomMatchError("sum-hoist")
         if us:
-            r_taken = {v.vid for v in free_vars(e.rhs)} | {v.vid for v in vs}
+            r_taken = {v.vid for v in free_vars(r)} | {v.vid for v in vs}
             if any(u.vid in r_taken for u in us):
                 raise AxiomMatchError("sum-hoist")
-        body = Mul(x, y)
+        body = Mul((x, y))
         for v in reversed(vs + us):
             body = Sum(v, body)
         return body

@@ -12,6 +12,7 @@ renaming are the structural work-horses for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import is_
 from typing import Iterator, Union
 
@@ -153,8 +154,9 @@ class Add:
 
 @dataclass(frozen=True)
 class Mul:
-    lhs: "Exp"
-    rhs: "Exp"
+    """Two or more factors; stands for the left spine of binary products.  A
+    factor that is itself a product stays one factor."""
+    factors: tuple["Exp", ...]
 
 
 @dataclass(frozen=True)
@@ -191,15 +193,32 @@ ONE = One()
 
 
 def mul(*es: Exp) -> Exp:
-    """Smart product: drops units, annihilates on zero, left-associates."""
-    acc: Exp | None = None
-    for e in es:
-        if isinstance(e, Zero):
-            return ZERO
-        if isinstance(e, One):
-            continue
-        acc = e if acc is None else Mul(acc, e)
-    return acc if acc is not None else ONE
+    """Smart product: drops units, annihilates on zero; one node, a lone
+    factor, or ONE."""
+    fs = tuple(e for e in es if not isinstance(e, One))
+    if any(isinstance(e, Zero) for e in fs):
+        return ZERO
+    return Mul(fs) if len(fs) > 1 else fs[0] if fs else ONE
+
+
+def flatten_add(e: Exp) -> list[Exp]:
+    """The terms of a sum, left to right.  Iterative, so a chain's length
+    costs no Python frames."""
+    out: list[Exp] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Add:
+            stack.append(x.rhs)
+            stack.append(x.lhs)
+        else:
+            out.append(x)
+    return out
+
+
+def rebuild_add(terms: list[Exp]) -> Exp:
+    """The left spine of Adds over terms; ZERO for none."""
+    return reduce(Add, terms) if terms else ZERO
 
 
 def mk_eq(l: Scalar, r: Scalar) -> PredAtom:
@@ -245,14 +264,15 @@ def tuple_sort_key(t: TupleExpr) -> tuple:
 #
 # The one place that knows a node's children and how to rebuild a node from
 # new ones.  Node kinds: expressions, predicate atoms, scalars and tuple
-# expressions.  Child order, shared by every function below: lhs before rhs;
+# expressions.  Child order, shared by every function below: lhs before rhs,
+# a product's factors left to right;
 # a Sum's or an AggCall's body (their bound variable is not a child); a
 # Pred's atom; Func and PredApp arguments left to right; a record's field
 # values in attribute order.  Variables reached through AttrRef, TupleSlice
 # and Rel are fields, not children; a TupleVar in tuple position is a leaf.
 
 _CHILDREN = {
-    Add: lambda n: (n.lhs, n.rhs), Mul: lambda n: (n.lhs, n.rhs),
+    Add: lambda n: (n.lhs, n.rhs), Mul: lambda n: n.factors,
     Squash: lambda n: (n.body,), Not: lambda n: (n.body,),
     Sum: lambda n: (n.body,), AggCall: lambda n: (n.body,),
     Pred: lambda n: (n.atom,),
@@ -265,7 +285,7 @@ _CHILDREN = {
 # Symmetric atoms and records go through their mk_ constructors, which keep
 # them sorted.
 _REBUILD = {
-    Add: lambda n, k: Add(*k), Mul: lambda n, k: Mul(*k),
+    Add: lambda n, k: Add(*k), Mul: lambda n, k: Mul(tuple(k)),
     Squash: lambda n, k: Squash(*k), Not: lambda n, k: Not(*k),
     Sum: lambda n, k: Sum(n.var, *k), AggCall: lambda n, k: AggCall(n.name, n.var, *k),
     Pred: lambda n, k: Pred(*k),
@@ -326,11 +346,12 @@ def rewrite(n, f):
 
 
 def count_nodes(e: Exp) -> int:
-    """Expression nodes of e; a Pred counts one, whatever its atom holds."""
+    """Expression nodes of e; a Pred counts one, whatever its atom holds, and
+    a k-factor product k - 1, the binary products it stands for."""
     count, stack = 0, [e]
     while stack:
         x = stack.pop()
-        count += 1
+        count += len(x.factors) - 1 if type(x) is Mul else 1
         if type(x) is not Pred:
             stack.extend(children(x))
     return count
@@ -501,7 +522,9 @@ def _canon(e: Exp, env: dict[int, object], counter: list[int],
     if isinstance(e, Add):
         return ("+", _canon(e.lhs, env, counter), _canon(e.rhs, env, counter))
     if isinstance(e, Mul):
-        return ("*", _canon(e.lhs, env, counter), _canon(e.rhs, env, counter))
+        # the key of the left spine the product stands for
+        return reduce(lambda acc, k: ("*", acc, k),
+                      [_canon(f, env, counter) for f in e.factors])
     if isinstance(e, Squash):
         return ("||", _canon(e.body, env, counter))
     if isinstance(e, Not):
@@ -608,10 +631,10 @@ def _pp(e: Exp, names: dict[int, str], prec: int) -> str:
     if isinstance(e, One):
         return "1"
     if isinstance(e, Add):
-        s = f"{_pp(e.lhs, names, 0)} + {_pp(e.rhs, names, 0)}"
+        s = " + ".join(_pp(t, names, 0) for t in flatten_add(e))
         return f"({s})" if prec > 0 else s
     if isinstance(e, Mul):
-        s = f"{_pp(e.lhs, names, 1)} * {_pp(e.rhs, names, 1)}"
+        s = " * ".join(_pp(f, names, 1) for f in e.factors)
         return f"({s})" if prec > 1 else s
     if isinstance(e, Squash):
         return f"||{_pp(e.body, names, 0)}||"

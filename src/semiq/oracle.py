@@ -140,8 +140,10 @@ def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
     if isinstance(e, Add):
         return _ev(e.lhs, db, env) + _ev(e.rhs, db, env)
     if isinstance(e, Mul):
-        l = _ev(e.lhs, db, env)
-        return 0 if l == 0 else l * _ev(e.rhs, db, env)
+        out = 1
+        for f in e.factors:  # no factor after a 0 is evaluated
+            out = out and out * _ev(f, db, env)
+        return out
     if isinstance(e, Squash):
         return min(1, _ev(e.body, db, env))
     if isinstance(e, Not):

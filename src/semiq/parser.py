@@ -74,9 +74,9 @@ def tokenize(src: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(Token("INT", src[i:j], line, start_col))
             col += j - i

@@ -9,9 +9,8 @@ entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
 logs them as ``squash-mul``, ``pull-not`` and ``prod-comm``.
 
 Each product takes one hoist step, which moves every summation of both
-factors out at once, and a run computes each factor's sort key once and
-reuses the factor list of a product it has merged, so the steps of
-normalizing a nest grow linearly with its depth.
+factors out at once, and a run computes each factor's sort key once, so the
+steps of normalizing a nest grow linearly with its depth.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .axioms import (AXIOMS, factor_sort_key, flatten_add, flatten_mul, rebuild_add,
-                     rebuild_mul, split_binders)
+from .axioms import AXIOMS, factor_sort_key, split_binders
 from .config import Budget
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
-    Exp, VarGen, Zero, ZERO, canon_key, count_nodes, free_vars, rewrite,
-    substitute,
+    Exp, VarGen, Zero, ZERO, canon_key, count_nodes, flatten_add, free_vars, mul,
+    rebuild_add, rewrite, substitute,
 )
 
 
@@ -69,7 +67,7 @@ class Term:
         return fs
 
     def to_exp(self) -> Exp:
-        body = rebuild_mul(self.factors())
+        body = mul(*self.factors())
         for v in reversed(self.sum_vars):
             body = Sum(v, body)
         return body
@@ -139,11 +137,9 @@ class Normalizer:
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
         self.stage = stage
-        # per run, keyed by id; each entry holds its object, so no other
-        # object takes the id: each factor's sort key, and the sorted
-        # factors of each product _merge_chain built
+        # each factor's sort key, per run, keyed by id; each entry holds its
+        # object, so no other object takes the id
         self._keys: dict[int, tuple[Exp, tuple]] = {}
-        self._merged: dict[int, tuple[Exp, list[Exp]]] = {}
 
     def app(self, axiom: str, node: Exp, path: str) -> Exp:
         self.budget.step(self.stage)
@@ -185,9 +181,18 @@ class Normalizer:
             body = self.nf(e.body, path + "b.")
             return self._post_sum(e.var, body, path)
         if isinstance(e, Mul):
-            l = self.nf(e.lhs, path + "l.")
-            r = self.nf(e.rhs, path + "r.")
-            return self._mul_nf(l, r, path)
+            # e stands for a left spine of binary products: walk it in a
+            # loop.  Factor i > 0 is the right operand of the spine node
+            # k - 1 - i levels below e, factor 0 the left operand of the
+            # innermost node
+            k = len(e.factors)
+            for _ in range(k - 2):
+                self.budget.step(self.stage)  # nf's step on each inner node
+            out = self.nf(e.factors[0], path + "l." * (k - 1))
+            for i in range(1, k):
+                spine = path + "l." * (k - 1 - i)
+                out = self._mul_nf(out, self.nf(e.factors[i], spine + "r."), spine)
+            return out
         if isinstance(e, Squash):
             body = self.nf(e.body, path + "b.")
             return self._squash_nf(body, path)
@@ -200,39 +205,46 @@ class Normalizer:
         return rewrite(a, lambda s: AggCall(s.name, s.var, self.nf(s.body, path + "agg."))
                        if type(s) is AggCall else None)
 
+    # sum-add and distr-mul-add split the left operand of a sum in a loop,
+    # down its left spine, then take the right operands innermost first, as
+    # recursion would: a UNION ALL's spine costs no Python frames
+
     def _post_sum(self, v: TupleVar, body: Exp, path: str) -> Exp:
-        if isinstance(body, Zero):
-            return self.app("sum-zero", Sum(v, body), path)
-        if isinstance(body, Add):
+        spine = []
+        while isinstance(body, Add):
             split = self.app("sum-add", Sum(v, body), path)
-            return Add(self._post_sum(v, split.lhs.body, path + "l."),
-                       self._post_sum(v, split.rhs.body, path + "r."))
-        return Sum(v, body)
+            spine.append((split.rhs.body, path))
+            body, path = split.lhs.body, path + "l."
+        out = self.app("sum-zero", Sum(v, body), path) \
+            if isinstance(body, Zero) else Sum(v, body)
+        for rhs, path in reversed(spine):
+            out = Add(out, self._post_sum(v, rhs, path + "r."))
+        return out
 
     def _mul_nf(self, l: Exp, r: Exp, path: str) -> Exp:
-        cur = Mul(l, r)
+        spine = []
+        while (isinstance(l, Add) or isinstance(r, Add)) and \
+                not any(isinstance(x, (Zero, One)) for x in (l, r)):
+            split = self.app("distr-mul-add", Mul((l, r)), path)
+            spine.append((split.rhs, path))
+            (l, r), path = split.lhs.factors, path + "l."
+        cur = Mul((l, r))
         if isinstance(l, Zero) or isinstance(r, Zero):
-            return self.app("mul-zero", cur, path)
-        if isinstance(l, One) or isinstance(r, One):
+            out = self.app("mul-zero", cur, path)
+        elif isinstance(l, One) or isinstance(r, One):
             out = self.app("mul-one", cur, path)
-            return out
-        if isinstance(r, Add) or isinstance(l, Add):
-            split = self.app("distr-mul-add", cur, path)
-            return Add(self._mul_nf(split.lhs.lhs, split.lhs.rhs, path + "l."),
-                       self._mul_nf(split.rhs.lhs, split.rhs.rhs, path + "r."))
-        if isinstance(l, Sum) or isinstance(r, Sum):
+        elif isinstance(l, Sum) or isinstance(r, Sum):
             # one step hoists every binder; the body sits where hoisting
             # one binder at a time would leave it
             binders, body = split_binders(self.app("sum-hoist", cur, path))
-            out = self._mul_nf(body.lhs, body.rhs, path + "b." * len(binders))
+            out = self._mul_nf(*body.factors, path + "b." * len(binders))
             for v in reversed(binders):
                 out = Sum(v, out)
-            return out
-        return self._merge_chain(self._factors(l) + self._factors(r), path)
-
-    def _factors(self, e: Exp) -> list[Exp]:
-        hit = self._merged.get(id(e))
-        return hit[1] if hit is not None else flatten_mul(e)
+        else:
+            out = self._merge_chain(_factors(l) + _factors(r), path)
+        for rhs, path in reversed(spine):
+            out = Add(out, self._mul_nf(*rhs.factors, path + "r."))
+        return out
 
     def _sort_key(self, f: Exp) -> tuple:
         hit = self._keys.get(id(f))
@@ -240,7 +252,7 @@ class Normalizer:
             hit = self._keys[id(f)] = (f, factor_sort_key(f))
         return hit[1]
 
-    def _merge_chain(self, factors: list[Exp], path: str) -> Exp:
+    def _merge_chain(self, factors: tuple[Exp, ...], path: str) -> Exp:
         squashes = [f for f in factors if isinstance(f, Squash)]
         if len(squashes) >= 2:
             rest = [f for f in factors if not isinstance(f, Squash)]
@@ -250,14 +262,14 @@ class Normalizer:
             for s in squashes[1:]:
                 merged_body = self._mul_nf(merged_body, s.body, path + "sq.")
             merged = self._squash_nf(merged_body, path + "sq.")
-            return self._merge_chain(rest + [merged], path)
+            return self._merge_chain((*rest, merged), path)
         nots = [f for f in factors if isinstance(f, Not)]
         if len(nots) >= 2:
             rest = [f for f in factors if not isinstance(f, Not)]
             self.trace.rule("pull-not", path)
             self.budget.step(self.stage)
             merged = Not(rebuild_add([n.body for n in nots]))
-            return self._merge_chain(rest + [merged], path)
+            return self._merge_chain((*rest, merged), path)
         # the factors are atomic: those of normalized products, and a
         # merged squash or negation
         ordered = sorted(factors, key=self._sort_key)
@@ -265,11 +277,7 @@ class Normalizer:
         if any(a is not b for a, b in zip(ordered, factors)):
             self.trace.rule("prod-comm", path)
             self.budget.step(self.stage)
-        if len(ordered) == 1:
-            return ordered[0]
-        out = rebuild_mul(ordered)
-        self._merged[id(out)] = (out, ordered)
-        return out
+        return ordered[0] if len(ordered) == 1 else Mul(tuple(ordered))
 
     def _squash_nf(self, body: Exp, path: str) -> Exp:
         cur = Squash(body)
@@ -302,6 +310,10 @@ class Normalizer:
         return cur
 
 
+def _factors(e: Exp) -> tuple[Exp, ...]:
+    return e.factors if isinstance(e, Mul) else (e,)
+
+
 def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
             budget: Budget | None = None, stage: str = "normalize") -> SpnfExp:
     return Normalizer(gen, trace, budget, stage).run(e)
@@ -325,24 +337,23 @@ def _parse_term(e: Exp) -> Term:
     squash: SpnfExp | None = None
     neg: SpnfExp | None = None
     atoms: list[tuple[str, TupleVar]] = []
-    if not isinstance(e, One):
-        for f in flatten_mul(e):
-            if isinstance(f, Pred):
-                preds.append(f.atom)
-            elif isinstance(f, Rel):
-                atoms.append((f.name, f.var))
-            elif isinstance(f, Squash):
-                if squash is not None:
-                    raise SpnfError("two squash factors survived normalization")
-                squash = parse_spnf(f.body)
-            elif isinstance(f, Not):
-                if neg is not None:
-                    raise SpnfError("two negation factors survived normalization")
-                neg = parse_spnf(f.body)
-            elif isinstance(f, One):
-                continue
-            else:
-                raise SpnfError(f"unexpected factor {type(f).__name__} in normal form")
+    for f in _factors(e):
+        if isinstance(f, Pred):
+            preds.append(f.atom)
+        elif isinstance(f, Rel):
+            atoms.append((f.name, f.var))
+        elif isinstance(f, Squash):
+            if squash is not None:
+                raise SpnfError("two squash factors survived normalization")
+            squash = parse_spnf(f.body)
+        elif isinstance(f, Not):
+            if neg is not None:
+                raise SpnfError("two negation factors survived normalization")
+            neg = parse_spnf(f.body)
+        elif isinstance(f, One):
+            continue
+        else:
+            raise SpnfError(f"unexpected factor {type(f).__name__} in normal form")
     return Term.make(binders, preds, squash, neg, atoms)
 
 
@@ -403,11 +414,10 @@ def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
     """The term with its squash slot's content multiplied in as a plain
     factor (inside the binders, since the slot may reference them); the
     normalizer's steps count in the caller's ``stage``."""
-    base = replace(t, squash=None)
-    factors = base.factors()
+    factors = replace(t, squash=None).factors()
     if t.squash is not None:
         factors.append(t.squash.to_exp())
-    body = rebuild_mul(factors)
+    body = mul(*factors)
     for v in reversed(t.sum_vars):
         body = Sum(v, body)
     return to_spnf(body, gen, trace, budget, stage)

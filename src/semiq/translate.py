@@ -56,7 +56,7 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
     if isinstance(q, ExceptQ):
         t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
                                   denote(q.rhs, env, gen, scopes), "EXCEPT")
-        return Denotation(t, Mul(b1, Not(b2)))
+        return Denotation(t, Mul((b1, Not(b2))))
     if isinstance(q, Select):
         return _denote_select(q, env, gen, scopes)
     raise SemanticError(f"cannot denote query node {type(q).__name__}")
@@ -172,8 +172,8 @@ def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
             return Pred(mk_neq(l, r))
         return Pred(PredApp(p.op, (l, r)))
     if isinstance(p, AndP):
-        return Mul(denote_pred(p.lhs, env, gen, scopes),
-                   denote_pred(p.rhs, env, gen, scopes))
+        return Mul((denote_pred(p.lhs, env, gen, scopes),
+                    denote_pred(p.rhs, env, gen, scopes)))
     if isinstance(p, OrP):
         return Squash(Add(denote_pred(p.lhs, env, gen, scopes),
                           denote_pred(p.rhs, env, gen, scopes)))

@@ -398,7 +398,7 @@ def gen_uexp(rng: random.Random, env: SchemaEnv, out_var: TupleVar, depth=3):
         if kind == "add":
             return Add(build(scope, d - 1), build(scope, d - 1))
         if kind == "mul":
-            return Mul(build(scope, d - 1), build(scope, d - 1))
+            return Mul((build(scope, d - 1), build(scope, d - 1)))
         if kind == "squash":
             return Squash(build(scope, d - 1))
         if kind == "not":
@@ -406,7 +406,7 @@ def gen_uexp(rng: random.Random, env: SchemaEnv, out_var: TupleVar, depth=3):
         if kind == "sum":
             name = rng.choice(rels)
             v = TupleVar(rng.randrange(10_000, 1_000_000), env.tables[name], "u")
-            return Sum(v, Mul(build(scope + [v], d - 1), Rel(name, v)))
+            return Sum(v, Mul((build(scope + [v], d - 1), Rel(name, v))))
         raise AssertionError(kind)
 
     return build([out_var], depth)
@@ -462,7 +462,7 @@ def _gen_with_scope(rng, env, scope, depth):
     e = gen_uexp(rng, env, scope[0], depth)
     for v in scope[1:]:
         if rng.random() < 0.5:
-            e = Mul(e, Pred(mk_eq(AttrRef(v, "a"), AttrRef(scope[0], "b"))))
+            e = Mul((e, Pred(mk_eq(AttrRef(v, "a"), AttrRef(scope[0], "b")))))
     return e
 
 
@@ -514,19 +514,19 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Mul(Squash(x), Squash(y)), Squash(Mul(x, y)))
+        return _ev_eq(db, b, Mul((Squash(x), Squash(y))), Squash(Mul((x, y))))
 
     def c_squash_square(rng, db):
         vs = ctx(rng)
         x = gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Mul(Squash(x), Squash(x)), Squash(x))
+        return _ev_eq(db, b, Mul((Squash(x), Squash(x))), Squash(x))
 
     def c_absorb_squash(rng, db):
         vs = ctx(rng)
         x = gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Mul(x, Squash(x)), x)
+        return _ev_eq(db, b, Mul((x, Squash(x))), x)
 
     def c_squash_of_idem(rng, db):
         vs = ctx(rng)
@@ -544,13 +544,13 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Not(Mul(x, y)), Squash(Add(Not(x), Not(y))))
+        return _ev_eq(db, b, Not(Mul((x, y))), Squash(Add(Not(x), Not(y))))
 
     def c_not_add(rng, db):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Not(Add(x, y)), Mul(Not(x), Not(y)))
+        return _ev_eq(db, b, Not(Add(x, y)), Mul((Not(x), Not(y))))
 
     def c_not_squash(rng, db):
         vs = ctx(rng)
@@ -567,7 +567,7 @@ def axiom_checks(env: SchemaEnv):
 
     def c_sum_swap(rng, db):
         t1, t2 = fresh(rng), fresh(rng)
-        f = Mul(gen_uexp(rng, env, t1, 1), gen_uexp(rng, env, t2, 1))
+        f = Mul((gen_uexp(rng, env, t1, 1), gen_uexp(rng, env, t2, 1)))
         return _ev_eq(db, {}, Sum(t1, Sum(t2, f)), Sum(t2, Sum(t1, f)))
 
     def c_sum_hoist(rng, db):
@@ -576,7 +576,7 @@ def axiom_checks(env: SchemaEnv):
         x = gen_uexp_scope(rng, env, vs)
         f = gen_uexp(rng, env, t, 2)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Mul(x, Sum(t, f)), Sum(t, Mul(x, f)))
+        return _ev_eq(db, b, Mul((x, Sum(t, f))), Sum(t, Mul((x, f))))
 
     def c_squash_sum(rng, db):
         t = fresh(rng)
@@ -611,7 +611,7 @@ def axiom_checks(env: SchemaEnv):
         f1 = gen_uexp_scope(rng, env, vs)
         f2 = replace_scalar(f1, e1, e2)
         eq = P(mk_eq(e1, e2))
-        return _ev_eq(db, b, Mul(f1, eq), Mul(f2, eq))
+        return _ev_eq(db, b, Mul((f1, eq)), Mul((f2, eq)))
 
     def c_sum_one(rng, db):
         t = fresh(rng)
@@ -634,7 +634,7 @@ def axiom_checks(env: SchemaEnv):
         b = _bind(db, u)
         f = gen_uexp(rng, env, t, 2)
         from semiq.exprs import mk_tuple_eq as teq, substitute
-        lhs = Sum(t, Mul(P(teq(t, u)), f))
+        lhs = Sum(t, Mul((P(teq(t, u)), f)))
         rhs = substitute(f, {t: u})
         return _ev_eq(db, b, lhs, rhs)
 
@@ -643,20 +643,20 @@ def axiom_checks(env: SchemaEnv):
         b = _bind(db, *vs)
         x, y, z = (gen_uexp_scope(rng, env, vs, 1) for _ in range(3))
         return (_ev_eq(db, b, Add(x, y), Add(y, x)) and
-                _ev_eq(db, b, Mul(x, y), Mul(y, x)) and
+                _ev_eq(db, b, Mul((x, y)), Mul((y, x))) and
                 _ev_eq(db, b, Add(Add(x, y), z), Add(x, Add(y, z))) and
-                _ev_eq(db, b, Mul(Mul(x, y), z), Mul(x, Mul(y, z))) and
-                _ev_eq(db, b, Mul(x, Add(y, z)), Add(Mul(x, y), Mul(x, z))) and
+                _ev_eq(db, b, Mul((Mul((x, y)), z)), Mul((x, Mul((y, z))))) and
+                _ev_eq(db, b, Mul((x, Add(y, z))), Add(Mul((x, y)), Mul((x, z)))) and
                 _ev_eq(db, b, Add(x, ZERO), x) and
-                _ev_eq(db, b, Mul(x, _ONE), x) and
-                _ev_eq(db, b, Mul(x, ZERO), ZERO))
+                _ev_eq(db, b, Mul((x, _ONE)), x) and
+                _ev_eq(db, b, Mul((x, ZERO)), ZERO))
 
     def c_squash_flatten(rng, db):
         vs = ctx(rng)
         b = _bind(db, *vs)
         a, x, y = (gen_uexp_scope(rng, env, vs, 1) for _ in range(3))
-        return _ev_eq(db, b, Squash(Add(Mul(a, Squash(x)), y)),
-                      Squash(Add(Mul(a, x), y)))
+        return _ev_eq(db, b, Squash(Add(Mul((a, Squash(x))), y)),
+                      Squash(Add(Mul((a, x)), y)))
 
     return {
         "squash-zero": c_squash_zero,

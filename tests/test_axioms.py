@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from semiq.axioms import (AXIOMS, AxiomMatchError, flatten_add, flatten_mul,
-                          rebuild_add, rebuild_mul)
+from semiq.axioms import AXIOMS, AxiomMatchError, flatten_add, rebuild_add
 from semiq.oracle import eval_exp
 from semiq.schema import Schema
 from semiq.exprs import (Add, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
@@ -43,10 +42,10 @@ def test_catalog_is_what_the_normalizer_applies():
 
 def test_squash_one_plus_at_position():
     # || 1 + sum{t2} [t1 != t2] * R(t2) || -> 1
-    inner = Sum(T2, Mul(Pred(mk_tuple_eq(T1, T2)), Rel("R", T2)))
-    e = Mul(Rel("R", T1), Squash(Add(ONE, inner)))
-    out = Mul(e.lhs, AXIOMS["squash-one-plus"](e.rhs))
-    assert out == Mul(Rel("R", T1), ONE)
+    inner = Sum(T2, Mul((Pred(mk_tuple_eq(T1, T2)), Rel("R", T2))))
+    e = Mul((Rel("R", T1), Squash(Add(ONE, inner))))
+    out = Mul((e.factors[0], AXIOMS["squash-one-plus"](e.factors[1])))
+    assert out == Mul((Rel("R", T1), ONE))
 
 
 def test_not_zero():
@@ -63,9 +62,9 @@ def test_pattern_mismatch_raises():
 
 
 def test_distribution_and_path_navigation():
-    e = Add(ZERO, Mul(Rel("R", T1), Add(ONE, ONE)))
+    e = Add(ZERO, Mul((Rel("R", T1), Add(ONE, ONE))))
     out = Add(e.lhs, AXIOMS["distr-mul-add"](e.rhs))
-    assert out == Add(ZERO, Add(Mul(Rel("R", T1), ONE), Mul(Rel("R", T1), ONE)))
+    assert out == Add(ZERO, Add(Mul((Rel("R", T1), ONE)), Mul((Rel("R", T1), ONE))))
 
 
 def test_squash_idempotence_derivable():
@@ -76,14 +75,11 @@ def test_squash_idempotence_derivable():
 
 
 def test_flatten_long_left_deep_chains_in_order():
-    # the chains rebuild_mul and rebuild_add build, far deeper than the
-    # interpreter's frame limit
+    # the chain rebuild_add builds, far deeper than the interpreter's frame
+    # limit
     leaves = [Rel("R", TupleVar(i, S)) for i in range(5000)]
-    for flatten, rebuild in ((flatten_mul, rebuild_mul), (flatten_add, rebuild_add)):
-        out = flatten(rebuild(leaves))
-        assert len(out) == 5000 and all(a is b for a, b in zip(out, leaves))
-    assert flatten_mul(Mul(Mul(leaves[0], Add(leaves[1], leaves[2])), leaves[3])) == \
-        [leaves[0], Add(leaves[1], leaves[2]), leaves[3]]
+    out = flatten_add(rebuild_add(leaves))
+    assert len(out) == 5000 and all(a is b for a, b in zip(out, leaves))
 
 
 U, V, W = TupleVar(3, S, "u"), TupleVar(4, S, "v"), TupleVar(5, S, "w")
@@ -94,24 +90,24 @@ def _eq(x, y, attr="a"):
 
 
 def test_sum_hoist_takes_every_binder_of_both_factors():
-    x, y = Mul(Rel("R", U), Rel("S", W)), Rel("T", V)
-    e = Mul(Sum(U, Sum(W, x)), Sum(V, y))
-    assert AXIOMS["sum-hoist"](e) == Sum(V, Sum(U, Sum(W, Mul(x, y))))
+    x, y = Mul((Rel("R", U), Rel("S", W))), Rel("T", V)
+    e = Mul((Sum(U, Sum(W, x)), Sum(V, y)))
+    assert AXIOMS["sum-hoist"](e) == Sum(V, Sum(U, Sum(W, Mul((x, y)))))
     # one side without binders
-    assert AXIOMS["sum-hoist"](Mul(Rel("R", T1), Sum(V, y))) == \
-        Sum(V, Mul(Rel("R", T1), y))
-    assert AXIOMS["sum-hoist"](Mul(Sum(U, Sum(W, x)), Rel("R", T1))) == \
-        Sum(U, Sum(W, Mul(x, Rel("R", T1))))
+    assert AXIOMS["sum-hoist"](Mul((Rel("R", T1), Sum(V, y)))) == \
+        Sum(V, Mul((Rel("R", T1), y)))
+    assert AXIOMS["sum-hoist"](Mul((Sum(U, Sum(W, x)), Rel("R", T1)))) == \
+        Sum(U, Sum(W, Mul((x, Rel("R", T1)))))
 
 
 def test_sum_hoist_refuses_a_binder_free_in_the_other_factor():
     for e in (
         # a left binder free on the right
-        Mul(Sum(U, Sum(W, Rel("R", W))), Sum(V, Mul(_eq(V, U), Rel("S", V)))),
+        Mul((Sum(U, Sum(W, Rel("R", W))), Sum(V, Mul((_eq(V, U), Rel("S", V)))))),
         # a right binder free on the left
-        Mul(Sum(U, Mul(_eq(U, W), Rel("R", U))), Sum(V, Sum(W, Rel("S", W)))),
+        Mul((Sum(U, Mul((_eq(U, W), Rel("R", U)))), Sum(V, Sum(W, Rel("S", W))))),
         # the same binder on both sides
-        Mul(Sum(U, Rel("R", U)), Sum(U, Rel("S", U))),
+        Mul((Sum(U, Rel("R", U)), Sum(U, Rel("S", U)))),
     ):
         with pytest.raises(AxiomMatchError):
             AXIOMS["sum-hoist"](e)
@@ -123,15 +119,15 @@ def test_sum_hoist_preserves_evaluation_on_multi_binder_products():
     u, v, w = (TupleVar(i, env.tables["R"], h) for i, h in ((3, "u"), (4, "v"), (5, "w")))
     z = TupleVar(6, env.tables["S"], "z")
     cases = [
-        Mul(Sum(u, Sum(w, Mul(Mul(_eq(u, t), Rel("R", u)), Rel("S", w)))),
-            Sum(v, Mul(_eq(v, t, "b"), Rel("T", v)))),
-        Mul(Mul(_eq(t, t, "b"), Rel("R", t)),
-            Sum(v, Sum(z, Mul(Mul(_eq(v, z), Rel("S", v)), Rel("S", z))))),
-        Mul(Sum(u, Sum(v, Sum(w, Mul(Mul(Rel("R", u), Rel("R", v)),
-                                     Mul(_eq(w, t), Rel("T", w)))))),
-            Squash(Rel("S", t))),
-        Mul(Sum(u, Mul(_eq(u, t, "b"), Rel("T", u))),
-            Sum(v, Sum(w, Add(Rel("R", v), Mul(_eq(v, w), Rel("S", w)))))),
+        Mul((Sum(u, Sum(w, Mul((Mul((_eq(u, t), Rel("R", u))), Rel("S", w))))),
+             Sum(v, Mul((_eq(v, t, "b"), Rel("T", v)))))),
+        Mul((Mul((_eq(t, t, "b"), Rel("R", t))),
+             Sum(v, Sum(z, Mul((Mul((_eq(v, z), Rel("S", v))), Rel("S", z))))))),
+        Mul((Sum(u, Sum(v, Sum(w, Mul((Mul((Rel("R", u), Rel("R", v))),
+                                       Mul((_eq(w, t), Rel("T", w)))))))),
+             Squash(Rel("S", t)))),
+        Mul((Sum(u, Mul((_eq(u, t, "b"), Rel("T", u)))),
+             Sum(v, Sum(w, Add(Rel("R", v), Mul((_eq(v, w), Rel("S", w)))))))),
     ]
     for e in cases:
         out = AXIOMS["sum-hoist"](e)
@@ -148,9 +144,9 @@ def test_every_catalog_entry_applies_somewhere():
     f = Sum(T2, Rel("R", T2))
     e_ok = {
         "add-zero": Add(x, ZERO),
-        "mul-one": Mul(x, ONE),
-        "mul-zero": Mul(x, ZERO),
-        "distr-mul-add": Mul(x, Add(y, x)),
+        "mul-one": Mul((x, ONE)),
+        "mul-zero": Mul((x, ZERO)),
+        "distr-mul-add": Mul((x, Add(y, x))),
         "squash-zero": Squash(ZERO),
         "squash-one": Squash(ONE),
         "squash-one-plus": Squash(Add(ONE, x)),
@@ -160,7 +156,7 @@ def test_every_catalog_entry_applies_somewhere():
         "not-squash": Not(Squash(x)),
         "squash-not": Squash(Not(x)),
         "sum-add": Sum(T2, Add(Rel("R", T2), Rel("S", T2))),
-        "sum-hoist": Mul(x, f),
+        "sum-hoist": Mul((x, f)),
         "sum-zero": Sum(T2, ZERO),
         "pred-squash-elim": Squash(Pred(mk_eq(AttrRef(T1, "a"), AttrRef(T1, "b")))),
     }

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from semiq.cli import main
 
 
@@ -60,6 +62,20 @@ def test_parse_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "12\u00b2"])
+def test_superscript_digit_is_a_parse_error(tmp_path, capsys, literal):
+    # str.isdigit accepts a superscript two, which int() rejects
+    path = _write(tmp_path, f"""
+        schema s(a:int);
+        table R(s);
+        verify (SELECT x.a AS a FROM R x WHERE x.a = {literal}) R;
+    """)
+    rc = main([path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unexpected character" in err
 
 
 def test_semantic_error_exits_two(tmp_path, capsys):

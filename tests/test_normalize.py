@@ -49,7 +49,7 @@ def test_already_normal_is_fixpoint():
 def test_distribution_splits_terms():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
-    e = Mul(Add(Rel("R", t), Rel("S", t)), Rel("T", t))
+    e = Mul((Add(Rel("R", t), Rel("S", t)), Rel("T", t)))
     s = to_spnf(e, VarGen(10))
     assert len(s.terms) == 2
     assert sorted(tuple(r for r, _ in term.atoms) for term in s.terms) == \
@@ -60,8 +60,8 @@ def test_squash_and_negation_slots_merge():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
     u = TupleVar(2, env.tables["R"])
-    e = Mul(Mul(Squash(Rel("R", t)), Squash(Rel("S", t))),
-            Mul(Not(Rel("R", u)), Not(Rel("S", u))))
+    e = Mul((Mul((Squash(Rel("R", t)), Squash(Rel("S", t)))),
+             Mul((Not(Rel("R", u)), Not(Rel("S", u))))))
     s = to_spnf(e, VarGen(10))
     assert len(s.terms) == 1
     term = s.terms[0]
@@ -85,7 +85,7 @@ def test_check_spnf_rejects_bad_shapes():
 def test_normalization_traces_are_axiom_applications():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
-    e = Mul(Add(Rel("R", t), Rel("S", t)), Rel("T", t))
+    e = Mul((Add(Rel("R", t), Rel("S", t)), Rel("T", t)))
     trace = Trace()
     to_spnf(e, VarGen(10), trace)
     assert trace.rule_names().count("distr-mul-add") == 1
@@ -98,7 +98,7 @@ def test_budget_guard_reports_exhaustion():
     e = Add(Rel("R", t), Rel("S", t))
     big = e
     for _ in range(7):
-        big = Mul(big, e)
+        big = Mul((big, e))
     limits = Limits(max_steps=50)
     with pytest.raises(BudgetError):
         to_spnf(big, VarGen(10), budget=Budget(limits))

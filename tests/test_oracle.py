@@ -95,10 +95,10 @@ def test_check_constraints_matches_key_identity():
     """check passes iff the key identity holds for all tuple pairs."""
     key = KeyConstraint("R", ("k",))
     t1, t2 = TupleVar(1, SR), TupleVar(2, SR)
-    lhs = Mul(Mul(Pred(mk_eq(AttrRef(t1, "k"), AttrRef(t2, "k"))),
-                  Rel("R", t1)), Rel("R", t2))
+    lhs = Mul((Mul((Pred(mk_eq(AttrRef(t1, "k"), AttrRef(t2, "k"))),
+                    Rel("R", t1))), Rel("R", t2)))
     from semiq.exprs import mk_tuple_eq
-    rhs = Mul(Pred(mk_tuple_eq(t1, t2)), Rel("R", t1))
+    rhs = Mul((Pred(mk_tuple_eq(t1, t2)), Rel("R", t1)))
     domains = {"int": (0, 1), "bool": (False, True), "string": ("x",)}
     for db in enumerate_dbs_for(SR, domains):
         holds = all(
@@ -344,8 +344,10 @@ def _programs() -> list[tuple[str, str]]:
 def _enumeration_bound(e, db) -> int:
     if isinstance(e, Sum):
         return len(db.tuple_space(e.var.schema)) * _enumeration_bound(e.body, db)
-    if isinstance(e, (Add, Mul)):
+    if isinstance(e, Add):
         return _enumeration_bound(e.lhs, db) + _enumeration_bound(e.rhs, db)
+    if isinstance(e, Mul):
+        return sum(_enumeration_bound(f, db) for f in e.factors)
     if isinstance(e, (Squash, Not)):
         return _enumeration_bound(e.body, db)
     return 1

@@ -489,6 +489,22 @@ def test_long_union_all_pair_is_equivalent():
     assert out == [("EQUIVALENT", "ucq-bag")]
 
 
+def test_long_union_all_dumps_take_no_frames_per_branch():
+    body = " UNION ALL ".join(["R"] * 1200)
+    [out] = run_program_text(PRELUDE + f"verify ({body}) ({body});",
+                             dump_uexp=True, dump_spnf=True)
+    assert out.status == "EQUIVALENT"
+    assert all(out.dumps[k].count(" + ") == 1199
+               for k in ("uexp1", "uexp2", "spnf1", "spnf2"))
+
+
+def test_union_under_a_derived_table_takes_no_frames_per_branch():
+    # the projection's product distributes over the union's 1,200 branches
+    body = " UNION ALL ".join(["R"] * 1200)
+    q = f"SELECT u.a AS o FROM ({body}) u"
+    assert _statuses(PRELUDE + f"verify ({q}) ({q});") == [("EQUIVALENT", "general")]
+
+
 @pytest.mark.parametrize("rule, q1, q2", [
     ("sum-zero", "SELECT x.a AS a FROM R x WHERE FALSE",
      "SELECT y.a AS a FROM R y WHERE FALSE"),

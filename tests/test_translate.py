@@ -58,32 +58,32 @@ def test_except_denotes_negation():
     env = std_env()
     q = parse_query("(SELECT * FROM R x) EXCEPT (SELECT * FROM S y)")
     d = denote(q, env, VarGen())
-    assert isinstance(d.body, Mul) and isinstance(d.body.rhs, Not)
+    assert isinstance(d.body, Mul) and isinstance(d.body.factors[-1], Not)
 
 
 def test_exists_and_not_exists():
     env = std_env()
     q = parse_query("SELECT * FROM R x WHERE EXISTS (SELECT * FROM S y WHERE y.a = x.a)")
     d = denote(q, env, VarGen())
-    assert isinstance(d.body.rhs, Squash) and isinstance(d.body.rhs.body, Sum)
+    assert isinstance(d.body.factors[-1], Squash) and isinstance(d.body.factors[-1].body, Sum)
     q2 = parse_query("SELECT * FROM R x WHERE NOT EXISTS (SELECT * FROM S y)")
     d2 = denote(q2, env, VarGen())
-    assert isinstance(d2.body.rhs, Not) and isinstance(d2.body.rhs.body, Sum)
+    assert isinstance(d2.body.factors[-1], Not) and isinstance(d2.body.factors[-1].body, Sum)
 
 
 def test_or_denotes_squashed_sum_of_predicates():
     env = std_env()
     q = parse_query("SELECT * FROM R x WHERE x.a = 1 OR x.b = 2")
     d = denote(q, env, VarGen())
-    assert isinstance(d.body.rhs, Squash) and isinstance(d.body.rhs.body, Add)
+    assert isinstance(d.body.factors[-1], Squash) and isinstance(d.body.factors[-1].body, Add)
 
 
 def test_comparisons_are_uninterpreted_predicates():
     env = std_env()
     q = parse_query("SELECT * FROM R x WHERE x.a < x.b")
     d = denote(q, env, VarGen())
-    assert isinstance(d.body.rhs, Pred) and isinstance(d.body.rhs.atom, PredApp)
-    assert d.body.rhs.atom.name == "<"
+    assert isinstance(d.body.factors[-1], Pred) and isinstance(d.body.factors[-1].atom, PredApp)
+    assert d.body.factors[-1].atom.name == "<"
 
 
 def test_whole_tuple_binding_for_single_alias_star(index_program):
@@ -102,7 +102,7 @@ def _strip_sums(e):
 
 def _mul_chain(e):
     if isinstance(e, Mul):
-        return _mul_chain(e.lhs) + _mul_chain(e.rhs)
+        return [g for f in e.factors for g in _mul_chain(f)]
     return [e]
 
 

@@ -7,16 +7,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiq.oracle import eval_exp
 from semiq.schema import Schema
 from semiq.translate import denote
 from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Pred, Rel,
-                        SubstError, Sum, TupleVar, VarGen, count_nodes,
+                        SubstError, Sum, TupleVar, VarGen, canon_key, count_nodes,
                         free_vars, mk_eq, mk_record, mk_tuple_eq, pretty,
                         substitute, walk)
-from semiq.spnf import uniquify
+from semiq.spnf import to_spnf, uniquify
 
 from helpers import (alpha_equal, gen_uexp, gen_uexp_scope, replace_scalar,
-                     std_env)
+                     small_dbs, std_env)
 
 
 S = Schema("s", (("a", "int"), ("b", "int")))
@@ -28,14 +29,14 @@ def _vars(*vids):
 
 def test_substitute_free_variable():
     t2, t, u = _vars(2, 10, 11)
-    e = Sum(t2, Mul(Pred(mk_tuple_eq(t2, t)), Rel("R", t2)))
+    e = Sum(t2, Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
     out = substitute(e, {t: u})
-    assert out == Sum(t2, Mul(Pred(mk_tuple_eq(t2, u)), Rel("R", t2)))
+    assert out == Sum(t2, Mul((Pred(mk_tuple_eq(t2, u)), Rel("R", t2))))
 
 
 def test_substitute_identity():
     t2, t = _vars(2, 10)
-    e = Sum(t2, Mul(Pred(mk_tuple_eq(t2, t)), Rel("R", t2)))
+    e = Sum(t2, Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
     assert substitute(e, {t: t}) == e
 
 
@@ -43,12 +44,12 @@ def test_substitute_record_rewrites_attribute_refs():
     # replacing a variable by a record turns its attribute references into
     # the record's field expressions
     t1, t2, t3 = _vars(1, 2, 3)
-    e = Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))),
-            Pred(mk_eq(AttrRef(t1, "b"), AttrRef(t2, "b"))))
+    e = Mul((Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))),
+             Pred(mk_eq(AttrRef(t1, "b"), AttrRef(t2, "b")))))
     rec = mk_record({"a": AttrRef(t3, "a"), "b": AttrRef(t3, "b")})
     out = substitute(e, {t1: rec})
-    assert out == Mul(Pred(mk_eq(AttrRef(t3, "a"), AttrRef(t2, "a"))),
-                      Pred(mk_eq(AttrRef(t3, "b"), AttrRef(t2, "b"))))
+    assert out == Mul((Pred(mk_eq(AttrRef(t3, "a"), AttrRef(t2, "a"))),
+                       Pred(mk_eq(AttrRef(t3, "b"), AttrRef(t2, "b")))))
 
 
 def test_substitute_rejects_record_into_relation_atom():
@@ -69,8 +70,8 @@ def test_substitute_rejects_capture_under_aggregate():
     # t10 := t1 under cnt(lam t1. ...) would turn [t1.a = t10.a] into
     # [t1.a = t1.a]; the aggregate binder captures exactly as a Sum would
     t1, t10, t12 = _vars(1, 10, 12)
-    agg = AggCall("cnt", t1, Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t10, "a"))),
-                                 Rel("R", t1)))
+    agg = AggCall("cnt", t1, Mul((Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t10, "a"))),
+                                  Rel("R", t1))))
     e = Pred(mk_eq(AttrRef(t12, "b"), agg))
     with pytest.raises(SubstError):
         substitute(e, {t10: t1})
@@ -83,11 +84,11 @@ def test_substitute_rejects_capture_under_aggregate():
 def test_substitute_mapping_leaves_a_shadowed_variable_alone():
     # a binder of one mapped variable stops only that variable
     t1, t2, u1, u2 = _vars(1, 2, 11, 12)
-    inner = Mul(Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))), Rel("R", t1))
-    e = Mul(Rel("R", t1), Sum(t1, inner))
+    inner = Mul((Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))), Rel("R", t1)))
+    e = Mul((Rel("R", t1), Sum(t1, inner)))
     out = substitute(e, {t1: u1, t2: u2})
-    assert out == Mul(Rel("R", u1), Sum(t1, Mul(
-        Pred(mk_eq(AttrRef(t1, "a"), AttrRef(u2, "a"))), Rel("R", t1))))
+    assert out == Mul((Rel("R", u1), Sum(t1, Mul((
+        Pred(mk_eq(AttrRef(t1, "a"), AttrRef(u2, "a"))), Rel("R", t1))))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,7 +130,7 @@ def test_uexp_passes_take_no_frames_per_level():
     # free variable at the bottom
     t, u, w = _vars(1, 2, 3)
     depth = 5000
-    e = Mul(Rel("R", t), Pred(mk_eq(AttrRef(t, "a"), Const(1, "int"))))
+    e = Mul((Rel("R", t), Pred(mk_eq(AttrRef(t, "a"), Const(1, "int")))))
     for _ in range(depth):
         e = Add(e, Sum(w, Rel("R", w)))
     assert count_nodes(e) == 3 + 3 * depth
@@ -140,6 +141,35 @@ def test_uexp_passes_take_no_frames_per_level():
     assert AttrRef(u, "a") in walk(out) and AttrRef(t, "a") not in walk(out)
     out = uniquify(e, VarGen(100))
     assert len({n.var.vid for n in walk(out) if type(n) is Sum}) == depth
+
+
+def test_a_product_is_the_binary_tree_it_stands_for():
+    # Mul((a, b, c)) stands for Mul((Mul((a, b)), c)): the same key (bound
+    # variables numbered in the same order), rendering, node count and value
+    t, u, w = _vars(1, 2, 3)
+    a = Sum(u, Mul((Rel("S", u), Pred(mk_eq(AttrRef(u, "a"), AttrRef(t, "b"))))))
+    b = Rel("S", t)
+    c = Sum(w, Mul((Rel("T", w), Pred(mk_eq(AttrRef(w, "b"), AttrRef(t, "a"))))))
+    flat = Sum(t, Mul((Rel("R", t), a, b, c)))
+    nested = Sum(t, Mul((Mul((Mul((Rel("R", t), a)), b)), c)))
+    assert canon_key(flat) == canon_key(nested)
+    assert pretty(flat) == pretty(nested)
+    assert count_nodes(flat) == count_nodes(nested) == 14
+    values = [eval_exp(flat, db) for db in small_dbs(std_env(), 30, seed=5)]
+    assert values == [eval_exp(nested, db) for db in small_dbs(std_env(), 30, seed=5)]
+    assert any(values)
+
+
+def test_a_long_product_takes_no_frames_per_factor():
+    t, u = _vars(1, 2)
+    n = 5000
+    e = Mul((Rel("R", t),) * n)
+    assert to_spnf(Sum(t, e), VarGen(10)).terms[0].atoms == (("R", t),) * n
+    assert pretty(e) == " * ".join(["R(t1)"] * n)
+    assert free_vars(e) == {t}
+    assert substitute(e, {t: u}) == Mul((Rel("R", u),) * n)
+    for db in small_dbs(std_env(), 5, seed=3):
+        assert eval_exp(Sum(t, e), db) == sum(m ** n for m in db.rels["R"].values())
 
 
 def test_alpha_equal_bound_rename():
@@ -173,12 +203,12 @@ def test_alpha_distinguishes_free_variables():
 
 def test_pretty_deterministic_numbering():
     u, w, t = _vars(7, 9, 42)
-    e = Sum(u, Sum(w, Mul(Mul(Pred(mk_tuple_eq(u, t)), Rel("R", u)), Rel("R", w))))
+    e = Sum(u, Sum(w, Mul((Mul((Pred(mk_tuple_eq(u, t)), Rel("R", u))), Rel("R", w)))))
     s1 = pretty(e, {t.vid: "t"})
     assert s1 == "sum{t1,t2} [t = t1] * R(t1) * R(t2)"
     # same numbering regardless of original ids
     u2, w2 = _vars(70, 90)
-    e2 = Sum(u2, Sum(w2, Mul(Mul(Pred(mk_tuple_eq(u2, t)), Rel("R", u2)), Rel("R", w2))))
+    e2 = Sum(u2, Sum(w2, Mul((Mul((Pred(mk_tuple_eq(u2, t)), Rel("R", u2))), Rel("R", w2)))))
     assert pretty(e2, {t.vid: "t"}) == s1
 
 
