@@ -5,7 +5,7 @@
 
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
-`nested_projection` 16, 40, 60, 100 and 200, `index_join_back` 12,
+`nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_derived` 1200, and
 `fk_cycle` 3.  Each row is one `run_program_text` call under
 `Limits(timeout_s=--timeout)`, and prints one tab-separated line:
@@ -48,7 +48,7 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("symmetric_self_join", 7), ("symmetric_self_join", 8),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
-        ("nested_projection", 200),
+        ("nested_projection", 200), ("nested_projection", 400),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("union_all", 1200), ("union_derived", 1200), ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",

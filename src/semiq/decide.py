@@ -95,11 +95,17 @@ class Decider:
         sig2 = [term_signature(t) for t in c2.terms]
         if sorted(sig1) != sorted(sig2):
             return False
-        by_sig: dict[tuple, list[int]] = {}
-        for i, s in enumerate(sig1):
-            by_sig.setdefault(s, []).append(i)
-        candidates = [by_sig[s] for s in sig2]
-        order = sorted(range(n), key=lambda j: len(candidates[j]))
+        ties = Counter(sig1)
+        order = sorted(range(n), key=lambda j: ties[sig2[j]])
+        # `match_terms` rejects a pair whose free constants differ, so each
+        # right term tries only the left terms of its signature that have
+        # its constants, in index order
+        keys = [(s, frozenset(self._term_facts(t).consts.items()))
+                for s, t in zip(sig1 + sig2, (*c1.terms, *c2.terms))]
+        by_key: dict[tuple, list[int]] = {}
+        for i, k in enumerate(keys[:n]):
+            by_key.setdefault(k, []).append(i)
+        candidates = [by_key.get(k, []) for k in keys[n:]]
         # depth-first: placed[k] is the left term paired with order[k], and
         # untried[k] iterates the candidates for order[k] not tried yet
         placed: list[int] = []

@@ -621,36 +621,43 @@ def pretty(e: Exp, names: dict[int, str] | None = None) -> str:
         if type(n) is Sum or type(n) is AggCall:
             counter += 1
             names.setdefault(n.var.vid, f"t{counter}")
-    return _pp(e, names, 0)
-
-
-def _pp(e: Exp, names: dict[int, str], prec: int) -> str:
-    # prec: 0 sum/add, 1 mul, 2 atom
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, Add):
-        s = " + ".join(_pp(t, names, 0) for t in flatten_add(e))
-        return f"({s})" if prec > 0 else s
-    if isinstance(e, Mul):
-        s = " * ".join(_pp(f, names, 1) for f in e.factors)
-        return f"({s})" if prec > 1 else s
-    if isinstance(e, Squash):
-        return f"||{_pp(e.body, names, 0)}||"
-    if isinstance(e, Not):
-        return f"not({_pp(e.body, names, 0)})"
-    if isinstance(e, Sum):
-        binders = [e.var]
-        body = e.body
-        while isinstance(body, Sum):
-            binders.append(body.var)
-            body = body.body
-        head = ",".join(_pname(v, names) for v in binders)
-        s = f"sum{{{head}}} {_pp(body, names, 1)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(e, Pred):
-        return print_atom(e.atom, names)
-    if isinstance(e, Rel):
-        return f"{e.name}({_pname(e.var, names)})"
-    raise TypeError(e)
+    # an explicit stack, so nesting costs no Python frames: ``todo`` holds
+    # what is left to print, next last, as strings and (expression, prec)
+    # pairs; prec: 0 sum/add, 1 mul, 2 atom
+    out: list[str] = []
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        if isinstance(e, (Add, Mul)):
+            parts, sep, inner = ((flatten_add(e), " + ", 0) if isinstance(e, Add)
+                                 else (e.factors, " * ", 1))
+            out.append("(" if prec > inner else "")
+            todo.append(")" if prec > inner else "")
+            for k in range(len(parts) - 1, 0, -1):
+                todo += ((parts[k], inner), sep)
+            todo.append((parts[0], inner))
+        elif isinstance(e, (Squash, Not)):
+            out.append("||" if isinstance(e, Squash) else "not(")
+            todo += ("||" if isinstance(e, Squash) else ")", (e.body, 0))
+        elif isinstance(e, Sum):
+            binders = [e.var]
+            body = e.body
+            while isinstance(body, Sum):
+                binders.append(body.var)
+                body = body.body
+            head = ",".join(_pname(v, names) for v in binders)
+            out.append(f"{'(' if prec > 0 else ''}sum{{{head}}} ")
+            todo += (")" if prec > 0 else "", (body, 1))
+        elif isinstance(e, Pred):
+            out.append(print_atom(e.atom, names))
+        elif isinstance(e, Rel):
+            out.append(f"{e.name}({_pname(e.var, names)})")
+        elif isinstance(e, (Zero, One)):
+            out.append("0" if isinstance(e, Zero) else "1")
+        else:
+            raise TypeError(e)
+    return "".join(out)

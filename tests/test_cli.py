@@ -8,6 +8,8 @@ import pytest
 
 from semiq.cli import main
 
+from helpers import nested_projection_program
+
 
 def _write(tmp_path, text, name="prog.cos"):
     p = tmp_path / name
@@ -307,3 +309,41 @@ def test_int_column_against_string_column_is_a_semantic_error(tmp_path, capsys):
         rc = main([path])
         assert rc == 2
         assert "conflicting types" in capsys.readouterr().err
+
+
+DEPTH_PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
+FILTERED = "SELECT x.a AS a FROM R x WHERE x.a = 1"
+
+
+@pytest.mark.parametrize("where", [
+    "(" * 250 + "x.a = 1" + ")" * 250,
+    "EXISTS (SELECT * FROM R y WHERE " * 250 + "x.a = 1" + ")" * 250,
+    "NOT " * 250 + "x.a = 1",
+], ids=["parentheses", "exists", "not"])
+def test_nesting_past_the_limit_exits_two(tmp_path, capsys, where):
+    path = _write(tmp_path, DEPTH_PRELUDE + f"verify (SELECT x.a AS a FROM R x "
+                  f"WHERE {where}) ({FILTERED});\n")
+    rc = main([path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "parse error: nesting deeper than 200 levels" in err
+
+
+@pytest.mark.parametrize("where,status,rc", [
+    ("(" * 200 + "x.a = 1" + ")" * 200, "EQUIVALENT", 0),
+    ("NOT " * 200 + "x.a = 1", "NOT_PROVED", 1),
+], ids=["parentheses", "not"])
+def test_nesting_at_the_limit_keeps_its_verdict(tmp_path, capsys, where, status, rc):
+    path = _write(tmp_path, DEPTH_PRELUDE + f"verify (SELECT x.a AS a FROM R x "
+                  f"WHERE {where}) ({FILTERED});\n")
+    assert main([path]) == rc
+    assert capsys.readouterr().out.startswith(f"verify1: {status}")
+
+
+def test_400_nested_derived_tables_with_both_dumps(tmp_path, capsys):
+    path = _write(tmp_path, nested_projection_program(400))
+    rc = main([path, "--dump-uexp", "--dump-spnf"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("verify1: EQUIVALENT")
+    assert "uexp1:" in out and "spnf2:" in out

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from semiq.oracle import eval_exp
 from semiq.schema import Schema
 from semiq.translate import denote
-from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Pred, Rel,
-                        SubstError, Sum, TupleVar, VarGen, canon_key, count_nodes,
-                        free_vars, mk_eq, mk_record, mk_tuple_eq, pretty,
-                        substitute, walk)
+from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Not, One, Pred, Rel,
+                        Squash, SubstError, Sum, TupleVar, VarGen, canon_key,
+                        count_nodes, free_vars, mk_eq, mk_record, mk_tuple_eq,
+                        pretty, substitute, walk)
 from semiq.spnf import to_spnf, uniquify
 
 from helpers import (alpha_equal, gen_uexp, gen_uexp_scope, replace_scalar,
@@ -170,6 +170,16 @@ def test_a_long_product_takes_no_frames_per_factor():
     assert substitute(e, {t: u}) == Mul((Rel("R", u),) * n)
     for db in small_dbs(std_env(), 5, seed=3):
         assert eval_exp(Sum(t, e), db) == sum(m ** n for m in db.rels["R"].values())
+
+
+def test_deep_nesting_prints_with_no_frames_per_level():
+    n = 3000
+    vs = _vars(*range(1, n + 1))
+    e = One()
+    for v in reversed(vs):
+        e = Sum(v, Mul((Rel("R", v), Squash(Not(e)))))
+    assert pretty(e) == ("".join(f"sum{{t{k}}} R(t{k}) * ||not(" for k in range(1, n + 1))
+                         + "1" + ")||" * n)
 
 
 def test_alpha_equal_bound_rename():
