@@ -1,11 +1,13 @@
 """Equivalence decision procedures.
 
-``equivalent`` canonizes two normal forms and searches for a permutation
-matching their terms pairwise.  ``match_terms`` matches one term pair under
-a bijection of summation variables: congruent predicates, equivalent squash
-parts (``squash_equal``), equivalent negation parts (recursively), identical
-relation atoms.  The bijection search is individualization-refinement:
-each term's summation variables are coloured by 1-WL refinement of their
+``equivalent`` canonizes two normal forms and pairs their terms greedily.
+A match is an isomorphism, so matching is an equivalence relation: any left
+term a right term matches serves, and greedy fails only if no pairing does.
+``match_terms`` matches one term pair under a bijection of summation
+variables: congruent predicates, equivalent squash parts
+(``squash_equal``), equivalent negation parts (recursively), identical
+relation atoms.  The bijection search is individualization-refinement: each
+term's summation variables are coloured by 1-WL refinement of their
 signatures over the attribute-equality links between them, a variable is
 tried only on variables of its own colour, and when the search has a
 choice, each predicate is checked against the other term's closure as soon
@@ -86,49 +88,37 @@ class Decider:
             self._colours.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
-        if len(c1.terms) != len(c2.terms):
-            return False
+        """Pair each right term, in order, with the first unused left term
+        that `match_terms` accepts; a right term left without one fails."""
         n = len(c1.terms)
+        if n != len(c2.terms):
+            return False
         if n == 0:
             return True
         sig1 = [term_signature(t) for t in c1.terms]
         sig2 = [term_signature(t) for t in c2.terms]
         if sorted(sig1) != sorted(sig2):
             return False
-        ties = Counter(sig1)
-        order = sorted(range(n), key=lambda j: ties[sig2[j]])
         # `match_terms` rejects a pair whose free constants differ, so each
         # right term tries only the left terms of its signature that have
         # its constants, in index order
         keys = [(s, frozenset(self._term_facts(t).consts.items()))
                 for s, t in zip(sig1 + sig2, (*c1.terms, *c2.terms))]
-        by_key: dict[tuple, list[int]] = {}
+        unused: dict[tuple, list[int]] = {}
         for i, k in enumerate(keys[:n]):
-            by_key.setdefault(k, []).append(i)
-        candidates = [by_key.get(k, []) for k in keys[n:]]
-        # depth-first: placed[k] is the left term paired with order[k], and
-        # untried[k] iterates the candidates for order[k] not tried yet
-        placed: list[int] = []
-        used: set[int] = set()
-        untried = [iter(candidates[order[0]])]
+            unused.setdefault(k, []).append(i)
+        perm: list[int] = []
         self.budget.step("search")
-        while untried:
-            j = order[len(placed)]
-            i = next((i for i in untried[-1] if i not in used
-                      and self.match_terms(c1.terms[i], c2.terms[j])), None)
-            if i is None:
-                untried.pop()
-                if placed:
-                    used.discard(placed.pop())
-                continue
-            placed.append(i)
-            used.add(i)
+        for k, t2 in zip(keys[n:], c2.terms):
+            free = unused.get(k, [])
+            m = next((m for m, i in enumerate(free)
+                      if self.match_terms(c1.terms[i], t2)), None)
+            if m is None:
+                return False
+            perm.append(free.pop(m))
             self.budget.step("search")
-            if len(placed) == n:
-                self.trace.permutation([i for _, i in sorted(zip(order, placed))])
-                return True
-            untried.append(iter(candidates[order[len(placed)]]))
-        return False
+        self.trace.permutation(perm)
+        return True
 
     # -- term-level matching ------------------------------------------------
 

@@ -10,15 +10,18 @@ logs them as ``squash-mul``, ``pull-not`` and ``prod-comm``.
 
 Each product takes one hoist step, which moves every summation of both
 factors out at once, and a run computes each factor's sort key once, so the
-steps of normalizing a nest grow linearly with its depth.
+steps of normalizing a nest grow linearly with its depth.  A merge inserts
+the shorter sorted factor list into the longer by bisection: k factors into
+n cost O(k log n) key lookups, plus the list inserts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .axioms import AXIOMS, factor_sort_key, split_binders
+from .axioms import AXIOMS, _factor_rank, factor_sort_key, split_binders
 from .config import Budget
 from .trace import Trace
 from .exprs import (
@@ -241,7 +244,7 @@ class Normalizer:
             for v in reversed(binders):
                 out = Sum(v, out)
         else:
-            out = self._merge_chain(_factors(l) + _factors(r), path)
+            out = self._merge_chain([list(_factors(l)), list(_factors(r))], path)
         for rhs, path in reversed(spine):
             out = Add(out, self._mul_nf(*rhs.factors, path + "r."))
         return out
@@ -252,32 +255,48 @@ class Normalizer:
             hit = self._keys[id(f)] = (f, factor_sort_key(f))
         return hit[1]
 
-    def _merge_chain(self, factors: tuple[Exp, ...], path: str) -> Exp:
-        squashes = [f for f in factors if isinstance(f, Squash)]
-        if len(squashes) >= 2:
-            rest = [f for f in factors if not isinstance(f, Squash)]
-            self.trace.rule("squash-mul", path)
+    def _merge_chain(self, runs: list[list[Exp]], path: str) -> Exp:
+        """The product of ``runs``, each the sorted factors of a normalized
+        product or one factor, so each holds at most one squash and one
+        negation; the lists are consumed."""
+        for rank, rule in ((1, "squash-mul"), (2, "pull-not")):
+            found = [(run, i) for run in runs
+                     if (i := bisect_left(run, rank, key=_factor_rank)) < len(run)
+                     and _factor_rank(run[i]) == rank]
+            if len(found) < 2:
+                continue
+            self.trace.rule(rule, path)
             self.budget.step(self.stage)
-            merged_body: Exp = squashes[0].body
-            for s in squashes[1:]:
-                merged_body = self._mul_nf(merged_body, s.body, path + "sq.")
-            merged = self._squash_nf(merged_body, path + "sq.")
-            return self._merge_chain((*rest, merged), path)
-        nots = [f for f in factors if isinstance(f, Not)]
-        if len(nots) >= 2:
-            rest = [f for f in factors if not isinstance(f, Not)]
-            self.trace.rule("pull-not", path)
-            self.budget.step(self.stage)
-            merged = Not(rebuild_add([n.body for n in nots]))
-            return self._merge_chain((*rest, merged), path)
-        # the factors are atomic: those of normalized products, and a
-        # merged squash or negation
-        ordered = sorted(factors, key=self._sort_key)
-        # a stable sort: the order changed iff some slot holds another object
-        if any(a is not b for a, b in zip(ordered, factors)):
+            fs = [run.pop(i) for run, i in found]
+            if rule == "pull-not":
+                runs.append([Not(rebuild_add([n.body for n in fs]))])
+                return self._merge_chain(runs, path)
+            body: Exp = fs[0].body
+            for f in fs[1:]:
+                body = self._mul_nf(body, f.body, path + "sq.")
+            runs.append([self._squash_nf(body, path + "sq.")])
+            return self._merge_chain(runs, path)
+        # the factors are atomic: those of normalized products, and a merged
+        # squash or negation.  A stable sort moves one iff some run starts
+        # below the end of the runs before it.  Each run is merged by
+        # inserting the shorter list into the longer, the earlier one's
+        # factors ahead of equal ones
+        key = self._sort_key
+        out: list[Exp] = []
+        moved = False
+        for run in filter(None, runs):
+            moved = moved or bool(out) and key(run[0]) < key(out[-1])
+            into, new, find = ((out, run, bisect_right) if len(run) <= len(out)
+                               else (run, out, bisect_left))
+            lo = 0
+            for f in new:
+                lo = find(into, key(f), lo, key=key) + 1
+                into.insert(lo - 1, f)
+            out = into
+        if moved:
             self.trace.rule("prod-comm", path)
             self.budget.step(self.stage)
-        return ordered[0] if len(ordered) == 1 else Mul(tuple(ordered))
+        return out[0] if len(out) == 1 else Mul(tuple(out))
 
     def _squash_nf(self, body: Exp, path: str) -> Exp:
         cur = Squash(body)

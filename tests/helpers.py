@@ -748,6 +748,24 @@ def reference_match_terms(d, t1, t2) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference term pairing: the oracle of `Decider._perm_search`.
+
+def reference_pairing(d, c1, c2) -> list[int] | None:
+    """The first permutation, in lexicographic order, that pairs each right
+    term j with left term perm[j] of its `term_signature` that
+    `d.match_terms` accepts, or None when no permutation does."""
+    from semiq.decide import term_signature
+
+    n = len(c1.terms)
+    if n != len(c2.terms):
+        return None
+    ok = [[term_signature(t1) == term_signature(t2) and d.match_terms(t1, t2)
+           for t1 in c1.terms] for t2 in c2.terms]
+    return next((list(perm) for perm in itertools.permutations(range(n))
+                 if all(ok[j][i] for j, i in enumerate(perm))), None)
+
+
+# ---------------------------------------------------------------------------
 # Reference predicate-list congruence: the oracle of `Decider._term_check`'s
 # predicate test.
 

@@ -6,7 +6,9 @@ variable search checks no leaf that colours or placed predicates rule out,
 no canonize round of a nested projection holds more predicates than a few
 per level, the denotation types each nested derived table once, the
 containment search under DISTINCT places unlinked scans apart, and the
-term search pairs tied terms by their constants.
+term search pairs tied terms by their constants and never backtracks over
+pairings, and the normalizer sorts each factor of a wide product a
+logarithmic number of times.
 They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import random
 import sys
 from pathlib import Path
 
-from semiq import congruence, constraints, decide, run_program_text
+from semiq import congruence, constraints, decide, run_program_text, spnf
+from semiq.axioms import factor_sort_key
+from semiq.config import Limits
+from semiq.exprs import AttrRef, Const, Mul, Pred, Sum, TupleVar, VarGen, mk_eq
 from semiq.schema import Schema
 
 from helpers import index_join_back_program, nested_projection_program
@@ -26,11 +31,15 @@ _spec = importlib.util.spec_from_file_location(
     Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
 workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
+_spec = importlib.util.spec_from_file_location(
+    "scaling", Path(__file__).resolve().parent.parent / "scripts" / "scaling.py")
+scaling = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scaling)
 
 PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
 
 # twelve branches with one term signature; the right side lists them in
-# reverse under other aliases, so the permutation search tries every
+# reverse under other aliases, so the term search would try every
 # unused left term against each right term before its partner
 BRANCH_PREDS = (
     "x.a = 17", "x.b = 42", "x.a = x.b AND x.b = 5", "x.a = 88",
@@ -305,3 +314,39 @@ def test_tied_terms_are_paired_by_their_constants():
         assert out.status == "EQUIVALENT"
         steps.append(out.steps["search"])
     assert steps[1] <= 2.1 * steps[0]
+
+
+def test_a_term_that_pairs_with_no_tied_term_fails_at_once():
+    # every branch ties on signature and constants, and the last right
+    # branch matches no left one: the search stops at that branch instead
+    # of retrying the other branches' pairings, which is factorial
+    [out] = run_program_text(scaling.union_all_miss(9), refute=True,
+                             limits=Limits(max_steps=20_000))
+    assert out.status == "NOT_EQUIVALENT" and out.witness is not None
+    steps = []
+    for n in (8, 24):
+        [out] = run_program_text(scaling.union_all_miss(n))
+        assert out.status == "NOT_EQUIVALENT"
+        steps.append(out.steps["search"])
+    assert steps[1] <= 4 * steps[0]
+
+
+def test_a_wide_product_sorts_each_factor_a_logarithmic_number_of_times(
+        monkeypatch):
+    # factor i arrives last and belongs first: each merge inserts it into
+    # the sorted chain of factors 0..i-1 by bisection, not by a re-sort
+    calls = []
+    real = spnf.Normalizer._sort_key
+
+    def counting(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(spnf.Normalizer, "_sort_key", counting)
+    t = TupleVar(1, Schema("s", (("a", "int"), ("b", "int"))))
+    n = 5000
+    factors = sorted((Pred(mk_eq(AttrRef(t, "a"), Const(i, "int")))
+                      for i in range(n)), key=factor_sort_key, reverse=True)
+    [term] = spnf.to_spnf(Sum(t, Mul(tuple(factors))), VarGen(10)).terms
+    assert len(term.preds) == n
+    assert len(calls) <= 20 * n

@@ -1,4 +1,4 @@
-"""Decision procedures: permutation/bijection search, congruence matching,
+"""Decision procedures: term pairing, bijection search, congruence matching,
 squashed-expression comparison, and containment by homomorphism."""
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 from conftest import FIG_INDEX, parse_query
 from helpers import (congruent_preds, copy_body, cq_set_equivalent,
                      denote_pair, enumerate_dbs, find_disagreement, gen_cq, narrow,
-                     reference_match_terms, small_dbs, std_env,
+                     reference_match_terms, reference_pairing, small_dbs, std_env,
                      ucq_set_equivalent)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
@@ -515,37 +515,70 @@ _ENV = std_env()
 _OUT = TupleVar(900, Schema("o", (("a", "int"), ("b", "int"))))
 
 
-@st.composite
-def _term_pairs(draw):
-    """A term over up to five summation variables, most of them of one
-    relation, whose predicates link attributes across and within
-    variables, pin constants, apply f and equate free output attributes;
-    and the same term under a random bijection onto fresh ids, restated,
-    listed in another order and, in one case of four, missing a
-    predicate."""
-    rels = draw(st.lists(st.sampled_from("RRS"), min_size=1, max_size=5))
-    xs = [TupleVar(10 + i, _ENV.tables[r]) for i, r in enumerate(rels)]
+def _preds_over(xs):
     attr = st.builds(AttrRef, st.sampled_from(xs), st.sampled_from("ab"))
     scalar = st.one_of(
         attr, st.builds(AttrRef, st.just(_OUT), st.sampled_from("ab")),
         st.builds(lambda c: Const(c, "int"), st.integers(0, 2)),
         st.builds(lambda s: Func("f", (s,)), attr))
-    preds = draw(st.lists(
+    return st.lists(
         st.builds(mk_eq, attr, scalar)
         | st.builds(lambda a, b: PredApp("p", (a, b)), attr, attr),
-        max_size=6))
-    t1 = Term.make(xs, preds, None, None, list(zip(rels, xs)))
+        max_size=6)
+
+
+def _variant(draw, xs, preds, atoms, ids) -> Term:
+    """The term over ``xs`` with ``preds`` and ``atoms`` under a random
+    bijection onto ``ids``, restated, listed in another order and, in one
+    case of four, missing its last predicate."""
     rng = draw(st.randoms(use_true_random=False))
     if preds and draw(st.integers(0, 3)) == 0:
         preds = preds[:-1]
     preds = _respelled(preds, rng, xs + [_OUT])
-    ids = rng.sample(range(100, 120), len(xs))
-    ys = [TupleVar(i, x.schema) for i, x in zip(ids, xs)]
+    ys = [TupleVar(i, x.schema) for i, x in zip(rng.sample(ids, len(xs)), xs)]
     for x, y in zip(xs, ys):
         preds = [substitute(p, {x: y}) for p in preds]
-    atoms = list(zip(rels, ys))
+    atoms = [(r, ys[xs.index(v)]) for r, v in atoms]
     rng.shuffle(ys)
-    return t1, Term.make(ys, preds, None, None, atoms)
+    return Term.make(ys, preds, None, None, atoms)
+
+
+@st.composite
+def _term_pairs(draw):
+    """A term over up to five summation variables, most of them of one
+    relation, whose predicates link attributes across and within
+    variables, pin constants, apply f and equate free output attributes;
+    and a variant of it on ids from 100."""
+    rels = draw(st.lists(st.sampled_from("RRS"), min_size=1, max_size=5))
+    xs = [TupleVar(10 + i, _ENV.tables[r]) for i, r in enumerate(rels)]
+    preds = draw(_preds_over(xs))
+    atoms = list(zip(rels, xs))
+    return (Term.make(xs, preds, None, None, atoms),
+            _variant(draw, xs, preds, atoms, range(100, 120)))
+
+
+@st.composite
+def _term_triples(draw):
+    """A pair of `_term_pairs` and a variant of its second term."""
+    t1, t2 = draw(_term_pairs())
+    return t1, t2, _variant(draw, list(t2.sum_vars), list(t2.preds),
+                            list(t2.atoms), range(200, 220))
+
+
+@st.composite
+def _tied_sides(draw):
+    """Two sums of one to five terms, each term a variant of one of two
+    terms over the same scans, so the terms tie on their signature and
+    some tied terms are not isomorphic."""
+    rels = draw(st.lists(st.sampled_from("RRS"), min_size=1, max_size=3))
+    xs = [TupleVar(10 + i, _ENV.tables[r]) for i, r in enumerate(rels)]
+    bases = [draw(_preds_over(xs)), draw(_preds_over(xs))]
+    atoms = list(zip(rels, xs))
+    n = draw(st.integers(1, 5))
+    return tuple(SpnfExp(tuple(
+        _variant(draw, xs, bases[draw(st.integers(0, 1))], atoms,
+                 range(start + 10 * k, start + 10 * k + 10))
+        for k in range(n))) for start in (100, 200))
 
 
 def _renamed_pair(n: int, preds1, preds2, ids) -> tuple[Term, Term]:
@@ -608,6 +641,30 @@ def test_term_check_is_congruence_under_each_bijection(pair):
                     == sorted((r, v.vid) for r, v in t2p.atoms)
                     and congruent_preds(t1.preds, t2p.preds))
             assert d._term_check(t1, t2, mapping) == want
+
+
+@given(_term_triples())
+@settings(max_examples=100, deadline=None)
+def test_match_terms_is_an_equivalence_relation(terms):
+    # the term search pairs greedily, which is complete only because
+    # matching is symmetric and transitive
+    d = Decider(_ENV, VarGen())
+    match = {(i, j): d.match_terms(terms[i], terms[j])
+             for i in range(3) for j in range(3) if i != j}
+    assert all(match[i, j] == match[j, i] for i, j in match)
+    # an equivalence relation on three terms holds of none, one or all of
+    # their pairs
+    assert sum(match[i, j] for i, j in match if i < j) != 2
+
+
+@given(_tied_sides())
+@settings(max_examples=60, deadline=None)
+def test_term_search_finds_the_first_pairing(sides):
+    got = Decider(_ENV, VarGen(), Trace())
+    want = reference_pairing(Decider(_ENV, VarGen()), *sides)
+    assert got._perm_search(*sides) == (want is not None)
+    assert [e.payload["perm"] for e in got.trace.events
+            if e.kind == "permutation"] == ([want] if want else [])
 
 
 # -- lifetime -------------------------------------------------------------------
