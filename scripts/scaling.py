@@ -7,25 +7,27 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
-`union_derived` 1200, and `fk_cycle` 3.  Each row is one
-`run_program_text` call under `Limits(timeout_s=--timeout)`, and prints
-one tab-separated line:
+`union_derived` 1200, `union_exists` 1200, and `fk_cycle` 3.  Each row is
+one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
+prints one tab-separated line:
 
     family  size  ms  verdict  steps.total
 
 A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
 other rows still run, and the exit code is 1.
 
-All families but `union_all`, `union_all_miss`, `union_derived` and
-`fk_cycle` are the generators of `perfbench/workloads.py` (only read),
-called with `random.Random(--seed)`.  `union_all` is a SIZE-branch
-`UNION ALL` with one constant filter per branch, against the same branches
-reversed under other aliases.  `union_all_miss` is SIZE copies of
+All families but `union_all`, `union_all_miss`, `union_derived`,
+`union_exists` and `fk_cycle` are the generators of
+`perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
+`union_all` is a SIZE-branch `UNION ALL` with one constant filter per
+branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
 `SELECT x.a AS o FROM R x` against SIZE - 1 copies and a last branch that
 adds `WHERE y.a = y.b`: all branches tie on signature and constants, the
 last right branch matches no left one, and the pair is `NOT_EQUIVALENT`.
 `union_derived` projects a SIZE-branch `UNION ALL R ...` through a derived
 table, `SELECT u.a AS o FROM (R UNION ALL ...) u`, against itself.
+`union_exists` filters `S y` by `EXISTS` over a SIZE-branch `UNION ALL` of
+`SELECT x.a AS a FROM R x`, against itself.
 `fk_cycle` is one fixed DISTINCT pair over two keyed tables whose foreign
 keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
 Times are wall times of one run, with no calibration.
@@ -55,10 +57,10 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("nested_projection", 200), ("nested_projection", 400),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
-        ("union_derived", 1200), ("fk_cycle", 3))
+        ("union_derived", 1200), ("union_exists", 1200), ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
-            "union_derived", "fk_cycle")
+            "union_derived", "union_exists", "fk_cycle")
 
 # A(y) -> B(u) -> A(x) -> ...: each side's chase runs to the ceiling
 FK_CYCLE = """schema sa(x:int, y:int);
@@ -101,6 +103,13 @@ def union_derived(n: int) -> str:
     return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
 
 
+def union_exists(n: int) -> str:
+    u = " UNION ALL ".join(["(SELECT x.a AS a FROM R x)"] * n)
+    q = f"SELECT y.a AS a FROM S y WHERE EXISTS ({u})"
+    return (f"schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"
+            f"verify ({q})\n       ({q});\n")
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
@@ -108,6 +117,8 @@ def program(family: str, size: int, seed: int) -> str:
         return union_all_miss(size)
     if family == "union_derived":
         return union_derived(size)
+    if family == "union_exists":
+        return union_exists(size)
     if family == "fk_cycle":
         return FK_CYCLE
     return getattr(workloads, family)(random.Random(seed), size).text

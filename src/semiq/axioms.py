@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .exprs import (
-    Add, Mul, Not, One, Pred, Rel, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
-    canon_key, flatten_add, free_vars, rebuild_add,
+    Add, Mul, Not, One, Pred, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
+    flatten_add, free_vars, rebuild_add,
 )
 
 
@@ -29,22 +29,6 @@ def split_binders(e: Exp) -> tuple[list[TupleVar], Exp]:
         vs.append(e.var)
         e = e.body
     return vs, e
-
-
-def _factor_rank(f: Exp) -> int:
-    if isinstance(f, Pred):
-        return 0
-    if isinstance(f, Squash):
-        return 1
-    if isinstance(f, Not):
-        return 2
-    if isinstance(f, Rel):
-        return 3
-    return 4
-
-
-def factor_sort_key(f: Exp) -> tuple:
-    return (_factor_rank(f), canon_key(f))
 
 
 # -- semiring ---------------------------------------------------------------

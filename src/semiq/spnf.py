@@ -6,22 +6,22 @@ negation factor, and relation atoms.  ``to_spnf`` reaches this shape by
 repeatedly applying kernel identities (distribution, summation hoisting,
 factor merging).  ``Normalizer.app`` applies each identity by its ``AXIOMS``
 entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
-logs them as ``squash-mul``, ``pull-not`` and ``prod-comm``.
+logs them as ``squash-mul`` and ``pull-not``.
 
-Each product takes one hoist step, which moves every summation of both
-factors out at once, and a run computes each factor's sort key once, so the
-steps of normalizing a nest grow linearly with its depth.  A merge inserts
-the shorter sorted factor list into the longer by bisection: k factors into
-n cost O(k log n) key lookups, plus the list inserts.
+A normalized product lists its plain factors (predicates and relation
+atoms) in any order, then its squash, then its negation; ``Term.make``
+alone puts factors in order.  Each product takes one hoist step, which
+moves every summation of both factors out at once, so the steps of
+normalizing a nest grow linearly with its depth, and a merge appends the
+shorter factor lists to the longest without keying any factor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .axioms import AXIOMS, _factor_rank, factor_sort_key, split_binders
+from .axioms import AXIOMS, split_binders
 from .config import Budget
 from .trace import Trace
 from .exprs import (
@@ -140,9 +140,6 @@ class Normalizer:
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
         self.stage = stage
-        # each factor's sort key, per run, keyed by id; each entry holds its
-        # object, so no other object takes the id
-        self._keys: dict[int, tuple[Exp, tuple]] = {}
 
     def app(self, axiom: str, node: Exp, path: str) -> Exp:
         self.budget.step(self.stage)
@@ -205,8 +202,10 @@ class Normalizer:
         raise TypeError(e)
 
     def _nf_atom(self, a: PredAtom, path: str) -> PredAtom:
-        return rewrite(a, lambda s: AggCall(s.name, s.var, self.nf(s.body, path + "agg."))
-                       if type(s) is AggCall else None)
+        # the body in term order, which the aggregate's key sees
+        return rewrite(a, lambda s: AggCall(
+            s.name, s.var, parse_spnf(self.nf(s.body, path + "agg.")).to_exp())
+            if type(s) is AggCall else None)
 
     # sum-add and distr-mul-add split the left operand of a sum in a loop,
     # down its left spine, then take the right operands innermost first, as
@@ -249,54 +248,37 @@ class Normalizer:
             out = Add(out, self._mul_nf(*rhs.factors, path + "r."))
         return out
 
-    def _sort_key(self, f: Exp) -> tuple:
-        hit = self._keys.get(id(f))
-        if hit is None:
-            hit = self._keys[id(f)] = (f, factor_sort_key(f))
-        return hit[1]
-
     def _merge_chain(self, runs: list[list[Exp]], path: str) -> Exp:
-        """The product of ``runs``, each the sorted factors of a normalized
-        product or one factor, so each holds at most one squash and one
-        negation; the lists are consumed."""
-        for rank, rule in ((1, "squash-mul"), (2, "pull-not")):
-            found = [(run, i) for run in runs
-                     if (i := bisect_left(run, rank, key=_factor_rank)) < len(run)
-                     and _factor_rank(run[i]) == rank]
-            if len(found) < 2:
-                continue
-            self.trace.rule(rule, path)
+        """The product of ``runs``, each the factors of a normalized product
+        or one factor, so each ends in at most one squash and then at most
+        one negation; the lists are consumed."""
+        squashes: list[Exp] = []
+        negs: list[Exp] = []
+        for run in runs:
+            if type(run[-1]) is Not:
+                negs.append(run.pop())
+            if run and type(run[-1]) is Squash:
+                squashes.append(run.pop())
+        plain = max(runs, key=len)
+        for run in runs:
+            if run is not plain:
+                plain.extend(run)
+        if len(squashes) > 1:
+            self.trace.rule("squash-mul", path)
             self.budget.step(self.stage)
-            fs = [run.pop(i) for run, i in found]
-            if rule == "pull-not":
-                runs.append([Not(rebuild_add([n.body for n in fs]))])
-                return self._merge_chain(runs, path)
-            body: Exp = fs[0].body
-            for f in fs[1:]:
+            body = squashes[0].body
+            for f in squashes[1:]:
                 body = self._mul_nf(body, f.body, path + "sq.")
-            runs.append([self._squash_nf(body, path + "sq.")])
-            return self._merge_chain(runs, path)
-        # the factors are atomic: those of normalized products, and a merged
-        # squash or negation.  A stable sort moves one iff some run starts
-        # below the end of the runs before it.  Each run is merged by
-        # inserting the shorter list into the longer, the earlier one's
-        # factors ahead of equal ones
-        key = self._sort_key
-        out: list[Exp] = []
-        moved = False
-        for run in filter(None, runs):
-            moved = moved or bool(out) and key(run[0]) < key(out[-1])
-            into, new, find = ((out, run, bisect_right) if len(run) <= len(out)
-                               else (run, out, bisect_left))
-            lo = 0
-            for f in new:
-                lo = find(into, key(f), lo, key=key) + 1
-                into.insert(lo - 1, f)
-            out = into
-        if moved:
-            self.trace.rule("prod-comm", path)
+            merged = self._squash_nf(body, path + "sq.")
+            squashes = []
+            (squashes if type(merged) is Squash else
+             negs if type(merged) is Not else plain).append(merged)
+        if len(negs) > 1:
+            self.trace.rule("pull-not", path)
             self.budget.step(self.stage)
-        return out[0] if len(out) == 1 else Mul(tuple(out))
+            negs = [Not(rebuild_add([n.body for n in negs]))]
+        plain += squashes + negs
+        return plain[0] if len(plain) == 1 else Mul(tuple(plain))
 
     def _squash_nf(self, body: Exp, path: str) -> Exp:
         cur = Squash(body)

@@ -867,3 +867,12 @@ def index_join_back_program(k: int) -> str:
     conds = " AND ".join([f"p{i}.id = b.id" for i in range(k)] + [
         f"p{i}.{c} {op} {v}" for i, (c, op, v) in enumerate(filters)])
     return decl + f"verify ({lhs})\n       (SELECT b.* FROM {srcs} WHERE {conds});\n"
+
+
+def union_subquery_program(outer: str, n: int) -> str:
+    """``outer``, a query over ``S y`` whose ``{u}`` is replaced by an
+    n-branch UNION ALL of ``SELECT x.a AS a FROM R x``, against itself."""
+    u = " UNION ALL ".join(["(SELECT x.a AS a FROM R x)"] * n)
+    q = outer.format(u=u)
+    return ("schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"
+            f"verify ({q})\n       ({q});\n")

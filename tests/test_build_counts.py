@@ -7,8 +7,7 @@ no canonize round of a nested projection holds more predicates than a few
 per level, the denotation types each nested derived table once, the
 containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
-pairings, and the normalizer sorts each factor of a wide product a
-logarithmic number of times.
+pairings, and the factors of a wide product are keyed once each.
 They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import sys
 from pathlib import Path
 
 from semiq import congruence, constraints, decide, run_program_text, spnf
-from semiq.axioms import factor_sort_key
 from semiq.config import Limits
 from semiq.exprs import AttrRef, Const, Mul, Pred, Sum, TupleVar, VarGen, mk_eq
 from semiq.schema import Schema
@@ -331,22 +329,24 @@ def test_a_term_that_pairs_with_no_tied_term_fails_at_once():
     assert steps[1] <= 4 * steps[0]
 
 
-def test_a_wide_product_sorts_each_factor_a_logarithmic_number_of_times(
-        monkeypatch):
-    # factor i arrives last and belongs first: each merge inserts it into
-    # the sorted chain of factors 0..i-1 by bisection, not by a re-sort
-    calls = []
-    real = spnf.Normalizer._sort_key
+def test_a_wide_product_keys_each_factor_once(monkeypatch):
+    # factor i arrives last and belongs first: the normalizer appends it
+    # without keying it, and the term structure sorts the factors once
+    from semiq import axioms, exprs
+    calls = [0]
+    real = exprs.canon_key
 
-    def counting(self, f):
-        calls.append(f)
-        return real(self, f)
+    def counting(e):
+        calls[0] += 1
+        return real(e)
 
-    monkeypatch.setattr(spnf.Normalizer, "_sort_key", counting)
+    for mod in (exprs, axioms, spnf, constraints, decide):
+        if hasattr(mod, "canon_key"):
+            monkeypatch.setattr(mod, "canon_key", counting)
     t = TupleVar(1, Schema("s", (("a", "int"), ("b", "int"))))
     n = 5000
     factors = sorted((Pred(mk_eq(AttrRef(t, "a"), Const(i, "int")))
-                      for i in range(n)), key=factor_sort_key, reverse=True)
+                      for i in range(n)), key=real, reverse=True)
     [term] = spnf.to_spnf(Sum(t, Mul(tuple(factors))), VarGen(10)).terms
-    assert len(term.preds) == n
-    assert len(calls) <= 20 * n
+    assert list(term.preds) == [f.atom for f in reversed(factors)]
+    assert calls[0] <= n

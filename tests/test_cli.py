@@ -8,7 +8,7 @@ import pytest
 
 from semiq.cli import main
 
-from helpers import nested_projection_program
+from helpers import nested_projection_program, union_subquery_program
 
 
 def _write(tmp_path, text, name="prog.cos"):
@@ -54,6 +54,15 @@ def test_long_union_all_exits_zero(tmp_path, capsys):
         table R(s);
         verify ({body}) ({body});
     """)
+    assert main([path]) == 0
+    assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
+
+
+def test_exists_over_a_wide_union_exits_zero(tmp_path, capsys):
+    # the squash over 1,000 branches is one factor of the product, which
+    # the normalizer places without keying it
+    path = _write(tmp_path, union_subquery_program(
+        "SELECT y.a AS a FROM S y WHERE EXISTS ({u})", 1000))
     assert main([path]) == 0
     assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
 
