@@ -7,7 +7,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
-`union_derived` 1200, `union_exists` 1200, and `fk_cycle` 3.  Each row is
+`union_derived` 1200, `union_exists` 1200, `union_agg` 1200, and
+`fk_cycle` 3.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -17,7 +18,7 @@ A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
 other rows still run, and the exit code is 1.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
-`union_exists` and `fk_cycle` are the generators of
+`union_exists`, `union_agg` and `fk_cycle` are the generators of
 `perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
@@ -27,7 +28,8 @@ last right branch matches no left one, and the pair is `NOT_EQUIVALENT`.
 `union_derived` projects a SIZE-branch `UNION ALL R ...` through a derived
 table, `SELECT u.a AS o FROM (R UNION ALL ...) u`, against itself.
 `union_exists` filters `S y` by `EXISTS` over a SIZE-branch `UNION ALL` of
-`SELECT x.a AS a FROM R x`, against itself.
+`SELECT x.a AS a FROM R x`, against itself, and `union_agg` by
+`y.b = cnt(...)` over the same union.
 `fk_cycle` is one fixed DISTINCT pair over two keyed tables whose foreign
 keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
 Times are wall times of one run, with no calibration.
@@ -57,10 +59,14 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("nested_projection", 200), ("nested_projection", 400),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
-        ("union_derived", 1200), ("union_exists", 1200), ("fk_cycle", 3))
+        ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
+        ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
-            "union_derived", "union_exists", "fk_cycle")
+            "union_derived", "union_exists", "union_agg", "fk_cycle")
+# the query over S y of each family that puts a SIZE-branch union at {u}
+UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
+                  "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
 
 # A(y) -> B(u) -> A(x) -> ...: each side's chase runs to the ceiling
 FK_CYCLE = """schema sa(x:int, y:int);
@@ -103,9 +109,9 @@ def union_derived(n: int) -> str:
     return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
 
 
-def union_exists(n: int) -> str:
+def union_subquery(outer: str, n: int) -> str:
     u = " UNION ALL ".join(["(SELECT x.a AS a FROM R x)"] * n)
-    q = f"SELECT y.a AS a FROM S y WHERE EXISTS ({u})"
+    q = outer.format(u=u)
     return (f"schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"
             f"verify ({q})\n       ({q});\n")
 
@@ -117,8 +123,8 @@ def program(family: str, size: int, seed: int) -> str:
         return union_all_miss(size)
     if family == "union_derived":
         return union_derived(size)
-    if family == "union_exists":
-        return union_exists(size)
+    if family in UNION_SUBQUERY:
+        return union_subquery(UNION_SUBQUERY[family], size)
     if family == "fk_cycle":
         return FK_CYCLE
     return getattr(workloads, family)(random.Random(seed), size).text

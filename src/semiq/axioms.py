@@ -3,8 +3,9 @@
 ``AXIOMS`` holds the identities the normalizer applies, each as a function
 that rewrites the root of the expression it is given or raises
 ``AxiomMatchError``.  ``spnf.Normalizer.app`` calls them by name and logs
-each application as a trace rule.  The other identities of the paper are
-model-checked in the tests, not executed here.
+each application as a trace rule.  ``sum-add``, ``distr-mul-add`` and
+``add-zero`` act on every term of a sum in one application.  The other
+identities of the paper are model-checked in the tests, not executed here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 from .exprs import (
     Add, Mul, Not, One, Pred, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
-    flatten_add, free_vars, rebuild_add,
+    add, free_vars,
 )
 
 
@@ -34,11 +35,9 @@ def split_binders(e: Exp) -> tuple[list[TupleVar], Exp]:
 # -- semiring ---------------------------------------------------------------
 
 def _add_zero(e):
-    if isinstance(e, Add):
-        if isinstance(e.lhs, Zero):
-            return e.rhs
-        if isinstance(e.rhs, Zero):
-            return e.lhs
+    # every zero term at once; ZERO when all are
+    if isinstance(e, Add) and any(type(t) is Zero for t in e.terms):
+        return add(*(t for t in e.terms if type(t) is not Zero))
     raise AxiomMatchError("add-zero")
 
 
@@ -66,11 +65,14 @@ def _mul_zero(e):
 
 
 def _distr_mul_add(e):
+    # (a + b) * (c + d) -> a*c + b*c + a*d + b*d: both factors' terms at once,
+    # the left factor's varying fastest (the order splitting the right
+    # factor first, one binary sum at a time, gives)
     l, r = _pair(e, "distr-mul-add")
-    if isinstance(r, Add):
-        return Add(Mul((l, r.lhs)), Mul((l, r.rhs)))
-    if isinstance(l, Add):
-        return Add(Mul((l.lhs, r)), Mul((l.rhs, r)))
+    if isinstance(l, Add) or isinstance(r, Add):
+        ls = l.terms if isinstance(l, Add) else (l,)
+        rs = r.terms if isinstance(r, Add) else (r,)
+        return Add(tuple(Mul((x, y)) for y in rs for x in ls))
     raise AxiomMatchError("distr-mul-add")
 
 
@@ -90,7 +92,7 @@ def _squash_one(e):
 
 def _squash_one_plus(e):
     if isinstance(e, Squash) and isinstance(e.body, Add):
-        if any(isinstance(t, One) for t in flatten_add(e.body)):
+        if any(isinstance(t, One) for t in e.body.terms):
             return ONE
     raise AxiomMatchError("squash-one-plus")
 
@@ -98,10 +100,10 @@ def _squash_one_plus(e):
 def _squash_lift_add(e):
     # ||  ||x|| + y || -> || x + y ||
     if isinstance(e, Squash) and isinstance(e.body, Add):
-        terms = flatten_add(e.body)
+        terms = e.body.terms
         for i, t in enumerate(terms):
             if isinstance(t, Squash):
-                return Squash(rebuild_add(terms[:i] + [t.body] + terms[i + 1:]))
+                return Squash(add(*terms[:i], t.body, *terms[i + 1:]))
     raise AxiomMatchError("squash-lift-add")
 
 
@@ -134,8 +136,9 @@ def _squash_not(e):
 # -- summation --------------------------------------------------------------
 
 def _sum_add(e):
+    # sum{v} (a + b + ...) -> sum{v} a + sum{v} b + ...: every term at once
     if isinstance(e, Sum) and isinstance(e.body, Add):
-        return Add(Sum(e.var, e.body.lhs), Sum(e.var, e.body.rhs))
+        return Add(tuple(Sum(e.var, t) for t in e.body.terms))
     raise AxiomMatchError("sum-add")
 
 

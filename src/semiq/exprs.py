@@ -5,6 +5,12 @@ The value algebra has 0, 1, +, *, a squash operator ||.|| clamping toward
 atoms R(t), predicate atoms [b], and scalar terms (attribute references,
 constants, uninterpreted functions, aggregates) hang off the tree.
 
+A sum is one node, ``Add(terms)``, and a product one node, ``Mul(factors)``.
+Each stands for the left spine of binary nodes over its operands: a k-operand
+node counts k - 1 nodes, and operand i has the trace path of that spine
+(``l.`` k - 1 - i times, then ``r.`` if i > 0).  No term of a sum is itself
+a sum (``add`` splices them in); a factor that is a product stays one factor.
+
 Expressions are immutable; substitution and comparison up to bound-variable
 renaming are the structural work-horses for everything downstream.
 """
@@ -12,7 +18,6 @@ renaming are the structural work-horses for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import is_
 from typing import Iterator, Union
 
@@ -148,8 +153,8 @@ class One:
 
 @dataclass(frozen=True)
 class Add:
-    lhs: "Exp"
-    rhs: "Exp"
+    """Two or more terms, none a sum; see ``add``."""
+    terms: tuple["Exp", ...]
 
 
 @dataclass(frozen=True)
@@ -201,24 +206,16 @@ def mul(*es: Exp) -> Exp:
     return Mul(fs) if len(fs) > 1 else fs[0] if fs else ONE
 
 
-def flatten_add(e: Exp) -> list[Exp]:
-    """The terms of a sum, left to right.  Iterative, so a chain's length
-    costs no Python frames."""
-    out: list[Exp] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if type(x) is Add:
-            stack.append(x.rhs)
-            stack.append(x.lhs)
+def add(*es: Exp) -> Exp:
+    """Smart sum: splices in the terms of nested sums; one node, a lone term,
+    or ZERO.  Zero terms stay: dropping them is the step add-zero."""
+    ts: list[Exp] = []
+    for e in es:
+        if type(e) is Add:
+            ts.extend(e.terms)
         else:
-            out.append(x)
-    return out
-
-
-def rebuild_add(terms: list[Exp]) -> Exp:
-    """The left spine of Adds over terms; ZERO for none."""
-    return reduce(Add, terms) if terms else ZERO
+            ts.append(e)
+    return Add(tuple(ts)) if len(ts) > 1 else ts[0] if ts else ZERO
 
 
 def mk_eq(l: Scalar, r: Scalar) -> PredAtom:
@@ -265,14 +262,14 @@ def tuple_sort_key(t: TupleExpr) -> tuple:
 # The one place that knows a node's children and how to rebuild a node from
 # new ones.  Node kinds: expressions, predicate atoms, scalars and tuple
 # expressions.  Child order, shared by every function below: lhs before rhs,
-# a product's factors left to right;
+# a sum's terms and a product's factors left to right;
 # a Sum's or an AggCall's body (their bound variable is not a child); a
 # Pred's atom; Func and PredApp arguments left to right; a record's field
 # values in attribute order.  Variables reached through AttrRef, TupleSlice
 # and Rel are fields, not children; a TupleVar in tuple position is a leaf.
 
 _CHILDREN = {
-    Add: lambda n: (n.lhs, n.rhs), Mul: lambda n: n.factors,
+    Add: lambda n: n.terms, Mul: lambda n: n.factors,
     Squash: lambda n: (n.body,), Not: lambda n: (n.body,),
     Sum: lambda n: (n.body,), AggCall: lambda n: (n.body,),
     Pred: lambda n: (n.atom,),
@@ -283,9 +280,9 @@ _CHILDREN = {
 }
 
 # Symmetric atoms and records go through their mk_ constructors, which keep
-# them sorted.
+# them sorted, and a sum through add, which keeps it flat.
 _REBUILD = {
-    Add: lambda n, k: Add(*k), Mul: lambda n, k: Mul(tuple(k)),
+    Add: lambda n, k: add(*k), Mul: lambda n, k: Mul(tuple(k)),
     Squash: lambda n, k: Squash(*k), Not: lambda n, k: Not(*k),
     Sum: lambda n, k: Sum(n.var, *k), AggCall: lambda n, k: AggCall(n.name, n.var, *k),
     Pred: lambda n, k: Pred(*k),
@@ -347,11 +344,11 @@ def rewrite(n, f):
 
 def count_nodes(e: Exp) -> int:
     """Expression nodes of e; a Pred counts one, whatever its atom holds, and
-    a k-factor product k - 1, the binary products it stands for."""
+    a k-term sum or k-factor product k - 1, the binary nodes it stands for."""
     count, stack = 0, [e]
     while stack:
         x = stack.pop()
-        count += len(x.factors) - 1 if type(x) is Mul else 1
+        count += len(children(x)) - 1 if type(x) is Add or type(x) is Mul else 1
         if type(x) is not Pred:
             stack.extend(children(x))
     return count
@@ -519,12 +516,9 @@ def _canon(e: Exp, env: dict[int, object], counter: list[int],
         return ("0",)
     if isinstance(e, One):
         return ("1",)
-    if isinstance(e, Add):
-        return ("+", _canon(e.lhs, env, counter), _canon(e.rhs, env, counter))
-    if isinstance(e, Mul):
-        # the key of the left spine the product stands for
-        return reduce(lambda acc, k: ("*", acc, k),
-                      [_canon(f, env, counter) for f in e.factors])
+    if isinstance(e, (Add, Mul)):
+        return ("+" if isinstance(e, Add) else "*",
+                *(_canon(c, env, counter) for c in children(e)))
     if isinstance(e, Squash):
         return ("||", _canon(e.body, env, counter))
     if isinstance(e, Not):
@@ -633,7 +627,7 @@ def pretty(e: Exp, names: dict[int, str] | None = None) -> str:
             continue
         e, prec = item
         if isinstance(e, (Add, Mul)):
-            parts, sep, inner = ((flatten_add(e), " + ", 0) if isinstance(e, Add)
+            parts, sep, inner = ((e.terms, " + ", 0) if isinstance(e, Add)
                                  else (e.factors, " * ", 1))
             out.append("(" if prec > inner else "")
             todo.append(")" if prec > inner else "")

@@ -138,7 +138,7 @@ def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
     if isinstance(e, One):
         return 1
     if isinstance(e, Add):
-        return _ev(e.lhs, db, env) + _ev(e.rhs, db, env)
+        return sum(_ev(t, db, env) for t in e.terms)
     if isinstance(e, Mul):
         out = 1
         for f in e.factors:  # no factor after a 0 is evaluated

@@ -14,11 +14,18 @@ alone puts factors in order.  Each product takes one hoist step, which
 moves every summation of both factors out at once, so the steps of
 normalizing a nest grow linearly with its depth, and a merge appends the
 shorter factor lists to the longest without keying any factor.
+
+A sum is one node, ``Add(terms)``: ``sum-add``, ``distr-mul-add`` and
+``add-zero`` each act on all its terms in one application, logged as one
+``RULE`` line and charged the binary steps it stands for.  Each term keeps
+the trace path it has in the node's binary spine (``_spine``), and ``nf``
+takes a step per inner node of a sum's or a product's spine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 from typing import Iterator
 
 from .axioms import AXIOMS, split_binders
@@ -26,8 +33,8 @@ from .config import Budget
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
-    Exp, VarGen, Zero, ZERO, canon_key, count_nodes, flatten_add, free_vars, mul,
-    rebuild_add, rewrite, substitute,
+    Exp, VarGen, Zero, add, canon_key, children, count_nodes, free_vars, mul,
+    rewrite, substitute,
 )
 
 
@@ -88,9 +95,7 @@ class SpnfExp:
         return SpnfExp((Term.make(),))
 
     def to_exp(self) -> Exp:
-        if not self.terms:
-            return ZERO
-        return rebuild_add([t.to_exp() for t in self.terms])
+        return add(*(t.to_exp() for t in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,7 +147,9 @@ class Normalizer:
         self.stage = stage
 
     def app(self, axiom: str, node: Exp, path: str) -> Exp:
-        self.budget.step(self.stage)
+        # charged before it is made, so the budget bounds a distribution
+        for _ in range(_binary_steps(axiom, node)):
+            self.budget.step(self.stage)
         out = AXIOMS[axiom](node)
         self.trace.rule(axiom, path)
         return out
@@ -161,38 +168,22 @@ class Normalizer:
             return e
         if isinstance(e, Pred):
             return Pred(self._nf_atom(e.atom, path))
-        if isinstance(e, Add):
-            # a UNION ALL denotes a left spine of Adds: walk it in a loop,
-            # then take the right operands innermost first, as recursion would
-            spine = []
-            while isinstance(e, Add):
-                spine.append((e.rhs, path))
-                e, path = e.lhs, path + "l."
-                if isinstance(e, Add):
-                    self.budget.step(self.stage)  # nf's step on entering e
-            out = self.nf(e, path)
-            for rhs, path in reversed(spine):
-                r = self.nf(rhs, path + "r.")
-                cur = Add(out, r)
-                out = self.app("add-zero", cur, path) \
-                    if isinstance(out, Zero) or isinstance(r, Zero) else cur
+        if isinstance(e, (Add, Mul)):
+            ops = _spine(path, children(e))
+            for _ in range(len(ops) - 2):
+                self.budget.step(self.stage)  # nf's step on each inner node
+            if isinstance(e, Add):
+                out = add(*(self.nf(t, p) for t, p in ops))
+                return self.app("add-zero", out, path) \
+                    if any(type(t) is Zero for t in out.terms) else out
+            # factor i > 0 is multiplied in at the spine node its path leaves
+            out = self.nf(*ops[0])
+            for f, p in ops[1:]:
+                out = self._mul_nf(out, self.nf(f, p), p[:-2])
             return out
         if isinstance(e, Sum):
             body = self.nf(e.body, path + "b.")
             return self._post_sum(e.var, body, path)
-        if isinstance(e, Mul):
-            # e stands for a left spine of binary products: walk it in a
-            # loop.  Factor i > 0 is the right operand of the spine node
-            # k - 1 - i levels below e, factor 0 the left operand of the
-            # innermost node
-            k = len(e.factors)
-            for _ in range(k - 2):
-                self.budget.step(self.stage)  # nf's step on each inner node
-            out = self.nf(e.factors[0], path + "l." * (k - 1))
-            for i in range(1, k):
-                spine = path + "l." * (k - 1 - i)
-                out = self._mul_nf(out, self.nf(e.factors[i], spine + "r."), spine)
-            return out
         if isinstance(e, Squash):
             body = self.nf(e.body, path + "b.")
             return self._squash_nf(body, path)
@@ -207,46 +198,34 @@ class Normalizer:
             s.name, s.var, parse_spnf(self.nf(s.body, path + "agg.")).to_exp())
             if type(s) is AggCall else None)
 
-    # sum-add and distr-mul-add split the left operand of a sum in a loop,
-    # down its left spine, then take the right operands innermost first, as
-    # recursion would: a UNION ALL's spine costs no Python frames
-
     def _post_sum(self, v: TupleVar, body: Exp, path: str) -> Exp:
-        spine = []
-        while isinstance(body, Add):
+        if isinstance(body, Add):
             split = self.app("sum-add", Sum(v, body), path)
-            spine.append((split.rhs.body, path))
-            body, path = split.lhs.body, path + "l."
-        out = self.app("sum-zero", Sum(v, body), path) \
+            return add(*(self._post_sum(v, t.body, p)
+                         for t, p in _spine(path, split.terms)))
+        return self.app("sum-zero", Sum(v, body), path) \
             if isinstance(body, Zero) else Sum(v, body)
-        for rhs, path in reversed(spine):
-            out = Add(out, self._post_sum(v, rhs, path + "r."))
-        return out
 
     def _mul_nf(self, l: Exp, r: Exp, path: str) -> Exp:
-        spine = []
-        while (isinstance(l, Add) or isinstance(r, Add)) and \
+        if (isinstance(l, Add) or isinstance(r, Add)) and \
                 not any(isinstance(x, (Zero, One)) for x in (l, r)):
             split = self.app("distr-mul-add", Mul((l, r)), path)
-            spine.append((split.rhs, path))
-            (l, r), path = split.lhs.factors, path + "l."
+            return add(*(self._mul_nf(*t.factors, p)
+                         for t, p in _spine(path, split.terms)))
         cur = Mul((l, r))
         if isinstance(l, Zero) or isinstance(r, Zero):
-            out = self.app("mul-zero", cur, path)
-        elif isinstance(l, One) or isinstance(r, One):
-            out = self.app("mul-one", cur, path)
-        elif isinstance(l, Sum) or isinstance(r, Sum):
+            return self.app("mul-zero", cur, path)
+        if isinstance(l, One) or isinstance(r, One):
+            return self.app("mul-one", cur, path)
+        if isinstance(l, Sum) or isinstance(r, Sum):
             # one step hoists every binder; the body sits where hoisting
             # one binder at a time would leave it
             binders, body = split_binders(self.app("sum-hoist", cur, path))
             out = self._mul_nf(*body.factors, path + "b." * len(binders))
             for v in reversed(binders):
                 out = Sum(v, out)
-        else:
-            out = self._merge_chain([list(_factors(l)), list(_factors(r))], path)
-        for rhs, path in reversed(spine):
-            out = Add(out, self._mul_nf(*rhs.factors, path + "r."))
-        return out
+            return out
+        return self._merge_chain([list(_factors(l)), list(_factors(r))], path)
 
     def _merge_chain(self, runs: list[list[Exp]], path: str) -> Exp:
         """The product of ``runs``, each the factors of a normalized product
@@ -276,7 +255,7 @@ class Normalizer:
         if len(negs) > 1:
             self.trace.rule("pull-not", path)
             self.budget.step(self.stage)
-            negs = [Not(rebuild_add([n.body for n in negs]))]
+            negs = [Not(add(*(n.body for n in negs)))]
         plain += squashes + negs
         return plain[0] if len(plain) == 1 else Mul(tuple(plain))
 
@@ -293,10 +272,9 @@ class Normalizer:
         if isinstance(body, Pred):
             return self.app("pred-squash-elim", cur, path)
         if isinstance(body, Add):
-            terms = flatten_add(body)
-            if any(isinstance(t, One) for t in terms):
+            if any(isinstance(t, One) for t in body.terms):
                 return self.app("squash-one-plus", cur, path)
-            if any(isinstance(t, Squash) for t in terms):
+            if any(isinstance(t, Squash) for t in body.terms):
                 lifted = self.app("squash-lift-add", cur, path)
                 return self._squash_nf(lifted.body, path)
         return cur
@@ -315,6 +293,32 @@ def _factors(e: Exp) -> tuple[Exp, ...]:
     return e.factors if isinstance(e, Mul) else (e,)
 
 
+def _terms(e: Exp) -> tuple[Exp, ...]:
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+def _spine(path: str, ops) -> list[tuple[Exp, str]]:
+    """Each operand of the sum or product at ``path`` with its trace path in
+    the left spine of binary nodes it stands for: of k operands, operand
+    i > 0 is the right operand of the node k - 1 - i levels down, operand 0
+    the left operand of the innermost."""
+    k = len(ops)
+    return [(x, path + "l." * (k - 1 - i) + ("r." if i else ""))
+            for i, x in enumerate(ops)]
+
+
+def _binary_steps(axiom: str, node: Exp) -> int:
+    """The binary applications that applying ``axiom`` to ``node`` stands
+    for: a term out but the first for sum-add and distr-mul-add, a zero
+    dropped for add-zero (all but one when all terms are), else one."""
+    if axiom in ("sum-add", "distr-mul-add"):
+        return prod(len(_terms(c)) for c in children(node)) - 1
+    if axiom == "add-zero":
+        zeros = sum(type(t) is Zero for t in node.terms)
+        return zeros - (zeros == len(node.terms))
+    return 1
+
+
 def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
             budget: Budget | None = None, stage: str = "normalize") -> SpnfExp:
     return Normalizer(gen, trace, budget, stage).run(e)
@@ -326,10 +330,7 @@ def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
 def parse_spnf(e: Exp) -> SpnfExp:
     if isinstance(e, Zero):
         return SpnfExp.zero()
-    terms = []
-    for t in flatten_add(e):
-        terms.append(_parse_term(t))
-    return SpnfExp(tuple(terms))
+    return SpnfExp(tuple(map(_parse_term, _terms(e))))
 
 
 def _parse_term(e: Exp) -> Term:

@@ -19,9 +19,9 @@ from .sqlast import (
     Exists, ExprItem, Lit, NotP, OrP, Select, Star, TableRef, UnionAll,
 )
 from .exprs import (
-    Add, AggCall, AttrRef, Const, Func, Mul, Not, Pred, PredApp, Rel, Squash,
+    AggCall, AttrRef, Const, Func, Mul, Not, Pred, PredApp, Rel, Squash,
     Sum, TupleSlice, TupleVar, Exp, VarGen, ZERO, ONE, mk_eq, mk_neq,
-    mk_tuple_eq, mul, substitute,
+    add, mk_tuple_eq, mul, substitute,
 )
 
 
@@ -51,7 +51,7 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
         d = denote(q.branches[0], env, gen, scopes)
         for b in q.branches[1:]:
             t, b1, b2 = unify_outputs(d, denote(b, env, gen, scopes), "UNION ALL")
-            d = Denotation(t, Add(b1, b2))
+            d = Denotation(t, add(b1, b2))
         return d
     if isinstance(q, ExceptQ):
         t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
@@ -175,7 +175,7 @@ def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
         return Mul((denote_pred(p.lhs, env, gen, scopes),
                     denote_pred(p.rhs, env, gen, scopes)))
     if isinstance(p, OrP):
-        return Squash(Add(denote_pred(p.lhs, env, gen, scopes),
+        return Squash(add(denote_pred(p.lhs, env, gen, scopes),
                           denote_pred(p.rhs, env, gen, scopes)))
     if isinstance(p, NotP):
         if isinstance(p.body, Exists):

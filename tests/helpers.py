@@ -16,8 +16,9 @@ from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
                           Select, Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
-                        Scalar, Squash, Sum, TupleVar, VarGen, canon_key, mk_eq,
-                        mk_neq, mk_record, mk_tuple_eq, rewrite, substitute)
+                        Scalar, Squash, Sum, TupleVar, VarGen, add, canon_key,
+                        mk_eq, mk_neq, mk_record, mk_tuple_eq, rewrite,
+                        substitute)
 
 # A small standard environment: three binary relations over ints.
 
@@ -396,7 +397,7 @@ def gen_uexp(rng: random.Random, env: SchemaEnv, out_var: TupleVar, depth=3):
         if kind == "one":
             return _ONE
         if kind == "add":
-            return Add(build(scope, d - 1), build(scope, d - 1))
+            return add(build(scope, d - 1), build(scope, d - 1))
         if kind == "mul":
             return Mul((build(scope, d - 1), build(scope, d - 1)))
         if kind == "squash":
@@ -502,13 +503,13 @@ def axiom_checks(env: SchemaEnv):
     def c_squash_one_plus(rng, db):
         vs = ctx(rng)
         x = gen_uexp_scope(rng, env, vs)
-        return _ev_eq(db, _bind(db, *vs), Squash(Add(_ONE, x)), _ONE)
+        return _ev_eq(db, _bind(db, *vs), Squash(Add((_ONE, x))), _ONE)
 
     def c_squash_lift_add(rng, db):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Squash(Add(Squash(x), y)), Squash(Add(x, y)))
+        return _ev_eq(db, b, Squash(Add((Squash(x), y))), Squash(Add((x, y))))
 
     def c_squash_mul(rng, db):
         vs = ctx(rng)
@@ -544,13 +545,13 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Not(Mul((x, y))), Squash(Add(Not(x), Not(y))))
+        return _ev_eq(db, b, Not(Mul((x, y))), Squash(Add((Not(x), Not(y)))))
 
     def c_not_add(rng, db):
         vs = ctx(rng)
         x, y = gen_uexp_scope(rng, env, vs), gen_uexp_scope(rng, env, vs)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Not(Add(x, y)), Mul((Not(x), Not(y))))
+        return _ev_eq(db, b, Not(Add((x, y))), Mul((Not(x), Not(y))))
 
     def c_not_squash(rng, db):
         vs = ctx(rng)
@@ -563,7 +564,7 @@ def axiom_checks(env: SchemaEnv):
         t = fresh(rng)
         f1 = gen_uexp(rng, env, t, 2)
         f2 = gen_uexp(rng, env, t, 2)
-        return _ev_eq(db, {}, Sum(t, Add(f1, f2)), Add(Sum(t, f1), Sum(t, f2)))
+        return _ev_eq(db, {}, Sum(t, Add((f1, f2))), Add((Sum(t, f1), Sum(t, f2))))
 
     def c_sum_swap(rng, db):
         t1, t2 = fresh(rng), fresh(rng)
@@ -593,14 +594,14 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         b = _bind(db, *vs)
         l, r = _rand_scalar(rng, vs), _rand_scalar(rng, vs)
-        scalar = Add(P(mk_eq(l, r)), P(mk_neq(l, r)))
+        scalar = Add((P(mk_eq(l, r)), P(mk_neq(l, r))))
         if not _ev_eq(db, b, scalar, _ONE):
             return False
         u = w = None
         u, w = vs[0], vs[-1]
         if u.schema != w.schema:
             return True
-        tup = Add(P(mk_tuple_eq(u, w)), P(mk_tuple_neq(u, w)))
+        tup = Add((P(mk_tuple_eq(u, w)), P(mk_tuple_neq(u, w))))
         return _ev_eq(db, b, tup, _ONE)
 
     def c_subst_eq(rng, db):
@@ -642,12 +643,12 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         b = _bind(db, *vs)
         x, y, z = (gen_uexp_scope(rng, env, vs, 1) for _ in range(3))
-        return (_ev_eq(db, b, Add(x, y), Add(y, x)) and
+        return (_ev_eq(db, b, Add((x, y)), Add((y, x))) and
                 _ev_eq(db, b, Mul((x, y)), Mul((y, x))) and
-                _ev_eq(db, b, Add(Add(x, y), z), Add(x, Add(y, z))) and
+                _ev_eq(db, b, Add((Add((x, y)), z)), Add((x, Add((y, z))))) and
                 _ev_eq(db, b, Mul((Mul((x, y)), z)), Mul((x, Mul((y, z))))) and
-                _ev_eq(db, b, Mul((x, Add(y, z))), Add(Mul((x, y)), Mul((x, z)))) and
-                _ev_eq(db, b, Add(x, ZERO), x) and
+                _ev_eq(db, b, Mul((x, Add((y, z)))), Add((Mul((x, y)), Mul((x, z))))) and
+                _ev_eq(db, b, Add((x, ZERO)), x) and
                 _ev_eq(db, b, Mul((x, _ONE)), x) and
                 _ev_eq(db, b, Mul((x, ZERO)), ZERO))
 
@@ -655,8 +656,8 @@ def axiom_checks(env: SchemaEnv):
         vs = ctx(rng)
         b = _bind(db, *vs)
         a, x, y = (gen_uexp_scope(rng, env, vs, 1) for _ in range(3))
-        return _ev_eq(db, b, Squash(Add(Mul((a, Squash(x))), y)),
-                      Squash(Add(Mul((a, x)), y)))
+        return _ev_eq(db, b, Squash(Add((Mul((a, Squash(x))), y))),
+                      Squash(Add((Mul((a, x)), y))))
 
     return {
         "squash-zero": c_squash_zero,

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from semiq.axioms import AXIOMS, AxiomMatchError, flatten_add, rebuild_add
+from semiq.axioms import AXIOMS, AxiomMatchError
 from semiq.oracle import eval_exp
 from semiq.schema import Schema
 from semiq.exprs import (Add, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
-                        TupleVar, ONE, ZERO, mk_eq, mk_tuple_eq)
+                        TupleVar, ONE, ZERO, add, mk_eq, mk_tuple_eq)
 
 from helpers import (CORE_AXIOM_NAMES, gen_uexp, run_axiom_check, small_dbs,
                      std_env)
@@ -43,7 +43,7 @@ def test_catalog_is_what_the_normalizer_applies():
 def test_squash_one_plus_at_position():
     # || 1 + sum{t2} [t1 != t2] * R(t2) || -> 1
     inner = Sum(T2, Mul((Pred(mk_tuple_eq(T1, T2)), Rel("R", T2))))
-    e = Mul((Rel("R", T1), Squash(Add(ONE, inner))))
+    e = Mul((Rel("R", T1), Squash(Add((ONE, inner)))))
     out = Mul((e.factors[0], AXIOMS["squash-one-plus"](e.factors[1])))
     assert out == Mul((Rel("R", T1), ONE))
 
@@ -56,15 +56,44 @@ def test_pattern_mismatch_raises():
     with pytest.raises(AxiomMatchError):
         AXIOMS["not-zero"](Not(ONE))
     with pytest.raises(AxiomMatchError):
-        AXIOMS["squash-zero"](Add(ONE, ONE))
+        AXIOMS["squash-zero"](Add((ONE, ONE)))
     with pytest.raises(AxiomMatchError):
         AXIOMS["mul-one"](ONE)
 
 
 def test_distribution_and_path_navigation():
-    e = Add(ZERO, Mul((Rel("R", T1), Add(ONE, ONE))))
-    out = Add(e.lhs, AXIOMS["distr-mul-add"](e.rhs))
-    assert out == Add(ZERO, Add(Mul((Rel("R", T1), ONE)), Mul((Rel("R", T1), ONE))))
+    e = Add((ZERO, Mul((Rel("R", T1), Add((ONE, ONE))))))
+    out = add(e.terms[0], AXIOMS["distr-mul-add"](e.terms[1]))
+    assert out == Add((ZERO, Mul((Rel("R", T1), ONE)), Mul((Rel("R", T1), ONE))))
+
+
+_A, _B, _C, _D, _E = (Rel(name, T1) for name in "ABCDE")
+
+
+def test_distribution_multiplies_out_both_factors_left_fastest():
+    # (a+b+c)*(d+e): the order splitting the right factor first, one
+    # binary sum at a time, gives
+    out = AXIOMS["distr-mul-add"](Mul((Add((_A, _B, _C)), Add((_D, _E)))))
+    assert out == Add(tuple(Mul(p) for p in ((_A, _D), (_B, _D), (_C, _D),
+                                             (_A, _E), (_B, _E), (_C, _E))))
+    # one factor a sum
+    assert AXIOMS["distr-mul-add"](Mul((_A, Add((_D, _E))))) == \
+        Add((Mul((_A, _D)), Mul((_A, _E))))
+    assert AXIOMS["distr-mul-add"](Mul((Add((_A, _B, _C)), _D))) == \
+        Add((Mul((_A, _D)), Mul((_B, _D)), Mul((_C, _D))))
+
+
+def test_sum_add_maps_the_summation_over_every_term():
+    terms = tuple(Rel(f"R{i}", T2) for i in range(7))
+    assert AXIOMS["sum-add"](Sum(T2, Add(terms))) == Add(tuple(Sum(T2, t) for t in terms))
+
+
+def test_add_zero_drops_every_zero_term():
+    assert AXIOMS["add-zero"](Add((ZERO, _A, ZERO, _B, ZERO))) == Add((_A, _B))
+    assert AXIOMS["add-zero"](Add((_A, ZERO))) == _A
+    assert AXIOMS["add-zero"](Add((ZERO, ZERO, ZERO))) == ZERO
+    with pytest.raises(AxiomMatchError):
+        AXIOMS["add-zero"](Add((_A, _B)))
 
 
 def test_squash_idempotence_derivable():
@@ -74,12 +103,18 @@ def test_squash_idempotence_derivable():
     assert AXIOMS["squash-idem"](e) == Squash(x)
 
 
-def test_flatten_long_left_deep_chains_in_order():
-    # the chain rebuild_add builds, far deeper than the interpreter's frame
-    # limit
+def test_add_splices_long_sums_in_order():
+    # 5,000 terms added one at a time, as a left-nested binary union
+    # denotes, come out one flat node in order
     leaves = [Rel("R", TupleVar(i, S)) for i in range(5000)]
-    out = flatten_add(rebuild_add(leaves))
-    assert len(out) == 5000 and all(a is b for a, b in zip(out, leaves))
+    out = leaves[0]
+    for leaf in leaves[1:]:
+        out = add(out, leaf)
+    assert type(out) is Add and len(out.terms) == 5000
+    assert all(a is b for a, b in zip(out.terms, leaves))
+    # sums nested either way splice, units and zeros stay
+    assert add(add(_A, _B), ZERO, add(_C, _D)) == Add((_A, _B, ZERO, _C, _D))
+    assert add(_A) is _A and add() == ZERO
 
 
 U, V, W = TupleVar(3, S, "u"), TupleVar(4, S, "v"), TupleVar(5, S, "w")
@@ -127,7 +162,7 @@ def test_sum_hoist_preserves_evaluation_on_multi_binder_products():
                                        Mul((_eq(w, t), Rel("T", w)))))))),
              Squash(Rel("S", t)))),
         Mul((Sum(u, Mul((_eq(u, t, "b"), Rel("T", u)))),
-             Sum(v, Sum(w, Add(Rel("R", v), Mul((_eq(v, w), Rel("S", w)))))))),
+             Sum(v, Sum(w, Add((Rel("R", v), Mul((_eq(v, w), Rel("S", w))))))))),
     ]
     for e in cases:
         out = AXIOMS["sum-hoist"](e)
@@ -143,19 +178,19 @@ def test_every_catalog_entry_applies_somewhere():
     x, y = Rel("R", T1), Rel("S", T1)
     f = Sum(T2, Rel("R", T2))
     e_ok = {
-        "add-zero": Add(x, ZERO),
+        "add-zero": Add((x, ZERO)),
         "mul-one": Mul((x, ONE)),
         "mul-zero": Mul((x, ZERO)),
-        "distr-mul-add": Mul((x, Add(y, x))),
+        "distr-mul-add": Mul((x, Add((y, x)))),
         "squash-zero": Squash(ZERO),
         "squash-one": Squash(ONE),
-        "squash-one-plus": Squash(Add(ONE, x)),
-        "squash-lift-add": Squash(Add(Squash(x), y)),
+        "squash-one-plus": Squash(Add((ONE, x))),
+        "squash-lift-add": Squash(Add((Squash(x), y))),
         "squash-idem": Squash(Squash(x)),
         "not-zero": Not(ZERO),
         "not-squash": Not(Squash(x)),
         "squash-not": Squash(Not(x)),
-        "sum-add": Sum(T2, Add(Rel("R", T2), Rel("S", T2))),
+        "sum-add": Sum(T2, Add((Rel("R", T2), Rel("S", T2)))),
         "sum-hoist": Mul((x, f)),
         "sum-zero": Sum(T2, ZERO),
         "pred-squash-elim": Squash(Pred(mk_eq(AttrRef(T1, "a"), AttrRef(T1, "b")))),

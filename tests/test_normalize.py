@@ -10,10 +10,11 @@ from semiq import run_program_text
 from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
-from semiq.spnf import SpnfExp, Term, check_spnf, to_spnf
+from semiq.spnf import Normalizer, SpnfExp, Term, check_spnf, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import Add, Mul, Not, Rel, Squash, TupleVar, VarGen, pretty
+from semiq.exprs import (ZERO, Add, Mul, Not, Rel, Squash, Sum, TupleVar, VarGen,
+                         pretty)
 
 from helpers import (alpha_equal, gen_uexp, nested_projection_program, small_dbs,
                      std_env)
@@ -49,7 +50,7 @@ def test_already_normal_is_fixpoint():
 def test_distribution_splits_terms():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
-    e = Mul((Add(Rel("R", t), Rel("S", t)), Rel("T", t)))
+    e = Mul((Add((Rel("R", t), Rel("S", t))), Rel("T", t)))
     s = to_spnf(e, VarGen(10))
     assert len(s.terms) == 2
     assert sorted(tuple(r for r, _ in term.atoms) for term in s.terms) == \
@@ -85,17 +86,51 @@ def test_check_spnf_rejects_bad_shapes():
 def test_normalization_traces_are_axiom_applications():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
-    e = Mul((Add(Rel("R", t), Rel("S", t)), Rel("T", t)))
+    e = Mul((Add((Rel("R", t), Rel("S", t))), Rel("T", t)))
     trace = Trace()
     to_spnf(e, VarGen(10), trace)
     assert trace.rule_names().count("distr-mul-add") == 1
+
+
+_T = TupleVar(1, std_env().tables["R"])
+_R = [Rel(f"R{i}", _T) for i in range(7)]
+
+
+@pytest.mark.parametrize("axiom, node, steps, out_terms", [
+    # a term out but the first, as many binary splits
+    ("sum-add", Sum(_T, Add(tuple(_R))), 6, 7),
+    ("distr-mul-add", Mul((Add(tuple(_R[:3])), Add(tuple(_R[3:5])))), 5, 6),
+    ("distr-mul-add", Mul((_R[0], Add(tuple(_R[1:5])))), 3, 4),
+    # a zero dropped; all but one when every term is zero
+    ("add-zero", Add((ZERO, _R[0], ZERO, _R[1], ZERO)), 3, 2),
+    ("add-zero", Add((ZERO, ZERO, ZERO)), 2, 1),
+])
+def test_an_nary_application_is_one_rule_charged_its_binary_steps(
+        axiom, node, steps, out_terms):
+    trace, budget = Trace(), Budget()
+    out = Normalizer(VarGen(10), trace, budget).app(axiom, node, "p.")
+    assert budget.steps == budget.by_stage["normalize"] == steps
+    assert [e.render() for e in trace.events] == [f"RULE {axiom} AT p."]
+    assert len(out.terms if type(out) is Add else (out,)) == out_terms
+
+
+def test_each_term_keeps_the_path_of_the_binary_spine():
+    # term i of a k-term sum: "l." k - 1 - i times, then "r." if i > 0
+    env = std_env()
+    t, w = TupleVar(1, env.tables["R"]), TupleVar(2, env.tables["R"])
+    e = Mul((Add((Rel("R", t), Rel("S", t), Rel("T", t))), Sum(w, Rel("R", w))))
+    trace = Trace()
+    to_spnf(e, VarGen(10), trace)
+    assert [e.render() for e in trace.events if e.kind == "rule"] == [
+        "RULE distr-mul-add AT .", "RULE sum-hoist AT l.l.",
+        "RULE sum-hoist AT l.r.", "RULE sum-hoist AT r."]
 
 
 def test_budget_guard_reports_exhaustion():
     env = std_env()
     t = TupleVar(1, env.tables["R"])
     # (R+S)^8 explodes; a tiny step budget must trip, not hang or crash
-    e = Add(Rel("R", t), Rel("S", t))
+    e = Add((Rel("R", t), Rel("S", t)))
     big = e
     for _ in range(7):
         big = Mul((big, e))

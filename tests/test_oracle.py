@@ -345,7 +345,7 @@ def _enumeration_bound(e, db) -> int:
     if isinstance(e, Sum):
         return len(db.tuple_space(e.var.schema)) * _enumeration_bound(e.body, db)
     if isinstance(e, Add):
-        return _enumeration_bound(e.lhs, db) + _enumeration_bound(e.rhs, db)
+        return sum(_enumeration_bound(t, db) for t in e.terms)
     if isinstance(e, Mul):
         return sum(_enumeration_bound(f, db) for f in e.factors)
     if isinstance(e, (Squash, Not)):

@@ -484,8 +484,8 @@ def test_normalize_steps_are_the_first_stage_alone(benchdir):
 
 
 def test_long_union_all_pair_is_equivalent():
-    # one node of 1,200 branches; normalizing its Add spine and pairing
-    # its terms take no Python frame per branch
+    # one node of 1,200 branches; normalizing its sum and pairing its terms
+    # take no Python frame per branch
     body = " UNION ALL ".join(["R"] * 1200)
     out = _statuses(PRELUDE + f"verify ({body}) ({body});")
     assert out == [("EQUIVALENT", "ucq-bag")]
@@ -511,6 +511,14 @@ def test_except_of_a_wide_union_is_equivalent_to_itself():
     # the negation over 1,000 branches is one factor of the product, which
     # the normalizer places without keying it
     text = union_subquery_program("(SELECT y.a AS a FROM S y) EXCEPT ({u})", 1000)
+    [out] = run_program_text(text)
+    assert out.status == "EQUIVALENT"
+
+
+def test_an_aggregate_over_a_wide_union_is_equivalent_to_itself():
+    # the aggregate's body is one sum of 1,200 terms, so its key is one
+    # tuple of 1,200 term keys, not a nest of 1,200 binary ones
+    text = union_subquery_program("SELECT y.a AS a FROM S y WHERE y.b = cnt({u})", 1200)
     [out] = run_program_text(text)
     assert out.status == "EQUIVALENT"
 

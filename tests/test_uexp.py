@@ -126,13 +126,14 @@ def test_substitute_mapping_equals_one_variable_at_a_time(seed, kinds):
 
 
 def test_uexp_passes_take_no_frames_per_level():
-    # a 5,000-deep Add chain of summations over one reused binder, with a
-    # free variable at the bottom
+    # a 5,000-deep chain of two-factor products (a factor that is a product
+    # stays one factor) of summations over one reused binder, with a free
+    # variable at the bottom
     t, u, w = _vars(1, 2, 3)
     depth = 5000
     e = Mul((Rel("R", t), Pred(mk_eq(AttrRef(t, "a"), Const(1, "int")))))
     for _ in range(depth):
-        e = Add(e, Sum(w, Rel("R", w)))
+        e = Mul((e, Sum(w, Rel("R", w))))
     assert count_nodes(e) == 3 + 3 * depth
     assert sum(1 for _ in walk(e)) == 6 + 3 * depth   # plus the atom's nodes
     out = substitute(e, {t: u})
@@ -143,21 +144,35 @@ def test_uexp_passes_take_no_frames_per_level():
     assert len({n.var.vid for n in walk(out) if type(n) is Sum}) == depth
 
 
-def test_a_product_is_the_binary_tree_it_stands_for():
-    # Mul((a, b, c)) stands for Mul((Mul((a, b)), c)): the same key (bound
-    # variables numbered in the same order), rendering, node count and value
+def _flat_and_nested(node):
+    # node((R(t), a, b, c)) and the left spine of binary nodes it stands for
     t, u, w = _vars(1, 2, 3)
     a = Sum(u, Mul((Rel("S", u), Pred(mk_eq(AttrRef(u, "a"), AttrRef(t, "b"))))))
     b = Rel("S", t)
     c = Sum(w, Mul((Rel("T", w), Pred(mk_eq(AttrRef(w, "b"), AttrRef(t, "a"))))))
-    flat = Sum(t, Mul((Rel("R", t), a, b, c)))
-    nested = Sum(t, Mul((Mul((Mul((Rel("R", t), a)), b)), c)))
-    assert canon_key(flat) == canon_key(nested)
+    return (Sum(t, node((Rel("R", t), a, b, c))),
+            Sum(t, node((node((node((Rel("R", t), a)), b)), c))))
+
+
+def _stands_for_its_binary_tree(node, op):
+    # the same rendering, node count and value; the key of the n-ary node
+    # is the flat tuple of its operands' keys
+    flat, nested = _flat_and_nested(node)
     assert pretty(flat) == pretty(nested)
     assert count_nodes(flat) == count_nodes(nested) == 14
     values = [eval_exp(flat, db) for db in small_dbs(std_env(), 30, seed=5)]
     assert values == [eval_exp(nested, db) for db in small_dbs(std_env(), 30, seed=5)]
     assert any(values)
+    key = canon_key(flat)[2]
+    assert key[0] == op and len(key) == 5
+
+
+def test_a_product_is_the_binary_tree_it_stands_for():
+    _stands_for_its_binary_tree(Mul, "*")
+
+
+def test_a_sum_is_the_binary_tree_it_stands_for():
+    _stands_for_its_binary_tree(Add, "+")
 
 
 def test_a_long_product_takes_no_frames_per_factor():
