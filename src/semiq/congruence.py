@@ -4,6 +4,14 @@ Equality atoms assert merges; closure is taken under function application
 (attribute access, slices, uninterpreted functions), record projection,
 slice projection and record injectivity.  Used to saturate term
 predicates and to ask whether a term's closure implies an atom.
+
+The closure is incremental (Nieuwenhuis & Oliveras, "Fast congruence
+closure and extensions", 2007): a signature table of (kind, payload, child
+representatives), the nodes that use each class as a child, and a list of
+pending nodes.  Interning a node with children and merging two classes
+push work onto the list, and ``close`` drains it, so each query looks only
+at the classes touched since the last one.  A class's representative is
+its smallest node id.
 """
 
 from __future__ import annotations
@@ -25,9 +33,18 @@ class Closure:
         self.intern: dict[tuple, int] = {}
         self.tuple_nodes: list[int] = []
         self.attr_nodes: list[int] = []
-        # a node was interned or two classes merged since close() last
-        # completed; a clean close() has nothing to do
-        self.dirty = False
+        # (kind, payload, child representatives) -> a node with that
+        # signature; an entry whose children have since merged is stale,
+        # and no current signature equals it
+        self.sigs: dict[tuple, int] = {}
+        # per representative, the nodes with a child in its class
+        self.uses: list[list[int]] = []
+        # representative -> the record and slice nodes of its class, which
+        # attributes over it project through
+        self.projecting: dict[int, list[int]] = {}
+        # nodes to look at again: interned with children, or touched by a
+        # merge, since close() last ran
+        self.pending: list[int] = []
         # the results of scalar_classes() and tuple_classes(), kept until
         # a node is interned or two classes merge
         self._scalar_classes: dict[int, list[object]] | None = None
@@ -48,7 +65,16 @@ class Closure:
         if ra > rb:  # deterministic representative: smallest id
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.dirty = True
+        # rb's users now have a child of another representative, and rb's
+        # records and slices meet ra's attribute nodes and records
+        users = self.uses[rb]
+        self.uses[ra] += users
+        self.uses[rb] = []
+        self.pending += users
+        moved = self.projecting.pop(rb, None)
+        if moved:
+            self.projecting.setdefault(ra, []).extend(moved)
+            self.pending += moved
         self._scalar_classes = self._tuple_classes = None
         return True
 
@@ -65,11 +91,17 @@ class Closure:
         self.payload.append(payload)
         self.children.append(children)
         self.source.append(source)
+        self.uses.append([])
         self.intern[key] = nid
-        self.dirty = True
         self._scalar_classes = self._tuple_classes = None
+        if children:
+            for c in children:
+                self.uses[self.find(c)].append(nid)
+            self.pending.append(nid)
         if kind in ("tvar", "record", "slice"):
             self.tuple_nodes.append(nid)
+            if kind != "tvar":
+                self.projecting[nid] = [nid]
         if kind == "attr":
             self.attr_nodes.append(nid)
         return nid
@@ -120,60 +152,54 @@ class Closure:
 
     def close(self) -> None:
         """Fixpoint of congruence, record and slice projection, and
-        injectivity."""
-        if not self.dirty:
-            return
-        changed = True
-        while changed:
-            changed = False
-            sigs: dict[tuple, int] = {}
-            for nid in range(len(self.parent)):
-                if not self.children[nid] and self.kind[nid] != "tvar":
-                    continue
-                sig = (self.kind[nid], self.payload[nid],
-                       tuple(self.find(c) for c in self.children[nid]))
-                if self.kind[nid] == "tvar":
-                    continue
-                prev = sigs.get(sig)
-                if prev is None:
-                    sigs[sig] = nid
-                elif self.union(prev, nid):
-                    changed = True
-            # record projection: attr_a(x) == field when class(x) holds a record
-            records: dict[int, list[int]] = {}
-            slices: dict[int, list[int]] = {}
-            for nid in self.tuple_nodes:
-                if self.kind[nid] == "record":
-                    records.setdefault(self.find(nid), []).append(nid)
-                elif self.kind[nid] == "slice":
-                    slices.setdefault(self.find(nid), []).append(nid)
-            for anode in self.attr_nodes:
-                base_rep = self.find(self.children[anode][0])
-                for rec in records.get(base_rep, []):
-                    names = self.payload[rec]
-                    attr = self.payload[anode]
-                    if attr in names:
-                        field_node = self.children[rec][names.index(attr)]
-                        if self.union(anode, field_node):
-                            changed = True
-            # slice projection: attr_a(x) == attr_a(t) when class(x) holds
-            # t|P with a in P; t.a is interned if missing
-            if slices:
-                for anode in list(self.attr_nodes):
-                    attr = self.payload[anode]
-                    for sl in slices.get(self.find(self.children[anode][0]), []):
-                        if attr in self.payload[sl][0]:
-                            base = self.children[sl][0]
-                            src = AttrRef(self.source[base], attr)
-                            changed |= self.union(
-                                anode, self._node("attr", attr, (base,), src))
-            # record injectivity: equal records have equal fields
-            for first, *rest in records.values():
-                for rec in rest:
-                    if self.payload[rec] == self.payload[first]:
-                        for f0, f1 in zip(self.children[first], self.children[rec]):
-                            changed |= self.union(f0, f1)
-        self.dirty = False
+        injectivity, reached by draining the pending list.
+
+        A pending node with children is merged with the node the signature
+        table holds for its current signature, or entered there.  A pending
+        attribute node is projected through the records and slices of its
+        base's class, and a pending record or slice through the attribute
+        nodes over its class; a pending record also equates its fields with
+        those of its class's first record of the same field names.  Merges
+        and new nodes push more work, so only the classes touched since the
+        last close are looked at."""
+        pending, find = self.pending, self.find
+        kind, children, uses = self.kind, self.children, self.uses
+        while pending:
+            n = pending.pop()
+            k = kind[n]
+            if children[n]:
+                sig = (k, self.payload[n], tuple(find(c) for c in children[n]))
+                other = self.sigs.setdefault(sig, n)
+                if other != n:
+                    self.union(other, n)
+            if k == "attr":
+                for tup in tuple(self.projecting.get(find(children[n][0]), ())):
+                    self._project(n, tup)
+            elif k == "record" or k == "slice":
+                rep = find(n)
+                for u in tuple(uses[rep]):
+                    if kind[u] == "attr":
+                        self._project(u, n)
+                if k == "record":
+                    names = self.payload[n]
+                    first = next(r for r in self.projecting[rep]
+                                 if kind[r] == "record" and self.payload[r] == names)
+                    for f0, f1 in zip(children[first], children[n]):
+                        self.union(f0, f1)
+
+    def _project(self, anode: int, tup: int) -> None:
+        """attr_a(x) == field a when class(x) holds a record with field a;
+        attr_a(x) == attr_a(t), t.a interned if missing, when class(x)
+        holds a slice t|P with a in P."""
+        attr = self.payload[anode]
+        if self.kind[tup] == "record":
+            names = self.payload[tup]
+            if attr in names:
+                self.union(anode, self.children[tup][names.index(attr)])
+        elif attr in self.payload[tup][0]:
+            base = self.children[tup][0]
+            self.union(anode, self._node("attr", attr, (base,),
+                                         AttrRef(self.source[base], attr)))
 
     # -- queries ---------------------------------------------------------------
 

@@ -8,6 +8,8 @@ once, and applies the first pass that changes the term, with every
 instance that closure allows: all summation variables with a candidate in
 one simultaneous substitution, or every key-equal atom pair.  A nesting
 chain therefore takes a constant number of rounds, not one per level.
+The final round's closure is kept in ``Canonizer.closures`` for the term
+returned, so that the search does not build it again.
 Saturation writes each equality class of the term's congruence closure as
 a spanning chain: its members sorted, each equal to the next, so k members
 take k - 1 atoms and the chain is canonical.  Terms whose square provably
@@ -70,6 +72,11 @@ class Canonizer:
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
         self.chase_exhausted = False
+        # id(term) -> the term and the closure of its final round, for each
+        # returned term whose predicates are that round's saturated ones;
+        # the closure has the classes of ``closure_of(term.preds)``.  The
+        # entry holds the term, so that its id stays its own.
+        self.closures: dict[int, tuple[Term, Closure]] = {}
 
     # -- public entry -------------------------------------------------------
 
@@ -113,11 +120,14 @@ class Canonizer:
                for ms in closure.scalar_classes().values()):
             self.trace.rule("const-clash", loc)
             return None
+        saturated = t.preds
         t = self._canonize_agg_bodies(t, loc)
         if t.squash is not None and not t.squash.is_one():
             t = replace(t, squash=self.canonize(t.squash, loc + "/sq", True))
         if t.neg is not None and not t.neg.is_zero():
             t = replace(t, neg=self.canonize(t.neg, loc + "/not", False))
+        if t.preds is saturated:
+            self.closures[id(t)] = (t, closure)
         return t
 
     # -- pass 1: saturation of equalities -------------------------------------

@@ -21,6 +21,10 @@ squashes, canonize, drop repeated atoms, then require containment each
 way.  A term is contained in another when the other maps into it by a
 homomorphism (``maps_into``), found one connected component of summation
 variables at a time.
+Every predicate question about a term goes to one closure per term and
+call: the closure canonize built in its final round for that term, handed
+over through ``Canonizer.closures``, or ``closure_of(t.preds)`` for a term
+canonize did not return as it stands.
 """
 
 from __future__ import annotations
@@ -83,9 +87,11 @@ class Decider:
                 return False
             return self._perm_search(w1, w2)
         finally:
-            # the facts serve one call; refutation need not hold them
+            # the facts and the closures canonize handed over serve one
+            # call; refutation need not hold them
             self._facts.clear()
             self._colours.clear()
+            self.canonizer.closures.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
         """Pair each right term, in order, with the first unused left term
@@ -125,7 +131,9 @@ class Decider:
     def _term_facts(self, t: Term) -> _TermFacts:
         facts = self._facts.get(id(t))
         if facts is None or facts.term is not t:
-            facts = self._facts[id(t)] = _TermFacts(t, self._colours)
+            # an entry holds its term, so the one under id(t) is t's
+            _, closure = self.canonizer.closures.pop(id(t), (t, None))
+            facts = self._facts[id(t)] = _TermFacts(t, self._colours, closure)
         return facts
 
     def match_terms(self, t1: Term, t2: Term) -> bool:
@@ -337,15 +345,19 @@ class Decider:
 
 class _TermFacts:
     """What the searches need of one term, built on its first use in one
-    `equivalent` call.  ``closure`` is ``closure_of(t.preds)``, which the
-    equality links, the free constants and every predicate test query.
-    Queries only add nodes and never merge existing classes, so answers
-    stay valid as it grows.  ``sig`` and ``colour`` map each summation
-    variable to its signature id and its refined colour id."""
+    `equivalent` call.  ``closure`` has the classes of
+    ``closure_of(t.preds)``, which the equality links, the free constants
+    and every predicate test query: for a term canonize returned, it is
+    the closure of canonize's final round, handed over, and for any other
+    term it is built here.  Queries, canonize's among them, only add nodes
+    and never merge existing classes, so answers stay valid as it grows.
+    ``sig`` and ``colour`` map each summation variable to its signature id
+    and its refined colour id."""
 
-    def __init__(self, t: Term, colours: dict[tuple, int]):
+    def __init__(self, t: Term, colours: dict[tuple, int],
+                 closure: Closure | None = None):
         self.term = t
-        self.closure = closure_of(t.preds)
+        self.closure = closure_of(t.preds) if closure is None else closure
         self.links = _EqualityLinks(t, self.closure)
         self.sig = {v.vid: colours.setdefault(
                         ("sig", _var_signature(t, v) + self.links.unary(v)),
@@ -432,7 +444,7 @@ class _EqualityLinks:
     is invariant under any bijection of summation variables: which attribute
     pairs of two variables share a class, and which grounded terms (over
     free variables and constants only) each attribute equals.  Built on
-    ``closure_of(t.preds)``, which its queries extend."""
+    the term's closure (`_TermFacts`), which its queries extend."""
 
     def __init__(self, t: Term, closure: Closure):
         sum_ids = {v.vid for v in t.sum_vars}

@@ -8,6 +8,7 @@ import random
 
 from hypothesis import strategies as st
 
+from semiq.congruence import Closure
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_instances,
                           interp_query)
@@ -16,9 +17,9 @@ from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
                           Select, Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
-                        Scalar, Squash, Sum, TupleVar, VarGen, add, canon_key,
-                        mk_eq, mk_neq, mk_record, mk_tuple_eq, rewrite,
-                        substitute)
+                        Scalar, Squash, Sum, TupleSlice, TupleVar, VarGen, add,
+                        canon_key, mk_eq, mk_neq, mk_record, mk_tuple_eq,
+                        rewrite, substitute)
 
 # A small standard environment: three binary relations over ints.
 
@@ -798,17 +799,81 @@ def congruent_preds(p1, p2) -> bool:
 # variables and unary or binary `f`/`g`, and tuples that are those variables
 # or records of such scalars.
 
-_CLOSURE_VARS = [TupleVar(i, Schema("s", (("a", "int"), ("b", "int"))))
-                 for i in range(3)]
+CLOSURE_VARS = tuple(TupleVar(i, Schema("s", (("a", "int"), ("b", "int"))))
+                     for i in range(3))
 closure_scalars = st.recursive(
     st.sampled_from([Const(0, "int"), Const(1, "int"), Const("a", "string")])
-    | st.builds(AttrRef, st.sampled_from(_CLOSURE_VARS), st.sampled_from("ab")),
+    | st.builds(AttrRef, st.sampled_from(CLOSURE_VARS), st.sampled_from("ab")),
     lambda inner: st.builds(lambda name, args: Func(name, tuple(args)),
                             st.sampled_from("fg"),
                             st.lists(inner, min_size=1, max_size=2)),
     max_leaves=3)
-closure_tuples = st.sampled_from(_CLOSURE_VARS) | st.builds(
+closure_tuples = st.sampled_from(CLOSURE_VARS) | st.builds(
     lambda a, b: mk_record({"a": a, "b": b}), closure_scalars, closure_scalars)
+# every attribute of those variables; and tuples as above, records of one
+# field or slices of the variables, so that record and slice projection and
+# record injectivity all take part
+CLOSURE_ATTRS = tuple(AttrRef(v, a) for v in CLOSURE_VARS for a in "ab")
+_SLICE_PARTS = [Schema("p", (("a", "int"),)), Schema("q", (("b", "int"),)),
+                Schema("s", (("a", "int"), ("b", "int")))]
+closure_tuples_sliced = (
+    closure_tuples
+    | st.builds(lambda a: mk_record({"a": a}), closure_scalars)
+    | st.builds(TupleSlice, st.sampled_from(CLOSURE_VARS),
+                st.sampled_from(_SLICE_PARTS)))
+
+
+class NaiveClosure(Closure):
+    """The closure with the rescan fixpoint `Closure.close` once had: each
+    round recomputes every node's signature and every class's records and
+    slices, until a round merges nothing.  The oracle of the incremental
+    `close`.  Injectivity pairs each record with the first record of its
+    class that has the same field names."""
+
+    def close(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            sigs: dict[tuple, int] = {}
+            for nid in range(len(self.parent)):
+                if not self.children[nid]:
+                    continue
+                sig = (self.kind[nid], self.payload[nid],
+                       tuple(self.find(c) for c in self.children[nid]))
+                prev = sigs.setdefault(sig, nid)
+                changed |= prev != nid and self.union(prev, nid)
+            records: dict[int, list[int]] = {}
+            slices: dict[int, list[int]] = {}
+            for nid in self.tuple_nodes:
+                if self.kind[nid] == "record":
+                    records.setdefault(self.find(nid), []).append(nid)
+                elif self.kind[nid] == "slice":
+                    slices.setdefault(self.find(nid), []).append(nid)
+            # record projection: attr_a(x) == field when class(x) holds a record
+            for anode in self.attr_nodes:
+                attr = self.payload[anode]
+                for rec in records.get(self.find(self.children[anode][0]), []):
+                    names = self.payload[rec]
+                    if attr in names:
+                        changed |= self.union(
+                            anode, self.children[rec][names.index(attr)])
+            # slice projection: attr_a(x) == attr_a(t) when class(x) holds
+            # t|P with a in P; t.a is interned if missing
+            for anode in list(self.attr_nodes):
+                attr = self.payload[anode]
+                for sl in slices.get(self.find(self.children[anode][0]), []):
+                    if attr in self.payload[sl][0]:
+                        base = self.children[sl][0]
+                        src = AttrRef(self.source[base], attr)
+                        changed |= self.union(
+                            anode, self._node("attr", attr, (base,), src))
+            # record injectivity: equal records have equal fields
+            for recs in records.values():
+                first: dict = {}
+                for rec in recs:
+                    f = first.setdefault(self.payload[rec], rec)
+                    for f0, f1 in zip(self.children[f], self.children[rec]):
+                        changed |= self.union(f0, f1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ no canonize round of a nested projection holds more predicates than a few
 per level, the denotation types each nested derived table once, the
 containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
-pairings, and the factors of a wide product are keyed once each.
+pairings, the factors of a wide product are keyed once each, and the
+closure work of a wide union under EXISTS grows linearly in its branches.
 They guard the asymptotics without timing anything."""
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
 
 
 def test_wide_union_builds_one_closure_per_term(monkeypatch):
-    # the search asks every predicate question of each term's own closure:
-    # no closure is built or copied per checked pair
+    # the search asks every predicate question of each term's own closure,
+    # and that closure is the one canonize built in its final round: no
+    # closure is built twice per term, or built or copied per checked pair
     n = 64
     built, asked = [], set()
     real_closure, real_implies = decide.closure_of, decide.implies_atom
@@ -93,7 +95,7 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
         terms.append(t)
         return real_facts(t, *args)
 
-    for module in (congruence, decide):
+    for module in (congruence, constraints, decide):
         monkeypatch.setattr(module, "closure_of", closure_of)
     monkeypatch.setattr(decide, "implies_atom", implies_atom)
     monkeypatch.setattr(decide, "_TermFacts", facts)
@@ -101,6 +103,27 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
     assert out.status == "EQUIVALENT"
     assert len(built) == len({id(t) for t in terms}) == 2 * n
     assert asked and asked <= {id(c) for c in built}
+
+
+def test_union_exists_closure_work_grows_linearly(monkeypatch):
+    # canonize asks the closure of the EXISTS term one question per
+    # attribute and candidate variable, and each interns a node; a close
+    # that rescans every node makes that quadratic in the branches
+    calls = [0]
+    real = congruence.Closure.find
+
+    def find(self, x):
+        calls[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(congruence.Closure, "find", find)
+    counts = []
+    for n in (200, 400):
+        calls[0] = 0
+        [out] = run_program_text(scaling.program("union_exists", n, 1))
+        assert out.status == "EQUIVALENT"
+        counts.append(calls[0])
+    assert counts[1] <= 2.3 * counts[0]
 
 
 def _count_term_checks(monkeypatch) -> list:

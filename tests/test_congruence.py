@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiq.congruence import Closure, closure_of
 from semiq.schema import Schema
 from semiq.exprs import (AttrRef, Const, Func, TupleSlice, TupleVar, mk_eq,
                         mk_record, mk_tuple_eq)
 
-from helpers import closure_scalars, closure_tuples, congruent_preds
+from helpers import (CLOSURE_ATTRS, CLOSURE_VARS, NaiveClosure,
+                     closure_scalars, closure_tuples, closure_tuples_sliced,
+                     congruent_preds)
 
 S = Schema("s", (("a", "int"), ("b", "int")))
 
@@ -206,3 +208,61 @@ def test_closure_queried_while_growing_equals_closing_once(ops):
     want = _closed_once(ops)
     assert c.scalar_classes() == want.scalar_classes()
     assert c.tuple_classes() == want.tuple_classes()
+
+
+# -- the incremental close against the rescan fixpoint ---------------------------
+
+_OPS = ("eq", "teq", "add", "tadd", "scalar_eq", "tuple_eq", "scalar_rep",
+        "tuple_rep")
+
+
+def _partition(c: Closure) -> set:
+    classes: dict[int, set] = {}
+    for nid, src in enumerate(c.source):
+        classes.setdefault(c.find(nid), set()).add(src)
+    return {frozenset(members) for members in classes.values()}
+
+
+@given(st.lists(closure_scalars, max_size=3),
+       st.lists(closure_tuples_sliced, min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 8),
+                          st.integers(0, 8)), min_size=4, max_size=20))
+# a record closed on its own, then merged into a variable whose attribute
+# was closed before it
+@example([], [mk_record({"a": Const(0, "int"), "b": Const(1, "int")})],
+         [("add", 0, 0), ("tadd", 3, 3), ("tuple_rep", 3, 3), ("teq", 0, 3)])
+# an attribute interned after its variable's class took a slice
+@example([], [TupleSlice(CLOSURE_VARS[1], Schema("p", (("a", "int"),)))],
+         [("teq", 0, 3), ("tuple_rep", 0, 0), ("add", 0, 0)])
+@settings(max_examples=300, deadline=None)
+def test_incremental_close_equals_the_rescan_fixpoint(scalars, tuples, ops):
+    # the same asserts, additions and queries, interleaved, on both
+    # closures: every answer agrees, and so do the partitions and classes.
+    # The operations draw from every variable and attribute and a few more
+    # terms, so that one term is often interned, closed and merged again
+    # later
+    scalars = [*CLOSURE_ATTRS, *scalars]
+    tuples = [*CLOSURE_VARS, *tuples]
+    fast, naive = Closure(), NaiveClosure()
+    for kind, i, j in ops:
+        pool = tuples if kind in ("teq", "tadd", "tuple_eq", "tuple_rep") else scalars
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        for c in (fast, naive):
+            if kind == "eq":
+                c.assert_eq(mk_eq(x, y))
+            elif kind == "teq":
+                c.assert_eq(mk_tuple_eq(x, y))
+            elif kind == "add":
+                c.add_scalar(x)
+            elif kind == "tadd":
+                c.add_tuple(x)
+        if kind in ("scalar_eq", "tuple_eq"):
+            assert getattr(fast, kind)(x, y) == getattr(naive, kind)(x, y)
+        elif kind in ("scalar_rep", "tuple_rep"):
+            assert getattr(fast, kind)(x) == getattr(naive, kind)(x)
+    fast.close()
+    naive.close()
+    assert fast.pending == []
+    assert _partition(fast) == _partition(naive)
+    assert fast.scalar_classes() == naive.scalar_classes()
+    assert fast.tuple_classes() == naive.tuple_classes()

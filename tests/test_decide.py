@@ -4,15 +4,18 @@ squashed-expression comparison, and containment by homomorphism."""
 from __future__ import annotations
 
 import gc
+import importlib.util
 import itertools
 import random
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiq import decide
+from semiq import constraints, decide
 from semiq.congruence import closure_of, is_eq_atom
 from semiq.constraints import subst_term
 from semiq.decide import Decider, term_signature
@@ -24,7 +27,7 @@ from semiq.translate import denote
 from semiq.config import Limits
 from semiq.exprs import (AttrRef, Const, Func, PredApp, Squash, TupleVar,
                          VarGen, mk_eq, mk_record, mk_tuple_eq, substitute)
-from semiq.pipeline import run_verify
+from semiq.pipeline import run_program_text, run_verify
 from semiq.schema import SchemaEnv
 from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 
@@ -33,6 +36,12 @@ from helpers import (congruent_preds, copy_body, cq_set_equivalent,
                      denote_pair, enumerate_dbs, find_disagreement, gen_cq, narrow,
                      reference_match_terms, reference_pairing, small_dbs, std_env,
                      ucq_set_equivalent)
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 SR = Schema("sr", (("k", "int"), ("a", "int")))
 
@@ -695,3 +704,30 @@ def test_deciders_are_freed_without_the_cycle_collector(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_canonizes_closure_gives_the_facts_of_a_fresh_closure(monkeypatch):
+    # the search reads each canonized term's facts off the closure of
+    # canonize's final round, which canonize's own queries have already
+    # extended; they are the facts of `closure_of(t.preds)`
+    checked = []
+    real = constraints.Canonizer.canonize_term
+
+    def canonize_term(self, t, *args, **kw):
+        out = real(self, t, *args, **kw)
+        entry = self.closures.get(id(out))
+        if entry is not None:
+            got = decide._TermFacts(out, {}, entry[1])
+            want = decide._TermFacts(out, {})
+            assert (got.consts, got.sig, got.colour, got.by_colour) == \
+                (want.consts, want.sig, want.colour, want.by_colour)
+            checked.append(out)
+        return out
+
+    monkeypatch.setattr(constraints.Canonizer, "canonize_term", canonize_term)
+    texts = [p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    texts += [inst.text for name in ("wide-search", "deep-canon")
+              for inst in workloads.build(name, 1, ROOT)]
+    for text in texts:
+        run_program_text(text)
+    assert len(checked) > len(texts)
