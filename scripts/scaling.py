@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time to verdict on the scaling rows of ROADMAP.md.
 
-    python scripts/scaling.py [--timeout 60] [--seed 1] [FAMILY=SIZE ...]
+    python scripts/scaling.py [--timeout 60] [--seed 1] [--json PATH] [FAMILY=SIZE ...]
 
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
@@ -16,6 +16,12 @@ prints one tab-separated line:
 
 A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
 other rows still run, and the exit code is 1.
+
+`--json PATH` also writes the run to PATH as one JSON object, `seed`,
+`timeout_s` and `rows`, where each row is `{family, size, ms, verdict,
+steps}` and `steps` holds `total` and its split by stage (`normalize`,
+`canonize`, `search`); a row that raised has `ms` and `steps` null.  The
+committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg` and `fk_cycle` are the generators of
@@ -38,6 +44,7 @@ Times are wall times of one run, with no calibration.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
@@ -131,13 +138,13 @@ def program(family: str, size: int, seed: int) -> str:
 
 
 def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
-    """(ms, verdict, steps.total) of one run of the row's program."""
+    """(ms, verdict, steps by stage) of one run of the row's program."""
     text = program(family, size, seed)
     depth = {"chase_depth": size} if family == "fk_cycle" else {}
     t0 = time.perf_counter()
     [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth))
     ms = (time.perf_counter() - t0) * 1000
-    return ms, out.status, out.steps.get("total")
+    return ms, out.status, out.steps
 
 
 def _row(arg: str) -> tuple[str, int]:
@@ -156,17 +163,26 @@ def main(argv=None) -> int:
                     help="wall-clock budget per row, seconds (default 60)")
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the workload generators (default 1)")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the rows to PATH as JSON")
     args = ap.parse_args(argv)
-    failed = False
+    rows = []
     for family, size in args.rows or ROWS:
         try:
             ms, verdict, steps = measure(family, size, args.timeout, args.seed)
         except Exception as exc:
-            failed = True
-            print(f"{family}\t{size}\t-\tERROR:{type(exc).__name__}\t-", flush=True)
-            continue
-        print(f"{family}\t{size}\t{ms:.1f}\t{verdict}\t{steps}", flush=True)
-    return 1 if failed else 0
+            ms, verdict, steps = None, f"ERROR:{type(exc).__name__}", None
+            print(f"{family}\t{size}\t-\t{verdict}\t-", flush=True)
+        else:
+            print(f"{family}\t{size}\t{ms:.1f}\t{verdict}\t{steps.get('total')}",
+                  flush=True)
+        rows.append({"family": family, "size": size,
+                     "ms": None if ms is None else round(ms, 1),
+                     "verdict": verdict, "steps": steps})
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"seed": args.seed, "timeout_s": args.timeout, "rows": rows}, indent=1) + "\n")
+    return 1 if any(r["ms"] is None for r in rows) else 0
 
 
 if __name__ == "__main__":

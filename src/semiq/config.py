@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class Limits:
     timeout_s: float = 30.0
     chase_depth: int = 3

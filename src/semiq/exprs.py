@@ -11,8 +11,8 @@ node counts k - 1 nodes, and operand i has the trace path of that spine
 (``l.`` k - 1 - i times, then ``r.`` if i > 0).  No term of a sum is itself
 a sum (``add`` splices them in); a factor that is a product stays one factor.
 
-Expressions are immutable; substitution and comparison up to bound-variable
-renaming are the structural work-horses for everything downstream.
+Nodes are slotted value classes, immutable by convention (checked by
+tests/test_value_nodes.py); substitution and alpha-comparison drive the rest.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Union
 from .schema import Schema, footprint_key
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleVar:
     vid: int
     schema: Schema
@@ -49,25 +49,25 @@ class VarGen:
 # ---------------------------------------------------------------------------
 # Scalars and tuple expressions
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttrRef:
     var: TupleVar
     attr: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     value: object
     ty: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Func:
     name: str
     args: tuple["Scalar", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AggCall:
     """Uninterpreted aggregate over the bag described by ``lam var. body``."""
     name: str
@@ -78,14 +78,14 @@ class AggCall:
 Scalar = Union[AttrRef, Const, Func, AggCall]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleSlice:
     """Sub-tuple of ``var`` covering exactly the footprint of ``part``."""
     var: TupleVar
     part: Schema
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleCons:
     """Record literal: named attributes mapped to scalar expressions."""
     fields: tuple[tuple[str, Scalar], ...]  # sorted by attribute name
@@ -104,32 +104,32 @@ def mk_record(fields: dict[str, Scalar]) -> TupleCons:
 # ---------------------------------------------------------------------------
 # Predicate atoms; all satisfy [b] = ||[b]|| by construction.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EqAtom:
     lhs: Scalar
     rhs: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NeqAtom:
     lhs: Scalar
     rhs: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PredApp:
     """Uninterpreted predicate, e.g. comparisons other than equality."""
     name: str
     args: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleEqAtom:
     lhs: TupleExpr
     rhs: TupleExpr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleNeqAtom:
     lhs: TupleExpr
     rhs: TupleExpr
@@ -141,51 +141,51 @@ PredAtom = Union[EqAtom, NeqAtom, PredApp, TupleEqAtom, TupleNeqAtom]
 # ---------------------------------------------------------------------------
 # Expression nodes
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Zero:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class One:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Add:
     """Two or more terms, none a sum; see ``add``."""
     terms: tuple["Exp", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mul:
     """Two or more factors; stands for the left spine of binary products.  A
     factor that is itself a product stays one factor."""
     factors: tuple["Exp", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Squash:
     body: "Exp"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not:
     body: "Exp"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sum:
     var: TupleVar
     body: "Exp"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pred:
     atom: PredAtom
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rel:
     name: str
     var: TupleVar

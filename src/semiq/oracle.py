@@ -42,7 +42,7 @@ class OracleError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class FiniteDb:
     domains: dict[str, tuple]
     rels: dict[str, dict[Assignment, int]]
@@ -236,7 +236,7 @@ def _bag_sum(pairs) -> dict[Assignment, int]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Compiler:
     """Maps each node, with the aliases in scope (innermost last), to its closure."""
     env: SchemaEnv
@@ -431,7 +431,7 @@ def _fk_matches(c: FkConstraint, asg: Assignment, targets: dict) -> list:
 # ---------------------------------------------------------------------------
 # Instance generation
 
-@dataclass
+@dataclass(slots=True)
 class GenSizes:
     domain: int = 3
     tuples: int = 3

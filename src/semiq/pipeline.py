@@ -29,7 +29,7 @@ from .translate import denote, unify_outputs
 from .exprs import Exp, TupleVar, VarGen, pretty
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyOutcome:
     name: str
     status: str
@@ -129,7 +129,7 @@ def prepare_pair(stmt: VerifyStmt, env: SchemaEnv):
     return q1, q2
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedVerify:
     """A verify statement checked and denoted, ready to decide: both
     bodies are over the one output variable ``out_var``."""

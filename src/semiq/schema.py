@@ -96,13 +96,13 @@ def unify_schemas(s1: Schema, s2: Schema, what: str) -> Schema:
     return Schema(s1.name, tuple(attrs), s1.rest)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KeyConstraint:
     relation: str
     attrs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FkConstraint:
     source: str
     source_attrs: tuple[str, ...]
@@ -110,7 +110,7 @@ class FkConstraint:
     target_attrs: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class SchemaEnv:
     """Declared schemas, tables, constraints, and view/index definitions."""
 

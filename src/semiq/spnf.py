@@ -45,7 +45,7 @@ class SpnfError(Exception):
 # ---------------------------------------------------------------------------
 # Normal-form data types
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Term:
     sum_vars: tuple[TupleVar, ...]
     preds: tuple[PredAtom, ...]
@@ -82,7 +82,7 @@ class Term:
             body = Sum(v, body)
         return body
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SpnfExp:
     terms: tuple[Term, ...]
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from operator import is_not
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int
     col: int
@@ -17,21 +17,21 @@ class Pos:
 
 # -- scalar expressions -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ColRef:
     alias: str
     attr: str
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit:
     value: object
     ty: str  # int | bool | string
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     """Uninterpreted function or operator application."""
     name: str
@@ -39,7 +39,7 @@ class App:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AggQuery:
     """Aggregate applied to a subquery's bag."""
     name: str
@@ -52,7 +52,7 @@ Expr = object  # ColRef | Lit | App | AggQuery
 
 # -- predicates ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cmp:
     op: str  # = <> < <= > >=
     lhs: Expr
@@ -60,29 +60,29 @@ class Cmp:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NotP:
     body: "Predicate"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AndP:
     lhs: "Predicate"
     rhs: "Predicate"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OrP:
     lhs: "Predicate"
     rhs: "Predicate"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Exists:
     query: "Query"
 
@@ -92,18 +92,18 @@ Predicate = object
 
 # -- projections ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Star:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AliasStar:
     alias: str
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprItem:
     expr: Expr
     name: str
@@ -115,20 +115,20 @@ ProjItem = object
 
 # -- queries ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TableRef:
     name: str
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Source:
     query: "Query"
     alias: str
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Select:
     items: tuple[ProjItem, ...]
     sources: tuple[Source, ...]
@@ -137,20 +137,20 @@ class Select:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnionAll:
     """A union of two or more queries: ``+`` is associative, so a chain of
     UNION ALLs is one node."""
     branches: tuple["Query", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExceptQ:
     lhs: "Query"
     rhs: "Query"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Distinct:
     query: "Query"
 
@@ -160,7 +160,7 @@ Query = object  # TableRef | Select | UnionAll | ExceptQ | Distinct
 
 # -- statements -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SchemaStmt:
     name: str
     attrs: tuple[tuple[str, str], ...]
@@ -168,21 +168,21 @@ class SchemaStmt:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TableStmt:
     name: str
     schema_name: str
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class KeyStmt:
     table: str
     attrs: tuple[str, ...]
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FkStmt:
     source: str
     source_attrs: tuple[str, ...]
@@ -191,14 +191,14 @@ class FkStmt:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ViewStmt:
     name: str
     query: Query
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndexStmt:
     name: str
     table: str
@@ -206,7 +206,7 @@ class IndexStmt:
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VerifyStmt:
     lhs: Query
     rhs: Query
@@ -216,7 +216,7 @@ class VerifyStmt:
 Statement = object
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     statements: list = field(default_factory=list)
 

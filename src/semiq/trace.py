@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     kind: str  # "rule" | "bijection" | "homomorphism" | "permutation" | "note"
     name: str

@@ -25,7 +25,7 @@ from .exprs import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Denotation:
     out_var: TupleVar
     body: Exp

@@ -4,6 +4,7 @@ with the verdict each family is built to get."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_scaling_rows_at_tiny_sizes():
+def test_scaling_rows_at_tiny_sizes(tmp_path):
     rows = {"join_chain=4": "EQUIVALENT", "symmetric_self_join=3": "NOT_PROVED",
             "nested_projection=2": "EQUIVALENT", "index_join_back=2": "EQUIVALENT",
             "wide_union=4": "EQUIVALENT",
@@ -20,7 +21,7 @@ def test_scaling_rows_at_tiny_sizes():
             "union_agg=4": "EQUIVALENT",
             "fk_cycle=1": "NOT_PROVED"}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
-                          "--timeout", "30", *rows],
+                          "--timeout", "30", "--json", str(tmp_path / "b.json"), *rows],
                          capture_output=True, text=True, timeout=120, check=True)
     lines = [line.split("\t") for line in res.stdout.splitlines()]
     assert len(lines) == len(rows)
@@ -28,6 +29,14 @@ def test_scaling_rows_at_tiny_sizes():
         assert f"{family}={size}" == row
         assert float(ms) > 0 and int(steps) > 0
         assert verdict == want
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert (doc["seed"], doc["timeout_s"]) == (1, 30.0)
+    for got, (family, size, ms, verdict, steps) in zip(doc["rows"], lines, strict=True):
+        assert (got["family"], got["size"], got["ms"], got["verdict"]) == \
+            (family, int(size), float(ms), verdict)
+        split = got["steps"]
+        assert split["total"] == int(steps) == \
+            split["normalize"] + split["canonize"] + split["search"]
 
 
 def test_scaling_rejects_an_unknown_family():
@@ -37,7 +46,7 @@ def test_scaling_rejects_an_unknown_family():
     assert res.returncode == 2 and "FAMILY=SIZE" in res.stderr
 
 
-def test_scaling_reports_a_failing_row_and_runs_the_rest(monkeypatch, capsys):
+def test_scaling_reports_a_failing_row_and_runs_the_rest(monkeypatch, capsys, tmp_path):
     spec = importlib.util.spec_from_file_location("scaling",
                                                   ROOT / "scripts" / "scaling.py")
     scaling = importlib.util.module_from_spec(spec)
@@ -50,10 +59,15 @@ def test_scaling_reports_a_failing_row_and_runs_the_rest(monkeypatch, capsys):
         return real(family, size, timeout_s, seed)
 
     monkeypatch.setattr(scaling, "measure", measure)
-    code = scaling.main(["join_chain=3", "wide_union=4", "nested_projection=2"])
+    out = tmp_path / "b.json"
+    code = scaling.main(["join_chain=3", "wide_union=4", "nested_projection=2",
+                         "--json", str(out)])
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     assert code == 1
     assert [line[:2] for line in lines] == [["join_chain", "3"], ["wide_union", "4"],
                                             ["nested_projection", "2"]]
     assert lines[1] == ["wide_union", "4", "-", "ERROR:RecursionError", "-"]
     assert lines[0][3] == lines[2][3] == "EQUIVALENT"
+    failed = json.loads(out.read_text())["rows"][1]
+    assert failed == {"family": "wide_union", "size": 4, "ms": None,
+                      "verdict": "ERROR:RecursionError", "steps": None}
