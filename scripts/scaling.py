@@ -7,8 +7,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
-`union_derived` 1200, `union_exists` 1200, `union_agg` 1200, and
-`fk_cycle` 3.  Each row is
+`union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
+`wide_from` 400, 600 and 1000, and `fk_cycle` 3.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -24,7 +24,7 @@ steps}` and `steps` holds `total` and its split by stage (`normalize`,
 committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
-`union_exists`, `union_agg` and `fk_cycle` are the generators of
+`union_exists`, `union_agg`, `wide_from` and `fk_cycle` are the generators of
 `perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
@@ -36,6 +36,8 @@ table, `SELECT u.a AS o FROM (R UNION ALL ...) u`, against itself.
 `union_exists` filters `S y` by `EXISTS` over a SIZE-branch `UNION ALL` of
 `SELECT x.a AS a FROM R x`, against itself, and `union_agg` by
 `y.b = cnt(...)` over the same union.
+`wide_from` is `SELECT s0.a AS o FROM R s0, ..., R s<SIZE-1>`, with no
+WHERE, against itself.
 `fk_cycle` is one fixed DISTINCT pair over two keyed tables whose foreign
 keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
 Times are wall times of one run, with no calibration.
@@ -67,10 +69,12 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
+        ("wide_from", 400), ("wide_from", 600), ("wide_from", 1000),
         ("fk_cycle", 3))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
-            "union_derived", "union_exists", "union_agg", "fk_cycle")
+            "union_derived", "union_exists", "union_agg", "wide_from",
+            "fk_cycle")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -123,6 +127,11 @@ def union_subquery(outer: str, n: int) -> str:
             f"verify ({q})\n       ({q});\n")
 
 
+def wide_from(n: int) -> str:
+    q = f"SELECT s0.a AS o FROM {', '.join(f'R s{i}' for i in range(n))}"
+    return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
@@ -132,6 +141,8 @@ def program(family: str, size: int, seed: int) -> str:
         return union_derived(size)
     if family in UNION_SUBQUERY:
         return union_subquery(UNION_SUBQUERY[family], size)
+    if family == "wide_from":
+        return wide_from(size)
     if family == "fk_cycle":
         return FK_CYCLE
     return getattr(workloads, family)(random.Random(seed), size).text

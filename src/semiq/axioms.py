@@ -3,9 +3,11 @@
 ``AXIOMS`` holds the identities the normalizer applies, each as a function
 that rewrites the root of the expression it is given or raises
 ``AxiomMatchError``.  ``spnf.Normalizer.app`` calls them by name and logs
-each application as a trace rule.  ``sum-add``, ``distr-mul-add`` and
-``add-zero`` act on every term of a sum in one application.  The other
-identities of the paper are model-checked in the tests, not executed here.
+each application as a trace rule.  A sum and a summation are each one
+node (see ``exprs``): ``sum-add``, ``distr-mul-add`` and ``add-zero`` act
+on every term of a sum, and ``sum-add``, ``sum-hoist`` and ``sum-zero`` on
+every binder of a summation, in one application.  The other identities of
+the paper are model-checked in the tests, not executed here.
 """
 
 from __future__ import annotations
@@ -13,23 +15,13 @@ from __future__ import annotations
 from typing import Callable
 
 from .exprs import (
-    Add, Mul, Not, One, Pred, Squash, Sum, Exp, TupleVar, Zero, ZERO, ONE,
-    add, free_vars,
+    Add, Mul, Not, One, Pred, Squash, Sum, Exp, Zero, ZERO, ONE, add,
+    free_vars, sum_,
 )
 
 
 class AxiomMatchError(Exception):
     pass
-
-
-def split_binders(e: Exp) -> tuple[list[TupleVar], Exp]:
-    """The leading summation variables of e, outermost first, and the body
-    under them."""
-    vs = []
-    while type(e) is Sum:
-        vs.append(e.var)
-        e = e.body
-    return vs, e
 
 
 # -- semiring ---------------------------------------------------------------
@@ -136,35 +128,28 @@ def _squash_not(e):
 # -- summation --------------------------------------------------------------
 
 def _sum_add(e):
-    # sum{v} (a + b + ...) -> sum{v} a + sum{v} b + ...: every term at once
+    # sum{v..} (a + b + ...) -> sum{v..} a + sum{v..} b + ...: all at once
     if isinstance(e, Sum) and isinstance(e.body, Add):
-        return Add(tuple(Sum(e.var, t) for t in e.body.terms))
+        return Add(tuple(sum_(e.vars, t) for t in e.body.terms))
     raise AxiomMatchError("sum-add")
 
 
 def _sum_hoist(e):
-    # (sum{u..} x) * (sum{v..} y) -> sum{v..} sum{u..} (x * y): every leading
-    # binder of both factors in one step, the right factor's first (the
-    # order hoisting one binder at a time gives).  No binder may be free in
-    # the other factor, nor a left binder bound on the right as well; each
+    # (sum{u..} x) * (sum{v..} y) -> sum{v.., u..} (x * y): the binders of
+    # both factors in one step, the right factor's first (the order
+    # hoisting one binder at a time gives).  No binder may be free in the
+    # other factor, nor a left binder bound on the right as well; each
     # side's free variables are collected once, and only if the other side
     # has binders to check against them.
     l, r = _pair(e, "sum-hoist")
     if type(l) is Sum or type(r) is Sum:
-        us, x = split_binders(l)
-        vs, y = split_binders(r)
-        if vs:
-            l_free = {v.vid for v in free_vars(l)}
-            if any(v.vid in l_free for v in vs):
-                raise AxiomMatchError("sum-hoist")
-        if us:
-            r_taken = {v.vid for v in free_vars(r)} | {v.vid for v in vs}
-            if any(u.vid in r_taken for u in us):
-                raise AxiomMatchError("sum-hoist")
-        body = Mul((x, y))
-        for v in reversed(vs + us):
-            body = Sum(v, body)
-        return body
+        us, x = (l.vars, l.body) if type(l) is Sum else ((), l)
+        vs, y = (r.vars, r.body) if type(r) is Sum else ((), r)
+        l_free = {v.vid for v in free_vars(l)} if vs else ()
+        r_taken = {v.vid for v in (*free_vars(r), *vs)} if us else ()
+        if any(v.vid in l_free for v in vs) or any(u.vid in r_taken for u in us):
+            raise AxiomMatchError("sum-hoist")
+        return Sum(vs + us, Mul((x, y)))
     raise AxiomMatchError("sum-hoist")
 
 

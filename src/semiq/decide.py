@@ -160,39 +160,55 @@ class Decider:
                        key=lambda v: (f1.sig_count[f2.sig[v.vid]], v.vid))
         # with no choice the leaf check alone decides
         placing = any(len(c) > 1 for c in cand.values())
-        links1, links2 = f1.links, f2.links
-        mapping: list[tuple[TupleVar, TupleVar]] = []
         image: dict[int, TupleVar] = {}     # placed t2 id -> t1 variable
         preimage: dict[int, TupleVar] = {}  # t1 id placed on -> t2 variable
 
-        def backtrack(k: int) -> bool:
-            self.budget.step("search")
-            if k == len(order):
-                return self._term_check(t1, t2, list(mapping))
-            v2 = order[k]
-            for v1 in cand[v2.vid]:
-                if v1.vid in preimage:
-                    continue
-                # attribute-equality links to already-placed variables must
-                # agree; every valid bijection preserves them
-                if any(links2.binary(v2, w2) != links1.binary(v1, w1)
-                       for w2, w1 in mapping):
-                    continue
-                image[v2.vid], preimage[v1.vid] = v1, v2
-                mapping.append((v2, v1))
-                if (not placing
-                        or (_placed_preds_hold(f2, v2, image, f1)
-                            and _placed_preds_hold(f1, v1, preimage, f2))) \
-                        and backtrack(k + 1):
-                    return True
-                mapping.pop()
-                del image[v2.vid], preimage[v1.vid]
-            return False
+        def fits(v2: TupleVar, v1: TupleVar) -> bool:
+            # links to the variables placed before must agree, as every
+            # valid bijection keeps them; unlinked on both sides they do
+            pairs = {(w, image[w].vid) for w in f2.links.linked(v2) if w in image}
+            pairs.update((preimage[w].vid, w) for w in f1.links.linked(v1) if w in preimage)
+            pairs.discard((v2.vid, v1.vid))
+            return (all(f2.links.binary(v2, w2) == f1.links.binary(v1, w1)
+                        for w2, w1 in pairs)
+                    and (not placing
+                         or (_placed_preds_hold(f2, v2, image, f1)
+                             and _placed_preds_hold(f1, v1, preimage, f2))))
 
-        try:
-            return backtrack(0)
-        finally:
-            del backtrack  # it holds itself through its cell; break the cycle
+        return self._place(order, cand, image, fits, lambda: self._term_check(
+            t1, t2, [(v2, image[v2.vid]) for v2 in order]), preimage)
+
+    def _place(self, order: list[TupleVar], cand: dict[int, list[TupleVar]],
+               placed: dict[int, TupleVar], fits, leaf,
+               inverse: dict[int, TupleVar] | None = None) -> bool:
+        """Depth first, one search step per node entered, on a stack of
+        candidate iterators: place each variable of ``order`` on one of its
+        ``cand[vid]``, in order, so that ``fits(v, w)`` accepts each and
+        ``leaf()`` all.  ``placed`` maps ids to targets, ``inverse`` (if
+        given, for an injective map) back; both are restored on failure."""
+        self.budget.step("search")
+        stack = [iter(cand[v.vid]) for v in order[:1]]
+        while stack:
+            v = order[len(stack) - 1]
+            w = placed.pop(v.vid, None)  # undo v's last placement
+            if w is not None and inverse is not None:
+                del inverse[w.vid]
+            for w in stack[-1]:
+                if inverse is None or w.vid not in inverse:
+                    break
+            else:
+                stack.pop()
+                continue
+            placed[v.vid] = w
+            if inverse is not None:
+                inverse[w.vid] = v
+            if fits(v, w):
+                self.budget.step("search")
+                if len(stack) < len(order):
+                    stack.append(iter(cand[order[len(stack)].vid]))
+                elif leaf():
+                    return True
+        return not order and leaf()
 
     def _term_check(self, t1: Term, t2: Term,
                     mapping: list[tuple[TupleVar, TupleVar]]) -> bool:
@@ -304,24 +320,12 @@ class Decider:
             return self._negs_equal(dst.neg, src.neg and subst_spnf(
                 src.neg, {w: placed[w.vid] for w in neg_vars}))
 
-        def place(order: list[TupleVar], k: int) -> bool:
-            self.budget.step("search")
-            if k == len(order):
-                return order is not neg_order or negs_agree()
-            v = order[k]
-            for w in cand[v.vid]:
-                placed[v.vid] = w
-                if _placed_preds_hold(fs, v, placed, fd) and place(order, k + 1):
-                    return True
-            del placed[v.vid]
+        if not ((neg_vars or negs_agree())
+                and all(self._place(order, cand, placed,
+                                    lambda v, w: _placed_preds_hold(fs, v, placed, fd),
+                                    lambda: order is not neg_order or negs_agree())
+                        for order in components.values())):
             return False
-
-        try:
-            if not ((neg_vars or negs_agree())
-                    and all(place(order, 0) for order in components.values())):
-                return False
-        finally:
-            del place  # it holds itself through its cell; break the cycle
         # an injective map is a BIJECTION; each variable placed on one in
         # use is logged as a fold, and the map as a HOMOMORPHISM
         used = ({v.vid for _, v in src.atoms} | fs.preds.mentioned) - fs.sum_ids
@@ -405,8 +409,7 @@ def _refine(t: Term, sig: dict[int, int], links: _EqualityLinks,
     count = len(set(colour.values()))
     if count == len(colour):
         return colour
-    var = {v.vid: v for v in t.sum_vars}
-    nbrs = {v.vid: [(wid, links.binary(v, var[wid])) for wid in links.linked(v)]
+    nbrs = {v.vid: [(wid, links.binary(v, wid)) for wid in links.linked(v)]
             for v in t.sum_vars}
     while True:
         new = {vid: colours.setdefault(
@@ -474,12 +477,13 @@ class _EqualityLinks:
             out.append((a, tuple(self._ground.get(rep, ()))))
         return tuple(out)
 
-    def binary(self, v, w) -> tuple:
+    def binary(self, v, w: int) -> tuple:
+        """Attribute pairs of ``v`` and the variable of id ``w`` in one class."""
         out = []
         for a in self._attrs_of.get(v.vid, ()):
             rep = self._attr_rep[(v.vid, a)]
             for (wid, b) in self._by_rep.get(rep, ()):
-                if wid == w.vid:
+                if wid == w:
                     out.append((a, b))
         return tuple(sorted(out))
 

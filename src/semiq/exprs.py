@@ -10,6 +10,9 @@ Each stands for the left spine of binary nodes over its operands: a k-operand
 node counts k - 1 nodes, and operand i has the trace path of that spine
 (``l.`` k - 1 - i times, then ``r.`` if i > 0).  No term of a sum is itself
 a sum (``add`` splices them in); a factor that is a product stays one factor.
+A summation is one node too, ``Sum(vars, body)``, over distinct binders and
+a body that is not a summation (``sum_`` splices one in); it stands for the
+nest of one-binder summations, outermost first: k binders count k nodes.
 
 Nodes are slotted value classes, immutable by convention (checked by
 tests/test_value_nodes.py); substitution and alpha-comparison drive the rest.
@@ -176,7 +179,8 @@ class Not:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Sum:
-    var: TupleVar
+    """One or more distinct binders over a body; see ``sum_``."""
+    vars: tuple[TupleVar, ...]
     body: "Exp"
 
 
@@ -216,6 +220,14 @@ def add(*es: Exp) -> Exp:
         else:
             ts.append(e)
     return Add(tuple(ts)) if len(ts) > 1 else ts[0] if ts else ZERO
+
+
+def sum_(vs: tuple[TupleVar, ...], body: Exp) -> Exp:
+    """Smart summation: one node, a summation body's binders spliced in, or
+    the body alone when there are no binders."""
+    if type(body) is Sum:
+        vs, body = vs + body.vars, body.body
+    return Sum(vs, body) if vs else body
 
 
 def mk_eq(l: Scalar, r: Scalar) -> PredAtom:
@@ -263,7 +275,7 @@ def tuple_sort_key(t: TupleExpr) -> tuple:
 # new ones.  Node kinds: expressions, predicate atoms, scalars and tuple
 # expressions.  Child order, shared by every function below: lhs before rhs,
 # a sum's terms and a product's factors left to right;
-# a Sum's or an AggCall's body (their bound variable is not a child); a
+# a Sum's or an AggCall's body (their bound variables are not children); a
 # Pred's atom; Func and PredApp arguments left to right; a record's field
 # values in attribute order.  Variables reached through AttrRef, TupleSlice
 # and Rel are fields, not children; a TupleVar in tuple position is a leaf.
@@ -280,11 +292,12 @@ _CHILDREN = {
 }
 
 # Symmetric atoms and records go through their mk_ constructors, which keep
-# them sorted, and a sum through add, which keeps it flat.
+# them sorted, a sum through add and a summation through sum_, which keep
+# them flat.
 _REBUILD = {
     Add: lambda n, k: add(*k), Mul: lambda n, k: Mul(tuple(k)),
     Squash: lambda n, k: Squash(*k), Not: lambda n, k: Not(*k),
-    Sum: lambda n, k: Sum(n.var, *k), AggCall: lambda n, k: AggCall(n.name, n.var, *k),
+    Sum: lambda n, k: sum_(n.vars, *k), AggCall: lambda n, k: AggCall(n.name, n.var, *k),
     Pred: lambda n, k: Pred(*k),
     EqAtom: lambda n, k: mk_eq(*k), NeqAtom: lambda n, k: mk_neq(*k),
     TupleEqAtom: lambda n, k: mk_tuple_eq(*k), TupleNeqAtom: lambda n, k: mk_tuple_neq(*k),
@@ -343,12 +356,15 @@ def rewrite(n, f):
 
 
 def count_nodes(e: Exp) -> int:
-    """Expression nodes of e; a Pred counts one, whatever its atom holds, and
-    a k-term sum or k-factor product k - 1, the binary nodes it stands for."""
+    """Expression nodes of e; a Pred counts one, whatever its atom holds, a
+    k-term sum or k-factor product k - 1 and a k-binder summation k, the
+    binary and one-binder nodes they stand for."""
     count, stack = 0, [e]
     while stack:
         x = stack.pop()
-        count += len(children(x)) - 1 if type(x) is Add or type(x) is Mul else 1
+        t = type(x)
+        count += (len(x.vars) if t is Sum else
+                  len(children(x)) - 1 if t is Add or t is Mul else 1)
         if type(x) is not Pred:
             stack.extend(children(x))
     return count
@@ -358,7 +374,7 @@ def count_nodes(e: Exp) -> int:
 # Free variables
 
 def free_vars(n) -> set[TupleVar]:
-    """Free tuple variables of any node; Sum and AggCall bind their var."""
+    """Free tuple variables of any node; Sum and AggCall bind their vars."""
     out: set[TupleVar] = set()
     stack = [n]
     while stack:
@@ -370,7 +386,7 @@ def free_vars(n) -> set[TupleVar]:
             out.add(x)
         elif t is Sum or t is AggCall:
             inner = free_vars(x.body)
-            inner.discard(x.var)
+            inner.difference_update(x.vars if t is Sum else (x.var,))
             out |= inner
         else:
             stack.extend(children(x))
@@ -443,19 +459,21 @@ def substitute(e, mapping: dict[TupleVar, TupleExpr]):
                 return Rel(n.name, hit[1])
             raise SubstError(f"cannot substitute non-variable tuple into {n.name}(...)")
         if t is Sum or t is AggCall:
-            hit = by_vid.get(n.var.vid)
-            if hit is not None and n.var == hit[0]:
-                # the binder shadows its variable; the others go on inside
-                rest = {v: r for v, r in mapping.items() if v != n.var}
+            binders = n.vars if t is Sum else (n.var,)
+            shadowed = [v for v in binders
+                        if (hit := by_vid.get(v.vid)) is not None and v == hit[0]]
+            if shadowed:
+                # a binder shadows its variable; the others go on inside
+                rest = {v: r for v, r in mapping.items() if v not in shadowed}
                 if not rest:
                     return n
-                if any(n.var in free_vars(r) for r in rest.values()):
+                if not set().union(*map(free_vars, rest.values())).isdisjoint(binders):
                     raise SubstError("variable capture during substitution")
                 body = substitute(n.body, rest)
-                return Sum(n.var, body) if t is Sum else AggCall(n.name, n.var, body)
+                return Sum(n.vars, body) if t is Sum else AggCall(n.name, n.var, body)
             if r_vars is None:
                 r_vars = set().union(*map(free_vars, mapping.values()))
-            if n.var in r_vars:
+            if not r_vars.isdisjoint(binders):
                 raise SubstError("variable capture during substitution")
         return None
 
@@ -474,7 +492,7 @@ def _canon_scalar(s: Scalar, env: dict[int, object], counter: list[int]) -> tupl
         return ("func", s.name,
                 tuple(_canon_scalar(a, env, counter) for a in s.args))
     if isinstance(s, AggCall):
-        return ("agg", s.name, _canon(s.body, dict(env), counter, s.var))
+        return ("agg", s.name, _canon(s.body, dict(env), counter, (s.var,)))
     raise TypeError(s)
 
 
@@ -508,10 +526,10 @@ def _canon_atom(a: PredAtom, env: dict[int, object], counter: list[int]) -> tupl
 
 
 def _canon(e: Exp, env: dict[int, object], counter: list[int],
-           bind_first: TupleVar | None = None) -> tuple:
-    if bind_first is not None:
+           binders: tuple[TupleVar, ...] = ()) -> tuple:
+    for v in binders:
         counter[0] += 1
-        env[bind_first.vid] = ("bound", counter[0])
+        env[v.vid] = ("bound", counter[0])
     if isinstance(e, Zero):
         return ("0",)
     if isinstance(e, One):
@@ -524,10 +542,10 @@ def _canon(e: Exp, env: dict[int, object], counter: list[int],
     if isinstance(e, Not):
         return ("not", _canon(e.body, env, counter))
     if isinstance(e, Sum):
-        counter[0] += 1
-        inner = dict(env)
-        inner[e.var.vid] = ("bound", counter[0])
-        return ("sum", footprint_key(e.var.schema), _canon(e.body, inner, counter))
+        key = _canon(e.body, dict(env), counter, e.vars)
+        for v in reversed(e.vars):  # the nest of one-binder summations
+            key = ("sum", footprint_key(v.schema), key)
+        return key
     if isinstance(e, Pred):
         return ("[]", _canon_atom(e.atom, env, counter))
     if isinstance(e, Rel):
@@ -544,7 +562,7 @@ def agg_canon_key(agg: AggCall) -> tuple:
     """Alpha-invariant key of an aggregate's bag abstraction (binds its
     tuple variable before keying the body)."""
     return (agg.name, footprint_key(agg.var.schema),
-            _canon(agg.body, {}, [0], bind_first=agg.var))
+            _canon(agg.body, {}, [0], (agg.var,)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +631,9 @@ def pretty(e: Exp, names: dict[int, str] | None = None) -> str:
     counter = 0
     for n in walk(e):
         if type(n) is Sum or type(n) is AggCall:
-            counter += 1
-            names.setdefault(n.var.vid, f"t{counter}")
+            for v in n.vars if type(n) is Sum else (n.var,):
+                counter += 1
+                names.setdefault(v.vid, f"t{counter}")
     # an explicit stack, so nesting costs no Python frames: ``todo`` holds
     # what is left to print, next last, as strings and (expression, prec)
     # pairs; prec: 0 sum/add, 1 mul, 2 atom
@@ -638,14 +657,9 @@ def pretty(e: Exp, names: dict[int, str] | None = None) -> str:
             out.append("||" if isinstance(e, Squash) else "not(")
             todo += ("||" if isinstance(e, Squash) else ")", (e.body, 0))
         elif isinstance(e, Sum):
-            binders = [e.var]
-            body = e.body
-            while isinstance(body, Sum):
-                binders.append(body.var)
-                body = body.body
-            head = ",".join(_pname(v, names) for v in binders)
+            head = ",".join(_pname(v, names) for v in e.vars)
             out.append(f"{'(' if prec > 0 else ''}sum{{{head}}} ")
-            todo += (")" if prec > 0 else "", (body, 1))
+            todo += (")" if prec > 0 else "", (e.body, 1))
         elif isinstance(e, Pred):
             out.append(print_atom(e.atom, names))
         elif isinstance(e, Rel):

@@ -149,8 +149,9 @@ def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
     if isinstance(e, Not):
         return 1 if _ev(e.body, db, env) == 0 else 0
     if isinstance(e, Sum):
-        return sum(_ev(e.body, db, {**env, e.var.vid: asg})
-                   for asg in db.tuple_space(e.var.schema))
+        spaces = [db.tuple_space(v.schema) for v in e.vars]
+        return sum(_ev(e.body, db, {**env, **{v.vid: a for v, a in zip(e.vars, asgs)}})
+                   for asgs in itertools.product(*spaces))
     if isinstance(e, Rel):
         asg = _lookup(env, e.var)
         return db.rels.get(e.name, {}).get(asg, 0)

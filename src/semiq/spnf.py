@@ -19,7 +19,10 @@ A sum is one node, ``Add(terms)``: ``sum-add``, ``distr-mul-add`` and
 ``add-zero`` each act on all its terms in one application, logged as one
 ``RULE`` line and charged the binary steps it stands for.  Each term keeps
 the trace path it has in the node's binary spine (``_spine``), and ``nf``
-takes a step per inner node of a sum's or a product's spine.
+takes a step per inner node of a sum's or a product's spine.  A summation
+is one node too, ``Sum(vars, body)``, as a term's ``sum_vars`` is one
+tuple: ``sum-add`` and ``sum-zero`` act on all its binders in one
+application, and ``nf`` takes a step per binder.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from dataclasses import dataclass, replace
 from math import prod
 from typing import Iterator
 
-from .axioms import AXIOMS, split_binders
+from .axioms import AXIOMS
 from .config import Budget
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
     Exp, VarGen, Zero, add, canon_key, children, count_nodes, free_vars, mul,
-    rewrite, substitute,
+    rewrite, substitute, sum_,
 )
 
 
@@ -77,10 +80,7 @@ class Term:
         return fs
 
     def to_exp(self) -> Exp:
-        body = mul(*self.factors())
-        for v in reversed(self.sum_vars):
-            body = Sum(v, body)
-        return body
+        return sum_(self.sum_vars, mul(*self.factors()))
 
 @dataclass(slots=True, unsafe_hash=True)
 class SpnfExp:
@@ -118,16 +118,18 @@ def uniquify(e: Exp, gen: VarGen, trace: Trace | None = None) -> Exp:
         t = type(x)
         if t is not Sum and t is not AggCall:
             return None
-        body, var = x.body, x.var
-        if var.vid in seen:
-            fresh = gen.fresh(var.schema, var.hint)
-            if trace and t is Sum:
-                trace.note("alpha-rename", f"{var}->{fresh}")
-            body = substitute(body, {var: fresh})
-            var = fresh
-        seen.add(var.vid)
+        body, binders = x.body, []
+        for var in x.vars if t is Sum else (x.var,):
+            if var.vid in seen:
+                fresh = gen.fresh(var.schema, var.hint)
+                if trace and t is Sum:
+                    trace.note("alpha-rename", f"{var}->{fresh}")
+                body = substitute(body, {var: fresh})
+                var = fresh
+            seen.add(var.vid)
+            binders.append(var)
         body = rewrite(body, step)
-        return Sum(var, body) if t is Sum else AggCall(x.name, var, body)
+        return Sum(tuple(binders), body) if t is Sum else AggCall(x.name, *binders, body)
 
     return rewrite(e, step)
 
@@ -182,8 +184,15 @@ class Normalizer:
                 out = self._mul_nf(out, self.nf(f, p), p[:-2])
             return out
         if isinstance(e, Sum):
-            body = self.nf(e.body, path + "b.")
-            return self._post_sum(e.var, body, path)
+            for _ in range(len(e.vars) - 1):
+                self.budget.step(self.stage)  # nf's step on each inner binder
+            body = self.nf(e.body, path + "b." * len(e.vars))
+            # a normalized sum has no zero term, so sum-add leaves none
+            if isinstance(body, Add):
+                return self.app("sum-add", Sum(e.vars, body), path)
+            if isinstance(body, Zero):
+                return self.app("sum-zero", Sum(e.vars, body), path)
+            return sum_(e.vars, body)
         if isinstance(e, Squash):
             body = self.nf(e.body, path + "b.")
             return self._squash_nf(body, path)
@@ -197,14 +206,6 @@ class Normalizer:
         return rewrite(a, lambda s: AggCall(
             s.name, s.var, parse_spnf(self.nf(s.body, path + "agg.")).to_exp())
             if type(s) is AggCall else None)
-
-    def _post_sum(self, v: TupleVar, body: Exp, path: str) -> Exp:
-        if isinstance(body, Add):
-            split = self.app("sum-add", Sum(v, body), path)
-            return add(*(self._post_sum(v, t.body, p)
-                         for t, p in _spine(path, split.terms)))
-        return self.app("sum-zero", Sum(v, body), path) \
-            if isinstance(body, Zero) else Sum(v, body)
 
     def _mul_nf(self, l: Exp, r: Exp, path: str) -> Exp:
         if (isinstance(l, Add) or isinstance(r, Add)) and \
@@ -220,11 +221,9 @@ class Normalizer:
         if isinstance(l, Sum) or isinstance(r, Sum):
             # one step hoists every binder; the body sits where hoisting
             # one binder at a time would leave it
-            binders, body = split_binders(self.app("sum-hoist", cur, path))
-            out = self._mul_nf(*body.factors, path + "b." * len(binders))
-            for v in reversed(binders):
-                out = Sum(v, out)
-            return out
+            h = self.app("sum-hoist", cur, path)
+            return sum_(h.vars, self._mul_nf(*h.body.factors,
+                                             path + "b." * len(h.vars)))
         return self._merge_chain([list(_factors(l)), list(_factors(r))], path)
 
     def _merge_chain(self, runs: list[list[Exp]], path: str) -> Exp:
@@ -310,13 +309,15 @@ def _spine(path: str, ops) -> list[tuple[Exp, str]]:
 def _binary_steps(axiom: str, node: Exp) -> int:
     """The binary applications that applying ``axiom`` to ``node`` stands
     for: a term out but the first for sum-add and distr-mul-add, a zero
-    dropped for add-zero (all but one when all terms are), else one."""
+    dropped for add-zero (all but one when all terms are), else one; on a
+    summation, each once per binder."""
+    k = len(node.vars) if type(node) is Sum else 1
     if axiom in ("sum-add", "distr-mul-add"):
-        return prod(len(_terms(c)) for c in children(node)) - 1
+        return k * (prod(len(_terms(c)) for c in children(node)) - 1)
     if axiom == "add-zero":
         zeros = sum(type(t) is Zero for t in node.terms)
         return zeros - (zeros == len(node.terms))
-    return 1
+    return k
 
 
 def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
@@ -334,7 +335,7 @@ def parse_spnf(e: Exp) -> SpnfExp:
 
 
 def _parse_term(e: Exp) -> Term:
-    binders, e = split_binders(e)
+    binders, e = (e.vars, e.body) if type(e) is Sum else ((), e)
     preds: list[PredAtom] = []
     squash: SpnfExp | None = None
     neg: SpnfExp | None = None
@@ -419,8 +420,5 @@ def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
     factors = replace(t, squash=None).factors()
     if t.squash is not None:
         factors.append(t.squash.to_exp())
-    body = mul(*factors)
-    for v in reversed(t.sum_vars):
-        body = Sum(v, body)
-    return to_spnf(body, gen, trace, budget, stage)
+    return to_spnf(sum_(t.sum_vars, mul(*factors)), gen, trace, budget, stage)
 

@@ -20,8 +20,8 @@ from .sqlast import (
 )
 from .exprs import (
     AggCall, AttrRef, Const, Func, Mul, Not, Pred, PredApp, Rel, Squash,
-    Sum, TupleSlice, TupleVar, Exp, VarGen, ZERO, ONE, mk_eq, mk_neq,
-    add, mk_tuple_eq, mul, substitute,
+    TupleSlice, TupleVar, Exp, VarGen, ZERO, ONE, mk_eq, mk_neq,
+    add, mk_tuple_eq, mul, substitute, sum_,
 )
 
 
@@ -120,10 +120,8 @@ def _denote_select(q: Select, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Den
         else:
             s = denote_expr(item.expr, env, gen, inner)
             proj_atoms.append(Pred(mk_eq(AttrRef(t, item.name), s)))
-    body = mul(*proj_atoms, *src_factors, where_factor)
-    for v in reversed(local.values()):
-        body = Sum(v, body)
-    return Denotation(t, body)
+    return Denotation(t, sum_(tuple(local.values()),
+                              mul(*proj_atoms, *src_factors, where_factor)))
 
 
 def _alias_star_atoms(t: TupleVar, v: TupleVar) -> list[Exp]:
@@ -180,13 +178,13 @@ def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
     if isinstance(p, NotP):
         if isinstance(p.body, Exists):
             d = denote(p.body.query, env, gen, scopes)
-            return Not(Sum(d.out_var, d.body))
+            return Not(sum_((d.out_var,), d.body))
         return Not(denote_pred(p.body, env, gen, scopes))
     if isinstance(p, BoolLit):
         return ONE if p.value else ZERO
     if isinstance(p, Exists):
         d = denote(p.query, env, gen, scopes)
-        return Squash(Sum(d.out_var, d.body))
+        return Squash(sum_((d.out_var,), d.body))
     raise SemanticError(f"cannot denote predicate {type(p).__name__}")
 
 

@@ -19,7 +19,7 @@ from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleSlice, TupleVar, VarGen, add,
                         canon_key, mk_eq, mk_neq, mk_record, mk_tuple_eq,
-                        rewrite, substitute)
+                        rewrite, substitute, sum_)
 
 # A small standard environment: three binary relations over ints.
 
@@ -408,7 +408,7 @@ def gen_uexp(rng: random.Random, env: SchemaEnv, out_var: TupleVar, depth=3):
         if kind == "sum":
             name = rng.choice(rels)
             v = TupleVar(rng.randrange(10_000, 1_000_000), env.tables[name], "u")
-            return Sum(v, Mul((build(scope + [v], d - 1), Rel(name, v))))
+            return Sum((v,), Mul((build(scope + [v], d - 1), Rel(name, v))))
         raise AssertionError(kind)
 
     return build([out_var], depth)
@@ -565,12 +565,13 @@ def axiom_checks(env: SchemaEnv):
         t = fresh(rng)
         f1 = gen_uexp(rng, env, t, 2)
         f2 = gen_uexp(rng, env, t, 2)
-        return _ev_eq(db, {}, Sum(t, Add((f1, f2))), Add((Sum(t, f1), Sum(t, f2))))
+        return _ev_eq(db, {}, Sum((t,), Add((f1, f2))),
+                      Add((sum_((t,), f1), sum_((t,), f2))))
 
     def c_sum_swap(rng, db):
         t1, t2 = fresh(rng), fresh(rng)
         f = Mul((gen_uexp(rng, env, t1, 1), gen_uexp(rng, env, t2, 1)))
-        return _ev_eq(db, {}, Sum(t1, Sum(t2, f)), Sum(t2, Sum(t1, f)))
+        return _ev_eq(db, {}, Sum((t1, t2), f), Sum((t2, t1), f))
 
     def c_sum_hoist(rng, db):
         vs = ctx(rng, 1)
@@ -578,12 +579,12 @@ def axiom_checks(env: SchemaEnv):
         x = gen_uexp_scope(rng, env, vs)
         f = gen_uexp(rng, env, t, 2)
         b = _bind(db, *vs)
-        return _ev_eq(db, b, Mul((x, Sum(t, f))), Sum(t, Mul((x, f))))
+        return _ev_eq(db, b, Mul((x, sum_((t,), f))), Sum((t,), Mul((x, f))))
 
     def c_squash_sum(rng, db):
         t = fresh(rng)
         f = gen_uexp(rng, env, t, 2)
-        return _ev_eq(db, {}, Squash(Sum(t, f)), Squash(Sum(t, Squash(f))))
+        return _ev_eq(db, {}, Squash(sum_((t,), f)), Squash(Sum((t,), Squash(f))))
 
     def c_pred_squash(rng, db):
         vs = ctx(rng)
@@ -628,7 +629,7 @@ def axiom_checks(env: SchemaEnv):
             b = _bind(db, cand)
             e = cand
         from semiq.exprs import mk_tuple_eq as teq
-        return _ev_eq(db, b, Sum(t, P(teq(t, e))), _ONE)
+        return _ev_eq(db, b, Sum((t,), P(teq(t, e))), _ONE)
 
     def c_sum_elim(rng, db):
         t = fresh(rng)
@@ -636,7 +637,7 @@ def axiom_checks(env: SchemaEnv):
         b = _bind(db, u)
         f = gen_uexp(rng, env, t, 2)
         from semiq.exprs import mk_tuple_eq as teq, substitute
-        lhs = Sum(t, Mul((P(teq(t, u)), f)))
+        lhs = Sum((t,), Mul((P(teq(t, u)), f)))
         rhs = substitute(f, {t: u})
         return _ev_eq(db, b, lhs, rhs)
 

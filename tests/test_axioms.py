@@ -42,7 +42,7 @@ def test_catalog_is_what_the_normalizer_applies():
 
 def test_squash_one_plus_at_position():
     # || 1 + sum{t2} [t1 != t2] * R(t2) || -> 1
-    inner = Sum(T2, Mul((Pred(mk_tuple_eq(T1, T2)), Rel("R", T2))))
+    inner = Sum((T2,), Mul((Pred(mk_tuple_eq(T1, T2)), Rel("R", T2))))
     e = Mul((Rel("R", T1), Squash(Add((ONE, inner)))))
     out = Mul((e.factors[0], AXIOMS["squash-one-plus"](e.factors[1])))
     assert out == Mul((Rel("R", T1), ONE))
@@ -85,7 +85,7 @@ def test_distribution_multiplies_out_both_factors_left_fastest():
 
 def test_sum_add_maps_the_summation_over_every_term():
     terms = tuple(Rel(f"R{i}", T2) for i in range(7))
-    assert AXIOMS["sum-add"](Sum(T2, Add(terms))) == Add(tuple(Sum(T2, t) for t in terms))
+    assert AXIOMS["sum-add"](Sum((T2,), Add(terms))) == Add(tuple(Sum((T2,), t) for t in terms))
 
 
 def test_add_zero_drops_every_zero_term():
@@ -126,23 +126,23 @@ def _eq(x, y, attr="a"):
 
 def test_sum_hoist_takes_every_binder_of_both_factors():
     x, y = Mul((Rel("R", U), Rel("S", W))), Rel("T", V)
-    e = Mul((Sum(U, Sum(W, x)), Sum(V, y)))
-    assert AXIOMS["sum-hoist"](e) == Sum(V, Sum(U, Sum(W, Mul((x, y)))))
+    e = Mul((Sum((U, W), x), Sum((V,), y)))
+    assert AXIOMS["sum-hoist"](e) == Sum((V, U, W), Mul((x, y)))
     # one side without binders
-    assert AXIOMS["sum-hoist"](Mul((Rel("R", T1), Sum(V, y)))) == \
-        Sum(V, Mul((Rel("R", T1), y)))
-    assert AXIOMS["sum-hoist"](Mul((Sum(U, Sum(W, x)), Rel("R", T1)))) == \
-        Sum(U, Sum(W, Mul((x, Rel("R", T1)))))
+    assert AXIOMS["sum-hoist"](Mul((Rel("R", T1), Sum((V,), y)))) == \
+        Sum((V,), Mul((Rel("R", T1), y)))
+    assert AXIOMS["sum-hoist"](Mul((Sum((U, W), x), Rel("R", T1)))) == \
+        Sum((U, W), Mul((x, Rel("R", T1))))
 
 
 def test_sum_hoist_refuses_a_binder_free_in_the_other_factor():
     for e in (
         # a left binder free on the right
-        Mul((Sum(U, Sum(W, Rel("R", W))), Sum(V, Mul((_eq(V, U), Rel("S", V)))))),
+        Mul((Sum((U, W), Rel("R", W)), Sum((V,), Mul((_eq(V, U), Rel("S", V)))))),
         # a right binder free on the left
-        Mul((Sum(U, Mul((_eq(U, W), Rel("R", U)))), Sum(V, Sum(W, Rel("S", W))))),
+        Mul((Sum((U,), Mul((_eq(U, W), Rel("R", U)))), Sum((V, W), Rel("S", W)))),
         # the same binder on both sides
-        Mul((Sum(U, Rel("R", U)), Sum(U, Rel("S", U)))),
+        Mul((Sum((U,), Rel("R", U)), Sum((U,), Rel("S", U)))),
     ):
         with pytest.raises(AxiomMatchError):
             AXIOMS["sum-hoist"](e)
@@ -154,15 +154,15 @@ def test_sum_hoist_preserves_evaluation_on_multi_binder_products():
     u, v, w = (TupleVar(i, env.tables["R"], h) for i, h in ((3, "u"), (4, "v"), (5, "w")))
     z = TupleVar(6, env.tables["S"], "z")
     cases = [
-        Mul((Sum(u, Sum(w, Mul((Mul((_eq(u, t), Rel("R", u))), Rel("S", w))))),
-             Sum(v, Mul((_eq(v, t, "b"), Rel("T", v)))))),
+        Mul((Sum((u, w), Mul((Mul((_eq(u, t), Rel("R", u))), Rel("S", w)))),
+             Sum((v,), Mul((_eq(v, t, "b"), Rel("T", v)))))),
         Mul((Mul((_eq(t, t, "b"), Rel("R", t))),
-             Sum(v, Sum(z, Mul((Mul((_eq(v, z), Rel("S", v))), Rel("S", z))))))),
-        Mul((Sum(u, Sum(v, Sum(w, Mul((Mul((Rel("R", u), Rel("R", v))),
-                                       Mul((_eq(w, t), Rel("T", w)))))))),
+             Sum((v, z), Mul((Mul((_eq(v, z), Rel("S", v))), Rel("S", z)))))),
+        Mul((Sum((u, v, w), Mul((Mul((Rel("R", u), Rel("R", v))),
+                                 Mul((_eq(w, t), Rel("T", w)))))),
              Squash(Rel("S", t)))),
-        Mul((Sum(u, Mul((_eq(u, t, "b"), Rel("T", u)))),
-             Sum(v, Sum(w, Add((Rel("R", v), Mul((_eq(v, w), Rel("S", w))))))))),
+        Mul((Sum((u,), Mul((_eq(u, t, "b"), Rel("T", u)))),
+             Sum((v, w), Add((Rel("R", v), Mul((_eq(v, w), Rel("S", w)))))))),
     ]
     for e in cases:
         out = AXIOMS["sum-hoist"](e)
@@ -176,7 +176,7 @@ def test_sum_hoist_preserves_evaluation_on_multi_binder_products():
 def test_every_catalog_entry_applies_somewhere():
     # one positive application per identity in the kernel catalog
     x, y = Rel("R", T1), Rel("S", T1)
-    f = Sum(T2, Rel("R", T2))
+    f = Sum((T2,), Rel("R", T2))
     e_ok = {
         "add-zero": Add((x, ZERO)),
         "mul-one": Mul((x, ONE)),
@@ -190,9 +190,9 @@ def test_every_catalog_entry_applies_somewhere():
         "not-zero": Not(ZERO),
         "not-squash": Not(Squash(x)),
         "squash-not": Squash(Not(x)),
-        "sum-add": Sum(T2, Add((Rel("R", T2), Rel("S", T2)))),
+        "sum-add": Sum((T2,), Add((Rel("R", T2), Rel("S", T2)))),
         "sum-hoist": Mul((x, f)),
-        "sum-zero": Sum(T2, ZERO),
+        "sum-zero": Sum((T2,), ZERO),
         "pred-squash-elim": Squash(Pred(mk_eq(AttrRef(T1, "a"), AttrRef(T1, "b")))),
     }
     for name, e in e_ok.items():

@@ -370,6 +370,6 @@ def test_a_wide_product_keys_each_factor_once(monkeypatch):
     n = 5000
     factors = sorted((Pred(mk_eq(AttrRef(t, "a"), Const(i, "int")))
                       for i in range(n)), key=real, reverse=True)
-    [term] = spnf.to_spnf(Sum(t, Mul(tuple(factors))), VarGen(10)).terms
+    [term] = spnf.to_spnf(Sum((t,), Mul(tuple(factors))), VarGen(10)).terms
     assert list(term.preds) == [f.atom for f in reversed(factors)]
     assert calls[0] <= n

@@ -22,8 +22,8 @@ from semiq.schema import KeyConstraint, Schema, SchemaEnv
 from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (ONE, AttrRef, Const, Exp, Sum, TupleEqAtom, TupleVar,
-                        VarGen, free_vars, mk_eq, mk_tuple_eq, mul)
+from semiq.exprs import (ONE, AttrRef, Const, Exp, TupleEqAtom, TupleVar,
+                        VarGen, free_vars, mk_eq, mk_tuple_eq, mul, sum_)
 
 from conftest import parse_query
 from helpers import (all_pairs_equalities, alpha_equal, closure_scalars,
@@ -276,7 +276,7 @@ def _staged(t: Term) -> Exp:
     for v, ready in reversed(levels):
         body = mul(*ready, body)
         if v is not None:
-            body = Sum(v, body)
+            body = sum_((v,), body)
     return body
 
 

@@ -414,6 +414,29 @@ def test_join_cycle_rotation():
     assert out.status == "EQUIVALENT"
 
 
+def _wide_term(base: int, n: int, links) -> Term:
+    # n scans of R, with s_i.b = s_j.a for each (i, j) in links
+    vs = [TupleVar(base + i, std_env().tables["R"], "s") for i in range(n)]
+    return Term.make(vs, [mk_eq(AttrRef(vs[i], "b"), AttrRef(vs[j], "a")) for i, j in links],
+                     atoms=[("R", v) for v in vs])
+
+
+def test_wide_terms_are_searched_with_no_frames_per_variable():
+    # one search step per variable placed, each on an explicit stack; the
+    # recursive searches overflowed the stack at about 1,000 variables
+    n = 1200
+    pairs = [(i, i + 1) for i in range(0, 40, 2)]
+    d = Decider(std_env(), VarGen(100_000))
+    assert d.match_terms(_wide_term(1, n, pairs), _wide_term(5001, n, pairs))
+    assert d.budget.by_stage["search"] == n + 2
+    # a cycle of links folds onto one variable linked to itself
+    w = TupleVar(9001, std_env().tables["R"], "w")
+    dst = Term.make([w], [mk_eq(AttrRef(w, "a"), AttrRef(w, "b"))], atoms=[("R", w)])
+    d = Decider(std_env(), VarGen(100_000))
+    assert d.maps_into(_wide_term(1, n, [(i, (i + 1) % n) for i in range(n)]), dst)
+    assert d.budget.by_stage["search"] == n + 2
+
+
 def test_signature_pruning_is_isomorphism_invariant():
     env = std_env()
     gen = VarGen()

@@ -2,22 +2,33 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from semiq import run_program_text
+from semiq import build_env, parse, run_program_text, spnf
 from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
+from semiq.pipeline import prepare_verify
 from semiq.spnf import Normalizer, SpnfExp, Term, check_spnf, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (ZERO, Add, Mul, Not, Rel, Squash, Sum, TupleVar, VarGen,
-                         pretty)
+                         pretty, walk)
 
+from conftest import parse_query
 from helpers import (alpha_equal, gen_uexp, nested_projection_program, small_dbs,
                      std_env)
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def test_index_join_normal_form(index_program):
@@ -92,18 +103,21 @@ def test_normalization_traces_are_axiom_applications():
     assert trace.rule_names().count("distr-mul-add") == 1
 
 
-_T = TupleVar(1, std_env().tables["R"])
+_T, _U, _W = (TupleVar(i, std_env().tables["R"]) for i in (1, 2, 3))
 _R = [Rel(f"R{i}", _T) for i in range(7)]
 
 
 @pytest.mark.parametrize("axiom, node, steps, out_terms", [
     # a term out but the first, as many binary splits
-    ("sum-add", Sum(_T, Add(tuple(_R))), 6, 7),
+    ("sum-add", Sum((_T,), Add(tuple(_R))), 6, 7),
     ("distr-mul-add", Mul((Add(tuple(_R[:3])), Add(tuple(_R[3:5])))), 5, 6),
     ("distr-mul-add", Mul((_R[0], Add(tuple(_R[1:5])))), 3, 4),
     # a zero dropped; all but one when every term is zero
     ("add-zero", Add((ZERO, _R[0], ZERO, _R[1], ZERO)), 3, 2),
     ("add-zero", Add((ZERO, ZERO, ZERO)), 2, 1),
+    # and on a summation once per binder, as the nest of one-binder ones
+    ("sum-add", Sum((_T, _U), Add(tuple(_R))), 12, 7),
+    ("sum-zero", Sum((_T, _U, _W), ZERO), 3, 1),
 ])
 def test_an_nary_application_is_one_rule_charged_its_binary_steps(
         axiom, node, steps, out_terms):
@@ -118,7 +132,7 @@ def test_each_term_keeps_the_path_of_the_binary_spine():
     # term i of a k-term sum: "l." k - 1 - i times, then "r." if i > 0
     env = std_env()
     t, w = TupleVar(1, env.tables["R"]), TupleVar(2, env.tables["R"])
-    e = Mul((Add((Rel("R", t), Rel("S", t), Rel("T", t))), Sum(w, Rel("R", w))))
+    e = Mul((Add((Rel("R", t), Rel("S", t), Rel("T", t))), Sum((w,), Rel("R", w))))
     trace = Trace()
     to_spnf(e, VarGen(10), trace)
     assert [e.render() for e in trace.events if e.kind == "rule"] == [
@@ -177,3 +191,55 @@ def test_sum_hoist_is_one_step_per_product():
         hoists += a.name == "sum-hoist"
         assert not (a.name == b.name == "sum-hoist" and b.path == a.path + "b."), a.path
     assert hoists > 0
+
+
+def test_a_wide_from_list_normalizes_to_one_term():
+    # one summation over every scan: a nest of one-binder summations took
+    # Python frames per scan and overflowed the stack at about 500
+    n = 2000
+    q = parse_query(f"SELECT s0.a AS o FROM {', '.join(f'R s{i}' for i in range(n))}")
+    d = denote(q, std_env(), VarGen())
+    assert type(d.body) is Sum and len(d.body.vars) == n
+    [term] = to_spnf(d.body, VarGen(10_000)).terms
+    assert term.sum_vars == d.body.vars and len(term.atoms) == n
+
+
+def _sum_shape_faults(e) -> list[str]:
+    faults = []
+    for n in walk(e):
+        if type(n) is Sum:
+            if not n.vars:
+                faults.append("no binder")
+            if type(n.body) is Sum:
+                faults.append("a summation body")
+            if len({v.vid for v in n.vars}) != len(n.vars):
+                faults.append("a repeated binder")
+    return faults
+
+
+def _programs() -> list[str]:
+    out = [p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    return out + [inst.text for name in sorted(workloads.WORKLOADS)
+                  for inst in workloads.build(name, 1, ROOT)
+                  if not inst.family.startswith("bundled-")]
+
+
+def test_every_summation_has_distinct_binders_over_a_non_summation(monkeypatch):
+    # over the denotation and each normalized tree of every bundled and
+    # perfbench program
+    normal = []
+    parse_spnf = spnf.parse_spnf
+    monkeypatch.setattr(spnf, "parse_spnf", lambda e: normal.append(e) or parse_spnf(e))
+    binders = []
+    for text in _programs():
+        prog = parse(text)
+        env = build_env(prog)
+        for i, stmt in enumerate(prog.verifies()):
+            p = prepare_verify(stmt, f"verify{i}", env)
+            normal.clear()
+            to_spnf(p.body1, p.gen)
+            to_spnf(p.body2, p.gen)
+            for e in (p.body1, p.body2, *normal):
+                assert _sum_shape_faults(e) == [], pretty(e)
+                binders += [len(n.vars) for n in walk(e) if type(n) is Sum]
+    assert len(binders) > 500 and max(binders) > 10

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import itertools
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -61,10 +62,10 @@ def test_eval_relation_atom_on_empty_db():
 def test_squash_clamps_total_multiplicity():
     t = TupleVar(1, SR)
     db = _db([({"k": 0, "a": 0}, 3), ({"k": 1, "a": 0}, 4)])
-    e = Squash(Sum(t, Rel("R", t)))
-    assert eval_exp(Sum(t, Rel("R", t)), db) == 7
+    e = Squash(Sum((t,), Rel("R", t)))
+    assert eval_exp(Sum((t,), Rel("R", t)), db) == 7
     assert eval_exp(e, db) == 1
-    assert eval_exp(Not(Sum(t, Rel("R", t))), db) == 0
+    assert eval_exp(Not(Sum((t,), Rel("R", t))), db) == 0
 
 
 def test_unbound_variable_rejected():
@@ -343,7 +344,8 @@ def _programs() -> list[tuple[str, str]]:
 
 def _enumeration_bound(e, db) -> int:
     if isinstance(e, Sum):
-        return len(db.tuple_space(e.var.schema)) * _enumeration_bound(e.body, db)
+        return prod(len(db.tuple_space(v.schema)) for v in e.vars) * \
+            _enumeration_bound(e.body, db)
     if isinstance(e, Add):
         return sum(_enumeration_bound(t, db) for t in e.terms)
     if isinstance(e, Mul):

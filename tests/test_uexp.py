@@ -13,8 +13,9 @@ from semiq.translate import denote
 from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Not, One, Pred, Rel,
                         Squash, SubstError, Sum, TupleVar, VarGen, canon_key,
                         count_nodes, free_vars, mk_eq, mk_record, mk_tuple_eq,
-                        pretty, substitute, walk)
+                        pretty, substitute, sum_, walk)
 from semiq.spnf import to_spnf, uniquify
+from semiq.trace import Trace
 
 from helpers import (alpha_equal, gen_uexp, gen_uexp_scope, replace_scalar,
                      small_dbs, std_env)
@@ -29,14 +30,14 @@ def _vars(*vids):
 
 def test_substitute_free_variable():
     t2, t, u = _vars(2, 10, 11)
-    e = Sum(t2, Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
+    e = Sum((t2,), Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
     out = substitute(e, {t: u})
-    assert out == Sum(t2, Mul((Pred(mk_tuple_eq(t2, u)), Rel("R", t2))))
+    assert out == Sum((t2,), Mul((Pred(mk_tuple_eq(t2, u)), Rel("R", t2))))
 
 
 def test_substitute_identity():
     t2, t = _vars(2, 10)
-    e = Sum(t2, Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
+    e = Sum((t2,), Mul((Pred(mk_tuple_eq(t2, t)), Rel("R", t2))))
     assert substitute(e, {t: t}) == e
 
 
@@ -76,7 +77,7 @@ def test_substitute_rejects_capture_under_aggregate():
     with pytest.raises(SubstError):
         substitute(e, {t10: t1})
     with pytest.raises(SubstError):
-        substitute(Sum(t1, agg.body), {t10: t1})
+        substitute(Sum((t1,), agg.body), {t10: t1})
     # no capture when the aggregate binds the substituted variable itself
     assert substitute(e, {t1: t10}) == e
 
@@ -85,9 +86,9 @@ def test_substitute_mapping_leaves_a_shadowed_variable_alone():
     # a binder of one mapped variable stops only that variable
     t1, t2, u1, u2 = _vars(1, 2, 11, 12)
     inner = Mul((Pred(mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))), Rel("R", t1)))
-    e = Mul((Rel("R", t1), Sum(t1, inner)))
+    e = Mul((Rel("R", t1), Sum((t1,), inner)))
     out = substitute(e, {t1: u1, t2: u2})
-    assert out == Mul((Rel("R", u1), Sum(t1, Mul((
+    assert out == Mul((Rel("R", u1), Sum((t1,), Mul((
         Pred(mk_eq(AttrRef(t1, "a"), AttrRef(u2, "a"))), Rel("R", t1))))))
 
 
@@ -133,7 +134,7 @@ def test_uexp_passes_take_no_frames_per_level():
     depth = 5000
     e = Mul((Rel("R", t), Pred(mk_eq(AttrRef(t, "a"), Const(1, "int")))))
     for _ in range(depth):
-        e = Mul((e, Sum(w, Rel("R", w))))
+        e = Mul((e, Sum((w,), Rel("R", w))))
     assert count_nodes(e) == 3 + 3 * depth
     assert sum(1 for _ in walk(e)) == 6 + 3 * depth   # plus the atom's nodes
     out = substitute(e, {t: u})
@@ -141,17 +142,17 @@ def test_uexp_passes_take_no_frames_per_level():
     out = replace_scalar(e, AttrRef(t, "a"), AttrRef(u, "a"))
     assert AttrRef(u, "a") in walk(out) and AttrRef(t, "a") not in walk(out)
     out = uniquify(e, VarGen(100))
-    assert len({n.var.vid for n in walk(out) if type(n) is Sum}) == depth
+    assert len({v.vid for n in walk(out) if type(n) is Sum for v in n.vars}) == depth
 
 
 def _flat_and_nested(node):
     # node((R(t), a, b, c)) and the left spine of binary nodes it stands for
     t, u, w = _vars(1, 2, 3)
-    a = Sum(u, Mul((Rel("S", u), Pred(mk_eq(AttrRef(u, "a"), AttrRef(t, "b"))))))
+    a = Sum((u,), Mul((Rel("S", u), Pred(mk_eq(AttrRef(u, "a"), AttrRef(t, "b"))))))
     b = Rel("S", t)
-    c = Sum(w, Mul((Rel("T", w), Pred(mk_eq(AttrRef(w, "b"), AttrRef(t, "a"))))))
-    return (Sum(t, node((Rel("R", t), a, b, c))),
-            Sum(t, node((node((node((Rel("R", t), a)), b)), c))))
+    c = Sum((w,), Mul((Rel("T", w), Pred(mk_eq(AttrRef(w, "b"), AttrRef(t, "a"))))))
+    return (Sum((t,), node((Rel("R", t), a, b, c))),
+            Sum((t,), node((node((node((Rel("R", t), a)), b)), c))))
 
 
 def _stands_for_its_binary_tree(node, op):
@@ -175,16 +176,42 @@ def test_a_sum_is_the_binary_tree_it_stands_for():
     _stands_for_its_binary_tree(Add, "+")
 
 
+def test_a_summation_is_the_nest_of_one_binder_summations_it_stands_for():
+    t, u, w, z = _vars(10, 2, 3, 4)
+    body = Mul((Rel("R", u), Rel("S", w), Pred(mk_eq(AttrRef(u, "a"), AttrRef(t, "b"))),
+                Sum((z,), Mul((Rel("T", z), Pred(mk_eq(AttrRef(z, "a"), AttrRef(w, "b"))))))))
+    flat = Sum((u, w), body)
+    nested = Sum((u,), Sum((w,), body))  # built raw: `sum_` splices it
+    assert sum_((u,), Sum((w,), body)) == sum_((u, w), body) == flat
+    assert sum_((), body) is body
+    assert canon_key(flat) == canon_key(nested)
+    assert pretty(flat) == \
+        "sum{t1,t2} R(t1) * S(t2) * [t1.a = t10.b] * (sum{t3} T(t3) * [t2.b = t3.a])"
+    assert count_nodes(flat) == count_nodes(nested) == 12
+    assert free_vars(flat) == free_vars(nested) == {t}
+    for db in small_dbs(std_env(), 10, seed=4):
+        for asg in db.tuple_space(S)[:2]:
+            assert eval_exp(flat, db, {t.vid: asg}) == eval_exp(nested, db, {t.vid: asg})
+    # the same normal form, steps and trace paths
+    runs = []
+    for e in (flat, nested):
+        trace = Trace()
+        runs.append((to_spnf(e, VarGen(10), trace), [ev.render() for ev in trace.events]))
+    assert runs[0] == runs[1] and runs[0][1] == ["RULE sum-hoist AT b.b."]
+    [term] = runs[0][0].terms
+    assert term.sum_vars == (u, w, z)
+
+
 def test_a_long_product_takes_no_frames_per_factor():
     t, u = _vars(1, 2)
     n = 5000
     e = Mul((Rel("R", t),) * n)
-    assert to_spnf(Sum(t, e), VarGen(10)).terms[0].atoms == (("R", t),) * n
+    assert to_spnf(Sum((t,), e), VarGen(10)).terms[0].atoms == (("R", t),) * n
     assert pretty(e) == " * ".join(["R(t1)"] * n)
     assert free_vars(e) == {t}
     assert substitute(e, {t: u}) == Mul((Rel("R", u),) * n)
     for db in small_dbs(std_env(), 5, seed=3):
-        assert eval_exp(Sum(t, e), db) == sum(m ** n for m in db.rels["R"].values())
+        assert eval_exp(Sum((t,), e), db) == sum(m ** n for m in db.rels["R"].values())
 
 
 def test_deep_nesting_prints_with_no_frames_per_level():
@@ -192,15 +219,15 @@ def test_deep_nesting_prints_with_no_frames_per_level():
     vs = _vars(*range(1, n + 1))
     e = One()
     for v in reversed(vs):
-        e = Sum(v, Mul((Rel("R", v), Squash(Not(e)))))
+        e = Sum((v,), Mul((Rel("R", v), Squash(Not(e)))))
     assert pretty(e) == ("".join(f"sum{{t{k}}} R(t{k}) * ||not(" for k in range(1, n + 1))
                          + "1" + ")||" * n)
 
 
 def test_alpha_equal_bound_rename():
     t1, u = _vars(1, 5)
-    assert alpha_equal(Sum(t1, Rel("R", t1)), Sum(u, Rel("R", u)))
-    assert not alpha_equal(Sum(t1, Rel("R", t1)), Sum(t1, Rel("S", t1)))
+    assert alpha_equal(Sum((t1,), Rel("R", t1)), Sum((u,), Rel("R", u)))
+    assert not alpha_equal(Sum((t1,), Rel("R", t1)), Sum((t1,), Rel("S", t1)))
 
 
 def test_alpha_equal_orients_symmetric_atoms():
@@ -228,12 +255,12 @@ def test_alpha_distinguishes_free_variables():
 
 def test_pretty_deterministic_numbering():
     u, w, t = _vars(7, 9, 42)
-    e = Sum(u, Sum(w, Mul((Mul((Pred(mk_tuple_eq(u, t)), Rel("R", u))), Rel("R", w)))))
+    e = Sum((u, w), Mul((Mul((Pred(mk_tuple_eq(u, t)), Rel("R", u))), Rel("R", w))))
     s1 = pretty(e, {t.vid: "t"})
     assert s1 == "sum{t1,t2} [t = t1] * R(t1) * R(t2)"
     # same numbering regardless of original ids
     u2, w2 = _vars(70, 90)
-    e2 = Sum(u2, Sum(w2, Mul((Mul((Pred(mk_tuple_eq(u2, t)), Rel("R", u2))), Rel("R", w2)))))
+    e2 = Sum((u2, w2), Mul((Mul((Pred(mk_tuple_eq(u2, t)), Rel("R", u2))), Rel("R", w2))))
     assert pretty(e2, {t.vid: "t"}) == s1
 
 
