@@ -175,6 +175,7 @@ class Canonizer:
         mentioned: set[int] = set()   # by the chosen replacements
         rules = []
         for v in t.sum_vars:
+            self.budget.check_time()  # the coverage scan takes no steps
             if v.vid in mentioned:
                 continue
             rule = "sum-elim-eq"

@@ -472,35 +472,44 @@ def _repair(db: FiniteDb, constraints) -> bool:
 
 def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
                   count: int | None = None, extra_ints=(), extra_strings=()):
-    """Deterministic seeded stream of constraint-satisfying databases."""
-    rng = random.Random(seed)
+    """Deterministic seeded stream of constraint-satisfying databases.
+
+    Each database draws its int-domain size and a 16-bit salt, and each
+    table a row count k uniform in 0..min(tuples, |tuple space|), then k
+    distinct rows value by value (no tuple space is enumerated), each
+    followed by its multiplicity.  A generic table ends the stream."""
+    draw = random.Random(seed).random  # a uniform choice of m is int(draw() * m)
     strings = tuple(sorted(set("abc"[:max(1, min(sizes.domain, 3))])
                            | set(extra_strings)))
     tables = sorted(env.tables.items())
-    # one domain map per drawn int-domain size, each with the tuple-space
-    # cache that every database drawn at that size shares
-    draws: dict[int, tuple[dict[str, tuple], dict]] = {}
-    produced = 0
-    attempts = 0
+    if any(sch.rest for _, sch in tables):
+        return
+    # per drawn int-domain size: domains, shared tuple-space cache, table shapes
+    draws: dict[int, tuple[dict[str, tuple], dict, list]] = {}
+    produced = attempts = 0
     while count is None or produced < count:
         attempts += 1
         if count is not None and attempts > 50 * (count + 1):
             return  # constraints unsatisfiable at this size
-        n = rng.randint(1, sizes.domain)
+        n = 1 + int(draw() * sizes.domain)
         if n not in draws:
             ints = tuple(sorted(set(range(n)) | set(extra_ints)))
-            draws[n] = ({"int": ints, "bool": (False, True), "string": strings}, {})
-        domains, spaces = draws[n]
-        db = FiniteDb(domains, {}, salt=rng.randrange(2 ** 16), _spaces=spaces)
-        for name, sch in tables:
-            try:
-                space = db.tuple_space(sch)
-            except OracleError:
-                return
-            k = rng.randint(0, min(sizes.tuples, len(space)))
-            support = rng.sample(space, k) if k else []
-            db.rels[name] = {asg: rng.randint(1, sizes.mult) for asg in sorted(support)}
-        if _repair(db, constraints):
+            domains = {"int": ints, "bool": (False, True), "string": strings}
+            shapes = []
+            for name, sch in tables:
+                cols = [(a, d, len(d)) for a, t in sorted(sch.attrs)
+                        for d in (domains.get(t, ints),)]
+                shapes.append((name, cols, min(sizes.tuples, prod(m for *_, m in cols))))
+            draws[n] = (domains, {}, shapes)
+        domains, spaces, shapes = draws[n]
+        db = FiniteDb(domains, {}, salt=int(draw() * 2 ** 16), _spaces=spaces)
+        for name, cols, most in shapes:
+            k, rows = int(draw() * (most + 1)), {}
+            while len(rows) < k:
+                row = tuple([(a, d[int(draw() * m)]) for a, d, m in cols])
+                if row not in rows:  # a repeated row is drawn again
+                    rows[row] = 1 + int(draw() * sizes.mult)
+            db.rels[name] = dict(sorted(rows.items()))
+        if not constraints or _repair(db, constraints):
             produced += 1
             yield db
-

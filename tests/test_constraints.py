@@ -4,8 +4,11 @@ databases."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -479,3 +482,18 @@ def test_key_rewrite_reaches_into_squash_slots():
             envb = {d.out_var.vid: asg}
             assert eval_exp(s.to_exp(), db, envb) == \
                 eval_exp(c.to_exp(), db, envb)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "scaling", Path(__file__).resolve().parent.parent / "scripts" / "scaling.py")
+scaling = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scaling)
+
+
+def test_the_coverage_scan_meets_the_deadline():
+    # eliminating 1,000 scans takes no budget step between the coverage
+    # scans of its summation variables; each variable checks the clock
+    t0 = time.monotonic()
+    [out] = run_program_text(scaling.wide_from(1000), Limits(timeout_s=1.0))
+    assert out.status == "RESOURCE_EXHAUSTED" and "timeout" in out.detail
+    assert time.monotonic() - t0 < 2.0

@@ -16,7 +16,7 @@ from semiq.config import Budget, BudgetError
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
                           compile_query, eval_exp, gen_instances, interp_query,
                           make_assignment, upred_truth)
-from semiq.pipeline import prepare_pair, query_literals
+from semiq.pipeline import find_witness, prepare_pair, query_literals
 from semiq.schema import KeyConstraint, Schema
 from semiq.sqlast import TableRef, UnionAll
 from semiq.translate import denote
@@ -24,7 +24,7 @@ from semiq.exprs import (Add, AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squa
                         Sum, TupleVar, VarGen, mk_eq)
 
 from conftest import parse_query
-from helpers import enumerate_dbs
+from helpers import enumerate_dbs, index_join_back_program
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -183,9 +183,75 @@ def test_gen_instances_stream_is_pinned():
     # the first 200 databases of two streams, database for database: any
     # change to the order or arguments of the generator's rng calls shows
     assert _stream_sha(RS_DECL, 0, extra_ints=(0, 1, 2, 3)) == (
-        "37440b1e630e4b9c866bfdb69fa2403dfc9eca18cbf1685f77c24f6984f57e45")
+        "b83a300674e6f86bcc6c3ba3db896202665ee2bdc1b0b8f09b43d86551558140")
     assert _stream_sha(KEY_FK_DECL, 9) == (
-        "94135ea17ea4c460cf28bb4c21266357211af018a84e85b8ad569b21353e2964")
+        "87c872ca1e369e30bc8a3916612af7601851b2447c59ff3f99bb30103297a267")
+
+
+def test_gen_instances_draws_every_row_count_row_and_multiplicity():
+    # a 2-column table over 3 values: each of its 9 rows, each row count
+    # 0..3 and each multiplicity 1..3 shows within the first 300 databases
+    env = build_env(parse("schema two(a:int, b:int);\ntable T(two);\n"))
+    rows, counts, mults = set(), set(), set()
+    for db in itertools.islice(gen_instances(env, [], GenSizes(), 3,
+                                             extra_ints=(0, 1, 2)), 300):
+        bag = db.rels["T"]
+        rows |= bag.keys()
+        counts.add(len(bag))
+        mults |= set(bag.values())
+    assert rows == {make_assignment({"a": a, "b": b}) for a in range(3) for b in range(3)}
+    assert counts == {0, 1, 2, 3} and mults == {1, 2, 3}
+
+
+def test_a_generic_table_ends_the_stream():
+    env = build_env(parse("schema s(a:int);\nschema g(a:int, ??);\ntable R(s);\ntable G(g);\n"))
+    assert list(gen_instances(env, [], GenSizes(), 1, count=5)) == []
+    assert next(gen_instances(env, [], GenSizes(), 1), None) is None
+
+
+def test_a_refutation_sweep_enumerates_no_tuple_space(monkeypatch):
+    calls = []
+    real = FiniteDb.tuple_space
+
+    def counting(self, schema):
+        calls.append(schema)
+        return real(self, schema)
+    monkeypatch.setattr(FiniteDb, "tuple_space", counting)
+    env = _rs_env()
+    same = parse_query("SELECT x.a AS a FROM R x, S y WHERE x.b = y.a")
+    swapped = parse_query("SELECT x.a AS a FROM S y, R x WHERE y.a = x.b")
+    assert find_witness(same, swapped, env) is None  # all 200 databases
+    assert find_witness(same, parse_query("SELECT x.a AS a FROM R x"), env) is not None
+    assert calls == []
+
+
+# seven int columns and six constants: 7^7 or more tuples, over the
+# oracle's cap of 65,536, at every int-domain size
+WIDE = index_join_back_program(6)
+
+
+def test_a_table_over_the_space_cap_gets_databases():
+    program = parse(WIDE)
+    env = build_env(program)
+    [q, _] = prepare_pair(program.verifies()[0], env)
+    ints = sorted(query_literals(q)["int"])
+    assert len(ints) == 6
+    for sizes in (GenSizes(2, 2, 2), GenSizes()):
+        dbs = list(gen_instances(env, env.constraints(), sizes, 11, count=3, extra_ints=ints))
+        assert len(dbs) == 3
+        assert all(check_constraints(db, env.constraints()) for db in dbs)
+        assert any(db.rels["R"] for db in dbs)
+
+
+def test_a_table_over_the_space_cap_gets_a_witness():
+    env = build_env(parse(WIDE))
+    cond = " AND ".join(f"t.c{i} <> {3 * i + 1}" for i in range(5))
+    q1 = parse_query(f"SELECT t.c0 AS o FROM R t WHERE {cond}")
+    q2 = parse_query(f"SELECT t.c0 AS o FROM R t WHERE {cond} AND t.c5 <> 16")
+    assert len(query_literals(q1, q2)["int"]) == 6
+    witness = find_witness(q1, q2, env)
+    assert witness is not None
+    assert interp_query(q1, witness, env) != interp_query(q2, witness, env)
 
 
 def test_gen_instances_share_tuple_spaces_per_domain_draw():
@@ -314,21 +380,34 @@ _spec.loader.exec_module(workloads)
 # eval_exp enumerates every tuple space under every summation, so the
 # nested-projection, long join and multi-probe index programs would take
 # hours at any domain size; a side is compared on a database when this
-# bound on the number of bodies it evaluates holds
+# bound on the number of bodies it evaluates holds and its output tuple
+# space is within the oracle's cap
 ENUMERATION_CAP = 100_000
 
 
+def _space_size(schema: Schema, db: FiniteDb) -> int:
+    return prod(len(db.domain(t)) for _, t in schema.attrs)
+
+
+def _comparable(d, db: FiniteDb) -> bool:
+    out = _space_size(d.schema, db)
+    return out <= db.space_cap and out * _enumeration_bound(d.body, db) <= ENUMERATION_CAP
+
+
 def _pools(text: str):
-    """Per side of each verify: its query and three databases with its
-    constants (none where a table's tuple space is over the oracle's cap)."""
+    """Per side of each verify: its query, its denotation, and those of
+    three databases with its constants on which the plan and the
+    denotation can be compared."""
     program = parse(text)
     env = build_env(program)
     for stmt in program.verifies():
         for q in prepare_pair(stmt, env):
             lits = query_literals(q)
-            yield env, q, list(gen_instances(
+            d = denote(q, env, VarGen())
+            dbs = gen_instances(
                 env, env.constraints(), GenSizes(2, 2, 2), 11, count=3,
-                extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"])))
+                extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"]))
+            yield env, q, d, [db for db in dbs if _comparable(d, db)]
 
 
 def _programs() -> list[tuple[str, str]]:
@@ -339,12 +418,12 @@ def _programs() -> list[tuple[str, str]]:
             if inst.family not in seen and not inst.family.startswith("bundled-"):
                 seen.add(inst.family)
                 out.append((f"{name}/{inst.family}", inst.text))
-    return [(name, text) for name, text in out if any(dbs for _, _, dbs in _pools(text))]
+    return [(name, text) for name, text in out if any(dbs for *_, dbs in _pools(text))]
 
 
 def _enumeration_bound(e, db) -> int:
     if isinstance(e, Sum):
-        return prod(len(db.tuple_space(v.schema)) for v in e.vars) * \
+        return prod(_space_size(v.schema, db) for v in e.vars) * \
             _enumeration_bound(e.body, db)
     if isinstance(e, Add):
         return sum(_enumeration_bound(t, db) for t in e.terms)
@@ -361,15 +440,11 @@ PROGRAMS = _programs()
 @pytest.mark.parametrize("text", [t for _, t in PROGRAMS], ids=[n for n, _ in PROGRAMS])
 def test_plan_equals_denotation(text):
     compared = 0
-    for env, q, dbs in _pools(text):
-        d = denote(q, env, VarGen())
+    for env, q, d, dbs in _pools(text):
         plan = compile_query(q, env)
         for db in dbs:
-            space = db.tuple_space(d.schema)
-            if len(space) * _enumeration_bound(d.body, db) > ENUMERATION_CAP:
-                continue
             bag = interp_query(plan, db, env)
-            for asg in space:
+            for asg in db.tuple_space(d.schema):
                 assert eval_exp(d.body, db, {d.out_var.vid: asg}) == bag.get(asg, 0)
             compared += 1
     assert compared
