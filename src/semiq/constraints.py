@@ -31,7 +31,7 @@ from .trace import Trace
 from .exprs import (
     AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
     TupleNeqAtom, TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq,
-    mk_record, mk_tuple_eq, rewrite, substitute, tuple_sort_key, walk,
+    mk_record, mk_tuple_eq, rewrite, substitution, tuple_sort_key, walk,
 )
 
 
@@ -41,13 +41,11 @@ def _is_reflexive(a: PredAtom) -> bool:
 
 
 def subst_term(t: Term, mapping: dict[TupleVar, object]) -> Term:
-    """Substitute (now unbound) variables throughout a term, all at once."""
-    preds = []
-    for p in t.preds:
-        q = substitute(p, mapping)
-        if _is_reflexive(q):
-            continue
-        preds.append(q)
+    """Substitute (now unbound) variables throughout a term, all at once;
+    the term itself for an empty mapping."""
+    if not mapping:
+        return t
+    preds = [q for q in map(substitution(mapping), t.preds) if not _is_reflexive(q)]
     atoms = []
     for rel, w in t.atoms:
         repl = mapping.get(w, w)

@@ -363,9 +363,9 @@ class _TermFacts:
         self.term = t
         self.closure = closure_of(t.preds) if closure is None else closure
         self.links = _EqualityLinks(t, self.closure)
+        sigs = _var_signatures(t)
         self.sig = {v.vid: colours.setdefault(
-                        ("sig", _var_signature(t, v) + self.links.unary(v)),
-                        len(colours))
+                        ("sig", sigs[v.vid] + self.links.unary(v)), len(colours))
                     for v in t.sum_vars}
         self.sig_count = Counter(self.sig.values())
         self.colour = _refine(t, self.sig, self.links, colours)
@@ -446,13 +446,14 @@ class _EqualityLinks:
     """Attribute-equality structure of one term's closure, keyed so that it
     is invariant under any bijection of summation variables: which attribute
     pairs of two variables share a class, and which grounded terms (over
-    free variables and constants only) each attribute equals.  Built on
-    the term's closure (`_TermFacts`), which its queries extend."""
+    free variables and constants only) each attribute equals.  Only the
+    classes that hold a summation variable's attribute are keyed, since
+    `unary` reads no other.  Built on the term's closure (`_TermFacts`),
+    which its queries extend."""
 
     def __init__(self, t: Term, closure: Closure):
         sum_ids = {v.vid for v in t.sum_vars}
         self._by_rep: dict[int, list[tuple[int, str]]] = {}
-        self._ground: dict[int, list] = {}
         self._attr_rep: dict[tuple[int, str], int] = {}
         attrs_of = {}
         for v in t.sum_vars:
@@ -461,21 +462,15 @@ class _EqualityLinks:
                 rep = closure.scalar_rep(AttrRef(v, a))
                 self._attr_rep[(v.vid, a)] = rep
                 self._by_rep.setdefault(rep, []).append((v.vid, a))
-        for rep, members in closure.scalar_classes().items():
-            grounded = sorted(
-                canon_key(Pred(mk_eq(m, m)))
-                for m in members
-                if not any(w.vid in sum_ids for w in free_vars(m)))
-            if grounded:
-                self._ground[rep] = grounded
+        classes = closure.scalar_classes()
+        self._ground = {rep: tuple(sorted(canon_key(Pred(mk_eq(m, m))) for m in classes[rep]
+                                          if not any(w.vid in sum_ids for w in free_vars(m))))
+                        for rep in self._by_rep}
         self._attrs_of = attrs_of
 
     def unary(self, v) -> tuple:
-        out = []
-        for a in self._attrs_of.get(v.vid, ()):
-            rep = self._attr_rep[(v.vid, a)]
-            out.append((a, tuple(self._ground.get(rep, ()))))
-        return tuple(out)
+        return tuple((a, self._ground[self._attr_rep[(v.vid, a)]])
+                     for a in self._attrs_of.get(v.vid, ()))
 
     def binary(self, v, w: int) -> tuple:
         """Attribute pairs of ``v`` and the variable of id ``w`` in one class."""
@@ -522,15 +517,22 @@ def term_signature(t: Term) -> tuple:
             t.neg is not None)
 
 
-def _var_signature(t: Term, v: TupleVar) -> tuple:
-    rels = tuple(sorted(r for r, w in t.atoms if w.vid == v.vid))
-    in_squash = t.squash is not None and _exp_mentions(t.squash, v)
-    in_neg = t.neg is not None and _exp_mentions(t.neg, v)
-    return (footprint_key(v.schema), rels, in_squash, in_neg)
+def _var_signatures(t: Term) -> dict[int, tuple]:
+    """Summation variable id -> footprint, relations, and whether the squash
+    and the negation slot mention it: one pass over the atoms and each slot."""
+    rels: dict[int, list[str]] = {v.vid: [] for v in t.sum_vars}
+    for r, w in t.atoms:
+        if w.vid in rels:
+            rels[w.vid].append(r)
+    in_squash, in_neg = _mentioned(t.squash), _mentioned(t.neg)
+    return {v.vid: (footprint_key(v.schema), tuple(sorted(rels[v.vid])),
+                    v.vid in in_squash, v.vid in in_neg) for v in t.sum_vars}
 
 
-def _exp_mentions(e: SpnfExp, v: TupleVar) -> bool:
-    return any(any(w.vid == v.vid for _, w in t.atoms)
-               or any(v in free_vars(p) for p in t.preds)
-               for t in nested_terms(e))
+def _mentioned(e: SpnfExp | None) -> set[int]:
+    """Ids of the variables in the atoms and predicates of ``e``'s terms,
+    nested ones included."""
+    terms = list(nested_terms(e)) if e is not None else []
+    return ({w.vid for t in terms for _, w in t.atoms}
+            | {w.vid for t in terms for p in t.preds for w in free_vars(p)})
 

@@ -405,6 +405,12 @@ def substitute(e, mapping: dict[TupleVar, TupleExpr]):
     node by its tuple expression, all at once; a replacement variable's
     attribute footprint must match (its types may differ through ``?``).  Raises SubstError where a binder (Sum or AggCall)
     would capture a variable of a replacement."""
+    return substitution(mapping)(e)
+
+
+def substitution(mapping: dict[TupleVar, TupleExpr]):
+    """`substitute` by ``mapping`` as a function of the node, the mapping
+    checked once for all the nodes it is applied to."""
     by_vid: dict[int, tuple[TupleVar, TupleExpr]] = {}
     for v, r in mapping.items():
         if isinstance(r, TupleVar) and r.schema != v.schema and \
@@ -477,7 +483,7 @@ def substitute(e, mapping: dict[TupleVar, TupleExpr]):
                 raise SubstError("variable capture during substitution")
         return None
 
-    return rewrite(e, step)
+    return lambda e: rewrite(e, step)
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,10 @@ def desugar_groupby(q):
 
     One output row per group: the outer scan over fresh aliases is
     deduplicated with DISTINCT, each aggregate becomes an aggregate over the
-    subquery of its group's rows.  Idempotent on GROUP-BY-free input.
+    subquery of its group's rows.  GROUP-BY-free input is returned as is.
     """
+    if not any(isinstance(n, Select) and n.group_by for n in walk(q)):
+        return q
     counter = [0]
     used = {s.alias for n in walk(q) if isinstance(n, Select) for s in n.sources}
 
@@ -180,7 +182,12 @@ def desugar_groupby(q):
 # View and index inlining
 
 def inline_views(q, env: SchemaEnv, _stack: tuple[str, ...] = ()):
-    """Replace each view/index occurrence by its defining query, transitively."""
+    """Replace each view/index occurrence by its defining query,
+    transitively; a query that names no view is returned as is."""
+    if not (env.views and any(isinstance(n, TableRef) and n.name in env.views
+                              for n in walk(q))):
+        return q
+
     def expand(n):
         if not isinstance(n, TableRef) or n.name not in env.views:
             return n

@@ -50,6 +50,7 @@ class FiniteDb:
     space_cap: int = 65536
     _spaces: dict = field(default_factory=dict, repr=False)
     _scans: dict = field(default_factory=dict, repr=False)
+    _hashes: dict = field(default_factory=dict, repr=False)
 
     def domain(self, ty: str) -> tuple:
         if ty in self.domains:
@@ -95,14 +96,21 @@ def make_assignment(values: dict[str, object]) -> Assignment:
     return tuple(sorted(values.items()))
 
 
-def _hash_int(salt: int, *parts) -> int:
-    h = hashlib.blake2b(repr((salt, parts)).encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
+def _hash_int(db: FiniteDb, kind: str, name: str, values: tuple, types: tuple) -> int:
+    """A hash of ``(kind, name, values)`` under the database's salt, kept per
+    database.  Equal values can print apart (True and 1): ``types`` is keyed."""
+    key = (kind, name, values, types)
+    h = db._hashes.get(key)
+    if h is None:
+        digest = hashlib.blake2b(repr((db.salt, (kind, name, values))).encode(),
+                                 digest_size=8).digest()
+        h = db._hashes[key] = int.from_bytes(digest, "big")
+    return h
 
 
 def ufun_value(db: FiniteDb, name: str, args: tuple) -> object:
     dom = db.domain("int")
-    return dom[_hash_int(db.salt, "fn", name, args) % len(dom)]
+    return dom[_hash_int(db, "fn", name, args, tuple(map(type, args))) % len(dom)]
 
 
 def upred_truth(db: FiniteDb, name: str, args: tuple) -> bool:
@@ -110,7 +118,7 @@ def upred_truth(db: FiniteDb, name: str, args: tuple) -> bool:
     cmp = ORDER.get(name)
     if cmp is not None and len(args) == 2 and type(args[0]) is type(args[1]) is int:
         return cmp(*args)
-    return _hash_int(db.salt, "pred", name, args) % 2 == 1
+    return _hash_int(db, "pred", name, args, tuple(map(type, args))) % 2 == 1
 
 
 def agg_value(db: FiniteDb, name: str, bag: tuple) -> object:
@@ -120,7 +128,8 @@ def agg_value(db: FiniteDb, name: str, bag: tuple) -> object:
     if name == "sum" and all(len(asg) == 1 and type(asg[0][1]) is int for asg, _ in bag):
         return sum(asg[0][1] * m for asg, m in bag)
     dom = db.domain("int")
-    return dom[_hash_int(db.salt, "agg", name, bag) % len(dom)]
+    types = tuple(type(v) for asg, _ in bag for _, v in asg)
+    return dom[_hash_int(db, "agg", name, bag, types) % len(dom)]
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ def prepare_verify(stmt: VerifyStmt, name: str, env: SchemaEnv) -> PreparedVerif
     gen = VarGen()
     q1, q2 = prepare_pair(stmt, env)
     fragment = classify_fragment(q1, q2, env)
-    t, body1, body2 = unify_outputs(denote(q1, env, gen), denote(q2, env, gen), name)
+    d1 = denote(q1, env, gen)
+    t, body1, body2 = unify_outputs(d1, denote(q2, env, gen, out=d1.out_var), name)
     return PreparedVerify(name, q1, q2, fragment, gen, t, body1, body2,
                           (time.monotonic() - t0) * 1000.0)
 

@@ -3,7 +3,11 @@
 Each query becomes a function of one output tuple variable: FROM items
 introduce summation variables, WHERE multiplies predicate factors, the
 projection binds the output variable's attributes with equality atoms,
-DISTINCT squashes, UNION ALL adds, EXCEPT multiplies by a negation.
+DISTINCT squashes, UNION ALL adds, EXCEPT multiplies by a negation.  The
+branches of a UNION ALL or EXCEPT, and a verify's right side, are denoted
+over the left operand's output variable whenever their output schema equals
+its schema; only a branch that types a column the left leaves ``?`` gets a
+variable of its own, which `unify_outputs` renames.
 
 The same walk resolves aliases, checks every column reference and types
 each output column: this is the only scoping and typing pass over a query.
@@ -38,58 +42,71 @@ class Denotation:
 Scope = tuple[dict[str, TupleVar], ...]
 
 
-def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = ()) -> Denotation:
-    """Denote a desugared, view-free query."""
+def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = (),
+           out: TupleVar | None = None) -> Denotation:
+    """Denote a desugared, view-free query; over ``out`` itself when its
+    output schema equals ``out``'s (see `_out_var`)."""
     if isinstance(q, TableRef):
         sch = env.table_schema(q.name)
-        t = gen.fresh(sch)
+        t = _out_var(gen, sch, out)
         return Denotation(t, Rel(q.name, t))
     if isinstance(q, Distinct):
-        d = denote(q.query, env, gen, scopes)
+        d = denote(q.query, env, gen, scopes, out)
         return Denotation(d.out_var, Squash(d.body))
     if isinstance(q, UnionAll):
-        d = denote(q.branches[0], env, gen, scopes)
+        d = denote(q.branches[0], env, gen, scopes, out)
         for b in q.branches[1:]:
-            t, b1, b2 = unify_outputs(d, denote(b, env, gen, scopes), "UNION ALL")
+            t, b1, b2 = unify_outputs(d, denote(b, env, gen, scopes, d.out_var),
+                                      "UNION ALL")
             d = Denotation(t, add(b1, b2))
         return d
     if isinstance(q, ExceptQ):
-        t, b1, b2 = unify_outputs(denote(q.lhs, env, gen, scopes),
-                                  denote(q.rhs, env, gen, scopes), "EXCEPT")
+        d = denote(q.lhs, env, gen, scopes, out)
+        t, b1, b2 = unify_outputs(d, denote(q.rhs, env, gen, scopes, d.out_var),
+                                  "EXCEPT")
         return Denotation(t, Mul((b1, Not(b2))))
     if isinstance(q, Select):
-        return _denote_select(q, env, gen, scopes)
+        return _denote_select(q, env, gen, scopes, out)
     raise SemanticError(f"cannot denote query node {type(q).__name__}")
+
+
+def _out_var(gen: VarGen, sch: Schema, out: TupleVar | None) -> TupleVar:
+    """``out`` when it has schema ``sch``, else a fresh variable; the fresh
+    id is drawn either way, so sharing ``out`` renumbers nothing."""
+    t = gen.fresh(sch)
+    return out if out is not None and out.schema == sch else t
 
 
 def unify_outputs(d1: Denotation, d2: Denotation, what: str):
     """One output variable for two denotations combined by ``what``, and
     both bodies over it.  It is ``d1``'s unless ``d2`` types a column that
-    ``d1`` leaves ``?``."""
+    ``d1`` leaves ``?``; a body already over it is kept as it is."""
     sch = unify_schemas(d1.schema, d2.schema, what)
     t, body1 = d1.out_var, d1.body
     if sch != t.schema:
         t = TupleVar(t.vid, sch, t.hint)
         body1 = substitute(body1, {d1.out_var: t})
-    return t, body1, substitute(d2.body, {d2.out_var: t})
+    return t, body1, d2.body if d2.out_var == t else substitute(d2.body, {d2.out_var: t})
 
 
-def _denote_select(q: Select, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Denotation:
+def _denote_select(q: Select, env: SchemaEnv, gen: VarGen, scopes: Scope,
+                   out: TupleVar | None) -> Denotation:
     if q.group_by:
         raise SemanticError("internal: GROUP BY must be desugared before denotation")
+    # SELECT * over a single source passes the source tuple through unchanged
+    through = len(q.items) == 1 and isinstance(q.items[0], Star) and len(q.sources) == 1
     src_factors: list[Exp] = []
     local: dict[str, TupleVar] = {}
     for src in q.sources:
         if src.alias in local:
             raise _error(f"duplicate alias {src.alias} in FROM", src.pos)
-        d = denote(src.query, env, gen, scopes)
+        d = denote(src.query, env, gen, scopes, out if through else None)
         local[src.alias] = d.out_var
         src_factors.append(d.body)
     inner = scopes + (local,)
     where_factor = denote_pred(q.where, env, gen, inner) if q.where is not None else ONE
 
-    # SELECT * over a single source passes the source tuple through unchanged
-    if len(q.items) == 1 and isinstance(q.items[0], Star) and len(local) == 1:
+    if through:
         [t] = local.values()
         return Denotation(t, mul(src_factors[0], where_factor))
 
@@ -105,7 +122,7 @@ def _denote_select(q: Select, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Den
             out_schema = out_schema.concat(Schema("", ((item.name, ty),)))
         else:
             raise SemanticError("unknown projection item")
-    t = gen.fresh(out_schema)
+    t = _out_var(gen, out_schema, out)
     proj_atoms: list[Exp] = []
     for item in q.items:
         if isinstance(item, Star):

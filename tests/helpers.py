@@ -18,8 +18,8 @@ from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleSlice, TupleVar, VarGen, add,
-                        canon_key, mk_eq, mk_neq, mk_record, mk_tuple_eq,
-                        rewrite, substitute, sum_)
+                        canon_key, free_vars, mk_eq, mk_neq, mk_record,
+                        mk_tuple_eq, rewrite, substitute, sum_)
 
 # A small standard environment: three binary relations over ints.
 
@@ -728,7 +728,6 @@ def reference_match_terms(d, t1, t2) -> bool:
     first bijection it accepts, and its BIJECTION trace line, are the ones
     the pruned search must find."""
     from semiq.congruence import closure_of
-    from semiq.decide import _EqualityLinks, _var_signature
 
     if len(t1.sum_vars) != len(t2.sum_vars):
         return False
@@ -736,8 +735,9 @@ def reference_match_terms(d, t1, t2) -> bool:
         return False
 
     def signatures(t):
-        links = _EqualityLinks(t, closure_of(t.preds))
-        return {v.vid: _var_signature(t, v) + links.unary(v) for v in t.sum_vars}
+        closure = closure_of(t.preds)
+        return {v.vid: var_signature(t, v) + reference_unary(t, closure, v)
+                for v in t.sum_vars}
 
     sig1, sig2 = signatures(t1), signatures(t2)
     cand = {v2.vid: [v1 for v1 in t1.sum_vars if sig1[v1.vid] == sig2[v2.vid]]
@@ -748,6 +748,36 @@ def reference_match_terms(d, t1, t2) -> bool:
                 d._term_check(t1, t2, list(zip(order, images))):
             return True
     return False
+
+
+def var_signature(t, v) -> tuple:
+    """One summation variable's signature, the oracle of
+    `decide._var_signatures`: its footprint, its relations, and whether the
+    squash and the negation slot mention it, each found by its own scan."""
+    from semiq.schema import footprint_key
+    from semiq.spnf import nested_terms
+
+    def mentions(e) -> bool:
+        return e is not None and any(
+            any(w.vid == v.vid for _, w in u.atoms)
+            or any(v in free_vars(p) for p in u.preds)
+            for u in nested_terms(e))
+
+    return (footprint_key(v.schema), tuple(sorted(r for r, w in t.atoms if w.vid == v.vid)),
+            mentions(t.squash), mentions(t.neg))
+
+
+def reference_unary(t, closure, v) -> tuple:
+    """`_EqualityLinks.unary` from grounded members keyed in every class of
+    ``closure``: per attribute of ``v``, in name order, the sorted keys of
+    the terms over free variables and constants in its class."""
+    sum_ids = {w.vid for w in t.sum_vars}
+    reps = {(w.vid, a): closure.scalar_rep(AttrRef(w, a))
+            for w in t.sum_vars for a in w.schema.attr_names()}
+    ground = {rep: tuple(sorted(canon_key(Pred(mk_eq(m, m))) for m in members
+                                if not any(w.vid in sum_ids for w in free_vars(m))))
+              for rep, members in closure.scalar_classes().items()}
+    return tuple((a, ground[reps[v.vid, a]]) for a in sorted(v.schema.attr_names()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ no canonize round of a nested projection holds more predicates than a few
 per level, the denotation types each nested derived table once, the
 containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
-pairings, the factors of a wide product are keyed once each, and the
-closure work of a wide union under EXISTS grows linearly in its branches.
-They guard the asymptotics without timing anything."""
+pairings, the factors of a wide product are keyed once each, the
+closure work of a wide union under EXISTS grows linearly in its branches,
+and a wide union renames no branch body and keys no grounded terms of its
+summation-free terms.  They guard the asymptotics without timing
+anything."""
 
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ import random
 import sys
 from pathlib import Path
 
-from semiq import congruence, constraints, decide, run_program_text, spnf
+from semiq import (build_env, congruence, constraints, decide, parse, pipeline,
+                   run_program_text, spnf, translate)
 from semiq.config import Limits
 from semiq.exprs import AttrRef, Const, Mul, Pred, Sum, TupleVar, VarGen, mk_eq
 from semiq.schema import Schema
@@ -103,6 +106,47 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
     assert out.status == "EQUIVALENT"
     assert len(built) == len({id(t) for t in terms}) == 2 * n
     assert asked and asked <= {id(c) for c in built}
+
+
+def test_a_wide_union_renames_no_branch_and_keys_no_summation_free_term(monkeypatch):
+    # every branch has the left operand's output schema, so it is denoted
+    # over that output variable and no body is renamed; the search keys
+    # grounded terms only in the classes of summation variables'
+    # attributes, and a filtered scan's term, once canonized, has none
+    renames, keyed, calls = [], [], [0]
+    real_sub, real_key, real_links = (translate.substitute, decide.canon_key,
+                                      decide._EqualityLinks)
+
+    def counting_key(e):
+        calls[0] += 1
+        return real_key(e)
+
+    def links(t, closure):
+        before = calls[0]
+        out = real_links(t, closure)
+        if not t.sum_vars:
+            keyed.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(translate, "substitute",
+                        lambda *args: renames.append(args) or real_sub(*args))
+    monkeypatch.setattr(decide, "canon_key", counting_key)
+    monkeypatch.setattr(decide, "_EqualityLinks", links)
+    free = []
+    for n in (12, 24):
+        for text in (workloads.wide_union(random.Random(n), n).text,
+                     _constant_branches(n)):
+            prog = parse(text)
+            env = build_env(prog)
+            [stmt] = prog.verifies()
+            p = pipeline.prepare_verify(stmt, "v", env)
+            assert renames == []
+            keyed.clear()
+            assert pipeline.decide_verify(p, env).status == "EQUIVALENT"
+            assert all(k == 0 for k in keyed)
+            free.append(len(keyed))
+    # each filtered scan's term is summation-free, each projection's is not
+    assert free == [24, 0, 48, 0]
 
 
 def test_union_exists_closure_work_grows_linearly(monkeypatch):

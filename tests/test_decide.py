@@ -35,7 +35,7 @@ from conftest import FIG_INDEX, parse_query
 from helpers import (congruent_preds, copy_body, cq_set_equivalent,
                      denote_pair, enumerate_dbs, find_disagreement, gen_cq, narrow,
                      reference_match_terms, reference_pairing, small_dbs, std_env,
-                     ucq_set_equivalent)
+                     reference_unary, ucq_set_equivalent, var_signature)
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -647,6 +647,35 @@ def test_match_terms_agrees_with_exhaustive_search(pair):
         assert got.trace.render() == want.trace.render()
 
 
+def test_term_facts_equal_their_per_variable_references(monkeypatch):
+    # `_EqualityLinks` keys grounded members only in the classes of
+    # summation variables' attributes, and `_var_signatures` reads the
+    # atoms and slots once: on every term that the bundled and perfbench
+    # programs search, `unary` equals a reference keying every class, and
+    # each signature the one a per-variable scan finds
+    real = decide._EqualityLinks
+    seen = {"vars": 0, "grounded": 0}
+
+    def links(t, closure):
+        got = real(t, closure)
+        sigs = decide._var_signatures(t)
+        for v in t.sum_vars:
+            assert got.unary(v) == reference_unary(t, closure, v)
+            assert sigs[v.vid] == var_signature(t, v)
+            seen["vars"] += 1
+            seen["grounded"] += any(g for _, g in got.unary(v))
+        return got
+
+    monkeypatch.setattr(decide, "_EqualityLinks", links)
+    programs = [p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    programs += [inst.text for name in sorted(workloads.WORKLOADS)
+                 for inst in workloads.build(name, 1, ROOT)
+                 if not inst.family.startswith("bundled-")]
+    for text in programs:
+        run_program_text(text)
+    assert seen["vars"] > 300 and seen["grounded"] > 100
+
+
 @given(_term_pairs())
 @settings(max_examples=100, deadline=None)
 @example(_renamed_pair(2,
@@ -662,8 +691,7 @@ def test_term_check_is_congruence_under_each_bijection(pair):
     # so its closures grow across checks as they do in a search
     for t1, t2 in (pair, pair[::-1]):
         d = Decider(_ENV, VarGen())
-        sig = {v.vid: decide._var_signature(t, v)
-               for t in (t1, t2) for v in t.sum_vars}
+        sig = {v.vid: var_signature(t, v) for t in (t1, t2) for v in t.sum_vars}
         for images in itertools.permutations(t1.sum_vars):
             mapping = list(zip(t2.sum_vars, images))
             if any(sig[v2.vid] != sig[v1.vid] for v2, v1 in mapping):

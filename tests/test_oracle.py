@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from semiq import build_env, parse
+from semiq import build_env, oracle, parse
 from semiq.config import Budget, BudgetError
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
                           compile_query, eval_exp, gen_instances, interp_query,
-                          make_assignment, upred_truth)
+                          make_assignment, agg_value, ufun_value, upred_truth)
 from semiq.pipeline import find_witness, prepare_pair, query_literals
 from semiq.schema import KeyConstraint, Schema
 from semiq.sqlast import TableRef, UnionAll
@@ -325,6 +325,33 @@ def test_upred_truth_orders_ints_and_hashes_the_rest():
         hashed = int.from_bytes(hashlib.blake2b(
             repr((db.salt, ("pred", "<", args))).encode(), digest_size=8).digest(), "big")
         assert upred_truth(db, "<", args) == (hashed % 2 == 1)
+
+
+def test_hashed_values_are_hashed_once_per_database_and_type(monkeypatch):
+    # a function, predicate or aggregate applied again to the same values
+    # reads its value from the database's memo; True and 1 are equal keys
+    # that print apart, so they keep their own hashes
+    calls = []
+    real = hashlib.blake2b
+    monkeypatch.setattr(oracle.hashlib, "blake2b",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    db = _db([])
+    dom = db.domain("int")
+    bag = ((make_assignment({"a": True}), 2),)
+    cases = [(ufun_value, (1,), "fn"), (ufun_value, (True,), "fn"),
+             (upred_truth, ("a", 1), "pred"), (upred_truth, ("a", True), "pred"),
+             (agg_value, bag, "agg"), (agg_value, ((make_assignment({"a": 1}), 2),), "agg")]
+    for _ in range(3):
+        for fn, values, kind in cases:
+            h = int.from_bytes(real(repr((db.salt, (kind, "f", values))).encode(),
+                                    digest_size=8).digest(), "big")
+            want = {"fn": dom[h % len(dom)], "pred": h % 2 == 1,
+                    "agg": dom[h % len(dom)]}[kind]
+            assert fn(db, "f", values) == want
+    assert len(calls) == len(cases)
+    # another database hashes anew
+    assert ufun_value(_db([]), "f", (1,)) == ufun_value(db, "f", (1,))
+    assert len(calls) == len(cases) + 1
 
 
 def _rs_env():

@@ -12,8 +12,9 @@ from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, eval_exp, gen_instances, interp_query
 from semiq.pipeline import prepare_verify
 from semiq.translate import denote
-from semiq.exprs import (Add, Mul, Not, Pred, PredApp, Squash, Sum,
-                        TupleEqAtom, VarGen, Zero, pretty)
+from semiq.exprs import (Add, AttrRef, Mul, Not, Pred, PredApp, Rel, Squash,
+                        Sum, TupleEqAtom, TupleSlice, TupleVar, VarGen, Zero,
+                        pretty, substitute, walk)
 
 from conftest import parse_query
 from helpers import gen_ucq, mutate_ucq, std_env
@@ -172,3 +173,73 @@ def test_long_union_all_denotes_without_deep_recursion():
     assert type(body) is Add and len(body.terms) == n
     assert not any(type(t) is Add for t in body.terms)
     assert [t.body.factors[-1].atom.lhs.value for t in body.terms] == list(range(n))
+
+
+def _output_schemas(body, out: TupleVar) -> list:
+    """The schema of each occurrence of ``out``'s id in ``body``."""
+    return [n.schema if type(n) is TupleVar else n.var.schema for n in walk(body)
+            if (type(n) is TupleVar and n.vid == out.vid)
+            or (type(n) in (AttrRef, Rel, TupleSlice) and n.var.vid == out.vid)]
+
+
+@pytest.mark.parametrize("op, want", [
+    ("UNION ALL", "sum{t1} [t.o = +(t1.a, 1)] * R(t1) + sum{t2} [t.o = t2.a] * R(t2)"),
+    ("EXCEPT", "(sum{t1} [t.o = +(t1.a, 1)] * R(t1)) * not(sum{t2} [t.o = t2.a] * R(t2))"),
+])
+def test_a_branch_that_types_a_column_renames_both_bodies(op, want):
+    # the left leaves `o` untyped and the right types it int: the right
+    # branch cannot share the left's output variable, and both bodies are
+    # renamed onto the unified one
+    q = parse_query(f"(SELECT x.a + 1 AS o FROM R x) {op} (SELECT y.a AS o FROM R y)")
+    d = denote(q, std_env(), VarGen())
+    assert d.schema.attr_type("o") == "int"
+    occurrences = _output_schemas(d.body, d.out_var)
+    assert len(occurrences) == 2 and all(sch == d.schema for sch in occurrences)
+    assert pretty(d.body, {d.out_var.vid: "t"}) == want
+
+
+def test_a_verify_whose_right_side_types_a_column_renames_both_sides():
+    prog = parse("schema s(a:int, b:int);\ntable R(s);\n"
+                 "verify (SELECT x.a + 1 AS o FROM R x)\n"
+                 "       (SELECT y.a AS o FROM R y);\n")
+    [stmt] = prog.verifies()
+    p = prepare_verify(stmt, "v", build_env(prog))
+    assert p.out_var.schema.attr_type("o") == "int"
+    for body in (p.body1, p.body2):
+        occurrences = _output_schemas(body, p.out_var)
+        assert len(occurrences) == 1 and occurrences[0] == p.out_var.schema
+    names = {p.out_var.vid: "t"}
+    assert pretty(p.body1, names) == "sum{t1} [t.o = +(t1.a, 1)] * R(t1)"
+    assert pretty(p.body2, names) == "sum{t1} [t.o = t1.a] * R(t1)"
+
+
+SHARED = [
+    ("R", "R"),
+    ("SELECT * FROM R x WHERE x.a = 1", "SELECT * FROM R y WHERE y.b = 2"),
+    ("SELECT x.a AS a FROM R x", "SELECT DISTINCT y.b AS a FROM S y WHERE y.a = 3"),
+    ("SELECT * FROM R x", "SELECT * FROM (SELECT y.b AS a, y.a AS b FROM R y) z"),
+    ("SELECT x.* FROM R x", "(SELECT * FROM R y) UNION ALL (SELECT z.b AS a, z.a AS b FROM S z)"),
+    ("SELECT x.a AS a FROM R x", "(SELECT y.a AS a FROM R y) EXCEPT (SELECT 1 AS a FROM S z)"),
+    ("SELECT x.a + 1 AS a FROM R x", "(SELECT y.a + 2 AS a FROM R y) UNION ALL (SELECT z.a AS a FROM R z)"),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs", SHARED)
+def test_a_side_denoted_over_the_left_output_is_the_renamed_one(lhs, rhs):
+    # denoting the right side over the left's output variable gives the
+    # body that renaming its own output variable gives, and draws the same
+    # variable ids, so every later number, trace and dump stays as it was
+    env = std_env()
+    q1 = parse_query(lhs)
+    q2 = inline_views(desugar_groupby(parse_query(rhs)), env)
+    gen, own = VarGen(), VarGen()
+    d1 = denote(q1, env, gen)
+    d2 = denote(q2, env, gen, out=d1.out_var)
+    e1 = denote(q1, env, own)
+    e2 = denote(q2, env, own)
+    assert d1 == e1 and gen.fresh(d1.schema) == own.fresh(d1.schema)
+    if d2.out_var == d1.out_var:
+        assert d2.body == substitute(e2.body, {e2.out_var: e1.out_var})
+    else:  # the right side types a column the left leaves `?`
+        assert d2.schema != d1.schema and d2.body == substitute(
+            e2.body, {e2.out_var: TupleVar(d1.out_var.vid, d2.schema)})
