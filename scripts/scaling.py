@@ -8,7 +8,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
-`wide_from` 400, 600 and 1000, and `fk_cycle` 3.  Each row is
+`wide_from` 400, 600 and 1000, `fk_cycle` 3, and `wide_and` and
+`wide_or` 1200.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -24,7 +25,8 @@ steps}` and `steps` holds `total` and its split by stage (`normalize`,
 committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
-`union_exists`, `union_agg`, `wide_from` and `fk_cycle` are the generators of
+`union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and` and
+`wide_or` are the generators of
 `perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
@@ -40,6 +42,9 @@ table, `SELECT u.a AS o FROM (R UNION ALL ...) u`, against itself.
 WHERE, against itself.
 `fk_cycle` is one fixed DISTINCT pair over two keyed tables whose foreign
 keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
+`wide_and` is `SELECT x.a AS o FROM R x, R y WHERE ...` with SIZE ANDed
+conjuncts, alternately `y.a = i` (at position i) and `x.a = y.b`, against
+itself; `wide_or` is the same with OR.
 Times are wall times of one run, with no calibration.
 """
 
@@ -70,11 +75,11 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
         ("wide_from", 400), ("wide_from", 600), ("wide_from", 1000),
-        ("fk_cycle", 3))
+        ("fk_cycle", 3), ("wide_and", 1200), ("wide_or", 1200))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
-            "fk_cycle")
+            "fk_cycle", "wide_and", "wide_or")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -132,6 +137,12 @@ def wide_from(n: int) -> str:
     return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
 
 
+def wide_pred(op: str, n: int) -> str:
+    pred = f" {op} ".join("x.a = y.b" if i % 2 else f"y.a = {i}" for i in range(n))
+    q = f"SELECT x.a AS o FROM R x, R y WHERE {pred}"
+    return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
@@ -145,6 +156,8 @@ def program(family: str, size: int, seed: int) -> str:
         return wide_from(size)
     if family == "fk_cycle":
         return FK_CYCLE
+    if family in ("wide_and", "wide_or"):
+        return wide_pred(family[5:].upper(), size)
     return getattr(workloads, family)(random.Random(seed), size).text
 
 

@@ -300,7 +300,7 @@ class Decider:
         # a target carries the atoms of the variables placed on it
         targets = list(dict.fromkeys([*dst.sum_vars, *(w for _, w in dst.atoms)]))
         cand = {v.vid: [w for w in targets if w.schema == v.schema and all(
-                    (r, w) in dst_atoms for r, x in src.atoms if x.vid == v.vid)]
+                    (r, w) in dst_atoms for r in fs.rels[v.vid])]
                 for v in src.sum_vars}
         if not all(cand.values()):
             return False
@@ -308,8 +308,13 @@ class Decider:
                     if src.neg is not None else [])
         linked = {vid: {vid} for vid in cand}
         for group in (*fs.preds.summed, neg_vars):
-            comp = set().union(*(linked[w.vid] for w in group))
-            linked.update(dict.fromkeys(comp, comp))
+            # the smaller parts join the largest, so a variable moves
+            # O(log n) times
+            comp = max((linked[w.vid] for w in group), key=len, default=None)
+            for w in group:
+                if (part := linked[w.vid]) is not comp:
+                    comp |= part
+                    linked.update(dict.fromkeys(part, comp))
         components: dict[int, list[TupleVar]] = {}
         for v in sorted(src.sum_vars, key=lambda v: v.vid):
             components.setdefault(id(linked[v.vid]), []).append(v)
@@ -332,7 +337,7 @@ class Decider:
         merged = False
         seen = {(r, v.vid) for r, v in src.atoms if v.vid in used}
         for vid, w in placed.items():
-            images = {(r, w.vid) for r, x in src.atoms if x.vid == vid}
+            images = {(r, w.vid) for r in fs.rels[vid]}
             if w.vid in used:
                 merged = True
                 for rule in ("excluded-middle", "distr-mul-add", "sum-elim-eq",
@@ -356,7 +361,7 @@ class _TermFacts:
     term it is built here.  Queries, canonize's among them, only add nodes
     and never merge existing classes, so answers stay valid as it grows.
     ``sig`` and ``colour`` map each summation variable to its signature id
-    and its refined colour id."""
+    and its refined colour id, ``rels`` to the relations of its atoms."""
 
     def __init__(self, t: Term, colours: dict[tuple, int],
                  closure: Closure | None = None):
@@ -364,6 +369,7 @@ class _TermFacts:
         self.closure = closure_of(t.preds) if closure is None else closure
         self.links = _EqualityLinks(t, self.closure)
         sigs = _var_signatures(t)
+        self.rels = {vid: s[1] for vid, s in sigs.items()}  # of each one's atoms
         self.sig = {v.vid: colours.setdefault(
                         ("sig", sigs[v.vid] + self.links.unary(v)), len(colours))
                     for v in t.sum_vars}

@@ -143,19 +143,14 @@ def desugar_groupby(q):
                                     g.pos.col if g.pos else None)
         ren = {s.alias: fresh_alias() for s in node.sources}
         outer_sources = tuple(Source(s.query, ren[s.alias], s.pos) for s in node.sources)
-        corr = None
-        for g in node.group_by:
-            c = Cmp("=", ColRef(g.alias, g.attr), ColRef(ren[g.alias], g.attr))
-            corr = c if corr is None else AndP(corr, c)
+        corr = [Cmp("=", ColRef(g.alias, g.attr), ColRef(ren[g.alias], g.attr))
+                for g in node.group_by]
+        corr = corr[0] if len(corr) == 1 else AndP(tuple(corr))
 
         def inner_query(args) -> Select:
             names = shorthand_column_names(args)
             items = tuple(ExprItem(a, n) for a, n in zip(args, names))
-            where = node.where
-            if where is None:
-                where = corr
-            elif corr is not None:
-                where = AndP(where, corr)
+            where = corr if node.where is None else AndP((node.where, corr))
             return Select(items, node.sources, where)
 
         out_items = []

@@ -369,10 +369,14 @@ class _Compiler:
                 return lambda db, row: l(db, row) != r(db, row)
             return lambda db, row: upred_truth(db, op, (l(db, row), r(db, row)))
         if isinstance(p, (AndP, OrP)):
-            l, r = self.pred(p.lhs, scope), self.pred(p.rhs, scope)
-            if isinstance(p, AndP):
-                return lambda db, row: l(db, row) and r(db, row)
-            return lambda db, row: l(db, row) or r(db, row)
+            # operands joined pairwise, in order: closures nest log2(n) deep,
+            # and each two-operand closure short-circuits as the operator does
+            fs = [self.pred(a, scope) for a in p.args]
+            join = _both if isinstance(p, AndP) else _either
+            while len(fs) > 1:
+                fs = [join(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i]
+                      for i in range(0, len(fs), 2)]
+            return fs[0]
         if isinstance(p, NotP):
             body = self.pred(p.body, scope)
             return lambda db, row: not body(db, row)
@@ -398,6 +402,14 @@ class _Compiler:
             return lambda db, row: agg_value(db, e.name, tuple(sorted(
                 kv for kv in sub(db, row).items() if kv[1] > 0)))
         raise OracleError(f"cannot interpret expression {type(e).__name__}")
+
+
+def _both(l, r):
+    return lambda db, row: l(db, row) and r(db, row)
+
+
+def _either(l, r):
+    return lambda db, row: l(db, row) or r(db, row)
 
 
 def _slot(alias: str, scope: tuple, start: int = 0) -> int:

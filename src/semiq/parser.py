@@ -402,9 +402,9 @@ class Parser:
     def parse_pred(self):
         """pred := conj (OR conj)*, conj := neg (AND neg)*, neg := NOT* atom."""
         toks = self.toks
-        disj = None
+        disj = []
         while True:
-            conj = None
+            conj = []
             while True:
                 depth, t = self.depth, toks[self.i]
                 while t[1] == "NOT" and t[0] == "KW":
@@ -448,13 +448,13 @@ class Parser:
                 for _ in range(nots):
                     p = NotP(p)
                 self.depth = depth
-                conj = p if conj is None else AndP(conj, p)
+                conj.append(p)
                 if toks[self.i][1] != "AND" or toks[self.i][0] != "KW":
                     break
                 self.i += 1
-            disj = conj if disj is None else OrP(disj, conj)
+            disj.append(conj[0] if len(conj) == 1 else AndP(tuple(conj)))
             if toks[self.i][1] != "OR" or toks[self.i][0] != "KW":
-                return disj
+                return disj[0] if len(disj) == 1 else OrP(tuple(disj))
             self.i += 1
 
     # -- scalar expressions -----------------------------------------------------------

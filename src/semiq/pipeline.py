@@ -20,9 +20,8 @@ from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import FiniteDb, GenSizes, OracleError, compile_query, gen_instances, interp_query
 from .parser import parse
 from .schema import SchemaEnv
-from .sqlast import (AliasStar, AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
-                     Lit, Program, Select, Star, TableRef, UnionAll, VerifyStmt,
-                     walk)
+from .sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem, Lit, Program,
+                     Select, TableRef, UnionAll, VerifyStmt, walk)
 from .spnf import to_spnf
 from .trace import Trace
 from .translate import denote, unify_outputs
@@ -53,36 +52,21 @@ def referenced_tables(q) -> set[str]:
     return {n.name for n in walk(q) if isinstance(n, TableRef)}
 
 
-def _simple_expr(e) -> bool:
-    return isinstance(e, (ColRef, Lit))
-
-
-def _conj_of_equalities(p) -> bool:
-    if p is None or isinstance(p, BoolLit):
-        return True
-    if isinstance(p, Cmp):
-        return p.op == "=" and _simple_expr(p.lhs) and _simple_expr(p.rhs)
-    if isinstance(p, AndP):
-        return _conj_of_equalities(p.lhs) and _conj_of_equalities(p.rhs)
-    return False
+_CQ_WHERE = (AndP, BoolLit, Cmp, ColRef, Lit)
 
 
 def is_cq(q) -> bool:
+    """A table, or a SELECT over tables that projects columns and constants
+    and whose WHERE is a conjunction of equalities between them."""
     if isinstance(q, TableRef):
         return True
-    if not isinstance(q, Select) or q.group_by:
-        return False
-    if not all(isinstance(s.query, TableRef) for s in q.sources):
-        return False
-    if not _conj_of_equalities(q.where):
-        return False
-    for it in q.items:
-        if isinstance(it, (Star, AliasStar)):
-            continue
-        if isinstance(it, ExprItem) and _simple_expr(it.expr):
-            continue
-        return False
-    return True
+    return (isinstance(q, Select) and not q.group_by
+            and all(type(s.query) is TableRef for s in q.sources)
+            and all(type(it) is not ExprItem or type(it.expr) in (ColRef, Lit)
+                    for it in q.items)
+            and (q.where is None or all(
+                type(n) in _CQ_WHERE and (type(n) is not Cmp or n.op == "=")
+                for n in walk(q.where))))
 
 
 def is_ucq_bag(q) -> bool:

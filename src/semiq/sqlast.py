@@ -27,7 +27,7 @@ class ColRef:
 @dataclass(slots=True, unsafe_hash=True)
 class Lit:
     value: object
-    ty: str  # int | bool | string
+    ty: str  # int | string: TRUE and FALSE are predicates, BoolLit
     pos: Pos | None = None
 
 
@@ -67,14 +67,15 @@ class NotP:
 
 @dataclass(slots=True, unsafe_hash=True)
 class AndP:
-    lhs: "Predicate"
-    rhs: "Predicate"
+    """Two or more conjuncts: AND is associative, so a chain is one node; a
+    parenthesized conjunct stays a node of its own."""
+    args: tuple["Predicate", ...]
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class OrP:
-    lhs: "Predicate"
-    rhs: "Predicate"
+    """Two or more disjuncts, as ``AndP``."""
+    args: tuple["Predicate", ...]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -229,8 +230,9 @@ class Program:
 # The one place that knows a node's children and how to rebuild a node from
 # new ones.  Child order, shared by all four functions: a Select's source
 # queries, then its projected expressions, then WHERE, then its GROUP BY
-# columns; lhs before rhs; App arguments left to right.  Source, ExprItem,
-# Star and AliasStar are not nodes: a Select's children skip over them.
+# columns; lhs before rhs; the operands of App, AndP, OrP and UnionAll left
+# to right.  Source, ExprItem, Star and AliasStar are not nodes: a Select's
+# children skip over them.
 
 def _select_children(q: Select) -> list:
     out = [s.query for s in q.sources]
@@ -271,15 +273,15 @@ def _rebuild(node, old, new):
         return AggQuery(node.name, new[0], node.pos)
     if t is App:
         return App(node.name, tuple(new), node.pos)
-    if t is UnionAll:
-        return UnionAll(tuple(new))
+    if t is UnionAll or t is AndP or t is OrP:
+        return t(tuple(new))
     return t(*new)  # every field is a child: ExceptQ, Distinct, ...
 
 
 _CHILDREN = {
     Select: _select_children,
     UnionAll: lambda n: n.branches, ExceptQ: lambda n: (n.lhs, n.rhs),
-    AndP: lambda n: (n.lhs, n.rhs), OrP: lambda n: (n.lhs, n.rhs),
+    AndP: lambda n: n.args, OrP: lambda n: n.args,
     Cmp: lambda n: (n.lhs, n.rhs), NotP: lambda n: (n.body,),
     Distinct: lambda n: (n.query,), Exists: lambda n: (n.query,),
     AggQuery: lambda n: (n.query,), App: lambda n: n.args,
@@ -340,11 +342,7 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, ColRef):
         return f"{e.alias}.{e.attr}"
     if isinstance(e, Lit):
-        if e.ty == "string":
-            return f"'{e.value}'"
-        if e.ty == "bool":
-            return "TRUE" if e.value else "FALSE"
-        return str(e.value)
+        return f"'{e.value}'" if e.ty == "string" else str(e.value)
     if isinstance(e, App):
         if len(e.args) == 2 and not e.name[0].isalpha():
             return f"({print_expr(e.args[0])} {e.name} {print_expr(e.args[1])})"
@@ -361,10 +359,9 @@ def print_pred(p: Predicate) -> str:
         if isinstance(p.body, Exists):
             return f"NOT EXISTS ({print_query(p.body.query)})"
         return f"NOT ({print_pred(p.body)})"
-    if isinstance(p, AndP):
-        return f"({print_pred(p.lhs)} AND {print_pred(p.rhs)})"
-    if isinstance(p, OrP):
-        return f"({print_pred(p.lhs)} OR {print_pred(p.rhs)})"
+    if isinstance(p, (AndP, OrP)):
+        op = " AND " if isinstance(p, AndP) else " OR "
+        return f"({op.join(print_pred(a) for a in p.args)})"
     if isinstance(p, BoolLit):
         return "TRUE" if p.value else "FALSE"
     if isinstance(p, Exists):

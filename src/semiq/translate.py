@@ -55,11 +55,15 @@ def denote(q, env: SchemaEnv, gen: VarGen, scopes: Scope = (),
         return Denotation(d.out_var, Squash(d.body))
     if isinstance(q, UnionAll):
         d = denote(q.branches[0], env, gen, scopes, out)
+        bodies = [d.body]
         for b in q.branches[1:]:
-            t, b1, b2 = unify_outputs(d, denote(b, env, gen, scopes, d.out_var),
-                                      "UNION ALL")
-            d = Denotation(t, add(b1, b2))
-        return d
+            t, bodies[0], body = unify_outputs(
+                d, denote(b, env, gen, scopes, d.out_var), "UNION ALL")
+            if t != d.out_var:  # refines a ``?`` column: at most once per column
+                bodies[1:] = [substitute(x, {d.out_var: t}) for x in bodies[1:]]
+            bodies.append(body)
+            d = Denotation(t, bodies[0])
+        return Denotation(d.out_var, add(*bodies))
     if isinstance(q, ExceptQ):
         d = denote(q.lhs, env, gen, scopes, out)
         t, b1, b2 = unify_outputs(d, denote(q.rhs, env, gen, scopes, d.out_var),
@@ -186,12 +190,10 @@ def denote_pred(p, env: SchemaEnv, gen: VarGen, scopes: Scope) -> Exp:
         if p.op == "<>":
             return Pred(mk_neq(l, r))
         return Pred(PredApp(p.op, (l, r)))
-    if isinstance(p, AndP):
-        return Mul((denote_pred(p.lhs, env, gen, scopes),
-                    denote_pred(p.rhs, env, gen, scopes)))
+    if isinstance(p, AndP):  # a product's spine stands for the left-nested chain
+        return Mul(tuple(denote_pred(a, env, gen, scopes) for a in p.args))
     if isinstance(p, OrP):
-        return Squash(add(denote_pred(p.lhs, env, gen, scopes),
-                          denote_pred(p.rhs, env, gen, scopes)))
+        return Squash(add(*(denote_pred(a, env, gen, scopes) for a in p.args)))
     if isinstance(p, NotP):
         if isinstance(p.body, Exists):
             d = denote(p.body.query, env, gen, scopes)

@@ -79,11 +79,14 @@ def gen_cq(rng: random.Random, rels=("R", "S"), max_atoms=3, max_vars=3,
             preds.append(Cmp("=", lhs, _lit(rng)))
         else:
             preds.append(Cmp("=", lhs, rand_ref()))
-    where = None
-    for p in preds:
-        where = p if where is None else AndP(where, p)
     items = tuple(ExprItem(rand_ref(), name) for name in out_names)
-    return Select(items, tuple(sources), where)
+    return Select(items, tuple(sources), conjunction(preds))
+
+
+def conjunction(ps: list):
+    """ps as one WHERE clause, as the parser builds it: None, the lone
+    conjunct, or one AndP."""
+    return None if not ps else ps[0] if len(ps) == 1 else AndP(tuple(ps))
 
 
 def _lit(rng):
@@ -126,7 +129,7 @@ def _renamed(q: Select, mapping: dict[str, str]) -> Select:
         if isinstance(p, Cmp):
             return Cmp(p.op, rex(p.lhs), rex(p.rhs))
         if isinstance(p, AndP):
-            return AndP(rp(p.lhs), rp(p.rhs))
+            return AndP(tuple(map(rp, p.args)))
         return p
 
     sources = tuple(Source(s.query, mapping[s.alias]) for s in q.sources)
@@ -139,7 +142,7 @@ def copy_body(q: Select) -> Select:
     """``q`` joined with a second copy of its FROM list and WHERE conjuncts
     under fresh aliases: under DISTINCT, the same rows."""
     c = _renamed(q, {s.alias: f"{s.alias}_c" for s in q.sources})
-    where = q.where if c.where is None else AndP(q.where, c.where)
+    where = q.where if c.where is None else AndP((q.where, c.where))
     return Select(q.items, q.sources + c.sources, where)
 
 
@@ -152,7 +155,7 @@ def narrow(rng: random.Random, q: Select) -> Select:
                     rng.choice([_lit(rng), ColRef(rng.choice(aliases),
                                                   rng.choice("ab"))]))
         return Select(q.items, q.sources,
-                      extra if q.where is None else AndP(q.where, extra))
+                      extra if q.where is None else AndP((q.where, extra)))
     scan = Source(TableRef(rng.choice(("R", "S"))), "extra")
     return Select(q.items, q.sources + (scan,), q.where)
 
@@ -162,15 +165,12 @@ def shuffle_conjuncts(rng: random.Random, q: Select) -> Select:
         return q
     conj = _conjuncts(q.where)
     rng.shuffle(conj)
-    where = conj[0]
-    for c in conj[1:]:
-        where = AndP(where, c)
-    return Select(q.items, q.sources, where, q.group_by, q.pos)
+    return Select(q.items, q.sources, conjunction(conj), q.group_by, q.pos)
 
 
 def _conjuncts(p) -> list:
     if isinstance(p, AndP):
-        return _conjuncts(p.lhs) + _conjuncts(p.rhs)
+        return [c for a in p.args for c in _conjuncts(a)]
     return [p]
 
 
@@ -178,8 +178,7 @@ def duplicate_conjunct(rng: random.Random, q: Select) -> Select:
     if q.where is None:
         return q
     conj = _conjuncts(q.where)
-    where = q.where
-    where = AndP(where, rng.choice(conj))
+    where = AndP((q.where, rng.choice(conj)))
     return Select(q.items, q.sources, where, q.group_by, q.pos)
 
 
@@ -188,7 +187,7 @@ def swap_eq_sides(rng: random.Random, q: Select) -> Select:
         if isinstance(p, Cmp) and p.op == "=" and rng.random() < 0.5:
             return Cmp("=", p.rhs, p.lhs)
         if isinstance(p, AndP):
-            return AndP(rp(p.lhs), rp(p.rhs))
+            return AndP(tuple(map(rp, p.args)))
         return p
     where = rp(q.where) if q.where is not None else None
     return Select(q.items, q.sources, where, q.group_by, q.pos)

@@ -9,9 +9,9 @@ containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
 pairings, the factors of a wide product are keyed once each, the
 closure work of a wide union under EXISTS grows linearly in its branches,
-and a wide union renames no branch body and keys no grounded terms of its
-summation-free terms.  They guard the asymptotics without timing
-anything."""
+and a wide union renames no branch body, keys no grounded terms of its
+summation-free terms and adds its branch bodies in one call.  They guard
+the asymptotics without timing anything."""
 
 from __future__ import annotations
 
@@ -147,6 +147,18 @@ def test_a_wide_union_renames_no_branch_and_keys_no_summation_free_term(monkeypa
             free.append(len(keyed))
     # each filtered scan's term is summation-free, each projection's is not
     assert free == [24, 0, 48, 0]
+
+
+def test_a_wide_union_is_summed_once_per_side(monkeypatch):
+    # the branch bodies are collected and added once: adding them one at a
+    # time would copy the terms gathered so far at every branch
+    calls = []
+    real = translate.add
+    monkeypatch.setattr(translate, "add", lambda *es: calls.append(len(es)) or real(*es))
+    prog = parse(scaling.union_all(1200))
+    [stmt] = prog.verifies()
+    pipeline.prepare_verify(stmt, "v", build_env(prog))
+    assert calls == [1200, 1200]
 
 
 def test_union_exists_closure_work_grows_linearly(monkeypatch):

@@ -58,6 +58,34 @@ def test_long_union_all_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
 
 
+def _wide_where(n: int, op: str, shift: int = 0) -> str:
+    return f" {op} ".join(f"x.a = {i + shift}" for i in range(n))
+
+
+def test_a_1200_way_and_exits_zero(tmp_path, capsys):
+    q = f"SELECT x.a AS a FROM R x WHERE {_wide_where(1200, 'AND')}"
+    path = _write(tmp_path, f"""
+        schema s(a:int, b:int);
+        table R(s);
+        verify ({q}) ({q});
+    """)
+    assert main([path]) == 0
+    assert capsys.readouterr().out.startswith("verify1: EQUIVALENT")
+
+
+def test_a_1200_way_or_against_shifted_constants_is_refuted(tmp_path, capsys):
+    path = _write(tmp_path, f"""
+        schema s(a:int, b:int);
+        table R(s);
+        verify (SELECT x.a AS a FROM R x WHERE {_wide_where(1200, 'OR')})
+               (SELECT x.a AS a FROM R x WHERE {_wide_where(1200, 'OR', 1)});
+    """)
+    assert main([path, "--refute"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify1: NOT_PROVED")
+    assert "counterexample database" in out
+
+
 def test_exists_over_a_wide_union_exits_zero(tmp_path, capsys):
     # the squash over 1,000 branches is one factor of the product, which
     # the normalizer places without keying it
@@ -99,6 +127,20 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "schemas differ" in err
+
+
+def test_a_foreign_key_to_a_non_key_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, """
+        schema s(a:int, b:int);
+        table R(s);
+        table T(s);
+        foreign key R(b) references T(b);
+        verify R R;
+    """)
+    rc = main([path])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("semantic error: foreign key target T(b) is not a declared key")
 
 
 def test_unknown_column_is_a_semantic_error_before_any_verify(tmp_path, capsys):

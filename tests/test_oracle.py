@@ -437,8 +437,20 @@ def _pools(text: str):
             yield env, q, d, [db for db in dbs if _comparable(d, db)]
 
 
+# chains of 3, 4 and 5 operands: the plan joins them pairwise, and an odd
+# count carries one operand to the next round
+CHAINS = """schema s(a:int, b:int);
+table R(s);
+verify (SELECT x.a AS o FROM R x WHERE x.a = 0 OR x.b = 1 OR x.a = x.b OR x.b = 0 OR x.a = 1)
+       (SELECT x.a AS o FROM R x
+        WHERE x.a = x.b AND x.b = 1 AND x.a = 1 OR NOT x.a = 0 AND x.b = 0 AND x.a = x.b
+              AND x.b = x.a OR x.a = 1);
+"""
+
+
 def _programs() -> list[tuple[str, str]]:
     out = [(p.name, p.read_text()) for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    out.append(("and-or-chains", CHAINS))
     for name in sorted(workloads.WORKLOADS):
         seen = set()
         for inst in workloads.build(name, 3, ROOT):

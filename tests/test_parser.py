@@ -130,11 +130,51 @@ verify (SELECT x.k AS k, cnt(x.a) AS n FROM R x GROUP BY x.k)
 verify (SELECT x.a AS c FROM R x WHERE EXISTS (SELECT y.k AS k FROM R y WHERE y.k = x.k)) R;
 verify ((SELECT * FROM R x) EXCEPT (SELECT * FROM R y)) R;
 verify (R UNION ALL R UNION ALL R) (R UNION ALL (R UNION ALL R));
+schema ss(k:int, n:string);
+table S(ss);
+foreign key S(k) references R(k);
+view V SELECT x.k AS k FROM R x WHERE x.k = 1 AND x.a = 2 AND x.k = 3;
+verify (SELECT y.n AS n, y.k + 1 AS m FROM S y WHERE y.n = 'hi' AND TRUE OR FALSE)
+       (SELECT y.n AS n, y.k + 1 AS m FROM S y WHERE (y.k * 2) - 1 = y.k);
+verify (SELECT v.k AS k FROM V v WHERE NOT EXISTS (SELECT y.k AS k FROM S y WHERE y.k = v.k))
+       V;
+verify (SELECT u.k AS k, cnt(SELECT y.k AS k FROM S y) AS c FROM (SELECT x.k AS k FROM R x) u)
+       (SELECT u.k AS k, cnt(SELECT y.k AS k FROM S y) AS c FROM (R) u);
+verify (DISTINCT (R UNION ALL R))
+       (SELECT DISTINCT x.k AS k, x.a AS a FROM R x
+        WHERE (x.k = 1 AND x.a = 2) AND x.k = 3 OR (x.a = 1 OR x.k = 2) OR x.a = x.k);
 """
     p1 = parse(src)
     printed = print_program(p1)
     p2 = parse(printed)
     assert print_program(p2) == printed
+
+
+def _where(text: str):
+    return parse("schema s(a:int, b:int);\ntable R(s);\n"
+                 f"verify (SELECT * FROM R x WHERE {text}) R;").statements[-1].lhs.where
+
+
+def test_an_and_chain_is_one_node():
+    w = _where("x.a = 1 AND x.b = 2 AND x.a = 3")
+    assert isinstance(w, AndP) and len(w.args) == 3
+    assert [c.rhs.value for c in w.args] == [1, 2, 3]
+
+
+def test_a_parenthesized_conjunction_stays_a_node_of_its_own():
+    w = _where("(x.a = 1 AND x.b = 2) AND x.a = 3")
+    assert isinstance(w, AndP) and len(w.args) == 2
+    inner, last = w.args
+    assert isinstance(inner, AndP) and len(inner.args) == 2
+    assert isinstance(last, Cmp) and last.rhs.value == 3
+
+
+def test_and_binds_tighter_inside_one_or_chain():
+    w = _where("x.a = 1 OR x.b = 2 AND x.a = 3 OR x.b = 4")
+    assert isinstance(w, OrP) and len(w.args) == 3
+    first, middle, last = w.args
+    assert isinstance(first, Cmp) and isinstance(last, Cmp)
+    assert isinstance(middle, AndP) and len(middle.args) == 2
 
 
 def test_comments_and_strings():
@@ -171,11 +211,12 @@ def test_precedence_and_left_associativity():
     assert e.name == "-" and e.args[0].name == "-"
     assert e.args[1].name == "/" and e.args[1].args[0].name == "*"
     w = q.where
-    # (((NOT a AND b) AND c) OR d) OR e
-    assert isinstance(w, OrP) and isinstance(w.lhs, OrP)
-    conj = w.lhs.lhs
-    assert isinstance(conj, AndP) and isinstance(conj.lhs, AndP)
-    assert isinstance(conj.lhs.lhs, NotP)
+    # (NOT a AND b AND c) OR d OR e: each chain is one node
+    assert isinstance(w, OrP) and len(w.args) == 3
+    conj = w.args[0]
+    assert isinstance(conj, AndP) and len(conj.args) == 3
+    assert isinstance(conj.args[0], NotP)
+    assert all(isinstance(d, Cmp) for d in w.args[1:])
 
 
 def test_parenthesized_predicate_or_expression():
@@ -185,9 +226,10 @@ def test_parenthesized_predicate_or_expression():
         verify (SELECT x.a AS o FROM R x WHERE (x.a = 1 OR x.b = 2) AND (x.a + 1) * 2 = x.b) R;
     """)
     w = prog.statements[-1].lhs.where
-    assert isinstance(w.lhs, OrP)
-    assert isinstance(w.rhs, Cmp) and w.rhs.lhs.name == "*"
-    assert w.rhs.pos == Pos(4, 73)  # the comparison starts at its '('
+    assert isinstance(w, AndP) and isinstance(w.args[0], OrP)
+    cmp = w.args[1]
+    assert isinstance(cmp, Cmp) and cmp.lhs.name == "*"
+    assert cmp.pos == Pos(4, 73)  # the comparison starts at its '('
 
 
 def test_aggregate_over_a_query_or_over_arguments():
@@ -317,9 +359,10 @@ def test_derived_tables_take_no_frames():
 
 
 # the sha256 of repr(parse(text)) over the bundled programs and every
-# perfbench workload program at seeds 1 and 2, as the recursive-descent
-# parser gave it
-AST_PIN = "268b26e0b5442870ac14c07895cf38a28817d314f266164c7cf7af7f942d4a69"
+# perfbench workload program at seeds 1 and 2, with each AND or OR chain one
+# node; folding those nodes back into left-nested binary ones gives the
+# binary-chain parser's pin, 268b26e0b5442870ac14c07895cf38a2...
+AST_PIN = "52d631e76418a714b75b0d6727147cff1d286e1d0ed6ef59eebf2e0f0c0e1cae"
 
 
 def test_ast_pin():

@@ -339,6 +339,15 @@ def test_classifying_a_long_union_takes_no_frames_per_branch():
     assert classify_fragment(q, q, env) == "ucq-bag"
 
 
+@pytest.mark.parametrize("op, fragment", [("AND", "ucq-bag"), ("OR", "general")])
+@pytest.mark.parametrize("n", [1200, 2000])
+def test_a_wide_predicate_chain_is_equivalent_to_itself(n, op, fragment):
+    # one node per chain: no pass spends a Python frame per operand
+    q = "SELECT x.a AS a FROM R x WHERE " + f" {op} ".join(
+        f"x.a = {i}" for i in range(n))
+    assert _statuses(PRELUDE + f"verify ({q}) ({q});") == [("EQUIVALENT", fragment)]
+
+
 def test_frontend_passes_take_no_frames_per_level():
     env = build_env(parse("""
         schema s(a:int, b:int);

@@ -120,3 +120,23 @@ def test_schema_equality_ignores_order():
     s1 = Schema("x", (("a", "int"), ("b", "int")))
     s2 = Schema("y", (("b", "int"), ("a", "int")))
     assert s1 == s2 and hash(s1) == hash(s2)
+
+
+DECLS = "schema s(a:int, b:int);\ntable R(s);\ntable T(s);\nkey T(a);\n"
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("schema s(c:int);", "schema s already declared"),
+    ("table R(s);", "table R already declared"),
+    ("view V SELECT x.a AS a FROM R x;\nindex V on R(a);", "view V already declared"),
+    ("key Q(a);", "undeclared table Q"),
+    ("key R(z);", "key attribute R.z not in schema"),
+    ("foreign key R(z) references T(a);", "foreign key attribute R.z not in schema"),
+    ("foreign key R(a) references T(z);", "foreign key attribute T.z not in schema"),
+    ("foreign key R(a, b) references T(a);", "foreign key attribute lists differ in length"),
+    ("foreign key R(b) references T(b);", "foreign key target T(b) is not a declared key"),
+])
+def test_each_bad_declaration_is_a_semantic_error(decl, message):
+    with pytest.raises(SemanticError) as exc:
+        build_env(parse(DECLS + decl))
+    assert str(exc.value) == message

@@ -198,6 +198,21 @@ def test_a_branch_that_types_a_column_renames_both_bodies(op, want):
     assert pretty(d.body, {d.out_var.vid: "t"}) == want
 
 
+def test_a_third_branch_that_types_a_column_renames_the_bodies_before_it():
+    # the first two branches leave `o` untyped and share one output
+    # variable; the third types it int, and every body is over the unified one
+    q = parse_query("(SELECT x.a + 1 AS o FROM R x) UNION ALL (SELECT y.a + 2 AS o FROM R y)"
+                    " UNION ALL (SELECT z.a AS o FROM R z)")
+    d = denote(q, std_env(), VarGen())
+    assert d.schema.attr_type("o") == "int"
+    assert type(d.body) is Add and len(d.body.terms) == 3
+    occurrences = _output_schemas(d.body, d.out_var)
+    assert len(occurrences) == 3 and all(sch == d.schema for sch in occurrences)
+    assert pretty(d.body, {d.out_var.vid: "t"}) == (
+        "sum{t1} [t.o = +(t1.a, 1)] * R(t1) + sum{t2} [t.o = +(t2.a, 2)] * R(t2)"
+        " + sum{t3} [t.o = t3.a] * R(t3)")
+
+
 def test_a_verify_whose_right_side_types_a_column_renames_both_sides():
     prog = parse("schema s(a:int, b:int);\ntable R(s);\n"
                  "verify (SELECT x.a + 1 AS o FROM R x)\n"

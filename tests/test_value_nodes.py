@@ -70,7 +70,7 @@ def test_classes_with_the_same_fields_never_compare_equal():
     body = Rel("R", t)
     p, q = Cmp("=", ColRef("r", "a"), Lit(1, "int")), BoolLit(True)
     for a, b in [(EqAtom(x, y), NeqAtom(x, y)), (TupleEqAtom(t, u), TupleNeqAtom(t, u)),
-                 (AndP(p, q), OrP(p, q)), (Squash(body), Not(body)), (Zero(), One())]:
+                 (AndP((p, q)), OrP((p, q))), (Squash(body), Not(body)), (Zero(), One())]:
         assert a != b and b != a
         assert len({a, b}) == 2
 
