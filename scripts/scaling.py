@@ -8,8 +8,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
-`wide_from` 400, 600 and 1000, `fk_cycle` 3, and `wide_and` and
-`wide_or` 1200.  Each row is
+`wide_from` 400, 600 and 1000, `fk_cycle` 3, `wide_and` and `wide_or`
+1200, `keyed_collapse` 100 and 200, and `distinct_fk` 4 and 8.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -25,8 +25,8 @@ steps}` and `steps` holds `total` and its split by stage (`normalize`,
 committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
-`union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and` and
-`wide_or` are the generators of
+`union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and`,
+`wide_or`, `keyed_collapse` and `distinct_fk` are the generators of
 `perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
@@ -45,6 +45,12 @@ keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
 `wide_and` is `SELECT x.a AS o FROM R x, R y WHERE ...` with SIZE ANDed
 conjuncts, alternately `y.a = i` (at position i) and `x.a = y.b`, against
 itself; `wide_or` is the same with OR.
+`keyed_collapse` is SIZE scans `R s0, ..., R s<SIZE-1>` under `key R(a)`,
+joined by `s<i>.a = s<i+1>.a` and projecting `s0.b`, against itself: the
+key collapse puts every scan in one tuple class.
+`distinct_fk` is `SELECT DISTINCT b0.u` over SIZE scans of `B` and one of
+`A`, under `foreign key B(w) references A(x)`, against the same with the
+FROM order reversed: every `B` scan needs one level of the chase.
 Times are wall times of one run, with no calibration.
 """
 
@@ -75,11 +81,13 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
         ("wide_from", 400), ("wide_from", 600), ("wide_from", 1000),
-        ("fk_cycle", 3), ("wide_and", 1200), ("wide_or", 1200))
+        ("fk_cycle", 3), ("wide_and", 1200), ("wide_or", 1200),
+        ("keyed_collapse", 100), ("keyed_collapse", 200), ("distinct_fk", 4),
+        ("distinct_fk", 8))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
-            "fk_cycle", "wide_and", "wide_or")
+            "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -143,6 +151,23 @@ def wide_pred(op: str, n: int) -> str:
     return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
 
 
+def keyed_collapse(n: int) -> str:
+    joins = " AND ".join(f"s{i}.a = s{i + 1}.a" for i in range(n - 1))
+    q = (f"SELECT s0.b AS o FROM {', '.join(f'R s{i}' for i in range(n))}"
+         + (f" WHERE {joins}" if joins else ""))
+    return (f"schema s(a:int, b:int);\ntable R(s);\nkey R(a);\n"
+            f"verify ({q})\n       ({q});\n")
+
+
+def distinct_fk(n: int) -> str:
+    scans = [f"B b{i}" for i in range(n)] + ["A a"]
+    return ("schema sa(x:int, y:int);\nschema sb(u:int, w:int);\n"
+            "table A(sa);\ntable B(sb);\nkey A(x);\n"
+            "foreign key B(w) references A(x);\n"
+            f"verify (SELECT DISTINCT b0.u AS o FROM {', '.join(scans)})\n"
+            f"       (SELECT DISTINCT b0.u AS o FROM {', '.join(scans[::-1])});\n")
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
@@ -158,6 +183,10 @@ def program(family: str, size: int, seed: int) -> str:
         return FK_CYCLE
     if family in ("wide_and", "wide_or"):
         return wide_pred(family[5:].upper(), size)
+    if family == "keyed_collapse":
+        return keyed_collapse(size)
+    if family == "distinct_fk":
+        return distinct_fk(size)
     return getattr(workloads, family)(random.Random(seed), size).text
 
 

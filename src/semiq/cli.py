@@ -41,7 +41,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timeout", type=float, default=30.0,
                     help="wall-clock budget per verify, seconds (default 30)")
     ap.add_argument("--chase-depth", type=int, default=3,
-                    help="foreign-key chase ceiling per term (default 3)")
+                    help="foreign-key chase rounds per term (default 3)")
     ap.add_argument("--trace", metavar="DIR", default=None,
                     help="write one proof trace file per verify into DIR")
     ap.add_argument("--dump-uexp", action="store_true",

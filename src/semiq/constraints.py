@@ -6,8 +6,11 @@ summations bound by an equality, the key-constraint collapse, and the
 foreign-key expansion.  Each round saturates, builds the term's closure
 once, and applies the first pass that changes the term, with every
 instance that closure allows: all summation variables with a candidate in
-one simultaneous substitution, or every key-equal atom pair.  A nesting
-chain therefore takes a constant number of rounds, not one per level.
+one simultaneous substitution (each tuple class keeps its least variable
+and every other member is replaced by it), every key-equal atom pair, or,
+for one foreign key, every source atom that needs expanding.  A nesting
+chain or a class of any size therefore takes a constant number of rounds,
+and one chase round is one level of the chase.
 The final round's closure is kept in ``Canonizer.closures`` for the term
 returned, so that the search does not build it again.
 Saturation writes each equality class of the term's congruence closure as
@@ -29,9 +32,9 @@ from .schema import FkConstraint, KeyConstraint, SchemaEnv
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
 from .trace import Trace
 from .exprs import (
-    AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleCons, TupleEqAtom,
-    TupleNeqAtom, TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq,
-    mk_record, mk_tuple_eq, rewrite, substitution, tuple_sort_key, walk,
+    AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleEqAtom, TupleNeqAtom,
+    TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq, mk_record,
+    mk_tuple_eq, rewrite, substitution, tuple_sort_key, walk,
 )
 
 
@@ -95,25 +98,15 @@ class Canonizer:
             # predicates has the saturated term's classes (the chains
             # generate it), and every pass picks by min over class members
             t, closure = self.saturate(t, loc)
-            t2 = self.try_eliminate(t, closure, loc)
-            if t2 is not None:
-                t = t2
-                continue
-            t2 = self.try_key(t, closure, loc)
-            if t2 is not None:
-                t = t2
-                continue
-            t2, chase_rounds = self.try_fk(t, closure, loc, squash_ctx,
-                                           chase_rounds)
-            if t2 is not None:
-                t = t2
-                continue
-            if wrap and not squash_ctx:
+            t2 = self.try_eliminate(t, closure, loc) or self.try_key(t, closure, loc)
+            if t2 is None:
+                t2, chase_rounds = self.try_fk(t, closure, loc, squash_ctx,
+                                               chase_rounds)
+            if t2 is None and wrap and not squash_ctx:
                 t2 = self.try_wrap(t, closure, loc)
-                if t2 is not None:
-                    t = t2
-                    continue
-            break
+            if t2 is None:
+                break
+            t = t2
         if any(len({c.value for c in ms if isinstance(c, Const)}) > 1
                for ms in closure.scalar_classes().values()):
             self.trace.rule("const-clash", loc)
@@ -163,10 +156,11 @@ class Canonizer:
 
     def try_eliminate(self, t: Term, closure: Closure, loc: str) -> Term | None:
         """Eliminate every summation variable with a candidate in one
-        simultaneous substitution.  A variable whose candidate mentions a
-        chosen variable waits, and so does one that a chosen candidate
-        mentions: no replacement then mentions a replaced variable, so the
-        substitution equals the one-at-a-time sequence."""
+        simultaneous substitution.  The least variable of a tuple class
+        survives the round and replaces every other one.  A variable whose
+        candidate mentions a chosen variable waits, and so does one that a
+        chosen candidate mentions: no replacement then mentions a replaced
+        variable, so the substitution equals the one-at-a-time sequence."""
         index = _RoundIndex(t)
         chosen: dict[TupleVar, object] = {}
         replaced: set[int] = set()
@@ -178,6 +172,10 @@ class Canonizer:
                 continue
             rule = "sum-elim-eq"
             repl = self._whole_tuple_candidate(closure, v, index)
+            if repl == v:
+                # the survivor skips coverage too, which could map it onto
+                # a member that this round replaces
+                continue
             if repl is None:
                 rule = "sum-elim-cover"
                 repl = self._coverage_candidate(closure, v, index)
@@ -199,26 +197,22 @@ class Canonizer:
 
     def _whole_tuple_candidate(self, closure: Closure, v: TupleVar,
                                index: "_RoundIndex"):
-        rep = closure.tuple_rep(v)
-        in_atoms = v.vid in index.atom_vids
-        candidates = []
-        for m in closure.tuple_classes().get(rep, []):
-            if _mentions(m, v):
-                continue
-            if isinstance(m, TupleVar):
-                candidates.append((0 if m.vid not in index.sum_vids else 1,
-                                   tuple_sort_key(m), m))
-            elif isinstance(m, TupleCons):
-                if in_atoms or v.vid in index.slice_bases:
-                    continue
-                candidates.append((2, tuple_sort_key(m), m))
-            elif isinstance(m, TupleSlice):
-                if in_atoms or v.vid in index.slice_bases:
-                    continue
-                candidates.append((3, tuple_sort_key(m), m))
-        if not candidates:
+        """The member of v's tuple class that replaces v.  When the class
+        holds another variable, that is its least variable, free ones
+        first: v itself if v survives.  Otherwise it is the least record,
+        then slice, that does not mention v, unless v stands in a relation
+        atom or is sliced."""
+        members = closure.tuple_classes().get(closure.tuple_rep(v), [])
+        variables = [m for m in members if isinstance(m, TupleVar)]
+        if len(variables) > 1:
+            return min(variables, key=lambda m: (m.vid in index.sum_vids,
+                                                 tuple_sort_key(m)))
+        others = [m for m in members
+                  if not isinstance(m, TupleVar) and not _mentions(m, v)]
+        if not others or v.vid in index.atom_vids or v.vid in index.slice_bases:
             return None
-        return min(candidates)[2]
+        return min(others, key=lambda m: (isinstance(m, TupleSlice),
+                                          tuple_sort_key(m)))
 
     def _coverage_candidate(self, closure: Closure, v: TupleVar,
                             index: "_RoundIndex"):
@@ -278,39 +272,32 @@ class Canonizer:
 
     def try_fk(self, t: Term, closure: Closure, loc: str, squash_ctx: bool,
                chase_rounds: int) -> tuple[Term | None, int]:
-        names = {rel for rel, _ in t.atoms}
+        """Expand, for the first foreign key with something to expand, every
+        source atom that needs it, in one batch that counts one chase round.
+        With no target atom present that is every source atom.  Once one is
+        present nothing expands in a bag, and under squash every source atom
+        expands that no target atom agreeing on the key absorbs (a
+        homomorphism maps the new atom there); once expanded, a source is
+        absorbed by its own new target.  Expanding a whole batch
+        keeps the result independent of variable numbering, so isomorphic
+        terms canonize alike."""
         for fk in self.env.fks:
-            sources = [var for rel, var in t.atoms if rel == fk.source]
+            targets = [w for rel, w in t.atoms if rel == fk.target]
+            if targets and not squash_ctx:
+                continue
+            pairs = list(zip(fk.target_attrs, fk.source_attrs))
+            sources = [var for rel, var in t.atoms if rel == fk.source and not any(
+                all(closure.scalar_eq(AttrRef(w, ka), AttrRef(var, sa))
+                    for ka, sa in pairs) for w in targets)]
             if not sources:
                 continue
-            if fk.target not in names:
-                # expand every source atom in one batch: which atom gets the
-                # new relation must not depend on variable numbering, or
-                # isomorphic terms would canonize differently
-                if chase_rounds >= self.budget.limits.chase_depth:
-                    self._report_exhausted(loc)
-                    return None, chase_rounds
-                expanded = t
-                for var in sources:
-                    expanded = self._expand_fk(expanded, fk, var)
-                    self.trace.rule("fk-expand", loc)
-                return expanded, chase_rounds + 1
-            if not squash_ctx:
-                continue
-            targets = [w for rel, w in t.atoms if rel == fk.target]
-            pairs = list(zip(fk.target_attrs, fk.source_attrs))
+            if chase_rounds >= self.budget.limits.chase_depth:
+                self._report_exhausted(loc)
+                return None, chase_rounds
             for var in sources:
-                # under squash a target atom that already agrees on the key
-                # absorbs the new one (a homomorphism maps it there); once
-                # expanded, a source is absorbed by its own new target
-                if any(all(closure.scalar_eq(AttrRef(w, ka), AttrRef(var, sa))
-                           for ka, sa in pairs) for w in targets):
-                    continue
-                if chase_rounds >= self.budget.limits.chase_depth:
-                    self._report_exhausted(loc)
-                    return None, chase_rounds
+                t = self._expand_fk(t, fk, var)
                 self.trace.rule("fk-expand", loc)
-                return self._expand_fk(t, fk, var), chase_rounds + 1
+            return t, chase_rounds + 1
         return None, chase_rounds
 
     def _report_exhausted(self, loc: str) -> None:

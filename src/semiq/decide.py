@@ -304,8 +304,8 @@ class Decider:
                 for v in src.sum_vars}
         if not all(cand.values()):
             return False
-        neg_vars = ([w for w in free_vars(src.neg.to_exp()) if w.vid in cand]
-                    if src.neg is not None else [])
+        neg_ids = _mentioned(src.neg)
+        neg_vars = [v for v in src.sum_vars if v.vid in neg_ids]
         linked = {vid: {vid} for vid in cand}
         for group in (*fs.preds.summed, neg_vars):
             # the smaller parts join the largest, so a variable moves

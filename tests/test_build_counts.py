@@ -9,9 +9,11 @@ containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
 pairings, the factors of a wide product are keyed once each, the
 closure work of a wide union under EXISTS grows linearly in its branches,
-and a wide union renames no branch body, keys no grounded terms of its
-summation-free terms and adds its branch bodies in one call.  They guard
-the asymptotics without timing anything."""
+a wide union renames no branch body, keys no grounded terms of its
+summation-free terms and adds its branch bodies in one call, and neither a
+key collapse into one class nor a one-level chase under DISTINCT takes
+more canonize rounds as it widens.  They guard the asymptotics without
+timing anything."""
 
 from __future__ import annotations
 
@@ -299,6 +301,29 @@ def test_index_join_back_rounds_do_not_grow_with_probes(monkeypatch):
     # collapses every key-equal pair of atoms, at once
     assert _canonize_rounds(monkeypatch, index_join_back_program(3)) == \
         _canonize_rounds(monkeypatch, index_join_back_program(6))
+
+
+def _canonize_steps(text: str) -> int:
+    [out] = run_program_text(text)
+    assert out.status == "EQUIVALENT"
+    return out.steps["canonize"]
+
+
+def test_a_key_collapse_class_takes_constant_canonize_rounds():
+    # the key collapse puts every scan in one tuple class; its least
+    # variable survives and replaces all the others in one round
+    assert _canonize_steps(scaling.keyed_collapse(8)) == \
+        _canonize_steps(scaling.keyed_collapse(16))
+
+
+def test_a_one_level_chase_takes_constant_canonize_rounds():
+    # every B scan under DISTINCT needs one level of the chase, and all of
+    # them expand in one round, within the default chase depth
+    assert _canonize_steps(scaling.distinct_fk(4)) == \
+        _canonize_steps(scaling.distinct_fk(8))
+    for n in (4, 5):
+        [out] = run_program_text(scaling.distinct_fk(n))
+        assert (out.status, out.detail) == ("EQUIVALENT", "")
 
 
 def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):

@@ -26,7 +26,8 @@ from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (ONE, AttrRef, Const, Exp, TupleEqAtom, TupleVar,
-                        VarGen, free_vars, mk_eq, mk_tuple_eq, mul, sum_)
+                        VarGen, free_vars, mk_eq, mk_record, mk_tuple_eq, mul,
+                        sum_)
 
 from conftest import parse_query
 from helpers import (all_pairs_equalities, alpha_equal, closure_scalars,
@@ -153,6 +154,51 @@ def test_eliminate_keeps_undetermined_variables():
     term = Term.make((t1,), [mk_eq(AttrRef(t1, "a"), Const(3, "int"))],
                      None, None, (("R", t1),))
     assert _eliminated(term) == term
+
+
+def _one_elimination(t: Term) -> tuple[Term | None, list[str]]:
+    trace = Trace()
+    out = Canonizer(SchemaEnv(), VarGen(10_000), trace) \
+        .try_eliminate(t, closure_of(t.preds), "t")
+    return out, trace.rule_names()
+
+
+def _mentioned_vids(t: Term) -> set[int]:
+    return {w.vid for p in t.preds for w in free_vars(p)} | \
+        {w.vid for _, w in t.atoms}
+
+
+def test_a_class_keeps_its_least_variable_and_then_takes_the_record():
+    # v survives the first round and replaces w; alone with the record
+    # then, v is replaced by it in the next
+    v, w = TupleVar(1, SR), TupleVar(2, SR)
+    rec = mk_record({"k": Const(1, "int"), "a": Const(2, "int")})
+    term = Term.make((v, w), [mk_tuple_eq(v, w), mk_tuple_eq(w, rec)],
+                     None, None, ())
+    first, rules = _one_elimination(term)
+    assert first.sum_vars == (v,) and rules == ["sum-elim-eq"]
+    assert 2 not in _mentioned_vids(first)
+    out = _eliminated(term)
+    assert out.sum_vars == () and not _mentioned_vids(out)
+
+
+def test_a_lone_variable_is_replaced_by_its_record_in_one_round():
+    v = TupleVar(1, SR)
+    rec = mk_record({"k": Const(1, "int"), "a": Const(2, "int")})
+    out, rules = _one_elimination(
+        Term.make((v,), [mk_tuple_eq(v, rec)], None, None, ()))
+    assert out.sum_vars == () and rules == ["sum-elim-eq"]
+    assert not _mentioned_vids(out)
+
+
+def test_a_free_variable_replaces_every_summation_variable_of_its_class():
+    free = TupleVar(1, SR)
+    vs = tuple(TupleVar(i, SR) for i in (2, 3, 4))
+    preds = [mk_tuple_eq(x, y) for x, y in zip(vs, vs[1:])] + \
+        [mk_tuple_eq(vs[-1], free)]
+    out, rules = _one_elimination(Term.make(vs, preds, None, None, ()))
+    assert out.sum_vars == () and rules == ["sum-elim-eq"] * 3
+    assert _mentioned_vids(out) <= {1}
 
 
 def test_apply_key_collapses_matching_pair(index_program):
@@ -384,6 +430,38 @@ def test_squash_context_fk_expands_unless_a_target_absorbs_it(joined, expands):
         SpnfExp((term,)), squash_ctx=True)
     assert trace.rule_names().count("fk-expand") == expands
     assert [rel for rel, _ in out.terms[0].atoms].count("R") == 1 + expands
+
+
+def test_squash_context_fk_expands_every_unabsorbed_source_in_one_round():
+    # a target atom is present but agrees with no source on the key: all
+    # three sources expand in one batch, which is one chase round
+    env = _fk_env()
+    ss = tuple(TupleVar(i, env.tables["S"]) for i in (1, 2, 3))
+    r = TupleVar(4, env.tables["R"])
+    term = Term.make((*ss, r), [], None, None,
+                     (*(("S", s) for s in ss), ("R", r)))
+    trace = Trace()
+    out, rounds = Canonizer(env, VarGen(100), trace).try_fk(
+        term, closure_of(term.preds), "t", True, 0)
+    assert rounds == 1
+    assert trace.rule_names() == ["fk-expand"] * 3
+    assert [rel for rel, _ in out.atoms].count("R") == 4
+
+
+@pytest.mark.parametrize("squash_ctx", [False, True])
+def test_sources_with_equal_fk_values_end_with_one_target_atom(squash_ctx):
+    # both sources expand in one batch, and the key collapse of the next
+    # round merges the two new atoms
+    env = _fk_env()
+    s1, s2 = (TupleVar(i, env.tables["S"]) for i in (1, 2))
+    term = Term.make((s1, s2), [mk_eq(AttrRef(s1, "f"), AttrRef(s2, "f"))],
+                     None, None, (("S", s1), ("S", s2)))
+    trace = Trace()
+    out = Canonizer(env, VarGen(100), trace).canonize_term(
+        term, "t", squash_ctx=squash_ctx)
+    assert [rel for rel, _ in out.atoms].count("R") == 1
+    assert trace.rule_names().count("fk-expand") == 2
+    assert "key-collapse" in trace.rule_names()
 
 
 def test_cyclic_fk_pair_terminates_within_ceiling():

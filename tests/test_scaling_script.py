@@ -40,6 +40,18 @@ def test_scaling_rows_at_tiny_sizes(tmp_path):
             split["normalize"] + split["canonize"] + split["search"]
 
 
+def test_scaling_keyed_and_fk_families_at_tiny_sizes(tmp_path):
+    rows = {"keyed_collapse=3": "EQUIVALENT", "distinct_fk=2": "EQUIVALENT"}
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
+                          "--timeout", "30", "--json", str(tmp_path / "b.json"), *rows],
+                         capture_output=True, text=True, timeout=120, check=True)
+    lines = [line.split("\t") for line in res.stdout.splitlines()]
+    assert [(f"{family}={size}", verdict) for family, size, _, verdict, _ in lines] \
+        == list(rows.items())
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert all(row["steps"]["canonize"] > 0 for row in doc["rows"])
+
+
 def test_scaling_rejects_an_unknown_family():
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
                           "cross_join=3"], capture_output=True, text=True,
