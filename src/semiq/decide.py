@@ -24,7 +24,9 @@ variables at a time.
 Every predicate question about a term goes to one closure per term and
 call: the closure canonize built in its final round for that term, handed
 over through ``Canonizer.closures``, or ``closure_of(t.preds)`` for a term
-canonize did not return as it stands.
+canonize did not return as it stands.  A term both sides share is one
+object (canonize's memo), with one closure and one set of facts, and it
+matches itself by the empty map with no predicate test.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class Decider:
             self._facts.clear()
             self._colours.clear()
             self.canonizer.closures.clear()
+            self.canonizer.memo.clear()
 
     def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
         """Pair each right term, in order, with the first unused left term
@@ -213,16 +216,19 @@ class Decider:
     def _term_check(self, t1: Term, t2: Term,
                     mapping: list[tuple[TupleVar, TupleVar]]) -> bool:
         t2p = subst_term(t2, dict(mapping))  # the two variable sets are disjoint
-        if sorted((r, v.vid) for r, v in t1.atoms) != \
-           sorted((r, v.vid) for r, v in t2p.atoms):
-            return False
-        # each side's predicates, renamed, hold in the other's closure
-        f1, f2 = self._term_facts(t1), self._term_facts(t2)
-        image = {v2.vid: v1 for v2, v1 in mapping}
-        preimage = {v1.vid: v2 for v2, v1 in mapping}
-        if not (all(_pred_holds(f2, i, image, f1) for i in range(len(t2.preds))) and
-                all(_pred_holds(f1, i, preimage, f2) for i in range(len(t1.preds)))):
-            return False
+        # a term both sides share (canonize's memo) is one object, and the
+        # empty map is an isomorphism of it onto itself
+        if t1 is not t2 or mapping:
+            if sorted((r, v.vid) for r, v in t1.atoms) != \
+               sorted((r, v.vid) for r, v in t2p.atoms):
+                return False
+            # each side's predicates, renamed, hold in the other's closure
+            f1, f2 = self._term_facts(t1), self._term_facts(t2)
+            image = {v2.vid: v1 for v2, v1 in mapping}
+            preimage = {v1.vid: v2 for v2, v1 in mapping}
+            if not (all(_pred_holds(f2, i, image, f1) for i in range(len(t2.preds))) and
+                    all(_pred_holds(f1, i, preimage, f2) for i in range(len(t1.preds)))):
+                return False
         s1, s2 = t1.squash, t2p.squash
         if s1 is not None or s2 is not None:
             if not self.squash_equal(s1 or SpnfExp.one(), s2 or SpnfExp.one()):

@@ -12,8 +12,11 @@ closure work of a wide union under EXISTS grows linearly in its branches,
 a wide union renames no branch body, keys no grounded terms of its
 summation-free terms and adds its branch bodies in one call, and neither a
 key collapse into one class nor a one-level chase under DISTINCT takes
-more canonize rounds as it widens.  They guard the asymptotics without
-timing anything."""
+more canonize rounds as it widens.  A summation-free term that both sides
+share is canonized once and has one closure and one set of facts; terms
+that keep a summation variable are not shared, even when they are equal up
+to renaming it, so each side builds its own.  They guard the asymptotics
+without timing anything."""
 
 from __future__ import annotations
 
@@ -80,7 +83,9 @@ def test_wide_union_builds_equality_links_once_per_term(monkeypatch):
 def test_wide_union_builds_one_closure_per_term(monkeypatch):
     # the search asks every predicate question of each term's own closure,
     # and that closure is the one canonize built in its final round: no
-    # closure is built twice per term, or built or copied per checked pair
+    # closure is built twice per term, or built or copied per checked pair.
+    # Each branch is a summation-free scan that both sides share, so its
+    # term is canonized once and is one object with one closure
     n = 64
     built, asked = [], set()
     real_closure, real_implies = decide.closure_of, decide.implies_atom
@@ -106,7 +111,39 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
     monkeypatch.setattr(decide, "_TermFacts", facts)
     [out] = run_program_text(workloads.wide_union(random.Random(1), n).text)
     assert out.status == "EQUIVALENT"
-    assert len(built) == len({id(t) for t in terms}) == 2 * n
+    assert len(built) == len({id(t) for t in terms}) == n
+    # a shared term is matched to itself by the empty map, with no
+    # predicate question
+    assert not asked
+
+
+def test_projection_branches_keep_one_closure_per_side(monkeypatch):
+    # each projection branch keeps its scan's summation variable, and the
+    # two sides bind distinct variables, so no term is shared: both sides
+    # build their own closure per branch and the search asks its predicate
+    # questions of those closures.  Sharing terms equal up to renaming
+    # their summation variables would halve the count
+    n = 24
+    built, asked, terms = [], set(), set()
+    real_closure, real_implies = decide.closure_of, decide.implies_atom
+    real_facts = decide._TermFacts
+
+    def closure_of(preds):
+        built.append(real_closure(preds))
+        return built[-1]
+
+    def facts(t, *args):
+        terms.add(id(t))
+        return real_facts(t, *args)
+
+    for module in (congruence, constraints, decide):
+        monkeypatch.setattr(module, "closure_of", closure_of)
+    monkeypatch.setattr(decide, "implies_atom",
+                        lambda c, *args: asked.add(id(c)) or real_implies(c, *args))
+    monkeypatch.setattr(decide, "_TermFacts", facts)
+    [out] = run_program_text(scaling.union_all(n))
+    assert out.status == "EQUIVALENT"
+    assert len(built) == len(terms) == 2 * n
     assert asked and asked <= {id(c) for c in built}
 
 
@@ -147,8 +184,9 @@ def test_a_wide_union_renames_no_branch_and_keys_no_summation_free_term(monkeypa
             assert pipeline.decide_verify(p, env).status == "EQUIVALENT"
             assert all(k == 0 for k in keyed)
             free.append(len(keyed))
-    # each filtered scan's term is summation-free, each projection's is not
-    assert free == [24, 0, 48, 0]
+    # each filtered scan's term is summation-free and shared by both sides,
+    # so its links are built once; each projection's term is not
+    assert free == [12, 0, 24, 0]
 
 
 def test_a_wide_union_is_summed_once_per_side(monkeypatch):
