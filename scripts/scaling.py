@@ -8,8 +8,9 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
-`wide_from` 400, 600 and 1000, `fk_cycle` 3, `wide_and` and `wide_or`
-1200, `keyed_collapse` 100 and 200, and `distinct_fk` 4 and 8.  Each row is
+`wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
+`wide_or` 1200, `keyed_collapse` 100, 200 and 400, and `distinct_fk` 4
+and 8.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -80,9 +81,10 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
-        ("wide_from", 400), ("wide_from", 600), ("wide_from", 1000),
-        ("fk_cycle", 3), ("wide_and", 1200), ("wide_or", 1200),
-        ("keyed_collapse", 100), ("keyed_collapse", 200), ("distinct_fk", 4),
+        ("wide_from", 400), ("wide_from", 600), ("wide_from", 800),
+        ("wide_from", 1000), ("wide_from", 2000), ("fk_cycle", 3),
+        ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
+        ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
         ("distinct_fk", 8))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",

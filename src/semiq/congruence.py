@@ -223,6 +223,13 @@ class Closure:
         self.close()
         return self.find(nid)
 
+    def attr_reps(self, v: TupleVar, attrs) -> tuple[int, ...]:
+        """The classes of ``v``'s attributes ``attrs``, in order, after one
+        close: two variables agree on attributes when these are equal."""
+        nids = [self.add_scalar(AttrRef(v, a)) for a in attrs]
+        self.close()
+        return tuple(map(self.find, nids))
+
     def scalar_classes(self) -> dict[int, list[object]]:
         """rep -> scalar source terms, one per node (interning makes them
         distinct), sorted by ``scalar_sort_key`` (ties in node order).  Kept

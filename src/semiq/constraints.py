@@ -196,7 +196,7 @@ class Canonizer:
         candidate mentions a chosen variable waits, and so does one that a
         chosen candidate mentions: no replacement then mentions a replaced
         variable, so the substitution equals the one-at-a-time sequence."""
-        index = _RoundIndex(t)
+        index = _RoundIndex(t, closure)
         chosen: dict[TupleVar, object] = {}
         replaced: set[int] = set()
         mentioned: set[int] = set()   # by the chosen replacements
@@ -206,14 +206,14 @@ class Canonizer:
             if v.vid in mentioned:
                 continue
             rule = "sum-elim-eq"
-            repl = self._whole_tuple_candidate(closure, v, index)
+            repl = self._whole_tuple_candidate(v, index)
             if repl == v:
                 # the survivor skips coverage too, which could map it onto
                 # a member that this round replaces
                 continue
             if repl is None:
                 rule = "sum-elim-cover"
-                repl = self._coverage_candidate(closure, v, index)
+                repl = self._coverage_candidate(v, index)
             if repl is None:
                 continue
             vids = {w.vid for w in free_vars(repl)}
@@ -230,47 +230,39 @@ class Canonizer:
             self.trace.rule(rule, loc)
         return out
 
-    def _whole_tuple_candidate(self, closure: Closure, v: TupleVar,
-                               index: "_RoundIndex"):
+    def _whole_tuple_candidate(self, v: TupleVar, index: "_RoundIndex"):
         """The member of v's tuple class that replaces v.  When the class
         holds another variable, that is its least variable, free ones
         first: v itself if v survives.  Otherwise it is the least record,
         then slice, that does not mention v, unless v stands in a relation
         atom or is sliced."""
-        members = closure.tuple_classes().get(closure.tuple_rep(v), [])
-        variables = [m for m in members if isinstance(m, TupleVar)]
-        if len(variables) > 1:
-            return min(variables, key=lambda m: (m.vid in index.sum_vids,
-                                                 tuple_sort_key(m)))
-        others = [m for m in members
-                  if not isinstance(m, TupleVar) and not _mentions(m, v)]
+        least, others = index.tuple_classes.get(index.closure.tuple_rep(v), (None, ()))
+        if least is not None:
+            return least
+        others = [m for m in others if not _mentions(m, v)]
         if not others or v.vid in index.atom_vids or v.vid in index.slice_bases:
             return None
         return min(others, key=lambda m: (isinstance(m, TupleSlice),
                                           tuple_sort_key(m)))
 
-    def _coverage_candidate(self, closure: Closure, v: TupleVar,
-                            index: "_RoundIndex"):
-        sch = v.schema
+    def _coverage_candidate(self, v: TupleVar, index: "_RoundIndex"):
+        sch, closure = v.schema, index.closure
         if sch.generic or not sch.attrs:
             return None
         # a variable of the same schema agreeing on every attribute
         # determines v outright (and may replace it inside relation atoms)
-        for w in index.by_schema.get(sch, ()):
-            if w.vid != v.vid and all(
-                    closure.scalar_eq(AttrRef(v, a), AttrRef(w, a))
-                    for a in sch.attr_names()):
-                return w
-        if v.vid in index.atom_vids or v.vid in index.slice_bases:
+        groups = index.agreeing(sch)
+        bound = v.vid in index.atom_vids or v.vid in index.slice_bases
+        if bound and not groups:
             return None
-        fields = {}
-        for a in sch.attr_names():
-            rep = closure.scalar_rep(AttrRef(v, a))
-            fields[a] = next((s for s in closure.scalar_classes().get(rep, [])
-                              if not _mentions(s, v)), None)
-            if fields[a] is None:
-                return None
-        return mk_record(fields)
+        reps = closure.attr_reps(v, sch.attr_names())
+        w = next((w for w in groups.get(reps, ()) if w.vid != v.vid), None)
+        if w is not None or bound:
+            return w
+        classes = closure.scalar_classes()
+        fields = {a: next((s for s in classes[rep] if not _mentions(s, v)), None)
+                  for a, rep in zip(sch.attr_names(), reps)}
+        return None if None in fields.values() else mk_record(fields)
 
     # -- pass 3: key collapse --------------------------------------------------
 
@@ -281,18 +273,17 @@ class Canonizer:
         atoms = list(t.atoms)
         preds = list(t.preds)
         for key in self.env.keys:
-            kept: list[TupleVar] = []
+            # key-attribute classes -> the variable of the kept atom; kept
+            # atoms have distinct classes, so at most one agrees with w
+            kept: dict[tuple[int, ...], TupleVar] = {}
             rest = []
             for rel, w in atoms:
-                u = None
-                if rel == key.relation:
-                    u = next((u for u in kept if u == w or all(
-                        closure.scalar_eq(AttrRef(u, a), AttrRef(w, a))
-                        for a in key.attrs)), None)
+                reps = closure.attr_reps(w, key.attrs) if rel == key.relation else None
+                u = kept.get(reps)
                 if u is None:
                     rest.append((rel, w))
-                    if rel == key.relation:
-                        kept.append(w)
+                    if reps is not None:
+                        kept[reps] = w
                 elif u == w:
                     self.trace.rule("key-idem", loc)
                 else:
@@ -320,10 +311,9 @@ class Canonizer:
             targets = [w for rel, w in t.atoms if rel == fk.target]
             if targets and not squash_ctx:
                 continue
-            pairs = list(zip(fk.target_attrs, fk.source_attrs))
-            sources = [var for rel, var in t.atoms if rel == fk.source and not any(
-                all(closure.scalar_eq(AttrRef(w, ka), AttrRef(var, sa))
-                    for ka, sa in pairs) for w in targets)]
+            absorbing = {closure.attr_reps(w, fk.target_attrs) for w in targets}
+            sources = [var for rel, var in t.atoms if rel == fk.source and not (
+                absorbing and closure.attr_reps(var, fk.source_attrs) in absorbing)]
             if not sources:
                 continue
             if chase_rounds >= self.budget.limits.chase_depth:
@@ -385,18 +375,12 @@ class Canonizer:
     def _key_bound(self, v: TupleVar, key: KeyConstraint, closure: Closure,
                    undetermined: set[int]) -> bool:
         blocked = undetermined | {v.vid}
-        for a in key.attrs:
-            rep = closure.scalar_rep(AttrRef(v, a))
-            ok = False
-            for s in closure.scalar_classes().get(rep, []):
-                if s == AttrRef(v, a):
-                    continue
-                if not any(w.vid in blocked for w in free_vars(s)):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        reps = closure.attr_reps(v, key.attrs)
+        classes = closure.scalar_classes()
+        return all(any(s != AttrRef(v, a)
+                       and not any(w.vid in blocked for w in free_vars(s))
+                       for s in classes[rep])
+                   for a, rep in zip(key.attrs, reps))
 
     def try_wrap(self, t: Term, closure: Closure, loc: str) -> Term | None:
         if not self.squash_stable(t, closure):
@@ -435,13 +419,16 @@ def _mentions(x, v: TupleVar) -> bool:
 
 
 class _RoundIndex:
-    """Facts about one round's term that the elimination pass looks up per
-    variable, each built on its first use."""
+    """Facts about one round's term and closure that the elimination pass
+    looks up per variable, each built on its first use."""
 
-    def __init__(self, t: Term):
+    def __init__(self, t: Term, closure: Closure):
         self.t = t
+        self.closure = closure
+        self.tuples = len(closure.tuple_nodes)  # its own, before any query
         self.sum_vids = {v.vid for v in t.sum_vars}
         self.atom_vids = {w.vid for _, w in t.atoms}
+        self._agreeing: dict = {}
 
     @cached_property
     def slice_bases(self) -> set[int]:
@@ -452,19 +439,27 @@ class _RoundIndex:
                 for side in (p.lhs, p.rhs) if isinstance(side, TupleSlice)}
 
     @cached_property
-    def by_schema(self) -> dict:
-        """schema -> the term's variables of it, at any nesting, free ones
-        first, then by id."""
-        seen: dict[int, TupleVar] = {}
-        for term in nested_terms(SpnfExp((self.t,))):
-            for v in term.sum_vars:
-                seen.setdefault(v.vid, v)
-            for _, w in term.atoms:
-                seen.setdefault(w.vid, w)
-            for p in term.preds:
-                for w in free_vars(p):
-                    seen.setdefault(w.vid, w)
-        out: dict = {}
-        for vid in sorted(seen, key=lambda k: (k in self.sum_vids, k)):
-            out.setdefault(seen[vid].schema, []).append(seen[vid])
+    def tuple_classes(self) -> dict:
+        """Tuple class -> its least variable, free ones first, if it holds
+        two or more (else None), and its other members.  A query adds only
+        variables, each a class of its own, so these stay complete."""
+        out = {}
+        for rep, members in self.closure.tuple_classes().items():
+            vs = [m for m in members if isinstance(m, TupleVar)]
+            out[rep] = (min(vs, key=lambda m: (m.vid in self.sum_vids, tuple_sort_key(m)))
+                        if len(vs) > 1 else None,
+                        [m for m in members if not isinstance(m, TupleVar)])
         return out
+
+    def agreeing(self, sch) -> dict:
+        """The classes of ``sch``'s attributes -> the closure's own variables
+        of it with them, free ones first, then by id, where it has two or
+        more; a variable the closure lacked has new classes, agreeing with none."""
+        if sch not in self._agreeing:
+            c, groups = self.closure, self._agreeing.setdefault(sch, {})
+            own = sorted((c.source[n] for n in c.tuple_nodes[:self.tuples]
+                          if c.kind[n] == "tvar" and c.source[n].schema == sch),
+                         key=lambda w: (w.vid in self.sum_vids, w.vid))
+            for w in own if len(own) > 1 else ():
+                groups.setdefault(c.attr_reps(w, sch.attr_names()), []).append(w)
+        return self._agreeing[sch]

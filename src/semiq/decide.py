@@ -40,7 +40,7 @@ from .constraints import Canonizer, subst_spnf, subst_term, _is_reflexive
 from .schema import SchemaEnv, footprint_key
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
 from .trace import Trace
-from .exprs import (AttrRef, Pred, TupleVar, VarGen, canon_key, free_vars,
+from .exprs import (Pred, TupleVar, VarGen, canon_key, free_vars,
                     mk_eq, substitute)
 
 EQUIVALENT = "EQUIVALENT"
@@ -470,8 +470,7 @@ class _EqualityLinks:
         attrs_of = {}
         for v in t.sum_vars:
             attrs_of[v.vid] = tuple(sorted(v.schema.attr_names()))
-            for a in attrs_of[v.vid]:
-                rep = closure.scalar_rep(AttrRef(v, a))
+            for a, rep in zip(attrs_of[v.vid], closure.attr_reps(v, attrs_of[v.vid])):
                 self._attr_rep[(v.vid, a)] = rep
                 self._by_rep.setdefault(rep, []).append((v.vid, a))
         classes = closure.scalar_classes()
@@ -511,15 +510,13 @@ def _free_constants(t: Term, closure: Closure) -> dict:
     free = [v for v in (closure.source[nid] for nid in closure.tuple_nodes
                         if closure.kind[nid] == "tvar")
             if v.vid not in sum_ids and not v.schema.generic]
-    attrs = {(v.vid, a): closure.add_scalar(AttrRef(v, a))
-             for v in free for a in v.schema.attr_names()}
-    closure.close()
+    attrs = {(v.vid, a): rep for v in free for a, rep in
+             zip(v.schema.attr_names(), closure.attr_reps(v, v.schema.attr_names()))}
     consts: dict[int, set] = {}
     for nid, kind in enumerate(closure.kind):
         if kind == "const":
             consts.setdefault(closure.find(nid), set()).add(closure.payload[nid])
-    return {key: frozenset(consts[rep]) for key, nid in attrs.items()
-            if (rep := closure.find(nid)) in consts}
+    return {key: frozenset(consts[rep]) for key, rep in attrs.items() if rep in consts}
 
 
 def term_signature(t: Term) -> tuple:

@@ -364,6 +364,28 @@ def test_a_one_level_chase_takes_constant_canonize_rounds():
         assert (out.status, out.detail) == ("EQUIVALENT", "")
 
 
+def test_agreement_on_attributes_interns_linearly_in_from_width(monkeypatch):
+    # the coverage scan, the key collapse and the foreign-key absorption
+    # look up each variable's attribute classes once; comparing every pair
+    # of variables attribute by attribute interns nodes quadratically
+    calls = [0]
+    real = congruence.Closure.add_scalar
+
+    def add_scalar(self, s):
+        calls[0] += 1
+        return real(self, s)
+
+    monkeypatch.setattr(congruence.Closure, "add_scalar", add_scalar)
+    for family in (scaling.wide_from, scaling.keyed_collapse, scaling.distinct_fk):
+        counts = []
+        for n in (50, 100):
+            calls[0] = 0
+            [out] = run_program_text(family(n))
+            assert out.status == "EQUIVALENT"
+            counts.append(calls[0])
+        assert counts[1] <= 2.3 * counts[0], (family.__name__, counts)
+
+
 def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
     # saturate writes k - 1 equalities per class of k members, so no round
     # holds more than a few predicates per level of nesting; all pairs

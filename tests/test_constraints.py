@@ -568,12 +568,23 @@ scaling = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scaling)
 
 
-def test_the_coverage_scan_meets_the_deadline():
+def test_the_coverage_scan_meets_the_deadline(monkeypatch):
     # eliminating 1,000 scans takes no budget step between the coverage
-    # scans of its summation variables; each variable checks the clock
+    # scans of its summation variables; each variable checks the clock.
+    # The scan is linear in FROM width, so each of the round's 1,000 calls
+    # is slowed to 3 ms: without the per-variable check the first round
+    # alone outlasts the 2 s bound, with it the run stops near 0.5 s
+    real = Canonizer._coverage_candidate
+
+    def slow(self, *args):
+        time.sleep(0.003)
+        return real(self, *args)
+
+    monkeypatch.setattr(Canonizer, "_coverage_candidate", slow)
     t0 = time.monotonic()
-    [out] = run_program_text(scaling.wide_from(1000), Limits(timeout_s=1.0))
+    [out] = run_program_text(scaling.wide_from(1000), Limits(timeout_s=0.5))
     assert out.status == "RESOURCE_EXHAUSTED" and "timeout" in out.detail
+    assert out.steps["canonize"] > 0 and out.steps["search"] <= 1
     assert time.monotonic() - t0 < 2.0
 
 

@@ -772,12 +772,14 @@ def test_canonizes_closure_gives_the_facts_of_a_fresh_closure(monkeypatch):
             want = decide._TermFacts(out, {})
             assert (got.consts, got.sig, got.colour, got.by_colour) == \
                 (want.consts, want.sig, want.colour, want.by_colour)
+            assert [got.links.unary(v) for v in out.sum_vars] == \
+                [want.links.unary(v) for v in out.sum_vars]
             checked.append(out)
         return out
 
     monkeypatch.setattr(constraints.Canonizer, "canonize_term", canonize_term)
     texts = [p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
-    texts += [inst.text for name in ("wide-search", "deep-canon")
+    texts += [inst.text for name in sorted(workloads.WORKLOADS)
               for inst in workloads.build(name, 1, ROOT)]
     for text in texts:
         run_program_text(text)

@@ -557,3 +557,34 @@ def test_false_normalizes_by_its_zero_rule(rule, q1, q2):
     assert out.status == "EQUIVALENT"
     assert rule in out.trace.rule_names()
     assert find_witness(p.q1, p.q2, env) is None
+
+
+# each squash rule of the catalog that only hand-built U-expressions were
+# thought to reach, reached from SQL: an OR with FALSE squashes its other
+# operand, and nested DISTINCTs or two EXISTS multiply squashes
+@pytest.mark.parametrize("rule, q1, q2", [
+    ("squash-idem", "SELECT DISTINCT * FROM (SELECT DISTINCT x.a AS a FROM R x) y",
+     "SELECT DISTINCT z.a AS a FROM R z"),
+    ("squash-not", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
+                   "(SELECT y.a AS a FROM S y WHERE y.a = x.a) OR FALSE",
+     "SELECT z.a AS a FROM R z WHERE NOT EXISTS "
+     "(SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("pred-squash-elim", "SELECT x.a AS a FROM R x WHERE x.a = 1 OR FALSE",
+     "SELECT y.a AS a FROM R y WHERE y.a = 1"),
+    ("squash-one", "SELECT x.a AS a FROM R x WHERE TRUE OR FALSE",
+     "SELECT y.a AS a FROM R y"),
+    ("squash-mul", "SELECT x.a AS a FROM R x WHERE "
+                   "EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) AND "
+                   "EXISTS (SELECT y.c AS c FROM S y WHERE y.c = x.b)",
+     "SELECT z.a AS a FROM R z WHERE "
+     "EXISTS (SELECT w.c AS c FROM S w WHERE w.c = z.b) AND "
+     "EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+])
+def test_squash_rules_are_reached_from_sql(rule, q1, q2):
+    prog = parse(PRELUDE + f"verify ({q1}) ({q2});")
+    env = build_env(prog)
+    p = prepare_verify(prog.verifies()[0], "v", env)
+    out = decide_verify(p, env)
+    assert out.status == "EQUIVALENT"
+    assert rule in out.trace.rule_names()
+    assert find_witness(p.q1, p.q2, env) is None
