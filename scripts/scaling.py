@@ -9,8 +9,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
 `wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
-`wide_or` 1200, `keyed_collapse` 100, 200 and 400, and `distinct_fk` 4
-and 8.  Each row is
+`wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4
+and 8, and `refute_sweep` 2, 3 and 4.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -27,8 +27,9 @@ committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and`,
-`wide_or`, `keyed_collapse` and `distinct_fk` are the generators of
-`perfbench/workloads.py` (only read), called with `random.Random(--seed)`.
+`wide_or`, `keyed_collapse`, `distinct_fk` and `refute_sweep` are the
+generators of `perfbench/workloads.py` (only read), called with
+`random.Random(--seed)`.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
 `SELECT x.a AS o FROM R x` against SIZE - 1 copies and a last branch that
@@ -52,6 +53,11 @@ key collapse puts every scan in one tuple class.
 `distinct_fk` is `SELECT DISTINCT b0.u` over SIZE scans of `B` and one of
 `A`, under `foreign key B(w) references A(x)`, against the same with the
 FROM order reversed: every `B` scan needs one level of the chase.
+`refute_sweep` is `SELECT s0.a AS o, s1.b AS p` over SIZE >= 2 scans of
+`R` with `WHERE s0.a < s1.b`, against the same with `s1.b > s0.a`: a true
+pair that does not prove, run with `refute=True` (the family sets it), so
+the oracle sweeps all 200 databases and finds no witness; a database with
+k rows in `R` gives each side k^SIZE rows to filter.
 Times are wall times of one run, with no calibration.
 """
 
@@ -85,11 +91,13 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("wide_from", 1000), ("wide_from", 2000), ("fk_cycle", 3),
         ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
-        ("distinct_fk", 8))
+        ("distinct_fk", 8), ("refute_sweep", 2), ("refute_sweep", 3),
+        ("refute_sweep", 4))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "union_all", "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
-            "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk")
+            "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk",
+            "refute_sweep")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -170,6 +178,13 @@ def distinct_fk(n: int) -> str:
             f"       (SELECT DISTINCT b0.u AS o FROM {', '.join(scans[::-1])});\n")
 
 
+def refute_sweep(n: int) -> str:
+    scans = ", ".join(f"R s{i}" for i in range(n))
+    q = f"SELECT s0.a AS o, s1.b AS p FROM {scans} WHERE "
+    return (f"schema s(a:int, b:int);\ntable R(s);\n"
+            f"verify ({q}s0.a < s1.b)\n       ({q}s1.b > s0.a);\n")
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "union_all":
         return union_all(size)
@@ -189,6 +204,8 @@ def program(family: str, size: int, seed: int) -> str:
         return keyed_collapse(size)
     if family == "distinct_fk":
         return distinct_fk(size)
+    if family == "refute_sweep":
+        return refute_sweep(size)
     return getattr(workloads, family)(random.Random(seed), size).text
 
 
@@ -197,7 +214,8 @@ def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
     text = program(family, size, seed)
     depth = {"chase_depth": size} if family == "fk_cycle" else {}
     t0 = time.perf_counter()
-    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth))
+    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth),
+                             refute=family == "refute_sweep")
     ms = (time.perf_counter() - t0) * 1000
     return ms, out.status, out.steps
 

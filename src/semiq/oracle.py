@@ -36,6 +36,7 @@ from .exprs import (
 Assignment = tuple[tuple[str, object], ...]
 
 ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+EQUALITY = {"=": operator.eq, "<>": operator.ne}
 
 
 class OracleError(Exception):
@@ -72,7 +73,7 @@ class FiniteDb:
         self._spaces[key] = space
         return space
 
-    def scan(self, name: str) -> list[tuple[dict, int]]:
+    def scan(self, name: str) -> list[tuple[dict, int, Assignment]]:
         """A base table's `_live_rows`, built at its first scan (rels stay fixed)."""
         rows = self._scans.get(name)
         if rows is None:
@@ -221,9 +222,9 @@ def _atom_true(a, db: FiniteDb, env: dict[int, Assignment]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Bag evaluation of the SQL AST (independent of the semiring path).  A plan is
-# a closure ``(db, frames) -> bag``: ``frames`` holds the (row dict,
-# multiplicity) pairs of the enclosing SELECTs' sources, outermost first, and
-# each column was resolved at compile time to ``frames[slot][0][attr]``.
+# a closure ``(db, frames) -> bag``: ``frames`` holds the enclosing SELECTs'
+# current source rows, outermost first, each a `_live_rows` triple (row dict,
+# multiplicity, sorted assignment); a column reads ``frames[slot][0][attr]``.
 
 def compile_query(q, env: SchemaEnv, budget: Budget | None = None):
     """The plan of ``q``, checking ``budget``'s deadline every 256 rows."""
@@ -235,8 +236,8 @@ def interp_query(q, db: FiniteDb, env: SchemaEnv) -> dict[Assignment, int]:
     return (q if callable(q) else compile_query(q, env))(db, ())
 
 
-def _live_rows(bag: dict[Assignment, int]) -> list[tuple[dict, int]]:
-    return [(dict(asg), m) for asg, m in sorted(bag.items()) if m > 0]
+def _live_rows(bag: dict[Assignment, int]) -> list[tuple[dict, int, Assignment]]:
+    return [(dict(asg), m, tuple(sorted(asg))) for asg, m in sorted(bag.items()) if m > 0]
 
 
 def _bag_sum(pairs) -> dict[Assignment, int]:
@@ -260,7 +261,7 @@ class _Compiler:
         if isinstance(q, TableRef) and q.name in self.env.views:
             return self.query(self.env.views[q.name], scope)
         if isinstance(q, TableRef):
-            return lambda db, frames: dict(db.rels.get(q.name, {}))
+            return lambda db, frames: _bag_sum((asg, m) for _, m, asg in db.scan(q.name))
         if isinstance(q, Distinct):
             inner = self.query(q.query, scope)
             return lambda db, frames: {k: 1 for k, m in inner(db, frames).items() if m > 0}
@@ -287,21 +288,24 @@ class _Compiler:
         local = range(len(scope), len(inner))
         scans = [self._scan(s.query, scope) for s in q.sources]
         where = self.pred(q.where, inner) if q.where is not None else None
-        project = (lambda db, row: row) if q.group_by else \
-            self._projection(q.items, inner, local)
+        project, fold = self._group(q, inner, local) if q.group_by else \
+            (self._projection(q.items, inner, local), None)
         budget = self.budget
 
-        def rows(db, frames):  # (projected row, multiplicity) per row passing WHERE
-            product = itertools.product(*[scan(db, frames) for scan in scans])
-            for i, here in enumerate(product):
+        def select(db, frames):  # each row passing WHERE adds to its projection
+            out: dict = {}
+            for i, here in enumerate(itertools.product(*[scan(db, frames) for scan in scans])):
                 if budget is not None and i & 255 == 255:
                     budget.check_time()
                 row = frames + here
                 if where is None or where(db, row):
-                    yield project(db, row), prod([m for _, m in here])
-        if q.group_by:
-            return self._group(q, inner, local, rows)
-        return lambda db, frames: _bag_sum(rows(db, frames))
+                    m = 1
+                    for _, n, _ in here:
+                        m *= n
+                    key = project(db, row)
+                    out[key] = out.get(key, 0) + m
+            return out if fold is None else fold(db, out)
+        return select
 
     def _projection(self, items, scope: tuple, local: range):
         stars, named = [], {}
@@ -317,6 +321,8 @@ class _Compiler:
         named = sorted(named.items())
         if not stars:
             return lambda db, row: tuple([(n, f(db, row)) for n, f in named])
+        if len(stars) == 1 and not named:  # one source's row: its stored assignment
+            return lambda db, row, k=stars[0]: row[k][2]
 
         def project(db, row):
             values: dict[str, object] = {}
@@ -326,7 +332,8 @@ class _Compiler:
             return make_assignment(values)
         return project
 
-    def _group(self, q: Select, scope: tuple, local: range, rows):
+    def _group(self, q: Select, scope: tuple, local: range):
+        """A row's projection to its group and its items' values, and the fold."""
         keys = [self.expr(g, scope) for g in q.group_by]
         grouped, here = {(g.alias, g.attr) for g in q.group_by}, set(scope[local.start:])
 
@@ -345,28 +352,26 @@ class _Compiler:
             else:
                 items.append((it.name, None, self.expr(e, scope)))
 
-        def value(db, agg, f, members):
-            if agg is None:
-                return f(db, members[0][0])
-            bag = _bag_sum((f(db, row), m) for row, m in members)
-            return agg_value(db, agg, tuple(sorted(bag.items())))
-
-        def group(db, frames):
-            groups: dict[tuple, list[tuple[tuple, int]]] = {}
-            for row, m in rows(db, frames):
-                groups.setdefault(tuple([k(db, row) for k in keys]), []).append((row, m))
-            return _bag_sum((make_assignment({name: value(db, agg, f, groups[key])
-                                              for name, agg, f in items}), 1)
-                            for key in sorted(groups, key=repr))  # one row per group
-        return group
+        def fold(db, bag):  # one row per group; a plain item takes its first row's value
+            groups: dict[tuple, list[dict]] = {}  # per group, each item's bag of values
+            for (key, values), m in bag.items():
+                for vals, v in zip(groups.setdefault(key, [{} for _ in items]), values):
+                    vals[v] = vals.get(v, 0) + m
+            return _bag_sum((make_assignment({
+                name: agg_value(db, agg, tuple(sorted(vals.items()))) if agg else next(iter(vals))
+                for (name, agg, _), vals in zip(items, groups[key])}), 1)
+                for key in sorted(groups, key=repr))
+        return (lambda db, row: (tuple([k(db, row) for k in keys]),
+                                 tuple([f(db, row) for *_, f in items]))), fold
 
     def pred(self, p, scope: tuple):
         if isinstance(p, Cmp):
-            l, r, op = self.expr(p.lhs, scope), self.expr(p.rhs, scope), p.op
-            if op == "=":
-                return lambda db, row: l(db, row) == r(db, row)
-            if op == "<>":
-                return lambda db, row: l(db, row) != r(db, row)
+            l, r, op = self._operand(p.lhs, scope), self._operand(p.rhs, scope), p.op
+            if l is not None and r is not None:
+                return _compare(op, *l, *r)
+            l, r, test = self.expr(p.lhs, scope), self.expr(p.rhs, scope), EQUALITY.get(op)
+            if test is not None:
+                return lambda db, row: test(l(db, row), r(db, row))
             return lambda db, row: upred_truth(db, op, (l(db, row), r(db, row)))
         if isinstance(p, (AndP, OrP)):
             # operands joined pairwise, in order: closures nest log2(n) deep,
@@ -387,13 +392,16 @@ class _Compiler:
             return lambda db, row: any(m > 0 for m in sub(db, row).values())
         raise OracleError(f"cannot interpret predicate {type(p).__name__}")
 
-    def expr(self, e, scope: tuple):
+    def _operand(self, e, scope: tuple):
+        """A column's ``(slot, attr)``, a literal's ``(None, value)``, else None."""
         if isinstance(e, ColRef):
-            k, attr = _slot(e.alias, scope), e.attr
-            return lambda db, row: row[k][0][attr]
-        if isinstance(e, Lit):
-            value = e.value
-            return lambda db, row: value
+            return _slot(e.alias, scope), e.attr
+        return (None, e.value) if isinstance(e, Lit) else None
+
+    def expr(self, e, scope: tuple):
+        if isinstance(e, (ColRef, Lit)):
+            k, a = self._operand(e, scope)
+            return (lambda db, row: a) if k is None else (lambda db, row: row[k][0][a])
         if isinstance(e, App):
             args = [self.expr(a, scope) for a in e.args]
             return lambda db, row: ufun_value(db, e.name, tuple([a(db, row) for a in args]))
@@ -402,6 +410,18 @@ class _Compiler:
             return lambda db, row: agg_value(db, e.name, tuple(sorted(
                 kv for kv in sub(db, row).items() if kv[1] > 0)))
         raise OracleError(f"cannot interpret expression {type(e).__name__}")
+
+
+def _compare(op: str, k, a, j, b):
+    """``op`` on ``row[k][0][a]`` (``a`` when ``k`` is None) and ``row[j][0][b]``."""
+    test, ordered = EQUALITY.get(op) or ORDER[op], op in ORDER
+
+    def compare(db, row):
+        x, y = a if k is None else row[k][0][a], b if j is None else row[j][0][b]
+        if ordered and not type(x) is int is type(y):
+            return upred_truth(db, op, (x, y))
+        return test(x, y)
+    return compare
 
 
 def _both(l, r):
@@ -499,7 +519,7 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
     table a row count k uniform in 0..min(tuples, |tuple space|), then k
     distinct rows value by value (no tuple space is enumerated), each
     followed by its multiplicity.  A generic table ends the stream."""
-    draw = random.Random(seed).random  # a uniform choice of m is int(draw() * m)
+    draw, mult = random.Random(seed).random, sizes.mult  # a uniform pick of m: int(draw() * m)
     strings = tuple(sorted(set("abc"[:max(1, min(sizes.domain, 3))])
                            | set(extra_strings)))
     tables = sorted(env.tables.items())
@@ -529,8 +549,8 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
             while len(rows) < k:
                 row = tuple([(a, d[int(draw() * m)]) for a, d, m in cols])
                 if row not in rows:  # a repeated row is drawn again
-                    rows[row] = 1 + int(draw() * sizes.mult)
-            db.rels[name] = dict(sorted(rows.items()))
+                    rows[row] = 1 + int(draw() * mult)
+            db.rels[name] = dict(sorted(rows.items())) if k > 1 else rows
         if not constraints or _repair(db, constraints):
             produced += 1
             yield db

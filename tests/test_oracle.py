@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import itertools
+import random
 import sys
 from math import prod
 from pathlib import Path
 
 import pytest
 
-from semiq import build_env, oracle, parse
+from semiq import build_env, oracle, parse, pipeline
 from semiq.config import Budget, BudgetError
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
                           compile_query, eval_exp, gen_instances, interp_query,
@@ -369,10 +370,16 @@ def test_a_plan_runs_on_many_databases_and_shares_their_scans():
         assert db.scan("R") is db._scans["R"]
 
 
-def test_select_loop_checks_the_deadline_within_one_evaluation():
+@pytest.mark.parametrize("text,width,total", [
+    ("SELECT x.a AS a FROM R x, R y, R z", 20, 40 ** 3),  # 64,000 rows of 40
+    ("SELECT * FROM R x", 32_000, 64_000),  # 64,000 rows of one table
+    ("SELECT x.a AS a FROM R x WHERE x.b < 2", 32_000, 64_000),
+    ("SELECT x.a AS a, cnt(x.b) AS n FROM R x GROUP BY x.a", 32_000, 32_000),
+], ids=["product", "star", "compare", "group"])
+def test_select_loop_checks_the_deadline_within_one_evaluation(text, width, total):
     env = _rs_env()
-    db = _db([({"a": i, "b": j}, 1) for i in range(20) for j in range(2)])
-    q = parse_query("SELECT x.a AS a FROM R x, R y, R z")  # 64,000 rows
+    db = _db([({"a": i, "b": j}, 1) for i in range(width) for j in range(2)])
+    q = parse_query(text)
     budget = Budget()
     checks = []
 
@@ -384,7 +391,27 @@ def test_select_loop_checks_the_deadline_within_one_evaluation():
     with pytest.raises(BudgetError):
         interp_query(compile_query(q, env, budget), db, env)
     assert checks == [1]
-    assert sum(interp_query(q, db, env).values()) == 40 ** 3
+    assert sum(interp_query(q, db, env).values()) == total
+
+
+def test_a_refutation_sweep_builds_no_assignment_and_scans_a_table_once_per_db(
+        monkeypatch):
+    # a true pair the procedure cannot prove: all 200 databases are swept;
+    # `SELECT *` returns each scanned row's stored assignment
+    built, scanned, dbs = [], [], []
+    assign, live_rows, gen = oracle.make_assignment, oracle._live_rows, pipeline.gen_instances
+    monkeypatch.setattr(oracle, "make_assignment",
+                        lambda values: built.append(values) or assign(values))
+    monkeypatch.setattr(oracle, "_live_rows", lambda bag: scanned.append(bag) or live_rows(bag))
+    monkeypatch.setattr(pipeline, "gen_instances",
+                        lambda *a, **k: (dbs.append(db) or db for db in gen(*a, **k)))
+    env = _rs_env()
+    lhs = parse_query("SELECT * FROM R x WHERE x.a < x.b")
+    rhs = parse_query("SELECT * FROM R y WHERE y.b > y.a")
+    assert find_witness(lhs, rhs, env) is None
+    assert len(dbs) == 200
+    assert built == []
+    assert [id(bag) for bag in scanned] == [id(db.rels["R"]) for db in dbs]
 
 
 def test_long_union_all_evaluates_without_recursion():
@@ -487,3 +514,56 @@ def test_plan_equals_denotation(text):
                 assert eval_exp(d.body, db, {d.out_var.vid: asg}) == bag.get(asg, 0)
             compared += 1
     assert compared
+
+
+# Databases the generator never draws: R's rows are keyed in schema order
+# (b before a) and T's in (s, f, c), not through make_assignment, and T's
+# string and bool columns take upred_truth's hashed branch under < and >=.
+# The plan runs on them as given; the denotation, which looks rows up by
+# their sorted assignment, runs on the same rows keyed in sorted order.
+HAND_DECL = """schema rs(b:int, a:int);
+schema ts(s:string, f:bool, c:int);
+table R(rs);
+table T(ts);
+"""
+HAND_QUERIES = [
+    "SELECT * FROM R x WHERE x.a < x.b",
+    "SELECT * FROM T y WHERE y.s < 'b' OR y.f >= y.f",
+    "SELECT * FROM T y WHERE 'b' >= y.s AND y.c < 2",
+    "SELECT * FROM R x, T y WHERE x.a = y.c OR y.s >= 'b'",
+    "SELECT x.*, y.s AS s FROM R x, T y WHERE y.f < y.f OR x.b <> y.c",
+    "SELECT u.a AS a FROM (SELECT * FROM R x WHERE x.b >= 1) u, T y WHERE u.b < y.c",
+    "SELECT u.a AS a FROM (R UNION ALL R) u WHERE u.a >= u.b",
+    "R UNION ALL R",
+    "SELECT y.s AS s, sum(y.c) AS n FROM T y WHERE y.f >= y.f GROUP BY y.s",
+    "SELECT x.a AS a, cnt(x.b) AS n FROM R x GROUP BY x.a",
+]
+
+
+def _hand_dbs():
+    domains = {"int": (0, 1, 2), "bool": (False, True), "string": ("a", "b", "c")}
+    for salt in range(4):
+        rng = random.Random(salt)
+        rels = {"R": {(("b", rng.randrange(3)), ("a", rng.randrange(3))): rng.randint(1, 3)
+                      for _ in range(4)},
+                "T": {(("s", rng.choice("abc")), ("f", rng.random() < 0.5),
+                       ("c", rng.randrange(3))): rng.randint(1, 3) for _ in range(4)}}
+        sorted_rels = {name: {make_assignment(dict(asg)): m for asg, m in rows.items()}
+                       for name, rows in rels.items()}
+        yield FiniteDb(domains, rels, salt=salt), FiniteDb(domains, sorted_rels, salt=salt)
+
+
+@pytest.mark.parametrize("text", HAND_QUERIES)
+def test_plan_equals_denotation_on_hand_built_dbs(text):
+    program = parse(HAND_DECL + f"verify ({text}) ({text});\n")
+    env = build_env(program)
+    [stmt] = program.verifies()
+    plan = compile_query(stmt.lhs, env)
+    d = denote(prepare_pair(stmt, env)[0], env, VarGen())
+    rows = 0
+    for db, sorted_db in _hand_dbs():
+        bag = interp_query(plan, db, env)
+        rows += sum(bag.values())
+        for asg in db.tuple_space(d.schema):
+            assert eval_exp(d.body, sorted_db, {d.out_var.vid: asg}) == bag.get(asg, 0)
+    assert rows

@@ -84,3 +84,28 @@ def test_scaling_reports_a_failing_row_and_runs_the_rest(monkeypatch, capsys, tm
     failed = json.loads(out.read_text())["rows"][1]
     assert failed == {"family": "wide_union", "size": 4, "ms": None,
                       "verdict": "ERROR:RecursionError", "steps": None}
+
+
+def test_scaling_refute_sweep_runs_every_database_and_finds_no_witness(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("scaling",
+                                                  ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    from semiq import pipeline
+    runs, interps = [], []
+    real_run, real_interp = scaling.run_program_text, pipeline.interp_query
+
+    def run(text, **kw):
+        runs.append((kw, real_run(text, **kw)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(scaling, "run_program_text", run)
+    monkeypatch.setattr(pipeline, "interp_query",
+                        lambda *a: interps.append(1) or real_interp(*a))
+    assert scaling.main(["refute_sweep=2"]) == 0
+    [(family, size, _, verdict, _)] = [line.split("\t")
+                                       for line in capsys.readouterr().out.splitlines()]
+    assert (family, size, verdict) == ("refute_sweep", "2", "NOT_PROVED")
+    [(kw, [out])] = runs
+    assert kw["refute"] is True and out.witness is None
+    assert len(interps) == 2 * 200  # both sides on every database
