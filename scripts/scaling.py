@@ -6,7 +6,8 @@
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
-`wide_union` 64, `union_all` 600 and 1200, `union_all_miss` 9 and 200,
+`wide_union` 64, `shared_union` 128, 256 and 1200, `union_all` 600 and
+1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
 `wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4
@@ -25,11 +26,17 @@ steps}` and `steps` holds `total` and its split by stage (`normalize`,
 `canonize`, `search`); a row that raised has `ms` and `steps` null.  The
 committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
-All families but `union_all`, `union_all_miss`, `union_derived`,
+All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and`,
 `wide_or`, `keyed_collapse`, `distinct_fk` and `refute_sweep` are the
 generators of `perfbench/workloads.py` (only read), called with
 `random.Random(--seed)`.
+`shared_union` is a SIZE-branch `UNION ALL` of filtered scans `SELECT *
+FROM R x<i>` with branch i filtered by `x<i>.a = i`, `x<i>.b = i` or
+`x<i>.a = x<i>.b AND x<i>.b = i` in turn, against the same branches
+reversed under other aliases: the branches of `wide_union` without its
+`range(100)` limit on SIZE.  Every branch is summation-free and shared,
+so all of them cancel before canonization.
 `union_all` is a SIZE-branch `UNION ALL` with one constant filter per
 branch, against the same branches reversed under other aliases.  `union_all_miss` is SIZE copies of
 `SELECT x.a AS o FROM R x` against SIZE - 1 copies and a last branch that
@@ -84,7 +91,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
         ("nested_projection", 200), ("nested_projection", 400),
-        ("index_join_back", 12), ("wide_union", 64), ("union_all", 600),
+        ("index_join_back", 12), ("wide_union", 64), ("shared_union", 128),
+        ("shared_union", 256), ("shared_union", 1200), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
         ("wide_from", 400), ("wide_from", 600), ("wide_from", 800),
@@ -94,7 +102,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("distinct_fk", 8), ("refute_sweep", 2), ("refute_sweep", 3),
         ("refute_sweep", 4))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
-            "index_join_back", "wide_union", "union_all", "union_all_miss",
+            "index_join_back", "wide_union", "shared_union", "union_all",
+            "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
             "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk",
             "refute_sweep")
@@ -114,6 +123,19 @@ foreign key B(w) references A(x);
 verify (SELECT DISTINCT a.x AS o FROM A a)
        (SELECT DISTINCT a.x AS o FROM A a, B b WHERE a.y = b.u);
 """
+
+
+def shared_union(n: int) -> str:
+    shapes = ("{x}.a = {i}", "{x}.b = {i}", "{x}.a = {x}.b AND {x}.b = {i}")
+
+    def side(alias: str, order) -> str:
+        return " UNION ALL ".join(
+            f"(SELECT * FROM R {alias}{i} WHERE "
+            f"{shapes[i % 3].format(x=f'{alias}{i}', i=i)})" for i in order)
+
+    return (f"schema s(a:int, b:int);\ntable R(s);\n"
+            f"verify ({side('x', range(n))})\n"
+            f"       ({side('y', reversed(range(n)))});\n")
 
 
 def union_all(n: int) -> str:
@@ -186,6 +208,8 @@ def refute_sweep(n: int) -> str:
 
 
 def program(family: str, size: int, seed: int) -> str:
+    if family == "shared_union":
+        return shared_union(size)
     if family == "union_all":
         return union_all(size)
     if family == "union_all_miss":

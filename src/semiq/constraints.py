@@ -19,12 +19,6 @@ take k - 1 atoms and the chain is canonical.  Terms whose square provably
 equals themselves are additionally rewritten into their own squash (the
 key-guarded stability rewrite), which lets set-level reasoning see through
 bag-level structure.
-Within one ``Decider.equivalent`` call, a summation-free term that both
-sides share (a branch a rewrite left untouched) is canonized once: an
-equal term met later returns the same object from ``Canonizer.memo`` and
-replays the first canonization's trace events, under its own location, and
-its steps.  Terms with summation variables are not keyed, since the two
-sides bind distinct variables and such terms never compare equal.
 """
 
 from __future__ import annotations
@@ -84,12 +78,6 @@ class Canonizer:
         # the closure has the classes of ``closure_of(term.preds)``.  The
         # entry holds the term, so that its id stays its own.
         self.closures: dict[int, tuple[Term, Closure]] = {}
-        # (summation-free term, squash_ctx, wrap) -> its canonical term (None
-        # for a clash), the loc it was canonized at, the trace events it
-        # logged and its canonize steps; kept for calls that drew no
-        # variable, did not newly reach the chase ceiling and took no step
-        # of another stage
-        self.memo: dict[tuple, tuple[Term | None, str, list, int]] = {}
 
     # -- public entry -------------------------------------------------------
 
@@ -101,25 +89,7 @@ class Canonizer:
 
     def canonize_term(self, t: Term, loc: str, squash_ctx: bool = False,
                       wrap: bool = False) -> Term | None:
-        """The canonical ``t``, or None if it equates two distinct constants
-        (it is 0).  A summation-free term met before replays its memo entry:
-        the same result, its events moved from the old loc to ``loc``, and
-        its steps.  When the budget would run out during those steps, the
-        term is canonized again, so that the trace stops where it would."""
-        budget = self.budget
-        key = None if t.sum_vars else (t, squash_ctx, wrap)
-        hit = key and self.memo.get(key)
-        if hit and budget.steps + hit[3] <= budget.limits.max_steps:
-            out, old, events, steps = hit
-            for _ in range(steps):
-                budget.step("canonize")
-            self.trace.events.extend(
-                replace(e, path=loc + e.path[len(old):]) if e.path.startswith(old)
-                else e for e in events)
-            return out
-        first_event, first_step = len(self.trace.events), budget.by_stage["canonize"]
-        # variables drawn, the chase flag, and the steps of other stages
-        mark = (self.gen.next_id, self.chase_exhausted, budget.steps - first_step)
+        """The canonical ``t``, or None if it equates two distinct constants (it is 0)."""
         chase_rounds = 0
         while True:
             self.budget.step("canonize")
@@ -140,20 +110,15 @@ class Canonizer:
         if any(len({c.value for c in ms if isinstance(c, Const)}) > 1
                for ms in closure.scalar_classes().values()):
             self.trace.rule("const-clash", loc)
-            t = None
-        else:
-            saturated = t.preds
-            t = self._canonize_agg_bodies(t, loc)
-            if t.squash is not None and not t.squash.is_one():
-                t = replace(t, squash=self.canonize(t.squash, loc + "/sq", True))
-            if t.neg is not None and not t.neg.is_zero():
-                t = replace(t, neg=self.canonize(t.neg, loc + "/not", False))
-            if t.preds is saturated:
-                self.closures[id(t)] = (t, closure)
-        if key and mark == (self.gen.next_id, self.chase_exhausted,
-                            budget.steps - budget.by_stage["canonize"]):
-            self.memo[key] = (t, loc, self.trace.events[first_event:],
-                              budget.by_stage["canonize"] - first_step)
+            return None
+        saturated = t.preds
+        t = self._canonize_agg_bodies(t, loc)
+        if t.squash is not None and not t.squash.is_one():
+            t = replace(t, squash=self.canonize(t.squash, loc + "/sq", True))
+        if t.neg is not None and not t.neg.is_zero():
+            t = replace(t, neg=self.canonize(t.neg, loc + "/not", False))
+        if t.preds is saturated:
+            self.closures[id(t)] = (t, closure)
         return t
 
     # -- pass 1: saturation of equalities -------------------------------------

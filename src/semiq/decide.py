@@ -1,6 +1,10 @@
 """Equivalence decision procedures.
 
-``equivalent`` canonizes two normal forms and pairs their terms greedily.
+``equivalent`` first cancels the terms both normal forms share: a bag sum
+has a + c = b + c exactly when a = b, so a summation-free term on both
+sides pairs with itself, counted with its repeats, and is neither
+canonized nor searched.  It canonizes the rest and pairs their terms
+greedily, and so does the comparison of negation slots.
 A match is an isomorphism, so matching is an equivalence relation: any left
 term a right term matches serves, and greedy fails only if no pairing does.
 ``match_terms`` matches one term pair under a bijection of summation
@@ -24,9 +28,7 @@ variables at a time.
 Every predicate question about a term goes to one closure per term and
 call: the closure canonize built in its final round for that term, handed
 over through ``Canonizer.closures``, or ``closure_of(t.preds)`` for a term
-canonize did not return as it stands.  A term both sides share is one
-object (canonize's memo), with one closure and one set of facts, and it
-matches itself by the empty map with no predicate test.
+canonize did not return as it stands.
 """
 
 from __future__ import annotations
@@ -74,9 +76,8 @@ class Decider:
     def equivalent(self, e1: SpnfExp, e2: SpnfExp) -> bool:
         try:
             self.budget.step("search")
-            c1 = self.canonizer.canonize(e1, "L")
-            c2 = self.canonizer.canonize(e2, "R")
-            if self._perm_search(c1, c2):
+            c1, c2, shared = self._cancel_and_canonize(e1, e2, "L", "R")
+            if self._perm_search(c1, c2, shared):
                 return True
             if not self.env.keys:
                 return False
@@ -87,22 +88,45 @@ class Decider:
             w2 = self.canonizer.canonize(c2, "R", wrap=True)
             if (w1, w2) == (c1, c2):
                 return False
-            return self._perm_search(w1, w2)
+            return self._perm_search(w1, w2, shared)
         finally:
             # the facts and the closures canonize handed over serve one
             # call; refutation need not hold them
             self._facts.clear()
             self._colours.clear()
             self.canonizer.closures.clear()
-            self.canonizer.memo.clear()
 
-    def _perm_search(self, c1: SpnfExp, c2: SpnfExp) -> bool:
+    def _cancel_and_canonize(self, e1: SpnfExp, e2: SpnfExp, loc1: str,
+                             loc2: str) -> tuple[SpnfExp, SpnfExp, tuple[int, ...]]:
+        """The two sums less the terms they share, canonized, and for each
+        shared right term, in order, the position of its partner among the
+        shared left terms.  A bag sum cancels: a + c = b + c exactly when
+        a = b.  Each summation-free right term takes the first equal left
+        term not yet taken, so repeats count; terms with summation
+        variables are never shared, since the sides bind distinct
+        variables."""
+        left: dict[Term, list[int]] = {}
+        for i in reversed(range(len(e1.terms))):
+            if not e1.terms[i].sum_vars:
+                left.setdefault(e1.terms[i], []).append(i)
+        pairs = {j: free.pop() for j, t in enumerate(e2.terms)
+                 if not t.sum_vars and (free := left.get(t))}
+        rank = {i: k for k, i in enumerate(sorted(pairs.values()))}
+        r1 = SpnfExp(tuple(t for i, t in enumerate(e1.terms) if i not in rank))
+        r2 = SpnfExp(tuple(t for j, t in enumerate(e2.terms) if j not in pairs))
+        return (self.canonizer.canonize(r1, loc1), self.canonizer.canonize(r2, loc2),
+                tuple(rank[i] for i in pairs.values()))
+
+    def _perm_search(self, c1: SpnfExp, c2: SpnfExp, shared: tuple[int, ...] = ()) -> bool:
         """Pair each right term, in order, with the first unused left term
-        that `match_terms` accepts; a right term left without one fails."""
+        that `match_terms` accepts; a right term left without one fails.
+        The terms `_cancel_and_canonize` removed follow ``c1`` and ``c2``,
+        and each shared right term pairs with its left partner in
+        ``shared`` by the empty map."""
         n = len(c1.terms)
         if n != len(c2.terms):
             return False
-        if n == 0:
+        if n == 0 and not shared:
             return True
         sig1 = [term_signature(t) for t in c1.terms]
         sig2 = [term_signature(t) for t in c2.terms]
@@ -125,6 +149,10 @@ class Decider:
             if m is None:
                 return False
             perm.append(free.pop(m))
+            self.budget.step("search")
+        for i in shared:
+            self.trace.mapping("bijection", [])
+            perm.append(n + i)
             self.budget.step("search")
         self.trace.permutation(perm)
         return True
@@ -216,19 +244,16 @@ class Decider:
     def _term_check(self, t1: Term, t2: Term,
                     mapping: list[tuple[TupleVar, TupleVar]]) -> bool:
         t2p = subst_term(t2, dict(mapping))  # the two variable sets are disjoint
-        # a term both sides share (canonize's memo) is one object, and the
-        # empty map is an isomorphism of it onto itself
-        if t1 is not t2 or mapping:
-            if sorted((r, v.vid) for r, v in t1.atoms) != \
-               sorted((r, v.vid) for r, v in t2p.atoms):
-                return False
-            # each side's predicates, renamed, hold in the other's closure
-            f1, f2 = self._term_facts(t1), self._term_facts(t2)
-            image = {v2.vid: v1 for v2, v1 in mapping}
-            preimage = {v1.vid: v2 for v2, v1 in mapping}
-            if not (all(_pred_holds(f2, i, image, f1) for i in range(len(t2.preds))) and
-                    all(_pred_holds(f1, i, preimage, f2) for i in range(len(t1.preds)))):
-                return False
+        if sorted((r, v.vid) for r, v in t1.atoms) != \
+           sorted((r, v.vid) for r, v in t2p.atoms):
+            return False
+        # each side's predicates, renamed, hold in the other's closure
+        f1, f2 = self._term_facts(t1), self._term_facts(t2)
+        image = {v2.vid: v1 for v2, v1 in mapping}
+        preimage = {v1.vid: v2 for v2, v1 in mapping}
+        if not (all(_pred_holds(f2, i, image, f1) for i in range(len(t2.preds))) and
+                all(_pred_holds(f1, i, preimage, f2) for i in range(len(t1.preds)))):
+            return False
         s1, s2 = t1.squash, t2p.squash
         if s1 is not None or s2 is not None:
             if not self.squash_equal(s1 or SpnfExp.one(), s2 or SpnfExp.one()):
@@ -239,9 +264,8 @@ class Decider:
         return True
 
     def _negs_equal(self, n1: SpnfExp | None, n2: SpnfExp | None) -> bool:
-        return (n1 is None and n2 is None) or self._perm_search(
-            self.canonizer.canonize(n1 or SpnfExp.zero(), "Ln"),
-            self.canonizer.canonize(n2 or SpnfExp.zero(), "Rn"))
+        return (n1 is None and n2 is None) or self._perm_search(*self._cancel_and_canonize(
+            n1 or SpnfExp.zero(), n2 or SpnfExp.zero(), "Ln", "Rn"))
 
     # -- squashed-expression comparison -------------------------------------
 

@@ -41,11 +41,11 @@ class VarGen:
     """Fresh tuple-variable supply; one per pipeline run for determinism."""
 
     def __init__(self, start: int = 1):
-        self.next_id = start
+        self._next = start
 
     def fresh(self, schema: Schema, hint: str = "t") -> TupleVar:
-        v = TupleVar(self.next_id, schema, hint)
-        self.next_id += 1
+        v = TupleVar(self._next, schema, hint)
+        self._next += 1
         return v
 
 

@@ -51,6 +51,7 @@ class FiniteDb:
     space_cap: int = 65536
     _spaces: dict = field(default_factory=dict, repr=False)
     _scans: dict = field(default_factory=dict, repr=False)
+    _bags: dict = field(default_factory=dict, repr=False)
     _hashes: dict = field(default_factory=dict, repr=False)
 
     def domain(self, ty: str) -> tuple:
@@ -79,6 +80,13 @@ class FiniteDb:
         if rows is None:
             rows = self._scans[name] = _live_rows(self.rels.get(name, {}))
         return rows
+
+    def bag(self, name: str) -> dict[Assignment, int]:
+        """A base table's live rows keyed by their sorted assignment, however
+        ``rels`` orders a key, built at its first lookup."""
+        if name not in self._bags:
+            self._bags[name] = _bag_sum((asg, m) for _, m, asg in self.scan(name))
+        return self._bags[name]
 
     def dump(self) -> str:
         lines = []
@@ -163,8 +171,7 @@ def _ev(e, db: FiniteDb, env: dict[int, Assignment]) -> int:
         return sum(_ev(e.body, db, {**env, **{v.vid: a for v, a in zip(e.vars, asgs)}})
                    for asgs in itertools.product(*spaces))
     if isinstance(e, Rel):
-        asg = _lookup(env, e.var)
-        return db.rels.get(e.name, {}).get(asg, 0)
+        return db.bag(e.name).get(_lookup(env, e.var), 0)
     if isinstance(e, Pred):
         return 1 if _atom_true(e.atom, db, env) else 0
     raise TypeError(e)

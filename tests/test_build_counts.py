@@ -13,10 +13,10 @@ a wide union renames no branch body, keys no grounded terms of its
 summation-free terms and adds its branch bodies in one call, and neither a
 key collapse into one class nor a one-level chase under DISTINCT takes
 more canonize rounds as it widens.  A summation-free term that both sides
-share is canonized once and has one closure and one set of facts; terms
-that keep a summation variable are not shared, even when they are equal up
-to renaming it, so each side builds its own.  They guard the asymptotics
-without timing anything."""
+share cancels before canonization and has no closure, facts or predicate
+question; terms that keep a summation variable are not shared, even when
+they are equal up to renaming it, so each side builds its own.  They
+guard the asymptotics without timing anything."""
 
 from __future__ import annotations
 
@@ -46,8 +46,9 @@ _spec.loader.exec_module(scaling)
 PRELUDE = "schema s(a:int, b:int);\ntable R(s);\n"
 
 # twelve branches with one term signature; the right side lists them in
-# reverse under other aliases, so the term search would try every
-# unused left term against each right term before its partner
+# reverse under other aliases, so a term search would try every unused
+# left term against each right term before its partner.  Every branch is
+# a summation-free scan that both sides share, so all of them cancel
 BRANCH_PREDS = (
     "x.a = 17", "x.b = 42", "x.a = x.b AND x.b = 5", "x.a = 88",
     "x.b = 3", "x.a = x.b AND x.b = 61", "x.a = 29", "x.b = 70",
@@ -84,8 +85,8 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
     # the search asks every predicate question of each term's own closure,
     # and that closure is the one canonize built in its final round: no
     # closure is built twice per term, or built or copied per checked pair.
-    # Each branch is a summation-free scan that both sides share, so its
-    # term is canonized once and is one object with one closure
+    # Each branch is a summation-free scan that both sides share, so it
+    # cancels before canonization and builds neither closure nor facts
     n = 64
     built, asked = [], set()
     real_closure, real_implies = decide.closure_of, decide.implies_atom
@@ -111,9 +112,7 @@ def test_wide_union_builds_one_closure_per_term(monkeypatch):
     monkeypatch.setattr(decide, "_TermFacts", facts)
     [out] = run_program_text(workloads.wide_union(random.Random(1), n).text)
     assert out.status == "EQUIVALENT"
-    assert len(built) == len({id(t) for t in terms}) == n
-    # a shared term is matched to itself by the empty map, with no
-    # predicate question
+    assert len(built) == len(terms) == 0
     assert not asked
 
 
@@ -185,8 +184,8 @@ def test_a_wide_union_renames_no_branch_and_keys_no_summation_free_term(monkeypa
             assert all(k == 0 for k in keyed)
             free.append(len(keyed))
     # each filtered scan's term is summation-free and shared by both sides,
-    # so its links are built once; each projection's term is not
-    assert free == [12, 0, 24, 0]
+    # so it cancels and builds no links; each projection's term is not
+    assert free == [0, 0, 0, 0]
 
 
 def test_a_wide_union_is_summed_once_per_side(monkeypatch):
@@ -236,12 +235,12 @@ def _count_term_checks(monkeypatch) -> list:
 
 
 def test_wide_union_checks_one_term_pair_per_branch(monkeypatch):
-    # each branch's filter constant appears in no other branch, so only the
-    # partner of each right term survives the free-constant check
+    # every branch is a filtered scan that both sides share, so each pairs
+    # with its partner by cancellation and no pair reaches the leaf check
     checked = _count_term_checks(monkeypatch)
     [out] = run_program_text(WIDE_UNION)
     assert out.status == "EQUIVALENT"
-    assert len(checked) == len(BRANCH_PREDS)
+    assert checked == []
     # one BIJECTION line per branch and one PERMUTATION line
     assert sum(e.kind in ("bijection", "permutation")
                for e in out.trace.events) == len(BRANCH_PREDS) + 1

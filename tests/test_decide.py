@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiq import constraints, decide
+from semiq import build_env, constraints, decide, parse
 from semiq.congruence import closure_of, is_eq_atom
 from semiq.constraints import subst_term
 from semiq.decide import Decider, term_signature
@@ -27,7 +27,7 @@ from semiq.translate import denote
 from semiq.config import Limits
 from semiq.exprs import (AttrRef, Const, Func, PredApp, Squash, TupleVar,
                          VarGen, mk_eq, mk_record, mk_tuple_eq, substitute)
-from semiq.pipeline import run_program_text, run_verify
+from semiq.pipeline import find_witness, run_program_text, run_verify
 from semiq.schema import SchemaEnv
 from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 
@@ -725,6 +725,81 @@ def test_term_search_finds_the_first_pairing(sides):
     assert got._perm_search(*sides) == (want is not None)
     assert [e.payload["perm"] for e in got.trace.events
             if e.kind == "permutation"] == ([want] if want else [])
+
+
+# -- shared terms cancel ----------------------------------------------------------
+# A bag sum cancels: a + c = b + c exactly when a = b.  The summation-free
+# terms both sides share are removed before anything is canonized, and each
+# pair is logged as a match by the empty map.
+
+_RS = "schema s(a:int, b:int);\ntable R(s);\n"
+_SHARED_AND_PROJECTION = _RS + (
+    "verify (SELECT * FROM R x WHERE x.a = x.b AND x.b = 3 UNION ALL\n"
+    "        SELECT x2.a AS a, x2.a AS b FROM R x2 WHERE x2.a = 4 AND x2.b > 4)\n"
+    "       (SELECT y2.a AS a, y2.a AS b FROM R y2 WHERE y2.b > 4 AND y2.a = 4 UNION ALL\n"
+    "        SELECT * FROM R y WHERE y.a = y.b AND y.b = 3);\n")
+_EQUAL_NEGATION = _RS + ("verify (SELECT x.a AS o FROM R x WHERE NOT (x.b = 1))\n"
+                         "       (SELECT y.a AS o FROM R y WHERE NOT (y.b = 1));\n")
+
+
+def test_a_repeated_term_cancels_once_per_copy():
+    # one copy of R cancels and the other is left over, so the term counts
+    # differ before any match is logged
+    text = _RS + "verify (R UNION ALL R) (R);\n"
+    [out] = run_program_text(text)
+    assert (out.status, out.fragment, out.trace.render()) == ("NOT_EQUIVALENT", "ucq-bag", "")
+    [out] = run_program_text(text, refute=True)
+    assert out.status == "NOT_EQUIVALENT" and out.witness is not None
+
+
+def test_a_whole_shared_sum_pairs_each_term_with_itself():
+    [out] = run_program_text(_RS + "verify (R UNION ALL R) (R UNION ALL R);\n")
+    assert out.status == "EQUIVALENT" and out.steps["canonize"] == 0
+    assert out.trace.render() == "BIJECTION {}\nBIJECTION {}\nPERMUTATION [0, 1]\n"
+
+
+def test_a_shared_branch_cancels_and_the_other_is_matched():
+    # the filtered scans cancel; the projections keep their scans'
+    # variables, so they are canonized, at their places in what is left,
+    # and matched by a bijection.  The shared pair follows them in the
+    # permutation
+    [out] = run_program_text(_SHARED_AND_PROJECTION)
+    assert out.status == "EQUIVALENT"
+    rules = [e.path for e in out.trace.events if e.kind == "rule"]
+    assert rules and set(rules) == {"L/t0", "R/t0"}
+    [perm] = [e.payload["perm"] for e in out.trace.events if e.kind == "permutation"]
+    assert perm == [0, 1]
+    maps = [e.payload["map"] for e in out.trace.events if e.kind == "bijection"]
+    assert len(maps) == 2 and maps[0] and not maps[1]
+
+
+def test_a_negation_slot_equal_after_renaming_cancels(monkeypatch):
+    # the renamed right slot equals the left one, so its terms cancel and
+    # the slots' sums reach canonize empty
+    sums = []
+    real = constraints.Canonizer.canonize
+
+    def canonize(self, e, loc="e", *args, **kw):
+        sums.append((loc, len(e.terms)))
+        return real(self, e, loc, *args, **kw)
+
+    monkeypatch.setattr(constraints.Canonizer, "canonize", canonize)
+    [out] = run_program_text(_EQUAL_NEGATION)
+    assert out.status == "EQUIVALENT"
+    assert ("Ln", 0) in sums and ("Rn", 0) in sums
+    assert all(n == 0 for loc, n in sums if loc in ("Ln", "Rn"))
+    assert not any(e.path.startswith(("Ln", "Rn")) for e in out.trace.events)
+    assert "BIJECTION {}\nPERMUTATION [0]\n" in out.trace.render()
+
+
+@pytest.mark.parametrize("text", [
+    _RS + "verify (R UNION ALL R) (R UNION ALL R);\n",
+    _SHARED_AND_PROJECTION, _EQUAL_NEGATION,
+], ids=["whole", "branch", "negation"])
+def test_pairs_equal_by_cancellation_have_no_witness(text):
+    prog = parse(text)
+    [stmt] = prog.verifies()
+    assert find_witness(stmt.lhs, stmt.rhs, build_env(prog)) is None
 
 
 # -- lifetime -------------------------------------------------------------------

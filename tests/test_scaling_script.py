@@ -52,6 +52,18 @@ def test_scaling_keyed_and_fk_families_at_tiny_sizes(tmp_path):
     assert all(row["steps"]["canonize"] > 0 for row in doc["rows"])
 
 
+def test_scaling_shared_union_cancels_every_branch(tmp_path):
+    res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
+                          "--json", str(tmp_path / "b.json"), "shared_union=4"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    [(family, size, _, verdict, _)] = [line.split("\t") for line in res.stdout.splitlines()]
+    assert (family, size, verdict) == ("shared_union", "4", "EQUIVALENT")
+    [row] = json.loads((tmp_path / "b.json").read_text())["rows"]
+    # the branches are summation-free and shared, so none is canonized and
+    # the search takes one step per branch on top of its own two
+    assert row["steps"]["canonize"] == 0 and row["steps"]["search"] == 4 + 2
+
+
 def test_scaling_rejects_an_unknown_family():
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
                           "cross_join=3"], capture_output=True, text=True,
