@@ -8,14 +8,17 @@ runs the bundled `benchmarks/*.cos` and, for each seed, every program of
 the four `perfbench` workloads (run with their own `refute` flag), with the
 uexp and spnf dumps on.  It prints one tab-separated line per verify:
 
-    source  verify  status  detail  trace=<sha>  dumps=<sha>  witness=<sha|->  steps
+    source  verify  status  detail  trace=<sha>  dumps=<sha>  witness=<sha|->  steps  fragment
 
-`steps` is the last column because a pruning change may lower step counts
-while leaving everything else alone.  It holds `total` and its split by
-stage (`normalize`, `canonize`, `search`), which sums to `total`: each
-stage counts the budget steps it takes.  Versions that split `steps` by
-counting trace lines did not sum; against their digests only `total`
-compares.  Compare the other columns with
+`steps` comes after the columns that must stay byte-identical because a
+pruning change may lower step counts while leaving everything else alone.
+It holds `total` and its split by stage (`normalize`, `canonize`,
+`search`), which sums to `total`: each stage counts the budget steps it
+takes.  Versions that split `steps` by counting trace lines did not sum;
+against their digests only `total` compares.  `fragment` (`ucq-bag`,
+`ucq-set` or `general`) is last, so that the digests of versions without
+it still compare on the first eight columns.  Compare the other columns
+with
 
     diff <(cut -f1-7 before.tsv) <(cut -f1-7 after.tsv)
 
@@ -63,7 +66,7 @@ def digest_lines(seeds):
             yield "\t".join((source, out.name, out.status, repr(out.detail),
                              f"trace={_sha(out.trace.render())}",
                              f"dumps={_sha(dumps)}", f"witness={witness}",
-                             json.dumps(out.steps, sort_keys=True)))
+                             json.dumps(out.steps, sort_keys=True), out.fragment))
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
 `wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4
-and 8, and `refute_sweep` 2, 3 and 4.  Each row is
+and 8, `refute_sweep` 2, 3 and 4, and `self_join_offset` 8 and 12.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -28,7 +28,8 @@ committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and`,
-`wide_or`, `keyed_collapse`, `distinct_fk` and `refute_sweep` are the
+`wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep` and
+`self_join_offset` are the
 generators of `perfbench/workloads.py` (only read), called with
 `random.Random(--seed)`.
 `shared_union` is a SIZE-branch `UNION ALL` of filtered scans `SELECT *
@@ -65,6 +66,10 @@ FROM order reversed: every `B` scan needs one level of the chase.
 pair that does not prove, run with `refute=True` (the family sets it), so
 the oracle sweeps all 200 databases and finds no witness; a database with
 k rows in `R` gives each side k^SIZE rows to filter.
+`self_join_offset` is `SELECT s0.a + 1 AS o` over SIZE scans of `R`, with
+no WHERE, against the same scans projecting `s<SIZE-1>.a + 2`: `+` is
+uninterpreted, so no bijection of the scans matches and the pair is
+`NOT_PROVED`; the one predicate that fails mentions one scan per side.
 Times are wall times of one run, with no calibration.
 """
 
@@ -100,13 +105,13 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
         ("distinct_fk", 8), ("refute_sweep", 2), ("refute_sweep", 3),
-        ("refute_sweep", 4))
+        ("refute_sweep", 4), ("self_join_offset", 8), ("self_join_offset", 12))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "shared_union", "union_all",
             "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
             "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk",
-            "refute_sweep")
+            "refute_sweep", "self_join_offset")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -207,6 +212,13 @@ def refute_sweep(n: int) -> str:
             f"verify ({q}s0.a < s1.b)\n       ({q}s1.b > s0.a);\n")
 
 
+def self_join_offset(n: int) -> str:
+    scans = ", ".join(f"R s{i}" for i in range(n))
+    return (f"schema s(a:int, b:int);\ntable R(s);\n"
+            f"verify (SELECT s0.a + 1 AS o FROM {scans})\n"
+            f"       (SELECT s{n - 1}.a + 2 AS o FROM {scans});\n")
+
+
 def program(family: str, size: int, seed: int) -> str:
     if family == "shared_union":
         return shared_union(size)
@@ -230,6 +242,8 @@ def program(family: str, size: int, seed: int) -> str:
         return distinct_fk(size)
     if family == "refute_sweep":
         return refute_sweep(size)
+    if family == "self_join_offset":
+        return self_join_offset(size)
     return getattr(workloads, family)(random.Random(seed), size).text
 
 

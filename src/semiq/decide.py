@@ -186,9 +186,10 @@ class Decider:
             return False
         # placed in the order of the signature search, so that the
         # surviving leaves come in its order and the same bijection is
-        # found first
-        order = sorted(t2.sum_vars,
-                       key=lambda v: (f1.sig_count[f2.sig[v.vid]], v.vid))
+        # found first; a variable that a predicate mentions alone goes
+        # first, so that the predicate rejects a candidate at once
+        order = sorted(t2.sum_vars, key=lambda v: (
+            v.vid not in f2.preds.alone, f1.sig_count[f2.sig[v.vid]], v.vid))
         # with no choice the leaf check alone decides
         placing = any(len(c) > 1 for c in cand.values())
         image: dict[int, TupleVar] = {}     # placed t2 id -> t1 variable
@@ -207,7 +208,7 @@ class Decider:
                              and _placed_preds_hold(f1, v1, preimage, f2))))
 
         return self._place(order, cand, image, fits, lambda: self._term_check(
-            t1, t2, [(v2, image[v2.vid]) for v2 in order]), preimage)
+            t1, t2, [(v2, image[v2.vid]) for v2 in t2.sum_vars]), preimage)
 
     def _place(self, order: list[TupleVar], cand: dict[int, list[TupleVar]],
                placed: dict[int, TupleVar], fits, leaf,
@@ -416,10 +417,11 @@ class _TermFacts:
 class _PredIndex:
     """Which variables a term's predicates mention: ``summed`` lists, per
     predicate, the summation variables it mentions, ``of`` the predicates
-    that mention each summation variable, and ``mentioned`` holds the ids
-    of all variables in predicates or sums."""
+    that mention each summation variable, ``alone`` the ids of those that
+    some predicate mentions as its only summation variable, and
+    ``mentioned`` the ids of all variables in predicates or sums."""
 
-    __slots__ = ("summed", "of", "mentioned")
+    __slots__ = ("summed", "of", "alone", "mentioned")
 
     def __init__(self, preds, sum_ids: frozenset[int]):
         mentioned = set(sum_ids)
@@ -431,6 +433,7 @@ class _PredIndex:
             self.summed.append(tuple(w for w in vs if w.vid in sum_ids))
             for w in self.summed[-1]:
                 self.of.setdefault(w.vid, []).append(i)
+        self.alone = frozenset(vs[0].vid for vs in self.summed if len(vs) == 1)
         self.mentioned = frozenset(mentioned)
 
 

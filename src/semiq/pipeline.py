@@ -1,10 +1,11 @@
 """End-to-end verification pipeline.
 
 parse -> build_env, then each verify statement in two steps: prepare
-(desugar -> inline -> classify -> denote, which checks the pair) and
+(desugar -> inline -> denote, which checks the pair -> classify) and
 decide (normalize -> canonize -> search -> refute).  A program's verifies
-are all prepared before any is decided.  The fragment a pair is classified
-into controls whether a failed search is a definitive non-equivalence.
+are all prepared before any is decided.  The fragment is read off the
+shape of the two denotations, and it controls whether a failed search is
+a definitive non-equivalence.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import FiniteDb, GenSizes, OracleError, compile_query, gen_instances, interp_query
 from .parser import parse
 from .schema import SchemaEnv
-from .sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem, Lit, Program,
-                     Select, TableRef, UnionAll, VerifyStmt, walk)
+from .sqlast import Lit, Program, VerifyStmt, walk
 from .spnf import to_spnf
 from .trace import Trace
 from .translate import denote, unify_outputs
-from .exprs import Exp, TupleVar, VarGen, pretty
+from .exprs import (Add, AttrRef, Const, EqAtom, Exp, Mul, One, Pred, Rel, Squash,
+                    Sum, TupleEqAtom, TupleVar, VarGen, Zero, pretty)
 
 
 @dataclass(slots=True)
@@ -48,48 +49,43 @@ class VerifyOutcome:
 # ---------------------------------------------------------------------------
 # Fragment classification
 
-def referenced_tables(q) -> set[str]:
-    return {n.name for n in walk(q) if isinstance(n, TableRef)}
+def _ucq_relations(e: Exp) -> set[str] | None:
+    """The relations of a sum of UCQ terms, or None for any other ``e``."""
+    rels: set[str] = set()
+    for term in e.terms if type(e) is Add else (e,):
+        stack = [term.body if type(term) is Sum else term]
+        while stack:
+            f = stack.pop()
+            if type(f) is Mul:
+                stack.extend(f.factors)
+            elif type(f) is Rel:
+                rels.add(f.name)
+            elif type(f) is Pred:
+                a = f.atom
+                if not (type(a) is TupleEqAtom or type(a) is EqAtom
+                        and {type(a.lhs), type(a.rhs)} <= {AttrRef, Const}):
+                    return None
+            elif type(f) not in (One, Zero):
+                return None
+    return rels
 
 
-_CQ_WHERE = (AndP, BoolLit, Cmp, ColRef, Lit)
-
-
-def is_cq(q) -> bool:
-    """A table, or a SELECT over tables that projects columns and constants
-    and whose WHERE is a conjunction of equalities between them."""
-    if isinstance(q, TableRef):
-        return True
-    return (isinstance(q, Select) and not q.group_by
-            and all(type(s.query) is TableRef for s in q.sources)
-            and all(type(it) is not ExprItem or type(it.expr) in (ColRef, Lit)
-                    for it in q.items)
-            and (q.where is None or all(
-                type(n) in _CQ_WHERE and (type(n) is not Cmp or n.op == "=")
-                for n in walk(q.where))))
-
-
-def is_ucq_bag(q) -> bool:
-    if isinstance(q, UnionAll):
-        return all(is_ucq_bag(b) for b in q.branches)
-    return is_cq(q)
-
-
-def is_ucq_set(q) -> bool:
-    return isinstance(q, Distinct) and is_ucq_bag(q.query)
-
-
-def classify_fragment(q1, q2, env: SchemaEnv) -> str:
-    rels = referenced_tables(q1) | referenced_tables(q2)
+def classify_fragment(body1: Exp, body2: Exp, env: SchemaEnv) -> str:
+    """``ucq-bag`` when both denotations are sums of UCQ terms, ``ucq-set``
+    when each is one squash of such a sum, else ``general``; so is a pair
+    that names a keyed or FK table.  A UCQ term is a summation, or a bare
+    body, over a product (nested ones flattened) of relation atoms, 1, 0
+    and equalities between attributes and constants or between tuples."""
+    fragment = UCQ_BAG
+    if type(body1) is Squash and type(body2) is Squash:
+        body1, body2, fragment = body1.body, body2.body, UCQ_SET
+    rels1, rels2 = _ucq_relations(body1), _ucq_relations(body2)
+    if rels1 is None or rels2 is None:
+        return GENERAL
+    rels = rels1 | rels2
     touched = any(k.relation in rels for k in env.keys) or \
         any(fk.source in rels or fk.target in rels for fk in env.fks)
-    if touched:
-        return GENERAL
-    if is_ucq_bag(q1) and is_ucq_bag(q2):
-        return UCQ_BAG
-    if is_ucq_set(q1) and is_ucq_set(q2):
-        return UCQ_SET
-    return GENERAL
+    return GENERAL if touched else fragment
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +125,15 @@ class PreparedVerify:
 
 
 def prepare_verify(stmt: VerifyStmt, name: str, env: SchemaEnv) -> PreparedVerify:
-    """Desugar, inline, classify and denote both sides; raises
+    """Desugar, inline and denote both sides, then classify; raises
     SemanticError on a bad reference or on incompatible output schemas."""
     t0 = time.monotonic()
     gen = VarGen()
     q1, q2 = prepare_pair(stmt, env)
-    fragment = classify_fragment(q1, q2, env)
     d1 = denote(q1, env, gen)
     t, body1, body2 = unify_outputs(d1, denote(q2, env, gen, out=d1.out_var), name)
-    return PreparedVerify(name, q1, q2, fragment, gen, t, body1, body2,
-                          (time.monotonic() - t0) * 1000.0)
+    return PreparedVerify(name, q1, q2, classify_fragment(body1, body2, env), gen, t,
+                          body1, body2, (time.monotonic() - t0) * 1000.0)
 
 
 def decide_verify(p: PreparedVerify, env: SchemaEnv, limits: Limits | None = None,

@@ -722,10 +722,11 @@ def run_axiom_check(name: str, env: SchemaEnv, rounds: int, seed: int) -> tuple[
 def reference_match_terms(d, t1, t2) -> bool:
     """Leaf-only backtracking over the bijections of summation variables
     that keep variable signatures, in the order the decider places them:
-    right variables by (signature class size, id), left candidates in
-    `t1.sum_vars` order.  Every leaf goes to `Decider._term_check`, so the
-    first bijection it accepts, and its BIJECTION trace line, are the ones
-    the pruned search must find."""
+    right variables that some predicate mentions as its only summation
+    variable first, then by (signature class size, id), left candidates in
+    `t1.sum_vars` order.  Every leaf goes to `Decider._term_check` with
+    the map in `t2.sum_vars` order, so the first bijection it accepts, and
+    its BIJECTION trace line, are the ones the pruned search must find."""
     from semiq.congruence import closure_of
 
     if len(t1.sum_vars) != len(t2.sum_vars):
@@ -741,10 +742,17 @@ def reference_match_terms(d, t1, t2) -> bool:
     sig1, sig2 = signatures(t1), signatures(t2)
     cand = {v2.vid: [v1 for v1 in t1.sum_vars if sig1[v1.vid] == sig2[v2.vid]]
             for v2 in t2.sum_vars}
-    order = sorted(t2.sum_vars, key=lambda v: (len(cand[v.vid]), v.vid))
+    alone = set()
+    for p in t2.preds:
+        summed = [v for v in t2.sum_vars if v in free_vars(p)]
+        if len(summed) == 1:
+            alone.add(summed[0].vid)
+    order = sorted(t2.sum_vars,
+                   key=lambda v: (v.vid not in alone, len(cand[v.vid]), v.vid))
     for images in itertools.product(*(cand[v.vid] for v in order)):
+        image = {v.vid: w for v, w in zip(order, images)}
         if len({v.vid for v in images}) == len(images) and \
-                d._term_check(t1, t2, list(zip(order, images))):
+                d._term_check(t1, t2, [(v, image[v.vid]) for v in t2.sum_vars]):
             return True
     return False
 

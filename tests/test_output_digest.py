@@ -1,5 +1,6 @@
 """scripts/output_digest.py on the bundled benchmarks: one line per verify,
-whose verdict and digests agree with the golden trace and dump text."""
+whose verdict and digests agree with the golden trace and dump text, and
+whose last column names its fragment."""
 
 from __future__ import annotations
 
@@ -38,8 +39,9 @@ def test_output_digest_of_the_benchmarks_matches_golden():
             for g in sorted(GOLDEN.glob("*.txt")) for cols in _golden_columns(g)]
     assert len(rows) == len(want) == 8
     for row, (source, name, status, trace, dumps) in zip(rows, want):
-        assert len(row) == 8
+        assert len(row) == 9
         assert (row[0], row[1], row[2], row[4], row[5]) == (source, name, status,
                                                              trace, dumps)
         assert row[6] == "witness=-"
         assert row[7].startswith('{"canonize": ')
+        assert row[8] in ("ucq-bag", "ucq-set", "general")

@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
 from semiq.oracle import GenSizes, gen_instances, interp_query
 from semiq.pipeline import (classify_fragment, decide_verify, find_witness,
-                            prepare_verify, query_literals, referenced_tables)
+                            prepare_verify, query_literals)
+from semiq.exprs import VarGen
 from semiq.sqlast import ExceptQ, Select, TableRef, UnionAll, walk
+from semiq.translate import denote
 
 from conftest import parse_query
 from helpers import union_subquery_program
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def _statuses(text):
@@ -335,8 +346,62 @@ def test_wide_union_all_pair_is_equivalent():
 def test_classifying_a_long_union_takes_no_frames_per_branch():
     env = build_env(parse(PRELUDE))
     branch = parse_query("SELECT x.a AS a FROM R x")
-    q = UnionAll((branch,) * 1200)
-    assert classify_fragment(q, q, env) == "ucq-bag"
+    body = denote(UnionAll((branch,) * 1200), env, VarGen()).body
+    assert classify_fragment(body, body, env) == "ucq-bag"
+
+
+# R and T share a schema, so they can be branches of one union
+FRAGMENTS = PRELUDE + "table T(s);\n"
+
+
+@pytest.mark.parametrize("lhs, rhs, fragment", [
+    ("SELECT x.a AS a, y.c AS c FROM (SELECT * FROM R x0 WHERE x0.b = 1) x, S y "
+     "WHERE x.a = y.a",
+     "SELECT x.a AS a, y.c AS c FROM (SELECT * FROM R x0 WHERE x0.b = 2) x, S y "
+     "WHERE x.a = y.a", "ucq-bag"),
+    ("SELECT * FROM (R UNION ALL T) u", "SELECT * FROM (R UNION ALL R) v", "ucq-bag"),
+    ("SELECT * FROM (SELECT DISTINCT x.a AS a FROM R x) t",
+     "SELECT DISTINCT y.b AS a FROM R y", "ucq-set"),
+])
+def test_pass_through_derived_tables_are_refuted_in_their_fragment(lhs, rhs, fragment):
+    # a derived table or union under `SELECT *` denotes its own body, so
+    # the pair is a UCQ pair and a failed search is a definitive verdict
+    [out] = run_program_text(FRAGMENTS + f"verify ({lhs}) ({rhs});", refute=True)
+    assert (out.status, out.fragment) == ("NOT_EQUIVALENT", fragment)
+    assert out.witness is not None
+
+
+def test_a_union_with_its_branches_swapped_stays_equivalent():
+    prog = parse(FRAGMENTS + """
+        verify (SELECT * FROM (R UNION ALL T) u) (SELECT * FROM (T UNION ALL R) v);
+    """)
+    env = build_env(prog)
+    [stmt] = prog.verifies()
+    p = prepare_verify(stmt, "v", env)
+    assert p.fragment == "ucq-bag"
+    assert decide_verify(p, env).status == "EQUIVALENT"
+    assert find_witness(p.q1, p.q2, env) is None
+
+
+@pytest.mark.parametrize("decl, lhs, rhs", [
+    # a projecting derived table is a summation inside a product
+    ("", "SELECT t.a AS a FROM (SELECT x.a AS a FROM R x) t",
+     "SELECT y.b AS a FROM R y"),
+    ("key R(a);", "SELECT x.a AS a FROM R x", "SELECT y.b AS a FROM R y"),
+    # S is not keyed itself, but it is a foreign key's source
+    ("key T(a); foreign key S(a) references T(a);", "SELECT y.a AS a FROM S y",
+     "SELECT y.c AS a FROM S y"),
+])
+def test_projected_derived_tables_and_constrained_tables_stay_general(decl, lhs, rhs):
+    [out] = run_program_text(FRAGMENTS + decl + f"verify ({lhs}) ({rhs});")
+    assert (out.status, out.fragment) == ("NOT_PROVED", "general")
+
+
+def test_a_changed_nested_projection_stays_general():
+    # perfbench expects NOT_PROVED of this truly different pair
+    inst = workloads.nested_projection(random.Random(1), 4, change=True)
+    [out] = run_program_text(inst.text)
+    assert (out.status, out.fragment) == (inst.expect, "general") == ("NOT_PROVED", "general")
 
 
 @pytest.mark.parametrize("op, fragment", [("AND", "ucq-bag"), ("OR", "general")])
@@ -361,8 +426,8 @@ def test_frontend_passes_take_no_frames_per_level():
     desugared = desugar_groupby(q)
     assert not any(type(n) is Select and n.group_by for n in walk(desugared))
     inlined = inline_views(desugared, env)
-    assert referenced_tables(q) == {"V"}
-    assert referenced_tables(inlined) == {"R"}
+    assert {n.name for n in walk(q) if type(n) is TableRef} == {"V"}
+    assert {n.name for n in walk(inlined) if type(n) is TableRef} == {"R"}
     assert query_literals(inlined)["int"] == {7}
 
 
