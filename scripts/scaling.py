@@ -10,8 +10,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
 `wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
-`wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4
-and 8, `refute_sweep` 2, 3 and 4, and `self_join_offset` 8 and 12.  Each row is
+`wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
+8, 16 and 32, `refute_sweep` 2, 3 and 4, and `self_join_offset` 8 and 12.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -104,7 +104,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("wide_from", 1000), ("wide_from", 2000), ("fk_cycle", 3),
         ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
-        ("distinct_fk", 8), ("refute_sweep", 2), ("refute_sweep", 3),
+        ("distinct_fk", 8), ("distinct_fk", 16), ("distinct_fk", 32),
+        ("refute_sweep", 2), ("refute_sweep", 3),
         ("refute_sweep", 4), ("self_join_offset", 8), ("self_join_offset", 12))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "shared_union", "union_all",

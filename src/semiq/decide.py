@@ -21,20 +21,25 @@ closure, so both prune only bijections the leaf would reject; the search
 keeps the order of the plain signature search, so it finds the same
 bijection first.
 ``squash_equal`` compares squashed expressions set-style: dissolve nested
-squashes, canonize, drop repeated atoms, then require containment each
+squashes, canonize only the terms dissolving builds (the slots came out
+of canonize, renamed at most; all terms if the chase hit its ceiling, for
+a fresh chase budget), drop repeated atoms, then require containment each
 way.  A term is contained in another when the other maps into it by a
 homomorphism (``maps_into``), found one connected component of summation
 variables at a time.
 Every predicate question about a term goes to one closure per term and
 call: the closure canonize built in its final round for that term, handed
 over through ``Canonizer.closures``, or ``closure_of(t.preds)`` for a term
-canonize did not return as it stands.
+canonize did not return as it stands.  A term's equality links,
+signatures and colours are built on first use, which only the bijection
+search makes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 from .config import Budget
 from .congruence import Closure, closure_of, implies_atom
@@ -271,17 +276,32 @@ class Decider:
     # -- squashed-expression comparison -------------------------------------
 
     def squash_equal(self, s1: SpnfExp, s2: SpnfExp) -> bool:
+        """Are two squash slots, each canonized with ``squash_ctx`` and
+        perhaps renamed by a bijection, equal as sets?"""
         self.budget.step("search")
         if s1 == s2:
             return True
         f1 = self.flatten(s1, "Lsq")
         f2 = self.flatten(s2, "Rsq")
-        c1 = self.canonizer.canonize(f1, "Lsq", squash_ctx=True)
-        c2 = self.canonizer.canonize(f2, "Rsq", squash_ctx=True)
-        m1 = [self.minimize(t) for t in c1.terms]
-        m2 = [self.minimize(t) for t in c2.terms]
+        # a slot cut at the chase ceiling gets a fresh chase budget
+        again = self.canonizer.chase_exhausted
+        c1 = self._canonize_dissolved(f1, s1, "Lsq", again)
+        c2 = self._canonize_dissolved(f2, s2, "Rsq", again)
+        m1 = [self.minimize(t) for t in c1]
+        m2 = [self.minimize(t) for t in c2]
         return (all(any(self.maps_into(u, t) for u in m2) for t in m1)
                 and all(any(self.maps_into(t, u) for t in m1) for u in m2))
+
+    def _canonize_dissolved(self, flat: SpnfExp, slot: SpnfExp, loc: str,
+                            every: bool) -> list[Term]:
+        """The terms of ``flat``, the flattened ``slot``, those not in
+        ``slot`` (or all, if ``every``) canonized as `Canonizer.canonize`
+        would."""
+        kept = set() if every else {id(t) for t in slot.terms}
+        terms = (t if id(t) in kept else self.canonizer.canonize_term(
+                     t, f"{loc}/t{i}", squash_ctx=True)
+                 for i, t in enumerate(flat.terms))
+        return [t for t in terms if t is not None]
 
     def flatten(self, e: SpnfExp, loc: str) -> SpnfExp:
         """Dissolve squash factors of terms sitting under an outer squash."""
@@ -391,27 +411,47 @@ class _TermFacts:
     the closure of canonize's final round, handed over, and for any other
     term it is built here.  Queries, canonize's among them, only add nodes
     and never merge existing classes, so answers stay valid as it grows.
-    ``sig`` and ``colour`` map each summation variable to its signature id
-    and its refined colour id, ``rels`` to the relations of its atoms."""
+    ``rels`` maps each summation variable to the relations of its atoms.
+    The bijection search alone reads ``links``, ``sig`` and ``colour``
+    (each summation variable's signature id and refined colour id),
+    ``sig_count`` and ``by_colour``: they are built on first use, so a
+    summation-free term or one only `maps_into` reads has none."""
 
     def __init__(self, t: Term, colours: dict[tuple, int],
                  closure: Closure | None = None):
         self.term = t
         self.closure = closure_of(t.preds) if closure is None else closure
-        self.links = _EqualityLinks(t, self.closure)
-        sigs = _var_signatures(t)
-        self.rels = {vid: s[1] for vid, s in sigs.items()}  # of each one's atoms
-        self.sig = {v.vid: colours.setdefault(
-                        ("sig", sigs[v.vid] + self.links.unary(v)), len(colours))
-                    for v in t.sum_vars}
-        self.sig_count = Counter(self.sig.values())
-        self.colour = _refine(t, self.sig, self.links, colours)
-        self.by_colour: dict[int, list[TupleVar]] = {}
-        for v in t.sum_vars:
-            self.by_colour.setdefault(self.colour[v.vid], []).append(v)
+        self._colours = colours
+        self.rels = _atom_rels(t)
         self.consts = _free_constants(t, self.closure)
-        self.sum_ids = frozenset(self.sig)
+        self.sum_ids = frozenset(self.rels)
         self.preds = _PredIndex(t.preds, self.sum_ids)
+
+    @cached_property
+    def links(self) -> _EqualityLinks:
+        return _EqualityLinks(self.term, self.closure)
+
+    @cached_property
+    def sig(self) -> dict[int, int]:
+        sigs = _var_signatures(self.term)
+        return {v.vid: self._colours.setdefault(
+                    ("sig", sigs[v.vid] + self.links.unary(v)), len(self._colours))
+                for v in self.term.sum_vars}
+
+    @cached_property
+    def sig_count(self) -> Counter:
+        return Counter(self.sig.values())
+
+    @cached_property
+    def colour(self) -> dict[int, int]:
+        return _refine(self.term, self.sig, self.links, self._colours)
+
+    @cached_property
+    def by_colour(self) -> dict[int, list[TupleVar]]:
+        out: dict[int, list[TupleVar]] = {}
+        for v in self.term.sum_vars:
+            out.setdefault(self.colour[v.vid], []).append(v)
+        return out
 
 
 class _PredIndex:
@@ -553,15 +593,21 @@ def term_signature(t: Term) -> tuple:
             t.neg is not None)
 
 
-def _var_signatures(t: Term) -> dict[int, tuple]:
-    """Summation variable id -> footprint, relations, and whether the squash
-    and the negation slot mention it: one pass over the atoms and each slot."""
+def _atom_rels(t: Term) -> dict[int, tuple[str, ...]]:
+    """Summation variable id -> the sorted relations of its atoms."""
     rels: dict[int, list[str]] = {v.vid: [] for v in t.sum_vars}
     for r, w in t.atoms:
         if w.vid in rels:
             rels[w.vid].append(r)
+    return {vid: tuple(sorted(rs)) for vid, rs in rels.items()}
+
+
+def _var_signatures(t: Term) -> dict[int, tuple]:
+    """Summation variable id -> footprint, relations, and whether the squash
+    and the negation slot mention it: one pass over the atoms and each slot."""
+    rels = _atom_rels(t)
     in_squash, in_neg = _mentioned(t.squash), _mentioned(t.neg)
-    return {v.vid: (footprint_key(v.schema), tuple(sorted(rels[v.vid])),
+    return {v.vid: (footprint_key(v.schema), rels[v.vid],
                     v.vid in in_squash, v.vid in in_neg) for v in t.sum_vars}
 
 

@@ -10,8 +10,10 @@ containment search under DISTINCT places unlinked scans apart, and the
 term search pairs tied terms by their constants and never backtracks over
 pairings, the factors of a wide product are keyed once each, the
 closure work of a wide union under EXISTS grows linearly in its branches,
-a wide union renames no branch body, keys no grounded terms of its
-summation-free terms and adds its branch bodies in one call, and neither a
+a wide union renames no branch body, builds no equality links for its
+summation-free terms and adds its branch bodies in one call, the set
+comparison canonizes none of the slots it is given and its homomorphism
+search builds no equality links, and neither a
 key collapse into one class nor a one-level chase under DISTINCT takes
 more canonize rounds as it widens.  A summation-free term that both sides
 share cancels before canonization and has no closure, facts or predicate
@@ -26,6 +28,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from semiq import (build_env, congruence, constraints, decide, parse, pipeline,
@@ -153,46 +156,90 @@ def test_projection_branches_keep_one_closure_per_side(monkeypatch):
     assert asked and asked <= {id(c) for c in built}
 
 
+def _saturation_equal_branches(n: int) -> str:
+    # branch i filters `x.a = x.b AND x.b = i` on the left and
+    # `x.a = i AND x.b = i` on the right: the summation-free terms differ
+    # as written, so they do not cancel, and are equal once saturated
+    def side(alias: str, pred: str, order) -> str:
+        return " UNION ALL ".join(
+            f"(SELECT * FROM R {alias}{i} WHERE "
+            + pred.format(x=f"{alias}{i}", c=i) + ")" for i in order)
+
+    return (PRELUDE + f"verify ({side('l', '{x}.a = {x}.b AND {x}.b = {c}', range(n))})\n"
+            f"       ({side('r', '{x}.a = {c} AND {x}.b = {c}', reversed(range(n)))});\n")
+
+
 def test_a_wide_union_renames_no_branch_and_keys_no_summation_free_term(monkeypatch):
     # every branch has the left operand's output schema, so it is denoted
-    # over that output variable and no body is renamed; the search keys
-    # grounded terms only in the classes of summation variables'
-    # attributes, and a filtered scan's term, once canonized, has none
-    renames, keyed, calls = [], [], [0]
-    real_sub, real_key, real_links = (translate.substitute, decide.canon_key,
-                                      decide._EqualityLinks)
+    # over that output variable and no body is renamed; the search builds
+    # equality links only for the terms whose variables it places, and a
+    # summation-free term has none, though it reaches `match_terms`
+    renames, links, matched = [], [], []
+    real_sub, real_links = translate.substitute, decide._EqualityLinks
+    real_match = decide.Decider.match_terms
 
-    def counting_key(e):
-        calls[0] += 1
-        return real_key(e)
-
-    def links(t, closure):
-        before = calls[0]
-        out = real_links(t, closure)
-        if not t.sum_vars:
-            keyed.append(calls[0] - before)
-        return out
+    def match_terms(self, t1, t2):
+        matched.append(not (t1.sum_vars or t2.sum_vars))
+        return real_match(self, t1, t2)
 
     monkeypatch.setattr(translate, "substitute",
                         lambda *args: renames.append(args) or real_sub(*args))
-    monkeypatch.setattr(decide, "canon_key", counting_key)
-    monkeypatch.setattr(decide, "_EqualityLinks", links)
-    free = []
+    monkeypatch.setattr(decide, "_EqualityLinks",
+                        lambda t, closure: links.append(t) or real_links(t, closure))
+    monkeypatch.setattr(decide.Decider, "match_terms", match_terms)
     for n in (12, 24):
-        for text in (workloads.wide_union(random.Random(n), n).text,
-                     _constant_branches(n)):
-            prog = parse(text)
-            env = build_env(prog)
-            [stmt] = prog.verifies()
-            p = pipeline.prepare_verify(stmt, "v", env)
-            assert renames == []
-            keyed.clear()
-            assert pipeline.decide_verify(p, env).status == "EQUIVALENT"
-            assert all(k == 0 for k in keyed)
-            free.append(len(keyed))
-    # each filtered scan's term is summation-free and shared by both sides,
-    # so it cancels and builds no links; each projection's term is not
-    assert free == [0, 0, 0, 0]
+        prog = parse(_saturation_equal_branches(n))
+        env = build_env(prog)
+        [stmt] = prog.verifies()
+        p = pipeline.prepare_verify(stmt, "v", env)
+        assert renames == []
+        matched.clear()
+        assert pipeline.decide_verify(p, env).status == "EQUIVALENT"
+        # one match per branch, each of two summation-free terms
+        assert matched == [True] * n
+        assert [t for t in links if not t.sum_vars] == []
+
+
+def test_set_comparison_canonizes_no_slot_and_links_no_mapped_term(monkeypatch):
+    # the squash slots the term search compares are canonical as they
+    # stand, so with no squash nested in them `squash_equal` canonizes
+    # nothing; the homomorphism search reads no equality links, so none
+    # is built while it runs, though it builds the facts it does read
+    inside, counts = set(), Counter()
+
+    def within(name, real):
+        def wrapper(self, *args, **kw):
+            inside.add(name)
+            counts[name] += 1
+            try:
+                return real(self, *args, **kw)
+            finally:
+                inside.discard(name)
+        return wrapper
+
+    def counted(name, real):
+        def wrapper(*args, **kw):
+            for outer in set(inside):
+                counts[outer, name] += 1
+            return real(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(decide.Decider, "squash_equal",
+                        within("squash_equal", decide.Decider.squash_equal))
+    monkeypatch.setattr(decide.Decider, "maps_into",
+                        within("maps_into", decide.Decider.maps_into))
+    monkeypatch.setattr(constraints.Canonizer, "canonize_term",
+                        counted("canonize", constraints.Canonizer.canonize_term))
+    monkeypatch.setattr(decide, "_EqualityLinks", counted("links", decide._EqualityLinks))
+    monkeypatch.setattr(decide, "_TermFacts", counted("facts", decide._TermFacts))
+    rng = random.Random(1)
+    for shape in workloads.UCQ_SHAPES:
+        [out] = run_program_text(workloads.ucq_pair(rng, shape, distinct=True).text)
+        assert out.status == "EQUIVALENT"
+    assert counts["squash_equal"] > 0 and counts["maps_into"] > 0
+    assert counts["maps_into", "facts"] > 0
+    assert counts["squash_equal", "canonize"] == 0
+    assert counts["maps_into", "links"] == 0
 
 
 def test_a_wide_union_is_summed_once_per_side(monkeypatch):
