@@ -6,8 +6,8 @@
 With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `join_chain` 16 and 24, `symmetric_self_join` 6, 7 and 8,
 `nested_projection` 16, 40, 60, 100, 200 and 400, `index_join_back` 12,
-`wide_union` 64, `shared_union` 128, 256 and 1200, `union_all` 600 and
-1200, `union_all_miss` 9 and 200,
+24 and 48, `wide_union` 64, `shared_union` 128, 256 and 1200, `union_all`
+600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
 `wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
@@ -96,7 +96,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("nested_projection", 16), ("nested_projection", 40),
         ("nested_projection", 60), ("nested_projection", 100),
         ("nested_projection", 200), ("nested_projection", 400),
-        ("index_join_back", 12), ("wide_union", 64), ("shared_union", 128),
+        ("index_join_back", 12), ("index_join_back", 24),
+        ("index_join_back", 48), ("wide_union", 64), ("shared_union", 128),
         ("shared_union", 256), ("shared_union", 1200), ("union_all", 600),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),

@@ -1,18 +1,19 @@
 """Canonization of normal-form expressions under integrity constraints.
 
-Four interleaved passes run to a fixpoint on every term, recursively inside
-squash and negation slots: saturation of equalities, elimination of
-summations bound by an equality, the key-constraint collapse, and the
-foreign-key expansion.  Each round saturates, builds the term's closure
-once, and applies the first pass that changes the term, with every
-instance that closure allows: all summation variables with a candidate in
-one simultaneous substitution (each tuple class keeps its least variable
-and every other member is replaced by it), every key-equal atom pair, or,
-for one foreign key, every source atom that needs expanding.  A nesting
-chain or a class of any size therefore takes a constant number of rounds,
-and one chase round is one level of the chase.
-The final round's closure is kept in ``Canonizer.closures`` for the term
-returned, so that the search does not build it again.
+Three interleaved passes run to a fixpoint on every term, recursively
+inside squash and negation slots: elimination of summations bound by an
+equality, the key-constraint collapse, and the foreign-key expansion.  Each
+round builds the closure of the term as it stands and applies the first
+pass that changes the term, with every instance that closure allows: all
+summation variables with a candidate in one simultaneous substitution (each
+tuple class keeps its least variable and every other member is replaced by
+it), every key-equal atom pair (each dropped summation variable replaced by
+the kept one), or, for one foreign key, every source atom that needs
+expanding.  A nesting chain or a class of any size therefore takes a
+constant number of rounds, and one chase round is one level of the
+chase.  The round in which no pass fires saturates the term, and its closure
+is kept in ``Canonizer.closures`` for the term returned, so that the search
+does not build it again.
 Saturation writes each equality class of the term's congruence closure as
 a spanning chain: its members sorted, each equal to the next, so k members
 take k - 1 atoms and the chain is canonical.  Terms whose square provably
@@ -34,7 +35,7 @@ from .trace import Trace
 from .exprs import (
     AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleEqAtom, TupleNeqAtom,
     TupleSlice, TupleVar, VarGen, canon_key, free_vars, mk_eq, mk_record,
-    mk_tuple_eq, rewrite, substitution, tuple_sort_key, walk,
+    mk_tuple_eq, rewrite, scalar_sort_key, substitution, tuple_sort_key, walk,
 )
 
 
@@ -89,15 +90,14 @@ class Canonizer:
 
     def canonize_term(self, t: Term, loc: str, squash_ctx: bool = False,
                       wrap: bool = False) -> Term | None:
-        """The canonical ``t``, or None if it equates two distinct constants (it is 0)."""
+        """The canonical ``t``, or None if it equates two distinct constants
+        (it is 0).  Only the round in which no pass fires saturates."""
         chase_rounds = 0
         while True:
             self.budget.step("canonize")
-            # kept even when unchanged: it drops the copies of an atom
-            # that a substitution writes.  The closure of the incoming
-            # predicates has the saturated term's classes (the chains
-            # generate it), and every pass picks by min over class members
-            t, closure = self.saturate(t, loc)
+            # the passes read the closure alone; their queries intern past ``own``
+            closure = closure_of(t.preds)
+            own = len(closure.parent)
             t2 = self.try_eliminate(t, closure, loc) or self.try_key(t, closure, loc)
             if t2 is None:
                 t2, chase_rounds = self.try_fk(t, closure, loc, squash_ctx,
@@ -107,9 +107,8 @@ class Canonizer:
             if t2 is None:
                 break
             t = t2
-        if any(len({c.value for c in ms if isinstance(c, Const)}) > 1
-               for ms in closure.scalar_classes().values()):
-            self.trace.rule("const-clash", loc)
+        t = self.saturate(t, closure, own, loc)
+        if t is None:
             return None
         saturated = t.preds
         t = self._canonize_agg_bodies(t, loc)
@@ -121,36 +120,40 @@ class Canonizer:
             self.closures[id(t)] = (t, closure)
         return t
 
-    # -- pass 1: saturation of equalities -------------------------------------
+    # -- saturation of equalities, once at the fixpoint -----------------------
 
-    def saturate(self, t: Term, loc: str) -> tuple[Term, Closure]:
-        """The term with each equality class of its closure written as a
-        chain, and ``closure_of(t.preds)``.
+    def saturate(self, t: Term, closure: Closure, own: int, loc: str) -> Term | None:
+        """The term with each equality class of ``closure``, which is
+        ``closure_of(t.preds)``, written as a chain of its first ``own``
+        nodes: the ones that built it, not those a later query interned;
+        None if a class holds two distinct constants (the term is 0).
 
         A class's members are sorted by ``scalar_sort_key`` or
         ``tuple_sort_key`` and each is equated to the next: the chain
         generates the class and depends only on the closure, so saturating
         twice changes nothing.  Non-equality atoms are kept once each."""
-        closure = closure_of(t.preds)
+        classes: dict[int, list] = {}
+        for nid in range(own):
+            classes.setdefault(closure.find(nid), []).append(closure.source[nid])
         new_preds: list[PredAtom] = []
         seen: set = set()
         for p in t.preds:
-            if isinstance(p, (EqAtom, TupleEqAtom)) or _is_reflexive(p):
-                continue
-            key = canon_key(Pred(p))
-            if key in seen:
-                continue
-            seen.add(key)
-            new_preds.append(p)
-        for ms in closure.scalar_classes().values():
-            new_preds.extend(mk_eq(x, y) for x, y in zip(ms, ms[1:]))
-        for members in closure.tuple_classes().values():
-            uniq = list(dict.fromkeys(sorted(members, key=tuple_sort_key)))
-            new_preds.extend(mk_tuple_eq(x, y) for x, y in zip(uniq, uniq[1:]))
+            key = None if isinstance(p, (EqAtom, TupleEqAtom)) else canon_key(Pred(p))
+            if key is not None and key not in seen:
+                seen.add(key)
+                new_preds.append(p)
+        for rep, ms in classes.items():
+            tup = closure.kind[rep] in ("tvar", "record", "slice")
+            ms = list(dict.fromkeys(sorted(
+                ms, key=tuple_sort_key if tup else scalar_sort_key)))
+            if not tup and len({c.value for c in ms if isinstance(c, Const)}) > 1:
+                self.trace.rule("const-clash", loc)
+                return None
+            new_preds.extend(map(mk_tuple_eq if tup else mk_eq, ms, ms[1:]))
         out = Term.make(t.sum_vars, new_preds, t.squash, t.neg, t.atoms)
         for _ in range(len(set(out.preds) - set(t.preds))):
             self.trace.rule("eq-trans", loc)
-        return out, closure
+        return out
 
     # -- pass 2: summation elimination ---------------------------------------
 
@@ -233,10 +236,13 @@ class Canonizer:
 
     def try_key(self, t: Term, closure: Closure, loc: str) -> Term | None:
         """Collapse every key-equal pair of a relation's atoms: the first
-        atom of each group stays, and each dropped atom's variable is
-        equated to it."""
+        atom of each group stays, and in one substitution each dropped
+        atom's variable is replaced by the kept atom's (the key's chase
+        step).  A dropped variable that is free, or whose kept variable is
+        itself dropped, is equated to the kept one instead."""
         atoms = list(t.atoms)
         preds = list(t.preds)
+        pairs: list[tuple[TupleVar, TupleVar]] = []   # (kept, dropped)
         for key in self.env.keys:
             # key-attribute classes -> the variable of the kept atom; kept
             # atoms have distinct classes, so at most one agrees with w
@@ -252,12 +258,20 @@ class Canonizer:
                 elif u == w:
                     self.trace.rule("key-idem", loc)
                 else:
-                    preds.append(mk_tuple_eq(u, w))
+                    pairs.append((u, w))
                     self.trace.rule("key-collapse", loc)
             atoms = rest
         if len(atoms) == len(t.atoms):
             return None
-        return Term.make(t.sum_vars, preds, t.squash, t.neg, atoms)
+        sum_ids, dropped = {v.vid for v in t.sum_vars}, {w.vid for _, w in pairs}
+        chosen: dict[TupleVar, object] = {}
+        for u, w in pairs:
+            if w.vid in sum_ids and u.vid not in dropped and w not in chosen:
+                chosen[w] = u
+                self.trace.rule("sum-elim-eq", loc)
+            else:
+                preds.append(mk_tuple_eq(u, w))
+        return subst_term(Term.make(t.sum_vars, preds, t.squash, t.neg, atoms), chosen)
 
     # -- pass 4: foreign-key expansion ------------------------------------------
 

@@ -1,27 +1,27 @@
 """Build counts that repeat exactly: each matched term's closure data is
-built once per verify, each canonize round builds one closure, the number
-of canonize rounds does not grow with nesting depth or index probes, the
-term search fully checks only pairs whose free constants agree, and the
-variable search checks no leaf that colours or placed predicates rule out
-and places first a variable that a predicate mentions alone,
-no canonize round of a nested projection holds more predicates than a few
-per level, the denotation types each nested derived table once, the
-containment search under DISTINCT places unlinked scans apart, and the
-term search pairs tied terms by their constants and never backtracks over
-pairings, the factors of a wide product are keyed once each, the
-closure work of a wide union under EXISTS grows linearly in its branches,
-a wide union renames no branch body, builds no equality links for its
-summation-free terms and adds its branch bodies in one call, the set
-comparison canonizes none of the slots it is given and its homomorphism
-search builds no equality links, and neither a
-key collapse into one class nor a one-level chase under DISTINCT takes
-more canonize rounds as it widens.  A summation-free term that both sides
-share cancels before canonization and has no closure, facts or predicate
-question; terms that keep a summation variable are not shared, even when
-they are equal up to renaming it, so each side builds its own.  They
-guard the asymptotics without timing anything; each bound from above
-comes with a check that the count is not zero, unless zero is the
-claim."""
+built once per verify, each canonize round builds one closure, each
+canonized term is saturated once, the number of canonize rounds does not
+grow with nesting depth or index probes, a key collapse replaces the
+scans it drops in its own round, the term search fully checks only pairs
+whose free constants agree, and the variable search checks no leaf that
+colours or placed predicates rule out and places first a variable that a
+predicate mentions alone, no canonize round of a nested projection holds
+more predicates than a few per level, the denotation types each nested
+derived table once, the containment search under DISTINCT places unlinked
+scans apart, and the term search pairs tied terms by their constants and
+never backtracks over pairings, the factors of a wide product are keyed
+once each, the closure work of a wide union under EXISTS grows linearly
+in its branches, a wide union renames no branch body, builds no equality
+links for its summation-free terms and adds its branch bodies in one
+call, the set comparison canonizes none of the slots it is given and its
+homomorphism search builds no equality links, and neither a key collapse
+into one class nor a one-level chase under DISTINCT takes more canonize
+rounds as it widens.  A summation-free term that both sides share cancels
+before canonization and has no closure, facts or predicate question;
+terms that keep a summation variable are not shared, even when they are
+equal up to renaming it, so each side builds its own.  They guard the
+asymptotics without timing anything; each bound from above comes with a
+check that the count is not zero, unless zero is the claim."""
 
 from __future__ import annotations
 
@@ -366,31 +366,37 @@ def test_join_chain_search_is_forced_by_colours(monkeypatch):
     assert 0 < out.steps["total"] < 1000
 
 
-def _canonize_rounds(monkeypatch, program: str) -> int:
+def _canonize_rounds(monkeypatch, program: str, sizes: list | None = None) -> int:
     """Canonize rounds of one verify, checking that each round builds one
-    closure and takes one canonize step."""
-    calls = {"closure_of": 0, "saturate": 0}
-    real_closure, real_saturate = constraints.closure_of, constraints.Canonizer.saturate
+    closure and takes one canonize step, and that each canonized term is
+    saturated once.  ``sizes`` gets the length of the predicate list that
+    each round's passes see, and of each saturated term."""
+    calls: Counter = Counter()
 
-    def closure_of(preds):
-        calls["closure_of"] += 1
-        return real_closure(preds)
+    def counting(owner, name, size=None):
+        real = getattr(owner, name)
 
-    def saturate(self, t, loc):
-        calls["saturate"] += 1
-        return real_saturate(self, t, loc)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
+            if sizes is not None and size is not None:
+                sizes.append(len(size(args, out).preds))
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(constraints, "closure_of", closure_of)
-    monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
+    counting(constraints, "closure_of")
+    counting(constraints.Canonizer, "canonize_term")
+    counting(constraints.Canonizer, "saturate", lambda args, out: out)
+    # the first pass of every round
+    counting(constraints.Canonizer, "try_eliminate", lambda args, out: args[1])
     [out] = run_program_text(program)
     assert out.status == "EQUIVALENT"
-    assert calls["closure_of"] == calls["saturate"]
-    # one saturate per canonize step: no round only confirms that
-    # saturation changed nothing
-    assert calls["saturate"] == out.steps["canonize"]
+    assert calls["closure_of"] == out.steps["canonize"]
+    # only the fixpoint's chains are returned, so only they are written
+    assert calls["saturate"] == calls["canonize_term"]
     monkeypatch.undo()
     assert calls["saturate"] > 0
-    return calls["saturate"]
+    return calls["closure_of"]
 
 
 def test_nested_projection_builds_one_closure_per_canonize_round(monkeypatch):
@@ -405,6 +411,22 @@ def test_index_join_back_rounds_do_not_grow_with_probes(monkeypatch):
     # collapses every key-equal pair of atoms, at once
     assert _canonize_rounds(monkeypatch, index_join_back_program(3)) == \
         _canonize_rounds(monkeypatch, index_join_back_program(6))
+
+
+def test_a_key_collapse_substitutes_and_writes_no_attribute_chain(monkeypatch):
+    # k probes joined back on the key take four rounds: coverage, the
+    # output variable, the collapse of every probe into the base scan with
+    # each probe's variable replaced in that round, and the fixpoint.
+    # Equating each probe to the base instead took a fifth round, whose
+    # saturated term chained every attribute of every scan, (k + 1)^2
+    # equalities, before it eliminated the probes
+    largest = []
+    for k in (6, 12):
+        sizes = []
+        assert _canonize_rounds(monkeypatch, scaling.program(
+            "index_join_back", k, 1), sizes) == 4
+        largest.append(max(sizes))
+    assert 0 < largest[1] <= 2.3 * largest[0], largest
 
 
 def _canonize_steps(text: str) -> int:
@@ -453,20 +475,13 @@ def test_agreement_on_attributes_interns_linearly_in_from_width(monkeypatch):
 
 
 def test_nested_projection_rounds_stay_linear_in_depth(monkeypatch):
-    # saturate writes k - 1 equalities per class of k members, so no round
-    # holds more than a few predicates per level of nesting; all pairs
-    # per class would make the largest round quadratic in the depth
+    # neither a round's passes nor a saturated term see more than a few
+    # predicates per level of nesting: a round keeps the term as the last
+    # pass left it, and saturate writes k - 1 equalities per class of k
+    # members; all pairs per class would make them quadratic in the depth
     depth = 40
     sizes = []
-    real = constraints.Canonizer.saturate
-
-    def saturate(self, t, loc):
-        sizes.append(len(t.preds))
-        return real(self, t, loc)
-
-    monkeypatch.setattr(constraints.Canonizer, "saturate", saturate)
-    [out] = run_program_text(nested_projection_program(depth))
-    assert out.status == "EQUIVALENT"
+    _canonize_rounds(monkeypatch, nested_projection_program(depth), sizes)
     assert 0 < max(sizes, default=0) <= 4 * depth
 
 

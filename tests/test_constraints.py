@@ -25,7 +25,7 @@ from semiq.schema import KeyConstraint, Schema, SchemaEnv
 from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (ONE, AttrRef, Const, Exp, TupleEqAtom, TupleVar,
+from semiq.exprs import (ONE, AttrRef, Const, Exp, Func, TupleEqAtom, TupleVar,
                         VarGen, free_vars, mk_eq, mk_record, mk_tuple_eq, mul,
                         sum_)
 
@@ -38,7 +38,9 @@ SR = Schema("sr", (("k", "int"), ("a", "int")))
 
 
 def _sym(ch):
-    return Const(ch, "string")
+    # an uninterpreted nullary function: two symbols may be equal, where two
+    # distinct constants clash
+    return Func(ch, ())
 
 
 def _canonizer(env: SchemaEnv | None = None) -> Canonizer:
@@ -52,12 +54,18 @@ def _eliminated(t: Term, env: SchemaEnv | None = None) -> Term:
         .canonize_term(t, "t")
 
 
+def _saturated(t: Term) -> Term | None:
+    """``t`` saturated from its own closure, as the fixpoint round does."""
+    closure = closure_of(t.preds)
+    return _canonizer().saturate(t, closure, len(closure.parent), "t")
+
+
 def test_saturate_adds_transitive_equalities():
     # a class is written as the chain of its sorted members, which entails
     # every pair
     a, b, c = map(_sym, "abc")
     t = Term.make((), [mk_eq(b, c), mk_eq(a, c)], None, None, ())
-    out = _canonizer().saturate(t, "t")[0]
+    out = _saturated(t)
     assert out.preds == (mk_eq(a, b), mk_eq(b, c))
     assert closure_of(out.preds).scalar_eq(a, c)
 
@@ -74,25 +82,44 @@ def _partition(closure):
 @settings(max_examples=150, deadline=None)
 def test_saturate_writes_one_spanning_chain_per_class(eqs):
     t = Term.make((), eqs, None, None, ())
-    cz = _canonizer()
-    out, _ = cz.saturate(t, "t")
+    out = _saturated(t)
     reference = closure_of(all_pairs_equalities(eqs))
+    # a class holding two distinct constants makes the term 0
+    assert (out is None) == any(len({c.value for c in ms if isinstance(c, Const)}) > 1
+                                for ms in reference.scalar_classes().values())
+    if out is None:
+        return
     assert _partition(closure_of(out.preds)) == _partition(reference)
     assert len(out.preds) == sum(len(ms) - 1 for ms in _partition(reference))
-    assert set(cz.saturate(out, "t")[0].preds) == set(out.preds)
+    assert set(_saturated(out).preds) == set(out.preds)
 
 
 def test_saturate_without_equalities_is_identity():
     from semiq.exprs import PredApp
     t = Term.make((), [PredApp(">=", (_sym("a"), _sym("b")))], None, None, ())
-    assert _canonizer().saturate(t, "t")[0] == t
+    assert _saturated(t) == t
 
 
 def test_saturate_deduplicates_symmetric_pairs():
     a, b = _sym("a"), _sym("b")
     t = Term.make((), [mk_eq(a, b), mk_eq(b, a), mk_eq(a, b)], None, None, ())
-    out = _canonizer().saturate(t, "t")[0]
+    out = _saturated(t)
     assert out.preds == (mk_eq(a, b),)
+
+
+def test_saturate_writes_no_node_that_a_query_interned():
+    # the passes query the round's closure: asking for v's attributes
+    # interns v.k and v.a, which join the record's fields.  The chains
+    # name only the nodes that built the closure, so the queries leave
+    # the saturated term as it was
+    v = TupleVar(1, SR)
+    rec = mk_record({"k": Const(1, "int"), "a": Const(2, "int")})
+    t = Term.make((v,), [mk_tuple_eq(v, rec)], None, None, (("R", v),))
+    closure = closure_of(t.preds)
+    own = len(closure.parent)
+    assert closure.scalar_eq(AttrRef(v, "k"), Const(1, "int"))
+    assert len(closure.parent) > own
+    assert _canonizer().saturate(t, closure, own, "t") == _saturated(t) == t
 
 
 # the key collapse maps `y.a >= 5` onto `x.a >= 5` and leaves the set of
@@ -111,10 +138,9 @@ verify (SELECT x.a AS o FROM R x WHERE x.a >= 5)
                                      KEY_COLLAPSE_COPY],
                          ids=["nested-16", "index-join-back-6", "key-collapse"])
 def test_canonized_terms_hold_no_predicate_twice(monkeypatch, program):
-    # each elimination or collapse substitutes into an already saturated
-    # term, which may write one atom twice; the next saturate drops the
-    # copy, and its output is kept even when the set of predicates is
-    # unchanged
+    # each elimination or collapse substitutes into the term as the last
+    # round left it, which may write one atom twice; the one saturate at
+    # the fixpoint drops the copies
     outputs = []
     real = Canonizer.canonize
 
@@ -219,20 +245,49 @@ def test_apply_key_without_declared_key_is_identity():
     assert cz.try_key(term, closure_of(term.preds), "t") is None
 
 
+def _one_collapse(term: Term, *keys: KeyConstraint) -> tuple[Term | None, list[str]]:
+    trace = Trace()
+    cz = Canonizer(SchemaEnv(keys=list(keys)), VarGen(10_000), trace)
+    return cz.try_key(term, closure_of(term.preds), "t"), trace.rule_names()
+
+
 def test_apply_key_collapses_every_key_equal_atom_in_one_round():
-    # three scans equal on the key: the first stays, the other two are
-    # equated to it in the same round
+    # three scans equal on the key: the first stays, and the other two are
+    # replaced by it in the same round, which leaves no equality to chain
     t1, t2, t3 = (TupleVar(i, SR) for i in (1, 2, 3))
     k = [AttrRef(t, "k") for t in (t1, t2, t3)]
     term = Term.make((t1, t2, t3), [mk_eq(k[0], k[1]), mk_eq(k[1], k[2])],
                      None, None, (("R", t1), ("R", t2), ("R", t3)))
-    trace = Trace()
-    cz = Canonizer(SchemaEnv(keys=[KeyConstraint("R", ("k",))]), VarGen(10_000), trace)
-    collapsed = cz.try_key(term, closure_of(term.preds), "t")
-    assert collapsed.atoms == (("R", t1),)
-    assert mk_tuple_eq(t1, t2) in collapsed.preds
+    collapsed, rules = _one_collapse(term, KeyConstraint("R", ("k",)))
+    assert collapsed == Term.make((t1,), (), None, None, (("R", t1),))
+    assert rules == ["key-collapse", "key-collapse", "sum-elim-eq", "sum-elim-eq"]
+
+
+def test_a_dropped_free_variable_is_equated_to_the_kept_one():
+    # the free variable cannot be substituted away, so the collapse keeps
+    # the tuple equality that the next round eliminates the other way
+    t2, free = TupleVar(2, SR), TupleVar(3, SR)
+    term = Term.make((t2,), [mk_eq(AttrRef(t2, "k"), AttrRef(free, "k"))],
+                     None, None, (("R", t2), ("R", free)))
+    collapsed, rules = _one_collapse(term, KeyConstraint("R", ("k",)))
+    assert collapsed.atoms == (("R", t2),) and collapsed.sum_vars == (t2,)
+    assert mk_tuple_eq(t2, free) in collapsed.preds
+    assert rules == ["key-collapse"]
+
+
+def test_an_atom_kept_by_one_key_and_dropped_by_another_is_equated():
+    # key k keeps t2 and drops t3; key a then drops t2 for t1.  t2 is
+    # replaced by t1, so t3 cannot be replaced by t2 and is equated to it
+    # (to t1, once the substitution is applied)
+    t1, t2, t3 = (TupleVar(i, SR) for i in (1, 2, 3))
+    term = Term.make((t1, t2, t3), [mk_eq(AttrRef(t2, "k"), AttrRef(t3, "k")),
+                                    mk_eq(AttrRef(t1, "a"), AttrRef(t2, "a"))],
+                     None, None, (("R", t1), ("R", t2), ("R", t3)))
+    collapsed, rules = _one_collapse(term, KeyConstraint("R", ("k",)),
+                                     KeyConstraint("R", ("a",)))
+    assert collapsed.atoms == (("R", t1),) and collapsed.sum_vars == (t1, t3)
     assert mk_tuple_eq(t1, t3) in collapsed.preds
-    assert trace.rule_names() == ["key-collapse", "key-collapse"]
+    assert rules == ["key-collapse", "key-collapse", "sum-elim-eq"]
 
 
 def test_canonize_reduces_index_join_to_filter_scan(index_program):
@@ -339,10 +394,40 @@ verify (SELECT x.a AS o FROM R x WHERE x.a >= 5)
 """
 
 
+KEYED = "schema sr(k:int, a:int, b:int);\ntable R(sr);\nkey R(k);\n"
+# key k keeps y and drops z, key a keeps x and drops y: y is replaced, so z
+# is equated to it instead of replaced by it
+KEY_COLLAPSE_TWO_KEYS = KEYED + """key R(a);
+verify (SELECT y.b AS o FROM R x, R y, R z WHERE y.k = z.k AND x.a = y.a)
+       (SELECT x.b AS o FROM R x);
+"""
+KEY_COLLAPSE_DISTINCT = KEYED + """
+verify (SELECT DISTINCT x.a AS o FROM R x, R y WHERE x.k = y.k AND y.a >= 5)
+       (SELECT DISTINCT x.a AS o FROM R x WHERE x.a >= 5);
+"""
+KEY_COLLAPSE_NOT_EXISTS = """schema sr(k:int, a:int);
+table R(sr);
+table S(sr);
+key R(k);
+verify (SELECT s.a AS o FROM S s WHERE NOT EXISTS (
+          SELECT x.k AS k FROM R x, R y WHERE x.k = y.k AND x.k = s.a AND y.a >= 5))
+       (SELECT s.a AS o FROM S s WHERE NOT EXISTS (
+          SELECT x.k AS k FROM R x WHERE x.k = s.a AND x.a >= 5));
+"""
+# the dropped atom's variable is the free output variable, which stays
+KEY_COLLAPSE_FREE = KEYED + """
+verify (SELECT y.* FROM R x, R y WHERE x.k = y.k AND x.a >= 5)
+       (SELECT * FROM R x WHERE x.a >= 5);
+"""
+
+
 @pytest.mark.parametrize("program, extra_ints", [
     (nested_projection_program(8), (2,)), (index_join_back_program(4), (1, 4)),
-    (KEY_COLLAPSE_THREE, (5,))],
-    ids=["nested-8", "index-join-back-4", "key-collapse"])
+    (KEY_COLLAPSE_THREE, (5,)), (KEY_COLLAPSE_TWO_KEYS, ()),
+    (KEY_COLLAPSE_DISTINCT, (5,)), (KEY_COLLAPSE_NOT_EXISTS, (5,)),
+    (KEY_COLLAPSE_FREE, (5,))],
+    ids=["nested-8", "index-join-back-4", "key-collapse", "key-collapse-two-keys",
+         "key-collapse-distinct", "key-collapse-not-exists", "key-collapse-free"])
 def test_canonize_preserves_each_term_on_key_satisfying_dbs(program, extra_ints):
     prog = parse(program)
     env = build_env(prog)
