@@ -9,7 +9,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 24 and 48, `wide_union` 64, `shared_union` 128, 256 and 1200, `union_all`
 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
-`wide_from` 400, 600, 800, 1000 and 2000, `fk_cycle` 3, `wide_and` and
+`wide_from` 400, 600, 800, 1000 and 2000, `derived_from` 100, 200 and
+400, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
 8, 16 and 32, `refute_sweep` 2, 3 and 4, and `self_join_offset` 8 and 12.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
@@ -27,8 +28,8 @@ steps}` and `steps` holds `total` and its split by stage (`normalize`,
 committed `BENCH_<n>.json` files hold such runs, one per commit measured.
 
 All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
-`union_exists`, `union_agg`, `wide_from`, `fk_cycle`, `wide_and`,
-`wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep` and
+`union_exists`, `union_agg`, `wide_from`, `derived_from`, `fk_cycle`,
+`wide_and`, `wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep` and
 `self_join_offset` are the
 generators of `perfbench/workloads.py` (only read), called with
 `random.Random(--seed)`.
@@ -50,6 +51,9 @@ table, `SELECT u.a AS o FROM (R UNION ALL ...) u`, against itself.
 `y.b = cnt(...)` over the same union.
 `wide_from` is `SELECT s0.a AS o FROM R s0, ..., R s<SIZE-1>`, with no
 WHERE, against itself.
+`derived_from` is `SELECT s0.a AS o` over SIZE derived tables
+`(SELECT x<i>.a AS a FROM R x<i>) s<i>` in one FROM list, against itself:
+`wide_from` with a summation per scan for the normalizer to hoist.
 `fk_cycle` is one fixed DISTINCT pair over two keyed tables whose foreign
 keys form a cycle, and its SIZE is the chase depth (`Limits.chase_depth`).
 `wide_and` is `SELECT x.a AS o FROM R x, R y WHERE ...` with SIZE ANDed
@@ -102,7 +106,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("union_all", 1200), ("union_all_miss", 9), ("union_all_miss", 200),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
         ("wide_from", 400), ("wide_from", 600), ("wide_from", 800),
-        ("wide_from", 1000), ("wide_from", 2000), ("fk_cycle", 3),
+        ("wide_from", 1000), ("wide_from", 2000), ("derived_from", 100),
+        ("derived_from", 200), ("derived_from", 400), ("fk_cycle", 3),
         ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
         ("distinct_fk", 8), ("distinct_fk", 16), ("distinct_fk", 32),
@@ -112,8 +117,8 @@ FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "shared_union", "union_all",
             "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
-            "fk_cycle", "wide_and", "wide_or", "keyed_collapse", "distinct_fk",
-            "refute_sweep", "self_join_offset")
+            "derived_from", "fk_cycle", "wide_and", "wide_or", "keyed_collapse",
+            "distinct_fk", "refute_sweep", "self_join_offset")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -184,6 +189,12 @@ def wide_from(n: int) -> str:
     return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
 
 
+def derived_from(n: int) -> str:
+    q = (f"SELECT s0.a AS o FROM "
+         + ", ".join(f"(SELECT x{i}.a AS a FROM R x{i}) s{i}" for i in range(n)))
+    return f"schema s(a:int, b:int);\ntable R(s);\nverify ({q})\n       ({q});\n"
+
+
 def wide_pred(op: str, n: int) -> str:
     pred = f" {op} ".join("x.a = y.b" if i % 2 else f"y.a = {i}" for i in range(n))
     q = f"SELECT x.a AS o FROM R x, R y WHERE {pred}"
@@ -234,6 +245,8 @@ def program(family: str, size: int, seed: int) -> str:
         return union_subquery(UNION_SUBQUERY[family], size)
     if family == "wide_from":
         return wide_from(size)
+    if family == "derived_from":
+        return derived_from(size)
     if family == "fk_cycle":
         return FK_CYCLE
     if family in ("wide_and", "wide_or"):

@@ -4,9 +4,12 @@ A normal expression is a sum of terms; each term is a single summation over
 a product of predicate factors, at most one squash factor, at most one
 negation factor, and relation atoms.  ``to_spnf`` reaches this shape by
 repeatedly applying kernel identities (distribution, summation hoisting,
-factor merging).  ``Normalizer.app`` applies each identity by its ``AXIOMS``
-entry and logs it; ``_merge_chain`` does the factor-chain steps itself and
-logs them as ``squash-mul`` and ``pull-not``.
+factor merging) in one walk of its input.  ``Normalizer.app`` applies each
+identity by its ``AXIOMS`` entry and logs it; ``_merge_chain`` does the
+factor-chain steps itself and logs them as ``squash-mul`` and ``pull-not``.
+Hoisting captures no variable because ``nf`` renames a binder it has met
+before where it meets it (an alpha step, noted as ``alpha-rename`` for a
+summation's binder).
 
 A normalized product lists its plain factors (predicates and relation
 atoms) in any order, then its squash, then its negation; ``Term.make``
@@ -109,37 +112,12 @@ def _atom_key(a: PredAtom) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Binder uniquification (alpha steps; keeps hoisting capture-free)
-
-def uniquify(e: Exp, gen: VarGen, trace: Trace | None = None) -> Exp:
-    seen: set[int] = set()
-
-    def step(x):
-        t = type(x)
-        if t is not Sum and t is not AggCall:
-            return None
-        body, binders = x.body, []
-        for var in x.vars if t is Sum else (x.var,):
-            if var.vid in seen:
-                fresh = gen.fresh(var.schema, var.hint)
-                if trace and t is Sum:
-                    trace.note("alpha-rename", f"{var}->{fresh}")
-                body = substitute(body, {var: fresh})
-                var = fresh
-            seen.add(var.vid)
-            binders.append(var)
-        body = rewrite(body, step)
-        return Sum(tuple(binders), body) if t is Sum else AggCall(x.name, *binders, body)
-
-    return rewrite(e, step)
-
-
-# ---------------------------------------------------------------------------
 # The normalizer
 
 class Normalizer:
     """``stage`` names the budget stage its steps count in: the normalize
-    stage, or the stage that dissolves a squash."""
+    stage, or the stage that dissolves a squash.  ``nf`` renames a binder
+    it has met before (``_bind``), so a normalizer serves one input."""
 
     def __init__(self, gen: VarGen, trace: Trace | None = None,
                  budget: Budget | None = None, stage: str = "normalize"):
@@ -147,6 +125,7 @@ class Normalizer:
         self.trace = trace or Trace(enabled=False)
         self.budget = budget or Budget()
         self.stage = stage
+        self.seen: set[int] = set()   # the vids of the binders met
 
     def app(self, axiom: str, node: Exp, path: str) -> Exp:
         # charged before it is made, so the budget bounds a distribution
@@ -157,7 +136,6 @@ class Normalizer:
         return out
 
     def run(self, e: Exp) -> SpnfExp:
-        e = uniquify(e, self.gen, self.trace)
         nf = self.nf(e, "")
         self.budget.check_nodes(count_nodes(nf))
         return parse_spnf(nf)
@@ -186,13 +164,14 @@ class Normalizer:
         if isinstance(e, Sum):
             for _ in range(len(e.vars) - 1):
                 self.budget.step(self.stage)  # nf's step on each inner binder
-            body = self.nf(e.body, path + "b." * len(e.vars))
+            vs, body = self._bind(e)
+            body = self.nf(body, path + "b." * len(vs))
             # a normalized sum has no zero term, so sum-add leaves none
             if isinstance(body, Add):
-                return self.app("sum-add", Sum(e.vars, body), path)
+                return self.app("sum-add", Sum(vs, body), path)
             if isinstance(body, Zero):
-                return self.app("sum-zero", Sum(e.vars, body), path)
-            return sum_(e.vars, body)
+                return self.app("sum-zero", Sum(vs, body), path)
+            return sum_(vs, body)
         if isinstance(e, Squash):
             body = self.nf(e.body, path + "b.")
             return self._squash_nf(body, path)
@@ -201,11 +180,27 @@ class Normalizer:
             return self._not_nf(body, path)
         raise TypeError(e)
 
+    def _bind(self, x: Sum | AggCall) -> tuple[tuple[TupleVar, ...], Exp]:
+        """The binders and body of ``x``, each binder met before renamed to
+        a fresh variable, in the body too; a summation's renames are logged."""
+        body, out = x.body, []
+        for v in x.vars if type(x) is Sum else (x.var,):
+            if v.vid in self.seen:
+                fresh = self.gen.fresh(v.schema, v.hint)
+                if type(x) is Sum:
+                    self.trace.note("alpha-rename", f"{v}->{fresh}")
+                body = substitute(body, {v: fresh})
+                v = fresh
+            self.seen.add(v.vid)
+            out.append(v)
+        return tuple(out), body
+
     def _nf_atom(self, a: PredAtom, path: str) -> PredAtom:
-        # the body in term order, which the aggregate's key sees
-        return rewrite(a, lambda s: AggCall(
-            s.name, s.var, parse_spnf(self.nf(s.body, path + "agg.")).to_exp())
-            if type(s) is AggCall else None)
+        def agg(s):
+            [v], body = self._bind(s)
+            # the body in term order, which the aggregate's key sees
+            return AggCall(s.name, v, parse_spnf(self.nf(body, path + "agg.")).to_exp())
+        return rewrite(a, lambda s: agg(s) if type(s) is AggCall else None)
 
     def _mul_nf(self, l: Exp, r: Exp, path: str) -> Exp:
         if (isinstance(l, Add) or isinstance(r, Add)) and \

@@ -17,8 +17,8 @@ from semiq.pipeline import prepare_verify
 from semiq.spnf import Normalizer, SpnfExp, Term, check_spnf, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (ZERO, Add, Mul, Not, Rel, Squash, Sum, TupleVar, VarGen,
-                         pretty, walk)
+from semiq.exprs import (ZERO, Add, AggCall, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
+                         TupleVar, VarGen, mk_eq, pretty, walk)
 
 from conftest import parse_query
 from helpers import (alpha_equal, gen_uexp, nested_projection_program, small_dbs,
@@ -243,3 +243,69 @@ def test_every_summation_has_distinct_binders_over_a_non_summation(monkeypatch):
                 assert _sum_shape_faults(e) == [], pretty(e)
                 binders += [len(n.vars) for n in walk(e) if type(n) is Sum]
     assert len(binders) > 500 and max(binders) > 10
+
+
+def _notes(trace: Trace) -> list[str]:
+    return [ev.render() for ev in trace.events if ev.kind == "note"]
+
+
+def test_nf_renames_a_repeated_summation_binder_where_it_meets_it():
+    # the second summation over w is renamed, so hoisting both captures
+    # nothing; its note follows the rules of the first factor's body
+    env = std_env()
+    t, w = TupleVar(1, env.tables["R"], "t"), TupleVar(2, env.tables["S"], "w")
+    one = Sum((w,), Mul((Add((Rel("R", w), Rel("S", w))),
+                         Pred(mk_eq(AttrRef(w, "a"), AttrRef(t, "b"))))))
+    e = Mul((one, one))
+    trace = Trace()
+    s = to_spnf(e, VarGen(10), trace)
+    assert check_spnf(s, frozenset({t.vid}))
+    assert {frozenset(term.sum_vars) for term in s.terms} == \
+        {frozenset({w, TupleVar(10, w.schema, "w")})}
+    assert _notes(trace) == ["NOTE alpha-rename w2->w10"]
+    kinds = [ev.kind for ev in trace.events]
+    assert 0 < kinds.index("note") < kinds.index("rule", kinds.index("note"))
+    for db in small_dbs(env, 6, seed=11):
+        for asg in db.tuple_space(t.schema)[:3]:
+            assert eval_exp(s.to_exp(), db, {t.vid: asg}) == eval_exp(e, db, {t.vid: asg})
+
+
+def test_nf_renames_a_repeated_aggregate_variable_with_no_note():
+    env = std_env()
+    t, w = TupleVar(1, env.tables["R"], "t"), TupleVar(2, env.tables["S"], "w")
+    agg = AggCall("cnt", w, Mul((Rel("S", w), Pred(mk_eq(AttrRef(w, "a"), AttrRef(t, "a"))))))
+    e = Sum((t,), Mul((Rel("R", t), Pred(mk_eq(AttrRef(t, "b"), agg)),
+                       Pred(mk_eq(AttrRef(t, "a"), agg)))))
+    trace = Trace()
+    s = to_spnf(e, VarGen(10), trace)
+    aggs = [n for n in walk(s.to_exp()) if type(n) is AggCall]
+    assert len(aggs) == 2 and {a.var.vid for a in aggs} == {w.vid, 10}
+    assert _notes(trace) == []
+    values = [eval_exp(e, db) for db in small_dbs(env, 20, seed=12)]
+    assert values == [eval_exp(s.to_exp(), db) for db in small_dbs(env, 20, seed=12)]
+    assert any(values)
+
+
+def test_squared_random_expressions_normalize_soundly():
+    # e * e repeats every binder of e
+    env = std_env()
+    out = TupleVar(0, env.tables["R"], "t")
+    renamed = 0
+    for seed in range(100):
+        e = gen_uexp(random.Random(seed), env, out, depth=3)
+        sq, trace = Mul((e, e)), Trace()
+        s = to_spnf(sq, VarGen(1000), trace)
+        renamed += bool(_notes(trace))
+        assert check_spnf(s, frozenset({out.vid}))
+        for db in small_dbs(env, 3, seed=seed):
+            for asg in db.tuple_space(out.schema)[:2]:
+                envb = {out.vid: asg}
+                assert eval_exp(sq, db, envb) == eval_exp(s.to_exp(), db, envb)
+    assert renamed > 10
+
+
+def test_denote_binds_each_variable_once():
+    # so the bundled and perfbench programs take no alpha-rename step
+    notes = [ev.render() for text in _programs() for out in run_program_text(text)
+             for ev in out.trace.events if ev.kind == "note" and ev.name == "alpha-rename"]
+    assert notes == []

@@ -19,6 +19,7 @@ def test_scaling_rows_at_tiny_sizes(tmp_path):
             "union_all=4": "EQUIVALENT", "union_all_miss=3": "NOT_EQUIVALENT",
             "union_derived=4": "EQUIVALENT", "union_exists=4": "EQUIVALENT",
             "union_agg=4": "EQUIVALENT", "wide_from=3": "EQUIVALENT",
+            "derived_from=3": "EQUIVALENT",
             "fk_cycle=1": "NOT_PROVED", "wide_and=4": "EQUIVALENT",
             "wide_or=4": "EQUIVALENT", "self_join_offset=3": "NOT_PROVED"}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),

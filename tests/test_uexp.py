@@ -14,7 +14,7 @@ from semiq.exprs import (Add, AggCall, AttrRef, Const, Mul, Not, One, Pred, Rel,
                         Squash, SubstError, Sum, TupleVar, VarGen, canon_key,
                         count_nodes, free_vars, mk_eq, mk_record, mk_tuple_eq,
                         pretty, substitute, sum_, walk)
-from semiq.spnf import to_spnf, uniquify
+from semiq.spnf import to_spnf
 from semiq.trace import Trace
 
 from helpers import (alpha_equal, gen_uexp, gen_uexp_scope, replace_scalar,
@@ -141,8 +141,6 @@ def test_uexp_passes_take_no_frames_per_level():
     assert free_vars(out) == {u}
     out = replace_scalar(e, AttrRef(t, "a"), AttrRef(u, "a"))
     assert AttrRef(u, "a") in walk(out) and AttrRef(t, "a") not in walk(out)
-    out = uniquify(e, VarGen(100))
-    assert len({v.vid for n in walk(out) if type(n) is Sum for v in n.vars}) == depth
 
 
 def _flat_and_nested(node):
