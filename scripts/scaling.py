@@ -22,10 +22,13 @@ A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
 other rows still run, and the exit code is 1.
 
 `--json PATH` also writes the run to PATH as one JSON object, `seed`,
-`timeout_s` and `rows`, where each row is `{family, size, ms, verdict,
-steps}` and `steps` holds `total` and its split by stage (`normalize`,
-`canonize`, `search`); a row that raised has `ms` and `steps` null.  The
-committed `BENCH_<n>.json` files hold such runs, one per commit measured.
+`timeout_s`, `setup_ms` and `rows`, where each row is `{family, size, ms,
+verdict, steps}` and `steps` holds `total` and its split by stage
+(`normalize`, `canonize`, `search`); a row that raised has `ms` and `steps`
+null.  `setup_ms` is the median wall time of `import semiq` in 5 fresh
+interpreters that compile it from source, with no bytecode cache read or
+written.  The committed `BENCH_<n>.json` files hold such runs, one per
+commit measured.
 
 All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `derived_from`, `fk_cycle`,
@@ -81,8 +84,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -273,6 +280,19 @@ def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
     return ms, out.status, out.steps
 
 
+def setup_ms() -> float:
+    """Median milliseconds of `import semiq` in fresh interpreters; the empty
+    bytecode cache prefix makes each compile the package from source."""
+    code = "import time; t = time.perf_counter(); import semiq; print(time.perf_counter() - t)"
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache)
+        secs = [float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True, timeout=60).stdout)
+                for _ in range(5)]
+    return round(statistics.median(secs) * 1000, 1)
+
+
 def _row(arg: str) -> tuple[str, int]:
     family, _, size = arg.partition("=")
     if family not in FAMILIES or not size.isdigit():
@@ -307,7 +327,8 @@ def main(argv=None) -> int:
                      "verdict": verdict, "steps": steps})
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"seed": args.seed, "timeout_s": args.timeout, "rows": rows}, indent=1) + "\n")
+            {"seed": args.seed, "timeout_s": args.timeout, "setup_ms": setup_ms(),
+             "rows": rows}, indent=1) + "\n")
     return 1 if any(r["ms"] is None for r in rows) else 0
 
 

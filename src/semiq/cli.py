@@ -9,7 +9,8 @@ codes:
 
     0  every verify is EQUIVALENT
     1  some verify is not (and none errored)
-    2  the file cannot be read, or a parse or semantic error
+    2  the file cannot be read, the --trace directory cannot be made or a
+       trace file written in it, or a parse or semantic error
     3  some verify ended in ERROR, or reading the program failed inside
        semiq (reported as an internal error)
 """
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         text = Path(args.file).read_text()
+        trace_dir = Path(args.trace) if args.trace else None
+        if trace_dir:
+            trace_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,9 +97,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     limits = Limits(timeout_s=args.timeout, chase_depth=args.chase_depth)
-    trace_dir = Path(args.trace) if args.trace else None
-    if trace_dir:
-        trace_dir.mkdir(parents=True, exist_ok=True)
 
     report = []
     worst = 0
@@ -109,7 +110,11 @@ def main(argv=None) -> int:
         trace_path = None
         if trace_dir and outcome.trace is not None:
             trace_path = trace_dir / f"{name}.trace"
-            trace_path.write_text(outcome.trace.render())
+            try:
+                trace_path.write_text(outcome.trace.render())
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         entry = {
             "name": name,
             "status": outcome.status,

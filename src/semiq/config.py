@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+
+from .record import record
 
 
-@dataclass(slots=True)
+@record
 class Limits:
     timeout_s: float = 30.0
     chase_depth: int = 3

@@ -24,11 +24,11 @@ bag-level structure.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 
 from .config import Budget
 from .congruence import Closure, closure_of
+from .record import replace
 from .schema import FkConstraint, KeyConstraint, SchemaEnv
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
 from .trace import Trace

@@ -38,12 +38,12 @@ search makes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import cached_property
 
 from .config import Budget
 from .congruence import Closure, closure_of, implies_atom
 from .constraints import Canonizer, subst_spnf, subst_term, _is_reflexive
+from .record import replace
 from .schema import SchemaEnv, footprint_key
 from .spnf import SpnfExp, Term, dissolve_squash, nested_terms
 from .trace import Trace

@@ -20,14 +20,14 @@ tests/test_value_nodes.py); substitution and alpha-comparison drive the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 from typing import Iterator, Union
 
+from .record import record
 from .schema import Schema, footprint_key
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TupleVar:
     vid: int
     schema: Schema
@@ -52,25 +52,25 @@ class VarGen:
 # ---------------------------------------------------------------------------
 # Scalars and tuple expressions
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class AttrRef:
     var: TupleVar
     attr: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Const:
     value: object
     ty: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Func:
     name: str
     args: tuple["Scalar", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class AggCall:
     """Uninterpreted aggregate over the bag described by ``lam var. body``."""
     name: str
@@ -81,14 +81,14 @@ class AggCall:
 Scalar = Union[AttrRef, Const, Func, AggCall]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TupleSlice:
     """Sub-tuple of ``var`` covering exactly the footprint of ``part``."""
     var: TupleVar
     part: Schema
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TupleCons:
     """Record literal: named attributes mapped to scalar expressions."""
     fields: tuple[tuple[str, Scalar], ...]  # sorted by attribute name
@@ -107,32 +107,32 @@ def mk_record(fields: dict[str, Scalar]) -> TupleCons:
 # ---------------------------------------------------------------------------
 # Predicate atoms; all satisfy [b] = ||[b]|| by construction.
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class EqAtom:
     lhs: Scalar
     rhs: Scalar
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class NeqAtom:
     lhs: Scalar
     rhs: Scalar
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class PredApp:
     """Uninterpreted predicate, e.g. comparisons other than equality."""
     name: str
     args: tuple[Scalar, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TupleEqAtom:
     lhs: TupleExpr
     rhs: TupleExpr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TupleNeqAtom:
     lhs: TupleExpr
     rhs: TupleExpr
@@ -144,52 +144,52 @@ PredAtom = Union[EqAtom, NeqAtom, PredApp, TupleEqAtom, TupleNeqAtom]
 # ---------------------------------------------------------------------------
 # Expression nodes
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Zero:
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class One:
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Add:
     """Two or more terms, none a sum; see ``add``."""
     terms: tuple["Exp", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Mul:
     """Two or more factors; stands for the left spine of binary products.  A
     factor that is itself a product stays one factor."""
     factors: tuple["Exp", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Squash:
     body: "Exp"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Not:
     body: "Exp"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Sum:
     """One or more distinct binders over a body; see ``sum_``."""
     vars: tuple[TupleVar, ...]
     body: "Exp"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Pred:
     atom: PredAtom
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Rel:
     name: str
     var: TupleVar

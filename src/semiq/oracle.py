@@ -17,10 +17,10 @@ import hashlib
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
 from math import prod
 
 from .config import Budget
+from .record import factory, record
 from .schema import FkConstraint, KeyConstraint, Schema, SchemaEnv
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
@@ -43,16 +43,16 @@ class OracleError(Exception):
     pass
 
 
-@dataclass(slots=True)
+@record
 class FiniteDb:
     domains: dict[str, tuple]
     rels: dict[str, dict[Assignment, int]]
     salt: int = 0
     space_cap: int = 65536
-    _spaces: dict = field(default_factory=dict, repr=False)
-    _scans: dict = field(default_factory=dict, repr=False)
-    _bags: dict = field(default_factory=dict, repr=False)
-    _hashes: dict = field(default_factory=dict, repr=False)
+    _spaces: dict = factory(dict)
+    _scans: dict = factory(dict)
+    _bags: dict = factory(dict)
+    _hashes: dict = factory(dict)
 
     def domain(self, ty: str) -> tuple:
         if ty in self.domains:
@@ -254,7 +254,7 @@ def _bag_sum(pairs) -> dict[Assignment, int]:
     return out
 
 
-@dataclass(slots=True)
+@record
 class _Compiler:
     """Maps each node, with the aliases in scope (innermost last), to its closure."""
     env: SchemaEnv
@@ -480,7 +480,7 @@ def _fk_matches(c: FkConstraint, asg: Assignment, targets: dict) -> list:
 # ---------------------------------------------------------------------------
 # Instance generation
 
-@dataclass(slots=True)
+@record
 class GenSizes:
     domain: int = 3
     tuples: int = 3

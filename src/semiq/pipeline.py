@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from .config import Budget, BudgetError, Limits
 from .decide import (Decider, EQUIVALENT, GENERAL, NOT_EQUIVALENT, NOT_PROVED,
@@ -20,6 +19,7 @@ from .decide import (Decider, EQUIVALENT, GENERAL, NOT_EQUIVALENT, NOT_PROVED,
 from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import FiniteDb, GenSizes, OracleError, compile_query, gen_instances, interp_query
 from .parser import parse
+from .record import factory, record
 from .schema import SchemaEnv
 from .sqlast import Lit, Program, VerifyStmt, walk
 from .spnf import to_spnf
@@ -29,17 +29,17 @@ from .exprs import (Add, AttrRef, Const, EqAtom, Exp, Mul, One, Pred, Rel, Squas
                     Sum, TupleEqAtom, TupleVar, VarGen, Zero, pretty)
 
 
-@dataclass(slots=True)
+@record
 class VerifyOutcome:
     name: str
     status: str
     fragment: str
     wall_ms: float = 0.0
-    steps: dict = field(default_factory=dict)
+    steps: dict = factory(dict)
     trace: Trace | None = None
     witness: FiniteDb | None = None
     detail: str = ""
-    dumps: dict = field(default_factory=dict)
+    dumps: dict = factory(dict)
 
     @property
     def exit_contribution(self) -> int:
@@ -109,7 +109,7 @@ def prepare_pair(stmt: VerifyStmt, env: SchemaEnv):
     return q1, q2
 
 
-@dataclass(slots=True)
+@record
 class PreparedVerify:
     """A verify statement checked and denoted, ready to decide: both
     bodies are over the one output variable ``out_var``."""

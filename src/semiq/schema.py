@@ -9,7 +9,7 @@ only for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import factory, record
 
 BASE_TYPES = ("int", "bool", "string")
 UNKNOWN = "?"  # the type of a computed column, or of one over a generic tail
@@ -96,13 +96,13 @@ def unify_schemas(s1: Schema, s2: Schema, what: str) -> Schema:
     return Schema(s1.name, tuple(attrs), s1.rest)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class KeyConstraint:
     relation: str
     attrs: tuple[str, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class FkConstraint:
     source: str
     source_attrs: tuple[str, ...]
@@ -110,15 +110,15 @@ class FkConstraint:
     target_attrs: tuple[str, ...]
 
 
-@dataclass(slots=True)
+@record
 class SchemaEnv:
     """Declared schemas, tables, constraints, and view/index definitions."""
 
-    schemas: dict[str, Schema] = field(default_factory=dict)
-    tables: dict[str, Schema] = field(default_factory=dict)
-    keys: list[KeyConstraint] = field(default_factory=list)
-    fks: list[FkConstraint] = field(default_factory=list)
-    views: dict[str, object] = field(default_factory=dict)  # name -> QueryAst
+    schemas: dict[str, Schema] = factory(dict)
+    tables: dict[str, Schema] = factory(dict)
+    keys: list[KeyConstraint] = factory(list)
+    fks: list[FkConstraint] = factory(list)
+    views: dict[str, object] = factory(dict)  # name -> QueryAst
 
     def declare_schema(self, s: Schema) -> None:
         if s.name in self.schemas:

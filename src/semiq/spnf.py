@@ -30,12 +30,12 @@ application, and ``nf`` takes a step per binder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import prod
 from typing import Iterator
 
 from .axioms import AXIOMS
 from .config import Budget
+from .record import record, replace
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
@@ -51,7 +51,7 @@ class SpnfError(Exception):
 # ---------------------------------------------------------------------------
 # Normal-form data types
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Term:
     sum_vars: tuple[TupleVar, ...]
     preds: tuple[PredAtom, ...]
@@ -85,7 +85,7 @@ class Term:
     def to_exp(self) -> Exp:
         return sum_(self.sum_vars, mul(*self.factors()))
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class SpnfExp:
     terms: tuple[Term, ...]
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_not
 
+from .record import factory, record
 
-@dataclass(slots=True, unsafe_hash=True)
+
+@record(hash=True)
 class Pos:
     line: int
     col: int
@@ -17,21 +18,21 @@ class Pos:
 
 # -- scalar expressions -------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class ColRef:
     alias: str
     attr: str
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Lit:
     value: object
     ty: str  # int | string: TRUE and FALSE are predicates, BoolLit
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class App:
     """Uninterpreted function or operator application."""
     name: str
@@ -39,7 +40,7 @@ class App:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class AggQuery:
     """Aggregate applied to a subquery's bag."""
     name: str
@@ -52,7 +53,7 @@ Expr = object  # ColRef | Lit | App | AggQuery
 
 # -- predicates ---------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Cmp:
     op: str  # = <> < <= > >=
     lhs: Expr
@@ -60,30 +61,30 @@ class Cmp:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class NotP:
     body: "Predicate"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class AndP:
     """Two or more conjuncts: AND is associative, so a chain is one node; a
     parenthesized conjunct stays a node of its own."""
     args: tuple["Predicate", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class OrP:
     """Two or more disjuncts, as ``AndP``."""
     args: tuple["Predicate", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Exists:
     query: "Query"
 
@@ -93,18 +94,18 @@ Predicate = object
 
 # -- projections ----------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Star:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class AliasStar:
     alias: str
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class ExprItem:
     expr: Expr
     name: str
@@ -116,20 +117,20 @@ ProjItem = object
 
 # -- queries ----------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TableRef:
     name: str
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Source:
     query: "Query"
     alias: str
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Select:
     items: tuple[ProjItem, ...]
     sources: tuple[Source, ...]
@@ -138,20 +139,20 @@ class Select:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class UnionAll:
     """A union of two or more queries: ``+`` is associative, so a chain of
     UNION ALLs is one node."""
     branches: tuple["Query", ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class ExceptQ:
     lhs: "Query"
     rhs: "Query"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class Distinct:
     query: "Query"
 
@@ -161,7 +162,7 @@ Query = object  # TableRef | Select | UnionAll | ExceptQ | Distinct
 
 # -- statements -------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class SchemaStmt:
     name: str
     attrs: tuple[tuple[str, str], ...]
@@ -169,21 +170,21 @@ class SchemaStmt:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class TableStmt:
     name: str
     schema_name: str
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class KeyStmt:
     table: str
     attrs: tuple[str, ...]
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class FkStmt:
     source: str
     source_attrs: tuple[str, ...]
@@ -192,14 +193,14 @@ class FkStmt:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class ViewStmt:
     name: str
     query: Query
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class IndexStmt:
     name: str
     table: str
@@ -207,7 +208,7 @@ class IndexStmt:
     pos: Pos | None = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(hash=True)
 class VerifyStmt:
     lhs: Query
     rhs: Query
@@ -217,9 +218,9 @@ class VerifyStmt:
 Statement = object
 
 
-@dataclass(slots=True)
+@record
 class Program:
-    statements: list = field(default_factory=list)
+    statements: list = factory(list)
 
     def verifies(self) -> list[VerifyStmt]:
         return [s for s in self.statements if isinstance(s, VerifyStmt)]

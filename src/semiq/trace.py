@@ -6,15 +6,15 @@ event, stable across runs for fixed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import factory, record
 
 
-@dataclass(slots=True)
+@record
 class Event:
     kind: str  # "rule" | "bijection" | "homomorphism" | "permutation" | "note"
     name: str
     path: str = ""
-    payload: dict = field(default_factory=dict)
+    payload: dict = factory(dict)
 
     def render(self) -> str:
         if self.kind == "rule":

@@ -15,8 +15,7 @@ each output column: this is the only scoping and typing pass over a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import record
 from .schema import UNKNOWN, Schema, SchemaEnv, SemanticError, unify_schemas
 from .sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ,
@@ -29,7 +28,7 @@ from .exprs import (
 )
 
 
-@dataclass(slots=True)
+@record
 class Denotation:
     out_var: TupleVar
     body: Exp

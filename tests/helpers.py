@@ -3,11 +3,14 @@ homomorphism containment checker, and differential-testing loops."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 from hypothesis import strategies as st
 
+import semiq
 from semiq.congruence import Closure
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_instances,
@@ -20,6 +23,18 @@ from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleSlice, TupleVar, VarGen, add,
                         canon_key, free_vars, mk_eq, mk_neq, mk_record,
                         mk_tuple_eq, rewrite, substitute, sum_)
+
+def record_classes() -> list[type]:
+    """Every ``@record`` class of `semiq`, module by module; the decorator
+    marks each by its ``__record_fields__``."""
+    out = []
+    for info in pkgutil.iter_modules(semiq.__path__):
+        mod = importlib.import_module(f"semiq.{info.name}")
+        out += [c for c in vars(mod).values()
+                if isinstance(c, type) and c.__module__ == mod.__name__
+                and "__record_fields__" in vars(c)]
+    return out
+
 
 # A small standard environment: three binary relations over ints.
 

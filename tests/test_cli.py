@@ -166,6 +166,26 @@ def test_unreadable_file_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "absent.cos" in err
 
 
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_a_trace_path_that_is_no_directory_exits_two(where, tmp_path, benchdir, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    trace = blocker if where == "a file" else blocker / "traces"
+    rc = main([str(benchdir / "index_scan.cos"), "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(trace) in err
+    assert blocker.read_text() == ""
+
+
+def test_a_trace_file_that_cannot_be_written_exits_two(tmp_path, benchdir, capsys):
+    (tmp_path / "verify1.trace").mkdir()
+    rc = main([str(benchdir / "index_scan.cos"), "--trace", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "verify1.trace" in err
+
+
 def test_json_report_schema(tmp_path, capsys):
     path = _write(tmp_path, """
         schema s(a:int);

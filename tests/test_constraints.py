@@ -7,7 +7,6 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from semiq.decide import Decider
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, check_constraints, eval_exp, gen_instances
 from semiq.pipeline import prepare_pair
+from semiq.record import replace
 from semiq.schema import KeyConstraint, Schema, SchemaEnv
 from semiq.spnf import SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace

@@ -9,7 +9,6 @@ import itertools
 import random
 import sys
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from semiq.config import Limits
 from semiq.exprs import (AttrRef, Const, Func, PredApp, Squash, TupleVar,
                          VarGen, mk_eq, mk_record, mk_tuple_eq, substitute)
 from semiq.pipeline import find_witness, run_program_text, run_verify
+from semiq.record import replace
 from semiq.schema import SchemaEnv
 from semiq.sqlast import Distinct, UnionAll, VerifyStmt
 

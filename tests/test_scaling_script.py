@@ -33,6 +33,7 @@ def test_scaling_rows_at_tiny_sizes(tmp_path):
         assert verdict == want
     doc = json.loads((tmp_path / "b.json").read_text())
     assert (doc["seed"], doc["timeout_s"]) == (1, 30.0)
+    assert doc["setup_ms"] > 0
     for got, (family, size, ms, verdict, steps) in zip(doc["rows"], lines, strict=True):
         assert (got["family"], got["size"], got["ms"], got["verdict"]) == \
             (family, int(size), float(ms), verdict)

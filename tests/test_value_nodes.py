@@ -1,28 +1,27 @@
-"""Value nodes are slotted dataclasses compared by class and fields.
+"""Value nodes are slotted records compared by class and fields.
 
-Every dataclass in `semiq` is declared with `slots=True`, and the value
-classes (AST, U-expression, normal-form and constraint nodes) add
-`unsafe_hash=True` in place of `frozen=True`: their hash and equality are the
-ones `frozen` generated, and their immutability is a convention.  The last
-test holds the whole pipeline to that convention."""
+Every record class in `semiq` (``@record``, marked by its
+``__record_fields__``) is slotted, and the value classes (AST, U-expression,
+normal-form and constraint nodes) are declared with ``hash=True``: they hash
+their field tuple, compare by class and fields, and are not frozen, so their
+immutability is a convention.  The last test holds the whole pipeline to
+that convention."""
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
 import importlib.util
-import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
-import semiq
 from semiq import run_program_text
 from semiq.exprs import (AttrRef, Const, EqAtom, NeqAtom, Not, One, Rel, Squash,
                          TupleEqAtom, TupleNeqAtom, TupleVar, Zero)
 from semiq.schema import Schema
 from semiq.sqlast import AndP, BoolLit, Cmp, ColRef, Lit, OrP
+
+from helpers import record_classes
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -31,31 +30,21 @@ workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-def _dataclasses() -> list[type]:
-    out = []
-    for info in pkgutil.iter_modules(semiq.__path__):
-        mod = importlib.import_module(f"semiq.{info.name}")
-        out += [c for c in vars(mod).values()
-                if isinstance(c, type) and c.__module__ == mod.__name__
-                and dataclasses.is_dataclass(c)]
-    return out
+RECORDS = record_classes()
+VALUE_CLASSES = [c for c in RECORDS if c.__hash__ is not None]
 
 
-DATACLASSES = _dataclasses()
-VALUE_CLASSES = [c for c in DATACLASSES if c.__dataclass_params__.unsafe_hash]
-
-
-def test_every_dataclass_is_slotted_and_none_is_frozen():
-    assert len(DATACLASSES) == 62 and len(VALUE_CLASSES) == 52
-    for cls in DATACLASSES:
-        assert "__slots__" in vars(cls), cls.__name__
+def test_every_record_is_slotted_and_none_is_frozen():
+    assert len(RECORDS) == 62 and len(VALUE_CLASSES) == 52
+    for cls in RECORDS:
+        assert vars(cls)["__slots__"] == cls.__record_fields__, cls.__name__
         assert cls.__dictoffset__ == 0, f"{cls.__name__} instances have a __dict__"
-        assert not cls.__dataclass_params__.frozen, cls.__name__
+        assert cls.__setattr__ is object.__setattr__, cls.__name__
 
 
 @pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
 def test_equal_fields_give_equal_objects_and_hashes(cls):
-    n = len(dataclasses.fields(cls))
+    n = len(cls.__record_fields__)
     a, b = cls(*(f"f{i}" for i in range(n))), cls(*(f"f{i}" for i in range(n)))
     assert a is not b and a == b and hash(a) == hash(b)
     if n:
