@@ -12,7 +12,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `wide_from` 400, 600, 800, 1000 and 2000, `derived_from` 100, 200 and
 400, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
-8, 16 and 32, `refute_sweep` 2, 3 and 4, and `self_join_offset` 8 and 12.  Each row is
+8, 16 and 32, `refute_sweep` 2, 3 and 4, `refute_unread` 0, 16 and 64, and
+`self_join_offset` 8 and 12.  Each row is
 one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
 prints one tab-separated line:
 
@@ -32,8 +33,8 @@ commit measured.
 
 All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `derived_from`, `fk_cycle`,
-`wide_and`, `wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep` and
-`self_join_offset` are the
+`wide_and`, `wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep`,
+`refute_unread` and `self_join_offset` are the
 generators of `perfbench/workloads.py` (only read), called with
 `random.Random(--seed)`.
 `shared_union` is a SIZE-branch `UNION ALL` of filtered scans `SELECT *
@@ -73,6 +74,10 @@ FROM order reversed: every `B` scan needs one level of the chase.
 pair that does not prove, run with `refute=True` (the family sets it), so
 the oracle sweeps all 200 databases and finds no witness; a database with
 k rows in `R` gives each side k^SIZE rows to filter.
+`refute_unread` is `refute_sweep`'s pair at 2 scans, run the same way, in a
+program that also declares SIZE tables `U<i>` over `R`'s schema that the
+pair does not read: the sweep draws only `R`, so its time should not grow
+with SIZE.
 `self_join_offset` is `SELECT s0.a + 1 AS o` over SIZE scans of `R`, with
 no WHERE, against the same scans projecting `s<SIZE-1>.a + 2`: `+` is
 uninterpreted, so no bijection of the scans matches and the pair is
@@ -119,13 +124,14 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
         ("distinct_fk", 8), ("distinct_fk", 16), ("distinct_fk", 32),
         ("refute_sweep", 2), ("refute_sweep", 3),
-        ("refute_sweep", 4), ("self_join_offset", 8), ("self_join_offset", 12))
+        ("refute_sweep", 4), ("refute_unread", 0), ("refute_unread", 16),
+        ("refute_unread", 64), ("self_join_offset", 8), ("self_join_offset", 12))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "shared_union", "union_all",
             "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
             "derived_from", "fk_cycle", "wide_and", "wide_or", "keyed_collapse",
-            "distinct_fk", "refute_sweep", "self_join_offset")
+            "distinct_fk", "refute_sweep", "refute_unread", "self_join_offset")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -225,10 +231,11 @@ def distinct_fk(n: int) -> str:
             f"       (SELECT DISTINCT b0.u AS o FROM {', '.join(scans[::-1])});\n")
 
 
-def refute_sweep(n: int) -> str:
+def refute_sweep(n: int, unread: int = 0) -> str:
     scans = ", ".join(f"R s{i}" for i in range(n))
     q = f"SELECT s0.a AS o, s1.b AS p FROM {scans} WHERE "
-    return (f"schema s(a:int, b:int);\ntable R(s);\n"
+    tables = "".join(f"table U{i}(s);\n" for i in range(unread))
+    return (f"schema s(a:int, b:int);\ntable R(s);\n{tables}"
             f"verify ({q}s0.a < s1.b)\n       ({q}s1.b > s0.a);\n")
 
 
@@ -264,6 +271,8 @@ def program(family: str, size: int, seed: int) -> str:
         return distinct_fk(size)
     if family == "refute_sweep":
         return refute_sweep(size)
+    if family == "refute_unread":
+        return refute_sweep(2, unread=size)
     if family == "self_join_offset":
         return self_join_offset(size)
     return getattr(workloads, family)(random.Random(seed), size).text
@@ -275,7 +284,7 @@ def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
     depth = {"chase_depth": size} if family == "fk_cycle" else {}
     t0 = time.perf_counter()
     [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth),
-                             refute=family == "refute_sweep")
+                             refute=family in ("refute_sweep", "refute_unread"))
     ms = (time.perf_counter() - t0) * 1000
     return ms, out.status, out.steps
 

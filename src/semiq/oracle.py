@@ -75,7 +75,8 @@ class FiniteDb:
         return space
 
     def scan(self, name: str) -> list[tuple[dict, int, Assignment]]:
-        """A base table's `_live_rows`, built at its first scan (rels stay fixed)."""
+        """A base table's `_live_rows`, built at its first scan unless the
+        database came with them (rels stay fixed)."""
         rows = self._scans.get(name)
         if rows is None:
             rows = self._scans[name] = _live_rows(self.rels.get(name, {}))
@@ -520,18 +521,25 @@ def _repair(db: FiniteDb, constraints) -> bool:
 
 def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
                   count: int | None = None, extra_ints=(), extra_strings=()):
-    """Deterministic seeded stream of constraint-satisfying databases.
+    """Deterministic seeded stream of constraint-satisfying databases over
+    the tables of ``env``; a caller that needs only some tables passes an
+    env that declares only those.
 
     Each database draws its int-domain size and a 16-bit salt, and each
     table a row count k uniform in 0..min(tuples, |tuple space|), then k
     distinct rows value by value (no tuple space is enumerated), each
-    followed by its multiplicity.  A generic table ends the stream."""
+    followed by its multiplicity.  A generic table ends the stream.  A
+    table that no constraint names comes with its scan (`FiniteDb.scan`):
+    its rows are drawn as sorted assignments and kept in sorted order, so
+    they are its `_live_rows` as they stand."""
     draw, mult = random.Random(seed).random, sizes.mult  # a uniform pick of m: int(draw() * m)
     strings = tuple(sorted(set("abc"[:max(1, min(sizes.domain, 3))])
                            | set(extra_strings)))
     tables = sorted(env.tables.items())
     if any(sch.rest for _, sch in tables):
         return
+    constrained = {n for c in constraints for n in (
+        (c.relation,) if isinstance(c, KeyConstraint) else (c.source, c.target))}
     # per drawn int-domain size: domains, shared tuple-space cache, table shapes
     draws: dict[int, tuple[dict[str, tuple], dict, list]] = {}
     produced = attempts = 0
@@ -544,20 +552,23 @@ def gen_instances(env: SchemaEnv, constraints, sizes: GenSizes, seed: int,
             ints = tuple(sorted(set(range(n)) | set(extra_ints)))
             domains = {"int": ints, "bool": (False, True), "string": strings}
             shapes = []
-            for name, sch in tables:
-                cols = [(a, d, len(d)) for a, t in sorted(sch.attrs)
+            for name, sch in tables:  # a column is its cells, (attr, value) pairs
+                cols = [(tuple([(a, v) for v in d]), len(d)) for a, t in sorted(sch.attrs)
                         for d in (domains.get(t, ints),)]
-                shapes.append((name, cols, min(sizes.tuples, prod(m for *_, m in cols))))
+                shapes.append((name, cols, min(sizes.tuples, prod(m for _, m in cols)),
+                               name not in constrained))
             draws[n] = (domains, {}, shapes)
         domains, spaces, shapes = draws[n]
         db = FiniteDb(domains, {}, salt=int(draw() * 2 ** 16), _spaces=spaces)
-        for name, cols, most in shapes:
+        for name, cols, most, scanned in shapes:
             k, rows = int(draw() * (most + 1)), {}
             while len(rows) < k:
-                row = tuple([(a, d[int(draw() * m)]) for a, d, m in cols])
+                row = tuple([cells[int(draw() * m)] for cells, m in cols])
                 if row not in rows:  # a repeated row is drawn again
                     rows[row] = 1 + int(draw() * mult)
-            db.rels[name] = dict(sorted(rows.items())) if k > 1 else rows
+            db.rels[name] = rows = dict(sorted(rows.items())) if k > 1 else rows
+            if scanned:
+                db._scans[name] = [(dict(row), m, row) for row, m in rows.items()]
         if not constraints or _repair(db, constraints):
             produced += 1
             yield db

@@ -19,9 +19,9 @@ from .decide import (Decider, EQUIVALENT, GENERAL, NOT_EQUIVALENT, NOT_PROVED,
 from .frontend import build_env, desugar_groupby, inline_views
 from .oracle import FiniteDb, GenSizes, OracleError, compile_query, gen_instances, interp_query
 from .parser import parse
-from .record import factory, record
+from .record import factory, record, replace
 from .schema import SchemaEnv
-from .sqlast import Lit, Program, VerifyStmt, walk
+from .sqlast import Lit, Program, TableRef, VerifyStmt, walk
 from .spnf import to_spnf
 from .trace import Trace
 from .translate import denote, unify_outputs
@@ -89,15 +89,28 @@ def classify_fragment(body1: Exp, body2: Exp, env: SchemaEnv) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Literal collection (oracle domains must include the queries' constants)
+# What a pair reads: its literals (oracle domains must include them) and tables
 
-def query_literals(*queries) -> dict[str, set]:
-    acc: dict[str, set] = {"int": set(), "string": set()}
-    for q in queries:
-        for n in walk(q):
-            if isinstance(n, Lit) and n.ty in acc:
-                acc[n.ty].add(n.value)
-    return acc
+def query_reads(env: SchemaEnv, *queries) -> tuple[dict[str, set], set[str]]:
+    """The int and string literals of ``queries`` and the declared tables
+    they read, in one walk of them and of each view (or index) they read
+    through; a foreign key whose source is read adds its target."""
+    lits: dict[str, set] = {"int": set(), "string": set()}
+    names: set[str] = set()
+    todo = list(queries)
+    while todo:
+        for n in walk(todo.pop()):
+            if isinstance(n, Lit):
+                if n.ty in lits:
+                    lits[n.ty].add(n.value)
+            elif isinstance(n, TableRef) and n.name not in names:
+                names.add(n.name)
+                if n.name in env.views:
+                    todo.append(env.views[n.name])
+    tables = {n for n in names if n in env.tables}
+    for _ in env.fks:  # each pass follows one more link of every chain
+        tables |= {fk.target for fk in env.fks if fk.source in tables}
+    return lits, tables
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +187,19 @@ def decide_verify(p: PreparedVerify, env: SchemaEnv, limits: Limits | None = Non
                             steps={"total": budget.steps, **budget.by_stage},
                             trace=trace, detail=detail, dumps=dumps)
     if refute and status in (NOT_EQUIVALENT, NOT_PROVED):
+        note = ""
         try:
             outcome.witness = find_witness(p.q1, p.q2, env, seed=seed, budget=budget)
         except BudgetError as exc:
-            outcome.detail = "; ".join(filter(None, (detail, f"refutation stopped: {exc}")))
+            note = f"refutation stopped: {exc}"
+        else:
+            if outcome.witness is None and any(s.rest for s in env.tables.values()):
+                # no database can hold a generic table's rows
+                generic = sorted(n for n in query_reads(env, p.q1, p.q2)[1]
+                                 if env.tables[n].rest)
+                if generic:
+                    note = f"refutation drew no database: generic table {', '.join(generic)}"
+        outcome.detail = "; ".join(filter(None, (detail, note)))
     return outcome
 
 
@@ -192,19 +214,27 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
                  budget: Budget | None = None) -> FiniteDb | None:
     """Search generated constraint-satisfying instances for a disagreement;
-    each side is compiled once.  With a budget, its deadline is checked
-    before each instance and inside each evaluation (BudgetError
-    propagates)."""
-    lits = query_literals(q1, q2)
+    each side is compiled once.  Only the tables the pair reads are drawn
+    (`query_reads`); the witness lists every declared table, an unread one
+    empty, so it satisfies every declared constraint.  With a budget, its
+    deadline is checked before each instance and inside each evaluation
+    (BudgetError propagates)."""
+    lits, read = query_reads(env, q1, q2)
+    drawn = env if read == env.tables.keys() else replace(
+        env, tables={n: s for n, s in env.tables.items() if n in read},
+        keys=[k for k in env.keys if k.relation in read],
+        fks=[fk for fk in env.fks if fk.source in read])
     try:
         plan1, plan2 = compile_query(q1, env, budget), compile_query(q2, env, budget)
-        stream = gen_instances(env, env.constraints(), GenSizes(), seed,
+        stream = gen_instances(drawn, drawn.constraints(), GenSizes(), seed,
                                extra_ints=sorted(lits["int"]),
                                extra_strings=sorted(lits["string"]))
         for db in itertools.islice(stream, tries):
             if budget is not None:
                 budget.check_time()
             if interp_query(plan1, db, env) != interp_query(plan2, db, env):
+                for n in env.tables.keys() - read:
+                    db.rels[n] = {}
                 return db
     except OracleError:
         return None

@@ -39,7 +39,7 @@ from .record import record, replace
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
-    Exp, VarGen, Zero, add, canon_key, children, count_nodes, free_vars, mul,
+    Exp, VarGen, Zero, add, canon_key, children, count_nodes, mul,
     rewrite, substitute, sum_,
 )
 
@@ -353,43 +353,6 @@ def _parse_term(e: Exp) -> Term:
         else:
             raise SpnfError(f"unexpected factor {type(f).__name__} in normal form")
     return Term.make(binders, preds, squash, neg, atoms)
-
-
-# ---------------------------------------------------------------------------
-# Shape checking
-
-def check_spnf(e: SpnfExp, outer_vars: frozenset[int] = frozenset()) -> bool:
-    """True iff the term invariants hold syntactically."""
-    try:
-        _check(e, outer_vars)
-        return True
-    except SpnfError:
-        return False
-
-
-def _check(e: SpnfExp, outer: frozenset[int]) -> None:
-    if not isinstance(e, SpnfExp):
-        raise SpnfError("not a normal-form expression")
-    for t in e.terms:
-        vids = [v.vid for v in t.sum_vars]
-        if len(set(vids)) != len(vids):
-            raise SpnfError("duplicate summation variable")
-        scope = outer | set(vids)
-        for rel, v in t.atoms:
-            if v.vid not in scope:
-                raise SpnfError(f"atom {rel}({v}) references out-of-scope variable")
-        for p in t.preds:
-            for v in free_vars(p):
-                if v.vid not in scope:
-                    raise SpnfError("predicate references out-of-scope variable")
-        if t.squash is not None:
-            if t.squash.is_one():
-                raise SpnfError("squash slot holding 1 must be omitted")
-            _check(t.squash, frozenset(scope))
-        if t.neg is not None:
-            if t.neg.is_zero():
-                raise SpnfError("negation slot holding 0 must be omitted")
-            _check(t.neg, frozenset(scope))
 
 
 def nested_terms(e: SpnfExp) -> Iterator[Term]:

@@ -16,6 +16,7 @@ from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_instances,
                           interp_query)
 from semiq.schema import Schema, SchemaEnv
+from semiq.spnf import SpnfError, SpnfExp
 from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
                           Select, Source, Star, TableRef, UnionAll)
 from semiq.translate import denote
@@ -45,6 +46,43 @@ def std_env(rel_names=("R", "S", "T")) -> SchemaEnv:
         env.declare_schema(sch)
         env.declare_table(name, f"s{name}")
     return env
+
+
+# ---------------------------------------------------------------------------
+# Normal-form shape checking
+
+def check_spnf(e: SpnfExp, outer_vars: frozenset[int] = frozenset()) -> bool:
+    """True iff the term invariants hold syntactically."""
+    try:
+        _check(e, outer_vars)
+        return True
+    except SpnfError:
+        return False
+
+
+def _check(e: SpnfExp, outer: frozenset[int]) -> None:
+    if not isinstance(e, SpnfExp):
+        raise SpnfError("not a normal-form expression")
+    for t in e.terms:
+        vids = [v.vid for v in t.sum_vars]
+        if len(set(vids)) != len(vids):
+            raise SpnfError("duplicate summation variable")
+        scope = outer | set(vids)
+        for rel, v in t.atoms:
+            if v.vid not in scope:
+                raise SpnfError(f"atom {rel}({v}) references out-of-scope variable")
+        for p in t.preds:
+            for v in free_vars(p):
+                if v.vid not in scope:
+                    raise SpnfError("predicate references out-of-scope variable")
+        if t.squash is not None:
+            if t.squash.is_one():
+                raise SpnfError("squash slot holding 1 must be omitted")
+            _check(t.squash, frozenset(scope))
+        if t.neg is not None:
+            if t.neg.is_zero():
+                raise SpnfError("negation slot holding 0 must be omitted")
+            _check(t.neg, frozenset(scope))
 
 
 # ---------------------------------------------------------------------------

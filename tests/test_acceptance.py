@@ -32,10 +32,10 @@ from semiq.config import Limits
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, eval_exp
 from semiq.pipeline import run_program_text, run_verify
-from semiq.spnf import check_spnf, to_spnf
+from semiq.spnf import to_spnf
 from semiq.exprs import TupleVar, VarGen, count_nodes
 
-from helpers import (CORE_AXIOM_NAMES, alpha_equal, cq_set_equivalent,
+from helpers import (CORE_AXIOM_NAMES, alpha_equal, check_spnf, cq_set_equivalent,
                      enumerate_dbs, find_disagreement, gen_cq, gen_ucq,
                      gen_uexp, mutate_ucq, queries_agree, run_axiom_check,
                      small_dbs, std_env)

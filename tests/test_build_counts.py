@@ -16,7 +16,8 @@ links for its summation-free terms and adds its branch bodies in one
 call, the set comparison canonizes none of the slots it is given and its
 homomorphism search builds no equality links, and neither a key collapse
 into one class nor a one-level chase under DISTINCT takes more canonize
-rounds as it widens.  A summation-free term that both sides share cancels
+rounds as it widens.  A refutation sweep draws only the tables its pair
+reads, however many more the program declares.  A summation-free term that both sides share cancels
 before canonization and has no closure, facts or predicate question;
 terms that keep a summation variable are not shared, even when they are
 equal up to renaming it, so each side builds its own.  They guard the
@@ -595,3 +596,20 @@ def test_a_wide_product_keys_each_factor_once(monkeypatch):
     [term] = spnf.to_spnf(Sum((t,), Mul(tuple(factors))), VarGen(10)).terms
     assert list(term.preds) == [f.atom for f in reversed(factors)]
     assert 0 < calls[0] <= n
+
+
+def test_a_refutation_sweep_draws_only_the_tables_its_pair_reads(monkeypatch):
+    # refute_unread's pair reads R alone: with 0 and with 16 more tables
+    # declared, the generator is given R alone, and all 200 databases of
+    # the sweep hold R alone
+    gen = pipeline.gen_instances
+    for unread in (0, 16):
+        envs, dbs = [], []
+        monkeypatch.setattr(pipeline, "gen_instances", lambda env, *a, **k: envs.append(env) or (
+            dbs.append(db) or db for db in gen(env, *a, **k)))
+        text = scaling.refute_sweep(2, unread=unread)
+        assert text.count("table ") == 1 + unread
+        [out] = run_program_text(text, refute=True)
+        assert out.status == "NOT_PROVED" and out.witness is None
+        assert [list(env.tables) for env in envs] == [["R"]]
+        assert len(dbs) == 200 and all(list(db.rels) == ["R"] for db in dbs)

@@ -14,15 +14,15 @@ from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
 from semiq.pipeline import prepare_verify
-from semiq.spnf import Normalizer, SpnfExp, Term, check_spnf, to_spnf
+from semiq.spnf import Normalizer, SpnfExp, Term, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (ZERO, Add, AggCall, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
                          TupleVar, VarGen, mk_eq, pretty, walk)
 
 from conftest import parse_query
-from helpers import (alpha_equal, gen_uexp, nested_projection_program, small_dbs,
-                     std_env)
+from helpers import (alpha_equal, check_spnf, gen_uexp, nested_projection_program,
+                     small_dbs, std_env)
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(

@@ -11,13 +11,14 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiq import build_env, oracle, parse, pipeline
 from semiq.config import Budget, BudgetError
 from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
                           compile_query, eval_exp, gen_instances, interp_query,
                           make_assignment, agg_value, ufun_value, upred_truth)
-from semiq.pipeline import find_witness, prepare_pair, query_literals
+from semiq.pipeline import find_witness, prepare_pair, query_reads
 from semiq.schema import KeyConstraint, Schema
 from semiq.sqlast import TableRef, UnionAll
 from semiq.translate import denote
@@ -235,7 +236,7 @@ def test_a_table_over_the_space_cap_gets_databases():
     program = parse(WIDE)
     env = build_env(program)
     [q, _] = prepare_pair(program.verifies()[0], env)
-    ints = sorted(query_literals(q)["int"])
+    ints = sorted(query_reads(env, q)[0]["int"])
     assert len(ints) == 6
     for sizes in (GenSizes(2, 2, 2), GenSizes()):
         dbs = list(gen_instances(env, env.constraints(), sizes, 11, count=3, extra_ints=ints))
@@ -249,10 +250,87 @@ def test_a_table_over_the_space_cap_gets_a_witness():
     cond = " AND ".join(f"t.c{i} <> {3 * i + 1}" for i in range(5))
     q1 = parse_query(f"SELECT t.c0 AS o FROM R t WHERE {cond}")
     q2 = parse_query(f"SELECT t.c0 AS o FROM R t WHERE {cond} AND t.c5 <> 16")
-    assert len(query_literals(q1, q2)["int"]) == 6
+    assert len(query_reads(env, q1, q2)[0]["int"]) == 6
     witness = find_witness(q1, q2, env)
     assert witness is not None
     assert interp_query(q1, witness, env) != interp_query(q2, witness, env)
+
+
+# A -> B -> C is a foreign-key chain over keyed tables, and U and W are
+# tables the chain's pairs do not read
+CHAIN_DECL = """
+    schema sa(k:int, f:int);
+    schema sb(k:int, g:int);
+    schema sc(k:int, v:int);
+    schema su(a:int, b:int);
+    table A(sa);
+    table B(sb);
+    table C(sc);
+    table U(su);
+    table W(su);
+    key A(k);
+    key B(k);
+    key C(k);
+    key W(a);
+    foreign key A(f) references B(k);
+    foreign key B(g) references C(k);
+"""
+CHAIN_QUERIES = ("SELECT x.k AS o FROM {src} WHERE x.f = {c}",
+                 "SELECT x.f AS o FROM {src} WHERE x.k < {c}",
+                 "SELECT x.f AS o FROM {src} WHERE NOT (x.k = {c})",
+                 "SELECT DISTINCT x.f AS o FROM {src}",
+                 "SELECT x.f AS o FROM {src}")
+chain_pairs = st.tuples(st.sampled_from(CHAIN_QUERIES), st.integers(0, 3),
+                        st.sampled_from(CHAIN_QUERIES), st.integers(0, 3),
+                        st.integers(0, 99))
+
+
+def _chain_pair(pair, src: str):
+    text1, c1, text2, c2, seed = pair
+    relations = ("A", "B", "C", "U", "W")
+    return (parse_query(text1.format(src=src, c=c1), relations),
+            parse_query(text2.format(src=src, c=c2), relations), seed)
+
+
+@given(chain_pairs)
+@settings(max_examples=40, deadline=None)
+def test_a_witness_drawn_from_the_read_tables_keeps_every_declared_constraint(pair):
+    # the pair reads A, so B and C are drawn too, and U and W are not
+    env = build_env(parse(CHAIN_DECL))
+    q1, q2, seed = _chain_pair(pair, "A x")
+    assert query_reads(env, q1, q2)[1] == {"A", "B", "C"}
+    witness = find_witness(q1, q2, env, seed=seed)
+    if witness is not None:
+        assert interp_query(q1, witness, env) != interp_query(q2, witness, env)
+        assert check_constraints(witness, env.constraints())
+        assert witness.rels.keys() == env.tables.keys()
+        assert witness.rels["U"] == witness.rels["W"] == {}
+
+
+def test_a_witness_over_a_foreign_key_source_holds_its_targets():
+    env = build_env(parse(CHAIN_DECL))
+    q1, q2, _ = _chain_pair((CHAIN_QUERIES[4], 0, CHAIN_QUERIES[3], 0, 0), "A x")
+    witness = find_witness(q1, q2, env)
+    assert witness is not None and check_constraints(witness, env.constraints())
+    assert all(witness.rels[t] for t in "ABC")
+
+
+@given(chain_pairs)
+@settings(max_examples=25, deadline=None)
+def test_a_pair_that_reads_every_table_sweeps_the_full_stream(pair):
+    env = build_env(parse(CHAIN_DECL))
+    q1, q2, seed = _chain_pair(pair, "A x, U u, W w")
+    lits, read = query_reads(env, q1, q2)
+    assert read == set(env.tables)
+    stream = gen_instances(env, env.constraints(), GenSizes(), seed,
+                           extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"]))
+    full = next((db for db in itertools.islice(stream, 200)
+                 if interp_query(q1, db, env) != interp_query(q2, db, env)), None)
+    witness = find_witness(q1, q2, env, seed=seed)
+    if full is None:
+        assert witness is None
+    else:
+        assert (witness.domains, witness.salt, witness.rels) == (full.domains, full.salt, full.rels)
 
 
 def test_gen_instances_share_tuple_spaces_per_domain_draw():
@@ -359,15 +437,31 @@ def _rs_env():
     return build_env(parse("schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"))
 
 
-def test_a_plan_runs_on_many_databases_and_shares_their_scans():
+def _recording_scans(monkeypatch) -> list:
+    """Each `FiniteDb.scan` call from now on, as (db, table, rows)."""
+    scans, real = [], FiniteDb.scan
+
+    def scan(self, name):
+        rows = real(self, name)
+        scans.append((self, name, rows))
+        return rows
+    monkeypatch.setattr(FiniteDb, "scan", scan)
+    return scans
+
+
+def test_a_plan_runs_on_many_databases_and_shares_their_scans(monkeypatch):
+    scans = _recording_scans(monkeypatch)
     env = _rs_env()
     q = parse_query("SELECT x.a AS a FROM R x, R y WHERE x.b = y.a")
     plan = compile_query(q, env)
     for db in itertools.islice(gen_instances(env, [], GenSizes(), 4), 30):
+        scans.clear()
         assert interp_query(plan, db, env) == interp_query(q, db, env)
-        # both scans of R, and both runs, read the one cached row list
-        assert list(db._scans) == ["R"]
-        assert db.scan("R") is db._scans["R"]
+        # both scans of R, and both runs, read the one row list the
+        # generator built, which is the table's `_live_rows`
+        assert [name for _, name, _ in scans] == ["R"] * 4
+        assert all(rows is db._scans["R"] for _, _, rows in scans)
+        assert db._scans["R"] == oracle._live_rows(db.rels["R"])
 
 
 @pytest.mark.parametrize("text,width,total", [
@@ -398,20 +492,26 @@ def test_a_refutation_sweep_builds_no_assignment_and_scans_a_table_once_per_db(
         monkeypatch):
     # a true pair the procedure cannot prove: all 200 databases are swept;
     # `SELECT *` returns each scanned row's stored assignment
-    built, scanned, dbs = [], [], []
+    built, rebuilt, dbs = [], [], []
     assign, live_rows, gen = oracle.make_assignment, oracle._live_rows, pipeline.gen_instances
     monkeypatch.setattr(oracle, "make_assignment",
                         lambda values: built.append(values) or assign(values))
-    monkeypatch.setattr(oracle, "_live_rows", lambda bag: scanned.append(bag) or live_rows(bag))
+    monkeypatch.setattr(oracle, "_live_rows", lambda bag: rebuilt.append(bag) or live_rows(bag))
     monkeypatch.setattr(pipeline, "gen_instances",
                         lambda *a, **k: (dbs.append(db) or db for db in gen(*a, **k)))
+    scans = _recording_scans(monkeypatch)
     env = _rs_env()
     lhs = parse_query("SELECT * FROM R x WHERE x.a < x.b")
     rhs = parse_query("SELECT * FROM R y WHERE y.b > y.a")
     assert find_witness(lhs, rhs, env) is None
     assert len(dbs) == 200
-    assert built == []
-    assert [id(bag) for bag in scanned] == [id(db.rels["R"]) for db in dbs]
+    assert built == [] and rebuilt == []
+    # per database, the two plans scan R, the one table the pair reads, and
+    # read the one row list the generator built
+    assert [(id(db), name) for db, name, _ in scans] == [
+        (id(db), "R") for db in dbs for _ in range(2)]
+    assert all(rows is db._scans["R"] for db, _, rows in scans)
+    assert all(list(db.rels) == ["R"] for db in dbs)
 
 
 def test_long_union_all_evaluates_without_recursion():
@@ -456,7 +556,7 @@ def _pools(text: str):
     env = build_env(program)
     for stmt in program.verifies():
         for q in prepare_pair(stmt, env):
-            lits = query_literals(q)
+            lits, _ = query_reads(env, q)
             d = denote(q, env, VarGen())
             dbs = gen_instances(
                 env, env.constraints(), GenSizes(2, 2, 2), 11, count=3,

@@ -13,7 +13,7 @@ import pytest
 from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
 from semiq.oracle import GenSizes, gen_instances, interp_query
 from semiq.pipeline import (classify_fragment, decide_verify, find_witness,
-                            prepare_verify, query_literals)
+                            prepare_verify, query_reads)
 from semiq.exprs import VarGen
 from semiq.sqlast import ExceptQ, Select, TableRef, UnionAll, walk
 from semiq.translate import denote
@@ -428,7 +428,8 @@ def test_frontend_passes_take_no_frames_per_level():
     inlined = inline_views(desugared, env)
     assert {n.name for n in walk(q) if type(n) is TableRef} == {"V"}
     assert {n.name for n in walk(inlined) if type(n) is TableRef} == {"R"}
-    assert query_literals(inlined)["int"] == {7}
+    assert query_reads(env, inlined) == query_reads(env, q) == (
+        {"int": {7}, "string": set()}, {"R"})
 
 
 def test_refute_stops_at_the_verify_budget(monkeypatch):
@@ -479,6 +480,25 @@ def test_refute_stops_inside_one_evaluation(monkeypatch):
     """, refute=True)
     assert out.status == "NOT_PROVED"
     assert out.witness is None and "refutation stopped" in out.detail
+
+
+def test_a_generic_table_the_pair_does_not_read_leaves_refutation_alone():
+    # a generic table's rows cannot be drawn, so no database has them: a
+    # pair over R alone is refuted with G empty, and a pair over G is told
+    # why no database was drawn
+    [over_r, over_g] = run_program_text("""
+        schema s(a:int, b:int);
+        schema g(a:int, ??);
+        table R(s);
+        table G(g);
+        verify (SELECT * FROM R x WHERE x.a = 1) (SELECT * FROM R y WHERE y.a = 2);
+        verify (SELECT * FROM G x WHERE x.a = 1) (SELECT * FROM G y WHERE y.a = 2);
+    """, refute=True)
+    assert over_r.status == "NOT_EQUIVALENT" and over_r.detail == ""
+    assert over_r.witness is not None and over_r.witness.rels["G"] == {}
+    assert any(dict(row)["a"] in (1, 2) for row in over_r.witness.rels["R"])
+    assert over_g.status == "NOT_EQUIVALENT" and over_g.witness is None
+    assert over_g.detail == "refutation drew no database: generic table G"
 
 
 CLASHING = """

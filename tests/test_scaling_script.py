@@ -21,7 +21,8 @@ def test_scaling_rows_at_tiny_sizes(tmp_path):
             "union_agg=4": "EQUIVALENT", "wide_from=3": "EQUIVALENT",
             "derived_from=3": "EQUIVALENT",
             "fk_cycle=1": "NOT_PROVED", "wide_and=4": "EQUIVALENT",
-            "wide_or=4": "EQUIVALENT", "self_join_offset=3": "NOT_PROVED"}
+            "wide_or=4": "EQUIVALENT", "self_join_offset=3": "NOT_PROVED",
+            "refute_unread=2": "NOT_PROVED"}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
                           "--timeout", "30", "--json", str(tmp_path / "b.json"), *rows],
                          capture_output=True, text=True, timeout=120, check=True)
