@@ -260,6 +260,7 @@ class _Compiler:
     """Maps each node, with the aliases in scope (innermost last), to its closure."""
     env: SchemaEnv
     budget: Budget | None
+    read: set = factory(set)  # the row slots the closures built so far read
 
     def query(self, q, scope: tuple):
         if isinstance(q, UnionAll):
@@ -291,13 +292,27 @@ class _Compiler:
         bag = self.query(q, scope)
         return lambda db, frames: _live_rows(bag(db, frames))
 
+    def _total(self, q, scope: tuple):
+        """The source as one row ``({}, total multiplicity, ())``; none at 0."""
+        scan = self._scan(q, scope)
+
+        def total(db, frames):
+            m = sum([n for _, n, _ in scan(db, frames)])
+            return [({}, m, ())] if m else []
+        return total
+
     def _select(self, q: Select, scope: tuple):
         inner = scope + tuple(s.alias for s in q.sources)
         local = range(len(scope), len(inner))
-        scans = [self._scan(s.query, scope) for s in q.sources]
+        outer, self.read = self.read, set()
         where = self.pred(q.where, inner) if q.where is not None else None
         project, fold = self._group(q, inner, local) if q.group_by else \
             (self._projection(q.items, inner, local), None)
+        read, self.read = self.read, outer | self.read
+        # a source that no closure of the items, WHERE or GROUP BY reads is one
+        # row of its total multiplicity: the same bag, without walking its rows
+        scans = [self._scan(s.query, scope) if k in read else self._total(s.query, scope)
+                 for k, s in zip(local, q.sources)]
         budget = self.budget
 
         def select(db, frames):  # each row passing WHERE adds to its projection
@@ -320,8 +335,9 @@ class _Compiler:
         for it in items:
             if isinstance(it, Star):
                 stars += local
+                self.read.update(local)
             elif isinstance(it, AliasStar):
-                stars.append(_slot(it.alias, scope, local.start))
+                stars.append(self._slot(it.alias, scope, local.start))
             elif isinstance(it, ExprItem):
                 named[it.name] = self.expr(it.expr, scope)
             else:
@@ -400,10 +416,19 @@ class _Compiler:
             return lambda db, row: any(m > 0 for m in sub(db, row).values())
         raise OracleError(f"cannot interpret predicate {type(p).__name__}")
 
+    def _slot(self, alias: str, scope: tuple, start: int = 0) -> int:
+        """The innermost source named ``alias`` among ``scope[start:]``, noted
+        as read."""
+        for k in range(len(scope) - 1, start - 1, -1):
+            if scope[k] == alias:
+                self.read.add(k)
+                return k
+        raise OracleError(f"unknown alias {alias}")
+
     def _operand(self, e, scope: tuple):
         """A column's ``(slot, attr)``, a literal's ``(None, value)``, else None."""
         if isinstance(e, ColRef):
-            return _slot(e.alias, scope), e.attr
+            return self._slot(e.alias, scope), e.attr
         return (None, e.value) if isinstance(e, Lit) else None
 
     def expr(self, e, scope: tuple):
@@ -438,14 +463,6 @@ def _both(l, r):
 
 def _either(l, r):
     return lambda db, row: l(db, row) or r(db, row)
-
-
-def _slot(alias: str, scope: tuple, start: int = 0) -> int:
-    """The innermost source named ``alias`` among ``scope[start:]``."""
-    for k in range(len(scope) - 1, start - 1, -1):
-        if scope[k] == alias:
-            return k
-    raise OracleError(f"unknown alias {alias}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared test machinery: random query/expression generators, the reference
-homomorphism containment checker, and differential-testing loops."""
+"""Shared test machinery: random query/expression generators, the SQL
+printers, the reference homomorphism containment checker, and
+differential-testing loops."""
 
 from __future__ import annotations
 
@@ -17,8 +18,12 @@ from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_insta
                           interp_query)
 from semiq.schema import Schema, SchemaEnv
 from semiq.spnf import SpnfError, SpnfExp
-from semiq.sqlast import (AndP, BoolLit, Cmp, ColRef, Distinct, ExprItem,
-                          Select, Source, Star, TableRef, UnionAll)
+from semiq.sqlast import (
+    AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ, Exists,
+    Expr, ExprItem, FkStmt, IndexStmt, KeyStmt, Lit, NotP, OrP, Predicate, Program,
+    ProjItem, Query, SchemaStmt, Select, Source, Star, Statement, TableRef, TableStmt,
+    UnionAll, VerifyStmt, ViewStmt,
+)
 from semiq.translate import denote
 from semiq.exprs import (Add, AttrRef, Const, Exp, Func, Mul, Not, Pred, Rel,
                         Scalar, Squash, Sum, TupleSlice, TupleVar, VarGen, add,
@@ -83,6 +88,105 @@ def _check(e: SpnfExp, outer: frozenset[int]) -> None:
             if t.neg.is_zero():
                 raise SpnfError("negation slot holding 0 must be omitted")
             _check(t.neg, frozenset(scope))
+
+
+# ---------------------------------------------------------------------------
+# SQL printing: the parser round trip reads a printed program back
+
+def print_expr(e: Expr) -> str:
+    if isinstance(e, ColRef):
+        return f"{e.alias}.{e.attr}"
+    if isinstance(e, Lit):
+        return f"'{e.value}'" if e.ty == "string" else str(e.value)
+    if isinstance(e, App):
+        if len(e.args) == 2 and not e.name[0].isalpha():
+            return f"({print_expr(e.args[0])} {e.name} {print_expr(e.args[1])})"
+        return f"{e.name}({', '.join(print_expr(a) for a in e.args)})"
+    if isinstance(e, AggQuery):
+        return f"{e.name}({print_query(e.query)})"
+    raise TypeError(e)
+
+
+def print_pred(p: Predicate) -> str:
+    if isinstance(p, Cmp):
+        return f"{print_expr(p.lhs)} {p.op} {print_expr(p.rhs)}"
+    if isinstance(p, NotP):
+        if isinstance(p.body, Exists):
+            return f"NOT EXISTS ({print_query(p.body.query)})"
+        return f"NOT ({print_pred(p.body)})"
+    if isinstance(p, (AndP, OrP)):
+        op = " AND " if isinstance(p, AndP) else " OR "
+        return f"({op.join(print_pred(a) for a in p.args)})"
+    if isinstance(p, BoolLit):
+        return "TRUE" if p.value else "FALSE"
+    if isinstance(p, Exists):
+        return f"EXISTS ({print_query(p.query)})"
+    raise TypeError(p)
+
+
+def print_item(it: ProjItem) -> str:
+    if isinstance(it, Star):
+        return "*"
+    if isinstance(it, AliasStar):
+        return f"{it.alias}.*"
+    if isinstance(it, ExprItem):
+        return f"{print_expr(it.expr)} AS {it.name}"
+    raise TypeError(it)
+
+
+def print_query(q: Query) -> str:
+    if isinstance(q, TableRef):
+        return q.name
+    if isinstance(q, Select):
+        items = ", ".join(print_item(i) for i in q.items)
+
+        def src(s: Source) -> str:
+            if isinstance(s.query, TableRef):
+                return s.query.name if s.query.name == s.alias else \
+                    f"{s.query.name} {s.alias}"
+            return f"({print_query(s.query)}) {s.alias}"
+
+        srcs = ", ".join(src(s) for s in q.sources)
+        out = f"SELECT {items} FROM {srcs}"
+        if q.where is not None:
+            out += f" WHERE {print_pred(q.where)}"
+        if q.group_by:
+            out += " GROUP BY " + ", ".join(print_expr(g) for g in q.group_by)
+        return out
+    if isinstance(q, UnionAll):
+        return " UNION ALL ".join(f"({print_query(b)})" for b in q.branches)
+    if isinstance(q, ExceptQ):
+        return f"({print_query(q.lhs)}) EXCEPT ({print_query(q.rhs)})"
+    if isinstance(q, Distinct):
+        inner = q.query
+        if isinstance(inner, Select):
+            return "SELECT DISTINCT " + print_query(inner)[len("SELECT "):]
+        return f"DISTINCT ({print_query(inner)})"
+    raise TypeError(q)
+
+
+def print_statement(s: Statement) -> str:
+    if isinstance(s, SchemaStmt):
+        parts = [f"{a}:{t}" for a, t in s.attrs] + (["??"] if s.generic else [])
+        return f"schema {s.name}({', '.join(parts)});"
+    if isinstance(s, TableStmt):
+        return f"table {s.name}({s.schema_name});"
+    if isinstance(s, KeyStmt):
+        return f"key {s.table}({', '.join(s.attrs)});"
+    if isinstance(s, FkStmt):
+        return (f"foreign key {s.source}({', '.join(s.source_attrs)}) "
+                f"references {s.target}({', '.join(s.target_attrs)});")
+    if isinstance(s, ViewStmt):
+        return f"view {s.name} {print_query(s.query)};"
+    if isinstance(s, IndexStmt):
+        return f"index {s.name} on {s.table}({', '.join(s.attrs)});"
+    if isinstance(s, VerifyStmt):
+        return f"verify ({print_query(s.lhs)}) ({print_query(s.rhs)});"
+    raise TypeError(s)
+
+
+def print_program(p: Program) -> str:
+    return "\n".join(print_statement(s) for s in p.statements) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from semiq import SemanticError, build_env, parse, run_program_text
 from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import GenSizes, gen_instances, interp_query
-from semiq.sqlast import (AggQuery, Distinct, ExprItem, Select, Source,
-                          TableRef, print_query)
+from semiq.sqlast import AggQuery, Distinct, ExprItem, Select, Source, TableRef
 
 from conftest import parse_query
+from helpers import print_query
 
 
 def _groupby_env():

@@ -465,7 +465,8 @@ def test_a_plan_runs_on_many_databases_and_shares_their_scans(monkeypatch):
 
 
 @pytest.mark.parametrize("text,width,total", [
-    ("SELECT x.a AS a FROM R x, R y, R z", 20, 40 ** 3),  # 64,000 rows of 40
+    # 64,000 rows of 40: each scan is read, so none collapses to its total
+    ("SELECT x.a AS a, y.a AS b, z.a AS c FROM R x, R y, R z", 20, 40 ** 3),
     ("SELECT * FROM R x", 32_000, 64_000),  # 64,000 rows of one table
     ("SELECT x.a AS a FROM R x WHERE x.b < 2", 32_000, 64_000),
     ("SELECT x.a AS a, cnt(x.b) AS n FROM R x GROUP BY x.a", 32_000, 32_000),
@@ -486,6 +487,32 @@ def test_select_loop_checks_the_deadline_within_one_evaluation(text, width, tota
         interp_query(compile_query(q, env, budget), db, env)
     assert checks == [1]
     assert sum(interp_query(q, db, env).values()) == total
+
+
+@pytest.mark.parametrize("unread,read", [
+    ("SELECT x.a AS a FROM R x, R y, R z",
+     "SELECT x.a AS a FROM R x, R y, R z WHERE y.b = y.b AND z.b = z.b"),
+    ("SELECT x.a AS a, cnt(x.b) AS n FROM R x, R y GROUP BY x.a",
+     "SELECT x.a AS a, cnt(x.b) AS n FROM R x, R y WHERE y.a = y.a GROUP BY x.a"),
+    ("SELECT x.a AS a FROM R x, S y", "SELECT x.a AS a FROM R x, S y WHERE y.a = y.a"),
+    ("SELECT x.a AS a FROM R x, R y WHERE EXISTS (SELECT y.a AS a FROM R y WHERE y.b = 1)",
+     "SELECT x.a AS a FROM R x, R y WHERE y.b = y.b AND "
+     "EXISTS (SELECT y.a AS a FROM R y WHERE y.b = 1)"),
+], ids=["product", "group", "empty", "shadowed"])
+def test_an_unread_source_counts_as_its_total_multiplicity(unread, read):
+    # a source no column reads (a subquery's own y shadows the outer one) is
+    # one row of its rows' total multiplicity, and none when that is 0: the
+    # bag is the one that reading it gives, and each loop walks at most 40
+    # rows, fewer than the 256 between deadline checks
+    env = _rs_env()
+    db = _db([({"a": i, "b": j}, 1 + i % 3) for i in range(20) for j in range(2)])
+
+    def run(text):
+        budget, checks = Budget(), []
+        budget.check_time = lambda: checks.append(1)
+        return interp_query(compile_query(parse_query(text), env, budget), db, env), checks
+    (bag, checks), (expected, _) = run(unread), run(read)
+    assert bag == expected and checks == []
 
 
 def test_a_refutation_sweep_builds_no_assignment_and_scans_a_table_once_per_db(

@@ -10,9 +10,10 @@ import pytest
 from semiq.parser import MAX_NESTING, ParseError, parse, tokenize
 from semiq.sqlast import (AggQuery, AndP, App, Cmp, ColRef, Distinct, ExprItem,
                           NotP, OrP, Pos, Select, SchemaStmt, Star, TableRef,
-                          UnionAll, VerifyStmt, print_program)
+                          UnionAll, VerifyStmt)
 
 from conftest import FIG_INDEX
+from helpers import print_program
 
 
 def test_empty_input():

@@ -458,7 +458,8 @@ def test_refute_stops_at_the_verify_budget(monkeypatch):
 def test_refute_stops_inside_one_evaluation(monkeypatch):
     # the deadline passes after the stream's check before the first
     # database, so only the SELECT loop over the 3-way product of a
-    # 40-row table (64,000 rows) can notice it: the verdict stands and no
+    # 40-row table (64,000 rows; the projection reads each scan, so none
+    # collapses to its total) can notice it: the verdict stands and no
     # witness is reported, although this database separates the pair
     from types import SimpleNamespace
     from semiq import config, pipeline
@@ -475,8 +476,8 @@ def test_refute_stops_inside_one_evaluation(monkeypatch):
 
     monkeypatch.setattr(pipeline, "interp_query", expire_then_interpret)
     [out] = run_program_text(PRELUDE + """
-        verify (SELECT x.a AS a FROM R x, R y, R z)
-               (SELECT DISTINCT x.a AS a FROM R x, R y, R z);
+        verify (SELECT x.a AS a, y.a AS b, z.a AS c FROM R x, R y, R z)
+               (SELECT DISTINCT x.a AS a, y.a AS b, z.a AS c FROM R x, R y, R z);
     """, refute=True)
     assert out.status == "NOT_PROVED"
     assert out.witness is None and "refutation stopped" in out.detail

@@ -4,8 +4,9 @@ Every record class gets a `dataclasses.make_dataclass` twin built from the
 field annotations and defaults written in the class's source, with the
 methods the class defines itself.  The record and its twin must take the
 same `__init__` parameters and give the same repr, equality and hash on
-seeded field values.  `import semiq` must load neither `dataclasses` nor
-`inspect`: not importing them is what the records are for."""
+seeded field values.  Each method body is compiled once per shape, not once
+per class.  `import semiq` must load neither `dataclasses` nor `inspect`:
+not importing them is what the records are for."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import pytest
 
 from semiq.schema import SchemaEnv
 from semiq.sqlast import ColRef
-from semiq.record import replace
+from semiq.record import _HAS_DEFAULT_FACTORY, factory, record, replace
 
 from helpers import record_classes
 
@@ -71,6 +72,52 @@ def test_a_record_agrees_with_its_dataclass_twin(cls):
         assert (a == b, a == c, a != c) == (ta == tb, ta == tc, ta != tc)
         if cls.__hash__ is not None:
             assert hash(a) == hash(ta) and hash(c) == hash(tc)
+
+
+@record(hash=True)
+class _Reuses:
+    """Fields named as the templates' own names: ``other`` is ``__eq__``'s
+    parameter, ``hash`` the builtin ``__hash__`` calls, ``_0`` a placeholder."""
+    other: object
+    hash: object = 0
+    _0: list = factory(list)
+
+
+def test_a_record_whose_fields_reuse_the_templates_names_agrees_with_its_twin():
+    test_a_record_agrees_with_its_dataclass_twin(_Reuses)
+    a, b = _Reuses(1), _Reuses(1)
+    assert a._0 == b._0 == [] and a._0 is not b._0 and a == b
+
+
+def _shapes(cls) -> set:
+    """The templates ``cls`` binds: ``__init__`` by which fields default to a
+    factory, ``__eq__`` and ``__hash__`` by the field count."""
+    n, dflt = len(cls.__record_fields__), cls.__init__.__defaults__ or ()
+    flags = (False,) * (n - len(dflt)) + tuple(d is _HAS_DEFAULT_FACTORY for d in dflt)
+    return {("__init__", flags), ("__eq__", n)} | ({("__hash__", n)} if cls.__hash__ else set())
+
+
+def test_each_method_body_is_compiled_once_per_shape_not_once_per_class():
+    code = ("import helpers, semiq.record as r; helpers.record_classes(); "
+            "print(sorted(r._TEMPLATES, key=repr))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    compiled = ast.literal_eval(res.stdout)
+    assert compiled == sorted(set().union(*map(_shapes, RECORDS)), key=repr)
+    assert len(compiled) < len(RECORDS)
+
+
+def test_classes_of_one_shape_share_their_bytecode():
+    by_shape: dict = {}
+    for cls in RECORDS:
+        for method, shape in _shapes(cls):
+            by_shape.setdefault((method, shape), []).append(vars(cls)[method].__code__)
+    shared = [codes for codes in by_shape.values() if len(codes) > 1]
+    assert shared and all(c.co_code == codes[0].co_code for codes in shared for c in codes)
+    # two classes of one shape: one bytecode, each over its own field names
+    eq = by_shape["__eq__", 2]
+    assert len({c.co_code for c in eq}) == 1 and len({c.co_names for c in eq}) > 1
 
 
 def test_replace_changes_the_named_fields_and_rejects_an_unknown_one():

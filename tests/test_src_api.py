@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "semiq"
 # kept for tests on purpose
 ALLOWED = {
     ("oracle", "eval_exp"): "the oracle's independent U-expression evaluator",
-    ("sqlast", "print_program"): "the round-trip SQL printer",
 }
 
 
