@@ -21,7 +21,8 @@ from semiq.oracle import (FiniteDb, GenSizes, OracleError, check_constraints,
 from semiq.pipeline import find_witness, prepare_pair, query_reads
 from semiq.schema import KeyConstraint, Schema
 from semiq.sqlast import TableRef, UnionAll
-from semiq.translate import denote
+from semiq.spnf import to_spnf
+from semiq.translate import Denotation, denote
 from semiq.exprs import (Add, AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squash,
                         Sum, TupleVar, VarGen, mk_eq)
 
@@ -576,19 +577,21 @@ def _comparable(d, db: FiniteDb) -> bool:
 
 
 def _pools(text: str):
-    """Per side of each verify: its query, its denotation, and those of
-    three databases with its constants on which the plan and the
-    denotation can be compared."""
+    """Per side of each verify: its query, its denotation, the variable
+    supply past the denotation's variables, and those of three databases
+    with its constants on which the plan and the denotation can be
+    compared."""
     program = parse(text)
     env = build_env(program)
     for stmt in program.verifies():
         for q in prepare_pair(stmt, env):
             lits, _ = query_reads(env, q)
-            d = denote(q, env, VarGen())
+            gen = VarGen()
+            d = denote(q, env, gen)
             dbs = gen_instances(
                 env, env.constraints(), GenSizes(2, 2, 2), 11, count=3,
                 extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"]))
-            yield env, q, d, [db for db in dbs if _comparable(d, db)]
+            yield env, q, d, gen, [db for db in dbs if _comparable(d, db)]
 
 
 # chains of 3, 4 and 5 operands: the plan joins them pairwise, and an odd
@@ -632,15 +635,23 @@ PROGRAMS = _programs()
 
 @pytest.mark.parametrize("text", [t for _, t in PROGRAMS], ids=[n for n, _ in PROGRAMS])
 def test_plan_equals_denotation(text):
-    compared = 0
-    for env, q, d, dbs in _pools(text):
+    # and the normal form equals both, on the databases where it too can
+    # be enumerated: the chain SQL = denote = to_spnf
+    compared = normal = 0
+    for env, q, d, gen, dbs in _pools(text):
         plan = compile_query(q, env)
+        nf = Denotation(d.out_var, to_spnf(d.body, gen).to_exp())
         for db in dbs:
             bag = interp_query(plan, db, env)
+            check_nf = _comparable(nf, db)
             for asg in db.tuple_space(d.schema):
-                assert eval_exp(d.body, db, {d.out_var.vid: asg}) == bag.get(asg, 0)
+                envb = {d.out_var.vid: asg}
+                assert eval_exp(d.body, db, envb) == bag.get(asg, 0)
+                if check_nf:
+                    assert eval_exp(nf.body, db, envb) == bag.get(asg, 0)
             compared += 1
-    assert compared
+            normal += check_nf
+    assert compared and normal
 
 
 # Databases the generator never draws: R's rows are keyed in schema order

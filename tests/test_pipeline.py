@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from semiq import build_env, desugar_groupby, inline_views, parse, run_program_text
+from semiq.axioms import AXIOMS
 from semiq.oracle import GenSizes, gen_instances, interp_query
 from semiq.pipeline import (classify_fragment, decide_verify, find_witness,
                             prepare_verify, query_reads)
@@ -618,7 +619,7 @@ def test_an_aggregate_over_a_wide_union_is_equivalent_to_itself():
     assert out.status == "EQUIVALENT"
 
 
-@pytest.mark.parametrize("rule, q1, q2", [
+ZERO_RULE_PAIRS = [
     ("sum-zero", "SELECT x.a AS a FROM R x WHERE FALSE",
      "SELECT y.a AS a FROM R y WHERE FALSE"),
     ("mul-zero", "SELECT x.a AS a FROM R x WHERE x.a = 1 AND FALSE",
@@ -634,7 +635,10 @@ def test_an_aggregate_over_a_wide_union_is_equivalent_to_itself():
     ("not-zero", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
                  "(SELECT y.a AS a FROM R y WHERE FALSE)",
      "SELECT z.a AS a FROM R z"),
-])
+]
+
+
+@pytest.mark.parametrize("rule, q1, q2", ZERO_RULE_PAIRS)
 def test_false_normalizes_by_its_zero_rule(rule, q1, q2):
     prog = parse(PRELUDE + f"verify ({q1}) ({q2});")
     env = build_env(prog)
@@ -645,10 +649,19 @@ def test_false_normalizes_by_its_zero_rule(rule, q1, q2):
     assert find_witness(p.q1, p.q2, env) is None
 
 
+# a filtered derived table over a UNION ALL, against its branches swapped
+UNION_Q1 = ("SELECT u.a AS a FROM ((SELECT x.a AS a FROM R x) UNION ALL "
+            "(SELECT y.a AS a FROM S y)) u WHERE u.a = 1")
+UNION_Q2 = ("SELECT v.a AS a FROM ((SELECT w.a AS a FROM S w) UNION ALL "
+            "(SELECT z.a AS a FROM R z)) v WHERE v.a = 1")
+
+
 # each squash rule of the catalog that only hand-built U-expressions were
 # thought to reach, reached from SQL: an OR with FALSE squashes its other
-# operand, and nested DISTINCTs or two EXISTS multiply squashes
-@pytest.mark.parametrize("rule, q1, q2", [
+# operand, and nested DISTINCTs or two EXISTS multiply squashes; then each
+# other rule the normalizer logs, so that with the zero rules every one is
+# reached from SQL
+RULE_PAIRS = [
     ("squash-idem", "SELECT DISTINCT * FROM (SELECT DISTINCT x.a AS a FROM R x) y",
      "SELECT DISTINCT z.a AS a FROM R z"),
     ("squash-not", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
@@ -665,7 +678,27 @@ def test_false_normalizes_by_its_zero_rule(rule, q1, q2):
      "SELECT z.a AS a FROM R z WHERE "
      "EXISTS (SELECT w.c AS c FROM S w WHERE w.c = z.b) AND "
      "EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
-])
+    ("pull-not", "SELECT x.a AS a FROM R x WHERE "
+                 "NOT EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) AND "
+                 "NOT EXISTS (SELECT y.c AS c FROM S y WHERE y.c = x.b)",
+     "SELECT z.a AS a FROM R z WHERE "
+     "NOT EXISTS (SELECT w.c AS c FROM S w WHERE w.c = z.b) AND "
+     "NOT EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("not-squash", "SELECT x.a AS a FROM R x WHERE NOT (x.a = 1 OR x.b = 2)",
+     "SELECT y.a AS a FROM R y WHERE NOT (y.b = 2 OR y.a = 1)"),
+    ("squash-lift-add", "SELECT x.a AS a FROM R x WHERE "
+                        "EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) OR x.a = 1",
+     "SELECT z.a AS a FROM R z WHERE "
+     "z.a = 1 OR EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("squash-one-plus", "SELECT DISTINCT x.a AS a FROM R x WHERE TRUE OR x.a = 1",
+     "SELECT DISTINCT y.a AS a FROM R y"),
+    ("mul-one", "SELECT DISTINCT x.a AS a FROM R x WHERE TRUE OR x.a = 1",
+     "SELECT DISTINCT y.a AS a FROM R y"),
+    *((rule, UNION_Q1, UNION_Q2) for rule in ("sum-add", "distr-mul-add", "sum-hoist")),
+]
+
+
+@pytest.mark.parametrize("rule, q1, q2", RULE_PAIRS)
 def test_squash_rules_are_reached_from_sql(rule, q1, q2):
     prog = parse(PRELUDE + f"verify ({q1}) ({q2});")
     env = build_env(prog)
@@ -674,3 +707,9 @@ def test_squash_rules_are_reached_from_sql(rule, q1, q2):
     assert out.status == "EQUIVALENT"
     assert rule in out.trace.rule_names()
     assert find_witness(p.q1, p.q2, env) is None
+
+
+def test_every_normalizer_rule_is_reached_from_sql():
+    # the catalog and the two factor-merge rules the normalizer logs
+    reached = {rule for rule, _, _ in ZERO_RULE_PAIRS + RULE_PAIRS}
+    assert reached >= set(AXIOMS) | {"squash-mul", "pull-not"}
