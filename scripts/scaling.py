@@ -9,8 +9,8 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 24 and 48, `wide_union` 64, `shared_union` 128, 256 and 1200, `union_all`
 600 and 1200, `union_all_miss` 9 and 200,
 `union_derived` 1200, `union_exists` 1200, `union_agg` 1200,
-`wide_from` 400, 600, 800, 1000 and 2000, `derived_from` 100, 200 and
-400, `fk_cycle` 3, `wide_and` and
+`wide_from` 400, 600, 800, 1000 and 2000, `derived_from` 100, 200, 400
+and 800, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
 8, 16 and 32, `refute_sweep` 2, 3 and 4, `refute_unread` 0, 16 and 64, and
 `self_join_offset` 8 and 12.  Each row is
@@ -119,7 +119,8 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("union_derived", 1200), ("union_exists", 1200), ("union_agg", 1200),
         ("wide_from", 400), ("wide_from", 600), ("wide_from", 800),
         ("wide_from", 1000), ("wide_from", 2000), ("derived_from", 100),
-        ("derived_from", 200), ("derived_from", 400), ("fk_cycle", 3),
+        ("derived_from", 200), ("derived_from", 400), ("derived_from", 800),
+        ("fk_cycle", 3),
         ("wide_and", 1200), ("wide_or", 1200), ("keyed_collapse", 100),
         ("keyed_collapse", 200), ("keyed_collapse", 400), ("distinct_fk", 4),
         ("distinct_fk", 8), ("distinct_fk", 16), ("distinct_fk", 32),

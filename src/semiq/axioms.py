@@ -1,13 +1,15 @@
 """The equational kernel.
 
-``AXIOMS`` holds the identities the normalizer applies, each as a function
-that rewrites the root of the expression it is given or raises
-``AxiomMatchError``.  ``spnf.Normalizer.app`` calls them by name and logs
-each application as a trace rule.  A sum and a summation are each one
-node (see ``exprs``): ``sum-add``, ``distr-mul-add`` and ``add-zero`` act
-on every term of a sum, and ``sum-add``, ``sum-hoist`` and ``sum-zero`` on
-every binder of a summation, in one application.  The other identities of
-the paper are model-checked in the tests, not executed here.
+``AXIOMS`` is the reference catalog of the identities the normalizer
+applies, each as a function that rewrites the root of the expression it is
+given or raises ``AxiomMatchError``.  The tests model-check each entry,
+and the term algebra of ``spnf`` logs each application by its name: it
+applies the identities to terms directly, not through these functions.  A
+sum and a summation are each one node (see ``exprs``): ``sum-add``,
+``distr-mul-add`` and ``add-zero`` act on every term of a sum, and
+``sum-add``, ``sum-hoist`` and ``sum-zero`` on every binder of a summation,
+in one application.  The other identities of the paper are model-checked in
+the tests, not executed here.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .config import Budget
 from .congruence import Closure, closure_of
 from .record import replace
 from .schema import FkConstraint, KeyConstraint, SchemaEnv
-from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, parse_spnf
+from .spnf import SpnfExp, Term, dissolve_squash, nested_terms, to_spnf
 from .trace import Trace
 from .exprs import (
     AggCall, AttrRef, Const, EqAtom, Pred, PredAtom, TupleEqAtom, TupleNeqAtom,
@@ -364,8 +364,7 @@ class Canonizer:
     def try_wrap(self, t: Term, closure: Closure, loc: str) -> Term | None:
         if not self.squash_stable(t, closure):
             return None
-        content = dissolve_squash(t, self.gen, self.trace, self.budget,
-                                  stage="canonize")
+        content = dissolve_squash(t, self.trace, self.budget, stage="canonize")
         if content.is_one() or content.is_zero():
             return None
         self.trace.rule("key-squash-stable", loc)
@@ -380,8 +379,8 @@ class Canonizer:
         def canon_body(n):
             if type(n) is not AggCall:
                 return None
-            return AggCall(n.name, n.var,
-                           self.canonize(parse_spnf(n.body), loc + "/agg").to_exp())
+            body = to_spnf(n.body, self.gen, self.trace, self.budget, "canonize")
+            return AggCall(n.name, n.var, self.canonize(body, loc + "/agg").to_exp())
 
         preds = tuple(rewrite(p, canon_body) for p in t.preds)
         return Term.make(t.sum_vars, preds, t.squash, t.neg, t.atoms)

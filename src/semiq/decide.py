@@ -312,8 +312,8 @@ class Decider:
                 continue
             flat_slot = self.flatten(t.squash, loc)
             self.trace.rule("squash-flatten", loc)
-            merged = dissolve_squash(replace(t, squash=flat_slot), self.gen,
-                                     self.trace, self.budget, stage="search")
+            merged = dissolve_squash(replace(t, squash=flat_slot), self.trace,
+                                     self.budget, stage="search")
             out.extend(self.flatten(merged, loc).terms)
         return SpnfExp(tuple(out))
 

@@ -2,50 +2,39 @@
 
 A normal expression is a sum of terms; each term is a single summation over
 a product of predicate factors, at most one squash factor, at most one
-negation factor, and relation atoms.  ``to_spnf`` reaches this shape by
-repeatedly applying kernel identities (distribution, summation hoisting,
-factor merging) in one walk of its input.  ``Normalizer.app`` applies each
-identity by its ``AXIOMS`` entry and logs it; ``_merge_chain`` does the
-factor-chain steps itself and logs them as ``squash-mul`` and ``pull-not``.
-Hoisting captures no variable because ``nf`` renames a binder it has met
-before where it meets it (an alpha step, noted as ``alpha-rename`` for a
-summation's binder).
+negation factor, and relation atoms.  ``to_spnf`` folds its input into
+terms in one iterative post-order walk: each node's normal form is built
+from its operands' by an operation of the term algebra, ``product``,
+``summation``, ``squash`` or ``negation`` (or ``plus``, which drops zeros).
+Each applies the kernel identities that fit its operands' shapes and logs
+each by its ``AXIOMS`` name; a product logs ``squash-mul`` and ``pull-not``
+when it merges two squash or two negation factors.  The fold renames a
+binder it has met before where it meets it (an alpha step, noted as
+``alpha-rename`` for a summation's binder), so each binder is checked once
+against those seen and is unique: a product hoists the binders of both
+factors in one step, capturing nothing, and scans no side condition.  A
+merge appends one factor list to the other, and ``Term.make`` sorts each
+finished term once.
 
-A normalized product lists its plain factors (predicates and relation
-atoms) in any order, then its squash, then its negation; ``Term.make``
-alone puts factors in order.  Each product takes one hoist step, which
-moves every summation of both factors out at once, so the steps of
-normalizing a nest grow linearly with its depth, and a merge appends the
-shorter factor lists to the longest without keying any factor.
-
-A sum is one node, ``Add(terms)``: ``sum-add``, ``distr-mul-add`` and
-``add-zero`` each act on all its terms in one application, logged as one
-``RULE`` line and charged the binary steps it stands for.  Each term keeps
-the trace path it has in the node's binary spine (``_spine``), and ``nf``
-takes a step per inner node of a sum's or a product's spine.  A summation
-is one node too, ``Sum(vars, body)``, as a term's ``sum_vars`` is one
-tuple: ``sum-add`` and ``sum-zero`` act on all its binders in one
-application, and ``nf`` takes a step per binder.
+Steps and trace paths are those of the binary nodes an n-ary one stands
+for: a sum's or product's operand keeps its path in the left spine
+(``_spine``), a k-binder summation is k one-binder ones, and ``sum-add``,
+``distr-mul-add`` and ``add-zero`` are each one ``RULE`` line charged the
+binary steps it stands for.  The fold takes a step per binary node.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Iterator
 
-from .axioms import AXIOMS
 from .config import Budget
-from .record import record, replace
+from .record import record
 from .trace import Trace
 from .exprs import (
     Add, AggCall, Mul, Not, One, Pred, PredAtom, Rel, Squash, Sum, TupleVar,
-    Exp, VarGen, Zero, add, canon_key, children, count_nodes, mul,
-    rewrite, substitute, sum_,
+    Exp, VarGen, Zero, add, canon_key, children, mul, rewrite, substitute,
+    sum_,
 )
-
-
-class SpnfError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +100,38 @@ def _atom_key(a: PredAtom) -> tuple:
     return canon_key(Pred(a))
 
 
+def _root(s: SpnfExp) -> type:
+    """The node class at the root of ``s.to_exp()``."""
+    if len(s.terms) != 1:
+        return Add if s.terms else Zero
+    t = s.terms[0]
+    n = len(t.preds) + len(t.atoms) + (t.squash is not None) + (t.neg is not None)
+    return (Sum if t.sum_vars else Mul if n > 1 else One if not n else
+            Pred if t.preds else Rel if t.atoms else
+            Squash if t.squash is not None else Not)
+
+
+def _bind_all(vs: tuple[TupleVar, ...], s: SpnfExp) -> SpnfExp:
+    return SpnfExp(tuple(Term(vs + t.sum_vars, t.preds, t.squash, t.neg, t.atoms)
+                         for t in s.terms))
+
+
+_ZERO = SpnfExp.zero()
+_ONE = SpnfExp.one()
+_INNER = (Add, Mul, Sum, Squash, Not)
+
+
 # ---------------------------------------------------------------------------
-# The normalizer
+# The term algebra and the fold through it
 
 class Normalizer:
     """``stage`` names the budget stage its steps count in: the normalize
-    stage, or the stage that dissolves a squash.  ``nf`` renames a binder
-    it has met before (``_bind``), so a normalizer serves one input."""
+    stage, or the stage that dissolves a squash.  ``fold`` renames a binder
+    it has met before (``_bind``) to a fresh variable of ``gen``, so a
+    normalizer folds one input.  The terms of a result are not yet in
+    ``Term.make`` order."""
 
-    def __init__(self, gen: VarGen, trace: Trace | None = None,
+    def __init__(self, gen: VarGen | None, trace: Trace | None = None,
                  budget: Budget | None = None, stage: str = "normalize"):
         self.gen = gen
         self.trace = trace or Trace(enabled=False)
@@ -127,57 +139,153 @@ class Normalizer:
         self.stage = stage
         self.seen: set[int] = set()   # the vids of the binders met
 
-    def app(self, axiom: str, node: Exp, path: str) -> Exp:
-        # charged before it is made, so the budget bounds a distribution
-        for _ in range(_binary_steps(axiom, node)):
+    def rule(self, name: str, path: str, steps: int = 1) -> None:
+        # charged first, so the budget bounds a distribution
+        for _ in range(steps):
             self.budget.step(self.stage)
-        out = AXIOMS[axiom](node)
-        self.trace.rule(axiom, path)
-        return out
+        self.trace.rule(name, path)
 
-    def run(self, e: Exp) -> SpnfExp:
-        nf = self.nf(e, "")
-        self.budget.check_nodes(count_nodes(nf))
-        return parse_spnf(nf)
+    def plus(self, parts: list[SpnfExp], path: str) -> SpnfExp:
+        zeros = sum(not p.terms for p in parts)
+        terms = tuple(t for p in parts for t in p.terms)
+        if zeros:
+            self.rule("add-zero", path, zeros - (not terms))
+        return SpnfExp(terms)
 
-    # -- recursive normalization ------------------------------------------
+    def product(self, l: SpnfExp, r: SpnfExp, path: str) -> SpnfExp:
+        kl, kr = _root(l), _root(r)
+        if Add in (kl, kr) and Zero not in (kl, kr) and One not in (kl, kr):
+            # each term of l by each of r, l's varying fastest
+            self.rule("distr-mul-add", path, len(l.terms) * len(r.terms) - 1)
+            pairs = [(SpnfExp((x,)), SpnfExp((y,))) for y in r.terms for x in l.terms]
+            return SpnfExp(tuple(t for xy, p in _spine(path, pairs)
+                                 for t in self.product(*xy, p).terms))
+        if kl is Zero or kr is Zero:
+            self.rule("mul-zero", path)
+            return _ZERO
+        if kl is One or kr is One:
+            self.rule("mul-one", path)
+            return r if kl is One else l
+        [x], [y] = l.terms, r.terms
+        if kl is Sum or kr is Sum:
+            # one step hoists every binder, r's first, and the body sits
+            # where hoisting one binder at a time would leave it
+            self.rule("sum-hoist", path)
+            vs = y.sum_vars + x.sum_vars
+            x, y = (SpnfExp((Term((), t.preds, t.squash, t.neg, t.atoms),)) for t in (x, y))
+            return _bind_all(vs, self.product(x, y, path + "b." * len(vs)))
+        preds, atoms = x.preds + y.preds, x.atoms + y.atoms
+        squash = x.squash if y.squash is None else y.squash
+        negs = [n for n in (x.neg, y.neg) if n is not None]
+        if x.squash is not None and y.squash is not None:
+            self.rule("squash-mul", path)
+            [m] = self.squash(self.product(x.squash, y.squash, path + "sq."),
+                              path + "sq.").terms
+            preds, squash = preds + m.preds, m.squash
+            negs += [m.neg] if m.neg is not None else []
+        if len(negs) > 1:
+            self.rule("pull-not", path)
+            negs = [SpnfExp(tuple(t for n in negs for t in n.terms))]
+        return SpnfExp((Term((), preds, squash, negs[0] if negs else None, atoms),))
 
-    def nf(self, e: Exp, path: str) -> Exp:
-        self.budget.step(self.stage)
-        if isinstance(e, (Zero, One, Rel)):
-            return e
-        if isinstance(e, Pred):
-            return Pred(self._nf_atom(e.atom, path))
-        if isinstance(e, (Add, Mul)):
-            ops = _spine(path, children(e))
-            for _ in range(len(ops) - 2):
-                self.budget.step(self.stage)  # nf's step on each inner node
-            if isinstance(e, Add):
-                out = add(*(self.nf(t, p) for t, p in ops))
-                return self.app("add-zero", out, path) \
-                    if any(type(t) is Zero for t in out.terms) else out
-            # factor i > 0 is multiplied in at the spine node its path leaves
-            out = self.nf(*ops[0])
-            for f, p in ops[1:]:
-                out = self._mul_nf(out, self.nf(f, p), p[:-2])
-            return out
-        if isinstance(e, Sum):
-            for _ in range(len(e.vars) - 1):
-                self.budget.step(self.stage)  # nf's step on each inner binder
-            vs, body = self._bind(e)
-            body = self.nf(body, path + "b." * len(vs))
-            # a normalized sum has no zero term, so sum-add leaves none
-            if isinstance(body, Add):
-                return self.app("sum-add", Sum(vs, body), path)
-            if isinstance(body, Zero):
-                return self.app("sum-zero", Sum(vs, body), path)
-            return sum_(vs, body)
-        if isinstance(e, Squash):
-            body = self.nf(e.body, path + "b.")
-            return self._squash_nf(body, path)
-        if isinstance(e, Not):
-            body = self.nf(e.body, path + "b.")
-            return self._not_nf(body, path)
+    def summation(self, vs: tuple[TupleVar, ...], s: SpnfExp, path: str) -> SpnfExp:
+        if not s.terms:
+            self.rule("sum-zero", path, len(vs))
+            return s
+        if len(s.terms) > 1:
+            self.rule("sum-add", path, len(vs) * (len(s.terms) - 1))
+        return _bind_all(vs, s)
+
+    def squash(self, s: SpnfExp, path: str) -> SpnfExp:
+        while True:
+            k = _root(s)
+            if k is Zero:
+                self.rule("squash-zero", path)
+            elif k is One:
+                self.rule("squash-one", path)
+            elif k is Squash:
+                self.rule("squash-idem", path)
+            elif k is Not:
+                self.rule("squash-not", path)
+            elif k is Pred:
+                self.rule("pred-squash-elim", path)
+            elif k is Add and any(t.is_unit() for t in s.terms):
+                self.rule("squash-one-plus", path)
+                return _ONE
+            elif k is Add and any(t.squash_only() for t in s.terms):
+                # ||  ||x|| + y || -> || x + y ||, and that squash again
+                self.rule("squash-lift-add", path)
+                i = next(i for i, t in enumerate(s.terms) if t.squash_only())
+                s = SpnfExp(s.terms[:i] + s.terms[i].squash.terms + s.terms[i + 1:])
+                continue
+            else:
+                return SpnfExp((Term((), (), s, None, ()),))
+            return s
+
+    def negation(self, s: SpnfExp, path: str) -> SpnfExp:
+        while _root(s) is Squash:
+            self.rule("not-squash", path)
+            s = s.terms[0].squash
+        if not s.terms:
+            self.rule("not-zero", path)
+            return _ONE
+        return SpnfExp((Term((), (), None, s, ()),))
+
+    def fold(self, e: Exp, path: str = "") -> SpnfExp:
+        """The normal form of ``e``, by a post-order walk on an explicit
+        stack, so depth costs no Python frames."""
+        # open nodes: [class, path, binders, operands left, the path of the
+        # current one, results so far]
+        stack: list[list] = []
+        while True:
+            self.budget.step(self.stage)
+            kind = type(e)
+            if kind in _INNER:
+                vs = ()
+                if kind is Add or kind is Mul:
+                    ops = _spine(path, children(e))
+                    for _ in range(len(ops) - 2):
+                        self.budget.step(self.stage)  # a step per inner spine node
+                elif kind is Sum:
+                    for _ in range(len(e.vars) - 1):
+                        self.budget.step(self.stage)  # a step per inner binder
+                    vs, body = self._bind(e)
+                    ops = [(body, path + "b." * len(vs))]
+                else:
+                    ops = [(e.body, path + "b.")]
+                todo = iter(ops)
+                e, child = next(todo)
+                stack.append([kind, path, vs, todo, child, []])
+                path = child
+                continue
+            out = self._leaf(e, path)
+            while stack:
+                frame = stack[-1]
+                kind, at, vs, todo, child, done = frame
+                if kind is Mul and done:
+                    # operand i > 0 is multiplied in at the spine node its
+                    # path leaves
+                    out = self.product(done.pop(), out, child[:-2])
+                done.append(out)
+                if (nxt := next(todo, None)) is not None:
+                    e, path = nxt
+                    frame[4] = path
+                    break
+                stack.pop()
+                out = (self.plus(done, at) if kind is Add else out if kind is Mul else
+                       self.summation(vs, out, at) if kind is Sum else
+                       self.squash(out, at) if kind is Squash else self.negation(out, at))
+            else:
+                return out
+
+    def _leaf(self, e: Exp, path: str) -> SpnfExp:
+        kind = type(e)
+        if kind is Rel:
+            return SpnfExp((Term((), (), None, None, ((e.name, e.var),)),))
+        if kind is Pred:
+            return SpnfExp((Term((), (self._nf_atom(e.atom, path),), None, None, ()),))
+        if kind is Zero or kind is One:
+            return _ZERO if kind is Zero else _ONE
         raise TypeError(e)
 
     def _bind(self, x: Sum | AggCall) -> tuple[tuple[TupleVar, ...], Exp]:
@@ -199,96 +307,8 @@ class Normalizer:
         def agg(s):
             [v], body = self._bind(s)
             # the body in term order, which the aggregate's key sees
-            return AggCall(s.name, v, parse_spnf(self.nf(body, path + "agg.")).to_exp())
+            return AggCall(s.name, v, _finish(self.fold(body, path + "agg.")).to_exp())
         return rewrite(a, lambda s: agg(s) if type(s) is AggCall else None)
-
-    def _mul_nf(self, l: Exp, r: Exp, path: str) -> Exp:
-        if (isinstance(l, Add) or isinstance(r, Add)) and \
-                not any(isinstance(x, (Zero, One)) for x in (l, r)):
-            split = self.app("distr-mul-add", Mul((l, r)), path)
-            return add(*(self._mul_nf(*t.factors, p)
-                         for t, p in _spine(path, split.terms)))
-        cur = Mul((l, r))
-        if isinstance(l, Zero) or isinstance(r, Zero):
-            return self.app("mul-zero", cur, path)
-        if isinstance(l, One) or isinstance(r, One):
-            return self.app("mul-one", cur, path)
-        if isinstance(l, Sum) or isinstance(r, Sum):
-            # one step hoists every binder; the body sits where hoisting
-            # one binder at a time would leave it
-            h = self.app("sum-hoist", cur, path)
-            return sum_(h.vars, self._mul_nf(*h.body.factors,
-                                             path + "b." * len(h.vars)))
-        return self._merge_chain([list(_factors(l)), list(_factors(r))], path)
-
-    def _merge_chain(self, runs: list[list[Exp]], path: str) -> Exp:
-        """The product of ``runs``, each the factors of a normalized product
-        or one factor, so each ends in at most one squash and then at most
-        one negation; the lists are consumed."""
-        squashes: list[Exp] = []
-        negs: list[Exp] = []
-        for run in runs:
-            if type(run[-1]) is Not:
-                negs.append(run.pop())
-            if run and type(run[-1]) is Squash:
-                squashes.append(run.pop())
-        plain = max(runs, key=len)
-        for run in runs:
-            if run is not plain:
-                plain.extend(run)
-        if len(squashes) > 1:
-            self.trace.rule("squash-mul", path)
-            self.budget.step(self.stage)
-            body = squashes[0].body
-            for f in squashes[1:]:
-                body = self._mul_nf(body, f.body, path + "sq.")
-            merged = self._squash_nf(body, path + "sq.")
-            squashes = []
-            (squashes if type(merged) is Squash else
-             negs if type(merged) is Not else plain).append(merged)
-        if len(negs) > 1:
-            self.trace.rule("pull-not", path)
-            self.budget.step(self.stage)
-            negs = [Not(add(*(n.body for n in negs)))]
-        plain += squashes + negs
-        return plain[0] if len(plain) == 1 else Mul(tuple(plain))
-
-    def _squash_nf(self, body: Exp, path: str) -> Exp:
-        cur = Squash(body)
-        if isinstance(body, Zero):
-            return self.app("squash-zero", cur, path)
-        if isinstance(body, One):
-            return self.app("squash-one", cur, path)
-        if isinstance(body, Squash):
-            return self.app("squash-idem", cur, path)
-        if isinstance(body, Not):
-            return self.app("squash-not", cur, path)
-        if isinstance(body, Pred):
-            return self.app("pred-squash-elim", cur, path)
-        if isinstance(body, Add):
-            if any(isinstance(t, One) for t in body.terms):
-                return self.app("squash-one-plus", cur, path)
-            if any(isinstance(t, Squash) for t in body.terms):
-                lifted = self.app("squash-lift-add", cur, path)
-                return self._squash_nf(lifted.body, path)
-        return cur
-
-    def _not_nf(self, body: Exp, path: str) -> Exp:
-        cur = Not(body)
-        if isinstance(body, Zero):
-            return self.app("not-zero", cur, path)
-        if isinstance(body, Squash):
-            stripped = self.app("not-squash", cur, path)
-            return self._not_nf(stripped.body, path)
-        return cur
-
-
-def _factors(e: Exp) -> tuple[Exp, ...]:
-    return e.factors if isinstance(e, Mul) else (e,)
-
-
-def _terms(e: Exp) -> tuple[Exp, ...]:
-    return e.terms if isinstance(e, Add) else (e,)
 
 
 def _spine(path: str, ops) -> list[tuple[Exp, str]]:
@@ -301,58 +321,29 @@ def _spine(path: str, ops) -> list[tuple[Exp, str]]:
             for i, x in enumerate(ops)]
 
 
-def _binary_steps(axiom: str, node: Exp) -> int:
-    """The binary applications that applying ``axiom`` to ``node`` stands
-    for: a term out but the first for sum-add and distr-mul-add, a zero
-    dropped for add-zero (all but one when all terms are), else one; on a
-    summation, each once per binder."""
-    k = len(node.vars) if type(node) is Sum else 1
-    if axiom in ("sum-add", "distr-mul-add"):
-        return k * (prod(len(_terms(c)) for c in children(node)) - 1)
-    if axiom == "add-zero":
-        zeros = sum(type(t) is Zero for t in node.terms)
-        return zeros - (zeros == len(node.terms))
-    return k
+def _finish(s: SpnfExp) -> SpnfExp:
+    """``s`` with each term, its slots' too, in ``Term.make`` order."""
+    return SpnfExp(tuple(
+        Term.make(t.sum_vars, t.preds, t.squash and _finish(t.squash),
+                  t.neg and _finish(t.neg), t.atoms) for t in s.terms))
+
+
+def _size(s: SpnfExp) -> int:
+    """``count_nodes(s.to_exp())``, without building the expression."""
+    sums = [s, *(x for t in nested_terms(s) for x in (t.squash, t.neg) if x is not None)]
+    n = sum(len(x.terms) - 1 if x.terms else 1 for x in sums)
+    for t in nested_terms(s):
+        k = len(t.preds) + len(t.atoms) + (t.squash is not None) + (t.neg is not None)
+        n += len(t.sum_vars) + (2 * k - 1 if k else 1)
+    return n
 
 
 def to_spnf(e: Exp, gen: VarGen, trace: Trace | None = None,
             budget: Budget | None = None, stage: str = "normalize") -> SpnfExp:
-    return Normalizer(gen, trace, budget, stage).run(e)
-
-
-# ---------------------------------------------------------------------------
-# Parsing a normalized tree into the term structure
-
-def parse_spnf(e: Exp) -> SpnfExp:
-    if isinstance(e, Zero):
-        return SpnfExp.zero()
-    return SpnfExp(tuple(map(_parse_term, _terms(e))))
-
-
-def _parse_term(e: Exp) -> Term:
-    binders, e = (e.vars, e.body) if type(e) is Sum else ((), e)
-    preds: list[PredAtom] = []
-    squash: SpnfExp | None = None
-    neg: SpnfExp | None = None
-    atoms: list[tuple[str, TupleVar]] = []
-    for f in _factors(e):
-        if isinstance(f, Pred):
-            preds.append(f.atom)
-        elif isinstance(f, Rel):
-            atoms.append((f.name, f.var))
-        elif isinstance(f, Squash):
-            if squash is not None:
-                raise SpnfError("two squash factors survived normalization")
-            squash = parse_spnf(f.body)
-        elif isinstance(f, Not):
-            if neg is not None:
-                raise SpnfError("two negation factors survived normalization")
-            neg = parse_spnf(f.body)
-        elif isinstance(f, One):
-            continue
-        else:
-            raise SpnfError(f"unexpected factor {type(f).__name__} in normal form")
-    return Term.make(binders, preds, squash, neg, atoms)
+    norm = Normalizer(gen, trace, budget, stage)
+    s = norm.fold(e)
+    norm.budget.check_nodes(_size(s))
+    return _finish(s)
 
 
 def nested_terms(e: SpnfExp) -> Iterator[Term]:
@@ -367,16 +358,16 @@ def nested_terms(e: SpnfExp) -> Iterator[Term]:
                 stack.extend(reversed(slot.terms))
 
 
-# ---------------------------------------------------------------------------
-# Term algebra used by canonization
-
-def dissolve_squash(t: Term, gen: VarGen, trace: Trace | None = None,
+def dissolve_squash(t: Term, trace: Trace | None = None,
                     budget: Budget | None = None, *, stage: str) -> SpnfExp:
     """The term with its squash slot's content multiplied in as a plain
-    factor (inside the binders, since the slot may reference them); the
-    normalizer's steps count in the caller's ``stage``."""
-    factors = replace(t, squash=None).factors()
+    factor, inside the binders, since the slot may reference them; the
+    product's steps count in the caller's ``stage``."""
+    norm = Normalizer(None, trace, budget, stage)
+    s = SpnfExp((Term((), t.preds, None, t.neg, t.atoms),))
     if t.squash is not None:
-        factors.append(t.squash.to_exp())
-    return to_spnf(sum_(t.sum_vars, mul(*factors)), gen, trace, budget, stage)
-
+        s = t.squash if s.is_one() else norm.product(s, t.squash, "b." * len(t.sum_vars))
+    if t.sum_vars:
+        s = norm.summation(t.sum_vars, s, "")
+    norm.budget.check_nodes(_size(s))
+    return _finish(s)

@@ -17,7 +17,7 @@ from semiq.frontend import desugar_groupby, inline_views
 from semiq.oracle import (FiniteDb, GenSizes, compile_query, eval_exp, gen_instances,
                           interp_query)
 from semiq.schema import Schema, SchemaEnv
-from semiq.spnf import SpnfError, SpnfExp
+from semiq.spnf import SpnfExp
 from semiq.sqlast import (
     AggQuery, AliasStar, AndP, App, BoolLit, Cmp, ColRef, Distinct, ExceptQ, Exists,
     Expr, ExprItem, FkStmt, IndexStmt, KeyStmt, Lit, NotP, OrP, Predicate, Program,
@@ -55,6 +55,10 @@ def std_env(rel_names=("R", "S", "T")) -> SchemaEnv:
 
 # ---------------------------------------------------------------------------
 # Normal-form shape checking
+
+class SpnfError(Exception):
+    pass
+
 
 def check_spnf(e: SpnfExp, outer_vars: frozenset[int] = frozenset()) -> bool:
     """True iff the term invariants hold syntactically."""

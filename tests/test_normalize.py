@@ -14,7 +14,7 @@ from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
 from semiq.pipeline import prepare_verify
-from semiq.spnf import Normalizer, SpnfExp, Term, to_spnf
+from semiq.spnf import Normalizer, SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
 from semiq.exprs import (ZERO, Add, AggCall, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
@@ -104,28 +104,35 @@ def test_normalization_traces_are_axiom_applications():
 
 
 _T, _U, _W = (TupleVar(i, std_env().tables["R"]) for i in (1, 2, 3))
-_R = [Rel(f"R{i}", _T) for i in range(7)]
+_R = [SpnfExp((Term.make(atoms=((f"R{i}", _T),)),)) for i in range(7)]
+_ZERO = SpnfExp.zero()
+
+
+def _sum(*parts: SpnfExp) -> SpnfExp:
+    return SpnfExp(tuple(t for p in parts for t in p.terms))
 
 
 @pytest.mark.parametrize("axiom, node, steps, out_terms", [
     # a term out but the first, as many binary splits
-    ("sum-add", Sum((_T,), Add(tuple(_R))), 6, 7),
-    ("distr-mul-add", Mul((Add(tuple(_R[:3])), Add(tuple(_R[3:5])))), 5, 6),
-    ("distr-mul-add", Mul((_R[0], Add(tuple(_R[1:5])))), 3, 4),
+    ("sum-add", ("summation", (_T,), _sum(*_R)), 6, 7),
+    ("distr-mul-add", ("product", _sum(*_R[:3]), _sum(*_R[3:5])), 5, 6),
+    ("distr-mul-add", ("product", _R[0], _sum(*_R[1:5])), 3, 4),
     # a zero dropped; all but one when every term is zero
-    ("add-zero", Add((ZERO, _R[0], ZERO, _R[1], ZERO)), 3, 2),
-    ("add-zero", Add((ZERO, ZERO, ZERO)), 2, 1),
+    ("add-zero", ("plus", [_ZERO, _R[0], _ZERO, _R[1], _ZERO]), 3, 2),
+    ("add-zero", ("plus", [_ZERO, _ZERO, _ZERO]), 2, 0),
     # and on a summation once per binder, as the nest of one-binder ones
-    ("sum-add", Sum((_T, _U), Add(tuple(_R))), 12, 7),
-    ("sum-zero", Sum((_T, _U, _W), ZERO), 3, 1),
+    ("sum-add", ("summation", (_T, _U), _sum(*_R)), 12, 7),
+    ("sum-zero", ("summation", (_T, _U, _W), _ZERO), 3, 0),
 ])
 def test_an_nary_application_is_one_rule_charged_its_binary_steps(
         axiom, node, steps, out_terms):
+    # node names an operation of the term algebra and its operands
     trace, budget = Trace(), Budget()
-    out = Normalizer(VarGen(10), trace, budget).app(axiom, node, "p.")
+    op, *operands = node
+    out = getattr(Normalizer(VarGen(10), trace, budget), op)(*operands, "p.")
     assert budget.steps == budget.by_stage["normalize"] == steps
     assert [e.render() for e in trace.events] == [f"RULE {axiom} AT p."]
-    assert len(out.terms if type(out) is Add else (out,)) == out_terms
+    assert len(out.terms) == out_terms
 
 
 def test_each_term_keeps_the_path_of_the_binary_spine():
@@ -204,6 +211,35 @@ def test_a_wide_from_list_normalizes_to_one_term():
     assert term.sum_vars == d.body.vars and len(term.atoms) == n
 
 
+def test_a_deep_nest_of_summations_normalizes_at_the_default_recursion_limit():
+    # the fold keeps its open nodes on a stack of its own; a recursive
+    # normalizer ran out of Python frames about 500 summations down.  Built
+    # directly, since denote runs out of frames first under pytest
+    schema = std_env().tables["R"]
+    n = 2000
+    vs = [TupleVar(i, schema) for i in range(n + 1)]
+    e = Rel("R", vs[n])
+    for i in range(n, 0, -1):
+        e = Sum((vs[i],), Mul((Rel("R", vs[i - 1]),
+                               Pred(mk_eq(AttrRef(vs[i - 1], "a"), AttrRef(vs[i], "a"))), e)))
+    [term] = to_spnf(e, VarGen(10_000)).terms
+    assert term.sum_vars == tuple(vs[1:])
+    assert len(term.atoms) == n + 1 and len(term.preds) == n
+
+
+def _shape_faults(s: SpnfExp) -> list[str]:
+    """The binder faults of a normal form: in each term, each term of its
+    slots and each aggregate body, read back as it is stored."""
+    faults = []
+    for t in nested_terms(s):
+        if len({v.vid for v in t.sum_vars}) != len(t.sum_vars):
+            faults.append("a repeated binder")
+        for n in (n for p in t.preds for n in walk(p)):
+            if type(n) is AggCall:
+                faults += _sum_shape_faults(n.body)
+    return faults
+
+
 def _sum_shape_faults(e) -> list[str]:
     faults = []
     for n in walk(e):
@@ -224,24 +260,21 @@ def _programs() -> list[str]:
                   if not inst.family.startswith("bundled-")]
 
 
-def test_every_summation_has_distinct_binders_over_a_non_summation(monkeypatch):
-    # over the denotation and each normalized tree of every bundled and
-    # perfbench program
-    normal = []
-    parse_spnf = spnf.parse_spnf
-    monkeypatch.setattr(spnf, "parse_spnf", lambda e: normal.append(e) or parse_spnf(e))
+def test_every_summation_has_distinct_binders_over_a_non_summation():
+    # over the denotation and the normal form of every bundled and
+    # perfbench program: its terms, their slots and their aggregate bodies
     binders = []
     for text in _programs():
         prog = parse(text)
         env = build_env(prog)
         for i, stmt in enumerate(prog.verifies()):
             p = prepare_verify(stmt, f"verify{i}", env)
-            normal.clear()
-            to_spnf(p.body1, p.gen)
-            to_spnf(p.body2, p.gen)
-            for e in (p.body1, p.body2, *normal):
+            for e in (p.body1, p.body2):
                 assert _sum_shape_faults(e) == [], pretty(e)
                 binders += [len(n.vars) for n in walk(e) if type(n) is Sum]
+                s = to_spnf(e, p.gen)
+                assert _shape_faults(s) == [], pretty(s.to_exp())
+                binders += [len(t.sum_vars) for t in nested_terms(s) if t.sum_vars]
     assert len(binders) > 500 and max(binders) > 10
 
 
