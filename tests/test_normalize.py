@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semiq import build_env, parse, run_program_text, spnf
+from semiq import build_env, parse, run_program_text
 from semiq.config import Budget, BudgetError, Limits
 from semiq.frontend import inline_views
 from semiq.oracle import eval_exp
@@ -17,7 +17,7 @@ from semiq.pipeline import prepare_verify
 from semiq.spnf import Normalizer, SpnfExp, Term, nested_terms, to_spnf
 from semiq.trace import Trace
 from semiq.translate import denote
-from semiq.exprs import (ZERO, Add, AggCall, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
+from semiq.exprs import (Add, AggCall, AttrRef, Mul, Not, Pred, Rel, Squash, Sum,
                          TupleVar, VarGen, mk_eq, pretty, walk)
 
 from conftest import parse_query
