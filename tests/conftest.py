@@ -14,6 +14,14 @@ settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 
 from semiq import build_env, parse  # noqa: E402
+from semiq.pipeline import SWEEPS  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def empty_sweep_cache():
+    """Each test sweeps from an empty cache, so a stream cached by an
+    earlier test cannot stand in for a generator a test patches."""
+    SWEEPS.clear()
 
 
 FIG_INDEX = """

@@ -1141,3 +1141,81 @@ def union_subquery_program(outer: str, n: int) -> str:
     q = outer.format(u=u)
     return ("schema s(a:int, b:int);\ntable R(s);\ntable S(s);\n"
             f"verify ({q})\n       ({q});\n")
+
+
+# Two tables over two schemas, and pairs over them that each reach a rule of
+# the normalizer from SQL: each pair is equivalent
+PRELUDE = """
+schema s(a:int, b:int);
+schema w(a:int, c:int);
+table R(s);
+table S(w);
+"""
+
+
+ZERO_RULE_PAIRS = [
+    ("sum-zero", "SELECT x.a AS a FROM R x WHERE FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("mul-zero", "SELECT x.a AS a FROM R x WHERE x.a = 1 AND FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("add-zero", "(SELECT x.a AS a FROM R x) UNION ALL "
+                 "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z"),
+    ("squash-zero", "SELECT DISTINCT x.a AS a FROM R x WHERE FALSE",
+     "SELECT y.a AS a FROM R y WHERE FALSE"),
+    ("squash-zero", "SELECT x.a AS a FROM R x WHERE EXISTS "
+                    "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z WHERE FALSE"),
+    ("not-zero", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
+                 "(SELECT y.a AS a FROM R y WHERE FALSE)",
+     "SELECT z.a AS a FROM R z"),
+]
+
+
+# a filtered derived table over a UNION ALL, against its branches swapped
+UNION_Q1 = ("SELECT u.a AS a FROM ((SELECT x.a AS a FROM R x) UNION ALL "
+            "(SELECT y.a AS a FROM S y)) u WHERE u.a = 1")
+UNION_Q2 = ("SELECT v.a AS a FROM ((SELECT w.a AS a FROM S w) UNION ALL "
+            "(SELECT z.a AS a FROM R z)) v WHERE v.a = 1")
+
+
+# each squash rule of the catalog that only hand-built U-expressions were
+# thought to reach, reached from SQL: an OR with FALSE squashes its other
+# operand, and nested DISTINCTs or two EXISTS multiply squashes; then each
+# other rule the normalizer logs, so that with the zero rules every one is
+# reached from SQL
+RULE_PAIRS = [
+    ("squash-idem", "SELECT DISTINCT * FROM (SELECT DISTINCT x.a AS a FROM R x) y",
+     "SELECT DISTINCT z.a AS a FROM R z"),
+    ("squash-not", "SELECT x.a AS a FROM R x WHERE NOT EXISTS "
+                   "(SELECT y.a AS a FROM S y WHERE y.a = x.a) OR FALSE",
+     "SELECT z.a AS a FROM R z WHERE NOT EXISTS "
+     "(SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("pred-squash-elim", "SELECT x.a AS a FROM R x WHERE x.a = 1 OR FALSE",
+     "SELECT y.a AS a FROM R y WHERE y.a = 1"),
+    ("squash-one", "SELECT x.a AS a FROM R x WHERE TRUE OR FALSE",
+     "SELECT y.a AS a FROM R y"),
+    ("squash-mul", "SELECT x.a AS a FROM R x WHERE "
+                   "EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) AND "
+                   "EXISTS (SELECT y.c AS c FROM S y WHERE y.c = x.b)",
+     "SELECT z.a AS a FROM R z WHERE "
+     "EXISTS (SELECT w.c AS c FROM S w WHERE w.c = z.b) AND "
+     "EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("pull-not", "SELECT x.a AS a FROM R x WHERE "
+                 "NOT EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) AND "
+                 "NOT EXISTS (SELECT y.c AS c FROM S y WHERE y.c = x.b)",
+     "SELECT z.a AS a FROM R z WHERE "
+     "NOT EXISTS (SELECT w.c AS c FROM S w WHERE w.c = z.b) AND "
+     "NOT EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("not-squash", "SELECT x.a AS a FROM R x WHERE NOT (x.a = 1 OR x.b = 2)",
+     "SELECT y.a AS a FROM R y WHERE NOT (y.b = 2 OR y.a = 1)"),
+    ("squash-lift-add", "SELECT x.a AS a FROM R x WHERE "
+                        "EXISTS (SELECT y.a AS a FROM S y WHERE y.a = x.a) OR x.a = 1",
+     "SELECT z.a AS a FROM R z WHERE "
+     "z.a = 1 OR EXISTS (SELECT w.a AS a FROM S w WHERE w.a = z.a)"),
+    ("squash-one-plus", "SELECT DISTINCT x.a AS a FROM R x WHERE TRUE OR x.a = 1",
+     "SELECT DISTINCT y.a AS a FROM R y"),
+    ("mul-one", "SELECT DISTINCT x.a AS a FROM R x WHERE TRUE OR x.a = 1",
+     "SELECT DISTINCT y.a AS a FROM R y"),
+    *((rule, UNION_Q1, UNION_Q2) for rule in ("sum-add", "distr-mul-add", "sum-hoist")),
+]

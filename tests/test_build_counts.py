@@ -601,9 +601,11 @@ def test_a_wide_product_keys_each_factor_once(monkeypatch):
 def test_a_refutation_sweep_draws_only_the_tables_its_pair_reads(monkeypatch):
     # refute_unread's pair reads R alone: with 0 and with 16 more tables
     # declared, the generator is given R alone, and all 200 databases of
-    # the sweep hold R alone
+    # the sweep hold R alone; both sweeps draw one stream, so the second
+    # starts from an empty cache to reach the generator
     gen = pipeline.gen_instances
     for unread in (0, 16):
+        pipeline.SWEEPS.clear()
         envs, dbs = [], []
         monkeypatch.setattr(pipeline, "gen_instances", lambda env, *a, **k: envs.append(env) or (
             dbs.append(db) or db for db in gen(env, *a, **k)))

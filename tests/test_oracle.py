@@ -27,7 +27,8 @@ from semiq.exprs import (Add, AttrRef, Const, Mul, Not, Pred, PredApp, Rel, Squa
                         Sum, TupleVar, VarGen, mk_eq)
 
 from conftest import parse_query
-from helpers import enumerate_dbs, index_join_back_program
+from helpers import (PRELUDE, RULE_PAIRS, ZERO_RULE_PAIRS, enumerate_dbs,
+                     index_join_back_program)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -334,6 +335,122 @@ def test_a_pair_that_reads_every_table_sweeps_the_full_stream(pair):
         assert (witness.domains, witness.salt, witness.rels) == (full.domains, full.salt, full.rels)
 
 
+# ---------------------------------------------------------------------------
+# The sweep cache: `find_witness` draws each stream once per process
+
+# true over R, so a sweep runs all 200 databases; the literal 1 is in both
+TRUE_PAIR = ("SELECT x.a AS o FROM R x WHERE x.a < x.b AND x.b <> 1",
+             "SELECT x.a AS o FROM R x WHERE x.b > x.a AND NOT (x.b = 1)")
+# a bag/set pair over R with the same literal: the first duplicate separates it
+BAG_SET_PAIR = ("SELECT x.a AS o FROM R x WHERE x.b <> 1",
+                "SELECT DISTINCT x.a AS o FROM R x WHERE x.b <> 1")
+
+
+def _calls(monkeypatch, name: str) -> list:
+    """Each call of ``pipeline.<name>`` from now on."""
+    calls, real = [], getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _pair(pair):
+    return tuple(parse_query(q) for q in pair)
+
+
+def test_a_warm_sweep_gives_the_cold_sweeps_witness_and_evaluations(monkeypatch):
+    gens, interps = _calls(monkeypatch, "gen_instances"), _calls(monkeypatch, "interp_query")
+    env = _rs_env()
+    runs = {}
+    for cache in ("cold", "warm"):
+        if cache == "cold":
+            pipeline.SWEEPS.clear()
+        for name, pair in (("bag-set", BAG_SET_PAIR), ("true", TRUE_PAIR)):
+            interps.clear()
+            witness = find_witness(*_pair(pair), env)
+            runs[cache, name] = (witness and witness.dump(), len(interps))
+    assert runs["cold", "bag-set"] == runs["warm", "bag-set"]
+    assert runs["cold", "true"] == runs["warm", "true"] == (None, 400)
+    assert runs["cold", "bag-set"][0] is not None and runs["cold", "bag-set"][1] < 400
+    # the true pair reads the tables and literals of the bag/set pair: it
+    # extends the bag/set pair's stream and starts no generator of its own
+    assert len(gens) == 1
+
+
+def test_a_witness_is_a_copy_that_the_cache_never_sees():
+    env = _rs_env()  # the pair reads R alone
+    first = find_witness(*_pair(BAG_SET_PAIR), env)
+    dump = first.dump()
+    assert first.rels["S"] == {}
+    first.rels["R"].clear()
+    first.rels["S"][make_assignment({"a": 0, "b": 0})] = 1
+    first.domains["int"] = ()
+    second = find_witness(*_pair(BAG_SET_PAIR), env)
+    assert second is not first and second.dump() == dump and second.rels["S"] == {}
+    assert not (second._scans or second._bags or second._hashes or second._spaces)
+    [stream] = pipeline.SWEEPS.streams.values()
+    assert all(db is not second and db.rels["R"] is not second.rels["R"]
+               for db in stream.dbs)
+    assert all(list(db.rels) == ["R"] for db in stream.dbs)
+
+
+def test_the_sweep_cache_keeps_its_bound_and_evicts_the_least_recent_stream():
+    # one table per database and 200 databases per full sweep: seeds
+    # 0..fit-1 fill the cache, seed 0 is read again, and seed fit evicts
+    # seed 1, the least recently used
+    env = build_env(parse("schema s(a:int, b:int);\ntable R(s);\n"))
+    pair, cache = _pair(TRUE_PAIR), pipeline.SWEEPS
+    fit = pipeline.SWEEP_TABLES // 200
+    for seed in (*range(fit), 0, fit):
+        assert find_witness(*pair, env, seed=seed) is None
+        assert cache.tables <= pipeline.SWEEP_TABLES
+    assert [key[2] for key in cache.streams] == [*range(2, fit), 0, fit]
+    assert cache.tables == 200 * fit == sum(len(s.dbs) for s in cache.streams.values())
+
+
+def test_a_stream_over_the_bound_by_itself_is_not_kept(monkeypatch):
+    monkeypatch.setattr(pipeline, "SWEEP_TABLES", 150)
+    gens = _calls(monkeypatch, "gen_instances")
+    env = build_env(parse("schema s(a:int, b:int);\ntable R(s);\n"))
+    for _ in range(2):
+        assert find_witness(*_pair(TRUE_PAIR), env) is None
+        assert (pipeline.SWEEPS.streams, pipeline.SWEEPS.tables) == ({}, 0)
+    assert len(gens) == 2
+
+
+def test_a_stream_whose_generator_raises_is_dropped(monkeypatch):
+    real = pipeline.gen_instances
+
+    def failing(*args, **kwargs):
+        yield from itertools.islice(real(*args, **kwargs), 3)
+        raise OracleError("the generator failed")
+    monkeypatch.setattr(pipeline, "gen_instances", failing)
+    env = _rs_env()
+    assert find_witness(*_pair(TRUE_PAIR), env) is None
+    assert (pipeline.SWEEPS.streams, pipeline.SWEEPS.tables) == ({}, 0)
+    monkeypatch.setattr(pipeline, "gen_instances", real)
+    gens = _calls(monkeypatch, "gen_instances")
+    assert find_witness(*_pair(BAG_SET_PAIR), env) is not None
+    assert len(gens) == 1 and len(pipeline.SWEEPS.streams) == 1
+
+
+def test_streams_that_differ_in_one_input_get_their_own_entries(monkeypatch):
+    gens = _calls(monkeypatch, "gen_instances")
+
+    def sweep(ty="int", key="", literal=1, seed=0, schema="s"):
+        env = build_env(parse(f"schema {schema}(a:{ty}, b:int);\ntable R({schema});\n{key}"))
+        q = parse_query(f"SELECT x.b AS o FROM R x WHERE x.b = {literal}")
+        assert find_witness(q, q, env, seed=seed) is None
+    sweep()
+    sweep(literal=2)
+    sweep(seed=1)
+    sweep(key="key R(b);")
+    sweep(ty="string")
+    assert len(gens) == len(pipeline.SWEEPS.streams) == 5
+    # the schema's name is not drawn from: the same columns share a stream
+    sweep(schema="t")
+    assert len(gens) == 5
+
+
 def test_gen_instances_share_tuple_spaces_per_domain_draw():
     env = build_env(parse(KEY_FK_DECL))
     first: dict[str, FiniteDb] = {}
@@ -576,11 +693,11 @@ def _comparable(d, db: FiniteDb) -> bool:
     return out <= db.space_cap and out * _enumeration_bound(d.body, db) <= ENUMERATION_CAP
 
 
-def _pools(text: str):
+def _pools(text: str, count: int = 3):
     """Per side of each verify: its query, its denotation, the variable
-    supply past the denotation's variables, and those of three databases
-    with its constants on which the plan and the denotation can be
-    compared."""
+    supply past the denotation's variables, and those of ``count``
+    databases with its constants on which the plan and the denotation can
+    be compared."""
     program = parse(text)
     env = build_env(program)
     for stmt in program.verifies():
@@ -589,7 +706,7 @@ def _pools(text: str):
             gen = VarGen()
             d = denote(q, env, gen)
             dbs = gen_instances(
-                env, env.constraints(), GenSizes(2, 2, 2), 11, count=3,
+                env, env.constraints(), GenSizes(2, 2, 2), 11, count=count,
                 extra_ints=sorted(lits["int"]), extra_strings=sorted(lits["string"]))
             yield env, q, d, gen, [db for db in dbs if _comparable(d, db)]
 
@@ -605,16 +722,26 @@ verify (SELECT x.a AS o FROM R x WHERE x.a = 0 OR x.b = 1 OR x.a = x.b OR x.b = 
 """
 
 
-def _programs() -> list[tuple[str, str]]:
-    out = [(p.name, p.read_text()) for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
-    out.append(("and-or-chains", CHAINS))
+def _programs() -> list[tuple[str, str, int]]:
+    """(name, text, databases drawn per side) of each compared program."""
+    out = [(p.name, p.read_text(), 3) for p in sorted((ROOT / "benchmarks").glob("*.cos"))]
+    out.append(("and-or-chains", CHAINS, 3))
+    # a pair per normalizer rule, so that a rule applied wrongly changes a
+    # normal form these databases tell apart; pairs that share a text run
+    # once.  A wrong rule can show on few databases (keeping only pull-not's
+    # first negation shows on the 34th), and these programs are small
+    rules: dict[str, list[str]] = {}
+    for rule, q1, q2 in ZERO_RULE_PAIRS + RULE_PAIRS:
+        rules.setdefault(PRELUDE + f"verify ({q1}) ({q2});\n", []).append(rule)
+    out += [(f"rule/{'+'.join(names)}", text, 40) for text, names in rules.items()]
     for name in sorted(workloads.WORKLOADS):
         seen = set()
         for inst in workloads.build(name, 3, ROOT):
             if inst.family not in seen and not inst.family.startswith("bundled-"):
                 seen.add(inst.family)
-                out.append((f"{name}/{inst.family}", inst.text))
-    return [(name, text) for name, text in out if any(dbs for *_, dbs in _pools(text))]
+                out.append((f"{name}/{inst.family}", inst.text, 3))
+    return [(name, text, count) for name, text, count in out
+            if any(dbs for *_, dbs in _pools(text, count))]
 
 
 def _enumeration_bound(e, db) -> int:
@@ -633,12 +760,13 @@ def _enumeration_bound(e, db) -> int:
 PROGRAMS = _programs()
 
 
-@pytest.mark.parametrize("text", [t for _, t in PROGRAMS], ids=[n for n, _ in PROGRAMS])
-def test_plan_equals_denotation(text):
+@pytest.mark.parametrize("text, count", [(t, c) for _, t, c in PROGRAMS],
+                         ids=[n for n, _, _ in PROGRAMS])
+def test_plan_equals_denotation(text, count):
     # and the normal form equals both, on the databases where it too can
     # be enumerated: the chain SQL = denote = to_spnf
     compared = normal = 0
-    for env, q, d, gen, dbs in _pools(text):
+    for env, q, d, gen, dbs in _pools(text, count):
         plan = compile_query(q, env)
         nf = Denotation(d.out_var, to_spnf(d.body, gen).to_exp())
         for db in dbs:

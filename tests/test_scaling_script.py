@@ -22,7 +22,7 @@ def test_scaling_rows_at_tiny_sizes(tmp_path):
             "derived_from=3": "EQUIVALENT",
             "fk_cycle=1": "NOT_PROVED", "wide_and=4": "EQUIVALENT",
             "wide_or=4": "EQUIVALENT", "self_join_offset=3": "NOT_PROVED",
-            "refute_unread=2": "NOT_PROVED"}
+            "refute_unread=2": "NOT_PROVED", "refute_file=3": "NOT_PROVED"}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / "scaling.py"),
                           "--timeout", "30", "--json", str(tmp_path / "b.json"), *rows],
                          capture_output=True, text=True, timeout=120, check=True)
@@ -124,3 +124,25 @@ def test_scaling_refute_sweep_runs_every_database_and_finds_no_witness(monkeypat
     [(kw, [out])] = runs
     assert kw["refute"] is True and out.witness is None
     assert len(interps) == 2 * 200  # both sides on every database
+
+
+def test_scaling_refute_file_draws_one_stream_and_each_row_starts_cold(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("scaling",
+                                                  ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    from semiq import pipeline
+    gens, interps = [], []
+    real_gen, real_interp = pipeline.gen_instances, pipeline.interp_query
+    monkeypatch.setattr(pipeline, "gen_instances",
+                        lambda *a, **k: gens.append(1) or real_gen(*a, **k))
+    monkeypatch.setattr(pipeline, "interp_query",
+                        lambda *a: interps.append(1) or real_interp(*a))
+    assert scaling.main(["refute_file=4", "refute_file=4"]) == 0
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [(family, size, verdict) for family, size, _, verdict, _ in lines] == \
+        [("refute_file", "4", "NOT_PROVED")] * 2
+    # the four verifies of a row share one stream, and the second row
+    # draws it again from an empty cache
+    assert len(gens) == 2
+    assert len(interps) == 2 * 4 * 2 * 200
